@@ -35,6 +35,10 @@ MANIFOLDS = ("s1", "s2", "four")
 
 _DIM = {"s1": 3, "s2": 3, "four": 15}
 
+# Largest substate table extend_to_substates builds: n * 2^m rows, at most
+# about 256 MiB at m = 16.
+MAX_SUBSTATE_ROWS = 2**22
+
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.array(arr)
@@ -267,27 +271,27 @@ class SubstateEnsemble:
     """Finite classical ensemble on which listed observables have sharp values.
 
     Rows are substates (micro-state index, one sign per stored direction,
-    probability). Directions are stored canonicalised to a hemisphere.
+    probability). Directions are stored canonicalised to a hemisphere. Signs
+    must be +1 or -1 and are stored as int8; probabilities are validated like
+    any probability vector (nonnegative, exact total 1 within 1e-12).
     """
 
     directions: np.ndarray   # (m, 3), canonical
     base_points: np.ndarray  # (n, 3)
     state_index: np.ndarray  # (K,)
-    signs: np.ndarray        # (K, m), entries +-1
+    signs: np.ndarray        # (K, m), int8 entries +-1
     probs: np.ndarray        # (K,)
     base_probs: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
+        signs = np.asarray(self.signs)
+        if not np.all(np.abs(signs) == 1):
+            raise ConstraintViolation("substate signs must be +1 or -1")
+        object.__setattr__(self, "signs", _freeze(signs.astype(np.int8, copy=False)))
         object.__setattr__(self, "directions", _freeze(as_float_array(self.directions)))
         object.__setattr__(self, "base_points", _freeze(as_float_array(self.base_points)))
         object.__setattr__(self, "state_index", _freeze(np.asarray(self.state_index, dtype=int)))
-        object.__setattr__(self, "signs", _freeze(np.asarray(self.signs, dtype=int)))
-        probs = as_float_array(self.probs, "substate probabilities")
-        if np.any(probs < -1e-12):
-            raise ConstraintViolation("negative substate probability")
-        if abs(math.fsum(probs.tolist()) - 1.0) > 1e-12:
-            raise ConstraintViolation("substate probabilities do not sum to 1")
-        object.__setattr__(self, "probs", _freeze(probs))
+        object.__setattr__(self, "probs", _freeze(check_probabilities(self.probs)))
         if self.base_probs is not None:
             object.__setattr__(self, "base_probs", _freeze(as_float_array(self.base_probs)))
 
@@ -361,7 +365,15 @@ def extend_to_substates(ensemble: Ensemble, directions) -> SubstateEnsemble:
         p(f, {gamma}) = p(f) * prod_j (1 + gamma_j f.g_j) / 2.
 
     Directions are canonicalised to one hemisphere first; a list containing an
-    antipodal pair (or an exact duplicate) is invalid input.
+    antipodal pair (or an exact duplicate) is invalid input. Rows run over the
+    micro-states in order, each with its 2^m sign patterns in
+    ``itertools.product((1, -1), repeat=m)`` order; signs are int8.
+
+    The table is built in place over (n, 2^m), so peak memory is about
+    32 + 2m bytes per row: the float64 probabilities and int64 state indices,
+    each with its frozen copy, and the int8 signs with theirs. Inputs with
+    m > 16 or n * 2^m > MAX_SUBSTATE_ROWS are rejected before any of it is
+    allocated.
     """
     if ensemble.manifold not in ("s1", "s2"):
         raise ValueError("substate extension is defined for sphere ensembles")
@@ -376,20 +388,26 @@ def extend_to_substates(ensemble: Ensemble, directions) -> SubstateEnsemble:
         raise ValueError("need at least one direction")
     if len(canon) > 16:
         raise ValueError("more than 16 directions would create 2^m > 65536 substates")
+    n, m = len(ensemble), len(canon)
+    rows = n * 2**m
+    if rows > MAX_SUBSTATE_ROWS:
+        raise ValueError(
+            f"substate extension at (n, m) = ({n}, {m}) has n * 2^m = {rows} rows, "
+            f"over the limit of {MAX_SUBSTATE_ROWS}"
+        )
     canon = np.array(canon)
-    m = canon.shape[0]
-    signs = np.array(list(itertools.product((1, -1), repeat=m)), dtype=int)  # (2^m, m)
-    dots = ensemble.points @ canon.T                                          # (n, m)
-    factors = 0.5 * (1.0 + signs[None, :, :] * dots[:, None, :])              # (n, 2^m, m)
-    table = ensemble.probs[:, None] * np.prod(factors, axis=2)                # (n, 2^m)
-    n = len(ensemble)
-    state_index = np.repeat(np.arange(n), signs.shape[0])
-    all_signs = np.tile(signs, (n, 1))
+    signs = np.array(list(itertools.product((1, -1), repeat=m)), dtype=np.int8)  # (2^m, m)
+    dots = ensemble.points @ canon.T                                              # (n, m)
+    # one (n, 2^m) factor per direction, multiplied in direction order, then p(f)
+    table = 0.5 * (1.0 + signs[None, :, 0] * dots[:, 0, None])
+    for j in range(1, m):
+        table *= 0.5 * (1.0 + signs[None, :, j] * dots[:, j, None])
+    table *= ensemble.probs[:, None]
     return SubstateEnsemble(
         canon,
         ensemble.points,
-        state_index,
-        all_signs,
+        np.repeat(np.arange(n), 2**m),
+        np.tile(signs, (n, 1)),
         table.reshape(-1),
         base_probs=ensemble.probs,
     )
@@ -408,8 +426,8 @@ def _eval_density(density, points: np.ndarray) -> np.ndarray:
         vals = np.asarray(density(points), dtype=float)
         if vals.shape == (points.shape[0],):
             return vals
-    except Exception:
-        pass
+    except (TypeError, ValueError):
+        pass  # a scalar-only density; evaluate it point by point
     return np.array([float(density(p)) for p in points])
 
 

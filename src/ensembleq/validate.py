@@ -5,11 +5,16 @@ probability vectors are not renormalised, norms are not rescaled.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 TOL = 1e-12
+
+# check_probabilities feeds fsum this many entries at a time, so its exact
+# total never holds a Python list as long as the vector
+_FSUM_CHUNK = 65536
 
 
 class ConstraintViolation(ValueError):
@@ -44,7 +49,8 @@ def check_probabilities(p, tol: float = TOL) -> np.ndarray:
         raise ValueError("probabilities must be a non-empty 1-d vector")
     if np.any(arr < -tol):
         raise ConstraintViolation(f"negative probability: min = {arr.min()!r}")
-    total = math.fsum(arr.tolist())
+    chunks = (arr[i:i + _FSUM_CHUNK].tolist() for i in range(0, arr.size, _FSUM_CHUNK))
+    total = math.fsum(itertools.chain.from_iterable(chunks))
     if abs(total - 1.0) > tol:
         raise ConstraintViolation(f"probabilities sum to {total!r}, not 1")
     return arr

@@ -1,12 +1,16 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ensembleq import manifolds
+from ensembleq.correlations import classical_correlation, pointwise_correlation
 from ensembleq.manifolds import (
+    MAX_SUBSTATE_ROWS,
     BlochState,
     Ensemble,
     SubstateEnsemble,
@@ -20,7 +24,8 @@ from ensembleq.manifolds import (
     purity,
     reduce_ensemble,
 )
-from ensembleq.validate import ConstraintViolation
+from ensembleq.observables import TwoLevelObservable
+from ensembleq.validate import ConstraintViolation, check_probabilities
 
 
 def octagon_ensemble(probs=None):
@@ -115,6 +120,16 @@ class TestValidation:
         vec[0] = 2.0   # norm ok for 15 components but matrix not positive
         with pytest.raises(ConstraintViolation):
             BlochState(vec)
+
+    def test_probability_total_exact_across_chunks(self):
+        # 200000 entries of 1e-17 vanish one by one in a running float sum
+        # onto 1.0, but their exact total of 2e-12 breaks the 1e-12 tolerance
+        arr = np.full(200_001, 1e-17)
+        arr[0] = 1.0
+        with pytest.raises(ConstraintViolation):
+            check_probabilities(arr)
+        arr[0] = 1.0 - 2e-12
+        assert check_probabilities(arr) is not None
 
     def test_purity_values(self):
         assert purity(np.zeros(3)) == 0.0
@@ -216,6 +231,125 @@ class TestSubstates:
         sub = SubstateEnsemble.from_rows(dirs, rows)
         assert len(sub) == 4
         assert sub.marginal_micro_probs()[0] == 1.0
+        assert sub.signs.dtype == np.int8
+
+    @pytest.mark.parametrize("bad", [0, 2, 300])
+    def test_hand_built_rows_reject_non_unit_signs(self, bad):
+        f = np.array([0.0, 0.0, 1.0])
+        rows = [(f, [1], 0.5), (f, [bad], 0.5)]
+        with pytest.raises(ConstraintViolation):
+            SubstateEnsemble.from_rows([[1.0, 0.0, 0.0]], rows)
+
+    def test_oversized_extension_rejected_before_allocating(self):
+        ens = grid_ensemble(64)   # 8192 points
+        rng = np.random.default_rng(10)
+        dirs = rng.normal(size=(16, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        assert len(ens) * 2**16 > MAX_SUBSTATE_ROWS
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="8192"):
+                extend_to_substates(ens, dirs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_row_limit_boundary(self, monkeypatch):
+        monkeypatch.setattr(manifolds, "MAX_SUBSTATE_ROWS", 32)
+        ens = octagon_ensemble()
+        dirs = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        assert len(extend_to_substates(ens, dirs[:2])) == 32   # 8 * 2^2, at the limit
+        with pytest.raises(ValueError, match="64 rows"):
+            extend_to_substates(ens, dirs)
+
+    def test_sixteen_directions(self):
+        ens = Ensemble.point_mass(microstate_s2([0.0, 0.0, 1.0]))
+        rng = np.random.default_rng(11)
+        dirs = rng.normal(size=(16, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        sub = extend_to_substates(ens, dirs)
+        assert sub.signs.shape == (2**16, 16)
+        assert sub.signs.dtype == np.int8
+
+
+def _unit_vectors():
+    return (
+        st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+        .filter(lambda v: math.fsum(x * x for x in v) > 1e-2)
+        .map(lambda v: np.array(v) / np.linalg.norm(v))
+    )
+
+
+def _distinct_axes(dirs):
+    canon = [canonical_direction(g)[0] for g in dirs]
+    return all(
+        np.abs(canon[i] - canon[k]).max() >= 1e-9
+        for i in range(len(canon))
+        for k in range(i)
+    )
+
+
+@st.composite
+def s2_extensions(draw):
+    """A small s2 ensemble plus 1-5 pairwise non-antipodal directions."""
+    n = draw(st.integers(1, 6))
+    pts = np.array(draw(st.lists(_unit_vectors(), min_size=n, max_size=n)))
+    weights = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+    dirs = draw(st.lists(_unit_vectors(), min_size=1, max_size=5).filter(_distinct_axes))
+    return Ensemble("s2", pts, weights / weights.sum()), dirs
+
+
+class TestSubstateProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(s2_extensions())
+    def test_marginals_recover_ensemble(self, case):
+        ens, dirs = case
+        sub = extend_to_substates(ens, dirs)
+        np.testing.assert_allclose(sub.marginal_micro_probs(), ens.probs, rtol=0, atol=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(s2_extensions())
+    def test_rows_follow_product_form(self, case):
+        # recomputed row by row from the given (uncanonicalised) directions:
+        # gamma(-g) = -gamma(g) leaves each factor (1 + gamma f.g)/2 unchanged
+        ens, dirs = case
+        sub = extend_to_substates(ens, dirs)
+        gammas = [sub.sign_values(g) for g in dirs]
+        assert len(sub) == len(ens) * 2 ** len(dirs)
+        for r in range(len(sub)):
+            i = int(sub.state_index[r])
+            f = ens.points[i]
+            want = float(ens.probs[i]) * math.prod(
+                (1.0 + int(gam[r]) * math.fsum(f * g)) / 2.0 for gam, g in zip(gammas, dirs)
+            )
+            assert abs(float(sub.probs[r]) - want) <= 1e-15
+        for i in range(len(ens)):
+            patterns = {tuple(row) for row in sub.signs[sub.state_index == i].tolist()}
+            assert len(patterns) == 2 ** len(dirs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(s2_extensions())
+    def test_classical_pair_correlation_is_pointwise(self, case):
+        ens, dirs = case
+        sub = extend_to_substates(ens, dirs)
+        for j, a in enumerate(dirs):
+            for k, b in enumerate(dirs):
+                got = classical_correlation(a, b, sub)
+                if j == k:
+                    want = 1.0   # gamma^2 = 1 on every substate
+                else:
+                    want = pointwise_correlation(TwoLevelObservable(a), TwoLevelObservable(b), ens)
+                assert abs(got - want) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(s2_extensions())
+    def test_signs_are_int8_units(self, case):
+        ens, dirs = case
+        sub = extend_to_substates(ens, dirs)
+        assert sub.signs.dtype == np.int8
+        assert sub.signs.shape == (len(sub), len(dirs))
+        assert np.all(np.abs(sub.signs) == 1)
 
 
 class TestGridEnsemble:
@@ -268,6 +402,24 @@ class TestGridEnsemble:
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
             grid_ensemble(1)
+
+    def test_scalar_only_density(self):
+        # math.exp rejects an array with TypeError; the grid falls back to
+        # evaluating the density one point at a time
+        vectorised = grid_ensemble(8, lambda pts: np.exp(pts[:, 2]))
+        scalar = grid_ensemble(8, lambda p: math.exp(p[2]))
+        np.testing.assert_allclose(scalar.probs, vectorised.probs, rtol=1e-15, atol=0)
+
+    def test_density_error_propagates(self):
+        calls = []
+
+        def density(pts):
+            calls.append(pts.shape)
+            raise RuntimeError("broken density")
+
+        with pytest.raises(RuntimeError, match="broken density"):
+            grid_ensemble(8, density)
+        assert calls == [(128, 3)]   # one vectorised call, no per-point retry
 
 
 class TestSerialization:
