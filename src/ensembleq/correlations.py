@@ -22,6 +22,7 @@ measured first, so the list reads like the product A o B o C.
 """
 from __future__ import annotations
 
+import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -39,9 +40,15 @@ from .observables import (
     has_eigenstates,
     operator_of,
 )
-from .validate import DimensionMismatch, as_float_array
+from .validate import ConstraintViolation, DimensionMismatch, as_float_array
 
 _SNAP = 1e-12
+# measurement_chain enumerates 2^m branches, and four-state level i keeps up to
+# 2^i reduced states; either count above this is rejected before building
+MAX_CHAIN_SIZE = 1 << 20
+# simulate_sequences draws and walks this many rows of uniforms at a time:
+# 4096 x m float64, 320 KiB at m = 10
+_TILE_ROWS = 4096
 
 
 def _require_unit_spin(obs, name: str) -> TwoLevelObservable:
@@ -190,12 +197,13 @@ def conditional_product(x, y):
     return ProductObservable(d * y.e, const)
 
 
-def _two_level_projectors(obs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _two_level_projectors(obs) -> np.ndarray:
+    """The eigenprojectors (P+, P-) of a +-1 observable, stacked."""
     op = operator_of(obs)
     eye = np.eye(op.shape[0])
     if np.abs(op @ op - eye).max() > 1e-12:
         raise ValueError("observable operator does not square to 1 (spectrum is not +-1)")
-    return op, 0.5 * (eye + op), 0.5 * (eye - op)
+    return 0.5 * np.stack([eye + op, eye - op])
 
 
 def sequence_probabilities(a, b, state) -> dict[str, float]:
@@ -204,22 +212,13 @@ def sequence_probabilities(a, b, state) -> dict[str, float]:
     Keys "++", "+-", "-+", "--" give the A outcome first. The four entries sum
     to one, and W_{++} + W_{--} is independent of the measurement order.
     """
-    a = _require_unit_spin(a, "A")
-    b = _require_unit_spin(b, "B")
-    rho = _state_matrix(state)
-    _check_chain_dims([a, b], rho)
-    _, pb_plus, pb_minus = _two_level_projectors(b)
-    op_a, pa_plus, pa_minus = _two_level_projectors(a)
+    _require_unit_spin(a, "A")
+    _require_unit_spin(b, "B")
+    (probs_b, succ_b), (probs_a, _) = _chain([a, b], state, terms=False)[0]
     out = {}
-    for s_b, proj_b in ((1, pb_plus), (-1, pb_minus)):
-        w_b = float(np.trace(proj_b @ rho).real)
-        if w_b > 1e-15:
-            reduced = proj_b @ rho @ proj_b / w_b
-        else:
-            reduced = proj_b / float(np.trace(proj_b).real)
-        for s_a, proj_a in ((1, pa_plus), (-1, pa_minus)):
-            key = ("+" if s_a > 0 else "-") + ("+" if s_b > 0 else "-")
-            out[key] = float(np.trace(proj_a @ reduced).real) * w_b
+    for o_b, key_b in enumerate("+-"):
+        for o_a, key_a in enumerate("+-"):
+            out[key_a + key_b] = float(probs_a[succ_b[o_b], o_a]) * float(probs_b[0, o_b])
     return out
 
 
@@ -245,16 +244,16 @@ class WeightedEigenstateSum:
         return float(np.trace(self.signed_sum()).real)
 
 
-def measurement_chain(observables, state) -> tuple[WeightedEigenstateSum, float]:
-    """Apply the state-reduction maps of a measurement sequence.
+def _chain(observables, state, terms: bool):
+    """Levels of a measurement chain, and its final states when ``terms`` is set.
 
-    ``observables`` is ordered like the product, rightmost measured first.
-    Each measurement splits every branch into the two outcomes, weighting by
-    sign times outcome probability and reducing the branch state projectively
-    (for the two-state system this is the unique eigenstate). A branch hit
-    with probability exactly zero is kept, carrying weight 0 and the canonical
-    eigenspace state. The random observable is legal only in the leftmost
-    (last measured) position and contributes an empty sum with value 0.
+    Level i is a pair (probs, succ) over the distinct reduced states before
+    measurement i: probs[j] holds the (+1, -1) outcome probabilities in state
+    j, and succ[2 j + o] the state index after outcome o (0 for +1). A rank-1
+    projector (every two-state spin) reduces any state to its own eigenstate,
+    so two-state levels hold at most 2 states: a Markov chain. Four-state
+    level i keeps up to 2^i states. The random observable (legal only when
+    measured last) gives outcomes +-1 with probability 1/2 and no final states.
     """
     seq = list(reversed(list(observables)))
     if not seq:
@@ -266,27 +265,62 @@ def measurement_chain(observables, state) -> tuple[WeightedEigenstateSum, float]
             )
     rho = _state_matrix(state)
     _check_chain_dims(seq, rho)
-    branches = [(1.0, rho)]
-    for obs in seq:
+    m, rank1 = len(seq), rho.shape[0] == 2
+    size = 2**m if terms else (2 if rank1 else 2 ** (m - 1))
+    if size > MAX_CHAIN_SIZE:
+        raise ValueError(f"a chain of {m} measurements needs {size} "
+                         f"{'branches' if terms else 'reduced states'}, over {MAX_CHAIN_SIZE}")
+    states, levels = rho[None], []
+    for i, obs in enumerate(seq):
+        k = len(states)
         if isinstance(obs, RandomObservable):
-            # Outcomes +-1 with probability 1/2 each cancel exactly.
-            branches = []
-            break
+            levels.append((np.full((k, 2), 0.5), np.zeros(2 * k, dtype=np.intp)))
+            return levels, None
         _require_unit_spin(obs, "observable")
-        _, proj_plus, proj_minus = _two_level_projectors(obs)
-        new = []
-        for w, mat in branches:
-            for s, proj in ((1, proj_plus), (-1, proj_minus)):
-                prob = float(np.trace(proj @ mat).real)
-                if prob > 1e-15:
-                    reduced = proj @ mat @ proj / prob
-                else:
-                    prob = 0.0
-                    reduced = proj / float(np.trace(proj).real)
-                new.append((w * s * prob, reduced))
-        branches = new
-    value = math.fsum(w for w, _ in branches)
-    return WeightedEigenstateSum(tuple(branches)), value
+        projs = _two_level_projectors(obs)
+        left = projs @ states[:, None]                  # (k, 2, d, d): P_o rho_j
+        probs = np.trace(left, axis1=2, axis2=3).real
+        if np.any((probs < -_SNAP) | (probs > 1.0 + _SNAP)):
+            raise ConstraintViolation(f"outcome probability outside [0, 1] by over {_SNAP}")
+        probs = np.where(probs > 1e-15, np.minimum(probs, 1.0), 0.0)
+        eigen = projs / np.trace(projs, axis1=1, axis2=2).real[:, None, None]
+        succ = np.arange(2 * k)
+        if rank1:
+            succ %= 2
+            states = eigen
+        elif i < m - 1 or terms:
+            # P rho P / p, or the canonical eigenspace state P / tr P for p = 0
+            live = (probs > 0.0)[..., None, None]
+            reduced = left @ projs / np.where(live, probs[..., None, None], 1.0)
+            states = np.where(live, reduced, eigen).reshape((2 * k,) + rho.shape)
+        levels.append((probs, succ))
+    return levels, states
+
+
+def measurement_chain(observables, state) -> tuple[WeightedEigenstateSum, float]:
+    """Apply the state-reduction maps of a measurement sequence.
+
+    ``observables`` is ordered like the product, rightmost measured first.
+    Each measurement splits every branch into the two outcomes, weighting by
+    sign times outcome probability and reducing the branch state projectively
+    (for the two-state system this is the unique eigenstate, shared by every
+    branch). A branch hit with probability exactly zero is kept, carrying
+    weight 0 and the canonical eigenspace state. The random observable is
+    legal only in the leftmost (last measured) position and contributes an
+    empty sum with value 0. A chain of more than MAX_CHAIN_SIZE branches is
+    rejected before any is built.
+    """
+    levels, final = _chain(observables, state, terms=True)
+    if final is None:
+        # Outcomes +-1 with probability 1/2 each cancel exactly.
+        return WeightedEigenstateSum(()), 0.0
+    weights, sid = np.ones(1), np.zeros(1, dtype=np.intp)
+    for probs, succ in levels:
+        weights = (weights[:, None] * (probs * (1.0, -1.0))[sid]).ravel()
+        sid = succ[(2 * sid[:, None] + (0, 1)).ravel()]
+    mats = list(final)
+    terms = tuple(zip(weights.tolist(), [mats[j] for j in sid.tolist()]))
+    return WeightedEigenstateSum(terms), math.fsum(weights.tolist())
 
 
 def pointwise_correlation(a, b, ensemble: Ensemble) -> float:
@@ -337,63 +371,24 @@ class SequenceEstimate:
     seed: int
 
     def to_json(self) -> str:
-        import json
-
         return json.dumps(
             {"value": self.value, "stderr": self.stderr, "n": self.n, "seed": self.seed},
             sort_keys=True,
         )
 
 
-def _chain_tables(observables, state) -> list[np.ndarray]:
-    """Exact +1-outcome probabilities for every measurement-history prefix.
+def _walk(levels, u) -> np.ndarray:
+    """Outcomes for rows of uniforms u (rows, m): an (m, rows) mask, True for -1.
 
-    Level i holds 2^i entries indexed by the bit pattern of earlier outcomes
-    (bit 0 for +1). These are the prob_plus values on the running eigenstate
-    chain, computed once so sampling only draws uniforms.
+    Measurement i gives +1 where u[:, i] is below the +1 probability of the
+    row's current state, then the row moves to that outcome's successor.
     """
-    seq = list(reversed(list(observables)))
-    if not seq:
-        raise ValueError("empty measurement sequence")
-    for obs in seq[:-1]:
-        if isinstance(obs, RandomObservable) or not has_eigenstates(obs):
-            raise NoEigenstateError("an inner observable has no eigenstates")
-    rho = _state_matrix(state)
-    _check_chain_dims(seq, rho)
-    states = [rho]
-    tables = []
-    for obs in seq:
-        if isinstance(obs, RandomObservable):
-            tables.append(np.full(len(states), 0.5))
-            states = [None] * (2 * len(states))
-            continue
-        _require_unit_spin(obs, "observable")
-        _, proj_plus, proj_minus = _two_level_projectors(obs)
-        level = np.empty(len(states))
-        new_states = []
-        for j, mat in enumerate(states):
-            p_plus = float(np.trace(proj_plus @ mat).real)
-            level[j] = min(1.0, max(0.0, p_plus))
-            for prob, proj in ((p_plus, proj_plus), (1.0 - p_plus, proj_minus)):
-                if prob > 1e-15:
-                    new_states.append(proj @ mat @ proj / prob)
-                else:
-                    new_states.append(proj / float(np.trace(proj).real))
-        tables.append(level)
-        states = new_states
-    return tables
-
-
-def _block_signs(tables, rng, count: int) -> int:
-    m = len(tables)
-    u = rng.random((count, m))
-    prefix = np.zeros(count, dtype=np.int64)
-    sign = np.ones(count, dtype=np.int64)
-    for i in range(m):
-        plus = u[:, i] < tables[i][prefix]
-        sign *= np.where(plus, 1, -1)
-        prefix = 2 * prefix + np.where(plus, 0, 1)
-    return int(sign.sum())
+    minus = np.empty((len(levels), len(u)), dtype=bool)
+    sid = np.zeros(len(u), dtype=np.intp)
+    for i, (probs, succ) in enumerate(levels):
+        np.greater_equal(u[:, i], probs[sid, 0], out=minus[i])
+        sid = succ[2 * sid + minus[i]]
+    return minus
 
 
 def simulate_sequences(
@@ -406,11 +401,16 @@ def simulate_sequences(
 ) -> SequenceEstimate:
     """Monte Carlo estimate of a conditional correlation from sampled sequences.
 
-    Samples are drawn in fixed blocks, block ``j`` from the dedicated stream
-    ``default_rng([seed, j])``, so results are bit-identical for a given
-    (seed, n_samples) regardless of ``n_jobs``. The estimator mean converges
-    to ``measurement_chain``'s closed form at the usual n^(-1/2) rate; the
-    reported standard error is the sample standard deviation over sqrt(n).
+    Reproducibility contract: sample s belongs to block j = s // block_size,
+    and block j draws its uniforms from the stream ``default_rng([seed, j])``
+    in row-major order, one row of m uniforms per sample, column i feeding
+    measurement i (rightmost measured first). So the result is bit-identical
+    for a given (seed, n_samples, block_size) whatever ``n_jobs`` is. Workers
+    draw and walk a block _TILE_ROWS rows at a time; successive draws continue
+    the stream, so the tile size never changes a result, and a worker's
+    working set stays near _TILE_ROWS * m * 8 bytes whatever ``block_size``
+    is. The mean converges to ``measurement_chain``'s closed form at the
+    n^(-1/2) rate; the standard error is the sample std. dev. over sqrt(n).
     """
     n_samples = int(n_samples)
     if n_samples < 1:
@@ -418,21 +418,30 @@ def simulate_sequences(
     seed = int(seed)
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
-    tables = _chain_tables(observables, state)
+    block_size, n_jobs = int(block_size), int(n_jobs)
+    if block_size < 1:
+        raise ValueError("block_size must be >= 1")
+    if n_jobs < 1:
+        raise ValueError("n_jobs must be >= 1")
+    levels, _ = _chain(observables, state, terms=False)
     n_blocks = (n_samples + block_size - 1) // block_size
 
     def run_block(j: int) -> int:
-        count = min(block_size, n_samples - j * block_size)
+        """Sum of the +-1 sequence values in block j, drawn _TILE_ROWS rows at a time."""
         rng = np.random.default_rng([seed, j])
-        return _block_signs(tables, rng, count)
+        count, total = min(block_size, n_samples - j * block_size), 0
+        for start in range(0, count, _TILE_ROWS):
+            rows = min(_TILE_ROWS, count - start)
+            minus = _walk(levels, rng.random((rows, len(levels))))
+            total += rows - 2 * int(np.count_nonzero(np.logical_xor.reduce(minus, axis=0)))
+        return total
 
     if n_jobs > 1 and n_blocks > 1:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
             sums = list(pool.map(run_block, range(n_blocks)))
     else:
         sums = [run_block(j) for j in range(n_blocks)]
-    total = sum(sums)
-    mean = total / n_samples
+    mean = sum(sums) / n_samples
     if n_samples > 1:
         var = max(0.0, 1.0 - mean * mean) * n_samples / (n_samples - 1)
         stderr = math.sqrt(var / n_samples)
@@ -443,18 +452,9 @@ def simulate_sequences(
 
 def sample_measurement_records(observables, state, n: int, seed: int) -> list[MeasurementRecord]:
     """Draw full outcome records for n simulated sequences (small n)."""
-    seq = list(reversed(list(observables)))
-    tables = _chain_tables(observables, state)
-    labels = [getattr(o, "label", "A") for o in seq]
-    rng = np.random.default_rng([int(seed), 0])
-    u = rng.random((int(n), len(seq)))
-    records = []
-    for row in u:
-        prefix = 0
-        outcomes = []
-        for i in range(len(seq)):
-            plus = row[i] < tables[i][prefix]
-            outcomes.append((labels[i], 1 if plus else -1))
-            prefix = 2 * prefix + (0 if plus else 1)
-        records.append(MeasurementRecord(tuple(outcomes)))
-    return records
+    observables = list(observables)
+    levels, _ = _chain(observables, state, terms=False)
+    labels = [getattr(o, "label", "A") for o in reversed(observables)]
+    u = np.random.default_rng([int(seed), 0]).random((int(n), len(levels)))
+    outcomes = np.where(_walk(levels, u), -1, 1).T.tolist()
+    return [MeasurementRecord(tuple(zip(labels, row))) for row in outcomes]

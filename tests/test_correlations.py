@@ -1,12 +1,14 @@
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ensembleq import qmatrix
+from ensembleq import correlations, qmatrix
 from ensembleq.correlations import (
     classical_correlation,
     conditional_correlation_2pt,
@@ -20,6 +22,7 @@ from ensembleq.correlations import (
     sequence_probabilities,
     simulate_sequences,
 )
+from ensembleq.fourstate import entangled_bloch, rotated_spin_observables
 from ensembleq.manifolds import (
     Ensemble,
     SubstateEnsemble,
@@ -37,6 +40,7 @@ from ensembleq.observables import (
     operator_of,
     spin,
 )
+from ensembleq.validate import ConstraintViolation
 
 SQ2 = 1.0 / math.sqrt(2.0)
 A1, A2, A3 = basis_spin(1), basis_spin(2), basis_spin(3)
@@ -467,3 +471,178 @@ class TestSimulation:
             simulate_sequences([A1, A2], np.zeros(3), 0, seed=1)
         with pytest.raises(ValueError):
             simulate_sequences([A1, A2], np.zeros(3), 10, seed=-1)
+
+    @pytest.mark.parametrize("block_size", [0, -5])
+    def test_bad_block_size_rejected_before_drawing(self, block_size, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", None)   # any draw would fail
+        with pytest.raises(ValueError, match="block_size"):
+            simulate_sequences([A1, A2], np.zeros(3), 1000, seed=1, block_size=block_size)
+
+    @pytest.mark.parametrize("n_jobs", [0, -1])
+    def test_bad_n_jobs_rejected_before_drawing(self, n_jobs, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", None)
+        with pytest.raises(ValueError, match="n_jobs"):
+            simulate_sequences([A1, A2], np.zeros(3), 1000, seed=1, n_jobs=n_jobs)
+
+    def test_records_follow_the_first_block(self):
+        # records walk block 0's stream, so their mean is the estimate of n <= block_size
+        rng = np.random.default_rng(17)
+        chain = [spin(random_unit(rng)) for _ in range(4)]
+        rho_vec = random_bloch(rng)
+        records = sample_measurement_records(chain, rho_vec, 500, seed=8)
+        est = simulate_sequences(chain, rho_vec, 500, seed=8)
+        assert sum(rec.value for rec in records) / 500 == est.value
+
+
+def _reference_estimate(chain, state, n, seed, block_size):
+    """Untiled reference Monte Carlo: one (count, m) draw per block, 2^i-entry tables.
+
+    Level i of the table holds the +1 probability after every history of earlier
+    outcomes, reduced branch by branch with the projectors; each sample walks
+    its prefix index through the tables.
+    """
+    seq = list(reversed(chain))
+    rho = getattr(state, "rho", state)
+    states = [qmatrix.density_from_bloch(rho)]
+    tables = []
+    for obs in seq:
+        op = operator_of(obs)
+        eye = np.eye(op.shape[0])
+        projs = (0.5 * (eye + op), 0.5 * (eye - op))
+        tables.append(np.array([min(1.0, max(0.0, np.trace(projs[0] @ s).real))
+                                for s in states]))
+        new = []
+        for s in states:
+            for proj in projs:
+                prob = np.trace(proj @ s).real
+                new.append(proj @ s @ proj / prob if prob > 1e-15
+                           else proj / np.trace(proj).real)
+        states = new
+    total = 0
+    for j in range(-(-n // block_size)):
+        count = min(block_size, n - j * block_size)
+        u = np.random.default_rng([seed, j]).random((count, len(seq)))
+        prefix = np.zeros(count, dtype=np.int64)
+        sign = np.ones(count, dtype=np.int64)
+        for i in range(len(seq)):
+            plus = u[:, i] < tables[i][prefix]
+            sign *= np.where(plus, 1, -1)
+            prefix = 2 * prefix + np.where(plus, 0, 1)
+        total += int(sign.sum())
+    mean = total / n
+    var = max(0.0, 1.0 - mean * mean) * n / (n - 1)
+    return mean, math.sqrt(var / n)
+
+
+def _four_state_chain():
+    a, b = rotated_spin_observables(0.4, 1.3)
+    c, d = rotated_spin_observables(2.1, 0.7)
+    return [a, b, c, d], entangled_bloch(-1)
+
+
+def _two_state_chain(m):
+    rng = np.random.default_rng(100 + m)
+    return [spin(random_unit(rng)) for _ in range(m)], random_bloch(rng)
+
+
+class TestSamplingStream:
+    """simulate_sequences reproduces the untiled, prefix-table Monte Carlo bit for bit."""
+
+    @pytest.mark.parametrize("n_jobs", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["m2", "m6", "m10", "four-state"])
+    def test_matches_reference_stream(self, case, n_jobs):
+        chain, state = _four_state_chain() if case == "four-state" else _two_state_chain(int(case[1:]))
+        # 4 full blocks of 10000 rows (two whole tiles and a partial one each) and a 5000-row rest
+        n, block_size = 45_000, 10_000
+        est = simulate_sequences(chain, state, n, seed=21, n_jobs=n_jobs, block_size=block_size)
+        assert (est.value, est.stderr) == _reference_estimate(chain, state, n, 21, block_size)
+
+    def test_working_set_bounded(self):
+        chain, rho_vec = _two_state_chain(10)
+        tracemalloc.start()
+        try:
+            simulate_sequences(chain, rho_vec, 1_000_000, seed=22)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 6),
+        st.integers(2, 5000),
+        st.integers(16, 2048),
+        st.integers(2, 4),
+        st.integers(1, 600),
+    )
+    def test_estimate_independent_of_jobs_and_tile(self, seed, m, n, block_size, n_jobs, tile):
+        rng = np.random.default_rng(seed)
+        chain = [spin(random_unit(rng)) for _ in range(m)]
+        rho_vec = random_bloch(rng)
+        one = simulate_sequences(chain, rho_vec, n, seed, block_size=block_size)
+        with mock.patch.object(correlations, "_TILE_ROWS", tile):
+            many = simulate_sequences(chain, rho_vec, n, seed, n_jobs=n_jobs,
+                                      block_size=block_size)
+        assert (one.value, one.stderr) == (many.value, many.stderr)
+
+
+class TestChainCore:
+    def test_two_state_terms_share_level_states(self):
+        chain, rho_vec = _two_state_chain(6)
+        wes, value = measurement_chain(chain, rho_vec)
+        assert len(wes.terms) == 2**6
+        assert len({id(mat) for _, mat in wes.terms}) == 2
+        oracle = qmatrix.density_from_bloch(rho_vec)
+        for obs in reversed(chain):   # Lueders map X <- {A, X}/2, rightmost first
+            op = operator_of(obs)
+            oracle = 0.5 * (op @ oracle + oracle @ op)
+        assert abs(value - np.trace(oracle).real) < 1e-13
+        assert abs(wes.trace() - value) < 1e-13
+
+    def test_long_two_state_chain_samples(self):
+        chain, rho_vec = _two_state_chain(40)
+        est = simulate_sequences(chain, rho_vec, 20_000, seed=23)
+        assert abs(est.value) <= 1.0
+        repeated = simulate_sequences([A1] * 40, rho_vec, 20_000, seed=23)
+        assert repeated.value == 1.0 and repeated.stderr == 0.0
+
+    def test_oversized_chain_rejected_before_allocating(self):
+        chain, rho_vec = _two_state_chain(21)
+        four, bell = _four_state_chain()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="2097152 branches"):
+                measurement_chain(chain, rho_vec)
+            with pytest.raises(ValueError, match="2097152 reduced states"):
+                simulate_sequences(four * 5 + four[:2], bell, 100, seed=1)   # m = 22
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_size_limit_boundary(self, monkeypatch):
+        monkeypatch.setattr(correlations, "MAX_CHAIN_SIZE", 16)
+        chain, rho_vec = _two_state_chain(5)
+        assert len(measurement_chain(chain[:4], rho_vec)[0].terms) == 16   # at the limit
+        with pytest.raises(ValueError, match="32 branches"):
+            measurement_chain(chain, rho_vec)
+        simulate_sequences(chain * 8, rho_vec, 100, seed=1)   # two-state tables are exempt
+        four, bell = _four_state_chain()
+        simulate_sequences(four + four[:1], bell, 100, seed=1)   # 16 states at level 4
+        with pytest.raises(ValueError, match="32 reduced states"):
+            simulate_sequences(four + four[:2], bell, 100, seed=1)
+
+    def test_rounding_inside_band_snapped(self):
+        # |rho|^2 = 1 + 8e-13 passes the purity check; p(+1) = 1 + 2e-13 snaps to 1
+        rho_vec = np.array([0.0, 0.0, 1.0 + 4e-13])
+        assert measurement_chain([A3], rho_vec)[1] == 1.0
+        assert sequence_probabilities(A3, A3, rho_vec)["++"] == 1.0
+
+    def test_probability_outside_band_raises(self, monkeypatch):
+        bad = np.diag([1.0 + 1e-9, -1e-9]).astype(complex)
+        monkeypatch.setattr(correlations, "_state_matrix", lambda state: bad)
+        with pytest.raises(ConstraintViolation):
+            measurement_chain([A3], np.zeros(3))
+        with pytest.raises(ConstraintViolation):
+            simulate_sequences([A3], np.zeros(3), 10, seed=1)
