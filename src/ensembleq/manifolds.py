@@ -16,7 +16,6 @@ classical variable on a finer state space.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -29,21 +28,16 @@ from .validate import (
     as_float_array,
     check_probabilities,
     check_unit_vector,
+    freeze,
 )
 
 MANIFOLDS = ("s1", "s2", "four")
 
 _DIM = {"s1": 3, "s2": 3, "four": 15}
 
-# Largest substate table extend_to_substates builds: n * 2^m rows, at most
-# about 256 MiB at m = 16.
+# Largest substate table extend_to_substates builds: n * 2^m rows of 8 bytes,
+# a 32 MiB table and about 36 MiB at the peak of the build.
 MAX_SUBSTATE_ROWS = 2**22
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,9 +51,9 @@ class MicroState:
     def __post_init__(self):
         if self.manifold not in MANIFOLDS:
             raise ValueError(f"unknown manifold {self.manifold!r}")
-        object.__setattr__(self, "f", _freeze(self.f))
+        object.__setattr__(self, "f", freeze(self.f))
         if self.psi is not None:
-            object.__setattr__(self, "psi", _freeze(self.psi))
+            object.__setattr__(self, "psi", freeze(self.psi))
 
 
 def microstate_s1(angle: float | None = None, f=None) -> MicroState:
@@ -114,7 +108,7 @@ class BlochState:
             qmatrix.density_from_bloch(vec)  # checks the bound and positivity
         else:
             raise ValueError("Bloch vector must have 3 or 15 components")
-        object.__setattr__(self, "rho", _freeze(vec))
+        object.__setattr__(self, "rho", freeze(vec))
 
     @property
     def dim(self) -> int:
@@ -138,6 +132,7 @@ class Ensemble:
     ``points`` holds the coordinate vectors f (embedded, shape (n, 3) or
     (n, 15)); ``probs`` the probabilities, validated to be nonnegative with
     sum 1 within 1e-12. Inputs outside tolerance are rejected, not rescaled.
+    The arrays are stored read-only; a caller's arrays are copied.
     """
 
     manifold: str
@@ -155,15 +150,15 @@ class Ensemble:
         if probs.shape[0] != pts.shape[0]:
             raise ValueError("points and probs lengths differ")
         norms = np.einsum("ij,ij->i", pts, pts)
-        target = 3.0 if self.manifold == "four" else 1.0
-        if np.abs(norms - target).max() > 1e-12:
+        norms -= 3.0 if self.manifold == "four" else 1.0
+        if np.abs(norms, out=norms).max() > 1e-12:
             raise ConstraintViolation("a point violates the manifold norm constraint")
         if self.manifold == "s1" and np.abs(pts[:, 2]).max() > 1e-12:
             raise ConstraintViolation("s1 points must lie in the 1-2 plane")
-        object.__setattr__(self, "points", _freeze(pts))
-        object.__setattr__(self, "probs", _freeze(probs))
+        object.__setattr__(self, "points", freeze(pts))
+        object.__setattr__(self, "probs", freeze(probs))
         if self.psis is not None:
-            object.__setattr__(self, "psis", _freeze(np.asarray(self.psis, dtype=complex)))
+            object.__setattr__(self, "psis", freeze(self.psis, complex))
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -261,8 +256,8 @@ def canonical_direction(g, tol: float = 1e-12) -> tuple[np.ndarray, int]:
     for c in vec:
         if abs(c) > tol:
             if c < 0:
-                return _freeze(-vec), -1
-            return _freeze(vec), 1
+                return freeze(-vec), -1
+            return freeze(vec), 1
     raise ValueError("zero direction vector")
 
 
@@ -270,33 +265,62 @@ def canonical_direction(g, tol: float = 1e-12) -> tuple[np.ndarray, int]:
 class SubstateEnsemble:
     """Finite classical ensemble on which listed observables have sharp values.
 
-    Rows are substates (micro-state index, one sign per stored direction,
-    probability). Directions are stored canonicalised to a hemisphere. Signs
-    must be +1 or -1 and are stored as int8; probabilities are validated like
-    any probability vector (nonnegative, exact total 1 within 1e-12).
+    A substate is a micro-state together with one sign per stored direction.
+    The ensemble stores an (n, P) probability ``table`` over the n base
+    micro-states times P distinct sign ``patterns``, the rows of one shared
+    (P, m) int8 table with entries +1 or -1. Directions are stored
+    canonicalised to a hemisphere. The table is validated like any
+    probability vector (nonnegative, exact total 1 within 1e-12).
+
+    Rows are the cells of the table, micro-state by micro-state, each with
+    the P patterns in order. ``probs`` is the flattened table (a read-only
+    view); ``state_index``, ``signs`` and ``sign_values`` build the matching
+    per-row columns as new arrays on each call. A row costs 8 bytes, plus the
+    pattern table shared by all micro-states.
     """
 
     directions: np.ndarray   # (m, 3), canonical
     base_points: np.ndarray  # (n, 3)
-    state_index: np.ndarray  # (K,)
-    signs: np.ndarray        # (K, m), int8 entries +-1
-    probs: np.ndarray        # (K,)
+    table: np.ndarray        # (n, P) probabilities
+    patterns: np.ndarray     # (P, m), int8 entries +-1
     base_probs: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
-        signs = np.asarray(self.signs)
-        if not np.all(np.abs(signs) == 1):
+        directions = freeze(as_float_array(self.directions))
+        base_points = freeze(as_float_array(self.base_points))
+        patterns = np.asarray(self.patterns)
+        if patterns.ndim != 2 or patterns.shape[1] != directions.shape[0]:
+            raise ValueError("sign patterns must have one column per direction")
+        if not np.all(np.abs(patterns) == 1):
             raise ConstraintViolation("substate signs must be +1 or -1")
-        object.__setattr__(self, "signs", _freeze(signs.astype(np.int8, copy=False)))
-        object.__setattr__(self, "directions", _freeze(as_float_array(self.directions)))
-        object.__setattr__(self, "base_points", _freeze(as_float_array(self.base_points)))
-        object.__setattr__(self, "state_index", _freeze(np.asarray(self.state_index, dtype=int)))
-        object.__setattr__(self, "probs", _freeze(check_probabilities(self.probs)))
+        table = np.asarray(self.table, dtype=float)
+        if table.shape != (base_points.shape[0], patterns.shape[0]):
+            raise ValueError("probability table must have shape (micro-states, patterns)")
+        check_probabilities(table.reshape(-1))
+        object.__setattr__(self, "directions", directions)
+        object.__setattr__(self, "base_points", base_points)
+        object.__setattr__(self, "patterns", freeze(patterns, np.int8))
+        object.__setattr__(self, "table", freeze(table))
         if self.base_probs is not None:
-            object.__setattr__(self, "base_probs", _freeze(as_float_array(self.base_probs)))
+            object.__setattr__(self, "base_probs", freeze(as_float_array(self.base_probs)))
 
     def __len__(self) -> int:
-        return self.probs.shape[0]
+        return self.table.size
+
+    @property
+    def probs(self) -> np.ndarray:
+        """(rows,) substate probabilities."""
+        return self.table.reshape(-1)
+
+    @property
+    def state_index(self) -> np.ndarray:
+        """(rows,) micro-state index of each substate."""
+        return np.repeat(np.arange(self.table.shape[0]), self.table.shape[1])
+
+    @property
+    def signs(self) -> np.ndarray:
+        """(rows, m) int8 signs of each substate."""
+        return np.tile(self.patterns, (self.table.shape[0], 1))
 
     def column(self, direction) -> tuple[int, int]:
         """Index of a stored direction plus the hemisphere flip of the query."""
@@ -307,23 +331,22 @@ class SubstateEnsemble:
             raise ValueError("direction is not among the substate directions")
         return j, flip
 
-    def sign_values(self, direction) -> np.ndarray:
+    def _pattern_values(self, direction) -> np.ndarray:
+        """(P,) int8 sign of the direction in each pattern."""
         j, flip = self.column(direction)
-        return flip * self.signs[:, j]
+        return flip * self.patterns[:, j]
+
+    def sign_values(self, direction) -> np.ndarray:
+        """(rows,) int8 sign of the direction in each substate."""
+        return np.tile(self._pattern_values(direction), self.table.shape[0])
 
     def marginal_micro_probs(self) -> np.ndarray:
         """Marginalise the sign variables; recovers the base micro-state weights."""
-        n = self.base_points.shape[0]
-        out = np.zeros(n)
-        np.add.at(out, self.state_index, self.probs)
-        return out
+        return self.table.sum(axis=1)
 
     def mean_sign(self, direction) -> np.ndarray:
         """Per-micro-state conditional mean of gamma(direction); equals f . e."""
-        vals = self.sign_values(direction)
-        n = self.base_points.shape[0]
-        num = np.zeros(n)
-        np.add.at(num, self.state_index, self.probs * vals)
+        num = self.table @ self._pattern_values(direction)
         den = self.marginal_micro_probs()
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
@@ -334,6 +357,9 @@ class SubstateEnsemble:
 
         Directions are canonicalised; sign columns of flipped directions are
         negated so stored signs always refer to the canonical representative.
+        Sign patterns keep the order in which they first appear; table cells
+        no row names get probability 0, and two rows naming the same
+        (micro-state, pattern) cell raise ValueError.
         """
         canon, flips = [], []
         for g in directions:
@@ -342,10 +368,12 @@ class SubstateEnsemble:
             flips.append(fl)
         canon = np.array(canon)
         flips = np.array(flips)
-        fs, sgs, ps = [], [], []
+        fs, cols, ps = [], [], []
+        column_of = {}   # sign pattern -> table column
         for f, signs, p in rows:
             fs.append(np.asarray(f, dtype=float))
-            sgs.append(flips * np.asarray(signs, dtype=int))
+            pattern = tuple((flips * np.asarray(signs, dtype=int)).tolist())
+            cols.append(column_of.setdefault(pattern, len(column_of)))
             ps.append(float(p))
         points = base_points
         if points is None:
@@ -353,7 +381,12 @@ class SubstateEnsemble:
         else:
             points = np.asarray(points, dtype=float)
             index = [int(np.argmin(np.abs(points - f).max(axis=1))) for f in fs]
-        return cls(canon, points, np.asarray(index, dtype=int), np.array(sgs), np.array(ps))
+        cells = np.asarray(index).reshape(-1) * len(column_of) + np.asarray(cols, dtype=int)
+        if np.unique(cells).size < cells.size:
+            raise ValueError("two rows name the same (micro-state, sign pattern) substate")
+        table = np.zeros((len(points), len(column_of)))
+        table.reshape(-1)[cells] = ps
+        return cls(canon, points, table, np.array(list(column_of)))
 
 
 def extend_to_substates(ensemble: Ensemble, directions) -> SubstateEnsemble:
@@ -365,13 +398,13 @@ def extend_to_substates(ensemble: Ensemble, directions) -> SubstateEnsemble:
         p(f, {gamma}) = p(f) * prod_j (1 + gamma_j f.g_j) / 2.
 
     Directions are canonicalised to one hemisphere first; a list containing an
-    antipodal pair (or an exact duplicate) is invalid input. Rows run over the
-    micro-states in order, each with its 2^m sign patterns in
-    ``itertools.product((1, -1), repeat=m)`` order; signs are int8.
+    antipodal pair (or an exact duplicate) is invalid input. The patterns are
+    all 2^m sign patterns in ``itertools.product((1, -1), repeat=m)`` order.
 
-    The table is built in place over (n, 2^m), so peak memory is about
-    32 + 2m bytes per row: the float64 probabilities and int64 state indices,
-    each with its frozen copy, and the int8 signs with theirs. Inputs with
+    The (n, 2^m) table is built by Kronecker doubling inside the result, one
+    direction at a time, and is not copied afterwards. The result keeps
+    8 bytes per row plus the shared (2^m, m) int8 pattern table; validating
+    it adds a 1-byte mask per row, about 9 bytes per row at peak. Inputs with
     m > 16 or n * 2^m > MAX_SUBSTATE_ROWS are rejected before any of it is
     allocated.
     """
@@ -396,21 +429,29 @@ def extend_to_substates(ensemble: Ensemble, directions) -> SubstateEnsemble:
             f"over the limit of {MAX_SUBSTATE_ROWS}"
         )
     canon = np.array(canon)
-    signs = np.array(list(itertools.product((1, -1), repeat=m)), dtype=np.int8)  # (2^m, m)
-    dots = ensemble.points @ canon.T                                              # (n, m)
-    # one (n, 2^m) factor per direction, multiplied in direction order, then p(f)
-    table = 0.5 * (1.0 + signs[None, :, 0] * dots[:, 0, None])
-    for j in range(1, m):
-        table *= 0.5 * (1.0 + signs[None, :, j] * dots[:, j, None])
+    dots = ensemble.points @ canon.T   # (n, m)
+    pm = np.array([1.0, -1.0])
+    table = np.empty((n, 2**m))
+    patterns = np.ones((2**m, m), dtype=np.int8)
+    # Pattern i has -1 for direction j where bit m-1-j of i is set, the
+    # itertools.product((1, -1), repeat=m) order. The table is built by
+    # Kronecker doubling in place: level j keeps its 2^(j+1) products 2^(m-j-1)
+    # columns apart, so cell (k, s) of level j sits on cell k of level j-1
+    # (s = +) or next to it (s = -), out[:, k, s] = prev[:, k] * half_j[:, s].
+    # Every cell multiplies its factors (1 + gamma_j f.g_j)/2 in direction
+    # order, then p(f).
+    for j in range(m):
+        patterns.reshape(2**j, 2, -1, m)[:, 1, :, j] = -1
+        half = 0.5 * (1.0 + pm * dots[:, j, None])
+        level = table.reshape(n, 2**j, 2, -1)[:, :, :, 0]
+        if j == 0:
+            level[:, 0, :] = half
+        else:
+            np.multiply(level[:, :, 0], half[:, 1, None], out=level[:, :, 1])
+            level[:, :, 0] *= half[:, 0, None]
     table *= ensemble.probs[:, None]
-    return SubstateEnsemble(
-        canon,
-        ensemble.points,
-        np.repeat(np.arange(n), 2**m),
-        np.tile(signs, (n, 1)),
-        table.reshape(-1),
-        base_probs=ensemble.probs,
-    )
+    return SubstateEnsemble(canon, ensemble.points, freeze(table, copy=False), patterns,
+                            base_probs=ensemble.probs)
 
 
 # ---------------------------------------------------------------------------
@@ -445,16 +486,21 @@ def grid_ensemble(resolution: int, density=uniform_density) -> Ensemble:
     nz, nphi = int(resolution), 2 * int(resolution)
     z = -1.0 + (2.0 * np.arange(nz) + 1.0) / nz
     phi = 2.0 * math.pi * (np.arange(nphi) + 0.5) / nphi
-    zz, pp = np.meshgrid(z, phi, indexing="ij")
-    r = np.sqrt(np.maximum(0.0, 1.0 - zz ** 2))
-    points = np.column_stack([(r * np.cos(pp)).ravel(), (r * np.sin(pp)).ravel(), zz.ravel()])
+    r = np.sqrt(np.maximum(0.0, 1.0 - z ** 2))
     # embedded points are unit by construction up to roundoff
+    points = np.empty((nz * nphi, 3))
+    cells = points.reshape(nz, nphi, 3)
+    np.multiply(r[:, None], np.cos(phi), out=cells[:, :, 0])
+    np.multiply(r[:, None], np.sin(phi), out=cells[:, :, 1])
+    cells[:, :, 2] = z[:, None]
+    points = freeze(points, copy=False)
     cell_area = 4.0 * math.pi / (nz * nphi)
     weights = _eval_density(density, points) * cell_area
     if np.any(weights < -1e-15):
         raise ValueError("density takes negative values")
-    weights = np.maximum(weights, 0.0)
+    np.maximum(weights, 0.0, out=weights)
     total = float(weights.sum())
     if total <= 0.0:
         raise ValueError("density has zero total mass on the grid")
-    return Ensemble("s2", points, weights / total)
+    weights /= total
+    return Ensemble("s2", points, freeze(weights, copy=False))

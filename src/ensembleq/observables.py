@@ -13,23 +13,18 @@ separate kinds; dispatch in this module accepts all of them.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import qmatrix
-from .validate import DimensionMismatch, as_float_array, check_in_range, check_unit_vector
+from .validate import DimensionMismatch, as_float_array, check_in_range, check_unit_vector, freeze
 
 
 class NoEigenstateError(ValueError):
     """Raised when an operation needs eigenstates of an observable that has none."""
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, dtype=float)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,7 +38,7 @@ class TwoLevelObservable:
         vec = as_float_array(self.e, "e")
         if vec.shape not in ((3,), (15,)):
             raise ValueError("direction must have 3 or 15 components")
-        object.__setattr__(self, "e", _freeze(vec))
+        object.__setattr__(self, "e", freeze(vec, float))
         object.__setattr__(self, "e0", float(self.e0))
 
     @property
@@ -68,14 +63,10 @@ class TwoLevelObservable:
         return f"A({coords})" if self.e0 == 0.0 else f"A({coords})+{self.e0:.3g}"
 
     def to_json(self) -> str:
-        import json
-
         return json.dumps({"e": [float(x) for x in self.e], "e0": self.e0}, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "TwoLevelObservable":
-        import json
-
         payload = json.loads(text)
         return cls(np.asarray(payload["e"], dtype=float), float(payload.get("e0", 0.0)))
 
@@ -116,7 +107,7 @@ class ProductObservable:
 
     def __post_init__(self):
         vec = as_float_array(self.coeff, "coeff")
-        object.__setattr__(self, "coeff", _freeze(vec))
+        object.__setattr__(self, "coeff", freeze(vec, float))
         object.__setattr__(self, "const", float(self.const))
         reach = float(np.linalg.norm(vec)) + abs(self.const)
         if reach > 1.0 + 1e-12:

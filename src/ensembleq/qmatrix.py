@@ -16,6 +16,8 @@ attribute are accepted where a vector is expected.
 """
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from .validate import ConstraintViolation, DimensionMismatch
@@ -281,8 +283,6 @@ def operator_product_expectations(a, b, c, rho) -> dict[str, float]:
 
 def matrix_to_json(mat) -> str:
     """Serialise a 2x2 or 4x4 complex matrix as [[re, im], ...] in row-major order."""
-    import json
-
     arr = np.asarray(mat, dtype=complex)
     if arr.shape not in ((2, 2), (4, 4)):
         raise DimensionMismatch("matrix must be 2x2 or 4x4")
@@ -291,8 +291,6 @@ def matrix_to_json(mat) -> str:
 
 
 def matrix_from_json(text: str) -> np.ndarray:
-    import json
-
     pairs = json.loads(text)
     n = {4: 2, 16: 4}.get(len(pairs))
     if n is None:

@@ -32,6 +32,21 @@ def as_float_array(x, name: str = "array") -> np.ndarray:
     return arr
 
 
+def freeze(x, dtype=None, copy: bool = True) -> np.ndarray:
+    """Read-only array with the values of x that no other reference can change.
+
+    A caller's array is copied. An array that is already read-only and owns
+    its memory is returned as it is, so frozen arrays are shared, not copied
+    again. copy=False seals x in place; it is for an array the module has
+    just built and holds the only reference to.
+    """
+    arr = np.asarray(x, dtype=dtype)
+    if copy and (arr.flags.writeable or arr.base is not None):
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
 def check_unit_vector(v, name: str = "e", tol: float = TOL) -> np.ndarray:
     arr = as_float_array(v, name)
     if arr.ndim != 1:

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ensembleq import manifolds
@@ -131,6 +131,26 @@ class TestValidation:
         arr[0] = 1.0 - 2e-12
         assert check_probabilities(arr) is not None
 
+    def test_caller_arrays_copied_and_stored_read_only(self):
+        pts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        p = np.array([0.25, 0.75])
+        ens = Ensemble("s2", pts, p)
+        f, g = np.array([0.0, 0.0, 1.0]), np.array([-1.0, 0.0, 0.0])
+        base = np.array([[0.0, 0.0, 1.0]])
+        rows = [(f, np.array([1]), 0.5), (f, np.array([-1]), 0.5)]
+        sub = SubstateEnsemble.from_rows([g], rows, base_points=base)
+        want = (ens.points.copy(), ens.probs.copy(), sub.table.copy(), sub.patterns.copy(),
+                sub.directions.copy(), sub.base_points.copy())
+        for arr in (pts, p, f, g, base, rows[0][1], rows[1][1]):
+            arr[...] = 7
+        got = (ens.points, ens.probs, sub.table, sub.patterns, sub.directions, sub.base_points)
+        for stored, before in zip(got, want):
+            np.testing.assert_array_equal(stored, before)
+        for stored in got + (sub.probs,):
+            assert not stored.flags.writeable
+            with pytest.raises(ValueError):
+                stored[0] = 0
+
     def test_purity_values(self):
         assert purity(np.zeros(3)) == 0.0
         assert purity(BlochState(np.array([0.0, 0.0, 1.0]))) == 1.0
@@ -239,6 +259,36 @@ class TestSubstates:
         rows = [(f, [1], 0.5), (f, [bad], 0.5)]
         with pytest.raises(ConstraintViolation):
             SubstateEnsemble.from_rows([[1.0, 0.0, 0.0]], rows)
+
+    def test_hand_built_rows_reject_duplicate_substate(self):
+        f = np.array([0.0, 0.0, 1.0])
+        rows = [(f, [1], 0.25), (f, [-1], 0.5), (f, [1], 0.25)]
+        with pytest.raises(ValueError, match="same"):
+            SubstateEnsemble.from_rows([[1.0, 0.0, 0.0]], rows)
+
+    def test_hand_built_rows_absent_cells_are_zero(self):
+        up, down = np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])
+        rows = [(up, [1, 1], 0.5), (down, [-1, 1], 0.5)]
+        sub = SubstateEnsemble.from_rows([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], rows)
+        # points sort as (down, up); patterns keep the order of first appearance
+        np.testing.assert_array_equal(sub.patterns, [[1, 1], [-1, 1]])
+        np.testing.assert_array_equal(sub.table, [[0.0, 0.5], [0.5, 0.0]])
+        np.testing.assert_array_equal(sub.mean_sign([0.0, 0.0, 1.0]), [-1.0, 1.0])
+
+    def test_extension_working_set_bounded(self):
+        # (n, m) = (512, 12): a 16 MiB table built in place and kept uncopied
+        ens = grid_ensemble(16)
+        rng = np.random.default_rng(12)
+        dirs = rng.normal(size=(12, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        tracemalloc.start()
+        try:
+            sub = extend_to_substates(ens, dirs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(sub) == 512 * 2**12
+        assert peak < 32 * 2**20
 
     def test_oversized_extension_rejected_before_allocating(self):
         ens = grid_ensemble(64)   # 8192 points
@@ -352,7 +402,38 @@ class TestSubstateProperties:
         assert np.all(np.abs(sub.signs) == 1)
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(s2_extensions())
+    def test_rows_round_trip_through_from_rows(self, case):
+        # rows given against the uncanonicalised directions, so from_rows flips
+        # the sign columns back onto the canonical representatives
+        ens, dirs = case
+        assume(len(np.unique(ens.points, axis=0)) == len(ens))
+        sub = extend_to_substates(ens, dirs)
+        gammas = np.column_stack([sub.sign_values(g) for g in dirs])
+        rows = zip(ens.points[sub.state_index], gammas, sub.probs)
+        back = SubstateEnsemble.from_rows(dirs, rows, base_points=ens.points)
+        np.testing.assert_array_equal(back.probs, sub.probs)
+        np.testing.assert_array_equal(back.marginal_micro_probs(), sub.marginal_micro_probs())
+        for a in dirs:
+            np.testing.assert_array_equal(back.mean_sign(a), sub.mean_sign(a))
+            for b in dirs:
+                assert classical_correlation(a, b, back) == classical_correlation(a, b, sub)
+
+
 class TestGridEnsemble:
+    def test_working_set_bounded(self):
+        # 524288 points: the 12 MiB point buffer, one density vector and the
+        # weights, with no second copy of either
+        tracemalloc.start()
+        try:
+            ens = grid_ensemble(512)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ens) == 512 * 1024
+        assert peak < 24 * 2**20
+
     def test_uniform_density_reduces_to_zero(self):
         state = reduce_ensemble(grid_ensemble(16))
         assert np.abs(state.rho).max() < 1e-13
