@@ -9,7 +9,9 @@ The general reduced evolution adds a scaling rate D:
 
     d rho/dt = -i [H, rho] + D (rho - 1/2),   dP/dt = 2 D P.
 
-Integrators are fixed-step classical 4th order. Constraint violations along a
+Integrators are fixed-step classical 4th order: ``_linear_flow`` for every
+constant-coefficient (linear) flow, ``_rk4`` for a rate D(bloch, t); spans over
+MAX_STEPS steps are rejected before allocating. Constraint violations along a
 trajectory (purity above one) abort loudly; nothing is clamped or projected.
 """
 from __future__ import annotations
@@ -23,6 +25,8 @@ from . import qmatrix
 from .manifolds import BlochState, Ensemble
 from .qmatrix import LEVI, PAULI
 from .validate import ConstraintViolation, as_float_array, check_rotation
+
+MAX_STEPS = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,14 +224,21 @@ def conjugation_oracle(state, alpha) -> np.ndarray:
     return qmatrix.bloch_from_density(u @ rho @ u.conj().T)
 
 
-def _steps(t_span, dt: float) -> tuple[float, float, int]:
+def _steps(t_span, dt: float) -> tuple[np.ndarray, float, int]:
+    """Times, step and step count of a fixed-step run over t_span."""
     t0, t1 = float(t_span[0]), float(t_span[1])
+    if not (math.isfinite(t0) and math.isfinite(t1) and math.isfinite(dt)):
+        raise ValueError("t_span and dt must be finite")
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t1 < t0:
         raise ValueError("t_span must be increasing")
-    n = max(1, int(round((t1 - t0) / dt)))
-    return t0, (t1 - t0) / n, n
+    ratio = (t1 - t0) / dt
+    if not ratio < MAX_STEPS + 0.5:   # an infinite ratio fails here too
+        raise ValueError(f"(t1 - t0) / dt = {ratio:.6g} steps; the limit is {MAX_STEPS}")
+    n = max(1, int(round(ratio)))
+    h = (t1 - t0) / n
+    return t0 + h * np.arange(n + 1), h, n
 
 
 def _rk4(y, t, h, rhs):
@@ -238,8 +249,32 @@ def _rk4(y, t, h, rhs):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _linear_flow(y0, generator, h: float, n: int) -> np.ndarray:
+    """(n + 1, dim) RK4 trajectory of dy/dt = A y from y0 with step h.
+
+    On a linear flow an RK4 step is y <- y + Q y, Q = sum_{1<=j<=4} (h A)^j / j!
+    built once; adding Q y to y, not applying a rounded I + Q, keeps rounding
+    from biasing every step the same way."""
+    ha = h * np.asarray(generator)
+    inc = ha   # Q in Horner form
+    for j in (4.0, 3.0, 2.0):
+        inc = ha @ (np.eye(len(ha)) + inc / j)
+    out = np.empty((n + 1, len(y0)), dtype=np.result_type(y0, inc))
+    out[0] = y0
+    for i in range(n):
+        np.matmul(inc, out[i], out=out[i + 1])
+        out[i + 1] += out[i]
+    return out
+
+
+def _commutator(ham: np.ndarray) -> np.ndarray:
+    """Generator of y -> -i [H, y] on row-major flattened matrices y."""
+    eye = np.eye(ham.shape[0])
+    return -1j * (np.kron(ham, eye) - np.kron(eye, ham.T))
+
+
 def integrate_von_neumann(rho0, hamiltonian, t_span, dt: float) -> Trajectory:
-    """Fixed-step 4th-order integration of d rho/dt = -i [H, rho].
+    """Fixed-step RK4 integration of d rho/dt = -i [H, rho].
 
     Accepts a density matrix, BlochState or Bloch vector. Trace and
     Hermiticity drift beyond 1e-10 over the span abort the run.
@@ -249,17 +284,9 @@ def integrate_von_neumann(rho0, hamiltonian, t_span, dt: float) -> Trajectory:
     mat = qmatrix.check_density_matrix(arr) if arr.ndim == 2 else qmatrix.density_from_bloch(arr)
     if ham.shape != mat.shape:
         raise ValueError("Hamiltonian and state dimensions differ")
-    t0, h, n = _steps(t_span, dt)
-
-    def rhs(y, _t):
-        return -1j * (ham @ y - y @ ham)
-
-    times = t0 + h * np.arange(n + 1)
-    mats = np.empty((n + 1,) + mat.shape, dtype=complex)
-    mats[0] = mat
-    for i in range(n):
-        mat = _rk4(mat, times[i], h, rhs)
-        mats[i + 1] = mat
+    times, h, n = _steps(t_span, dt)
+    mats = _linear_flow(mat.reshape(-1), _commutator(ham), h, n).reshape((n + 1,) + mat.shape)
+    mat = mats[-1]
     if abs(np.trace(mat).real - 1.0) > 1e-10 or np.abs(mat - mat.conj().T).max() > 1e-10:
         raise ConstraintViolation("integrator drifted: trace/Hermiticity broken beyond 1e-10")
     basis = PAULI if mat.shape == (2, 2) else qmatrix.L_BASIS
@@ -268,20 +295,15 @@ def integrate_von_neumann(rho0, hamiltonian, t_span, dt: float) -> Trajectory:
 
 
 def integrate_bloch(rho0, hk, t_span, dt: float) -> Trajectory:
-    """Integrate the component form d rho_k/dt = 2 eps_lmk H_l rho_m directly."""
-    vec = as_float_array(getattr(rho0, "rho", rho0), "rho0")
+    """Integrate the component form d rho_k/dt = 2 eps_lmk H_l rho_m directly.
+
+    rho0 is validated as in ``integrate_von_neumann``; hk is a real 3-vector."""
+    vec = BlochState(getattr(rho0, "rho", rho0)).rho
     h_vec = as_float_array(hk, "H")
-
-    def rhs(y, _t):
-        return 2.0 * np.cross(h_vec, y)
-
-    t0, h, n = _steps(t_span, dt)
-    times = t0 + h * np.arange(n + 1)
-    out = np.empty((n + 1, 3))
-    out[0] = vec
-    for i in range(n):
-        vec = _rk4(vec, times[i], h, rhs)
-        out[i + 1] = vec
+    if vec.shape != (3,) or h_vec.shape != (3,):
+        raise ValueError("integrate_bloch needs a two-state Bloch vector and a real 3-vector H")
+    times, h, n = _steps(t_span, dt)
+    out = _linear_flow(vec, 2.0 * np.einsum("klm,l->km", LEVI, h_vec), h, n)
     return Trajectory(times, out)
 
 
@@ -303,44 +325,55 @@ def hamiltonian_from_rotation(s_of_t, t: float, h: float = 3e-5) -> np.ndarray:
 # purity-changing flows
 # ---------------------------------------------------------------------------
 
+def _check_purity(times, purity) -> None:
+    """Abort at the first of ``times`` whose purity exceeds 1 + 1e-9."""
+    bad = np.flatnonzero(np.asarray(purity) > 1.0 + 1e-9)
+    if bad.size:
+        i = bad[0]
+        raise ConstraintViolation(
+            f"purity exceeded 1 at t = {times[i]!r}: P = {float(purity[i])!r}; "
+            "the flow left the physical region"
+        )
+
+
 def integrate_open(rho0, hamiltonian, d_rate, t_span, dt: float) -> Trajectory:
     """Integrate d rho/dt = -i [H, rho] + D (rho - 1/2) for the two-state system.
 
-    ``d_rate`` is a callable (bloch_vector, t) -> D, or a constant. Purity
-    obeys dP/dt = 2 D P along the trajectory. A purity above 1 + 1e-9 aborts
-    with a constraint-violation report instead of being projected back.
+    ``d_rate`` is a callable (bloch_vector, t) -> D, or a constant (a linear
+    flow in rho - 1/2). Purity obeys dP/dt = 2 D P along the trajectory. A
+    purity above 1 + 1e-9 aborts with a constraint-violation report instead
+    of being projected back.
     """
     ham = _as_hamiltonian(hamiltonian if hamiltonian is not None else np.zeros(3)).matrix()
     arr = np.asarray(getattr(rho0, "rho", rho0))
     mat = qmatrix.check_density_matrix(arr) if arr.ndim == 2 else qmatrix.density_from_bloch(arr)
     if mat.shape != (2, 2):
         raise ValueError("open-system integration is implemented for the two-state system")
-    if not callable(d_rate):
-        const = float(d_rate)
-        d_rate = lambda _rho, _t: const  # noqa: E731
     half = 0.5 * np.eye(2)
+    times, h, n = _steps(t_span, dt)
+    if callable(d_rate):
+        def rhs(y, t):
+            bloch = np.einsum("kij,ji->k", PAULI, y).real
+            return -1j * (ham @ y - y @ ham) + d_rate(bloch, t) * (y - half)
 
-    def rhs(y, t):
-        bloch = np.einsum("kij,ji->k", PAULI, y).real
-        return -1j * (ham @ y - y @ ham) + d_rate(bloch, t) * (y - half)
-
-    t0, h, n = _steps(t_span, dt)
-    times = t0 + h * np.arange(n + 1)
-    mats = np.empty((n + 1, 2, 2), dtype=complex)
-    d_vals = np.empty(n + 1)
-    mats[0] = mat
-    for i in range(n + 1):
-        bloch_i = np.einsum("kij,ji->k", PAULI, mats[i]).real
-        d_vals[i] = d_rate(bloch_i, times[i])
-        pur = float(bloch_i @ bloch_i)
-        if pur > 1.0 + 1e-9:
-            raise ConstraintViolation(
-                f"purity exceeded 1 at t = {times[i]!r}: P = {pur!r}; "
-                "the flow left the physical region"
-            )
-        if i < n:
-            mats[i + 1] = _rk4(mats[i], times[i], h, rhs)
-    bloch = np.einsum("kij,nji->nk", PAULI, mats).real
+        mats = np.empty((n + 1, 2, 2), dtype=complex)
+        d_vals = np.empty(n + 1)
+        mats[0] = mat
+        for i in range(n + 1):
+            bloch_i = np.einsum("kij,ji->k", PAULI, mats[i]).real
+            d_vals[i] = d_rate(bloch_i, times[i])
+            _check_purity(times[i:i + 1], [float(bloch_i @ bloch_i)])
+            if i < n:
+                mats[i + 1] = _rk4(mats[i], times[i], h, rhs)
+        bloch = np.einsum("kij,nji->nk", PAULI, mats).real
+    else:
+        d = float(d_rate)
+        gen = _commutator(ham) + d * np.eye(4)
+        mats = _linear_flow((mat - half).reshape(-1), gen, h, n).reshape(n + 1, 2, 2)
+        mats += half   # in place, so the trajectory is never held twice
+        d_vals = np.full(n + 1, d)
+        bloch = np.einsum("kij,nji->nk", PAULI, mats).real
+        _check_purity(times, np.einsum("nk,nk->n", bloch, bloch))
     return Trajectory(times, bloch, matrices=mats, d_values=d_vals)
 
 
@@ -354,31 +387,17 @@ def syncoherence_flow(p0: float, d0: float, params: FlowParams, t_span, dt: floa
 
     Returns a Trajectory whose ``bloch`` column holds P and ``d_values`` D.
     """
-    a, b = params.a, params.b
     u = 1.0 - float(p0)
-    d = float(d0)
     if u < 0:
         raise ValueError("initial purity exceeds 1")
-
-    t0, h, n = _steps(t_span, dt)
-    times = t0 + h * np.arange(n + 1)
-    state = np.array([u, d])
-
-    def rhs(y, _t):
-        return np.array([-y[1], -a * y[1] + b * y[0]])
-
-    p_vals = np.empty(n + 1)
-    d_vals = np.empty(n + 1)
-    for i in range(n + 1):
-        if state[0] < -1e-9:
-            raise ConstraintViolation(
-                f"purity exceeded 1 at t = {times[i]!r}: a pure state cannot get purer"
-            )
-        p_vals[i] = 1.0 - state[0]
-        d_vals[i] = state[1]
-        if i < n:
-            state = _rk4(state, times[i], h, rhs)
-    return Trajectory(times, p_vals.reshape(-1, 1), d_values=d_vals)
+    times, h, n = _steps(t_span, dt)
+    state = _linear_flow(np.array([u, float(d0)]), [[0.0, -1.0], [params.b, -params.a]], h, n)
+    bad = np.flatnonzero(state[:, 0] < -1e-9)
+    if bad.size:
+        raise ConstraintViolation(
+            f"purity exceeded 1 at t = {times[bad[0]]!r}: a pure state cannot get purer"
+        )
+    return Trajectory(times, 1.0 - state[:, :1], d_values=state[:, 1])
 
 
 def syncoherence_closed_form(p0: float, d0: float, params: FlowParams, times) -> tuple[np.ndarray, np.ndarray]:

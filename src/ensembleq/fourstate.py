@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import correlations, qmatrix
+from .dynamics import MAX_STEPS, _linear_flow
 from .manifolds import BlochState, Ensemble, canonical_direction, extend_to_substates
 from .observables import TwoLevelObservable
 from .validate import as_float_array
@@ -231,31 +232,18 @@ def interference_trajectory(delta: float, t_final: float, n_steps: int = 4096):
 
     The closed flow is df2/dt = delta f5, df5/dt = -delta f2 with f3 = f2,
     f7 = f5, f1 = 1 and all other components zero, starting from f2 = 1. The
-    expectation <T_2> oscillates as cos(delta t).
+    expectation <T_2> oscillates as cos(delta t). At most MAX_STEPS steps.
     """
-    if t_final < 0:
-        raise ValueError("t_final must be nonnegative")
+    if not 0 <= t_final < math.inf:
+        raise ValueError("t_final must be finite and nonnegative")
     n_steps = max(1, int(n_steps))
-    h = t_final / n_steps if t_final > 0 else 0.0
-    y = np.array([1.0, 0.0])   # (f2, f5)
-    times = np.empty(n_steps + 1)
-    f2 = np.empty(n_steps + 1)
-    f5 = np.empty(n_steps + 1)
-
-    def rhs(v):
-        return np.array([delta * v[1], -delta * v[0]])
-
-    for i in range(n_steps + 1):
-        times[i] = i * h
-        f2[i] = y[0]
-        f5[i] = y[1]
-        if i < n_steps and h > 0:
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * h * k1)
-            k3 = rhs(y + 0.5 * h * k2)
-            k4 = rhs(y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return times, f2, f5
+    if n_steps > MAX_STEPS:
+        raise ValueError(f"n_steps = {n_steps}; the limit is {MAX_STEPS}")
+    h = t_final / n_steps
+    times = np.arange(n_steps + 1, dtype=float)
+    times *= h
+    f = _linear_flow(np.array([1.0, 0.0]), [[0.0, delta], [-delta, 0.0]], h, n_steps)   # (f2, f5)
+    return times, f[:, 0], f[:, 1]
 
 
 def interference_bloch(f2: float, f5: float) -> BlochState:

@@ -359,7 +359,9 @@ class SubstateEnsemble:
         negated so stored signs always refer to the canonical representative.
         Sign patterns keep the order in which they first appear; table cells
         no row names get probability 0, and two rows naming the same
-        (micro-state, pattern) cell raise ValueError.
+        (micro-state, pattern) cell raise ValueError. With ``base_points``,
+        each row's f must equal one base point exactly (same width, every
+        coordinate equal); any other f raises ValueError.
         """
         canon, flips = [], []
         for g in directions:
@@ -380,7 +382,15 @@ class SubstateEnsemble:
             points, index = np.unique(np.array(fs), axis=0, return_inverse=True)
         else:
             points = np.asarray(points, dtype=float)
-            index = [int(np.argmin(np.abs(points - f).max(axis=1))) for f in fs]
+            position = {}
+            for i, point in enumerate(points.tolist()):
+                position.setdefault(tuple(point), i)
+            try:
+                index = [position[tuple(f.tolist())] for f in fs]
+            except KeyError as exc:
+                raise ValueError(
+                    f"row micro-state {list(exc.args[0])} is not one of the base points"
+                ) from None
         cells = np.asarray(index).reshape(-1) * len(column_of) + np.asarray(cols, dtype=int)
         if np.unique(cells).size < cells.size:
             raise ValueError("two rows name the same (micro-state, sign pattern) substate")

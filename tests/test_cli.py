@@ -53,6 +53,16 @@ def test_invalid_parameter_value(tmp_path):
     assert code == 2
 
 
+
+@pytest.mark.parametrize("t_final", ["inf", "1e7"])
+def test_unbounded_span_is_a_config_error(tmp_path, capsys, t_final):
+    # an infinite span, or one of 2e9 steps at the default dt, is rejected
+    # before the trajectory is allocated
+    code = main(["run", "--experiment", "decoherence", "--param", f"t_final={t_final}",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "error" in json.loads(capsys.readouterr().err.strip())
+
 def test_config_file_with_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from ensembleq import qmatrix
 from ensembleq.dynamics import (
+    MAX_STEPS,
     FlowParams,
     Hamiltonian,
     conjugation_oracle,
@@ -20,6 +23,9 @@ from ensembleq.dynamics import (
     syncoherence_closed_form,
     syncoherence_flow,
     unitary_step,
+    _linear_flow,
+    _rk4,
+    _steps,
 )
 from ensembleq.manifolds import Ensemble, microstate_s2, reduce_ensemble
 from ensembleq.validate import ConstraintViolation
@@ -204,6 +210,84 @@ class TestVonNeumann:
         with pytest.raises(ValueError):
             integrate_von_neumann(np.zeros(3), np.zeros(3), (0.0, 1.0), -0.1)
 
+    def test_bloch_integrator_validates_inputs(self):
+        # the same purity bound integrate_von_neumann enforces on rho0
+        with pytest.raises(ConstraintViolation):
+            integrate_bloch(np.array([2.0, 0.0, 0.0]), np.ones(3), (0.0, 1.0), 0.1)
+        with pytest.raises(ConstraintViolation):
+            integrate_von_neumann(np.array([2.0, 0.0, 0.0]), np.ones(3), (0.0, 1.0), 0.1)
+        for hk in (np.ones(2), np.ones(4), np.eye(3)):
+            with pytest.raises(ValueError):
+                integrate_bloch(np.array([0.5, 0.0, 0.0]), hk, (0.0, 1.0), 0.1)
+        with pytest.raises(ValueError):
+            integrate_bloch(np.zeros(15), np.ones(3), (0.0, 1.0), 0.1)
+
+
+class TestLinearFlow:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4, 16]), st.booleans(),
+           st.floats(1e-4, 0.5))
+    def test_one_step_is_one_generic_rk4_step(self, seed, dim, is_complex, h):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(dim, dim))
+        y = rng.normal(size=dim)
+        if is_complex:
+            a = a + 1j * rng.normal(size=(dim, dim))
+            y = y + 1j * rng.normal(size=dim)
+        want = _rk4(y, 0.0, h, lambda v, _t: a @ v)
+        got = _linear_flow(y, a, h, 1)
+        np.testing.assert_array_equal(got[0], y)
+        assert np.abs(got[1] - want).max() <= 1e-12 * np.abs(want).max()
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_constant_rate_matches_callable_rate(self, seed):
+        rng = np.random.default_rng(seed)
+        h, rho0, d = rng.normal(size=3), random_bloch(rng), -rng.uniform(0.0, 1.0)
+        const = integrate_open(rho0, h, d, (0.0, 2.0), 0.01)
+        call = integrate_open(rho0, h, lambda _b, _t: d, (0.0, 2.0), 0.01)
+        np.testing.assert_array_equal(const.times, call.times)
+        np.testing.assert_array_equal(const.d_values, call.d_values)
+        assert np.abs(const.matrices - call.matrices).max() <= 1e-12
+        assert np.abs(const.bloch - call.bloch).max() <= 1e-12
+
+
+class TestStepCount:
+    def test_limit_is_inclusive(self):
+        assert _steps((0.0, float(MAX_STEPS)), 1.0)[2] == MAX_STEPS
+        assert _steps((0.0, 1.0), 1.0 / MAX_STEPS)[2] == MAX_STEPS
+        with pytest.raises(ValueError, match="limit"):
+            _steps((0.0, MAX_STEPS + 1.0), 1.0)
+
+    @pytest.mark.parametrize("t_span, dt", [
+        ((0.0, math.inf), 0.01), ((0.0, math.nan), 0.01), ((-math.inf, 0.0), 0.01),
+        ((0.0, 1.0), math.nan), ((0.0, 1.0), math.inf), ((0.0, 1.0), 1e-320),
+        ((-1e308, 1e308), 1.0),
+    ])
+    def test_non_finite_or_unbounded_rejected(self, t_span, dt):
+        with pytest.raises(ValueError):
+            _steps(t_span, dt)
+
+    def test_oversized_span_rejected_before_allocating(self):
+        # 2e9 steps: about 15 GiB of trajectory if the count were not checked first
+        rho0, span, dt = np.array([0.4, -0.2, 0.5]), (0.0, 1e7), 0.005
+        calls = [
+            lambda: integrate_von_neumann(rho0, np.ones(3), span, dt),
+            lambda: integrate_bloch(rho0, np.ones(3), span, dt),
+            lambda: integrate_open(rho0, None, -0.35, span, dt),
+            lambda: integrate_open(rho0, None, lambda _b, _t: -0.35, span, dt),
+            lambda: syncoherence_flow(0.9, 0.1, FlowParams(3.0, 2.0), span, dt),
+        ]
+        tracemalloc.start()
+        try:
+            for call in calls:
+                with pytest.raises(ValueError, match="limit"):
+                    call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestHamiltonianRecovery:
     def test_recovers_precession_rate(self):
@@ -257,6 +341,13 @@ class TestOpenEvolution:
     def test_purity_overflow_aborts(self):
         with pytest.raises(ConstraintViolation):
             integrate_open(np.array([0.0, 0.0, 0.9]), None, 0.5, (0.0, 5.0), 0.01)
+
+    @pytest.mark.parametrize("d_rate", [0.5, lambda _b, _t: 0.5])
+    def test_purity_overflow_reported_at_first_step(self, d_rate):
+        # P(t) = 0.81 exp(t) first exceeds 1 + 1e-9 at step 22 (t = ln(1/0.81) = 0.2107)
+        t_first = (0.0 + 0.01 * np.arange(501))[22]
+        with pytest.raises(ConstraintViolation, match=re.escape(f"at t = {t_first!r}: P = ")):
+            integrate_open(np.array([0.0, 0.0, 0.9]), None, d_rate, (0.0, 5.0), 0.01)
 
 
 class TestSyncoherence:

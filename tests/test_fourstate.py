@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ensembleq import qmatrix
 from ensembleq.correlations import simulate_sequences
+from ensembleq.dynamics import MAX_STEPS
 from ensembleq.fourstate import (
     basis_expectations_three_ways,
     basis_psi,
@@ -205,6 +207,22 @@ class TestInterference:
         for i in range(0, len(times), 512):
             assert abs(interference_bloch(f2[i], f5[i]).purity - 3.0) < 1e-8
 
+
+    def test_step_count_bounded_before_allocating(self):
+        tracemalloc.start()
+        try:
+            for n_steps in (MAX_STEPS + 1, 10**12):
+                with pytest.raises(ValueError, match="limit"):
+                    interference_trajectory(1.0, 1.0, n_steps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("t_final", [math.inf, math.nan, -1.0])
+    def test_bad_span_rejected(self, t_final):
+        with pytest.raises(ValueError, match="t_final"):
+            interference_trajectory(1.0, t_final)
 
 class TestExchangeSymmetry:
     def test_classifications(self):

@@ -266,6 +266,14 @@ class TestSubstates:
         with pytest.raises(ValueError, match="same"):
             SubstateEnsemble.from_rows([[1.0, 0.0, 0.0]], rows)
 
+    @pytest.mark.parametrize("f", [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0 - 1e-12], [1.0],
+                                   [0.0, 0.0, 1.0, 0.0]])
+    def test_hand_built_rows_reject_f_off_the_base_points(self, f):
+        # the nearest base point used to absorb any row, whatever its f or width
+        rows = [(np.array(f), [1], 0.5), (np.array(f), [-1], 0.5)]
+        with pytest.raises(ValueError, match="not one of the base points"):
+            SubstateEnsemble.from_rows([[1.0, 0.0, 0.0]], rows, base_points=[[0.0, 0.0, 1.0]])
+
     def test_hand_built_rows_absent_cells_are_zero(self):
         up, down = np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])
         rows = [(up, [1, 1], 0.5), (down, [-1, 1], 0.5)]
