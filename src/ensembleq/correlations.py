@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -437,6 +436,9 @@ def simulate_sequences(
         return total
 
     if n_jobs > 1 and n_blocks > 1:
+        # imported here, so that importing the package loads no concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
             sums = list(pool.map(run_block, range(n_blocks)))
     else:

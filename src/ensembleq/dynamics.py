@@ -39,6 +39,8 @@ class Hamiltonian:
     def __post_init__(self):
         arr = np.asarray(self.hk)
         if arr.ndim == 2:
+            if not np.isfinite(arr).all():
+                raise ValueError("Hamiltonian matrix contains non-finite entries")
             if np.abs(arr - arr.conj().T).max() > 1e-12:
                 raise ConstraintViolation("Hamiltonian matrix is not Hermitian")
             object.__setattr__(self, "hk", arr.astype(complex))
@@ -47,7 +49,10 @@ class Hamiltonian:
             if vec.shape != (3,):
                 raise ValueError("component form must be a real 3-vector")
             object.__setattr__(self, "hk", vec)
-        object.__setattr__(self, "h0", float(self.h0))
+        h0 = float(self.h0)
+        if not math.isfinite(h0):
+            raise ValueError("h0 must be finite")
+        object.__setattr__(self, "h0", h0)
 
     def matrix(self) -> np.ndarray:
         if self.hk.ndim == 2:
@@ -107,6 +112,15 @@ class FlowParams:
         return self.a > 0 and 0.0 < self.b < self.a * self.a / 4.0
 
 
+def _purity(bloch: np.ndarray) -> np.ndarray:
+    """sum_k bloch_k^2 of each row, added in k order whatever the memory layout."""
+    squares = bloch * bloch
+    total = squares[:, 0].copy()
+    for column in squares.T[1:]:
+        total += column
+    return total
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     times: np.ndarray
@@ -116,7 +130,7 @@ class Trajectory:
 
     @property
     def purity(self) -> np.ndarray:
-        return np.einsum("ij,ij->i", self.bloch, self.bloch)
+        return _purity(self.bloch)
 
     def to_csv(self, path) -> None:
         from .reporting import write_csv
@@ -290,7 +304,7 @@ def integrate_von_neumann(rho0, hamiltonian, t_span, dt: float) -> Trajectory:
     if abs(np.trace(mat).real - 1.0) > 1e-10 or np.abs(mat - mat.conj().T).max() > 1e-10:
         raise ConstraintViolation("integrator drifted: trace/Hermiticity broken beyond 1e-10")
     basis = PAULI if mat.shape == (2, 2) else qmatrix.L_BASIS
-    bloch = np.einsum("kij,nji->nk", basis, mats).real
+    bloch = np.einsum("kij,nji->nk", basis, mats).real.copy()
     return Trajectory(times, bloch, matrices=mats)
 
 
@@ -365,15 +379,15 @@ def integrate_open(rho0, hamiltonian, d_rate, t_span, dt: float) -> Trajectory:
             _check_purity(times[i:i + 1], [float(bloch_i @ bloch_i)])
             if i < n:
                 mats[i + 1] = _rk4(mats[i], times[i], h, rhs)
-        bloch = np.einsum("kij,nji->nk", PAULI, mats).real
+        bloch = np.einsum("kij,nji->nk", PAULI, mats).real.copy()
     else:
         d = float(d_rate)
         gen = _commutator(ham) + d * np.eye(4)
         mats = _linear_flow((mat - half).reshape(-1), gen, h, n).reshape(n + 1, 2, 2)
         mats += half   # in place, so the trajectory is never held twice
         d_vals = np.full(n + 1, d)
-        bloch = np.einsum("kij,nji->nk", PAULI, mats).real
-        _check_purity(times, np.einsum("nk,nk->n", bloch, bloch))
+        bloch = np.einsum("kij,nji->nk", PAULI, mats).real.copy()
+        _check_purity(times, _purity(bloch))
     return Trajectory(times, bloch, matrices=mats, d_values=d_vals)
 
 

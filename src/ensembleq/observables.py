@@ -20,7 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmatrix
-from .validate import DimensionMismatch, as_float_array, check_in_range, check_unit_vector, freeze
+from .validate import (
+    DimensionMismatch,
+    as_float_array,
+    check_finite,
+    check_in_range,
+    check_unit_vector,
+    freeze,
+)
 
 
 class NoEigenstateError(ValueError):
@@ -35,10 +42,11 @@ class TwoLevelObservable:
     e0: float = 0.0
 
     def __post_init__(self):
-        vec = as_float_array(self.e, "e")
+        vec = freeze(self.e, float)
         if vec.shape not in ((3,), (15,)):
             raise ValueError("direction must have 3 or 15 components")
-        object.__setattr__(self, "e", freeze(vec, float))
+        check_finite(vec.tolist(), "e")
+        object.__setattr__(self, "e", vec)
         object.__setattr__(self, "e0", float(self.e0))
 
     @property

@@ -20,7 +20,7 @@ import json
 
 import numpy as np
 
-from .validate import ConstraintViolation, DimensionMismatch
+from .validate import ConstraintViolation, DimensionMismatch, check_finite
 
 PAULI = np.array(
     [
@@ -108,11 +108,17 @@ def _bloch_vector(state) -> np.ndarray:
 
 
 def operator_from_direction(e, e0: float = 0.0) -> np.ndarray:
-    """Hermitian operator e_k tau_k + e0 (3 components) or e_k L_k + e0 (15)."""
+    """Hermitian operator e_k tau_k + e0 (3 components) or e_k L_k + e0 (15).
+
+    The 2x2 matrix is written entry by entry, [[e0 + z, x - iy], [x + iy, e0 - z]]:
+    the values of the basis sum, without its call overhead.
+    """
     vec = _direction(e)
     if vec.shape == (3,):
-        return np.einsum("k,kij->ij", vec, PAULI) + e0 * np.eye(2)
+        x, y, z, e0 = check_finite((*vec.tolist(), e0), "direction")
+        return np.array([[e0 + z, complex(x, -y)], [complex(x, y), e0 - z]])
     if vec.shape == (15,):
+        check_finite((*vec.tolist(), e0), "direction")
         return np.einsum("k,kij->ij", vec, L_BASIS) + e0 * np.eye(4)
     raise DimensionMismatch(f"direction must have 3 or 15 components, got {vec.shape}")
 
@@ -135,14 +141,18 @@ def direction_from_operator(op: np.ndarray) -> tuple[np.ndarray, float]:
 def density_from_bloch(state) -> np.ndarray:
     """Density matrix (1 + rho_k tau_k)/2 or (1 + rho_k L_k)/4 from a Bloch vector.
 
-    Rejects vectors violating the purity bound or positivity beyond 1e-12.
+    Rejects non-finite vectors, and vectors violating the purity bound or
+    positivity beyond 1e-12. The 2x2 matrix is written entry by entry.
     """
     rho_vec = _bloch_vector(state)
     if rho_vec.shape == (3,):
+        x, y, z = check_finite(rho_vec.tolist(), "Bloch vector")
         if float(rho_vec @ rho_vec) > 1.0 + 1e-12:
             raise ConstraintViolation("two-state purity bound exceeded: sum rho_k^2 > 1")
-        return 0.5 * (np.eye(2) + np.einsum("k,kij->ij", rho_vec, PAULI))
+        return np.array([[0.5 * (1.0 + z), complex(0.5 * x, -0.5 * y)],
+                         [complex(0.5 * x, 0.5 * y), 0.5 * (1.0 - z)]])
     if rho_vec.shape == (15,):
+        check_finite(rho_vec.tolist(), "Bloch vector")
         if float(rho_vec @ rho_vec) > 3.0 + 1e-12:
             raise ConstraintViolation("four-state purity bound exceeded: sum rho_k^2 > 3")
         mat = 0.25 * (np.eye(4) + np.einsum("k,kij->ij", rho_vec, L_BASIS))
@@ -164,6 +174,8 @@ def check_density_matrix(rho, tol: float = 1e-12) -> np.ndarray:
     mat = np.asarray(rho, dtype=complex)
     if mat.shape not in ((2, 2), (4, 4)):
         raise DimensionMismatch("density matrix must be 2x2 or 4x4")
+    if not np.isfinite(mat).all():
+        raise ValueError("density matrix contains non-finite entries")
     if np.abs(mat - mat.conj().T).max() > tol:
         raise ConstraintViolation("density matrix is not Hermitian")
     if abs(np.trace(mat).real - 1.0) > tol or abs(np.trace(mat).imag) > tol:

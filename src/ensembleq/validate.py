@@ -27,9 +27,19 @@ class DimensionMismatch(ValueError):
 
 def as_float_array(x, name: str = "array") -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def check_finite(values, name: str):
+    """The values of a short sequence of Python numbers, checked finite.
+
+    For a handful of entries this costs less than a ufunc call on an array.
+    """
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return values
 
 
 def freeze(x, dtype=None, copy: bool = True) -> np.ndarray:

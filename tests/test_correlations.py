@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -492,6 +496,15 @@ class TestSimulation:
         records = sample_measurement_records(chain, rho_vec, 500, seed=8)
         est = simulate_sequences(chain, rho_vec, 500, seed=8)
         assert sum(rec.value for rec in records) / 500 == est.value
+
+    def test_package_import_leaves_the_thread_pool_unloaded(self):
+        # simulate_sequences imports the executor only when it runs workers
+        src = str(Path(correlations.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys, ensembleq; print('concurrent.futures' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=60, check=True)
+        assert done.stdout.strip() == "False"
 
 
 def _reference_estimate(chain, state, n, seed, block_size):

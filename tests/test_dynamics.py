@@ -12,6 +12,7 @@ from ensembleq.dynamics import (
     MAX_STEPS,
     FlowParams,
     Hamiltonian,
+    Trajectory,
     conjugation_oracle,
     hamiltonian_from_rotation,
     integrate_bloch,
@@ -29,6 +30,8 @@ from ensembleq.dynamics import (
 )
 from ensembleq.manifolds import Ensemble, microstate_s2, reduce_ensemble
 from ensembleq.validate import ConstraintViolation
+
+PAULI_OR_L = {2: qmatrix.PAULI, 4: qmatrix.L_BASIS}
 
 
 def random_unit(rng):
@@ -221,6 +224,51 @@ class TestVonNeumann:
                 integrate_bloch(np.array([0.5, 0.0, 0.0]), hk, (0.0, 1.0), 0.1)
         with pytest.raises(ValueError):
             integrate_bloch(np.zeros(15), np.ones(3), (0.0, 1.0), 0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_hamiltonian_rejected(self, bad):
+        # NaN fails every "> tol" comparison: the Hermiticity and drift checks
+        # cannot catch it, so it must be rejected on entry
+        mat = np.array([[bad, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            Hamiltonian(mat)
+        with pytest.raises(ValueError, match="non-finite"):
+            integrate_von_neumann(np.array([0.0, 0.0, 1.0]), mat, (0.0, 1.0), 0.1)
+        for hk in (np.eye(2), np.ones(3)):
+            with pytest.raises(ValueError, match="finite"):
+                Hamiltonian(hk, bad)
+
+
+def _four_state_von_neumann():
+    rho0 = np.zeros(15)
+    rho0[0] = 0.5
+    return integrate_von_neumann(rho0, Hamiltonian(qmatrix.l_operator(4)), (0.0, 1.0), 0.01)
+
+
+class TestTrajectoryMemory:
+    @pytest.mark.parametrize("run", [
+        lambda: integrate_von_neumann(np.array([0.3, 0.0, 0.4]), np.ones(3), (0.0, 1.0), 0.01),
+        _four_state_von_neumann,
+        lambda: integrate_open(np.array([0.3, 0.0, 0.4]), np.ones(3), -0.2, (0.0, 1.0), 0.01),
+        lambda: integrate_open(np.array([0.3, 0.0, 0.4]), np.ones(3), lambda _b, _t: -0.2,
+                               (0.0, 1.0), 0.01),
+    ], ids=["von-neumann-2", "von-neumann-4", "open-constant", "open-callable"])
+    def test_bloch_owns_its_memory(self, run):
+        # a .real view would keep the complex array, twice its size, alive behind it
+        traj = run()
+        assert traj.bloch.base is None
+        basis = PAULI_OR_L[traj.matrices.shape[1]]
+        assert np.array_equal(traj.bloch, np.einsum("kij,nji->nk", basis, traj.matrices).real)
+
+    @pytest.mark.parametrize("k", [1, 3, 15])
+    def test_purity_summed_in_order_whatever_the_layout(self, k):
+        rng = np.random.default_rng(40 + k)
+        view = (rng.normal(size=(500, k)) + 1j * rng.normal(size=(500, k))).real
+        want = np.zeros(500)
+        for column in view.T:
+            want = want + column * column
+        for bloch in (view, view.copy()):
+            assert np.array_equal(Trajectory(np.arange(500.0), bloch).purity, want)
 
 
 class TestLinearFlow:

@@ -31,6 +31,44 @@ def random_unit(rng, dim=3):
     return v / np.linalg.norm(v)
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+directions = st.sampled_from([3, 15]).flatmap(lambda n: st.lists(finite, min_size=n, max_size=n))
+
+
+class TestConstruction:
+    @settings(max_examples=100, deadline=None)
+    @given(directions, st.data())
+    def test_non_finite_entry_rejected(self, e, data):
+        i = data.draw(st.integers(0, len(e) - 1))
+        e[i] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        with pytest.raises(ValueError, match="non-finite"):
+            TwoLevelObservable(np.array(e))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 20).filter(lambda n: n not in (3, 15)))
+    def test_wrong_length_rejected(self, n):
+        with pytest.raises(ValueError, match="3 or 15"):
+            TwoLevelObservable(np.ones(n))
+
+    @settings(max_examples=100, deadline=None)
+    @given(directions)
+    def test_caller_array_copied_and_stored_read_only(self, e):
+        arr = np.array(e)
+        obs = TwoLevelObservable(arr)
+        assert obs.e is not arr and obs.e.base is None
+        arr[...] = 7.0
+        np.testing.assert_array_equal(obs.e, e)
+        assert not obs.e.flags.writeable
+        with pytest.raises(ValueError):
+            obs.e[0] = 0.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(directions)
+    def test_frozen_array_shared_not_copied(self, e):
+        obs = TwoLevelObservable(np.array(e))
+        assert TwoLevelObservable(obs.e, 0.5).e is obs.e
+
+
 class TestMeanInState:
     def test_aligned(self):
         assert mean_in_state(basis_spin(1), microstate_s2([1.0, 0.0, 0.0])) == 1.0

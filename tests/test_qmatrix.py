@@ -262,3 +262,65 @@ class TestQuantumProduct:
             mat = operator_from_direction(ea) @ operator_from_direction(eb)
             want = e0 * np.eye(2) + np.einsum("k,kij->ij", evec, PAULI)
             np.testing.assert_allclose(mat, want, atol=1e-12)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+def _with_bad_entry(size, bad):
+    vec = np.zeros(size)
+    vec[size // 2] = bad
+    return vec
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("size", [3, 15])
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_density_from_bloch(self, size, bad):
+        # rejected on entry, before the 15-component eigvalsh could raise LinAlgError
+        with pytest.raises(ValueError, match="non-finite"):
+            density_from_bloch(_with_bad_entry(size, bad))
+
+    @pytest.mark.parametrize("size", [3, 15])
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_operator_from_direction(self, size, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            operator_from_direction(_with_bad_entry(size, bad))
+        with pytest.raises(ValueError, match="non-finite"):
+            operator_from_direction(np.eye(size)[0], bad)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("bad", NON_FINITE + [complex(0.0, math.nan)])
+    def test_check_density_matrix(self, dim, bad):
+        mat = np.eye(dim, dtype=complex) / dim
+        mat[0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            qmatrix.check_density_matrix(mat)
+
+
+# magnitudes up to 1e300, so that e0 +- z cannot overflow
+finite = st.floats(-1e300, 1e300)
+unit_interval = st.floats(-1.0, 1.0)
+
+
+class TestClosedFormBuilders:
+    """The 2x2 builders equal the basis sums they replace, entry for entry."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(finite, finite, finite), finite)
+    def test_operator_equals_basis_sum(self, e, e0):
+        vec = np.array(e)
+        want = np.einsum("k,kij->ij", vec, PAULI) + e0 * np.eye(2)
+        got = operator_from_direction(vec, e0)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(unit_interval, unit_interval, unit_interval))
+    def test_density_equals_basis_sum(self, rho):
+        vec = np.array(rho)
+        vec = vec / max(1.0, float(np.linalg.norm(vec)))
+        want = 0.5 * (np.eye(2) + np.einsum("k,kij->ij", vec, PAULI))
+        got = density_from_bloch(vec)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
