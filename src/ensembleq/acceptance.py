@@ -220,7 +220,8 @@ def criterion_6(omega: float = 1.0, dt: float = 0.002) -> CriterionResult:
         [np.cos(2.0 * omega * traj.times), np.sin(2.0 * omega * traj.times), np.zeros_like(traj.times)]
     )
     traj_err = float(np.abs(traj.bloch - ref).max())
-    drift = float(np.abs(traj.purity - traj.purity[0]).max())
+    purity = traj.purity
+    drift = float(np.abs(purity - purity[0]).max())
 
     def s_of_t(t):
         return dynamics.rotation_from_generator(np.array([0.0, 0.0, -omega * t]))

@@ -24,7 +24,7 @@ import numpy as np
 from . import qmatrix
 from .manifolds import BlochState, Ensemble
 from .qmatrix import LEVI, PAULI
-from .validate import ConstraintViolation, as_float_array, check_rotation
+from .validate import ConstraintViolation, as_float_array, check_rotation, freeze
 
 MAX_STEPS = 2**20
 
@@ -43,12 +43,12 @@ class Hamiltonian:
                 raise ValueError("Hamiltonian matrix contains non-finite entries")
             if np.abs(arr - arr.conj().T).max() > 1e-12:
                 raise ConstraintViolation("Hamiltonian matrix is not Hermitian")
-            object.__setattr__(self, "hk", arr.astype(complex))
+            object.__setattr__(self, "hk", freeze(arr.astype(complex), copy=False))
         else:
             vec = as_float_array(arr, "hk")
             if vec.shape != (3,):
                 raise ValueError("component form must be a real 3-vector")
-            object.__setattr__(self, "hk", vec)
+            object.__setattr__(self, "hk", freeze(vec))
         h0 = float(self.h0)
         if not math.isfinite(h0):
             raise ValueError("h0 must be finite")
@@ -76,7 +76,7 @@ class ReducedTransition:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", as_float_array(self.matrix, "S"))
+        object.__setattr__(self, "matrix", freeze(as_float_array(self.matrix, "S")))
 
     @property
     def purity_conserving(self) -> bool:
@@ -135,20 +135,12 @@ class Trajectory:
     def to_csv(self, path) -> None:
         from .reporting import write_csv
 
-        k = self.bloch.shape[1]
-        cols = ["t"] + [f"rho_{i + 1}" for i in range(k)] + ["P"]
-        rows = []
-        pur = self.purity
-        for i, t in enumerate(self.times):
-            row = {"t": t, "P": pur[i]}
-            for j in range(k):
-                row[f"rho_{j + 1}"] = self.bloch[i, j]
-            if self.d_values is not None:
-                row["D"] = self.d_values[i]
-            rows.append(row)
+        cols = ["t"] + [f"rho_{i + 1}" for i in range(self.bloch.shape[1])] + ["P"]
+        series = [self.times, *self.bloch.T, self.purity]
         if self.d_values is not None:
             cols.append("D")
-        write_csv(path, cols, rows)
+            series.append(self.d_values)
+        write_csv(path, cols, zip(*series))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 Every experiment emits a CSV table plus a JSON report that echoes the config,
 carries the closed-form reference value next to each measured value, and
-records a pass/fail check per tolerance. Outputs are byte-identical for a
-fixed (config, seed); wall time is reported on the console only so files stay
-deterministic.
+records a pass/fail check per tolerance. An experiment returns its table as an
+iterable of rows in column order; the writer streams it to the file after
+every check is settled, and the returned report does not hold it. Outputs are
+byte-identical for a fixed (config, seed); wall time is reported on the
+console only so files stay deterministic.
 """
 from __future__ import annotations
 
@@ -53,8 +55,6 @@ class Check:
 @dataclass
 class RunReport:
     config: ExperimentConfig
-    columns: list
-    rows: list
     results: dict
     checks: list
     wall_time: float = 0.0
@@ -105,8 +105,7 @@ def _bell_sweep(params, seed):
         for t2 in angles:
             res = fourstate.bell_check(quantum, t1, t2)
             worst = max(worst, abs(fourstate.rotated_spin_correlation(t1, t2, state) + math.cos(t1 - t2)))
-            rows.append({"theta1": t1, "theta2": t2, "lhs": res.lhs, "rhs": res.rhs,
-                         "violated": res.violated})
+            rows.append((t1, t2, res.lhs, res.rhs, res.violated))
     marked = fourstate.bell_check(quantum, math.pi / 2.0, math.pi / 4.0)
     rng = np.random.default_rng(seed)
     satisfied = 0
@@ -137,13 +136,10 @@ def _interference(params, seed):
     n_steps = max(points * 16, 1024)
     times, f2, f5 = fourstate.interference_trajectory(delta, t_final, n_steps)
     idx = np.linspace(0, n_steps, points).round().astype(int)
-    rows = []
-    worst = 0.0
-    for i in idx:
-        ref = math.cos(delta * times[i])
-        worst = max(worst, abs(f2[i] - ref))
-        rows.append({"t": float(times[i]), "T2": float(f2[i]), "T2_ref": ref,
-                     "f5": float(f5[i])})
+    t, t2 = times[idx], f2[idx]
+    ref = np.fromiter(map(math.cos, delta * t), float, len(t))
+    worst = float(np.abs(t2 - ref).max())
+    rows = zip(t, t2, ref, f5[idx])
     checks = [_tol_check("<T2> equals cos(delta t)", worst, 0.0, 1e-6)]
     return ["t", "T2", "T2_ref", "f5"], rows, {"max_abs_error": worst}, checks
 
@@ -157,15 +153,10 @@ def _decoherence(params, seed):
         raise ConfigError("decoherence needs a negative rate d")
     rho0 = np.asarray(p["rho0"], dtype=float)
     traj = dynamics.integrate_open(rho0, None, d, (0.0, float(p["t_final"])), float(p["dt"]))
-    decay = np.exp(d * traj.times)
-    rows = []
-    worst = 0.0
-    for i, t in enumerate(traj.times):
-        ref = rho0 * decay[i]
-        worst = max(worst, float(np.abs(traj.bloch[i] - ref).max()))
-        rows.append({"t": float(t), "rho1": traj.bloch[i, 0], "rho2": traj.bloch[i, 1],
-                     "rho3": traj.bloch[i, 2], "P": float(traj.purity[i]),
-                     "P_ref": float(rho0 @ rho0) * float(np.exp(2 * d * t)), "D": float(d)})
+    worst = float(np.abs(traj.bloch - rho0 * np.exp(d * traj.times)[:, None]).max())
+    p0 = float(rho0 @ rho0)
+    rows = ((t, *rho, p, p0 * float(np.exp(2 * d * t)), d)
+            for t, rho, p in zip(traj.times, traj.bloch, traj.purity))
     checks = [_tol_check("rho_k(t) equals rho_k(0) exp(D t)", worst, 0.0, 1e-8)]
     return ["t", "rho1", "rho2", "rho3", "P", "P_ref", "D"], rows, {"max_abs_error": worst}, checks
 
@@ -181,14 +172,10 @@ def _syncoherence(params, seed):
     traj = dynamics.syncoherence_flow(float(p["p0"]), float(p["d0"]), flow,
                                       (0.0, float(p["t_final"])), float(p["dt"]))
     p_ref, d_ref = dynamics.syncoherence_closed_form(float(p["p0"]), float(p["d0"]), flow, traj.times)
-    rows = []
-    worst = 0.0
-    for i, t in enumerate(traj.times):
-        pv, dv = float(traj.bloch[i, 0]), float(traj.d_values[i])
-        worst = max(worst,
-                    abs(pv - p_ref[i]) / (abs(p_ref[i]) + 1e-12),
-                    abs(dv - d_ref[i]) / (abs(d_ref[i]) + 1e-12))
-        rows.append({"t": float(t), "P": pv, "D": dv, "P_ref": float(p_ref[i]), "D_ref": float(d_ref[i])})
+    pv, dv = traj.bloch[:, 0], traj.d_values
+    worst = max(float((np.abs(pv - p_ref) / (np.abs(p_ref) + 1e-12)).max()),
+                float((np.abs(dv - d_ref) / (np.abs(d_ref) + 1e-12)).max()))
+    rows = zip(traj.times, pv, dv, p_ref, d_ref)
     eps1, eps2 = flow.rates
     checks = [_tol_check("flow matches the two-exponential closed form (rel)", worst, 0.0, 1e-6)]
     return (["t", "P", "D", "P_ref", "D_ref"], rows,
@@ -201,16 +188,13 @@ def _precession(params, seed):
     ham = dynamics.Hamiltonian(np.array([0.0, 0.0, omega]))
     traj = dynamics.integrate_von_neumann(np.array([1.0, 0.0, 0.0]), ham,
                                           (0.0, float(p["t_final"])), float(p["dt"]))
-    rows = []
-    worst = 0.0
-    for i, t in enumerate(traj.times):
-        ref1, ref2 = math.cos(2 * omega * t), math.sin(2 * omega * t)
-        worst = max(worst, abs(traj.bloch[i, 0] - ref1), abs(traj.bloch[i, 1] - ref2),
-                    abs(traj.bloch[i, 2]))
-        rows.append({"t": float(t), "rho1": traj.bloch[i, 0], "rho2": traj.bloch[i, 1],
-                     "rho3": traj.bloch[i, 2], "P": float(traj.purity[i]),
-                     "rho1_ref": ref1, "rho2_ref": ref2})
-    drift = float(np.abs(traj.purity - traj.purity[0]).max())
+    n, angle = len(traj.times), 2 * omega * traj.times
+    ref = np.column_stack([np.fromiter(map(math.cos, angle), float, n),
+                           np.fromiter(map(math.sin, angle), float, n), np.zeros(n)])
+    worst = float(np.abs(traj.bloch - ref).max())
+    purity = traj.purity
+    drift = float(np.abs(purity - purity[0]).max())
+    rows = zip(traj.times, *traj.bloch.T, purity, ref[:, 0], ref[:, 1])
 
     def s_of_t(t):
         return dynamics.rotation_from_generator(np.array([0.0, 0.0, -omega * t]))
@@ -243,10 +227,7 @@ def _cartesian_spins(params, seed):
         ("classical", classical.probs, classical.purity_after),
         ("quantum", quantum.probs, quantum.purity_after),
     ):
-        row = {"state": label, "purity": float(pur)}
-        for i in range(8):
-            row[f"p{i + 1}"] = float(vec[i])
-        rows.append(row)
+        rows.append((label, *(float(vec[i]) for i in range(8)), float(pur)))
     checks = [
         _tol_check("quantum-rule purity is 1", float(quantum.purity_after), 1.0, 1e-12),
         Check("classical rule flagged iff purity exceeds 1",
@@ -278,8 +259,7 @@ def _pseudo_quantum_region(params, seed):
         region = finite.realizable_region_check(finite.zn_system(n))
         ref = math.cos(math.pi / n)
         worst = max(worst, abs(region.inradius - ref))
-        rows.append({"N": n, "inradius": region.inradius, "inradius_ref": ref,
-                     "max_mean_sum": float(region.max_mean_sum)})
+        rows.append((n, region.inradius, ref, float(region.max_mean_sum)))
         polygons[str(n)] = [[x, y] for x, y in region.vertices]
     region4 = finite.realizable_region_check(finite.zn_system(4, exact=True))
     pure_diag = finite.pure_system(8, 1, exact=True)
@@ -330,8 +310,7 @@ def _correlation_table(params, seed):
             worst = max(worst, abs(conditional - oracle))
             pointwise = correlations.pointwise_correlation(a, b, ens)
             classical = correlations.classical_correlation(a.e, b.e, sub)
-            rows.append({"A": name_a, "B": name_b, "conditional": conditional,
-                         "oracle": oracle, "pointwise": pointwise, "classical": classical})
+            rows.append((name_a, name_b, conditional, oracle, pointwise, classical))
     checks = [_tol_check("conditional equals anticommutator oracle", worst, 0.0, 1e-12)]
     results = {"rho": [float(x) for x in rho_vec], "max_oracle_gap": worst}
     return ["A", "B", "conditional", "oracle", "pointwise", "classical"], rows, results, checks
@@ -350,8 +329,8 @@ def _mc_sequences(params, seed):
     est = correlations.simulate_sequences(chain, rho_vec, int(p["n"]), int(seed),
                                           n_jobs=int(p["jobs"]))
     sigmas = abs(est.value - closed) / est.stderr if est.stderr > 0 else 0.0
-    rows = [{"chain": "/".join(f"{a:.6g}" for a in angles), "n": est.n, "value": est.value,
-             "stderr": est.stderr, "closed_form": closed, "sigmas": sigmas}]
+    rows = [("/".join(f"{a:.6g}" for a in angles), est.n, est.value, est.stderr, closed,
+             sigmas)]
     checks = [Check("empirical mean within 5 standard errors", sigmas <= 5.0,
                     est.value, closed, 5.0 * est.stderr if est.stderr > 0 else 0.0)]
     results = {"value": est.value, "stderr": est.stderr, "closed_form": closed,
@@ -384,7 +363,7 @@ def run(config: ExperimentConfig) -> RunReport:
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid parameters for {config.experiment!r}: {exc}") from exc
-    report = RunReport(config, columns, rows, results, checks, wall_time=time.perf_counter() - t0)
+    report = RunReport(config, results, checks, wall_time=time.perf_counter() - t0)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / f"{config.experiment}.csv", columns, rows)

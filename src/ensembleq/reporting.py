@@ -2,12 +2,13 @@
 
 Floats are written with 17 significant digits so every value round-trips and
 downstream tolerance checks are reproducible; output bytes depend only on the
-data, never on wall time.
+data, never on wall time, platform or locale (UTF-8, "\\n" line ends). A CSV
+table is streamed: each row is formatted and written as it arrives, so the
+writer holds one row at a time whatever the table's length.
 """
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 
 def fmt_value(x) -> str:
@@ -19,12 +20,14 @@ def fmt_value(x) -> str:
 
 
 def write_csv(path, columns, rows) -> None:
-    path = Path(path)
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(fmt_value(row[c]) for c in columns))
-    path.write_text("\n".join(lines) + "\n")
+    """Write a header line of ``columns`` and one line per row of ``rows``,
+    an iterable of sequences in column order."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(map(fmt_value, row)) + "\n")
 
 
 def write_json(path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")

@@ -13,8 +13,9 @@ import numpy as np
 TOL = 1e-12
 
 # check_probabilities feeds fsum this many entries at a time, so its exact
-# total never holds a Python list as long as the vector
-_FSUM_CHUNK = 65536
+# total holds at most this many Python floats (about 128 KiB) at once,
+# whatever the length of the vector
+_FSUM_CHUNK = 4096
 
 
 class ConstraintViolation(ValueError):

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from ensembleq.cli import main
-from ensembleq.experiments import ConfigError, ExperimentConfig, run
+from ensembleq.experiments import EXPERIMENTS, ConfigError, ExperimentConfig, run
 
 
 def test_bell_sweep_outputs(tmp_path, capsys):
@@ -26,12 +26,13 @@ def test_bell_sweep_outputs(tmp_path, capsys):
 
 def test_outputs_byte_identical(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    for out in (out_a, out_b):
-        assert main(["run", "--experiment", "mc-sequences", "--seed", "42",
-                     "--out", str(out)]) == 0
-    assert (out_a / "mc-sequences.csv").read_bytes() == (out_b / "mc-sequences.csv").read_bytes()
-    assert ((out_a / "mc-sequences.report.json").read_bytes()
-            == (out_b / "mc-sequences.report.json").read_bytes())
+    for name in EXPERIMENTS:
+        for out in (out_a, out_b):
+            assert main(["run", "--experiment", name, "--seed", "42",
+                         "--out", str(out)]) == 0
+        for suffix in (".csv", ".report.json"):
+            assert ((out_a / f"{name}{suffix}").read_bytes()
+                    == (out_b / f"{name}{suffix}").read_bytes()), name + suffix
 
 
 def test_unknown_experiment(tmp_path, capsys):
@@ -51,6 +52,16 @@ def test_invalid_parameter_value(tmp_path):
     code = main(["run", "--experiment", "decoherence", "--param", "d=0.5",
                  "--out", str(tmp_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize("params", [{"d": 0.5}, {"t_final": math.inf}, {"bogus": 1}],
+                         ids=["bad-rate", "unbounded-span", "unknown-key"])
+def test_config_error_writes_no_files(tmp_path, params):
+    # parameters, integration and checks all run before a file is opened
+    with pytest.raises(ConfigError):
+        run(ExperimentConfig("decoherence", params, seed=0, out_dir=str(tmp_path)))
+    assert not (tmp_path / "decoherence.csv").exists()
+    assert not (tmp_path / "decoherence.report.json").exists()
 
 
 

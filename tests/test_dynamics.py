@@ -12,6 +12,7 @@ from ensembleq.dynamics import (
     MAX_STEPS,
     FlowParams,
     Hamiltonian,
+    ReducedTransition,
     Trajectory,
     conjugation_oracle,
     hamiltonian_from_rotation,
@@ -128,6 +129,15 @@ class TestReducedFromMicro:
         with pytest.raises(ConstraintViolation):
             reduced_from_micro(np.array([[2.0]]), ens)
 
+    def test_caller_matrix_copied_and_stored_read_only(self):
+        m = np.diag([1.0, -1.0, 1.0])
+        s = ReducedTransition(m)
+        m[...] = 7.0
+        np.testing.assert_array_equal(s.matrix, np.diag([1.0, -1.0, 1.0]))
+        assert not s.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            s.matrix[0, 0] = 0.0
+
 
 class TestUnitaryStep:
     def test_zero_generator(self):
@@ -237,6 +247,25 @@ class TestVonNeumann:
         for hk in (np.eye(2), np.ones(3)):
             with pytest.raises(ValueError, match="finite"):
                 Hamiltonian(hk, bad)
+
+    def test_caller_components_copied_and_stored_read_only(self):
+        v = np.array([0.0, 0.0, 1.0])
+        h = Hamiltonian(v)
+        v[2] = 5.0
+        assert h.matrix()[0, 0] == 1.0
+        assert not h.hk.flags.writeable
+        with pytest.raises(ValueError):
+            h.hk[2] = 5.0
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_caller_matrix_copied_and_stored_read_only(self, dtype):
+        mat = np.array([[1.0, 0.5], [0.5, -1.0]], dtype=dtype)
+        h = Hamiltonian(mat)
+        mat[0, 0] = 5.0
+        np.testing.assert_array_equal(h.matrix(), [[1.0, 0.5], [0.5, -1.0]])
+        assert not h.hk.flags.writeable
+        with pytest.raises(ValueError):
+            h.hk[0, 0] = 5.0
 
 
 def _four_state_von_neumann():

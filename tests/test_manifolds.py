@@ -131,6 +131,18 @@ class TestValidation:
         arr[0] = 1.0 - 2e-12
         assert check_probabilities(arr) is not None
 
+    def test_probability_total_working_set(self):
+        # the exact total sees the vector a chunk at a time: 2^20 entries cost
+        # the 1 MiB sign test and one chunk of Python floats, not a 2 MiB chunk
+        arr = np.full(2**20, 2.0**-20)
+        tracemalloc.start()
+        try:
+            check_probabilities(arr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 2**20
+
     def test_caller_arrays_copied_and_stored_read_only(self):
         pts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         p = np.array([0.25, 0.75])
