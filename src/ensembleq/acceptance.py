@@ -1,12 +1,15 @@
 """The acceptance suite: every shipped guarantee as a runnable check.
 
-Each criterion function performs the full check at its stated tolerance and
-returns a CriterionResult; ``run_all`` executes the suite and is what both the
-CLI ``verify`` command and the pytest acceptance module drive. Monte Carlo
-criteria take a seed so statistical controls can rerun them on fresh streams.
+Each criterion returns a CriterionResult holding the experiments' Check records;
+c5-c7 are the bell-sweep, precession, decoherence and syncoherence bodies.
+``run_all`` executes the suite and is what both the CLI ``verify`` command and
+the pytest acceptance module drive. Monte Carlo criteria take a seed so
+statistical controls can rerun them on fresh streams.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -14,7 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import correlations, dynamics, finite, fourstate, manifolds, observables, qmatrix
+from . import correlations, experiments, finite, fourstate, manifolds, observables, qmatrix
+from .experiments import Check, ConfigError, _exact_check, _tol_check
 from .finite import Q2, HALF_SQRT2
 
 
@@ -22,13 +26,35 @@ from .finite import Q2, HALF_SQRT2
 class CriterionResult:
     cid: str
     name: str
-    passed: bool
-    detail: str
+    checks: list
     seconds: float
 
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
 
-def _result(cid, name, passed, detail, t0) -> CriterionResult:
-    return CriterionResult(cid, name, bool(passed), detail, time.perf_counter() - t0)
+    @property
+    def detail(self) -> str:
+        """The failing checks, one summary each; empty when the criterion passes."""
+        return "; ".join(c.summary() for c in self.checks if not c.passed)
+
+
+CRITERIA = {}
+
+
+def _criterion(cid, name, register=True):
+    """Time a function returning Checks as criterion ``cid``; add it to CRITERIA."""
+    def wrap(fn):
+        @functools.wraps(fn)
+        def timed(*args, **kwargs):
+            t0 = time.perf_counter()
+            checks = fn(*args, **kwargs)
+            return CriterionResult(cid, name, checks, time.perf_counter() - t0)
+
+        if register:
+            CRITERIA[cid] = timed
+        return timed
+    return wrap
 
 
 def _random_unit(rng, dim=3):
@@ -37,13 +63,16 @@ def _random_unit(rng, dim=3):
 
 
 def _random_bloch(rng):
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v) * rng.uniform(0.0, 1.0)
+    return _random_unit(rng) * rng.uniform(0.0, 1.0)
 
 
+def _random_observables(rng, k):
+    return [observables.TwoLevelObservable(_random_unit(rng)) for _ in range(k)]
+
+
+@_criterion("c1", "expectation law: ensemble sum vs trace rule")
 def criterion_1(seed: int = 101, n_ensembles: int = 1000, resolution: int = 32) -> CriterionResult:
     """Expectation law: ensemble average equals the trace rule on grid ensembles."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
     n_points = None
@@ -61,25 +90,20 @@ def criterion_1(seed: int = 101, n_ensembles: int = 1000, resolution: int = 32) 
         rho = qmatrix.density_from_bloch(manifolds.reduce_ensemble(ens).rho)
         oracle = qmatrix.qm_expectation(qmatrix.operator_from_direction(e), rho)
         worst = max(worst, abs(classical - oracle))
-    ok = worst <= 1e-12 and n_points >= 2048
-    return _result(
-        "c1",
-        "expectation law: ensemble sum vs trace rule",
-        ok,
-        f"max |sum p (e.f) - tr(A rho)| = {worst:.3e} over {n_ensembles} grids of {n_points} points",
-        t0,
-    )
+    return [
+        _tol_check("max |sum p (e.f) - tr(A rho)|", worst, 0.0, 1e-12),
+        Check("grid has at least 2048 points", n_points >= 2048, float(n_points), 2048.0, 0.0),
+    ]
 
 
+@_criterion("c2", "conditional 2-pt: oracle equality and symmetry")
 def criterion_2(seed: int = 202, n_trials: int = 1000) -> CriterionResult:
     """Conditional 2-point correlation: construction equals the anticommutator value."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst_eq = 0.0
     worst_sym = 0.0
     for _ in range(n_trials):
-        a = observables.TwoLevelObservable(_random_unit(rng))
-        b = observables.TwoLevelObservable(_random_unit(rng))
+        a, b = _random_observables(rng, 2)
         rho_vec = _random_bloch(rng)
         val = correlations.conditional_correlation_2pt(a, b, rho_vec)
         rev = correlations.conditional_correlation_2pt(b, a, rho_vec)
@@ -89,25 +113,19 @@ def criterion_2(seed: int = 202, n_trials: int = 1000) -> CriterionResult:
         )
         worst_eq = max(worst_eq, abs(val - oracle))
         worst_sym = max(worst_sym, abs(val - rev))
-    ok = worst_eq <= 1e-12 and worst_sym <= 1e-12
-    return _result(
-        "c2",
-        "conditional 2-pt: oracle equality and symmetry",
-        ok,
-        f"max |construction - tr({{A,B}}rho)/2| = {worst_eq:.3e}, max asymmetry = {worst_sym:.3e}",
-        t0,
-    )
+    return [
+        _tol_check("max |construction - tr({A,B}rho)/2|", worst_eq, 0.0, 1e-12),
+        _tol_check("max asymmetry under A <-> B", worst_sym, 0.0, 1e-12),
+    ]
 
 
+@_criterion("c3", "conditional 3-pt: oracle equality and exact orthogonal-spin identity")
 def criterion_3(seed: int = 303, n_trials: int = 1000, n_rho: int = 100) -> CriterionResult:
     """Conditional 3-point correlation: oracle equality plus the orthogonal-spin identity."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_trials):
-        a = observables.TwoLevelObservable(_random_unit(rng))
-        b = observables.TwoLevelObservable(_random_unit(rng))
-        c = observables.TwoLevelObservable(_random_unit(rng))
+        a, b, c = _random_observables(rng, 3)
         rho_vec = _random_bloch(rng)
         val = correlations.conditional_correlation_3pt(a, b, c, rho_vec)
         oracle = qmatrix.nested_anticommutator_expectation(
@@ -115,43 +133,29 @@ def criterion_3(seed: int = 303, n_trials: int = 1000, n_rho: int = 100) -> Crit
             qmatrix.density_from_bloch(rho_vec),
         )
         worst = max(worst, abs(val - oracle))
-    exact_ok = True
+    spins = [observables.basis_spin(k) for k in (1, 2, 3)]
+    products = [(k, l, m, correlations.conditional_product(
+                    correlations.conditional_product(spins[k], spins[l]), spins[m]))
+                for k, l, m in itertools.product(range(3), repeat=3)]
+    mismatches = 0
     for _ in range(n_rho):
         rho_vec = _random_bloch(rng)
-        for k in range(1, 4):
-            for l in range(1, 4):
-                for m in range(1, 4):
-                    prod = correlations.conditional_product(
-                        correlations.conditional_product(
-                            observables.basis_spin(k), observables.basis_spin(l)
-                        ),
-                        observables.basis_spin(m),
-                    )
-                    got = observables.expectation(prod, rho_vec)
-                    want = rho_vec[m - 1] if k == l else 0.0
-                    if got != want:
-                        exact_ok = False
-    ok = worst <= 1e-12 and exact_ok
-    return _result(
-        "c3",
-        "conditional 3-pt: oracle equality and exact orthogonal-spin identity",
-        ok,
-        f"max |expr - tr({{{{A,B}},C}}rho)/4| = {worst:.3e}; "
-        f"delta_kl rho_m identity exact: {exact_ok}",
-        t0,
-    )
+        for k, l, m, prod in products:
+            want = rho_vec[m] if k == l else 0.0
+            mismatches += int(observables.expectation(prod, rho_vec) != want)
+    return [
+        _tol_check("max |expr - tr({{A,B},C}rho)/4|", worst, 0.0, 1e-12),
+        _exact_check("(k, l, m, rho) breaking delta_kl rho_m", mismatches, 0),
+    ]
 
 
+@_criterion("c4", "Monte Carlo convergence to closed forms (5 sigma), repeated chain exact")
 def criterion_4(seed: int = 404, n_samples: int = 1_000_000) -> CriterionResult:
     """Monte Carlo sequences reproduce the closed forms within 5 standard errors."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    failures = []
-    checked = 0
+    checks = []
     for trial in range(3):
-        a = observables.TwoLevelObservable(_random_unit(rng))
-        b = observables.TwoLevelObservable(_random_unit(rng))
-        c = observables.TwoLevelObservable(_random_unit(rng))
+        a, b, c = _random_observables(rng, 3)
         rho_vec = _random_bloch(rng)
         pairs = [
             ([a, b], correlations.conditional_correlation_2pt(a, b, rho_vec)),
@@ -159,126 +163,54 @@ def criterion_4(seed: int = 404, n_samples: int = 1_000_000) -> CriterionResult:
         ]
         for chain, closed in pairs:
             est = correlations.simulate_sequences(chain, rho_vec, n_samples, seed + trial)
-            checked += 1
-            if est.stderr > 0 and abs(est.value - closed) > 5.0 * est.stderr:
-                failures.append((chain, est.value, closed, est.stderr))
+            within = est.stderr == 0 or abs(est.value - closed) <= 5.0 * est.stderr
+            checks.append(Check(f"trial {trial} {len(chain)}-chain within 5 standard errors",
+                                within, est.value, closed, 5.0 * est.stderr))
     rho_vec = _random_bloch(np.random.default_rng(seed + 99))
     a = observables.TwoLevelObservable(np.array([1.0, 0.0, 0.0]))
     rep = correlations.simulate_sequences([a, a], rho_vec, n_samples, seed)
-    repeated_ok = rep.value == 1.0 and rep.stderr == 0.0
-    ok = not failures and repeated_ok
-    return _result(
-        "c4",
-        "Monte Carlo convergence to closed forms (5 sigma), repeated chain exact",
-        ok,
-        f"{checked} chains at n = {n_samples} within 5 se: {not failures}; "
-        f"repeated chain returned {rep.value} +- {rep.stderr}",
-        t0,
-    )
+    return checks + [
+        _exact_check("repeated chain value", rep.value, 1.0),
+        _exact_check("repeated chain standard error", rep.stderr, 0.0),
+    ]
 
 
+@_criterion("c5", "Bell inequality: quantum violation, classical compliance")
 def criterion_5(seed: int = 505, n_trials: int = 1000) -> CriterionResult:
-    """Bell harness: quantum violation at (pi/2, pi/4); substate correlators comply."""
-    t0 = time.perf_counter()
-    quantum = fourstate.quantum_pair_correlator(fourstate.entangled_bloch(-1))
-    check = fourstate.bell_check(quantum, math.pi / 2.0, math.pi / 4.0)
-    margin = check.lhs - check.rhs
-    quantum_ok = (
-        check.violated
-        and margin > 0.414 - 1e-9
-        and abs(check.lhs - 0.70711) < 5e-6
-        and abs(check.rhs - 0.29289) < 5e-6
-    )
-    rng = np.random.default_rng(seed)
-    classical_ok = True
-    worst_excess = -math.inf
-    for _ in range(n_trials):
-        ens = fourstate.symmetrized_hidden_ensemble(rng, n_base=3, order=int(rng.integers(3, 7)))
-        corr = fourstate.classical_pair_correlator(ens)
-        t1, t2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
-        res = fourstate.bell_check(corr, t1, t2)
-        worst_excess = max(worst_excess, res.lhs - res.rhs)
-        if res.violated:
-            classical_ok = False
-    ok = quantum_ok and classical_ok
-    return _result(
-        "c5",
-        "Bell inequality: quantum violation, classical compliance",
-        ok,
-        f"lhs = {check.lhs:.5f}, rhs = {check.rhs:.5f}, margin = {margin:.5f}; "
-        f"classical worst lhs-rhs = {worst_excess:.3e} over {n_trials} ensembles",
-        t0,
-    )
+    """Bell harness: the bell-sweep body, plus the marked lhs and rhs values."""
+    _, _, results, checks = experiments._bell_sweep({"classical_trials": n_trials}, seed)
+    return checks + [
+        _tol_check("lhs at (pi/2, pi/4)", results["lhs_at_mark"], 0.70711, 5e-6),
+        _tol_check("rhs at (pi/2, pi/4)", results["rhs_at_mark"], 0.29289, 5e-6),
+    ]
 
 
+@_criterion("c6", "unitary dynamics: precession, purity drift, Hamiltonian extraction")
 def criterion_6(omega: float = 1.0, dt: float = 0.002) -> CriterionResult:
-    """Unitary dynamics: precession closed form, purity drift, H recovery."""
-    t0 = time.perf_counter()
-    ham = dynamics.Hamiltonian(np.array([0.0, 0.0, omega]))
-    traj = dynamics.integrate_von_neumann(np.array([1.0, 0.0, 0.0]), ham, (0.0, 10.0), dt)
-    ref = np.column_stack(
-        [np.cos(2.0 * omega * traj.times), np.sin(2.0 * omega * traj.times), np.zeros_like(traj.times)]
-    )
-    traj_err = float(np.abs(traj.bloch - ref).max())
-    purity = traj.purity
-    drift = float(np.abs(purity - purity[0]).max())
-
-    def s_of_t(t):
-        return dynamics.rotation_from_generator(np.array([0.0, 0.0, -omega * t]))
-
-    h_rec = dynamics.hamiltonian_from_rotation(s_of_t, t=0.7)
-    h_err = float(np.abs(h_rec - np.array([0.0, 0.0, omega])).max())
-    ok = traj_err <= 1e-8 and drift <= 1e-10 and h_err <= 1e-8
-    return _result(
-        "c6",
-        "unitary dynamics: precession, purity drift, Hamiltonian extraction",
-        ok,
-        f"trajectory err = {traj_err:.2e}, purity drift = {drift:.2e}, H recovery err = {h_err:.2e}",
-        t0,
-    )
+    """Unitary dynamics: the precession body (closed form, purity drift, H recovery)."""
+    return experiments._precession({"omega": omega, "dt": dt}, 0)[3]
 
 
+@_criterion("c7", "open dynamics: constant-rate decay and syncoherence closed form")
 def criterion_7() -> CriterionResult:
-    """Open dynamics: exponential decay closed form and the syncoherence flow."""
-    t0 = time.perf_counter()
-    d_const = -0.35
-    rho0 = np.array([0.4, -0.2, 0.5])
-    traj = dynamics.integrate_open(rho0, None, d_const, (0.0, 5.0), 0.005)
-    decay = np.exp(d_const * traj.times)
-    rho_err = float(np.abs(traj.bloch - rho0[None, :] * decay[:, None]).max())
-    p_err = float(np.abs(traj.purity - float(rho0 @ rho0) * np.exp(2 * d_const * traj.times)).max())
-    params = dynamics.FlowParams(3.0, 2.0)
-    rates_ok = params.rates == (2.0, 1.0)
-    sync = dynamics.syncoherence_flow(0.9, 0.1, params, (0.0, 6.0), 0.001)
-    p_ref, d_ref = dynamics.syncoherence_closed_form(0.9, 0.1, params, sync.times)
-    rel = lambda x, r: np.abs(x - r) / (np.abs(r) + 1e-12)  # noqa: E731
-    sync_err = max(float(rel(sync.bloch[:, 0], p_ref).max()), float(rel(sync.d_values, d_ref).max()))
-    ok = rho_err <= 1e-8 and p_err <= 1e-8 and rates_ok and sync_err <= 1e-6
-    return _result(
-        "c7",
-        "open dynamics: constant-rate decay and syncoherence closed form",
-        ok,
-        f"decay err = {rho_err:.2e}, purity err = {p_err:.2e}, "
-        f"rates (2,1): {rates_ok}, sync rel err = {sync_err:.2e}",
-        t0,
-    )
+    """Open dynamics: the decoherence and syncoherence bodies, plus the flow's rates."""
+    _, _, sync, sync_checks = experiments._syncoherence({}, 0)
+    return experiments._decoherence({}, 0)[3] + sync_checks + [
+        _exact_check("eps1 of (a, b) = (3, 2)", sync["eps1"], 2.0),
+        _exact_check("eps2 of (a, b) = (3, 2)", sync["eps2"], 1.0),
+    ]
 
 
+@_criterion("c8", "four-state: entangled values, -cos correlation, interference, exchange classes")
 def criterion_8(seed: int = 808, n_angles: int = 100) -> CriterionResult:
     """Four-state checks: entangled state values, rotated correlation, interference, exchange."""
-    t0 = time.perf_counter()
     rho_m = fourstate.entangled_state(-1)
     t_vals = [qmatrix.qm_expectation(qmatrix.l_operator(m), rho_m) for m in (1, 2, 3)]
     table = fourstate.outcomes_from_t(*t_vals)
-    exact_ok = (
-        t_vals[0] == 0.0
-        and t_vals[1] == 0.0
-        and t_vals[2] == -1.0
-        and table.w_pm == 0.5
-        and table.w_mp == 0.5
-        and table.w_pp == 0.0
-        and table.w_mm == 0.0
-    )
+    checks = [_exact_check(f"T{m} of the entangled state", t, want)
+              for m, t, want in zip((1, 2, 3), t_vals, (0.0, 0.0, -1.0))]
+    checks += [_exact_check(f"weight w_{k}", getattr(table, f"w_{k}"), want)
+               for k, want in (("pm", 0.5), ("mp", 0.5), ("pp", 0.0), ("mm", 0.0))]
     rng = np.random.default_rng(seed)
     bloch = fourstate.entangled_bloch(-1)
     worst = 0.0
@@ -295,65 +227,46 @@ def criterion_8(seed: int = 808, n_angles: int = 100) -> CriterionResult:
     psi_m = fourstate.entangled_psi(-1)
     psi_p = fourstate.entangled_psi(1)
     mixed = (psi_m + psi_p) / np.linalg.norm(psi_m + psi_p)
-    exchange_ok = (
-        fourstate.is_exchange_symmetric(psi_m) == "fermionic"
-        and fourstate.is_exchange_symmetric(psi_p) == "bosonic"
-        and fourstate.is_exchange_symmetric(fourstate.basis_psi(1)) == "bosonic"
-        and fourstate.is_exchange_symmetric(fourstate.basis_psi(4)) == "bosonic"
-        and fourstate.is_exchange_symmetric(mixed) == "forbidden"
-    )
-    ok = exact_ok and worst <= 1e-12 and interf_err <= 1e-6 and exchange_ok
-    return _result(
-        "c8",
-        "four-state: entangled values, -cos correlation, interference, exchange classes",
-        ok,
-        f"exact T/W values: {exact_ok}; max |corr + cos| = {worst:.2e}; "
-        f"interference err = {interf_err:.2e}; exchange table: {exchange_ok}",
-        t0,
-    )
+    classes = [fourstate.is_exchange_symmetric(psi) for psi in
+               (psi_m, psi_p, fourstate.basis_psi(1), fourstate.basis_psi(4), mixed)]
+    return checks + [
+        _tol_check("max |corr + cos(theta - phi)|", worst, 0.0, 1e-12),
+        _tol_check("max |<T2>(t) - cos t|", interf_err, 0.0, 1e-6),
+        _exact_check("exchange classes of psi-, psi+, basis 1, basis 4, mixed",
+                     classes == ["fermionic", "bosonic", "bosonic", "bosonic", "forbidden"], True),
+    ]
 
 
+@_criterion("c9", "cartesian spins: purity polynomial identity and measurement rules")
 def criterion_9(seed: int = 909, n_random: int = 10_000) -> CriterionResult:
     """Cartesian spins: purity polynomial identity and the measurement-rule scenario."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     p = rng.random((n_random, 8))
     p = p / p.sum(axis=1, keepdims=True)
     direct = finite.cartesian_purity(p)
-    sx = p @ np.array(finite.SPIN_VALUES[0], dtype=float)
-    sy = p @ np.array(finite.SPIN_VALUES[1], dtype=float)
-    sz = p @ np.array(finite.SPIN_VALUES[2], dtype=float)
-    poly_err = float(np.abs(direct - (sx ** 2 + sy ** 2 + sz ** 2)).max())
+    spin_means = p @ np.array(finite.SPIN_VALUES, dtype=float).T
+    poly_err = float(np.abs(direct - (spin_means ** 2).sum(axis=1)).max())
     third = Fraction(1, 3)
     scenario = [third, 0, 0, 0, third, 0, 0, third]
-    purity_before = finite.cartesian_purity(scenario)
     classical = finite.cartesian_measure_sz(scenario, "classical")
     quantum = finite.cartesian_measure_sz(scenario, "quantum")
-    scenario_ok = (
-        purity_before == third
-        and classical.purity_after == 3
-        and classical.constraint_violated
-        and quantum.purity_after == 1
-        and all(s == Fraction(1, 2) for s in quantum.pair_sums)
-    )
-    ok = poly_err <= 1e-12 and scenario_ok
-    return _result(
-        "c9",
-        "cartesian spins: purity polynomial identity and measurement rules",
-        ok,
-        f"max |poly - sum<S>^2| = {poly_err:.3e} over {n_random} random p; "
-        f"scenario P'=1/3, classical P=3 flagged, quantum P=1 with pair sums 1/2: {scenario_ok}",
-        t0,
-    )
+    return [
+        _tol_check("max |poly - sum <S>^2|", poly_err, 0.0, 1e-12),
+        _exact_check("scenario purity before", finite.cartesian_purity(scenario), third),
+        _exact_check("classical-rule purity", classical.purity_after, 3),
+        _exact_check("classical rule flagged", classical.constraint_violated, True),
+        _exact_check("quantum-rule purity", quantum.purity_after, 1),
+        _exact_check("quantum pair sums all 1/2",
+                     all(s == Fraction(1, 2) for s in quantum.pair_sums), True),
+    ]
 
 
+@_criterion("c10", "pseudo-quantum: N=4 bound, exact reduction identities, negativity witness")
 def criterion_10() -> CriterionResult:
     """Pseudo-quantum system: exact region bound, reduction identities, negativity."""
-    t0 = time.perf_counter()
     region4 = finite.realizable_region_check(finite.zn_system(4, exact=True))
-    bound_ok = region4.max_mean_sum == Q2(1)
     rng = np.random.default_rng(7)
-    preserved = True
+    changed = 0
     for _ in range(50):
         raw = [Fraction(int(x), 64) for x in rng.integers(0, 9, size=8)]
         raw[-1] = 1 - sum(raw[:-1])
@@ -363,59 +276,36 @@ def criterion_10() -> CriterionResult:
         alpha = Fraction(int(rng.integers(-3, 4)), 4)
         beta = Fraction(int(rng.integers(-3, 4)), 4)
         eff = finite.integrate_out(sys8, alpha, beta)
-        if sys8.expectations() != eff.expectations():
-            preserved = False
+        changed += sys8.expectations() != eff.expectations()
     pure_diag = finite.pure_system(8, 1, exact=True)
     eff_half = finite.integrate_out(pure_diag)
-    min_weight = min(eff_half.probs)
-    neg_ok = min_weight == -HALF_SQRT2 * Fraction(1, 2)
     eff_11 = finite.integrate_out(pure_diag, Fraction(1), Fraction(1))
     total = sum(eff_11.probs, Q2(0))
     witness_ok = all(Q2.of(w) >= 0 for w in eff_11.probs) and total >= Q2(0, 1)
-    ok = bound_ok and preserved and neg_ok and witness_ok
-    return _result(
-        "c10",
-        "pseudo-quantum: N=4 bound, exact reduction identities, negativity witness",
-        ok,
-        f"max sum of means (N=4) == 1: {bound_ok}; expectations preserved exactly: {preserved}; "
-        f"min effective weight == -1/(2 sqrt 2): {neg_ok}; "
-        f"alpha=beta=1 keeps weights >= 0 with total >= sqrt 2: {witness_ok}",
-        t0,
-    )
+    return [
+        _exact_check("max sum of means (N=4)", region4.max_mean_sum, Q2(1)),
+        _exact_check("reductions changing an expectation", changed, 0),
+        _exact_check("min effective weight", min(eff_half.probs), -HALF_SQRT2 * Fraction(1, 2)),
+        Check("alpha=beta=1 keeps weights >= 0 with total >= sqrt 2", witness_ok,
+              float(total), float(Q2(0, 1)), 0.0),
+    ]
 
 
-CRITERIA = {
-    "c1": criterion_1,
-    "c2": criterion_2,
-    "c3": criterion_3,
-    "c4": criterion_4,
-    "c5": criterion_5,
-    "c6": criterion_6,
-    "c7": criterion_7,
-    "c8": criterion_8,
-    "c9": criterion_9,
-    "c10": criterion_10,
-}
-
-
+@_criterion("basis", "L-basis identities (square, trace, orthogonality)", register=False)
 def basis_audit(basis=None) -> CriterionResult:
     """Audit the 4x4 basis identities; reports failure for a corrupted basis."""
-    t0 = time.perf_counter()
-    err = qmatrix.basis_identity_error(basis)
-    return _result(
-        "basis",
-        "L-basis identities (square, trace, orthogonality)",
-        err <= 1e-12,
-        f"max identity deviation = {err:.3e}",
-        t0,
-    )
+    return [_tol_check("max identity deviation", qmatrix.basis_identity_error(basis), 0.0, 1e-12)]
 
 
 def run_all(seed: int | None = None, only=None) -> list[CriterionResult]:
     """Run the acceptance criteria (all, or the ids in ``only``).
 
     ``seed`` reseeds the Monte Carlo criteria; closed-form criteria ignore it.
+    An id in ``only`` that names no criterion raises ConfigError before any runs.
     """
+    unknown = sorted(set(only or ()) - {"basis", *CRITERIA})
+    if unknown:
+        raise ConfigError(f"unknown criteria {unknown}; choose from {list(CRITERIA)}")
     results = [basis_audit()]
     for cid, fn in CRITERIA.items():
         if only is not None and cid not in only:

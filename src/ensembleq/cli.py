@@ -7,7 +7,9 @@
 ``run`` executes one named experiment; exit code 0 when every embedded
 tolerance check passes, 1 on a tolerance failure, 2 on a config error (which
 also prints a machine-readable error JSON). ``verify`` runs the acceptance
-suite and prints one pass/fail line per criterion.
+suite and prints one pass/fail line per criterion, followed by the checks of
+each failing one; exit code 0 when every criterion passes, 1 when one fails,
+2 when ``--criteria`` names an unknown id (nothing runs; error JSON as above).
 """
 from __future__ import annotations
 
@@ -62,19 +64,18 @@ def _build_config(args) -> ExperimentConfig:
     )
 
 
+def _print_checks(checks) -> None:
+    for check in checks:
+        mark = "ok  " if check.passed else "FAIL"
+        print(f"  [{mark}] {check.summary()}")
+
+
 def _cmd_run(args) -> int:
-    try:
-        config = _build_config(args)
-        report = run(config)
-    except ConfigError as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
-        return 2
+    config = _build_config(args)
+    report = run(config)
     status = "PASS" if report.passed else "FAIL"
     print(f"{status} {config.experiment} (seed {config.seed}, {report.wall_time:.2f}s)")
-    for check in report.checks:
-        mark = "ok  " if check.passed else "FAIL"
-        print(f"  [{mark}] {check.name}: value {check.value:.6g} vs {check.reference:.6g}"
-              f" (tol {check.tolerance:g})")
+    _print_checks(report.checks)
     return 0 if report.passed else 1
 
 
@@ -88,7 +89,7 @@ def _cmd_verify(args) -> int:
         print(f"{status}  {r.cid:>5}  {r.name:<{width}}  ({r.seconds:.2f}s)")
         if not r.passed:
             failed += 1
-            print(f"        {r.detail}")
+            _print_checks(r.checks)
     print(f"{len(results) - failed}/{len(results)} criteria passed")
     return 0 if failed == 0 else 1
 
@@ -117,7 +118,11 @@ def main(argv=None) -> int:
     p_verify.set_defaults(func=_cmd_verify)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:   # raised before any output file or result line
+        print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

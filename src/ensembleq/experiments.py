@@ -51,6 +51,10 @@ class Check:
             "tolerance": self.tolerance,
         }
 
+    def summary(self) -> str:
+        return (f"{self.name}: value {self.value:.6g} vs {self.reference:.6g}"
+                f" (tol {self.tolerance:g})")
+
 
 @dataclass
 class RunReport:
@@ -87,15 +91,22 @@ def _tol_check(name, value, reference, tol) -> Check:
     return Check(name, abs(value - reference) <= tol, float(value), float(reference), tol)
 
 
+def _exact_check(name, value, reference) -> Check:
+    """An identity tested with ``==`` on the values as given (Fraction, Q2, int, bool)."""
+    return Check(name, value == reference, float(value), float(reference), 0.0)
+
+
 # ---------------------------------------------------------------------------
 # experiment implementations
 # ---------------------------------------------------------------------------
 
 def _bell_sweep(params, seed):
     p = _merge_params({"steps": 16, "classical_trials": 100}, params, "bell-sweep")
-    steps = int(p["steps"])
+    steps, trials = int(p["steps"]), int(p["classical_trials"])
     if steps < 2:
         raise ConfigError("steps must be >= 2")
+    if trials < 1:
+        raise ConfigError("classical_trials must be >= 1")
     state = fourstate.entangled_bloch(-1)
     angles = [2.0 * math.pi * k / steps for k in range(steps)]
     quantum = fourstate.quantum_pair_correlator(state)
@@ -109,7 +120,6 @@ def _bell_sweep(params, seed):
     marked = fourstate.bell_check(quantum, math.pi / 2.0, math.pi / 4.0)
     rng = np.random.default_rng(seed)
     satisfied = 0
-    trials = int(p["classical_trials"])
     for _ in range(trials):
         ens = fourstate.symmetrized_hidden_ensemble(rng, n_base=3, order=int(rng.integers(3, 7)))
         corr = fourstate.classical_pair_correlator(ens)
@@ -120,8 +130,7 @@ def _bell_sweep(params, seed):
         _tol_check("correlator equals -cos(theta1-theta2)", worst, 0.0, 1e-12),
         Check("violation at (pi/2, pi/4)", marked.violated and marked.lhs - marked.rhs > 0.414 - 1e-9,
               marked.lhs - marked.rhs, 2.0 ** 0.5 - 1.0, 1e-9),
-        Check("classical correlators satisfy the inequality", satisfied == trials,
-              float(satisfied), float(trials), 0.0),
+        _exact_check("classical correlators satisfy the inequality", satisfied, trials),
     ]
     results = {"lhs_at_mark": marked.lhs, "rhs_at_mark": marked.rhs,
                "classical_satisfied": satisfied, "classical_trials": trials}
@@ -154,10 +163,13 @@ def _decoherence(params, seed):
     rho0 = np.asarray(p["rho0"], dtype=float)
     traj = dynamics.integrate_open(rho0, None, d, (0.0, float(p["t_final"])), float(p["dt"]))
     worst = float(np.abs(traj.bloch - rho0 * np.exp(d * traj.times)[:, None]).max())
-    p0 = float(rho0 @ rho0)
-    rows = ((t, *rho, p, p0 * float(np.exp(2 * d * t)), d)
-            for t, rho, p in zip(traj.times, traj.bloch, traj.purity))
-    checks = [_tol_check("rho_k(t) equals rho_k(0) exp(D t)", worst, 0.0, 1e-8)]
+    p0, purity = float(rho0 @ rho0), traj.purity
+    p_ref = np.fromiter((p0 * float(np.exp(2 * d * t)) for t in traj.times), float, len(purity))
+    rows = ((t, *rho, p, pr, d) for t, rho, p, pr in zip(traj.times, traj.bloch, purity, p_ref))
+    checks = [
+        _tol_check("rho_k(t) equals rho_k(0) exp(D t)", worst, 0.0, 1e-8),
+        _tol_check("P(t) equals P(0) exp(2 D t)", float(np.abs(purity - p_ref).max()), 0.0, 1e-8),
+    ]
     return ["t", "rho1", "rho2", "rho3", "P", "P_ref", "D"], rows, {"max_abs_error": worst}, checks
 
 
@@ -211,7 +223,7 @@ def _precession(params, seed):
 
 
 def _cartesian_spins(params, seed):
-    p = _merge_params({"probs": None, "free_p1": 0.25}, params, "cartesian-spins")
+    p = _merge_params({"probs": None, "free_p1": None}, params, "cartesian-spins")
     if p["probs"] is None:
         third = Fraction(1, 3)
         probs = [third, 0, 0, 0, third, 0, 0, third]
@@ -219,8 +231,7 @@ def _cartesian_spins(params, seed):
         probs = [float(x) for x in p["probs"]]
     before = finite.cartesian_purity(probs)
     classical = finite.cartesian_measure_sz(probs, "classical")
-    quantum = finite.cartesian_measure_sz(probs, "quantum", free_p1=p["free_p1"]
-                                          if p["probs"] is not None else Fraction(1, 4))
+    quantum = finite.cartesian_measure_sz(probs, "quantum", free_p1=p["free_p1"])
     rows = []
     for label, vec, pur in (
         ("before", probs, before),
@@ -268,8 +279,7 @@ def _pseudo_quantum_region(params, seed):
     eff_11 = finite.integrate_out(pure_diag, Fraction(1), Fraction(1))
     total_11 = float(sum(eff_11.probs, finite.Q2(0)))
     checks = [
-        Check("N=4 summed-mean bound equals 1", region4.max_mean_sum == finite.Q2(1),
-              float(region4.max_mean_sum), 1.0, 0.0),
+        _exact_check("N=4 summed-mean bound equals 1", region4.max_mean_sum, finite.Q2(1)),
         _tol_check("inradius equals cos(pi/N)", worst, 0.0, 1e-12),
         _tol_check("most negative effective weight", min_w, -1.0 / (2.0 * math.sqrt(2.0)), 1e-15),
         Check("alpha=beta=1 nonnegative weights cost total sqrt(2)",

@@ -2,11 +2,15 @@
 
 Each test runs one criterion, prints its pass/fail line, and asserts both the
 outcome and (where stated) the runtime budget. The statistical-control and
-negative-control tests at the bottom exercise the harness itself.
+negative-control tests at the bottom exercise the harness itself, and the
+sharing tests check that c6 and c7 report the experiments' own checks.
 """
-import numpy as np
+import math
 
-from ensembleq import acceptance
+import numpy as np
+import pytest
+
+from ensembleq import acceptance, experiments
 from ensembleq.acceptance import (
     basis_audit,
     criterion_1,
@@ -96,3 +100,34 @@ def test_run_all_matrix():
     results = acceptance.run_all(only={"c6", "c7"})
     assert [r.cid for r in results] == ["basis", "c6", "c7"]
     assert all(r.passed for r in results)
+
+
+def _report_checks(name, tmp_path):
+    config = experiments.ExperimentConfig(name, {}, seed=0, out_dir=str(tmp_path))
+    return experiments.run(config).checks
+
+
+def test_criterion_6_is_the_precession_report(tmp_path):
+    assert criterion_6().checks == _report_checks("precession", tmp_path)
+
+
+def test_criterion_7_contains_decoherence_and_syncoherence(tmp_path):
+    checks = criterion_7().checks
+    for name in ("decoherence", "syncoherence"):
+        shared = _report_checks(name, tmp_path)
+        assert shared and all(c in checks for c in shared), name
+
+
+# small budgets: the check names and tolerances do not depend on them
+_SMALL = {"c1": {"n_ensembles": 3}, "c2": {"n_trials": 5}, "c3": {"n_trials": 5, "n_rho": 2},
+          "c4": {"n_samples": 1000}, "c5": {"n_trials": 5}, "c8": {"n_angles": 5},
+          "c9": {"n_random": 10}}
+
+
+@pytest.mark.parametrize("cid", ["basis", *acceptance.CRITERIA])
+def test_criterion_checks_are_named_and_bounded(cid):
+    fn = basis_audit if cid == "basis" else acceptance.CRITERIA[cid]
+    result = fn(**_SMALL.get(cid, {}))
+    names = [c.name for c in result.checks]
+    assert names and len(set(names)) == len(names)
+    assert all(math.isfinite(c.tolerance) and c.tolerance >= 0 for c in result.checks)

@@ -54,15 +54,19 @@ def test_invalid_parameter_value(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("params", [{"d": 0.5}, {"t_final": math.inf}, {"bogus": 1}],
-                         ids=["bad-rate", "unbounded-span", "unknown-key"])
-def test_config_error_writes_no_files(tmp_path, params):
+@pytest.mark.parametrize("name, params", [
+    ("decoherence", {"d": 0.5}),
+    ("decoherence", {"t_final": math.inf}),
+    ("decoherence", {"bogus": 1}),
+    ("bell-sweep", {"classical_trials": -3}),
+    ("bell-sweep", {"classical_trials": 0}),
+], ids=["bad-rate", "unbounded-span", "unknown-key", "negative-trials", "zero-trials"])
+def test_config_error_writes_no_files(tmp_path, name, params):
     # parameters, integration and checks all run before a file is opened
     with pytest.raises(ConfigError):
-        run(ExperimentConfig("decoherence", params, seed=0, out_dir=str(tmp_path)))
-    assert not (tmp_path / "decoherence.csv").exists()
-    assert not (tmp_path / "decoherence.report.json").exists()
-
+        run(ExperimentConfig(name, params, seed=0, out_dir=str(tmp_path)))
+    assert not (tmp_path / f"{name}.csv").exists()
+    assert not (tmp_path / f"{name}.report.json").exists()
 
 
 @pytest.mark.parametrize("t_final", ["inf", "1e7"])
@@ -129,6 +133,29 @@ def test_verify_subset(capsys):
     assert "3/3 criteria passed" in out   # subset plus the basis audit
 
 
+@pytest.mark.parametrize("criteria", ["c55", "c5,c55"])
+def test_verify_unknown_criterion_is_a_config_error(capsys, criteria):
+    code = main(["verify", "--criteria", criteria])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "c55" in json.loads(captured.err.strip())["error"]
+    assert captured.out == ""   # nothing ran, not even the basis audit
+
+
+def test_verify_prints_failing_checks(capsys, monkeypatch):
+    from ensembleq import acceptance
+    from ensembleq.experiments import Check
+
+    failing = acceptance._criterion("c9", "stub", register=False)(
+        lambda: [Check("held", True, 0.0, 0.0, 0.0), Check("broken", False, 2.0, 1.0, 0.5)])
+    monkeypatch.setitem(acceptance.CRITERIA, "c9", failing)
+    assert main(["verify", "--criteria", "c9"]) == 1
+    out = capsys.readouterr().out
+    assert "  [ok  ] held: value 0 vs 0 (tol 0)" in out
+    assert "  [FAIL] broken: value 2 vs 1 (tol 0.5)" in out
+    assert "1/2 criteria passed" in out
+
+
 def test_cartesian_report_contents(tmp_path):
     report = run(ExperimentConfig("cartesian-spins", {}, seed=0, out_dir=str(tmp_path)))
     res = report.results
@@ -137,3 +164,20 @@ def test_cartesian_report_contents(tmp_path):
     assert res["classical_flagged"] is True
     assert res["purity_quantum"] == pytest.approx(1.0)
     assert res["pair_sums"] == [0.5, 0.5, 0.5, 0.5]
+
+
+def test_cartesian_free_p1_reaches_the_quantum_rule(tmp_path):
+    code = main(["run", "--experiment", "cartesian-spins", "--param", "free_p1=0.1",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    lines = (tmp_path / "cartesian-spins.csv").read_text().splitlines()
+    quantum = [float(x) for x in lines[3].split(",")[1:9]]
+    assert lines[3].startswith("quantum,")
+    assert quantum == pytest.approx([0.1, 0.4, 0.4, 0.1, 0, 0, 0, 0], abs=1e-15)
+
+
+def test_cartesian_free_p1_out_of_range(tmp_path, capsys):
+    code = main(["run", "--experiment", "cartesian-spins", "--param", "free_p1=0.75",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "error" in json.loads(capsys.readouterr().err.strip())
