@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import correlations, experiments, finite, fourstate, manifolds, observables, qmatrix
-from .experiments import Check, ConfigError, _exact_check, _tol_check
+from .experiments import Check, ConfigError, _exact_check, _stderr_check, _tol_check
 from .finite import Q2, HALF_SQRT2
 
 
@@ -163,9 +163,8 @@ def criterion_4(seed: int = 404, n_samples: int = 1_000_000) -> CriterionResult:
         ]
         for chain, closed in pairs:
             est = correlations.simulate_sequences(chain, rho_vec, n_samples, seed + trial)
-            within = est.stderr == 0 or abs(est.value - closed) <= 5.0 * est.stderr
-            checks.append(Check(f"trial {trial} {len(chain)}-chain within 5 standard errors",
-                                within, est.value, closed, 5.0 * est.stderr))
+            name = f"trial {trial} {len(chain)}-chain within 5 standard errors"
+            checks.append(_stderr_check(name, est, closed))
     rho_vec = _random_bloch(np.random.default_rng(seed + 99))
     a = observables.TwoLevelObservable(np.array([1.0, 0.0, 0.0]))
     rep = correlations.simulate_sequences([a, a], rho_vec, n_samples, seed)

@@ -65,14 +65,6 @@ def _as_bloch(state, dim: int) -> np.ndarray:
     return vec
 
 
-def _state_matrix(state) -> np.ndarray:
-    """Density matrix from a BlochState, bare Bloch vector, or matrix."""
-    arr = np.asarray(getattr(state, "rho", state))
-    if arr.ndim == 2:
-        return qmatrix.check_density_matrix(arr)
-    return qmatrix.density_from_bloch(as_float_array(arr, "state"))
-
-
 def _check_chain_dims(seq, mat) -> None:
     want = 3 if mat.shape[0] == 2 else 15
     for obs in seq:
@@ -262,7 +254,7 @@ def _chain(observables, state, terms: bool):
             raise NoEigenstateError(
                 "an inner observable has no eigenstates: the sequence is undefined"
             )
-    rho = _state_matrix(state)
+    rho = qmatrix.density_matrix(state)
     _check_chain_dims(seq, rho)
     m, rank1 = len(seq), rho.shape[0] == 2
     size = 2**m if terms else (2 if rank1 else 2 ** (m - 1))

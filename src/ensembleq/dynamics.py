@@ -286,8 +286,7 @@ def integrate_von_neumann(rho0, hamiltonian, t_span, dt: float) -> Trajectory:
     Hermiticity drift beyond 1e-10 over the span abort the run.
     """
     ham = _as_hamiltonian(hamiltonian).matrix()
-    arr = np.asarray(getattr(rho0, "rho", rho0))
-    mat = qmatrix.check_density_matrix(arr) if arr.ndim == 2 else qmatrix.density_from_bloch(arr)
+    mat = qmatrix.density_matrix(rho0)
     if ham.shape != mat.shape:
         raise ValueError("Hamiltonian and state dimensions differ")
     times, h, n = _steps(t_span, dt)
@@ -351,8 +350,7 @@ def integrate_open(rho0, hamiltonian, d_rate, t_span, dt: float) -> Trajectory:
     of being projected back.
     """
     ham = _as_hamiltonian(hamiltonian if hamiltonian is not None else np.zeros(3)).matrix()
-    arr = np.asarray(getattr(rho0, "rho", rho0))
-    mat = qmatrix.check_density_matrix(arr) if arr.ndim == 2 else qmatrix.density_from_bloch(arr)
+    mat = qmatrix.density_matrix(rho0)
     if mat.shape != (2, 2):
         raise ValueError("open-system integration is implemented for the two-state system")
     half = 0.5 * np.eye(2)

@@ -91,6 +91,13 @@ def _tol_check(name, value, reference, tol) -> Check:
     return Check(name, abs(value - reference) <= tol, float(value), float(reference), tol)
 
 
+def _stderr_check(name, estimate, closed) -> Check:
+    """Estimate within 5 standard errors of its closed form; a zero standard error passes."""
+    tol = 5.0 * estimate.stderr
+    return Check(name, estimate.stderr == 0 or abs(estimate.value - closed) <= tol,
+                 estimate.value, closed, tol)
+
+
 def _exact_check(name, value, reference) -> Check:
     """An identity tested with ``==`` on the values as given (Fraction, Q2, int, bool)."""
     return Check(name, value == reference, float(value), float(reference), 0.0)
@@ -341,8 +348,7 @@ def _mc_sequences(params, seed):
     sigmas = abs(est.value - closed) / est.stderr if est.stderr > 0 else 0.0
     rows = [("/".join(f"{a:.6g}" for a in angles), est.n, est.value, est.stderr, closed,
              sigmas)]
-    checks = [Check("empirical mean within 5 standard errors", sigmas <= 5.0,
-                    est.value, closed, 5.0 * est.stderr if est.stderr > 0 else 0.0)]
+    checks = [_stderr_check("empirical mean within 5 standard errors", est, closed)]
     results = {"value": est.value, "stderr": est.stderr, "closed_form": closed,
                "n": est.n, "seed": est.seed}
     return ["chain", "n", "value", "stderr", "closed_form", "sigmas"], rows, results, checks

@@ -500,6 +500,8 @@ def cartesian_purity(p):
 
 
 def _is_exact_seq(p) -> bool:
+    if isinstance(p, np.ndarray) and p.dtype != object:
+        return False   # numpy scalars and rows are never int or Fraction
     try:
         return all(isinstance(x, (int, Fraction)) for x in list(p))
     except TypeError:

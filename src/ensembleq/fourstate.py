@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import correlations, qmatrix
+from . import qmatrix
 from .dynamics import MAX_STEPS, _linear_flow
-from .manifolds import BlochState, Ensemble, canonical_direction, extend_to_substates
-from .observables import TwoLevelObservable
-from .validate import as_float_array
+from .manifolds import BlochState, Ensemble, canonical_direction, reduce_ensemble
+from .observables import TwoLevelObservable, expectation
+from .validate import DimensionMismatch, as_float_array
 
 
 def bit_observable(m: int) -> TwoLevelObservable:
@@ -202,23 +202,26 @@ def symmetrized_hidden_ensemble(rng, n_base: int = 4, order: int = 4) -> Ensembl
 def classical_pair_correlator(ensemble: Ensemble):
     """Anticorrelated-pair correlator of the substate extension of an ensemble.
 
-    C(theta) is minus the classical correlation between the sign variables of
-    the in-plane directions at angles theta and 0 (the second member of the
-    pair carries the negated assignment). Coincident directions give exactly
-    -1. Every correlator of this family satisfies the Bell inequality; use
-    ensembles from ``symmetrized_hidden_ensemble`` so that it is a function of
-    the angle difference alone.
+    C(theta) = -sum_s p_s (f_s . d0)(f_s . d) for the in-plane directions d0
+    at angle 0 and d at theta: the product-form substate correlation of their
+    sign variables, negated for the pair, computed with no substate table.
+    Directions with one canonical form give exactly -f0 f1 (-1 at theta = 0,
+    +1 at pi). Every correlator of this family satisfies the Bell inequality;
+    use ensembles from ``symmetrized_hidden_ensemble`` so that it is a
+    function of the angle difference alone.
     """
+    if ensemble.manifold not in ("s1", "s2"):
+        raise ValueError("the pair correlator is defined for sphere ensembles")
+    d0 = plane_direction(0.0)
+    c0, f0 = canonical_direction(d0)
+    along_d0 = ensemble.probs * (ensemble.points @ d0)
 
     def correlator(theta: float) -> float:
-        d0 = plane_direction(0.0)
         d1 = plane_direction(theta)
-        c0, f0 = canonical_direction(d0)
         c1, f1 = canonical_direction(d1)
         if np.abs(c0 - c1).max() < 1e-9:
             return -float(f0 * f1)
-        sub = extend_to_substates(ensemble, [c0, c1])
-        return -float(f0 * f1) * correlations.classical_correlation(c0, c1, sub)
+        return -float(along_d0 @ (ensemble.points @ d1))
 
     return correlator
 
@@ -299,7 +302,7 @@ def is_exchange_symmetric(state, tol: float = 1e-9) -> str:
     """
     ex = exchange_matrix()
     arr = np.asarray(getattr(state, "rho", state))
-    if arr.ndim == 1 and arr.shape == (4,):
+    if arr.shape == (4,):
         psi = arr.astype(complex)
         swapped = ex @ psi
         if np.abs(swapped - psi).max() <= tol:
@@ -307,10 +310,9 @@ def is_exchange_symmetric(state, tol: float = 1e-9) -> str:
         if np.abs(swapped + psi).max() <= tol:
             return "fermionic"
         return "forbidden"
-    if arr.ndim == 1 and arr.shape == (15,):
-        mat = qmatrix.density_from_bloch(as_float_array(arr, "state"))
-    else:
-        mat = qmatrix.check_density_matrix(arr)
+    mat = qmatrix.density_matrix(arr)
+    if mat.shape != (4, 4):
+        raise DimensionMismatch("exchange symmetry is defined for four-state states")
     if np.abs(ex @ mat @ ex - mat).max() > tol:
         return "forbidden"
     if float(np.trace(mat @ mat).real) >= 1.0 - 1e-9:
@@ -320,9 +322,6 @@ def is_exchange_symmetric(state, tol: float = 1e-9) -> str:
 
 def basis_expectations_three_ways(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """<T_m> by per-micro-state sum, by the reduced state, and by tr(L_m rho)."""
-    from .manifolds import reduce_ensemble
-    from .observables import expectation
-
     if ensemble.manifold != "four":
         raise ValueError("expected a four-state ensemble")
     by_sum = np.array(

@@ -103,10 +103,6 @@ def _direction(e) -> np.ndarray:
     return np.asarray(getattr(e, "e", e), dtype=float)
 
 
-def _bloch_vector(state) -> np.ndarray:
-    return np.asarray(getattr(state, "rho", state), dtype=float)
-
-
 def operator_from_direction(e, e0: float = 0.0) -> np.ndarray:
     """Hermitian operator e_k tau_k + e0 (3 components) or e_k L_k + e0 (15).
 
@@ -144,7 +140,7 @@ def density_from_bloch(state) -> np.ndarray:
     Rejects non-finite vectors, and vectors violating the purity bound or
     positivity beyond 1e-12. The 2x2 matrix is written entry by entry.
     """
-    rho_vec = _bloch_vector(state)
+    rho_vec = np.asarray(getattr(state, "rho", state), dtype=float)
     if rho_vec.shape == (3,):
         x, y, z = check_finite(rho_vec.tolist(), "Bloch vector")
         if float(rho_vec @ rho_vec) > 1.0 + 1e-12:
@@ -165,9 +161,8 @@ def density_from_bloch(state) -> np.ndarray:
 def bloch_from_density(rho: np.ndarray) -> np.ndarray:
     """Expectation values of the basis operators, inverting ``density_from_bloch``."""
     rho = check_density_matrix(rho)
-    if rho.shape == (2, 2):
-        return np.einsum("kij,ji->k", PAULI, rho).real
-    return np.einsum("kij,ji->k", L_BASIS, rho).real
+    basis = PAULI if rho.shape == (2, 2) else L_BASIS
+    return np.einsum("kij,ji->k", basis, rho).real
 
 
 def check_density_matrix(rho, tol: float = 1e-12) -> np.ndarray:
@@ -186,6 +181,14 @@ def check_density_matrix(rho, tol: float = 1e-12) -> np.ndarray:
     if float(np.trace(mat @ mat).real) > 1.0 + tol:
         raise ConstraintViolation("tr rho^2 exceeds 1")
     return mat
+
+
+def density_matrix(state) -> np.ndarray:
+    """Checked density matrix from a BlochState, a bare Bloch vector or a matrix."""
+    arr = np.asarray(getattr(state, "rho", state))
+    if arr.ndim == 2:
+        return check_density_matrix(arr)
+    return density_from_bloch(arr)
 
 
 def qm_expectation(op: np.ndarray, rho: np.ndarray, tol: float = 1e-12) -> float:

@@ -654,7 +654,7 @@ class TestChainCore:
 
     def test_probability_outside_band_raises(self, monkeypatch):
         bad = np.diag([1.0 + 1e-9, -1e-9]).astype(complex)
-        monkeypatch.setattr(correlations, "_state_matrix", lambda state: bad)
+        monkeypatch.setattr(qmatrix, "density_matrix", lambda state: bad)
         with pytest.raises(ConstraintViolation):
             measurement_chain([A3], np.zeros(3))
         with pytest.raises(ConstraintViolation):

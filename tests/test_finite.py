@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from ensembleq.finite import (
     CartesianSpinEnsemble,
     Q2,
     SPIN_VALUES,
+    _is_exact_seq,
     cartesian_measure_sz,
     cartesian_purity,
     integrate_out,
@@ -221,6 +223,22 @@ class TestCartesianPurity:
             ens = CartesianSpinEnsemble(tuple(raw))
             sx, sy, sz = ens.spin_expectations()
             assert cartesian_purity(raw) == sx * sx + sy * sy + sz * sz
+
+    def test_exactness_probe_of_float_table_allocates_nothing(self):
+        # deciding that a (10^4, 8) float table is not exact must not build
+        # its 10^4 row views
+        p = np.random.default_rng(6).random((10000, 8))
+        _is_exact_seq(p)
+        tracemalloc.start()
+        try:
+            assert not _is_exact_seq(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        third = np.array([THIRD, 0, 0, 0, THIRD, 0, 0, THIRD], dtype=object)
+        assert _is_exact_seq(third) and _is_exact_seq(list(third))
+        assert cartesian_purity(third) == THIRD
 
 
 class TestCartesianMeasurement:

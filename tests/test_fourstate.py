@@ -3,9 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ensembleq import qmatrix
-from ensembleq.correlations import simulate_sequences
+from ensembleq.correlations import classical_correlation, simulate_sequences
 from ensembleq.dynamics import MAX_STEPS
 from ensembleq.fourstate import (
     basis_expectations_three_ways,
@@ -22,13 +24,22 @@ from ensembleq.fourstate import (
     interference_trajectory,
     is_exchange_symmetric,
     outcomes_from_t,
+    plane_direction,
     quantum_pair_correlator,
     rotated_spin_correlation,
     rotated_spin_observables,
     rotated_spin_operators,
     symmetrized_hidden_ensemble,
 )
-from ensembleq.manifolds import Ensemble, microstate_four, reduce_ensemble
+from ensembleq.manifolds import (
+    Ensemble,
+    SubstateEnsemble,
+    canonical_direction,
+    extend_to_substates,
+    microstate_four,
+    reduce_ensemble,
+)
+from ensembleq.validate import DimensionMismatch
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -180,6 +191,41 @@ class TestBellHarness:
         assert corr(0.0) == -1.0
         assert corr(math.pi) == 1.0   # antipodal analyser, anticorrelated pair
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(3, 8),
+           st.floats(-4.0 * math.pi, 4.0 * math.pi), st.floats(-4.0 * math.pi, 4.0 * math.pi))
+    def test_classical_correlator_equals_substate_composition(self, seed, n_base, order, t1, t2):
+        # the paper's construction: sharp sign values on a substate table at
+        # the two directions, anticorrelated by the flip of the second member
+        ens = symmetrized_hidden_ensemble(np.random.default_rng(seed), n_base, order)
+
+        def by_substates(theta):
+            c0, f0 = canonical_direction(plane_direction(0.0))
+            c1, f1 = canonical_direction(plane_direction(theta))
+            if np.abs(c0 - c1).max() < 1e-9:
+                return -float(f0 * f1)
+            sub = extend_to_substates(ens, [c0, c1])
+            return -float(f0 * f1) * classical_correlation(c0, c1, sub)
+
+        corr = classical_pair_correlator(ens)
+        for theta in (t1, t2, t1 - t2, 0.0, math.pi, 2.0 * math.pi):
+            assert abs(corr(theta) - by_substates(theta)) < 1e-12
+        assert not bell_check(by_substates, t1, t2).violated
+
+    def test_classical_correlator_needs_a_sphere_ensemble(self):
+        ens = Ensemble.point_mass(microstate_four(entangled_psi(1)))
+        with pytest.raises(ValueError, match="sphere ensembles"):
+            classical_pair_correlator(ens)
+
+    def test_classical_correlator_builds_no_substate_table(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a substate table was built")
+
+        monkeypatch.setattr(SubstateEnsemble, "__post_init__", refuse)
+        corr = classical_pair_correlator(symmetrized_hidden_ensemble(np.random.default_rng(5)))
+        for theta in (0.0, 0.7, math.pi, 2.0, 2.0 * math.pi):
+            assert abs(corr(theta)) <= 1.0
+
 
 class TestInterference:
     def test_oscillation_values(self):
@@ -241,6 +287,12 @@ class TestExchangeSymmetry:
     def test_symmetric_mixed_state(self):
         rho = 0.5 * entangled_state(1) + 0.5 * entangled_state(-1)
         assert is_exchange_symmetric(rho) == "symmetric"
+
+    @pytest.mark.parametrize("state", [np.eye(2) / 2.0, np.array([0.0, 0.0, 1.0])],
+                             ids=["matrix", "bloch"])
+    def test_two_state_input_rejected(self, state):
+        with pytest.raises(DimensionMismatch):
+            is_exchange_symmetric(state)
 
     def test_index_map_matches_conjugation(self):
         ex = exchange_matrix()

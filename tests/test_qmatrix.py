@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ensembleq import qmatrix
+from ensembleq.correlations import measurement_chain
+from ensembleq.dynamics import integrate_open, integrate_von_neumann
+from ensembleq.observables import TwoLevelObservable
 from ensembleq.qmatrix import (
     L_BASIS,
     PAULI,
@@ -324,3 +327,24 @@ class TestClosedFormBuilders:
         got = density_from_bloch(vec)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+STATE_CONSUMERS = {
+    "measurement_chain": lambda s: measurement_chain([TwoLevelObservable([0.0, 0.0, 1.0])], s),
+    "integrate_von_neumann": lambda s: integrate_von_neumann(s, np.zeros(3), (0.0, 0.1), 0.01),
+    "integrate_open": lambda s: integrate_open(s, None, -0.1, (0.0, 0.1), 0.01),
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(STATE_CONSUMERS))
+@pytest.mark.parametrize("state, error", [
+    (np.array([[0.5, 0.1], [0.0, 0.5]]), ConstraintViolation),
+    (np.array([0.8, 0.8, 0.0]), ConstraintViolation),
+    (np.array([math.nan, 0.0, 0.0]), ValueError),
+    (np.array([[math.nan, 0.0], [0.0, 0.5]]), ValueError),
+], ids=["non-hermitian", "purity-bound", "nan-vector", "nan-matrix"])
+def test_state_consumers_reject_alike(consumer, state, error):
+    # every consumer of a state goes through qmatrix.density_matrix
+    with pytest.raises(ValueError) as info:
+        STATE_CONSUMERS[consumer](state)
+    assert info.type is error
