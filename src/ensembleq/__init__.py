@@ -36,14 +36,12 @@ from .observables import (
     expectation,
     mean_in_state,
     moment,
-    prob_minus,
     prob_plus,
     scale,
     shift,
     spin,
 )
 from .correlations import (
-    MeasurementRecord,
     SequenceEstimate,
     WeightedEigenstateSum,
     classical_correlation,
@@ -101,7 +99,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BellCheck", "BlochState", "CartesianSpinEnsemble", "ConstraintViolation",
     "DimensionMismatch", "Ensemble", "FiniteSpinSystem", "FlowParams",
-    "Hamiltonian", "MeasurementRecord", "MicroState", "NoEigenstateError",
+    "Hamiltonian", "MicroState", "NoEigenstateError",
     "OutcomeTable", "ProductObservable", "RANDOM", "RandomObservable",
     "ReducedTransition", "SequenceEstimate", "SubstateEnsemble", "Trajectory",
     "TwoLevelObservable", "WeightedEigenstateSum", "basic_state_probability",
@@ -114,7 +112,7 @@ __all__ = [
     "integrate_out", "integrate_von_neumann", "interference_evolution",
     "is_exchange_symmetric", "mean_in_state", "measurement_chain",
     "microstate_four", "microstate_s1", "microstate_s2", "mix", "moment",
-    "outcomes_from_t", "pointwise_correlation", "prob_minus", "prob_plus",
+    "outcomes_from_t", "pointwise_correlation", "prob_plus",
     "purity", "realizable_region_check", "reduce_ensemble", "reduce_to_rho",
     "reduced_from_micro", "rotate_distribution", "rotated_spin_correlation",
     "scale", "sequence_probabilities", "shift", "simulate_sequences", "spin",

@@ -1,7 +1,8 @@
 """The acceptance suite: every shipped guarantee as a runnable check.
 
 Each criterion returns a CriterionResult holding the experiments' Check records;
-c5-c7 are the bell-sweep, precession, decoherence and syncoherence bodies.
+c5-c10 take their checks from the experiment bodies (c8 from interference, c9
+from the cartesian-spins results, c10 from pseudo-quantum-region).
 ``run_all`` executes the suite and is what both the CLI ``verify`` command and
 the pytest acceptance module drive. Monte Carlo criteria take a seed so
 statistical controls can rerun them on fresh streams.
@@ -19,7 +20,6 @@ import numpy as np
 
 from . import correlations, experiments, finite, fourstate, manifolds, observables, qmatrix
 from .experiments import Check, ConfigError, _exact_check, _stderr_check, _tol_check
-from .finite import Q2, HALF_SQRT2
 
 
 @dataclass
@@ -219,18 +219,13 @@ def criterion_8(seed: int = 808, n_angles: int = 100) -> CriterionResult:
             worst,
             abs(fourstate.rotated_spin_correlation(th, ph, bloch) + math.cos(th - ph)),
         )
-    times = np.linspace(0.0, 2.0 * math.pi, 97)
-    interf_err = max(
-        abs(fourstate.interference_evolution(1.0, float(t))[1] - math.cos(t)) for t in times
-    )
     psi_m = fourstate.entangled_psi(-1)
     psi_p = fourstate.entangled_psi(1)
     mixed = (psi_m + psi_p) / np.linalg.norm(psi_m + psi_p)
     classes = [fourstate.is_exchange_symmetric(psi) for psi in
                (psi_m, psi_p, fourstate.basis_psi(1), fourstate.basis_psi(4), mixed)]
-    return checks + [
+    return checks + experiments._interference({}, 0)[3] + [
         _tol_check("max |corr + cos(theta - phi)|", worst, 0.0, 1e-12),
-        _tol_check("max |<T2>(t) - cos t|", interf_err, 0.0, 1e-6),
         _exact_check("exchange classes of psi-, psi+, basis 1, basis 4, mixed",
                      classes == ["fermionic", "bosonic", "bosonic", "bosonic", "forbidden"], True),
     ]
@@ -238,32 +233,28 @@ def criterion_8(seed: int = 808, n_angles: int = 100) -> CriterionResult:
 
 @_criterion("c9", "cartesian spins: purity polynomial identity and measurement rules")
 def criterion_9(seed: int = 909, n_random: int = 10_000) -> CriterionResult:
-    """Cartesian spins: purity polynomial identity and the measurement-rule scenario."""
+    """Cartesian spins: purity polynomial identity and the cartesian-spins scenario, exactly."""
     rng = np.random.default_rng(seed)
     p = rng.random((n_random, 8))
     p = p / p.sum(axis=1, keepdims=True)
     direct = finite.cartesian_purity(p)
     spin_means = p @ np.array(finite.SPIN_VALUES, dtype=float).T
     poly_err = float(np.abs(direct - (spin_means ** 2).sum(axis=1)).max())
-    third = Fraction(1, 3)
-    scenario = [third, 0, 0, 0, third, 0, 0, third]
-    classical = finite.cartesian_measure_sz(scenario, "classical")
-    quantum = finite.cartesian_measure_sz(scenario, "quantum")
+    res = experiments._cartesian_spins({}, seed)[2]
     return [
         _tol_check("max |poly - sum <S>^2|", poly_err, 0.0, 1e-12),
-        _exact_check("scenario purity before", finite.cartesian_purity(scenario), third),
-        _exact_check("classical-rule purity", classical.purity_after, 3),
-        _exact_check("classical rule flagged", classical.constraint_violated, True),
-        _exact_check("quantum-rule purity", quantum.purity_after, 1),
+        _exact_check("scenario purity before", res["purity_before"], Fraction(1, 3)),
+        _exact_check("classical-rule purity", res["purity_classical"], 3),
+        _exact_check("classical rule flagged", res["classical_flagged"], True),
+        _exact_check("quantum-rule purity", res["purity_quantum"], 1),
         _exact_check("quantum pair sums all 1/2",
-                     all(s == Fraction(1, 2) for s in quantum.pair_sums), True),
+                     all(s == Fraction(1, 2) for s in res["pair_sums"]), True),
     ]
 
 
 @_criterion("c10", "pseudo-quantum: N=4 bound, exact reduction identities, negativity witness")
 def criterion_10() -> CriterionResult:
-    """Pseudo-quantum system: exact region bound, reduction identities, negativity."""
-    region4 = finite.realizable_region_check(finite.zn_system(4, exact=True))
+    """Pseudo-quantum system: the pseudo-quantum-region body, plus exact reduction identities."""
     rng = np.random.default_rng(7)
     changed = 0
     for _ in range(50):
@@ -276,17 +267,8 @@ def criterion_10() -> CriterionResult:
         beta = Fraction(int(rng.integers(-3, 4)), 4)
         eff = finite.integrate_out(sys8, alpha, beta)
         changed += sys8.expectations() != eff.expectations()
-    pure_diag = finite.pure_system(8, 1, exact=True)
-    eff_half = finite.integrate_out(pure_diag)
-    eff_11 = finite.integrate_out(pure_diag, Fraction(1), Fraction(1))
-    total = sum(eff_11.probs, Q2(0))
-    witness_ok = all(Q2.of(w) >= 0 for w in eff_11.probs) and total >= Q2(0, 1)
-    return [
-        _exact_check("max sum of means (N=4)", region4.max_mean_sum, Q2(1)),
+    return experiments._pseudo_quantum_region({}, 0)[3] + [
         _exact_check("reductions changing an expectation", changed, 0),
-        _exact_check("min effective weight", min(eff_half.probs), -HALF_SQRT2 * Fraction(1, 2)),
-        Check("alpha=beta=1 keeps weights >= 0 with total >= sqrt 2", witness_ok,
-              float(total), float(Q2(0, 1)), 0.0),
     ]
 
 
@@ -300,8 +282,11 @@ def run_all(seed: int | None = None, only=None) -> list[CriterionResult]:
     """Run the acceptance criteria (all, or the ids in ``only``).
 
     ``seed`` reseeds the Monte Carlo criteria; closed-form criteria ignore it.
-    An id in ``only`` that names no criterion raises ConfigError before any runs.
+    A negative ``seed``, or an id in ``only`` that names no criterion, raises
+    ConfigError before any runs.
     """
+    if seed is not None and seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
     unknown = sorted(set(only or ()) - {"basis", *CRITERIA})
     if unknown:
         raise ConfigError(f"unknown criteria {unknown}; choose from {list(CRITERIA)}")

@@ -22,7 +22,6 @@ measured first, so the list reads like the product A o B o C.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -45,6 +44,8 @@ _SNAP = 1e-12
 # measurement_chain enumerates 2^m branches, and four-state level i keeps up to
 # 2^i reduced states; either count above this is rejected before building
 MAX_CHAIN_SIZE = 1 << 20
+# simulate_sequences runs at most this many worker threads; more is rejected
+MAX_JOBS = 64
 # simulate_sequences draws and walks this many rows of uniforms at a time:
 # 4096 x m float64, 320 KiB at m = 10
 _TILE_ROWS = 4096
@@ -341,31 +342,11 @@ def classical_correlation(dir_a, dir_b, substates: SubstateEnsemble) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MeasurementRecord:
-    """Outcomes of one simulated sequence, rightmost-measured first in time."""
-
-    outcomes: tuple
-
-    @property
-    def value(self) -> int:
-        v = 1
-        for _, o in self.outcomes:
-            v *= o
-        return v
-
-
-@dataclass(frozen=True)
 class SequenceEstimate:
     value: float
     stderr: float
     n: int
     seed: int
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"value": self.value, "stderr": self.stderr, "n": self.n, "seed": self.seed},
-            sort_keys=True,
-        )
 
 
 def _walk(levels, u) -> np.ndarray:
@@ -412,8 +393,8 @@ def simulate_sequences(
     block_size, n_jobs = int(block_size), int(n_jobs)
     if block_size < 1:
         raise ValueError("block_size must be >= 1")
-    if n_jobs < 1:
-        raise ValueError("n_jobs must be >= 1")
+    if not 1 <= n_jobs <= MAX_JOBS:
+        raise ValueError(f"n_jobs must be between 1 and {MAX_JOBS}")
     levels, _ = _chain(observables, state, terms=False)
     n_blocks = (n_samples + block_size - 1) // block_size
 
@@ -443,12 +424,3 @@ def simulate_sequences(
         stderr = float("nan")
     return SequenceEstimate(value=mean, stderr=stderr, n=n_samples, seed=seed)
 
-
-def sample_measurement_records(observables, state, n: int, seed: int) -> list[MeasurementRecord]:
-    """Draw full outcome records for n simulated sequences (small n)."""
-    observables = list(observables)
-    levels, _ = _chain(observables, state, terms=False)
-    labels = [getattr(o, "label", "A") for o in reversed(observables)]
-    u = np.random.default_rng([int(seed), 0]).random((int(n), len(levels)))
-    outcomes = np.where(_walk(levels, u), -1, 1).T.tolist()
-    return [MeasurementRecord(tuple(zip(labels, row))) for row in outcomes]

@@ -78,11 +78,6 @@ class ReducedTransition:
     def __post_init__(self):
         object.__setattr__(self, "matrix", freeze(as_float_array(self.matrix, "S")))
 
-    @property
-    def purity_conserving(self) -> bool:
-        s = self.matrix
-        return float(np.abs(s.T @ s - np.eye(s.shape[0])).max()) <= 1e-10
-
     def apply(self, state) -> BlochState:
         vec = as_float_array(getattr(state, "rho", state), "rho")
         return BlochState(self.matrix @ vec)

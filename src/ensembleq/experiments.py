@@ -255,11 +255,11 @@ def _cartesian_spins(params, seed):
                    max(abs(float(s) - 0.5) for s in quantum.pair_sums), 0.0, 1e-12),
     ]
     results = {
-        "purity_before": float(before),
-        "purity_classical": float(classical.purity_after),
-        "purity_quantum": float(quantum.purity_after),
+        "purity_before": before,
+        "purity_classical": classical.purity_after,
+        "purity_quantum": quantum.purity_after,
         "classical_flagged": classical.constraint_violated,
-        "pair_sums": [float(s) for s in quantum.pair_sums],
+        "pair_sums": list(quantum.pair_sums),
     }
     cols = ["state"] + [f"p{i + 1}" for i in range(8)] + ["purity"]
     return cols, rows, results, checks
@@ -282,15 +282,16 @@ def _pseudo_quantum_region(params, seed):
     region4 = finite.realizable_region_check(finite.zn_system(4, exact=True))
     pure_diag = finite.pure_system(8, 1, exact=True)
     eff = finite.integrate_out(pure_diag)
-    min_w = float(min(eff.probs))
+    min_w = min(eff.probs)
     eff_11 = finite.integrate_out(pure_diag, Fraction(1), Fraction(1))
-    total_11 = float(sum(eff_11.probs, finite.Q2(0)))
+    total_11 = sum(eff_11.probs, finite.Q2(0))
     checks = [
         _exact_check("N=4 summed-mean bound equals 1", region4.max_mean_sum, finite.Q2(1)),
         _tol_check("inradius equals cos(pi/N)", worst, 0.0, 1e-12),
-        _tol_check("most negative effective weight", min_w, -1.0 / (2.0 * math.sqrt(2.0)), 1e-15),
+        _exact_check("most negative effective weight", min_w, -finite.HALF_SQRT2 * Fraction(1, 2)),
         Check("alpha=beta=1 nonnegative weights cost total sqrt(2)",
-              total_11 >= math.sqrt(2.0) - 1e-15, total_11, math.sqrt(2.0), 1e-15),
+              all(finite.Q2.of(w) >= 0 for w in eff_11.probs) and total_11 >= finite.Q2(0, 1),
+              float(total_11), math.sqrt(2.0), 0.0),
     ]
     results = {"polygons": polygons, "min_effective_weight": min_w, "total_alpha_beta_1": total_11}
     return ["N", "inradius", "inradius_ref", "max_mean_sum"], rows, results, checks

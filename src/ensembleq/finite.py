@@ -13,7 +13,6 @@ floating-point rounding.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -250,19 +249,6 @@ class RegionDiagnostics:
     target: tuple | None = None
     target_realizable: bool | None = None
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "polygon": [[float(x), float(y)] for x, y in self.vertices],
-                "max_mean_sum": float(self.max_mean_sum),
-                "inradius": self.inradius,
-                "inradius_squared": float(self.inradius_squared),
-                "target": None if self.target is None else [float(t) for t in self.target],
-                "target_realizable": self.target_realizable,
-            },
-            sort_keys=True,
-        )
-
 
 def realizable_region_check(system: FiniteSpinSystem, target=None) -> RegionDiagnostics:
     """Vertex-enumeration diagnostics of the reachable expectation region.
@@ -456,11 +442,6 @@ class CartesianSpinEnsemble:
     def spin_expectations(self):
         return [
             _sum(v * p for v, p in zip(SPIN_VALUES[k], self.probs)) for k in range(3)
-        ]
-
-    def environment_expectations(self):
-        return [
-            _sum(v * p for v, p in zip(ENVIRONMENT_VALUES[i], self.probs)) for i in range(4)
         ]
 
     def joint_probabilities(self, values_a, values_b) -> dict:

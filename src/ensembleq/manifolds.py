@@ -16,7 +16,6 @@ classical variable on a finer state space.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -187,35 +186,6 @@ class Ensemble:
             psi = None if self.psis is None else self.psis[i]
             out.append((MicroState(self.manifold, self.points[i], psi=psi), float(self.probs[i])))
         return out
-
-    def to_json(self) -> str:
-        """Serialise as {"manifold": ..., "points": [{"f": [...], "p": ...}]}."""
-        payload = {
-            "manifold": self.manifold,
-            "points": [
-                {"f": [float(x) for x in self.points[i]], "p": float(self.probs[i])}
-                for i in range(len(self))
-            ],
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Ensemble":
-        payload = json.loads(text)
-        manifold = payload["manifold"]
-        pts = np.array([entry["f"] for entry in payload["points"]], dtype=float)
-        probs = np.array([entry["p"] for entry in payload["points"]], dtype=float)
-        psis = None
-        if manifold == "four":
-            psis = np.array(
-                [
-                    qmatrix.wavefunction_from_pure(
-                        0.25 * (np.eye(4) + np.einsum("k,kij->ij", f, qmatrix.L_BASIS))
-                    )
-                    for f in pts
-                ]
-            )
-        return cls(manifold, pts, probs, psis)
 
 
 def reduce_ensemble(ensemble: Ensemble) -> BlochState:

@@ -13,7 +13,6 @@ separate kinds; dispatch in this module accepts all of them.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -69,14 +68,6 @@ class TwoLevelObservable:
     def label(self) -> str:
         coords = ",".join(f"{x:.3g}" for x in self.e)
         return f"A({coords})" if self.e0 == 0.0 else f"A({coords})+{self.e0:.3g}"
-
-    def to_json(self) -> str:
-        return json.dumps({"e": [float(x) for x in self.e], "e0": self.e0}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TwoLevelObservable":
-        payload = json.loads(text)
-        return cls(np.asarray(payload["e"], dtype=float), float(payload.get("e0", 0.0)))
 
 
 class RandomObservable:
@@ -173,10 +164,6 @@ def prob_plus(obs, f) -> float:
         raise ValueError("outcome probabilities require a unit direction and zero offset")
     m = mean_in_state(obs, f)
     return min(1.0, max(0.0, 0.5 * (1.0 + m)))
-
-
-def prob_minus(obs, f) -> float:
-    return 1.0 - prob_plus(obs, f)
 
 
 def moment(obs, ensemble, q: int) -> float:

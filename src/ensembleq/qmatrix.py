@@ -16,8 +16,6 @@ attribute are accepted where a vector is expected.
 """
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .validate import ConstraintViolation, DimensionMismatch, check_finite
@@ -294,24 +292,6 @@ def operator_product_expectations(a, b, c, rho) -> dict[str, float]:
     antisym = commutator(commutator(a, b), c)
     re_abc = float(np.trace((sym + antisym) @ rho).real) / 4.0
     return {"re_ab": re_ab, "re_abc": re_abc}
-
-
-def matrix_to_json(mat) -> str:
-    """Serialise a 2x2 or 4x4 complex matrix as [[re, im], ...] in row-major order."""
-    arr = np.asarray(mat, dtype=complex)
-    if arr.shape not in ((2, 2), (4, 4)):
-        raise DimensionMismatch("matrix must be 2x2 or 4x4")
-    pairs = [[float(c.real), float(c.imag)] for c in arr.reshape(-1)]
-    return json.dumps(pairs)
-
-
-def matrix_from_json(text: str) -> np.ndarray:
-    pairs = json.loads(text)
-    n = {4: 2, 16: 4}.get(len(pairs))
-    if n is None:
-        raise ValueError("expected 4 or 16 [re, im] pairs")
-    flat = np.array([complex(re, im) for re, im in pairs])
-    return flat.reshape(n, n)
 
 
 def quantum_product(a, b) -> tuple[float, np.ndarray]:

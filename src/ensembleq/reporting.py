@@ -29,5 +29,6 @@ def write_csv(path, columns, rows) -> None:
 
 
 def write_json(path, payload) -> None:
+    """Write ``payload`` as sorted, indented JSON; exact numbers (Fraction, Q2) as floats."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        fh.write(json.dumps(payload, sort_keys=True, indent=2, default=float) + "\n")

@@ -60,7 +60,9 @@ def test_invalid_parameter_value(tmp_path):
     ("decoherence", {"bogus": 1}),
     ("bell-sweep", {"classical_trials": -3}),
     ("bell-sweep", {"classical_trials": 0}),
-], ids=["bad-rate", "unbounded-span", "unknown-key", "negative-trials", "zero-trials"])
+    ("mc-sequences", {"jobs": 100000, "n": 1000}),
+], ids=["bad-rate", "unbounded-span", "unknown-key", "negative-trials", "zero-trials",
+        "too-many-jobs"])
 def test_config_error_writes_no_files(tmp_path, name, params):
     # parameters, integration and checks all run before a file is opened
     with pytest.raises(ConfigError):
@@ -140,6 +142,14 @@ def test_verify_unknown_criterion_is_a_config_error(capsys, criteria):
     assert code == 2
     assert "c55" in json.loads(captured.err.strip())["error"]
     assert captured.out == ""   # nothing ran, not even the basis audit
+
+
+def test_verify_negative_seed_is_a_config_error(capsys):
+    code = main(["verify", "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "seed" in json.loads(captured.err.strip())["error"]
+    assert captured.out == ""   # rejected before any criterion ran
 
 
 def test_verify_prints_failing_checks(capsys, monkeypatch):

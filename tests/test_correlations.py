@@ -1,4 +1,3 @@
-import json
 import math
 import os
 import subprocess
@@ -22,7 +21,6 @@ from ensembleq.correlations import (
     eigenstate_bloch,
     measurement_chain,
     pointwise_correlation,
-    sample_measurement_records,
     sequence_probabilities,
     simulate_sequences,
 )
@@ -457,19 +455,6 @@ class TestSimulation:
         pooled_se = math.sqrt(sum(e.stderr ** 2 for e in estimates)) / seeds
         assert abs(pooled_dev) <= 5.0 * pooled_se
 
-    def test_estimate_json_schema(self):
-        est = simulate_sequences([A1, A2], np.zeros(3), 1000, seed=5)
-        payload = json.loads(est.to_json())
-        assert set(payload) == {"value", "stderr", "n", "seed"}
-        assert payload["n"] == 1000 and payload["seed"] == 5
-
-    def test_records(self):
-        records = sample_measurement_records([A1, A1], np.array([0.0, 0.0, 0.0]), 10, seed=6)
-        assert len(records) == 10
-        for rec in records:
-            assert rec.value == 1   # repeated measurement always agrees
-            assert len(rec.outcomes) == 2
-
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             simulate_sequences([A1, A2], np.zeros(3), 0, seed=1)
@@ -482,20 +467,11 @@ class TestSimulation:
         with pytest.raises(ValueError, match="block_size"):
             simulate_sequences([A1, A2], np.zeros(3), 1000, seed=1, block_size=block_size)
 
-    @pytest.mark.parametrize("n_jobs", [0, -1])
+    @pytest.mark.parametrize("n_jobs", [0, -1, correlations.MAX_JOBS + 1])
     def test_bad_n_jobs_rejected_before_drawing(self, n_jobs, monkeypatch):
         monkeypatch.setattr(np.random, "default_rng", None)
         with pytest.raises(ValueError, match="n_jobs"):
             simulate_sequences([A1, A2], np.zeros(3), 1000, seed=1, n_jobs=n_jobs)
-
-    def test_records_follow_the_first_block(self):
-        # records walk block 0's stream, so their mean is the estimate of n <= block_size
-        rng = np.random.default_rng(17)
-        chain = [spin(random_unit(rng)) for _ in range(4)]
-        rho_vec = random_bloch(rng)
-        records = sample_measurement_records(chain, rho_vec, 500, seed=8)
-        est = simulate_sequences(chain, rho_vec, 500, seed=8)
-        assert sum(rec.value for rec in records) / 500 == est.value
 
     def test_package_import_leaves_the_thread_pool_unloaded(self):
         # simulate_sequences imports the executor only when it runs workers

@@ -91,12 +91,6 @@ class TestRegion:
             previous = region.inradius
         assert previous > 0.998
 
-    def test_json_export(self):
-        import json
-
-        payload = json.loads(realizable_region_check(zn_system(8)).to_json())
-        assert len(payload["polygon"]) == 8
-        assert payload["max_mean_sum"] == pytest.approx(1.0 + math.sqrt(2.0))
 
 
 class TestIntegrateOut:

@@ -1,4 +1,3 @@
-import json
 import math
 import tracemalloc
 
@@ -521,31 +520,3 @@ class TestGridEnsemble:
         with pytest.raises(RuntimeError, match="broken density"):
             grid_ensemble(8, density)
         assert calls == [(128, 3)]   # one vectorised call, no per-point retry
-
-
-class TestSerialization:
-    def test_round_trip_s2(self):
-        rng = np.random.default_rng(8)
-        pts = rng.normal(size=(4, 3))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        p = rng.random(4)
-        p /= p.sum()
-        ens = Ensemble("s2", pts, p)
-        back = Ensemble.from_json(ens.to_json())
-        np.testing.assert_array_equal(back.points, ens.points)
-        np.testing.assert_array_equal(back.probs, ens.probs)
-
-    def test_json_schema(self):
-        ens = Ensemble.point_mass(microstate_s2([0.0, 0.0, 1.0]))
-        payload = json.loads(ens.to_json())
-        assert payload["manifold"] == "s2"
-        assert payload["points"][0]["p"] == 1.0
-        assert payload["points"][0]["f"] == [0.0, 0.0, 1.0]
-
-    def test_round_trip_four_state(self):
-        rng = np.random.default_rng(9)
-        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-        psi /= np.linalg.norm(psi)
-        ens = Ensemble.point_mass(microstate_four(psi))
-        back = Ensemble.from_json(ens.to_json())
-        np.testing.assert_allclose(back.points, ens.points, atol=1e-9)

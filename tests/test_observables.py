@@ -15,7 +15,6 @@ from ensembleq.observables import (
     expectation,
     mean_in_state,
     moment,
-    prob_minus,
     prob_plus,
     scale,
     shift,
@@ -94,12 +93,6 @@ class TestOutcomeProbabilities:
 
     def test_right_angle(self):
         assert prob_plus(basis_spin(1), microstate_s2([0.0, 1.0, 0.0])) == 0.5
-
-    def test_complement_is_exact(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            e, f = random_unit(rng), random_unit(rng)
-            assert prob_plus(spin(e), f) + prob_minus(spin(e), f) == 1.0
 
     def test_scaled_rejected(self):
         with pytest.raises(ValueError):
@@ -223,20 +216,6 @@ class TestRandomObservable:
         from ensembleq.observables import RandomObservable
 
         assert RandomObservable() is RANDOM
-
-
-class TestSerialization:
-    def test_json_round_trip(self):
-        obs = shift(scale(basis_spin(2), 1.5), 0.25)
-        back = TwoLevelObservable.from_json(obs.to_json())
-        np.testing.assert_array_equal(back.e, obs.e)
-        assert back.e0 == obs.e0
-
-    def test_json_schema(self):
-        import json
-
-        payload = json.loads(basis_spin(1).to_json())
-        assert payload == {"e": [1.0, 0.0, 0.0], "e0": 0.0}
 
 
 class TestBasicStateProbability:

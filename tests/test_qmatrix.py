@@ -224,21 +224,6 @@ class TestOperatorProducts:
         assert abs(sym - (seq + gap)) < 1e-13
 
 
-class TestSerialization:
-    def test_matrix_round_trip(self):
-        rng = np.random.default_rng(11)
-        for dim in (2, 4):
-            mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            back = qmatrix.matrix_from_json(qmatrix.matrix_to_json(mat))
-            np.testing.assert_array_equal(back, mat)
-
-    def test_row_major_pairs(self):
-        import json
-
-        pairs = json.loads(qmatrix.matrix_to_json(PAULI[1]))
-        assert pairs == [[0.0, 0.0], [0.0, -1.0], [0.0, 1.0], [0.0, 0.0]]
-
-
 class TestQuantumProduct:
     def test_same_direction(self):
         e0, evec = quantum_product(np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
