@@ -20,7 +20,13 @@ import numpy as np
 
 from . import qmatrix
 from .dynamics import MAX_STEPS, _linear_flow
-from .manifolds import BlochState, Ensemble, canonical_direction, reduce_ensemble
+from .manifolds import (
+    SAME_DIRECTION_TOL,
+    BlochState,
+    Ensemble,
+    canonical_direction,
+    reduce_ensemble,
+)
 from .observables import TwoLevelObservable, expectation
 from .validate import DimensionMismatch, as_float_array
 
@@ -219,7 +225,7 @@ def classical_pair_correlator(ensemble: Ensemble):
     def correlator(theta: float) -> float:
         d1 = plane_direction(theta)
         c1, f1 = canonical_direction(d1)
-        if np.abs(c0 - c1).max() < 1e-9:
+        if np.abs(c0 - c1).max() < SAME_DIRECTION_TOL:
             return -float(f0 * f1)
         return -float(along_d0 @ (ensemble.points @ d1))
 

@@ -38,6 +38,13 @@ _DIM = {"s1": 3, "s2": 3, "four": 15}
 # a 32 MiB table and about 36 MiB at the peak of the build.
 MAX_SUBSTATE_ROWS = 2**22
 
+# Canonical directions closer than this in every coordinate name the same
+# observable. Two unit vectors that pass check_unit_vector and point the same
+# way differ by under 5e-13. The window must stay this narrow: the pair
+# correlator takes its coincident value inside it, and a window of width w
+# lets the Bell inequality fail by up to w / 2.
+SAME_DIRECTION_TOL = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class MicroState:
@@ -297,7 +304,7 @@ class SubstateEnsemble:
         canon, flip = canonical_direction(direction)
         diffs = np.abs(self.directions - canon[None, :]).max(axis=1)
         j = int(np.argmin(diffs))
-        if diffs[j] > 1e-9:
+        if diffs[j] > SAME_DIRECTION_TOL:
             raise ValueError("direction is not among the substate directions")
         return j, flip
 
@@ -394,7 +401,7 @@ def extend_to_substates(ensemble: Ensemble, directions) -> SubstateEnsemble:
     for g in directions:
         c, _ = canonical_direction(g)
         for prev in canon:
-            if np.abs(prev - c).max() < 1e-9:
+            if np.abs(prev - c).max() < SAME_DIRECTION_TOL:
                 raise ValueError("directions contain an antipodal or duplicate pair")
         canon.append(c)
     if not canon:
