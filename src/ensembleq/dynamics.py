@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -118,10 +119,27 @@ def _purity(bloch: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
+    """A fixed-step run: the sample times and what the integrator produced there.
+
+    ``integrate_bloch`` and ``syncoherence_flow`` store ``components``;
+    ``integrate_von_neumann`` and ``integrate_open`` store the density
+    ``matrices``, and ``integrate_open`` also the rate ``d_values``. ``bloch``
+    is the stored components or, for a matrix run, the Bloch components of
+    the matrices (Pauli basis for 2x2, L basis for 4x4), derived on first
+    read and kept.
+    """
+
     times: np.ndarray
-    bloch: np.ndarray
+    components: np.ndarray | None = None
     matrices: np.ndarray | None = None
     d_values: np.ndarray | None = None
+
+    @cached_property
+    def bloch(self) -> np.ndarray:
+        if self.components is not None:
+            return self.components
+        basis = PAULI if self.matrices.shape[1] == 2 else qmatrix.L_BASIS
+        return np.einsum("kij,nji->nk", basis, self.matrices).real.copy()
 
     @property
     def purity(self) -> np.ndarray:
@@ -289,9 +307,7 @@ def integrate_von_neumann(rho0, hamiltonian, t_span, dt: float) -> Trajectory:
     mat = mats[-1]
     if abs(np.trace(mat).real - 1.0) > 1e-10 or np.abs(mat - mat.conj().T).max() > 1e-10:
         raise ConstraintViolation("integrator drifted: trace/Hermiticity broken beyond 1e-10")
-    basis = PAULI if mat.shape == (2, 2) else qmatrix.L_BASIS
-    bloch = np.einsum("kij,nji->nk", basis, mats).real.copy()
-    return Trajectory(times, bloch, matrices=mats)
+    return Trajectory(times, matrices=mats)
 
 
 def integrate_bloch(rho0, hk, t_span, dt: float) -> Trajectory:
@@ -364,16 +380,14 @@ def integrate_open(rho0, hamiltonian, d_rate, t_span, dt: float) -> Trajectory:
             _check_purity(times[i:i + 1], [float(bloch_i @ bloch_i)])
             if i < n:
                 mats[i + 1] = _rk4(mats[i], times[i], h, rhs)
-        bloch = np.einsum("kij,nji->nk", PAULI, mats).real.copy()
-    else:
-        d = float(d_rate)
-        gen = _commutator(ham) + d * np.eye(4)
-        mats = _linear_flow((mat - half).reshape(-1), gen, h, n).reshape(n + 1, 2, 2)
-        mats += half   # in place, so the trajectory is never held twice
-        d_vals = np.full(n + 1, d)
-        bloch = np.einsum("kij,nji->nk", PAULI, mats).real.copy()
-        _check_purity(times, _purity(bloch))
-    return Trajectory(times, bloch, matrices=mats, d_values=d_vals)
+        return Trajectory(times, matrices=mats, d_values=d_vals)
+    d = float(d_rate)
+    gen = _commutator(ham) + d * np.eye(4)
+    mats = _linear_flow((mat - half).reshape(-1), gen, h, n).reshape(n + 1, 2, 2)
+    mats += half   # in place, so the trajectory is never held twice
+    traj = Trajectory(times, matrices=mats, d_values=np.full(n + 1, d))
+    _check_purity(times, traj.purity)
+    return traj
 
 
 def syncoherence_flow(p0: float, d0: float, params: FlowParams, t_span, dt: float) -> Trajectory:

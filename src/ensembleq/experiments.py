@@ -87,6 +87,14 @@ def _merge_params(defaults: dict, given: dict, name: str) -> dict:
     return params
 
 
+def _count(value, name: str) -> int:
+    """A count parameter as an int; a bool or a non-integral value is a ConfigError."""
+    integral = isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _tol_check(name, value, reference, tol) -> Check:
     return Check(name, abs(value - reference) <= tol, float(value), float(reference), tol)
 
@@ -109,7 +117,7 @@ def _exact_check(name, value, reference) -> Check:
 
 def _bell_sweep(params, seed):
     p = _merge_params({"steps": 16, "classical_trials": 100}, params, "bell-sweep")
-    steps, trials = int(p["steps"]), int(p["classical_trials"])
+    steps, trials = _count(p["steps"], "steps"), _count(p["classical_trials"], "classical_trials")
     if steps < 2:
         raise ConfigError("steps must be >= 2")
     if trials < 1:
@@ -146,7 +154,7 @@ def _bell_sweep(params, seed):
 
 def _interference(params, seed):
     p = _merge_params({"delta": 1.0, "t_final": 2.0 * math.pi, "points": 256}, params, "interference")
-    delta, t_final, points = float(p["delta"]), float(p["t_final"]), int(p["points"])
+    delta, t_final, points = float(p["delta"]), float(p["t_final"]), _count(p["points"], "points")
     if points < 2 or t_final <= 0:
         raise ConfigError("need points >= 2 and t_final > 0")
     n_steps = max(points * 16, 1024)
@@ -267,9 +275,10 @@ def _cartesian_spins(params, seed):
 
 def _pseudo_quantum_region(params, seed):
     p = _merge_params({"sizes": [4, 8, 16, 32, 64]}, params, "pseudo-quantum-region")
-    sizes = [int(n) for n in p["sizes"]]
-    if any(n < 3 for n in sizes):
-        raise ConfigError("polygon sizes must be >= 3")
+    sizes = [_count(n, "sizes") for n in p["sizes"]]
+    if any(n < 4 or n % 4 for n in sizes):
+        # zn_system's second spin is a quarter turn, which cos(pi/N) assumes, only then
+        raise ConfigError("polygon sizes must be positive multiples of 4")
     rows = []
     worst = 0.0
     polygons = {}
@@ -308,7 +317,7 @@ def _correlation_table(params, seed):
     def density(points):
         return np.exp(kappa * (points @ axis))
 
-    ens = manifolds.grid_ensemble(int(p["grid_resolution"]), density)
+    ens = manifolds.grid_ensemble(_count(p["grid_resolution"], "grid_resolution"), density)
     pool = {
         "A1": observables.basis_spin(1),
         "A2": observables.basis_spin(2),
@@ -344,8 +353,8 @@ def _mc_sequences(params, seed):
     chain = [observables.TwoLevelObservable(np.array([math.sin(a), 0.0, math.cos(a)]))
              for a in angles]
     _, closed = correlations.measurement_chain(chain, rho_vec)
-    est = correlations.simulate_sequences(chain, rho_vec, int(p["n"]), int(seed),
-                                          n_jobs=int(p["jobs"]))
+    est = correlations.simulate_sequences(chain, rho_vec, _count(p["n"], "n"), int(seed),
+                                          n_jobs=_count(p["jobs"], "jobs"))
     sigmas = abs(est.value - closed) / est.stderr if est.stderr > 0 else 0.0
     rows = [("/".join(f"{a:.6g}" for a in angles), est.n, est.value, est.stderr, closed,
              sigmas)]

@@ -38,6 +38,10 @@ _DIM = {"s1": 3, "s2": 3, "four": 15}
 # a 32 MiB table and about 36 MiB at the peak of the build.
 MAX_SUBSTATE_ROWS = 2**22
 
+# Most points grid_ensemble builds, 2 resolution^2 (resolution 1448 at most):
+# 96 MiB of coordinates and 32 MiB of weights, checked before either exists.
+MAX_GRID_POINTS = 2**22
+
 # Canonical directions closer than this in every coordinate name the same
 # observable. Two unit vectors that pass check_unit_vector and point the same
 # way differ by under 5e-13. The window must stay this narrow: the pair
@@ -467,10 +471,14 @@ def grid_ensemble(resolution: int, density=uniform_density) -> Ensemble:
     area 4 pi / (2 resolution^2), so cell-centre weights are
     density * cell_area, normalised. reduce() of the result converges to the
     continuum integral of f_k density at second order in 1/resolution.
+    A grid of more than MAX_GRID_POINTS points is rejected before allocating.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     nz, nphi = int(resolution), 2 * int(resolution)
+    if nz * nphi > MAX_GRID_POINTS:
+        raise ValueError(f"a resolution of {resolution} gives {nz * nphi} grid points; "
+                         f"the limit is {MAX_GRID_POINTS}")
     z = -1.0 + (2.0 * np.arange(nz) + 1.0) / nz
     phi = 2.0 * math.pi * (np.arange(nphi) + 0.5) / nphi
     r = np.sqrt(np.maximum(0.0, 1.0 - z ** 2))

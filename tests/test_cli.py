@@ -61,8 +61,20 @@ def test_invalid_parameter_value(tmp_path):
     ("bell-sweep", {"classical_trials": -3}),
     ("bell-sweep", {"classical_trials": 0}),
     ("mc-sequences", {"jobs": 100000, "n": 1000}),
+    ("bell-sweep", {"steps": 2.5}),
+    ("bell-sweep", {"classical_trials": 3.9}),
+    ("mc-sequences", {"n": 2.5}),
+    ("mc-sequences", {"jobs": 1.5, "n": 1000}),
+    ("bell-sweep", {"classical_trials": True}),
+    ("pseudo-quantum-region", {"sizes": [8, 4.5]}),
+    ("pseudo-quantum-region", {"sizes": [3, 5, 8]}),
+    ("pseudo-quantum-region", {"sizes": [0]}),
+    ("correlation-table", {"grid_resolution": 48.5}),
+    ("correlation-table", {"grid_resolution": 100000}),
 ], ids=["bad-rate", "unbounded-span", "unknown-key", "negative-trials", "zero-trials",
-        "too-many-jobs"])
+        "too-many-jobs", "fractional-steps", "fractional-trials", "fractional-n",
+        "fractional-jobs", "bool-trials", "fractional-size", "size-not-multiple-of-4",
+        "zero-size", "fractional-grid", "oversized-grid"])
 def test_config_error_writes_no_files(tmp_path, name, params):
     # parameters, integration and checks all run before a file is opened
     with pytest.raises(ConfigError):
@@ -104,6 +116,28 @@ def test_all_experiments_pass(tmp_path):
         assert report.passed, name
         assert (tmp_path / f"{name}.csv").exists()
         assert (tmp_path / f"{name}.report.json").exists()
+
+
+def test_integral_float_counts_match_ints(tmp_path):
+    # a count written as a whole float (JSON 1e4) is the same run as the int
+    params = {
+        "bell-sweep": ({"steps": 4, "classical_trials": 3}, {"steps": 4.0, "classical_trials": 3.0}),
+        "mc-sequences": ({"n": 10000, "jobs": 2}, {"n": 1e4, "jobs": 2.0}),
+        "correlation-table": ({"grid_resolution": 8}, {"grid_resolution": 8.0}),
+    }
+    for name, (ints, floats) in params.items():
+        for label, given in (("int", ints), ("float", floats)):
+            run(ExperimentConfig(name, given, seed=3, out_dir=str(tmp_path / label)))
+        assert ((tmp_path / "int" / f"{name}.csv").read_bytes()
+                == (tmp_path / "float" / f"{name}.csv").read_bytes())
+
+
+def test_pseudo_quantum_region_every_multiple_of_4(tmp_path):
+    sizes = list(range(4, 65, 4))
+    report = run(ExperimentConfig("pseudo-quantum-region", {"sizes": sizes}, seed=0,
+                                  out_dir=str(tmp_path)))
+    assert report.passed
+    assert sorted(map(int, report.results["polygons"])) == sizes
 
 
 def test_mc_sequences_jobs_flag(tmp_path):

@@ -274,6 +274,15 @@ def _four_state_von_neumann():
     return integrate_von_neumann(rho0, Hamiltonian(qmatrix.l_operator(4)), (0.0, 1.0), 0.01)
 
 
+def _random_state_and_hamiltonian(rng, dim):
+    """A full-rank density matrix and a Hermitian matrix of size dim."""
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    ham = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return rho, ham + ham.conj().T
+
+
 class TestTrajectoryMemory:
     @pytest.mark.parametrize("run", [
         lambda: integrate_von_neumann(np.array([0.3, 0.0, 0.4]), np.ones(3), (0.0, 1.0), 0.01),
@@ -288,6 +297,28 @@ class TestTrajectoryMemory:
         assert traj.bloch.base is None
         basis = PAULI_OR_L[traj.matrices.shape[1]]
         assert np.array_equal(traj.bloch, np.einsum("kij,nji->nk", basis, traj.matrices).real)
+
+    def test_matrix_run_holds_only_matrices_and_times(self):
+        rho0, ham = _random_state_and_hamiltonian(np.random.default_rng(12), 4)
+        integrate_von_neumann(rho0, ham, (0.0, 0.01), 1e-3)   # warm numpy's caches
+        tracemalloc.start()
+        try:
+            traj = integrate_von_neumann(rho0, ham, (0.0, 10.0), 1e-3)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(traj.times) == 10_001
+        assert peak < 3 * 2**20
+        assert held <= traj.matrices.nbytes + traj.times.nbytes + 64 * 2**10
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4]))
+    def test_bloch_is_derived_once_from_the_matrices(self, seed, dim):
+        rho0, ham = _random_state_and_hamiltonian(np.random.default_rng(seed), dim)
+        traj = integrate_von_neumann(rho0, ham, (0.0, 0.5), 0.01)
+        want = np.einsum("kij,nji->nk", PAULI_OR_L[dim], traj.matrices).real
+        assert np.array_equal(traj.bloch, want)
+        assert traj.bloch is traj.bloch
 
     @pytest.mark.parametrize("k", [1, 3, 15])
     def test_purity_summed_in_order_whatever_the_layout(self, k):

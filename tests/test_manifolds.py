@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ensembleq import manifolds
 from ensembleq.correlations import classical_correlation, pointwise_correlation
 from ensembleq.manifolds import (
+    MAX_GRID_POINTS,
     MAX_SUBSTATE_ROWS,
     BlochState,
     Ensemble,
@@ -502,6 +503,19 @@ class TestGridEnsemble:
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
             grid_ensemble(1)
+
+    @pytest.mark.parametrize("resolution", [1449, 100_000])
+    def test_oversized_grid_rejected_before_allocating(self, resolution):
+        # resolution 100000 would be 2e10 points, hundreds of GiB
+        assert 2 * resolution**2 > MAX_GRID_POINTS >= 2 * 1448**2
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="grid points"):
+                grid_ensemble(resolution)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
 
     def test_scalar_only_density(self):
         # math.exp rejects an array with TypeError; the grid falls back to
