@@ -20,6 +20,7 @@ import sys
 
 from .acceptance import run_all
 from .experiments import ConfigError, ExperimentConfig, run
+from .validate import check_count
 
 
 def _parse_param(text: str) -> tuple[str, object]:
@@ -57,12 +58,11 @@ def _build_config(args) -> ExperimentConfig:
         raise ConfigError("no experiment given (use --experiment or a config file)")
     if args.jobs is not None:
         params.setdefault("jobs", args.jobs)
-    return ExperimentConfig(
-        experiment=experiment,
-        params=params,
-        seed=int(seed) if seed is not None else 0,
-        out_dir=out_dir or ".",
-    )
+    try:
+        seed = check_count(0 if seed is None else seed, "seed")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return ExperimentConfig(experiment=experiment, params=params, seed=seed, out_dir=out_dir or ".")
 
 
 def _print_checks(checks) -> None:

@@ -25,7 +25,7 @@ import numpy as np
 from . import qmatrix
 from .manifolds import BlochState, Ensemble
 from .qmatrix import LEVI, PAULI
-from .validate import ConstraintViolation, as_float_array, check_rotation, freeze
+from .validate import ConstraintViolation, as_float_array, check_probabilities, check_real, check_rotation, freeze
 
 MAX_STEPS = 2**20
 
@@ -50,10 +50,7 @@ class Hamiltonian:
             if vec.shape != (3,):
                 raise ValueError("component form must be a real 3-vector")
             object.__setattr__(self, "hk", freeze(vec))
-        h0 = float(self.h0)
-        if not math.isfinite(h0):
-            raise ValueError("h0 must be finite")
-        object.__setattr__(self, "h0", h0)
+        object.__setattr__(self, "h0", check_real(self.h0, "h0"))
 
     def matrix(self) -> np.ndarray:
         if self.hk.ndim == 2:
@@ -184,11 +181,8 @@ def reduced_from_micro(transition, ensemble: Ensemble) -> ReducedTransition:
     n = len(ensemble)
     if trans.shape != (n, n):
         raise ValueError("transition matrix shape does not match the ensemble")
-    if np.any(trans < -1e-12):
-        raise ConstraintViolation("transition matrix has negative entries")
-    col_sums = trans.sum(axis=0)
-    if np.abs(col_sums - 1.0).max() > 1e-12:
-        raise ConstraintViolation("transition matrix columns must sum to 1")
+    for column in trans.T:   # the distribution one micro-state moves to
+        check_probabilities(column)
     rho_before = ensemble.probs @ ensemble.points
     norm2 = float(rho_before @ rho_before)
     if norm2 <= 1e-15:
@@ -245,9 +239,7 @@ def conjugation_oracle(state, alpha) -> np.ndarray:
 
 def _steps(t_span, dt: float) -> tuple[np.ndarray, float, int]:
     """Times, step and step count of a fixed-step run over t_span."""
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if not (math.isfinite(t0) and math.isfinite(t1) and math.isfinite(dt)):
-        raise ValueError("t_span and dt must be finite")
+    (t0, t1), dt = check_real(t_span, "t_span"), check_real(dt, "dt")
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t1 < t0:
@@ -268,21 +260,28 @@ def _rk4(y, t, h, rhs):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+@np.errstate(over="ignore", invalid="ignore")   # an overflow is raised below, not warned
 def _linear_flow(y0, generator, h: float, n: int) -> np.ndarray:
     """(n + 1, dim) RK4 trajectory of dy/dt = A y from y0 with step h.
 
     On a linear flow an RK4 step is y <- y + Q y, Q = sum_{1<=j<=4} (h A)^j / j!
     built once; adding Q y to y, not applying a rounded I + Q, keeps rounding
-    from biasing every step the same way."""
+    from biasing every step the same way. A non-finite y0 or Q is rejected
+    before allocating, and so is a non-finite last row after stepping: with Q
+    finite, a non-finite entry never turns finite again."""
     ha = h * np.asarray(generator)
     inc = ha   # Q in Horner form
     for j in (4.0, 3.0, 2.0):
         inc = ha @ (np.eye(len(ha)) + inc / j)
+    if not (np.isfinite(y0).all() and np.isfinite(inc).all()):
+        raise ValueError("non-finite initial state or step matrix")
     out = np.empty((n + 1, len(y0)), dtype=np.result_type(y0, inc))
     out[0] = y0
     for i in range(n):
         np.matmul(inc, out[i], out=out[i + 1])
         out[i + 1] += out[i]
+    if not np.isfinite(out[-1]).all():
+        raise ValueError(f"the flow overflowed to a non-finite state within {n} steps")
     return out
 
 

@@ -20,6 +20,12 @@ import numpy as np
 
 from . import correlations, dynamics, finite, fourstate, manifolds, observables, qmatrix
 from .reporting import write_csv, write_json
+from .validate import check_count, check_real
+
+# count limits: steps^2 grid rows <= MAX_STEPS (about 30 s of Bell checks); a
+# classical trial draws one ensemble in about 0.2 ms, so MAX_STEPS of them take
+# minutes; the report holds each polygon's N vertices, about 180 KB at N = 4096
+MAX_BELL_STEPS, MAX_CLASSICAL_TRIALS, MAX_POLYGON_SIZE = 1 << 10, dynamics.MAX_STEPS, 1 << 12
 
 
 class ConfigError(ValueError):
@@ -87,14 +93,6 @@ def _merge_params(defaults: dict, given: dict, name: str) -> dict:
     return params
 
 
-def _count(value, name: str) -> int:
-    """A count parameter as an int; a bool or a non-integral value is a ConfigError."""
-    integral = isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral:
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _tol_check(name, value, reference, tol) -> Check:
     return Check(name, abs(value - reference) <= tol, float(value), float(reference), tol)
 
@@ -117,11 +115,8 @@ def _exact_check(name, value, reference) -> Check:
 
 def _bell_sweep(params, seed):
     p = _merge_params({"steps": 16, "classical_trials": 100}, params, "bell-sweep")
-    steps, trials = _count(p["steps"], "steps"), _count(p["classical_trials"], "classical_trials")
-    if steps < 2:
-        raise ConfigError("steps must be >= 2")
-    if trials < 1:
-        raise ConfigError("classical_trials must be >= 1")
+    steps = check_count(p["steps"], "steps", lo=2, hi=MAX_BELL_STEPS)
+    trials = check_count(p["classical_trials"], "classical_trials", lo=1, hi=MAX_CLASSICAL_TRIALS)
     state = fourstate.entangled_bloch(-1)
     angles = [2.0 * math.pi * k / steps for k in range(steps)]
     quantum = fourstate.quantum_pair_correlator(state)
@@ -154,9 +149,10 @@ def _bell_sweep(params, seed):
 
 def _interference(params, seed):
     p = _merge_params({"delta": 1.0, "t_final": 2.0 * math.pi, "points": 256}, params, "interference")
-    delta, t_final, points = float(p["delta"]), float(p["t_final"]), _count(p["points"], "points")
-    if points < 2 or t_final <= 0:
-        raise ConfigError("need points >= 2 and t_final > 0")
+    delta, t_final = check_real(p["delta"], "delta"), check_real(p["t_final"], "t_final")
+    points = check_count(p["points"], "points", lo=2)
+    if t_final <= 0:
+        raise ConfigError("t_final must be > 0")
     n_steps = max(points * 16, 1024)
     times, f2, f5 = fourstate.interference_trajectory(delta, t_final, n_steps)
     idx = np.linspace(0, n_steps, points).round().astype(int)
@@ -172,11 +168,11 @@ def _decoherence(params, seed):
     p = _merge_params(
         {"d": -0.35, "rho0": [0.4, -0.2, 0.5], "t_final": 5.0, "dt": 0.005}, params, "decoherence"
     )
-    d = float(p["d"])
+    d, t_final, dt = (check_real(p[k], k) for k in ("d", "t_final", "dt"))
     if d >= 0:
         raise ConfigError("decoherence needs a negative rate d")
-    rho0 = np.asarray(p["rho0"], dtype=float)
-    traj = dynamics.integrate_open(rho0, None, d, (0.0, float(p["t_final"])), float(p["dt"]))
+    rho0 = np.asarray(check_real(p["rho0"], "rho0"))
+    traj = dynamics.integrate_open(rho0, None, d, (0.0, t_final), dt)
     worst = float(np.abs(traj.bloch - rho0 * np.exp(d * traj.times)[:, None]).max())
     p0, purity = float(rho0 @ rho0), traj.purity
     p_ref = np.fromiter((p0 * float(np.exp(2 * d * t)) for t in traj.times), float, len(purity))
@@ -193,12 +189,12 @@ def _syncoherence(params, seed):
         {"a": 3.0, "b": 2.0, "p0": 0.9, "d0": 0.1, "t_final": 6.0, "dt": 0.001},
         params, "syncoherence",
     )
-    flow = dynamics.FlowParams(float(p["a"]), float(p["b"]))
+    a, b, p0, d0, t_final, dt = (check_real(p[k], k) for k in ("a", "b", "p0", "d0", "t_final", "dt"))
+    flow = dynamics.FlowParams(a, b)
     if not flow.in_fixed_point_regime:
         raise ConfigError("fixed-point regime requires a > 0 and 0 < b < a^2/4")
-    traj = dynamics.syncoherence_flow(float(p["p0"]), float(p["d0"]), flow,
-                                      (0.0, float(p["t_final"])), float(p["dt"]))
-    p_ref, d_ref = dynamics.syncoherence_closed_form(float(p["p0"]), float(p["d0"]), flow, traj.times)
+    traj = dynamics.syncoherence_flow(p0, d0, flow, (0.0, t_final), dt)
+    p_ref, d_ref = dynamics.syncoherence_closed_form(p0, d0, flow, traj.times)
     pv, dv = traj.bloch[:, 0], traj.d_values
     worst = max(float((np.abs(pv - p_ref) / (np.abs(p_ref) + 1e-12)).max()),
                 float((np.abs(dv - d_ref) / (np.abs(d_ref) + 1e-12)).max()))
@@ -211,10 +207,9 @@ def _syncoherence(params, seed):
 
 def _precession(params, seed):
     p = _merge_params({"omega": 1.0, "t_final": 10.0, "dt": 0.002}, params, "precession")
-    omega = float(p["omega"])
+    omega, t_final, dt = (check_real(p[k], k) for k in ("omega", "t_final", "dt"))
     ham = dynamics.Hamiltonian(np.array([0.0, 0.0, omega]))
-    traj = dynamics.integrate_von_neumann(np.array([1.0, 0.0, 0.0]), ham,
-                                          (0.0, float(p["t_final"])), float(p["dt"]))
+    traj = dynamics.integrate_von_neumann(np.array([1.0, 0.0, 0.0]), ham, (0.0, t_final), dt)
     n, angle = len(traj.times), 2 * omega * traj.times
     ref = np.column_stack([np.fromiter(map(math.cos, angle), float, n),
                            np.fromiter(map(math.sin, angle), float, n), np.zeros(n)])
@@ -243,7 +238,7 @@ def _cartesian_spins(params, seed):
         third = Fraction(1, 3)
         probs = [third, 0, 0, 0, third, 0, 0, third]
     else:
-        probs = [float(x) for x in p["probs"]]
+        probs = check_real(p["probs"], "probs")
     before = finite.cartesian_purity(probs)
     classical = finite.cartesian_measure_sz(probs, "classical")
     quantum = finite.cartesian_measure_sz(probs, "quantum", free_p1=p["free_p1"])
@@ -275,8 +270,8 @@ def _cartesian_spins(params, seed):
 
 def _pseudo_quantum_region(params, seed):
     p = _merge_params({"sizes": [4, 8, 16, 32, 64]}, params, "pseudo-quantum-region")
-    sizes = [_count(n, "sizes") for n in p["sizes"]]
-    if any(n < 4 or n % 4 for n in sizes):
+    sizes = [check_count(n, "sizes", lo=4, hi=MAX_POLYGON_SIZE) for n in p["sizes"]]
+    if any(n % 4 for n in sizes):
         # zn_system's second spin is a quarter turn, which cos(pi/N) assumes, only then
         raise ConfigError("polygon sizes must be positive multiples of 4")
     rows = []
@@ -308,7 +303,7 @@ def _pseudo_quantum_region(params, seed):
 
 def _correlation_table(params, seed):
     p = _merge_params({"rho": [0.3, 0.1, 0.2], "grid_resolution": 48}, params, "correlation-table")
-    rho_vec = np.asarray(p["rho"], dtype=float)
+    rho_vec = np.asarray(check_real(p["rho"], "rho"))
     state = manifolds.BlochState(rho_vec)
     rho_mat = qmatrix.density_from_bloch(rho_vec)
     axis = rho_vec / np.linalg.norm(rho_vec) if np.linalg.norm(rho_vec) > 0 else np.array([0.0, 0.0, 1.0])
@@ -317,7 +312,7 @@ def _correlation_table(params, seed):
     def density(points):
         return np.exp(kappa * (points @ axis))
 
-    ens = manifolds.grid_ensemble(_count(p["grid_resolution"], "grid_resolution"), density)
+    ens = manifolds.grid_ensemble(p["grid_resolution"], density)
     pool = {
         "A1": observables.basis_spin(1),
         "A2": observables.basis_spin(2),
@@ -346,15 +341,13 @@ def _correlation_table(params, seed):
 def _mc_sequences(params, seed):
     p = _merge_params({"angles": [0.0, math.pi / 4.0], "rho": [0.0, 0.0, 0.6],
                        "n": 1_000_000, "jobs": 1}, params, "mc-sequences")
-    angles = [float(a) for a in p["angles"]]
-    if not 2 <= len(angles) <= 6:
-        raise ConfigError("chain length must be between 2 and 6")
-    rho_vec = np.asarray(p["rho"], dtype=float)
+    angles = check_real(p["angles"], "angles")
+    check_count(len(angles), "chain length", lo=2, hi=6)
+    rho_vec = np.asarray(check_real(p["rho"], "rho"))
     chain = [observables.TwoLevelObservable(np.array([math.sin(a), 0.0, math.cos(a)]))
              for a in angles]
     _, closed = correlations.measurement_chain(chain, rho_vec)
-    est = correlations.simulate_sequences(chain, rho_vec, _count(p["n"], "n"), int(seed),
-                                          n_jobs=_count(p["jobs"], "jobs"))
+    est = correlations.simulate_sequences(chain, rho_vec, p["n"], seed, n_jobs=p["jobs"])
     sigmas = abs(est.value - closed) / est.stderr if est.stderr > 0 else 0.0
     rows = [("/".join(f"{a:.6g}" for a in angles), est.n, est.value, est.stderr, closed,
              sigmas)]
@@ -387,7 +380,7 @@ def run(config: ExperimentConfig) -> RunReport:
         columns, rows, results, checks = EXPERIMENTS[config.experiment](config.params, config.seed)
     except ConfigError:
         raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"invalid parameters for {config.experiment!r}: {exc}") from exc
     report = RunReport(config, results, checks, wall_time=time.perf_counter() - t0)
     out = Path(config.out_dir)

@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .manifolds import BlochState
+from .validate import ConstraintViolation, check_count, check_probabilities
 
 
 @dataclass(frozen=True)
@@ -130,6 +131,12 @@ def _sum(values):
     return total
 
 
+def _check_exact_probabilities(probs) -> None:
+    """Exact probabilities (int, Fraction or Q2): each >= 0 and a total of exactly 1."""
+    if any(Q2.of(p) < 0 for p in probs) or sum(map(Q2.of, probs), Q2(0)) != 1:
+        raise ConstraintViolation(f"invalid exact probability vector {tuple(probs)}")
+
+
 @dataclass(frozen=True)
 class FiniteSpinSystem:
     """N micro-states on the circle with spin observables at fixed directions.
@@ -156,14 +163,9 @@ class FiniteSpinSystem:
             raise ValueError("probs and state_angles lengths differ")
         if not self.signed:
             if self.exact:
-                if any(Q2.of(p) < 0 for p in self.probs):
-                    raise ValueError("negative probability")
-                if _sum(Q2.of(p) for p in self.probs) != Q2(1):
-                    raise ValueError("probabilities do not sum to 1")
+                _check_exact_probabilities(self.probs)
             else:
-                arr = np.asarray([float(p) for p in self.probs])
-                if np.any(arr < -1e-12) or abs(math.fsum(arr.tolist()) - 1.0) > 1e-12:
-                    raise ValueError("invalid probability vector")
+                check_probabilities([float(p) for p in self.probs])
 
     @property
     def n_states(self) -> int:
@@ -201,8 +203,7 @@ def zn_system(n: int, probs=None, observable_angles=None, exact: bool = False) -
     observables are the two axis spins plus the two diagonal spins; for other
     N the states are in natural order with the two axis spins.
     """
-    if n < 2:
-        raise ValueError("need at least two micro-states")
+    n = check_count(n, "n", lo=2)
     if n == 8:
         order = _TABLE_ORDER_8
         default_obs = (0, 2, 1, 7)   # directions 0, pi/2, pi/4, -pi/4
@@ -420,14 +421,10 @@ def _check_cartesian_probs(p):
     p = list(p)
     if len(p) != 8:
         raise ValueError("cartesian spin ensembles have eight substates")
-    if all(isinstance(x, (int, Fraction)) for x in p):
-        if any(Fraction(x) < 0 for x in p) or sum(Fraction(x) for x in p) != 1:
-            raise ValueError("invalid probability vector")
+    if _is_exact_seq(p):
+        _check_exact_probabilities(p)
         return [Fraction(x) for x in p]
-    arr = [float(x) for x in p]
-    if min(arr) < -1e-12 or abs(math.fsum(arr) - 1.0) > 1e-12:
-        raise ValueError("invalid probability vector")
-    return arr
+    return check_probabilities([float(x) for x in p]).tolist()
 
 
 @dataclass(frozen=True)
@@ -518,14 +515,13 @@ def cartesian_measure_sz(p, rule: str, outcome: int = 1, free_p1=None) -> Measur
     if outcome not in (1, -1):
         raise ValueError("outcome must be +1 or -1")
     keep = slice(0, 4) if outcome == 1 else slice(4, 8)
-    drop = slice(4, 8) if outcome == 1 else slice(0, 4)
     sector = probs[keep]
     total = _sum(sector)
     purity_before = cartesian_purity(probs)
     zero = Fraction(0) if exact else 0.0
+    if (total == 0) if exact else (float(total) <= 0.0):
+        raise ValueError("the measured outcome has zero probability")
     if rule == "classical":
-        if (total == 0) if exact else (float(total) <= 0.0):
-            raise ValueError("the measured outcome has zero probability")
         new = [zero] * 8
         for i, v in zip(range(8)[keep], sector):
             new[i] = v / total if exact else float(v) / float(total)
@@ -533,8 +529,6 @@ def cartesian_measure_sz(p, rule: str, outcome: int = 1, free_p1=None) -> Measur
         violated = (purity_after > 1) if exact else (float(purity_after) > 1.0 + 1e-9)
         return MeasurementOutcome(rule, outcome, tuple(new), purity_before, purity_after, violated)
     if rule == "quantum":
-        if (total == 0) if exact else (float(total) <= 0.0):
-            raise ValueError("the measured outcome has zero probability")
         half = Fraction(1, 2) if exact else 0.5
         q = (Fraction(1, 4) if exact else 0.25) if free_p1 is None else free_p1
         if not (0 <= (Fraction(q) if exact else float(q)) <= half):

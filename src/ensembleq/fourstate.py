@@ -28,7 +28,7 @@ from .manifolds import (
     reduce_ensemble,
 )
 from .observables import TwoLevelObservable, expectation
-from .validate import DimensionMismatch, as_float_array
+from .validate import DimensionMismatch, as_float_array, check_count, check_probabilities, check_real
 
 
 def bit_observable(m: int) -> TwoLevelObservable:
@@ -55,11 +55,7 @@ class OutcomeTable:
     w_mm: float
 
     def __post_init__(self):
-        vals = (self.w_pp, self.w_pm, self.w_mp, self.w_mm)
-        if min(vals) < -1e-12:
-            raise ValueError(f"negative outcome probability in {vals}")
-        if abs(math.fsum(vals) - 1.0) > 1e-12:
-            raise ValueError("outcome probabilities do not sum to 1")
+        check_probabilities((self.w_pp, self.w_pm, self.w_mp, self.w_mm))
 
     def as_dict(self) -> dict[str, float]:
         return {"++": self.w_pp, "+-": self.w_pm, "-+": self.w_mp, "--": self.w_mm}
@@ -186,8 +182,7 @@ def symmetrized_hidden_ensemble(rng, n_base: int = 4, order: int = 4) -> Ensembl
     directions depend on the angle difference only; that stationarity is what
     makes the single-angle Bell form applicable to this hidden-variable model.
     """
-    if order < 3:
-        raise ValueError("order must be at least 3 for in-plane isotropy")
+    n_base, order = check_count(n_base, "n_base", lo=1), check_count(order, "order", lo=3)
     z = rng.uniform(-1.0, 1.0, size=n_base)
     phi0 = rng.uniform(0.0, 2.0 * math.pi, size=n_base)
     w = rng.random(n_base) + 0.05
@@ -243,11 +238,8 @@ def interference_trajectory(delta: float, t_final: float, n_steps: int = 4096):
     f7 = f5, f1 = 1 and all other components zero, starting from f2 = 1. The
     expectation <T_2> oscillates as cos(delta t). At most MAX_STEPS steps.
     """
-    if not 0 <= t_final < math.inf:
-        raise ValueError("t_final must be finite and nonnegative")
-    n_steps = max(1, int(n_steps))
-    if n_steps > MAX_STEPS:
-        raise ValueError(f"n_steps = {n_steps}; the limit is {MAX_STEPS}")
+    t_final = check_real(t_final, "t_final", 0.0)
+    n_steps = check_count(n_steps, "n_steps", lo=1, hi=MAX_STEPS)
     h = t_final / n_steps
     times = np.arange(n_steps + 1, dtype=float)
     times *= h

@@ -25,6 +25,7 @@ from . import qmatrix
 from .validate import (
     ConstraintViolation,
     as_float_array,
+    check_count,
     check_probabilities,
     check_unit_vector,
     freeze,
@@ -473,11 +474,10 @@ def grid_ensemble(resolution: int, density=uniform_density) -> Ensemble:
     continuum integral of f_k density at second order in 1/resolution.
     A grid of more than MAX_GRID_POINTS points is rejected before allocating.
     """
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-    nz, nphi = int(resolution), 2 * int(resolution)
+    nz = check_count(resolution, "resolution", lo=2)
+    nphi = 2 * nz
     if nz * nphi > MAX_GRID_POINTS:
-        raise ValueError(f"a resolution of {resolution} gives {nz * nphi} grid points; "
+        raise ValueError(f"a resolution of {nz} gives {nz * nphi} grid points; "
                          f"the limit is {MAX_GRID_POINTS}")
     z = -1.0 + (2.0 * np.arange(nz) + 1.0) / nz
     phi = 2.0 * math.pi * (np.arange(nphi) + 0.5) / nphi

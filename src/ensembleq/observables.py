@@ -22,8 +22,9 @@ from . import qmatrix
 from .validate import (
     DimensionMismatch,
     as_float_array,
+    check_count,
     check_finite,
-    check_in_range,
+    check_real,
     check_unit_vector,
     freeze,
 )
@@ -168,9 +169,7 @@ def prob_plus(obs, f) -> float:
 
 def moment(obs, ensemble, q: int) -> float:
     """Ensemble moment <A^q>: the mean for odd q, exactly 1 for even q."""
-    if q < 1 or int(q) != q:
-        raise ValueError("q must be a positive integer")
-    if int(q) % 2 == 0:
+    if check_count(q, "q", lo=1) % 2 == 0:
         return 1.0
     if isinstance(obs, RandomObservable):
         return 0.0
@@ -256,7 +255,7 @@ def basic_state_probability(f, e, p: float, gamma: int) -> float:
     ev = check_unit_vector(e, "e")
     if fv.shape != ev.shape:
         raise DimensionMismatch("f and e dimensions differ")
-    p = check_in_range(p, 0.0, 1.0, "purity")
+    p = check_real(p, "purity", 0.0, 1.0)
     if gamma not in (1, -1):
         raise ValueError("gamma must be +1 or -1")
     val = 0.5 * (1.0 + gamma * math.sqrt(p) * float(fv @ ev))

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 
 import numpy as np
 
@@ -93,8 +94,30 @@ def check_rotation(m, tol: float = 1e-12) -> np.ndarray:
     return arr
 
 
-def check_in_range(x: float, lo: float, hi: float, name: str) -> float:
-    x = float(x)
-    if not (lo <= x <= hi):
+def check_count(value, name: str, lo: int = 0, hi: int | None = None) -> int:
+    """A count as an int in [lo, hi]; a bool or a non-integral value is a ValueError.
+    A whole float such as 1e4 (how JSON may write a count) is the int it equals."""
+    integral = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    n = int(value)
+    if n < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {n}")
+    if hi is not None and n > hi:
+        raise ValueError(f"{name} = {n}; the limit is {hi}")
+    return n
+
+
+def check_real(value, name: str, lo: float = -math.inf, hi: float = math.inf):
+    """A finite real number in [lo, hi] as a float, or a list of them as a list of floats;
+    a bool, a string or a non-finite value (NaN passes any "> tol" test) is a ValueError."""
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [check_real(v, f"{name}[{i}]", lo, hi) for i, v in enumerate(value)]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    x = float(value)   # OverflowError for an int beyond the float range
+    if not math.isfinite(x):
+        raise ValueError(f"{name} is non-finite: {x!r}")
+    if not lo <= x <= hi:
         raise ValueError(f"{name} = {x!r} outside [{lo}, {hi}]")
     return x

@@ -71,10 +71,25 @@ def test_invalid_parameter_value(tmp_path):
     ("pseudo-quantum-region", {"sizes": [0]}),
     ("correlation-table", {"grid_resolution": 48.5}),
     ("correlation-table", {"grid_resolution": 100000}),
+    ("cartesian-spins", {"probs": [math.nan, 0, 0, 0, 0, 0, 0, 1]}),
+    ("interference", {"t_final": 1e300}),
+    ("syncoherence", {"b": True}),
+    ("precession", {"omega": True}),
+    ("interference", {"delta": True}),
+    ("mc-sequences", {"angles": [True, False]}),
+    ("decoherence", {"dt": True}),
+    ("decoherence", {"d": math.nan}),
+    ("syncoherence", {"p0": math.nan}),
+    ("bell-sweep", {"steps": 1e9}),
+    ("bell-sweep", {"classical_trials": 1e12}),
+    ("mc-sequences", {"n": 1e15}),
+    ("pseudo-quantum-region", {"sizes": [100000000]}),
 ], ids=["bad-rate", "unbounded-span", "unknown-key", "negative-trials", "zero-trials",
         "too-many-jobs", "fractional-steps", "fractional-trials", "fractional-n",
         "fractional-jobs", "bool-trials", "fractional-size", "size-not-multiple-of-4",
-        "zero-size", "fractional-grid", "oversized-grid"])
+        "zero-size", "fractional-grid", "oversized-grid", "nan-probs", "overflowing-span",
+        "bool-b", "bool-omega", "bool-delta", "bool-angles", "bool-dt", "nan-d", "nan-p0",
+        "oversized-steps", "oversized-trials", "oversized-n", "oversized-size"])
 def test_config_error_writes_no_files(tmp_path, name, params):
     # parameters, integration and checks all run before a file is opened
     with pytest.raises(ConfigError):
@@ -107,6 +122,31 @@ def test_config_file_with_override(tmp_path):
     assert report["params"]["points"] == 32
     assert report["params"]["delta"] == 2.0
     assert report["seed"] == 3
+
+
+@pytest.mark.parametrize("seed", [1.5, "x", True, -1])
+def test_bad_config_file_seed_is_a_config_error(tmp_path, capsys, seed):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "interference", "seed": seed}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "seed" in json.loads(capsys.readouterr().err.strip())["error"]
+    assert not (tmp_path / "interference.csv").exists()
+
+
+def test_negative_run_seed_is_a_config_error(tmp_path, capsys):
+    code = main(["run", "--experiment", "interference", "--seed", "-1", "--out", str(tmp_path)])
+    assert code == 2
+    assert "seed" in json.loads(capsys.readouterr().err.strip())["error"]
+    assert not (tmp_path / "interference.csv").exists()
+
+
+def test_whole_float_config_seed_is_written_as_an_int(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "interference", "seed": 7.0,
+                               "params": {"points": 16}}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    seed = json.loads((tmp_path / "interference.report.json").read_text())["seed"]
+    assert seed == 7 and type(seed) is int   # JSON 7, not 7.0
 
 
 def test_all_experiments_pass(tmp_path):

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from ensembleq.dynamics import (
     _rk4,
     _steps,
 )
+from ensembleq.fourstate import interference_trajectory
 from ensembleq.manifolds import Ensemble, microstate_s2, reduce_ensemble
 from ensembleq.validate import ConstraintViolation
 
@@ -358,6 +360,35 @@ class TestLinearFlow:
         np.testing.assert_array_equal(const.d_values, call.d_values)
         assert np.abs(const.matrices - call.matrices).max() <= 1e-12
         assert np.abs(const.bloch - call.bloch).max() <= 1e-12
+
+    @pytest.mark.parametrize("run", [
+        lambda: integrate_open(np.array([0.4, -0.2, 0.5]), None, math.nan, (0.0, 1.0),
+                               1.0 / MAX_STEPS),
+        lambda: interference_trajectory(math.nan, 1.0, MAX_STEPS),
+        lambda: syncoherence_flow(math.nan, 0.1, FlowParams(3.0, 2.0), (0.0, 1.0),
+                                  1.0 / MAX_STEPS),
+    ], ids=["open-nan-rate", "interference-nan-delta", "syncoherence-nan-p0"])
+    def test_non_finite_input_rejected_before_allocating(self, run):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="non-finite"):
+                run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # building the 8 MiB of times peaks at 16 MiB; the (2^20 + 1)-row trajectory
+        # would hold at least 16 MiB more next to the times
+        assert peak < 20 * 2**20
+
+    def test_overflow_is_raised_not_returned(self):
+        # a step matrix that overflows, and a finite one whose trajectory overflows
+        # on the way: each raises, and no overflow warning escapes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                interference_trajectory(1.0, 1e300, 4096)
+            with pytest.raises(ValueError, match="overflowed"):
+                _linear_flow(np.array([1.0]), [[100.0]], 1.0, 1000)
 
 
 class TestStepCount:
