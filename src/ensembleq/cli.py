@@ -19,8 +19,7 @@ import json
 import sys
 
 from .acceptance import run_all
-from .experiments import ConfigError, ExperimentConfig, run
-from .validate import check_count
+from .experiments import ConfigError, ExperimentConfig, check_seed, run
 
 
 def _parse_param(text: str) -> tuple[str, object]:
@@ -58,10 +57,7 @@ def _build_config(args) -> ExperimentConfig:
         raise ConfigError("no experiment given (use --experiment or a config file)")
     if args.jobs is not None:
         params.setdefault("jobs", args.jobs)
-    try:
-        seed = check_count(0 if seed is None else seed, "seed")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    seed = check_seed(0 if seed is None else seed)
     return ExperimentConfig(experiment=experiment, params=params, seed=seed, out_dir=out_dir or ".")
 
 

@@ -10,6 +10,7 @@ console only so files stay deterministic.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -24,8 +25,11 @@ from .validate import check_count, check_real
 
 # count limits: steps^2 grid rows <= MAX_STEPS (about 30 s of Bell checks); a
 # classical trial draws one ensemble in about 0.2 ms, so MAX_STEPS of them take
-# minutes; the report holds each polygon's N vertices, about 180 KB at N = 4096
-MAX_BELL_STEPS, MAX_CLASSICAL_TRIALS, MAX_POLYGON_SIZE = 1 << 10, dynamics.MAX_STEPS, 1 << 12
+# minutes; the report holds each polygon's N vertices, about 180 KB at N = 4096,
+# and the sizes together may sum to MAX_POLYGON_TOTAL, 16 such polygons (about
+# 3 MB of report and 0.4 s of regions)
+MAX_BELL_STEPS, MAX_CLASSICAL_TRIALS = 1 << 10, dynamics.MAX_STEPS
+MAX_POLYGON_SIZE, MAX_POLYGON_TOTAL = 1 << 12, 1 << 16
 
 
 class ConfigError(ValueError):
@@ -107,6 +111,14 @@ def _stderr_check(name, estimate, closed) -> Check:
 def _exact_check(name, value, reference) -> Check:
     """An identity tested with ``==`` on the values as given (Fraction, Q2, int, bool)."""
     return Check(name, value == reference, float(value), float(reference), 0.0)
+
+
+def check_seed(seed) -> int:
+    """A seed as a nonnegative int; a bool, a fraction or a negative value is a ConfigError."""
+    try:
+        return check_count(seed, "seed")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +286,7 @@ def _pseudo_quantum_region(params, seed):
     if any(n % 4 for n in sizes):
         # zn_system's second spin is a quarter turn, which cos(pi/N) assumes, only then
         raise ConfigError("polygon sizes must be positive multiples of 4")
+    check_count(sum(sizes), "sum of sizes", hi=MAX_POLYGON_TOTAL)
     rows = []
     worst = 0.0
     polygons = {}
@@ -355,6 +368,162 @@ def _mc_sequences(params, seed):
     results = {"value": est.value, "stderr": est.stderr, "closed_form": closed,
                "n": est.n, "seed": est.seed}
     return ["chain", "n", "value", "stderr", "closed_form", "sigmas"], rows, results, checks
+
+
+# ---------------------------------------------------------------------------
+# acceptance-only bodies: (params, seed) -> checks, not in EXPERIMENTS
+# ---------------------------------------------------------------------------
+
+def _random_unit(rng):
+    v = rng.normal(size=3)
+    return v / np.linalg.norm(v)
+
+
+def _random_bloch(rng):
+    return _random_unit(rng) * rng.uniform(0.0, 1.0)
+
+
+def _random_observables(rng, k):
+    return [observables.TwoLevelObservable(_random_unit(rng)) for _ in range(k)]
+
+
+def _expectation_law(params, seed):
+    """The ensemble average equals the trace rule on random grid ensembles."""
+    rng = np.random.default_rng(seed)
+    worst, n_points = 0.0, None
+    for _ in range(params["n_ensembles"]):
+        axis, kappa = _random_unit(rng), rng.uniform(0.0, 3.0)
+        ens = manifolds.grid_ensemble(params["resolution"], lambda pts: np.exp(kappa * (pts @ axis)))
+        n_points, e = len(ens), _random_unit(rng)
+        rho = qmatrix.density_from_bloch(manifolds.reduce_ensemble(ens).rho)
+        oracle = qmatrix.qm_expectation(qmatrix.operator_from_direction(e), rho)
+        worst = max(worst, abs(float(ens.probs @ (ens.points @ e)) - oracle))
+    return [
+        _tol_check("max |sum p (e.f) - tr(A rho)|", worst, 0.0, 1e-12),
+        Check("grid has at least 2048 points", n_points >= 2048, float(n_points), 2048.0, 0.0),
+    ]
+
+
+def _conditional_2pt(params, seed):
+    """The conditional 2-point construction equals the anticommutator value, symmetrically."""
+    rng = np.random.default_rng(seed)
+    worst_eq = worst_sym = 0.0
+    for _ in range(params["n_trials"]):
+        a, b = _random_observables(rng, 2)
+        rho_vec = _random_bloch(rng)
+        val = correlations.conditional_correlation_2pt(a, b, rho_vec)
+        oracle = qmatrix.anticommutator_expectation(
+            observables.operator_of(a), observables.operator_of(b), qmatrix.density_from_bloch(rho_vec))
+        worst_eq = max(worst_eq, abs(val - oracle))
+        worst_sym = max(worst_sym, abs(val - correlations.conditional_correlation_2pt(b, a, rho_vec)))
+    return [
+        _tol_check("max |construction - tr({A,B}rho)/2|", worst_eq, 0.0, 1e-12),
+        _tol_check("max asymmetry under A <-> B", worst_sym, 0.0, 1e-12),
+    ]
+
+
+def _conditional_3pt(params, seed):
+    """The conditional 3-point oracle equality, plus the exact orthogonal-spin identity."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(params["n_trials"]):
+        obs = _random_observables(rng, 3)
+        rho_vec = _random_bloch(rng)
+        val = correlations.conditional_correlation_3pt(*obs, rho_vec)
+        oracle = qmatrix.nested_anticommutator_expectation(
+            *map(observables.operator_of, obs), qmatrix.density_from_bloch(rho_vec))
+        worst = max(worst, abs(val - oracle))
+    spins = [observables.basis_spin(k) for k in (1, 2, 3)]
+    cp = correlations.conditional_product
+    products = [(k, l, m, cp(cp(spins[k], spins[l]), spins[m]))
+                for k, l, m in itertools.product(range(3), repeat=3)]
+    mismatches = 0
+    for _ in range(params["n_rho"]):
+        rho_vec = _random_bloch(rng)
+        for k, l, m, prod in products:
+            mismatches += int(observables.expectation(prod, rho_vec) != (rho_vec[m] if k == l else 0.0))
+    return [
+        _tol_check("max |expr - tr({{A,B},C}rho)/4|", worst, 0.0, 1e-12),
+        _exact_check("(k, l, m, rho) breaking delta_kl rho_m", mismatches, 0),
+    ]
+
+
+def _mc_convergence(params, seed):
+    """Monte Carlo chains within 5 standard errors of their closed forms; a repeated chain exact."""
+    rng, n = np.random.default_rng(seed), params["n_samples"]
+    checks = []
+    for trial in range(3):
+        a, b, c = _random_observables(rng, 3)
+        rho_vec = _random_bloch(rng)
+        for chain, closed in (([a, b], correlations.conditional_correlation_2pt(a, b, rho_vec)),
+                              ([a, b, c], correlations.conditional_correlation_3pt(a, b, c, rho_vec))):
+            est = correlations.simulate_sequences(chain, rho_vec, n, seed + trial)
+            checks.append(_stderr_check(f"trial {trial} {len(chain)}-chain within 5 standard errors",
+                                        est, closed))
+    a = observables.TwoLevelObservable(np.array([1.0, 0.0, 0.0]))
+    rep = correlations.simulate_sequences([a, a], _random_bloch(np.random.default_rng(seed + 99)), n, seed)
+    return checks + [
+        _exact_check("repeated chain value", rep.value, 1.0),
+        _exact_check("repeated chain standard error", rep.stderr, 0.0),
+    ]
+
+
+def _four_state(params, seed):
+    """Entangled-state values, the interference check, the rotated correlation, exchange classes."""
+    rho_m = fourstate.entangled_state(-1)
+    t_vals = [qmatrix.qm_expectation(qmatrix.l_operator(m), rho_m) for m in (1, 2, 3)]
+    table = fourstate.outcomes_from_t(*t_vals)
+    checks = [_exact_check(f"T{m} of the entangled state", t, want)
+              for m, t, want in zip((1, 2, 3), t_vals, (0.0, 0.0, -1.0))]
+    checks += [_exact_check(f"weight w_{k}", getattr(table, f"w_{k}"), want)
+               for k, want in (("pm", 0.5), ("mp", 0.5), ("pp", 0.0), ("mm", 0.0))]
+    rng, bloch = np.random.default_rng(seed), fourstate.entangled_bloch(-1)
+    worst = 0.0
+    for _ in range(params["n_angles"]):
+        th, ph = rng.uniform(0.0, 2.0 * math.pi, size=2)
+        worst = max(worst, abs(fourstate.rotated_spin_correlation(th, ph, bloch) + math.cos(th - ph)))
+    psi_m, psi_p = fourstate.entangled_psi(-1), fourstate.entangled_psi(1)
+    mixed = (psi_m + psi_p) / np.linalg.norm(psi_m + psi_p)
+    classes = [fourstate.is_exchange_symmetric(psi) for psi in
+               (psi_m, psi_p, fourstate.basis_psi(1), fourstate.basis_psi(4), mixed)]
+    return checks + _interference({}, 0)[3] + [
+        _tol_check("max |corr + cos(theta - phi)|", worst, 0.0, 1e-12),
+        _exact_check("exchange classes of psi-, psi+, basis 1, basis 4, mixed",
+                     classes == ["fermionic", "bosonic", "bosonic", "bosonic", "forbidden"], True),
+    ]
+
+
+def _cartesian_identities(params, seed):
+    """The purity polynomial on random ensembles, and the cartesian-spins results tested exactly."""
+    p = np.random.default_rng(seed).random((params["n_random"], 8))
+    p = p / p.sum(axis=1, keepdims=True)
+    spin_means = p @ np.array(finite.SPIN_VALUES, dtype=float).T
+    poly_err = float(np.abs(finite.cartesian_purity(p) - (spin_means ** 2).sum(axis=1)).max())
+    res = _cartesian_spins({}, seed)[2]
+    return [
+        _tol_check("max |poly - sum <S>^2|", poly_err, 0.0, 1e-12),
+        _exact_check("scenario purity before", res["purity_before"], Fraction(1, 3)),
+        _exact_check("classical-rule purity", res["purity_classical"], 3),
+        _exact_check("classical rule flagged", res["classical_flagged"], True),
+        _exact_check("quantum-rule purity", res["purity_quantum"], 1),
+        _exact_check("quantum pair sums all 1/2",
+                     all(s == Fraction(1, 2) for s in res["pair_sums"]), True),
+    ]
+
+
+def _reduction_identities(params, seed):
+    """Integrating out the environment leaves every expectation of an exact Z_8 system as it is."""
+    rng = np.random.default_rng(seed)
+    changed = 0
+    for _ in range(50):
+        raw = [Fraction(int(x), 64) for x in rng.integers(0, 9, size=8)]
+        raw[-1] = 1 - sum(raw[:-1])
+        if raw[-1] < 0:
+            continue
+        sys8 = finite.zn_system(8, probs=tuple(raw), exact=True)
+        alpha, beta = (Fraction(int(rng.integers(-3, 4)), 4) for _ in range(2))
+        changed += sys8.expectations() != finite.integrate_out(sys8, alpha, beta).expectations()
+    return [_exact_check("reductions changing an expectation", changed, 0)]
 
 
 EXPERIMENTS = {

@@ -156,8 +156,9 @@ class FiniteSpinSystem:
     signed: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "state_angles", tuple(int(a) % self.n_positions for a in self.state_angles))
-        object.__setattr__(self, "observable_angles", tuple(int(a) % self.n_positions for a in self.observable_angles))
+        for name in ("state_angles", "observable_angles"):   # whole indices, reduced mod N
+            object.__setattr__(self, name, tuple(check_count(a, name, lo=-math.inf) % self.n_positions
+                                                 for a in getattr(self, name)))
         object.__setattr__(self, "probs", tuple(self.probs))
         if len(self.probs) != len(self.state_angles):
             raise ValueError("probs and state_angles lengths differ")

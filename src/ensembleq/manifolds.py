@@ -27,6 +27,7 @@ from .validate import (
     as_float_array,
     check_count,
     check_probabilities,
+    check_real,
     check_unit_vector,
     freeze,
 )
@@ -72,6 +73,7 @@ def microstate_s1(angle: float | None = None, f=None) -> MicroState:
     if (angle is None) == (f is None):
         raise ValueError("give exactly one of angle or f")
     if angle is not None:
+        angle = check_real(angle, "angle")
         vec = np.array([math.cos(angle), math.sin(angle), 0.0])
     else:
         two = check_unit_vector(f, "f")
@@ -94,7 +96,7 @@ def microstate_four(psi) -> MicroState:
     if psi.shape != (4,):
         raise ValueError("four-state wave function must have 4 components")
     nrm = float(np.linalg.norm(psi))
-    if abs(nrm - 1.0) > 1e-12:
+    if not abs(nrm - 1.0) <= 1e-12:   # written so that a NaN norm fails
         raise ConstraintViolation(f"wave function not normalised: |psi| = {nrm!r}")
     return MicroState("four", qmatrix.bloch_from_psi(psi), psi=psi)
 

@@ -11,19 +11,7 @@ import numpy as np
 import pytest
 
 from ensembleq import acceptance, experiments
-from ensembleq.acceptance import (
-    basis_audit,
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-    criterion_10,
-)
+from ensembleq.acceptance import CRITERIA, basis_audit
 
 
 def _report(result, budget=None):
@@ -35,43 +23,43 @@ def _report(result, budget=None):
 
 
 def test_criterion_1_expectation_law():
-    _report(criterion_1(), budget=10.0)
+    _report(CRITERIA["c1"](), budget=10.0)
 
 
 def test_criterion_2_conditional_2pt():
-    _report(criterion_2(), budget=5.0)
+    _report(CRITERIA["c2"](), budget=5.0)
 
 
 def test_criterion_3_conditional_3pt():
-    _report(criterion_3())
+    _report(CRITERIA["c3"]())
 
 
 def test_criterion_4_monte_carlo():
-    _report(criterion_4(), budget=60.0)
+    _report(CRITERIA["c4"](), budget=60.0)
 
 
 def test_criterion_5_bell():
-    _report(criterion_5(), budget=30.0)
+    _report(CRITERIA["c5"](), budget=30.0)
 
 
 def test_criterion_6_unitary_dynamics():
-    _report(criterion_6())
+    _report(CRITERIA["c6"]())
 
 
 def test_criterion_7_open_dynamics():
-    _report(criterion_7())
+    _report(CRITERIA["c7"]())
 
 
 def test_criterion_8_four_state():
-    _report(criterion_8())
+    _report(CRITERIA["c8"]())
 
 
 def test_criterion_9_cartesian_spins():
-    _report(criterion_9())
+    _report(CRITERIA["c9"]())
 
 
 def test_criterion_10_pseudo_quantum():
-    _report(criterion_10())
+    _report(CRITERIA["c10"]())
 
 
 def test_basis_audit_positive():
@@ -83,7 +71,7 @@ def test_basis_audit_negative_control():
 
     corrupted = np.array(L_BASIS)
     corrupted[7, 0, 1] = 0.3
-    result = basis_audit(corrupted)
+    result = basis_audit(basis=corrupted)
     assert not result.passed            # reported, not raised
     assert "deviation" in result.detail
 
@@ -92,7 +80,7 @@ def test_monte_carlo_seed_variation():
     # statistical control: the Monte Carlo criterion stays within 5 sigma
     # across fresh streams
     for seed in range(10):
-        result = criterion_4(seed=1000 + seed, n_samples=100_000)
+        result = CRITERIA["c4"](seed=1000 + seed, n_samples=100_000)
         assert result.passed, result.detail
 
 
@@ -108,11 +96,11 @@ def _report_checks(name, tmp_path):
 
 
 def test_criterion_6_is_the_precession_report(tmp_path):
-    assert criterion_6().checks == _report_checks("precession", tmp_path)
+    assert CRITERIA["c6"]().checks == _report_checks("precession", tmp_path)
 
 
 def test_criterion_7_contains_decoherence_and_syncoherence(tmp_path):
-    checks = criterion_7().checks
+    checks = CRITERIA["c7"]().checks
     for name in ("decoherence", "syncoherence"):
         shared = _report_checks(name, tmp_path)
         assert shared and all(c in checks for c in shared), name
@@ -131,3 +119,102 @@ def test_criterion_checks_are_named_and_bounded(cid):
     names = [c.name for c in result.checks]
     assert names and len(set(names)) == len(names)
     assert all(math.isfinite(c.tolerance) and c.tolerance >= 0 for c in result.checks)
+
+
+# every criterion's checks in order, as (name, tolerance) at the _SMALL budgets;
+# c4's tolerances are 5 standard errors of its seeded estimates
+PINNED_CHECKS = {
+    "basis": [
+        ('max identity deviation', 1e-12),
+    ],
+    "c1": [
+        ('max |sum p (e.f) - tr(A rho)|', 1e-12),
+        ('grid has at least 2048 points', 0.0),
+    ],
+    "c2": [
+        ('max |construction - tr({A,B}rho)/2|', 1e-12),
+        ('max asymmetry under A <-> B', 1e-12),
+    ],
+    "c3": [
+        ('max |expr - tr({{A,B},C}rho)/4|', 1e-12),
+        ('(k, l, m, rho) breaking delta_kl rho_m', 0.0),
+    ],
+    "c4": [
+        ('trial 0 2-chain within 5 standard errors', 0.1558354410417755),
+        ('trial 0 3-chain within 5 standard errors', 0.15817749561843533),
+        ('trial 1 2-chain within 5 standard errors', 0.07024624213817086),
+        ('trial 1 3-chain within 5 standard errors', 0.1580397942816194),
+        ('trial 2 2-chain within 5 standard errors', 0.14205696104091547),
+        ('trial 2 3-chain within 5 standard errors', 0.15543249100255474),
+        ('repeated chain value', 0.0),
+        ('repeated chain standard error', 0.0),
+    ],
+    "c5": [
+        ('correlator equals -cos(theta1-theta2)', 1e-12),
+        ('violation at (pi/2, pi/4)', 1e-09),
+        ('classical correlators satisfy the inequality', 0.0),
+        ('lhs at (pi/2, pi/4)', 5e-06),
+        ('rhs at (pi/2, pi/4)', 5e-06),
+    ],
+    "c6": [
+        ('trajectory equals (cos 2wt, sin 2wt, 0)', 1e-08),
+        ('purity drift', 1e-10),
+        ('Hamiltonian recovered from the rotation', 1e-08),
+    ],
+    "c7": [
+        ('rho_k(t) equals rho_k(0) exp(D t)', 1e-08),
+        ('P(t) equals P(0) exp(2 D t)', 1e-08),
+        ('flow matches the two-exponential closed form (rel)', 1e-06),
+        ('eps1 of (a, b) = (3, 2)', 0.0),
+        ('eps2 of (a, b) = (3, 2)', 0.0),
+    ],
+    "c8": [
+        ('T1 of the entangled state', 0.0),
+        ('T2 of the entangled state', 0.0),
+        ('T3 of the entangled state', 0.0),
+        ('weight w_pm', 0.0),
+        ('weight w_mp', 0.0),
+        ('weight w_pp', 0.0),
+        ('weight w_mm', 0.0),
+        ('<T2> equals cos(delta t)', 1e-06),
+        ('max |corr + cos(theta - phi)|', 1e-12),
+        ('exchange classes of psi-, psi+, basis 1, basis 4, mixed', 0.0),
+    ],
+    "c9": [
+        ('max |poly - sum <S>^2|', 1e-12),
+        ('scenario purity before', 0.0),
+        ('classical-rule purity', 0.0),
+        ('classical rule flagged', 0.0),
+        ('quantum-rule purity', 0.0),
+        ('quantum pair sums all 1/2', 0.0),
+    ],
+    "c10": [
+        ('N=4 summed-mean bound equals 1', 0.0),
+        ('inradius equals cos(pi/N)', 1e-12),
+        ('most negative effective weight', 0.0),
+        ('alpha=beta=1 nonnegative weights cost total sqrt(2)', 0.0),
+        ('reductions changing an expectation', 0.0),
+    ],
+}
+
+
+def test_every_criterion_keeps_its_checks():
+    assert list(PINNED_CHECKS) == ["basis", *acceptance.CRITERIA]
+    for cid, pinned in PINNED_CHECKS.items():
+        fn = basis_audit if cid == "basis" else acceptance.CRITERIA[cid]
+        got = [(c.name, c.tolerance) for c in fn(**_SMALL.get(cid, {})).checks]
+        assert [name for name, _ in got] == [name for name, _ in pinned], cid
+        assert [tol for _, tol in got] == pytest.approx([tol for _, tol in pinned], rel=1e-12, abs=0), cid
+
+
+@pytest.mark.parametrize("seed", [True, 1.5, -1])
+def test_run_all_rejects_a_bad_seed_before_running(monkeypatch, seed):
+    # True ran as seed 1 and 1.5 failed inside c4 with numpy's TypeError
+    def must_not_run(**kwargs):
+        raise AssertionError("a criterion ran")
+
+    monkeypatch.setattr(acceptance, "basis_audit", must_not_run)
+    for cid in acceptance.CRITERIA:
+        monkeypatch.setitem(acceptance.CRITERIA, cid, must_not_run)
+    with pytest.raises(experiments.ConfigError, match="seed"):
+        acceptance.run_all(seed=seed)

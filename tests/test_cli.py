@@ -84,12 +84,14 @@ def test_invalid_parameter_value(tmp_path):
     ("bell-sweep", {"classical_trials": 1e12}),
     ("mc-sequences", {"n": 1e15}),
     ("pseudo-quantum-region", {"sizes": [100000000]}),
+    ("pseudo-quantum-region", {"sizes": [4096] * 100000}),
 ], ids=["bad-rate", "unbounded-span", "unknown-key", "negative-trials", "zero-trials",
         "too-many-jobs", "fractional-steps", "fractional-trials", "fractional-n",
         "fractional-jobs", "bool-trials", "fractional-size", "size-not-multiple-of-4",
         "zero-size", "fractional-grid", "oversized-grid", "nan-probs", "overflowing-span",
         "bool-b", "bool-omega", "bool-delta", "bool-angles", "bool-dt", "nan-d", "nan-p0",
-        "oversized-steps", "oversized-trials", "oversized-n", "oversized-size"])
+        "oversized-steps", "oversized-trials", "oversized-n", "oversized-size",
+        "too-many-sizes"])
 def test_config_error_writes_no_files(tmp_path, name, params):
     # parameters, integration and checks all run before a file is opened
     with pytest.raises(ConfigError):
@@ -230,8 +232,9 @@ def test_verify_prints_failing_checks(capsys, monkeypatch):
     from ensembleq import acceptance
     from ensembleq.experiments import Check
 
-    failing = acceptance._criterion("c9", "stub", register=False)(
-        lambda: [Check("held", True, 0.0, 0.0, 0.0), Check("broken", False, 2.0, 1.0, 0.5)])
+    failing = acceptance._criterion(
+        "c9", "stub",
+        lambda params, seed: [Check("held", True, 0.0, 0.0, 0.0), Check("broken", False, 2.0, 1.0, 0.5)])
     monkeypatch.setitem(acceptance.CRITERIA, "c9", failing)
     assert main(["verify", "--criteria", "c9"]) == 1
     out = capsys.readouterr().out

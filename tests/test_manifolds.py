@@ -109,6 +109,17 @@ class TestValidation:
         with pytest.raises(ConstraintViolation):
             microstate_four(np.array([1.0, 1.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("build", [
+        lambda: microstate_s1(angle=math.nan),
+        lambda: microstate_s1(angle=math.inf),
+        lambda: microstate_four([math.nan, 0.0, 0.0, 1.0]),
+    ], ids=["s1-nan-angle", "s1-inf-angle", "four-nan-entry"])
+    def test_non_finite_micro_state_rejected_at_construction(self, build):
+        # both were caught only when put into an Ensemble, and a NaN norm
+        # passed the four-state normalisation test
+        with pytest.raises(ValueError):
+            build()
+
     def test_manifold_mixing_rejected(self):
         with pytest.raises(ValueError):
             Ensemble.from_states([microstate_s2([0, 0, 1.0]), microstate_s1(angle=0.0)], [0.5, 0.5])

@@ -46,6 +46,9 @@ COUNT_ENTRY_POINTS = {
     "interference_trajectory": (lambda n: interference_trajectory(1.0, 1.0, n), 64),
     "moment": (lambda n: moment(basis_spin(3), grid_ensemble(4), n), 3),
     "zn_system": (zn_system, 8),
+    "zn_system-observable_angles": (lambda n: zn_system(8, observable_angles=(0, n)).observable_angles, 2),
+    "FiniteSpinSystem-state_angles": (
+        lambda n: FiniteSpinSystem(4, (0, 1, 2, n), (0.25,) * 4, (0, 1)).state_angles, 3),
     "symmetrized_hidden_ensemble": (
         lambda n: symmetrized_hidden_ensemble(np.random.default_rng(0), order=n).points, 5),
     "bell-sweep-steps": (lambda n: _body("bell-sweep", steps=n, classical_trials=3), 4),
@@ -66,6 +69,14 @@ def test_every_count_entry_point_takes_whole_numbers_only(entry):
         with pytest.raises(ValueError, match="integer"):
             call(bad)
     np.testing.assert_equal(call(float(whole)), call(whole))
+
+
+def test_angle_indices_are_whole_and_reduce_mod_n():
+    # a fractional index was truncated: observable_angles=(0.5, 2.7) built (0, 2)
+    with pytest.raises(ValueError, match="observable_angles must be an integer, got 0.5"):
+        zn_system(8, observable_angles=(0.5, 2.7))
+    system = FiniteSpinSystem(8, (-1, 9.0, np.int64(-8)), (0.5, 0.25, 0.25), (-2, 10))
+    assert system.state_angles == (7, 1, 0) and system.observable_angles == (6, 2)
 
 
 @settings(max_examples=200, deadline=None)
