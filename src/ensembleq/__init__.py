@@ -67,17 +67,6 @@ from .dynamics import (
     syncoherence_flow,
     unitary_step,
 )
-from .finite import (
-    CartesianSpinEnsemble,
-    FiniteSpinSystem,
-    cartesian_measure_sz,
-    cartesian_purity,
-    integrate_out,
-    realizable_region_check,
-    reduce_to_rho,
-    zn_step_evolution,
-    zn_system,
-)
 from .fourstate import (
     BellCheck,
     OutcomeTable,
@@ -95,6 +84,18 @@ from .fourstate import (
 from .validate import ConstraintViolation, DimensionMismatch
 
 __version__ = "0.1.0"
+
+# The exact finite systems (and the fractions module they use) load on first
+# use of one of these names, not when the package is imported.
+_FINITE = {"CartesianSpinEnsemble", "FiniteSpinSystem", "cartesian_measure_sz", "cartesian_purity",
+           "integrate_out", "realizable_region_check", "reduce_to_rho", "zn_step_evolution", "zn_system"}
+
+
+def __getattr__(name):
+    if name in _FINITE:
+        from . import finite
+        return getattr(finite, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BellCheck", "BlochState", "CartesianSpinEnsemble", "ConstraintViolation",

@@ -11,18 +11,17 @@ module, and its ``seed`` reseeds only the reseeded rows (c4 and c5).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from . import experiments, qmatrix
 from .experiments import ConfigError, _exact_check, _merge_params, _tol_check
+from .validate import ValueRecord
 
 
-@dataclass
-class CriterionResult:
-    cid: str
-    name: str
-    checks: list
-    seconds: float
+class CriterionResult(ValueRecord):
+    __slots__ = ("cid", "name", "checks", "seconds")
+
+    def __init__(self, cid: str, name: str, checks: list, seconds: float):
+        self._set(cid, name, checks, seconds)
 
     @property
     def passed(self) -> bool:

@@ -23,7 +23,6 @@ measured first, so the list reads like the product A o B o C.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from .observables import (
     has_eigenstates,
     operator_of,
 )
-from .validate import ConstraintViolation, DimensionMismatch, as_float_array, check_count
+from .validate import ConstraintViolation, DimensionMismatch, ValueRecord, as_float_array, check_count
 
 _SNAP = 1e-12
 # measurement_chain enumerates 2^m branches, and four-state level i keeps up to
@@ -217,15 +216,17 @@ def sequence_probabilities(a, b, state) -> dict[str, float]:
     return out
 
 
-@dataclass(frozen=True)
-class WeightedEigenstateSum:
+class WeightedEigenstateSum(ValueRecord):
     """Signed combination of eigenstate density matrices from a measurement chain.
 
     The trace of the signed sum equals the conditional correlation of the
     measured sequence.
     """
 
-    terms: tuple
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple):
+        self._set(terms)
 
     def signed_sum(self) -> np.ndarray:
         if not self.terms:
@@ -285,9 +286,13 @@ def _chain(observables, state, terms: bool):
             states = eigen
         elif i < m - 1 or terms:
             # P rho P / p, or the canonical eigenspace state P / tr P for p = 0
+            # in one (k, 2, d, d) buffer: the level holds no other array of that size
             live = (probs > 0.0)[..., None, None]
-            reduced = left @ projs / np.where(live, probs[..., None, None], 1.0)
-            states = np.where(live, reduced, eigen).reshape((2 * k,) + rho.shape)
+            reduced = left @ projs
+            del left
+            reduced /= np.where(live, probs[..., None, None], 1.0)
+            np.copyto(reduced, eigen, where=~live)
+            states = reduced.reshape((2 * k,) + rho.shape)
         levels.append((probs, succ))
     return levels, states
 
@@ -344,12 +349,11 @@ def classical_correlation(dir_a, dir_b, substates: SubstateEnsemble) -> float:
 # Monte Carlo simulation of measurement sequences
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SequenceEstimate:
-    value: float
-    stderr: float
-    n: int
-    seed: int
+class SequenceEstimate(ValueRecord):
+    __slots__ = ("value", "stderr", "n", "seed")
+
+    def __init__(self, value: float, stderr: float, n: int, seed: int):
+        self._set(value, stderr, n, seed)
 
 
 def _walk(levels, u) -> np.ndarray:

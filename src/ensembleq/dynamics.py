@@ -17,40 +17,37 @@ trajectory (purity above one) abort loudly; nothing is clamped or projected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import qmatrix
 from .manifolds import BlochState, Ensemble
 from .qmatrix import LEVI, PAULI
-from .validate import ConstraintViolation, as_float_array, check_probabilities, check_real, check_rotation, freeze
+from .validate import (ConstraintViolation, Record, ValueRecord, as_float_array, check_probabilities,
+                       check_real, check_rotation, freeze)
 
 MAX_STEPS = 2**20
 
 
-@dataclass(frozen=True, eq=False)
-class Hamiltonian:
+class Hamiltonian(Record):
     """H = h_k tau_k + h0 for the two-state system, or an explicit matrix."""
 
-    hk: np.ndarray
-    h0: float = 0.0
+    __slots__ = ("hk", "h0")
 
-    def __post_init__(self):
-        arr = np.asarray(self.hk)
+    def __init__(self, hk: np.ndarray, h0: float = 0.0):
+        arr = np.asarray(hk)
         if arr.ndim == 2:
             if not np.isfinite(arr).all():
                 raise ValueError("Hamiltonian matrix contains non-finite entries")
             if np.abs(arr - arr.conj().T).max() > 1e-12:
                 raise ConstraintViolation("Hamiltonian matrix is not Hermitian")
-            object.__setattr__(self, "hk", freeze(arr.astype(complex), copy=False))
+            arr = freeze(arr.astype(complex), copy=False)
         else:
-            vec = as_float_array(arr, "hk")
-            if vec.shape != (3,):
+            arr = as_float_array(arr, "hk")
+            if arr.shape != (3,):
                 raise ValueError("component form must be a real 3-vector")
-            object.__setattr__(self, "hk", freeze(vec))
-        object.__setattr__(self, "h0", check_real(self.h0, "h0"))
+            arr = freeze(arr)
+        self._set(arr, check_real(h0, "h0"))
 
     def matrix(self) -> np.ndarray:
         if self.hk.ndim == 2:
@@ -67,30 +64,30 @@ def _as_hamiltonian(h) -> Hamiltonian:
     return Hamiltonian(as_float_array(arr, "H"))
 
 
-@dataclass(frozen=True, eq=False)
-class ReducedTransition:
+class ReducedTransition(Record):
     """Linear map rho(t1) -> rho(t2) of reduced states."""
 
-    matrix: np.ndarray
+    __slots__ = ("matrix",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", freeze(as_float_array(self.matrix, "S")))
+    def __init__(self, matrix: np.ndarray):
+        self._set(freeze(as_float_array(matrix, "S")))
 
     def apply(self, state) -> BlochState:
         vec = as_float_array(getattr(state, "rho", state), "rho")
         return BlochState(self.matrix @ vec)
 
 
-@dataclass(frozen=True)
-class FlowParams:
+class FlowParams(ValueRecord):
     """Coefficients of the linearised purity flow near the pure fixed point.
 
     d(1-P)/dt = -D and dD/dt = -a D + b (1-P); the fixed-point regime needs
     a > 0 and 0 < b < a^2/4, giving decay rates (a +- sqrt(a^2-4b))/2.
     """
 
-    a: float
-    b: float
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: float, b: float):
+        self._set(a, b)
 
     @property
     def rates(self) -> tuple[float, float]:
@@ -114,8 +111,7 @@ def _purity(bloch: np.ndarray) -> np.ndarray:
     return total
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
+class Trajectory(Record):
     """A fixed-step run: the sample times and what the integrator produced there.
 
     ``integrate_bloch`` and ``syncoherence_flow`` store ``components``;
@@ -126,17 +122,18 @@ class Trajectory:
     read and kept.
     """
 
-    times: np.ndarray
-    components: np.ndarray | None = None
-    matrices: np.ndarray | None = None
-    d_values: np.ndarray | None = None
+    __slots__ = ("times", "components", "matrices", "d_values", "_bloch")
 
-    @cached_property
+    def __init__(self, times: np.ndarray, components: np.ndarray | None = None,
+                 matrices: np.ndarray | None = None, d_values: np.ndarray | None = None):
+        self._set(times, components, matrices, d_values, components)
+
+    @property
     def bloch(self) -> np.ndarray:
-        if self.components is not None:
-            return self.components
-        basis = PAULI if self.matrices.shape[1] == 2 else qmatrix.L_BASIS
-        return np.einsum("kij,nji->nk", basis, self.matrices).real.copy()
+        if self._bloch is None:
+            basis = PAULI if self.matrices.shape[1] == 2 else qmatrix.L_BASIS
+            object.__setattr__(self, "_bloch", np.einsum("kij,nji->nk", basis, self.matrices).real.copy())
+        return self._bloch
 
     @property
     def purity(self) -> np.ndarray:

@@ -13,15 +13,15 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from . import correlations, dynamics, finite, fourstate, manifolds, observables, qmatrix
+# finite (and with it fractions) is imported in the four bodies that use it, so
+# that importing the package loads neither
+from . import correlations, dynamics, fourstate, manifolds, observables, qmatrix
 from .reporting import write_csv, write_json
-from .validate import check_count, check_real
+from .validate import ValueRecord, check_count, check_real
 
 # count limits: steps^2 grid rows <= MAX_STEPS (about 30 s of Bell checks); a
 # classical trial draws one ensemble in about 0.2 ms, so MAX_STEPS of them take
@@ -36,21 +36,18 @@ class ConfigError(ValueError):
     """Invalid experiment name or parameter."""
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    experiment: str
-    params: dict = field(default_factory=dict)
-    seed: int = 0
-    out_dir: str = "."
+class ExperimentConfig(ValueRecord):
+    __slots__ = ("experiment", "params", "seed", "out_dir")
+
+    def __init__(self, experiment: str, params: dict | None = None, seed: int = 0, out_dir: str = "."):
+        self._set(experiment, {} if params is None else params, seed, out_dir)
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    passed: bool
-    value: float
-    reference: float
-    tolerance: float
+class Check(ValueRecord):
+    __slots__ = ("name", "passed", "value", "reference", "tolerance")
+
+    def __init__(self, name: str, passed: bool, value: float, reference: float, tolerance: float):
+        self._set(name, passed, value, reference, tolerance)
 
     def as_dict(self):
         return {
@@ -66,12 +63,11 @@ class Check:
                 f" (tol {self.tolerance:g})")
 
 
-@dataclass
-class RunReport:
-    config: ExperimentConfig
-    results: dict
-    checks: list
-    wall_time: float = 0.0
+class RunReport(ValueRecord):
+    __slots__ = ("config", "results", "checks", "wall_time")
+
+    def __init__(self, config: ExperimentConfig, results: dict, checks: list, wall_time: float = 0.0):
+        self._set(config, results, checks, wall_time)
 
     @property
     def passed(self) -> bool:
@@ -245,6 +241,8 @@ def _precession(params, seed):
 
 
 def _cartesian_spins(params, seed):
+    from fractions import Fraction
+    from . import finite
     p = _merge_params({"probs": None, "free_p1": None}, params, "cartesian-spins")
     if p["probs"] is None:
         third = Fraction(1, 3)
@@ -281,6 +279,8 @@ def _cartesian_spins(params, seed):
 
 
 def _pseudo_quantum_region(params, seed):
+    from fractions import Fraction
+    from . import finite
     p = _merge_params({"sizes": [4, 8, 16, 32, 64]}, params, "pseudo-quantum-region")
     sizes = [check_count(n, "sizes", lo=4, hi=MAX_POLYGON_SIZE) for n in p["sizes"]]
     if any(n % 4 for n in sizes):
@@ -389,11 +389,13 @@ def _random_observables(rng, k):
 
 def _expectation_law(params, seed):
     """The ensemble average equals the trace rule on random grid ensembles."""
+    n_ensembles = check_count(params["n_ensembles"], "n_ensembles", lo=1)
+    resolution = check_count(params["resolution"], "resolution", lo=1)
     rng = np.random.default_rng(seed)
     worst, n_points = 0.0, None
-    for _ in range(params["n_ensembles"]):
+    for _ in range(n_ensembles):
         axis, kappa = _random_unit(rng), rng.uniform(0.0, 3.0)
-        ens = manifolds.grid_ensemble(params["resolution"], lambda pts: np.exp(kappa * (pts @ axis)))
+        ens = manifolds.grid_ensemble(resolution, lambda pts: np.exp(kappa * (pts @ axis)))
         n_points, e = len(ens), _random_unit(rng)
         rho = qmatrix.density_from_bloch(manifolds.reduce_ensemble(ens).rho)
         oracle = qmatrix.qm_expectation(qmatrix.operator_from_direction(e), rho)
@@ -408,7 +410,7 @@ def _conditional_2pt(params, seed):
     """The conditional 2-point construction equals the anticommutator value, symmetrically."""
     rng = np.random.default_rng(seed)
     worst_eq = worst_sym = 0.0
-    for _ in range(params["n_trials"]):
+    for _ in range(check_count(params["n_trials"], "n_trials", lo=1)):
         a, b = _random_observables(rng, 2)
         rho_vec = _random_bloch(rng)
         val = correlations.conditional_correlation_2pt(a, b, rho_vec)
@@ -424,9 +426,10 @@ def _conditional_2pt(params, seed):
 
 def _conditional_3pt(params, seed):
     """The conditional 3-point oracle equality, plus the exact orthogonal-spin identity."""
+    n_trials, n_rho = (check_count(params[k], k, lo=1) for k in ("n_trials", "n_rho"))
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(params["n_trials"]):
+    for _ in range(n_trials):
         obs = _random_observables(rng, 3)
         rho_vec = _random_bloch(rng)
         val = correlations.conditional_correlation_3pt(*obs, rho_vec)
@@ -438,7 +441,7 @@ def _conditional_3pt(params, seed):
     products = [(k, l, m, cp(cp(spins[k], spins[l]), spins[m]))
                 for k, l, m in itertools.product(range(3), repeat=3)]
     mismatches = 0
-    for _ in range(params["n_rho"]):
+    for _ in range(n_rho):
         rho_vec = _random_bloch(rng)
         for k, l, m, prod in products:
             mismatches += int(observables.expectation(prod, rho_vec) != (rho_vec[m] if k == l else 0.0))
@@ -450,7 +453,7 @@ def _conditional_3pt(params, seed):
 
 def _mc_convergence(params, seed):
     """Monte Carlo chains within 5 standard errors of their closed forms; a repeated chain exact."""
-    rng, n = np.random.default_rng(seed), params["n_samples"]
+    rng, n = np.random.default_rng(seed), check_count(params["n_samples"], "n_samples", lo=1)
     checks = []
     for trial in range(3):
         a, b, c = _random_observables(rng, 3)
@@ -479,7 +482,7 @@ def _four_state(params, seed):
                for k, want in (("pm", 0.5), ("mp", 0.5), ("pp", 0.0), ("mm", 0.0))]
     rng, bloch = np.random.default_rng(seed), fourstate.entangled_bloch(-1)
     worst = 0.0
-    for _ in range(params["n_angles"]):
+    for _ in range(check_count(params["n_angles"], "n_angles", lo=1)):
         th, ph = rng.uniform(0.0, 2.0 * math.pi, size=2)
         worst = max(worst, abs(fourstate.rotated_spin_correlation(th, ph, bloch) + math.cos(th - ph)))
     psi_m, psi_p = fourstate.entangled_psi(-1), fourstate.entangled_psi(1)
@@ -495,7 +498,9 @@ def _four_state(params, seed):
 
 def _cartesian_identities(params, seed):
     """The purity polynomial on random ensembles, and the cartesian-spins results tested exactly."""
-    p = np.random.default_rng(seed).random((params["n_random"], 8))
+    from fractions import Fraction
+    from . import finite
+    p = np.random.default_rng(seed).random((check_count(params["n_random"], "n_random", lo=1), 8))
     p = p / p.sum(axis=1, keepdims=True)
     spin_means = p @ np.array(finite.SPIN_VALUES, dtype=float).T
     poly_err = float(np.abs(finite.cartesian_purity(p) - (spin_means ** 2).sum(axis=1)).max())
@@ -513,6 +518,8 @@ def _cartesian_identities(params, seed):
 
 def _reduction_identities(params, seed):
     """Integrating out the environment leaves every expectation of an exact Z_8 system as it is."""
+    from fractions import Fraction
+    from . import finite
     rng = np.random.default_rng(seed)
     changed = 0
     for _ in range(50):

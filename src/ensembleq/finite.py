@@ -14,25 +14,21 @@ floating-point rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .manifolds import BlochState
-from .validate import ConstraintViolation, check_count, check_probabilities
+from .validate import ConstraintViolation, Record, ValueRecord, check_count, check_probabilities
 
 
-@dataclass(frozen=True)
-class Q2:
+class Q2(Record):
     """Exact element a + b*sqrt(2) of the field Q(sqrt 2)."""
 
-    a: Fraction
-    b: Fraction = Fraction(0)
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+    def __init__(self, a: Fraction, b: Fraction = Fraction(0)):
+        self._set(Fraction(a), Fraction(b))
 
     @staticmethod
     def of(x) -> "Q2":
@@ -137,8 +133,7 @@ def _check_exact_probabilities(probs) -> None:
         raise ConstraintViolation(f"invalid exact probability vector {tuple(probs)}")
 
 
-@dataclass(frozen=True)
-class FiniteSpinSystem:
+class FiniteSpinSystem(ValueRecord):
     """N micro-states on the circle with spin observables at fixed directions.
 
     Angles are stored as integer multiples of 2 pi / n_positions; the mean of
@@ -148,22 +143,18 @@ class FiniteSpinSystem:
     probabilities are exact.
     """
 
-    n_positions: int
-    state_angles: tuple
-    probs: tuple
-    observable_angles: tuple
-    exact: bool = False
-    signed: bool = False
+    __slots__ = ("n_positions", "state_angles", "probs", "observable_angles", "exact", "signed")
 
-    def __post_init__(self):
-        for name in ("state_angles", "observable_angles"):   # whole indices, reduced mod N
-            object.__setattr__(self, name, tuple(check_count(a, name, lo=-math.inf) % self.n_positions
-                                                 for a in getattr(self, name)))
-        object.__setattr__(self, "probs", tuple(self.probs))
+    def __init__(self, n_positions: int, state_angles: tuple, probs: tuple, observable_angles: tuple,
+                 exact: bool = False, signed: bool = False):
+        state_angles, observable_angles = (   # whole indices, reduced mod N
+            tuple(check_count(a, name, lo=-math.inf) % n_positions for a in angles)
+            for name, angles in (("state_angles", state_angles), ("observable_angles", observable_angles)))
+        self._set(n_positions, state_angles, tuple(probs), observable_angles, exact, signed)
         if len(self.probs) != len(self.state_angles):
             raise ValueError("probs and state_angles lengths differ")
-        if not self.signed:
-            if self.exact:
+        if not signed:
+            if exact:
                 _check_exact_probabilities(self.probs)
             else:
                 check_probabilities([float(p) for p in self.probs])
@@ -235,21 +226,20 @@ def pure_system(n: int, angle_index: int, exact: bool = False, **kw) -> FiniteSp
 # realizable-region geometry (vertex enumeration)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RegionDiagnostics:
+class RegionDiagnostics(ValueRecord):
     """Geometry of the reachable (A1, A2) expectation region: a polygon.
 
+    ``vertices`` holds the (A1, A2) of each micro-state, in hull order.
     ``max_mean_sum`` is the maximum of the summed observable expectations over
     the probability simplex; linear objectives peak at simplex vertices, so it
     is computed by exact vertex enumeration.
     """
 
-    vertices: tuple            # (A1, A2) per micro-state, hull order
-    max_mean_sum: object
-    inradius: float
-    inradius_squared: object
-    target: tuple | None = None
-    target_realizable: bool | None = None
+    __slots__ = ("vertices", "max_mean_sum", "inradius", "inradius_squared", "target", "target_realizable")
+
+    def __init__(self, vertices: tuple, max_mean_sum, inradius: float, inradius_squared,
+                 target: tuple | None = None, target_realizable: bool | None = None):
+        self._set(vertices, max_mean_sum, inradius, inradius_squared, target, target_realizable)
 
 
 def realizable_region_check(system: FiniteSpinSystem, target=None) -> RegionDiagnostics:
@@ -428,14 +418,13 @@ def _check_cartesian_probs(p):
     return check_probabilities([float(x) for x in p]).tolist()
 
 
-@dataclass(frozen=True)
-class CartesianSpinEnsemble:
+class CartesianSpinEnsemble(ValueRecord):
     """Complete eight-substate ensemble for three cartesian spins."""
 
-    probs: tuple
+    __slots__ = ("probs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "probs", tuple(_check_cartesian_probs(self.probs)))
+    def __init__(self, probs: tuple):
+        self._set(tuple(_check_cartesian_probs(probs)))
 
     def spin_expectations(self):
         return [
@@ -487,17 +476,15 @@ def _is_exact_seq(p) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class MeasurementOutcome:
+class MeasurementOutcome(ValueRecord):
     """Result of updating the cartesian ensemble after measuring S_z."""
 
-    rule: str
-    outcome: int
-    probs: tuple
-    purity_before: object
-    purity_after: object
-    constraint_violated: bool
-    pair_sums: tuple | None = None
+    __slots__ = ("rule", "outcome", "probs", "purity_before", "purity_after", "constraint_violated",
+                 "pair_sums")
+
+    def __init__(self, rule: str, outcome: int, probs: tuple, purity_before, purity_after,
+                 constraint_violated: bool, pair_sums: tuple | None = None):
+        self._set(rule, outcome, probs, purity_before, purity_after, constraint_violated, pair_sums)
 
 
 def cartesian_measure_sz(p, rule: str, outcome: int = 1, free_p1=None) -> MeasurementOutcome:

@@ -14,7 +14,6 @@ that binds every substate-level (joint-probability) correlator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +27,8 @@ from .manifolds import (
     reduce_ensemble,
 )
 from .observables import TwoLevelObservable, expectation
-from .validate import DimensionMismatch, as_float_array, check_count, check_probabilities, check_real
+from .validate import (DimensionMismatch, ValueRecord, as_float_array, check_count, check_probabilities,
+                       check_real)
 
 
 def bit_observable(m: int) -> TwoLevelObservable:
@@ -45,17 +45,14 @@ def basis_psi(m: int) -> np.ndarray:
     return psi
 
 
-@dataclass(frozen=True)
-class OutcomeTable:
+class OutcomeTable(ValueRecord):
     """Probabilities of the four two-bit outcomes (++), (+-), (-+), (--)."""
 
-    w_pp: float
-    w_pm: float
-    w_mp: float
-    w_mm: float
+    __slots__ = ("w_pp", "w_pm", "w_mp", "w_mm")
 
-    def __post_init__(self):
-        check_probabilities((self.w_pp, self.w_pm, self.w_mp, self.w_mm))
+    def __init__(self, w_pp: float, w_pm: float, w_mp: float, w_mm: float):
+        check_probabilities((w_pp, w_pm, w_mp, w_mm))
+        self._set(w_pp, w_pm, w_mp, w_mm)
 
     def as_dict(self) -> dict[str, float]:
         return {"++": self.w_pp, "+-": self.w_pm, "-+": self.w_mp, "--": self.w_mm}
@@ -140,11 +137,11 @@ def rotated_spin_correlation(theta: float, phi: float, state) -> float:
     return ct * cp * rho[2] + ct * sp * rho[5] + st * cp * rho[9] + st * sp * rho[11]
 
 
-@dataclass(frozen=True)
-class BellCheck:
-    lhs: float
-    rhs: float
-    violated: bool
+class BellCheck(ValueRecord):
+    __slots__ = ("lhs", "rhs", "violated")
+
+    def __init__(self, lhs: float, rhs: float, violated: bool):
+        self._set(lhs, rhs, violated)
 
 
 def bell_check(correlator, theta1: float, theta2: float, tol: float = 1e-12) -> BellCheck:

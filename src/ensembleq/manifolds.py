@@ -17,13 +17,13 @@ classical variable on a finer state space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import qmatrix
 from .validate import (
     ConstraintViolation,
+    Record,
     as_float_array,
     check_count,
     check_probabilities,
@@ -52,20 +52,15 @@ MAX_GRID_POINTS = 2**22
 SAME_DIRECTION_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class MicroState:
+class MicroState(Record):
     """A point on a micro-state manifold; immutable."""
 
-    manifold: str
-    f: np.ndarray
-    psi: np.ndarray | None = None
+    __slots__ = ("manifold", "f", "psi")
 
-    def __post_init__(self):
-        if self.manifold not in MANIFOLDS:
-            raise ValueError(f"unknown manifold {self.manifold!r}")
-        object.__setattr__(self, "f", freeze(self.f))
-        if self.psi is not None:
-            object.__setattr__(self, "psi", freeze(self.psi))
+    def __init__(self, manifold: str, f: np.ndarray, psi: np.ndarray | None = None):
+        if manifold not in MANIFOLDS:
+            raise ValueError(f"unknown manifold {manifold!r}")
+        self._set(manifold, freeze(f), None if psi is None else freeze(psi))
 
 
 def microstate_s1(angle: float | None = None, f=None) -> MicroState:
@@ -101,8 +96,7 @@ def microstate_four(psi) -> MicroState:
     return MicroState("four", qmatrix.bloch_from_psi(psi), psi=psi)
 
 
-@dataclass(frozen=True, eq=False)
-class BlochState:
+class BlochState(Record):
     """Reduced state: the vector of basis-observable expectation values.
 
     Two-state vectors satisfy sum rho_k^2 <= 1; four-state vectors satisfy
@@ -110,10 +104,10 @@ class BlochState:
     construction with tolerance 1e-12.
     """
 
-    rho: np.ndarray
+    __slots__ = ("rho",)
 
-    def __post_init__(self):
-        vec = as_float_array(self.rho, "rho")
+    def __init__(self, rho: np.ndarray):
+        vec = as_float_array(rho, "rho")
         if vec.shape == (3,):
             if float(vec @ vec) > 1.0 + 1e-12:
                 raise ConstraintViolation("purity bound violated: sum rho_k^2 > 1")
@@ -121,7 +115,7 @@ class BlochState:
             qmatrix.density_from_bloch(vec)  # checks the bound and positivity
         else:
             raise ValueError("Bloch vector must have 3 or 15 components")
-        object.__setattr__(self, "rho", freeze(vec))
+        self._set(freeze(vec))
 
     @property
     def dim(self) -> int:
@@ -138,8 +132,7 @@ def purity(state) -> float:
     return float(vec @ vec)
 
 
-@dataclass(frozen=True, eq=False)
-class Ensemble:
+class Ensemble(Record):
     """Finite weighted set of micro-states on one manifold.
 
     ``points`` holds the coordinate vectors f (embedded, shape (n, 3) or
@@ -148,30 +141,25 @@ class Ensemble:
     The arrays are stored read-only; a caller's arrays are copied.
     """
 
-    manifold: str
-    points: np.ndarray
-    probs: np.ndarray
-    psis: np.ndarray | None = None
+    __slots__ = ("manifold", "points", "probs", "psis")
 
-    def __post_init__(self):
-        if self.manifold not in MANIFOLDS:
-            raise ValueError(f"unknown manifold {self.manifold!r}")
-        pts = as_float_array(self.points, "points")
-        if pts.ndim != 2 or pts.shape[1] != _DIM[self.manifold]:
-            raise ValueError(f"points must have shape (n, {_DIM[self.manifold]})")
-        probs = check_probabilities(self.probs)
+    def __init__(self, manifold: str, points: np.ndarray, probs: np.ndarray,
+                 psis: np.ndarray | None = None):
+        if manifold not in MANIFOLDS:
+            raise ValueError(f"unknown manifold {manifold!r}")
+        pts = as_float_array(points, "points")
+        if pts.ndim != 2 or pts.shape[1] != _DIM[manifold]:
+            raise ValueError(f"points must have shape (n, {_DIM[manifold]})")
+        probs = check_probabilities(probs)
         if probs.shape[0] != pts.shape[0]:
             raise ValueError("points and probs lengths differ")
         norms = np.einsum("ij,ij->i", pts, pts)
-        norms -= 3.0 if self.manifold == "four" else 1.0
+        norms -= 3.0 if manifold == "four" else 1.0
         if np.abs(norms, out=norms).max() > 1e-12:
             raise ConstraintViolation("a point violates the manifold norm constraint")
-        if self.manifold == "s1" and np.abs(pts[:, 2]).max() > 1e-12:
+        if manifold == "s1" and np.abs(pts[:, 2]).max() > 1e-12:
             raise ConstraintViolation("s1 points must lie in the 1-2 plane")
-        object.__setattr__(self, "points", freeze(pts))
-        object.__setattr__(self, "probs", freeze(probs))
-        if self.psis is not None:
-            object.__setattr__(self, "psis", freeze(self.psis, complex))
+        self._set(manifold, freeze(pts), freeze(probs), None if psis is None else freeze(psis, complex))
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -245,8 +233,7 @@ def canonical_direction(g, tol: float = 1e-12) -> tuple[np.ndarray, int]:
     raise ValueError("zero direction vector")
 
 
-@dataclass(frozen=True, eq=False)
-class SubstateEnsemble:
+class SubstateEnsemble(Record):
     """Finite classical ensemble on which listed observables have sharp values.
 
     A substate is a micro-state together with one sign per stored direction.
@@ -263,30 +250,30 @@ class SubstateEnsemble:
     pattern table shared by all micro-states.
     """
 
-    directions: np.ndarray   # (m, 3), canonical
-    base_points: np.ndarray  # (n, 3)
-    table: np.ndarray        # (n, P) probabilities
-    patterns: np.ndarray     # (P, m), int8 entries +-1
-    base_probs: np.ndarray | None = field(default=None)
+    __slots__ = ("directions", "base_points", "table", "patterns", "base_probs")
 
-    def __post_init__(self):
-        directions = freeze(as_float_array(self.directions))
-        base_points = freeze(as_float_array(self.base_points))
-        patterns = np.asarray(self.patterns)
+    def __init__(
+        self,
+        directions: np.ndarray,   # (m, 3), canonical
+        base_points: np.ndarray,  # (n, 3)
+        table: np.ndarray,        # (n, P) probabilities
+        patterns: np.ndarray,     # (P, m), int8 entries +-1
+        base_probs: np.ndarray | None = None,
+    ):
+        directions = freeze(as_float_array(directions))
+        base_points = freeze(as_float_array(base_points))
+        patterns = np.asarray(patterns)
         if patterns.ndim != 2 or patterns.shape[1] != directions.shape[0]:
             raise ValueError("sign patterns must have one column per direction")
         if not np.all(np.abs(patterns) == 1):
             raise ConstraintViolation("substate signs must be +1 or -1")
-        table = np.asarray(self.table, dtype=float)
+        table = np.asarray(table, dtype=float)
         if table.shape != (base_points.shape[0], patterns.shape[0]):
             raise ValueError("probability table must have shape (micro-states, patterns)")
         check_probabilities(table.reshape(-1))
-        object.__setattr__(self, "directions", directions)
-        object.__setattr__(self, "base_points", base_points)
-        object.__setattr__(self, "patterns", freeze(patterns, np.int8))
-        object.__setattr__(self, "table", freeze(table))
-        if self.base_probs is not None:
-            object.__setattr__(self, "base_probs", freeze(as_float_array(self.base_probs)))
+        if base_probs is not None:
+            base_probs = freeze(as_float_array(base_probs))
+        self._set(directions, base_points, freeze(table), freeze(patterns, np.int8), base_probs)
 
     def __len__(self) -> int:
         return self.table.size

@@ -14,13 +14,13 @@ separate kinds; dispatch in this module accepts all of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import qmatrix
 from .validate import (
     DimensionMismatch,
+    Record,
     as_float_array,
     check_count,
     check_finite,
@@ -34,20 +34,17 @@ class NoEigenstateError(ValueError):
     """Raised when an operation needs eigenstates of an observable that has none."""
 
 
-@dataclass(frozen=True, eq=False)
-class TwoLevelObservable:
+class TwoLevelObservable(Record):
     """Direction vector plus offset; immutable."""
 
-    e: np.ndarray
-    e0: float = 0.0
+    __slots__ = ("e", "e0")
 
-    def __post_init__(self):
-        vec = freeze(self.e, float)
+    def __init__(self, e: np.ndarray, e0: float = 0.0):
+        vec = freeze(e, float)
         if vec.shape not in ((3,), (15,)):
             raise ValueError("direction must have 3 or 15 components")
         check_finite(vec.tolist(), "e")
-        object.__setattr__(self, "e", vec)
-        object.__setattr__(self, "e0", float(self.e0))
+        self._set(vec, float(e0))
 
     @property
     def dim(self) -> int:
@@ -94,21 +91,18 @@ class RandomObservable:
 RANDOM = RandomObservable()
 
 
-@dataclass(frozen=True, eq=False)
-class ProductObservable:
+class ProductObservable(Record):
     """+-1-valued observable whose micro-state mean is const + coeff . f.
 
     Conditional products of spins produce these; |const| + |coeff| <= 1 keeps
     the outcome probabilities well defined.
     """
 
-    coeff: np.ndarray
-    const: float = 0.0
+    __slots__ = ("coeff", "const")
 
-    def __post_init__(self):
-        vec = as_float_array(self.coeff, "coeff")
-        object.__setattr__(self, "coeff", freeze(vec, float))
-        object.__setattr__(self, "const", float(self.const))
+    def __init__(self, coeff: np.ndarray, const: float = 0.0):
+        vec = as_float_array(coeff, "coeff")
+        self._set(freeze(vec, float), float(const))
         reach = float(np.linalg.norm(vec)) + abs(self.const)
         if reach > 1.0 + 1e-12:
             raise ValueError("mean function exceeds the +-1 outcome range")

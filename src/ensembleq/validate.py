@@ -27,6 +27,54 @@ class DimensionMismatch(ValueError):
     """Operands live in different state spaces (e.g. 3- vs 15-component)."""
 
 
+class Record:
+    """Base of the package's immutable records; equality is identity.
+
+    A record lists its fields in ``__slots__`` and sets them once, in
+    ``__init__``, through ``_set``; assigning or deleting an attribute
+    afterwards raises AttributeError. A slot whose name starts with ``_`` is
+    not a field: it is left out of ``repr``, equality and pickling.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        """Set the fields, in ``__slots__`` order, to ``values``."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, k) for k in self.__slots__ if k[0] != "_")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__ if k[0] != "_")
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild the record through __init__, which takes the fields in order
+        return type(self), self._fields()
+
+
+class ValueRecord(Record):
+    """An immutable record that equals another of its class with equal fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+
 def as_float_array(x, name: str = "array") -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if not np.isfinite(arr).all():

@@ -207,6 +207,20 @@ def test_every_criterion_keeps_its_checks():
         assert [tol for _, tol in got] == pytest.approx([tol for _, tol in pinned], rel=1e-12, abs=0), cid
 
 
+@pytest.mark.parametrize("cid, budget, message", [
+    ("c1", {"n_ensembles": 0}, "n_ensembles must be >= 1"),
+    ("c2", {"n_trials": 0}, "n_trials must be >= 1"),
+    ("c2", {"n_trials": 2.5}, "n_trials must be an integer"),
+    ("c3", {"n_rho": 0}, "n_rho must be >= 1"),
+    ("c8", {"n_angles": -5}, "n_angles must be >= 1"),
+    ("c9", {"n_random": 0}, "n_random must be >= 1"),
+])
+def test_criterion_budget_is_a_positive_count(cid, budget, message):
+    # these passed on no trials, or died inside the body with TypeError or numpy's zero-size error
+    with pytest.raises(ValueError, match=message):
+        CRITERIA[cid](**budget)
+
+
 @pytest.mark.parametrize("seed", [True, 1.5, -1])
 def test_run_all_rejects_a_bad_seed_before_running(monkeypatch, seed):
     # True ran as seed 1 and 1.5 failed inside c4 with numpy's TypeError

@@ -221,10 +221,10 @@ class TestBellHarness:
             classical_pair_correlator(ens)
 
     def test_classical_correlator_builds_no_substate_table(self, monkeypatch):
-        def refuse(self):
+        def refuse(self, *args, **kwargs):
             raise AssertionError("a substate table was built")
 
-        monkeypatch.setattr(SubstateEnsemble, "__post_init__", refuse)
+        monkeypatch.setattr(SubstateEnsemble, "__init__", refuse)
         corr = classical_pair_correlator(symmetrized_hidden_ensemble(np.random.default_rng(5)))
         for theta in (0.0, 0.7, math.pi, 2.0, 2.0 * math.pi):
             assert abs(corr(theta)) <= 1.0

@@ -1,9 +1,16 @@
-"""Every name a package module imports is used in that module.
+"""What package modules import: every name they import is used, and nothing
+generates code or loads the exact-arithmetic module at package import.
 
-``__init__`` is skipped: its imports are the public re-exports.
+``__init__`` is skipped by the unused-import check: its imports are the
+public re-exports.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import ensembleq
 
@@ -34,3 +41,53 @@ def test_no_unused_imports_in_the_package():
 
 def test_the_guard_sees_an_unused_import():
     assert _unused_imports("import json\nimport math\n\nmath.pi\n") == ["line 1: json"]
+
+
+def _generated_code(source: str) -> list[str]:
+    """Imports of dataclasses and calls of exec, eval or compile in a module's source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [f"line {node.lineno}: import {a.name}" for a in node.names if a.name == "dataclasses"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            found.append(f"line {node.lineno}: from dataclasses")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("exec", "eval", "compile")):
+            found.append(f"line {node.lineno}: {node.func.id}()")
+    return found
+
+
+def test_no_package_module_generates_code():
+    # a dataclass execs its generated methods when its module is imported
+    offenders = {}
+    for path in sorted(Path(ensembleq.__file__).parent.glob("*.py")):
+        found = _generated_code(path.read_text(encoding="utf-8"))
+        if found:
+            offenders[path.name] = found
+    assert offenders == {}
+
+
+def test_the_generated_code_guard_sees_each_form():
+    source = "import dataclasses\nfrom dataclasses import field\nexec('x = 1')\neval('1')\n"
+    assert _generated_code(source) == ["line 1: import dataclasses", "line 2: from dataclasses",
+                                       "line 3: exec()", "line 4: eval()"]
+
+
+def test_importing_the_suite_loads_no_exact_arithmetic():
+    code = (
+        "import sys\n"
+        "import ensembleq.acceptance, ensembleq.experiments\n"
+        "print(sorted({'ensembleq.finite', 'fractions'} & set(sys.modules)))\n"
+        "import ensembleq\n"
+        "print(ensembleq.zn_system.__module__, ensembleq.CartesianSpinEnsemble.__module__)\n"
+    )
+    src = str(Path(ensembleq.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60, check=True)
+    assert done.stdout.splitlines() == ["[]", "ensembleq.finite ensembleq.finite"]
+
+
+def test_an_unknown_package_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'zn_systems'"):
+        ensembleq.zn_systems
