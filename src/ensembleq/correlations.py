@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from . import qmatrix
-from .manifolds import BlochState, Ensemble, SubstateEnsemble
+from .manifolds import BlochState, Ensemble, SubstateEnsemble, weighted_sum
 from .observables import (
     NoEigenstateError,
     ProductObservable,
@@ -331,18 +331,19 @@ def pointwise_correlation(a, b, ensemble: Ensemble) -> float:
         if isinstance(obs, ProductObservable):
             return ensemble.points @ obs.coeff + obs.const
         return ensemble.points @ obs.e + obs.e0
-    return float(ensemble.probs @ (_means(a) * _means(b)))
+    return weighted_sum(ensemble.probs, _means(a) * _means(b))
 
 
 def classical_correlation(dir_a, dir_b, substates: SubstateEnsemble) -> float:
     """<A . B> = sum_tau p_tau gamma_tau(a) gamma_tau(b) on a substate ensemble.
 
     Both directions must be among the ensemble's stored directions (up to the
-    hemisphere convention gamma(-g) = -gamma(g)).
+    hemisphere convention gamma(-g) = -gamma(g)). The sum runs over the sign
+    patterns, each weighted by its column total of the table, so it needs
+    O(n + 2^m) memory, not a value per substate.
     """
-    vals_a = substates.sign_values(dir_a)
-    vals_b = substates.sign_values(dir_b)
-    return float(substates.probs @ (vals_a * vals_b))
+    signs = substates.pattern_values(dir_a) * substates.pattern_values(dir_b)
+    return weighted_sum(np.add.reduce(substates.table, axis=0), signs)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from . import qmatrix
-from .manifolds import BlochState, Ensemble
+from .manifolds import BlochState, Ensemble, weighted_sum
 from .qmatrix import LEVI, PAULI
 from .validate import (ConstraintViolation, Record, ValueRecord, as_float_array, check_probabilities,
                        check_real, check_rotation, freeze)
@@ -180,11 +180,11 @@ def reduced_from_micro(transition, ensemble: Ensemble) -> ReducedTransition:
         raise ValueError("transition matrix shape does not match the ensemble")
     for column in trans.T:   # the distribution one micro-state moves to
         check_probabilities(column)
-    rho_before = ensemble.probs @ ensemble.points
+    rho_before = weighted_sum(ensemble.probs, ensemble.points)
     norm2 = float(rho_before @ rho_before)
     if norm2 <= 1e-15:
         raise ConstraintViolation("reduced state at t' has zero purity; map undefined")
-    rho_after = (trans @ ensemble.probs) @ ensemble.points
+    rho_after = weighted_sum(np.add.reduce(trans * ensemble.probs, axis=1), ensemble.points)
     return ReducedTransition(np.outer(rho_after, rho_before) / norm2)
 
 

@@ -399,7 +399,7 @@ def _expectation_law(params, seed):
         n_points, e = len(ens), _random_unit(rng)
         rho = qmatrix.density_from_bloch(manifolds.reduce_ensemble(ens).rho)
         oracle = qmatrix.qm_expectation(qmatrix.operator_from_direction(e), rho)
-        worst = max(worst, abs(float(ens.probs @ (ens.points @ e)) - oracle))
+        worst = max(worst, abs(manifolds.weighted_sum(ens.probs, ens.points @ e) - oracle))
     return [
         _tol_check("max |sum p (e.f) - tr(A rho)|", worst, 0.0, 1e-12),
         Check("grid has at least 2048 points", n_points >= 2048, float(n_points), 2048.0, 0.0),

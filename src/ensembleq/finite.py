@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .manifolds import BlochState
+from .manifolds import BlochState, weighted_sum
 from .validate import ConstraintViolation, Record, ValueRecord, check_count, check_probabilities
 
 
@@ -353,7 +353,7 @@ def rho_components(system: FiniteSpinSystem):
         return r1, r2
     angles = np.array([2.0 * math.pi * s / n for s in system.state_angles])
     probs = np.array([float(p) for p in system.probs])
-    return float(probs @ np.cos(angles)), float(probs @ np.sin(angles))
+    return weighted_sum(probs, np.cos(angles)), weighted_sum(probs, np.sin(angles))
 
 
 def reduce_to_rho(system: FiniteSpinSystem) -> BlochState:

@@ -25,6 +25,7 @@ from .manifolds import (
     Ensemble,
     canonical_direction,
     reduce_ensemble,
+    weighted_sum,
 )
 from .observables import TwoLevelObservable, expectation
 from .validate import (DimensionMismatch, ValueRecord, as_float_array, check_count, check_probabilities,
@@ -219,7 +220,7 @@ def classical_pair_correlator(ensemble: Ensemble):
         c1, f1 = canonical_direction(d1)
         if np.abs(c0 - c1).max() < SAME_DIRECTION_TOL:
             return -float(f0 * f1)
-        return -float(along_d0 @ (ensemble.points @ d1))
+        return -weighted_sum(along_d0, ensemble.points @ d1)
 
     return correlator
 

@@ -190,13 +190,27 @@ class Ensemble(Record):
         return out
 
 
+def weighted_sum(weights: np.ndarray, values: np.ndarray):
+    """sum_i weights[i] values[i]: a float for a vector of values, one per column for a matrix.
+
+    Each sum is numpy's pairwise summation of the products, whose order of
+    additions, unlike a BLAS dot product's, does not depend on the number of
+    BLAS threads, so outputs built from it are the same bytes under any
+    thread setting. A matrix is summed one column at a time, so the working
+    memory is one vector of products.
+    """
+    if values.ndim == 1:
+        return float(np.add.reduce(weights * values))
+    return np.array([np.add.reduce(weights * column) for column in values.T])
+
+
 def reduce_ensemble(ensemble: Ensemble) -> BlochState:
     """Effective probabilities rho_k = sum_s p_s f_k(s) of an ensemble.
 
     Raises ConstraintViolation if the result breaks the purity bound beyond
     tolerance, which signals a malformed input ensemble.
     """
-    return BlochState(ensemble.probs @ ensemble.points)
+    return BlochState(weighted_sum(ensemble.probs, ensemble.points))
 
 
 def mix(a: Ensemble, b: Ensemble, alpha: float) -> Ensemble:
@@ -302,14 +316,14 @@ class SubstateEnsemble(Record):
             raise ValueError("direction is not among the substate directions")
         return j, flip
 
-    def _pattern_values(self, direction) -> np.ndarray:
+    def pattern_values(self, direction) -> np.ndarray:
         """(P,) int8 sign of the direction in each pattern."""
         j, flip = self.column(direction)
         return flip * self.patterns[:, j]
 
     def sign_values(self, direction) -> np.ndarray:
         """(rows,) int8 sign of the direction in each substate."""
-        return np.tile(self._pattern_values(direction), self.table.shape[0])
+        return np.tile(self.pattern_values(direction), self.table.shape[0])
 
     def marginal_micro_probs(self) -> np.ndarray:
         """Marginalise the sign variables; recovers the base micro-state weights."""
@@ -317,7 +331,7 @@ class SubstateEnsemble(Record):
 
     def mean_sign(self, direction) -> np.ndarray:
         """Per-micro-state conditional mean of gamma(direction); equals f . e."""
-        num = self.table @ self._pattern_values(direction)
+        num = self.table @ self.pattern_values(direction)
         den = self.marginal_micro_probs()
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)

@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from . import qmatrix
+from .manifolds import weighted_sum
 from .validate import (
     DimensionMismatch,
     Record,
@@ -172,7 +173,7 @@ def moment(obs, ensemble, q: int) -> float:
     means = ensemble.points @ (obs.coeff if isinstance(obs, ProductObservable) else obs.e)
     if isinstance(obs, ProductObservable):
         means = means + obs.const
-    return float(ensemble.probs @ means)
+    return weighted_sum(ensemble.probs, means)
 
 
 def expectation(obs, state) -> float:
