@@ -17,9 +17,6 @@ from .manifolds import (
     SubstateEnsemble,
     extend_to_substates,
     grid_ensemble,
-    microstate_four,
-    microstate_s1,
-    microstate_s2,
     mix,
     purity,
     reduce_ensemble,
@@ -30,14 +27,12 @@ from .observables import (
     RANDOM,
     RandomObservable,
     TwoLevelObservable,
-    basic_state_probability,
     basis_spin,
     combine,
     expectation,
     mean_in_state,
     moment,
     prob_plus,
-    scale,
     shift,
     spin,
 )
@@ -47,11 +42,9 @@ from .correlations import (
     classical_correlation,
     conditional_correlation_2pt,
     conditional_correlation_3pt,
-    conditional_expectation_in_eigenstate,
     conditional_product,
     measurement_chain,
     pointwise_correlation,
-    sequence_probabilities,
     simulate_sequences,
 )
 from .dynamics import (
@@ -76,7 +69,6 @@ from .fourstate import (
     entangled_psi,
     entangled_state,
     exchange_symmetry,
-    interference_evolution,
     is_exchange_symmetric,
     outcomes_from_t,
     rotated_spin_correlation,
@@ -87,8 +79,8 @@ __version__ = "0.1.0"
 
 # The exact finite systems (and the fractions module they use) load on first
 # use of one of these names, not when the package is imported.
-_FINITE = {"CartesianSpinEnsemble", "FiniteSpinSystem", "cartesian_measure_sz", "cartesian_purity",
-           "integrate_out", "realizable_region_check", "reduce_to_rho", "zn_step_evolution", "zn_system"}
+_FINITE = {"FiniteSpinSystem", "cartesian_measure_sz", "cartesian_purity", "integrate_out",
+           "realizable_region_check", "zn_step_evolution", "zn_system"}
 
 
 def __getattr__(name):
@@ -98,25 +90,22 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "BellCheck", "BlochState", "CartesianSpinEnsemble", "ConstraintViolation",
-    "DimensionMismatch", "Ensemble", "FiniteSpinSystem", "FlowParams",
-    "Hamiltonian", "MicroState", "NoEigenstateError",
-    "OutcomeTable", "ProductObservable", "RANDOM", "RandomObservable",
-    "ReducedTransition", "SequenceEstimate", "SubstateEnsemble", "Trajectory",
-    "TwoLevelObservable", "WeightedEigenstateSum", "basic_state_probability",
-    "basis_spin", "bell_check", "bit_observable", "cartesian_measure_sz",
-    "cartesian_purity", "classical_correlation", "combine",
-    "conditional_correlation_2pt", "conditional_correlation_3pt",
-    "conditional_expectation_in_eigenstate", "conditional_product",
-    "entangled_bloch", "entangled_psi", "entangled_state", "exchange_symmetry",
-    "expectation", "extend_to_substates", "grid_ensemble", "integrate_open",
-    "integrate_out", "integrate_von_neumann", "interference_evolution",
-    "is_exchange_symmetric", "mean_in_state", "measurement_chain",
-    "microstate_four", "microstate_s1", "microstate_s2", "mix", "moment",
-    "outcomes_from_t", "pointwise_correlation", "prob_plus",
-    "purity", "realizable_region_check", "reduce_ensemble", "reduce_to_rho",
-    "reduced_from_micro", "rotate_distribution", "rotated_spin_correlation",
-    "scale", "sequence_probabilities", "shift", "simulate_sequences", "spin",
+    "BellCheck", "BlochState", "ConstraintViolation", "DimensionMismatch",
+    "Ensemble", "FiniteSpinSystem", "FlowParams", "Hamiltonian", "MicroState",
+    "NoEigenstateError", "OutcomeTable", "ProductObservable", "RANDOM",
+    "RandomObservable", "ReducedTransition", "SequenceEstimate",
+    "SubstateEnsemble", "Trajectory", "TwoLevelObservable",
+    "WeightedEigenstateSum", "basis_spin", "bell_check", "bit_observable",
+    "cartesian_measure_sz", "cartesian_purity", "classical_correlation",
+    "combine", "conditional_correlation_2pt", "conditional_correlation_3pt",
+    "conditional_product", "entangled_bloch", "entangled_psi",
+    "entangled_state", "exchange_symmetry", "expectation",
+    "extend_to_substates", "grid_ensemble", "integrate_open", "integrate_out",
+    "integrate_von_neumann", "is_exchange_symmetric", "mean_in_state",
+    "measurement_chain", "mix", "moment", "outcomes_from_t",
+    "pointwise_correlation", "prob_plus", "purity", "realizable_region_check",
+    "reduce_ensemble", "reduced_from_micro", "rotate_distribution",
+    "rotated_spin_correlation", "shift", "simulate_sequences", "spin",
     "syncoherence_closed_form", "syncoherence_flow", "unitary_step",
     "zn_step_evolution", "zn_system",
 ]

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from . import qmatrix
-from .manifolds import BlochState, Ensemble, SubstateEnsemble, weighted_sum
+from .manifolds import Ensemble, SubstateEnsemble, weighted_sum
 from .observables import (
     NoEigenstateError,
     ProductObservable,
@@ -73,25 +73,6 @@ def _check_chain_dims(seq, mat) -> None:
     for obs in seq:
         if isinstance(obs, TwoLevelObservable) and obs.dim != want:
             raise DimensionMismatch("observable dimension does not match the state")
-
-
-def eigenstate_bloch(obs: TwoLevelObservable, sign: int) -> BlochState:
-    """The unique two-state eigenstate of a spin: rho = sign * e."""
-    _require_unit_spin(obs, "observable")
-    if obs.dim != 3:
-        raise DimensionMismatch("only two-state eigenstates are unique")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return BlochState(sign * obs.e)
-
-
-def conditional_expectation_in_eigenstate(a, b) -> float:
-    """<A>_{+B}: mean of A in the +1 eigenstate of B; equals tr(A B)/2."""
-    a = _require_unit_spin(a, "A")
-    b = _require_unit_spin(b, "B")
-    if a.dim != 3 or b.dim != 3:
-        raise DimensionMismatch("defined for the two-state system")
-    return float(a.e @ b.e)
 
 
 def conditional_correlation_2pt(a, b, state) -> float:
@@ -198,22 +179,6 @@ def _two_level_projectors(obs) -> np.ndarray:
     if np.abs(op @ op - eye).max() > 1e-12:
         raise ValueError("observable operator does not square to 1 (spectrum is not +-1)")
     return 0.5 * np.stack([eye + op, eye - op])
-
-
-def sequence_probabilities(a, b, state) -> dict[str, float]:
-    """Probabilities W_{s_A s_B} for measuring B first, then A.
-
-    Keys "++", "+-", "-+", "--" give the A outcome first. The four entries sum
-    to one, and W_{++} + W_{--} is independent of the measurement order.
-    """
-    _require_unit_spin(a, "A")
-    _require_unit_spin(b, "B")
-    (probs_b, succ_b), (probs_a, _) = _chain([a, b], state, terms=False)[0]
-    out = {}
-    for o_b, key_b in enumerate("+-"):
-        for o_a, key_a in enumerate("+-"):
-            out[key_a + key_b] = float(probs_a[succ_b[o_b], o_a]) * float(probs_b[0, o_b])
-    return out
 
 
 class WeightedEigenstateSum(ValueRecord):

@@ -198,7 +198,7 @@ def rotation_from_generator(alpha) -> np.ndarray:
     S_kl = (1 - 2 sin^2 g) d_kl + 2 sin^2 g b_k b_l + 2 sin g cos g eps_klm b_m
     with g = |alpha| and b = alpha/g. The handedness (conjugation by
     exp(+i alpha.tau) rotates by -2g about alpha) is fixed by matching the
-    matrix conjugation oracle.
+    matrix product U rho U^dagger.
     """
     a = as_float_array(alpha, "alpha")
     if a.shape != (3,):
@@ -221,17 +221,6 @@ def unitary_step(state, alpha) -> BlochState:
     if vec.shape != (3,):
         raise ValueError("unitary_step acts on two-state Bloch vectors")
     return BlochState(rotation_from_generator(alpha) @ vec)
-
-
-def conjugation_oracle(state, alpha) -> np.ndarray:
-    """Bloch vector of U rho U^dagger with U = exp(i alpha_m tau_m)."""
-    vec = as_float_array(getattr(state, "rho", state), "rho")
-    a = as_float_array(alpha, "alpha")
-    gamma = float(np.linalg.norm(a))
-    beta = a / gamma if gamma > 0 else a
-    u = math.cos(gamma) * np.eye(2) + 1j * math.sin(gamma) * np.einsum("k,kij->ij", beta, PAULI)
-    rho = qmatrix.density_from_bloch(vec)
-    return qmatrix.bloch_from_density(u @ rho @ u.conj().T)
 
 
 def _steps(t_span, dt: float) -> tuple[np.ndarray, float, int]:

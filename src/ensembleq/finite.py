@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .manifolds import BlochState, weighted_sum
+from .manifolds import weighted_sum
 from .validate import ConstraintViolation, Record, ValueRecord, check_count, check_probabilities
 
 
@@ -356,12 +356,6 @@ def rho_components(system: FiniteSpinSystem):
     return weighted_sum(probs, np.cos(angles)), weighted_sum(probs, np.sin(angles))
 
 
-def reduce_to_rho(system: FiniteSpinSystem) -> BlochState:
-    """Reduced state of a circle system, embedded as (rho_1, rho_2, 0)."""
-    r1, r2 = rho_components(system)
-    return BlochState(np.array([float(r1), float(r2), 0.0]))
-
-
 def zn_step_evolution(system: FiniteSpinSystem, steps: int) -> FiniteSpinSystem:
     """Rotate the distribution by ``steps`` units of 2 pi / N.
 
@@ -416,27 +410,6 @@ def _check_cartesian_probs(p):
         _check_exact_probabilities(p)
         return [Fraction(x) for x in p]
     return check_probabilities([float(x) for x in p]).tolist()
-
-
-class CartesianSpinEnsemble(ValueRecord):
-    """Complete eight-substate ensemble for three cartesian spins."""
-
-    __slots__ = ("probs",)
-
-    def __init__(self, probs: tuple):
-        self._set(tuple(_check_cartesian_probs(probs)))
-
-    def spin_expectations(self):
-        return [
-            _sum(v * p for v, p in zip(SPIN_VALUES[k], self.probs)) for k in range(3)
-        ]
-
-    def joint_probabilities(self, values_a, values_b) -> dict:
-        """Joint outcome weights for two sharp observables; the system is complete."""
-        out = {}
-        for va, vb, p in zip(values_a, values_b, self.probs):
-            out[(va, vb)] = out.get((va, vb), 0) + p
-        return out
 
 
 def cartesian_purity(p):

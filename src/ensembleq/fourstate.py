@@ -24,10 +24,9 @@ from .manifolds import (
     BlochState,
     Ensemble,
     canonical_direction,
-    reduce_ensemble,
     weighted_sum,
 )
-from .observables import TwoLevelObservable, expectation
+from .observables import TwoLevelObservable
 from .validate import (DimensionMismatch, ValueRecord, as_float_array, check_count, check_probabilities,
                        check_real)
 
@@ -99,15 +98,6 @@ def entangled_bloch(sign: int) -> BlochState:
     vec[11] = float(sign)
     vec[13] = -float(sign)
     return BlochState(vec)
-
-
-def rotated_spin_operators(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Operators of the two rotated spins: cos(t) L1 + sin(t) L8 and
-    cos(p) L2 + sin(p) L4."""
-    l = qmatrix.L_BASIS
-    a = math.cos(theta) * l[0] + math.sin(theta) * l[7]
-    b = math.cos(phi) * l[1] + math.sin(phi) * l[3]
-    return a, b
 
 
 def rotated_spin_observables(theta: float, phi: float) -> tuple[TwoLevelObservable, TwoLevelObservable]:
@@ -245,25 +235,6 @@ def interference_trajectory(delta: float, t_final: float, n_steps: int = 4096):
     return times, f[:, 0], f[:, 1]
 
 
-def interference_bloch(f2: float, f5: float) -> BlochState:
-    vec = np.zeros(15)
-    vec[0] = 1.0
-    vec[1] = f2
-    vec[2] = f2
-    vec[4] = f5
-    vec[6] = f5
-    return BlochState(vec)
-
-
-def interference_evolution(delta: float, t: float, n_steps: int | None = None) -> tuple[BlochState, float]:
-    """Evolve the superposed state to time t; returns (reduced state, <T_2>)."""
-    if n_steps is None:
-        n_steps = max(64, int(math.ceil(abs(delta * t) * 64)))
-    _, f2, f5 = interference_trajectory(delta, t, n_steps)
-    state = interference_bloch(f2[-1], f5[-1])
-    return state, float(f2[-1])
-
-
 # ---------------------------------------------------------------------------
 # particle-exchange symmetry
 # ---------------------------------------------------------------------------
@@ -314,20 +285,3 @@ def is_exchange_symmetric(state, tol: float = 1e-9) -> str:
     if float(np.trace(mat @ mat).real) >= 1.0 - 1e-9:
         return is_exchange_symmetric(qmatrix.wavefunction_from_pure(mat), tol=tol)
     return "symmetric"
-
-
-def basis_expectations_three_ways(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """<T_m> by per-micro-state sum, by the reduced state, and by tr(L_m rho)."""
-    if ensemble.manifold != "four":
-        raise ValueError("expected a four-state ensemble")
-    by_sum = np.array(
-        [
-            math.fsum(float(p) * float(f[m]) for f, p in zip(ensemble.points, ensemble.probs))
-            for m in range(15)
-        ]
-    )
-    reduced = reduce_ensemble(ensemble)
-    by_state = np.array([expectation(bit_observable(m + 1), reduced) for m in range(15)])
-    mat = qmatrix.density_from_bloch(reduced.rho)
-    by_trace = np.array([qmatrix.qm_expectation(qmatrix.L_BASIS[k], mat) for k in range(15)])
-    return by_sum, by_state, by_trace

@@ -27,7 +27,6 @@ from .validate import (
     as_float_array,
     check_count,
     check_probabilities,
-    check_real,
     check_unit_vector,
     freeze,
 )
@@ -61,39 +60,6 @@ class MicroState(Record):
         if manifold not in MANIFOLDS:
             raise ValueError(f"unknown manifold {manifold!r}")
         self._set(manifold, freeze(f), None if psi is None else freeze(psi))
-
-
-def microstate_s1(angle: float | None = None, f=None) -> MicroState:
-    """Circle point, either by angle or by a unit 2-vector (f1, f2)."""
-    if (angle is None) == (f is None):
-        raise ValueError("give exactly one of angle or f")
-    if angle is not None:
-        angle = check_real(angle, "angle")
-        vec = np.array([math.cos(angle), math.sin(angle), 0.0])
-    else:
-        two = check_unit_vector(f, "f")
-        if two.shape != (2,):
-            raise ValueError("s1 coordinates must have 2 components")
-        vec = np.array([two[0], two[1], 0.0])
-    return MicroState("s1", vec)
-
-
-def microstate_s2(f) -> MicroState:
-    vec = check_unit_vector(f, "f")
-    if vec.shape != (3,):
-        raise ValueError("s2 coordinates must have 3 components")
-    return MicroState("s2", vec)
-
-
-def microstate_four(psi) -> MicroState:
-    """Four-state micro-state from a normalised complex 4-vector."""
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (4,):
-        raise ValueError("four-state wave function must have 4 components")
-    nrm = float(np.linalg.norm(psi))
-    if not abs(nrm - 1.0) <= 1e-12:   # written so that a NaN norm fails
-        raise ConstraintViolation(f"wave function not normalised: |psi| = {nrm!r}")
-    return MicroState("four", qmatrix.bloch_from_psi(psi), psi=psi)
 
 
 class BlochState(Record):

@@ -13,8 +13,6 @@ separate kinds; dispatch in this module accepts all of them.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import qmatrix
@@ -25,7 +23,6 @@ from .validate import (
     as_float_array,
     check_count,
     check_finite,
-    check_real,
     check_unit_vector,
     freeze,
 )
@@ -190,14 +187,6 @@ def expectation(obs, state) -> float:
     return float(obs.e @ rho) + obs.e0
 
 
-def scale(obs: TwoLevelObservable, lam) -> TwoLevelObservable:
-    """Multiply the spectrum by a real constant (outcomes +-1 become +-lam)."""
-    if isinstance(lam, complex):
-        raise ValueError("complex scaling of measurable observables is unsupported")
-    lam = float(lam)
-    return TwoLevelObservable(lam * obs.e, lam * obs.e0)
-
-
 def shift(obs: TwoLevelObservable, s: float) -> TwoLevelObservable:
     """Add a multiple of the unit observable; outcomes shift by s."""
     return TwoLevelObservable(obs.e, obs.e0 + float(s))
@@ -238,20 +227,3 @@ def operator_of(obs) -> np.ndarray:
     if isinstance(obs, ProductObservable):
         raise ValueError("conditional products are not operator observables")
     return qmatrix.operator_from_direction(obs.e, obs.e0)
-
-
-def basic_state_probability(f, e, p: float, gamma: int) -> float:
-    """Probability of outcome gamma for polarisation f, orientation e, purity p.
-
-    Splitting probability (1 + gamma sqrt(p) f.e)/2 of a beam with
-    polarisation direction f and degree p through an analyser along e.
-    """
-    fv = check_unit_vector(f, "f")
-    ev = check_unit_vector(e, "e")
-    if fv.shape != ev.shape:
-        raise DimensionMismatch("f and e dimensions differ")
-    p = check_real(p, "purity", 0.0, 1.0)
-    if gamma not in (1, -1):
-        raise ValueError("gamma must be +1 or -1")
-    val = 0.5 * (1.0 + gamma * math.sqrt(p) * float(fv @ ev))
-    return min(1.0, max(0.0, val))

@@ -7,10 +7,14 @@ against plain Hermitian matrix algebra living here:
     (L_k^2 = 1, tr L_k = 0, tr(L_k L_l) = 4 delta_kl),
   * density matrices rho = (1 + rho_k tau_k)/2 and rho = (1 + rho_k L_k)/4
     built from a vector of basis-observable expectation values,
-  * expectation values tr(A rho), wave functions for pure states, transition
-    probabilities |<a|b>|^2 and (anti)commutator product expectations.
+  * expectation values tr(A rho), wave functions for pure states and
+    (anti)commutator expectations.
 
-Functions here take and return bare numpy arrays so that the module has no
+The oracle functions (``qm_expectation``, the ``anticommutator*`` and
+``nested_anticommutator_expectation`` values, ``quantum_product`` and
+``commutator``) are the reference the classical side is checked against, so
+only this module, ``experiments`` and ``acceptance`` call them; a test of the
+package's imports enforces it. Functions here take and return bare numpy arrays so that the module has no
 dependency on the rest of the package; objects exposing a ``.rho`` or ``.e``
 attribute are accepted where a vector is expected.
 """
@@ -117,21 +121,6 @@ def operator_from_direction(e, e0: float = 0.0) -> np.ndarray:
     raise DimensionMismatch(f"direction must have 3 or 15 components, got {vec.shape}")
 
 
-def direction_from_operator(op: np.ndarray) -> tuple[np.ndarray, float]:
-    """Invert ``operator_from_direction`` via the trace formulas.
-
-    e_k = tr(A tau_k)/2 for 2x2, e_k = tr(A L_k)/4 for 4x4; e0 = tr(A)/dim.
-    """
-    op = np.asarray(op, dtype=complex)
-    if op.shape == (2, 2):
-        e = np.array([np.trace(op @ PAULI[k]).real / 2.0 for k in range(3)])
-        return e, float(np.trace(op).real / 2.0)
-    if op.shape == (4, 4):
-        e = np.array([np.trace(op @ L_BASIS[k]).real / 4.0 for k in range(15)])
-        return e, float(np.trace(op).real / 4.0)
-    raise DimensionMismatch("operator must be 2x2 or 4x4")
-
-
 def density_from_bloch(state) -> np.ndarray:
     """Density matrix (1 + rho_k tau_k)/2 or (1 + rho_k L_k)/4 from a Bloch vector.
 
@@ -234,14 +223,6 @@ def wavefunction_from_pure(rho, tol: float = 1e-9) -> np.ndarray:
     return fix_phase(psi, tol=tol)
 
 
-def pure_state_matrix(psi: np.ndarray) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex)
-    nrm = float(np.linalg.norm(psi))
-    if abs(nrm - 1.0) > 1e-12:
-        raise ConstraintViolation(f"wave function not normalised: |psi| = {nrm!r}")
-    return np.outer(psi, psi.conj())
-
-
 def bloch_from_psi(psi: np.ndarray) -> np.ndarray:
     """Basis-observable values f_k = psi^dagger (tau or L)_k psi of a pure state."""
     psi = np.asarray(psi, dtype=complex)
@@ -249,15 +230,6 @@ def bloch_from_psi(psi: np.ndarray) -> np.ndarray:
     if psi.shape not in ((2,), (4,)):
         raise DimensionMismatch("wave function must have 2 or 4 components")
     return np.einsum("i,kij,j->k", psi.conj(), basis, psi).real
-
-
-def transition_probability(a: np.ndarray, b: np.ndarray) -> float:
-    """|<a|b>|^2 between two normalised wave functions."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise DimensionMismatch("wave functions have different dimensions")
-    return float(abs(np.vdot(a, b)) ** 2)
 
 
 def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -276,22 +248,6 @@ def anticommutator_expectation(a, b, rho) -> float:
 def nested_anticommutator_expectation(a, b, c, rho) -> float:
     """tr({{A, B}, C} rho)/4, the matrix-side value of the conditional 3-point correlation."""
     return float(np.trace(anticommutator(anticommutator(a, b), c) @ rho).real) / 4.0
-
-
-def operator_product_expectations(a, b, c, rho) -> dict[str, float]:
-    """Real parts of operator-product expectations.
-
-    re_ab  = Re tr(A B rho)   = tr({A,B} rho)/2
-    re_abc = Re tr(A B C rho) = tr(({{A,B},C} + [[A,B],C]) rho)/4
-
-    re_abc mixes measurement orders; the single-order sequential value is
-    ``nested_anticommutator_expectation``.
-    """
-    re_ab = anticommutator_expectation(a, b, rho)
-    sym = anticommutator(anticommutator(a, b), c)
-    antisym = commutator(commutator(a, b), c)
-    re_abc = float(np.trace((sym + antisym) @ rho).real) / 4.0
-    return {"re_ab": re_ab, "re_abc": re_abc}
 
 
 def quantum_product(a, b) -> tuple[float, np.ndarray]:

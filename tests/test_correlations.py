@@ -16,12 +16,9 @@ from ensembleq.correlations import (
     classical_correlation,
     conditional_correlation_2pt,
     conditional_correlation_3pt,
-    conditional_expectation_in_eigenstate,
     conditional_product,
-    eigenstate_bloch,
     measurement_chain,
     pointwise_correlation,
-    sequence_probabilities,
     simulate_sequences,
 )
 from ensembleq.fourstate import entangled_bloch, rotated_spin_observables
@@ -30,7 +27,6 @@ from ensembleq.manifolds import (
     SubstateEnsemble,
     extend_to_substates,
     grid_ensemble,
-    microstate_s2,
 )
 from ensembleq.observables import (
     NoEigenstateError,
@@ -58,24 +54,36 @@ def random_bloch(rng):
     return random_unit(rng) * rng.uniform(0.0, 1.0)
 
 
+def _mean_in_plus_eigenstate(a, b):
+    """<A>_{+B}: the mean of A in the +1 eigenstate of B, whose Bloch vector is e_B."""
+    return expectation(a, b.e)
+
+
+def _sequence_probabilities(a, b, rho_vec):
+    """W_{s_A s_B} for measuring B first, then A, keyed by the A outcome first: the
+    magnitudes of the chain's branch weights, which run (B+, A+), (B+, A-), (B-, A+), (B-, A-)."""
+    terms = measurement_chain([a, b], rho_vec)[0].terms
+    return {key: abs(w) for key, (w, _) in zip(("++", "-+", "+-", "--"), terms)}
+
+
 class TestEigenstateExpectations:
     def test_same_observable(self):
-        assert conditional_expectation_in_eigenstate(A1, A1) == 1.0
+        assert _mean_in_plus_eigenstate(A1, A1) == 1.0
 
     def test_orthogonal(self):
-        assert conditional_expectation_in_eigenstate(A1, A2) == 0.0
+        assert _mean_in_plus_eigenstate(A1, A2) == 0.0
 
     def test_quarter_angle(self):
-        assert abs(conditional_expectation_in_eigenstate(A1, DIAG) - SQ2) < 1e-15
+        assert abs(_mean_in_plus_eigenstate(A1, DIAG) - SQ2) < 1e-15
 
     def test_equals_half_trace_and_eigenstate_value(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             a, b = spin(random_unit(rng)), spin(random_unit(rng))
-            val = conditional_expectation_in_eigenstate(a, b)
+            val = _mean_in_plus_eigenstate(a, b)
             half_tr = 0.5 * np.trace(operator_of(a) @ operator_of(b)).real
             via_state = qmatrix.qm_expectation(
-                operator_of(a), qmatrix.density_from_bloch(eigenstate_bloch(b, 1).rho)
+                operator_of(a), qmatrix.density_from_bloch(b.e)
             )
             assert abs(val - half_tr) < 1e-14
             assert abs(val - via_state) < 1e-14
@@ -225,18 +233,18 @@ class TestConditionalProduct:
 class TestSequenceProbabilities:
     def test_order_asymmetry_example(self):
         rho_vec = np.array([0.0, 0.0, 1.0])
-        w_ab = sequence_probabilities(A3, A1, rho_vec)   # first A1, then A3
-        w_ba = sequence_probabilities(A1, A3, rho_vec)   # first A3, then A1
+        w_ab = _sequence_probabilities(A3, A1, rho_vec)   # first A1, then A3
+        w_ba = _sequence_probabilities(A1, A3, rho_vec)   # first A3, then A1
         assert abs(w_ab["++"] - 0.25) < 1e-15
         assert abs(w_ba["++"] - 0.5) < 1e-15
 
     def test_repeated_measurement_in_eigenstate(self):
-        w = sequence_probabilities(A3, A3, np.array([0.0, 0.0, 1.0]))
+        w = _sequence_probabilities(A3, A3, np.array([0.0, 0.0, 1.0]))
         assert w["++"] == 1.0
         assert w["+-"] == w["-+"] == w["--"] == 0.0
 
     def test_orthogonal_at_center(self):
-        w = sequence_probabilities(A1, A2, np.zeros(3))
+        w = _sequence_probabilities(A1, A2, np.zeros(3))
         for key in ("++", "+-", "-+", "--"):
             assert abs(w[key] - 0.25) < 1e-15
 
@@ -245,8 +253,8 @@ class TestSequenceProbabilities:
         for _ in range(100):
             a, b = spin(random_unit(rng)), spin(random_unit(rng))
             rho_vec = random_bloch(rng)
-            w_ab = sequence_probabilities(a, b, rho_vec)
-            w_ba = sequence_probabilities(b, a, rho_vec)
+            w_ab = _sequence_probabilities(a, b, rho_vec)
+            w_ba = _sequence_probabilities(b, a, rho_vec)
             assert abs(sum(w_ab.values()) - 1.0) < 1e-14
             # the probability of product value +1 forgets the order
             assert abs((w_ab["++"] + w_ab["--"]) - (w_ba["++"] + w_ba["--"])) < 1e-13
@@ -309,7 +317,7 @@ class TestMeasurementChain:
                 e[0], e[7] = math.cos(0.6), math.sin(0.6)
                 psi = rng.normal(size=4) + 1j * rng.normal(size=4)
                 psi /= np.linalg.norm(psi)
-                rho = qmatrix.pure_state_matrix(psi)
+                rho = np.outer(psi, psi.conj())
             op = qmatrix.operator_from_direction(e)
             eye = np.eye(op.shape[0])
             p_plus, p_minus = 0.5 * (eye + op), 0.5 * (eye - op)
@@ -320,8 +328,8 @@ class TestMeasurementChain:
 
 class TestPointwise:
     def test_point_masses(self):
-        north = Ensemble.point_mass(microstate_s2([0.0, 0.0, 1.0]))
-        east = Ensemble.point_mass(microstate_s2([1.0, 0.0, 0.0]))
+        north = Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0])
+        east = Ensemble("s2", [[1.0, 0.0, 0.0]], [1.0])
         assert pointwise_correlation(A3, A3, north) == 1.0
         assert pointwise_correlation(A3, A3, east) == 0.0
 
@@ -342,13 +350,9 @@ class TestPointwise:
 
     def test_saturation_needs_support_on_axis(self):
         e = np.array([0.0, 0.0, 1.0])
-        both_poles = Ensemble.from_states(
-            [microstate_s2(e), microstate_s2(-e)], [0.3, 0.7]
-        )
+        both_poles = Ensemble("s2", [e, -e], [0.3, 0.7])
         assert pointwise_correlation(A3, A3, both_poles) == 1.0
-        tilted = Ensemble.from_states(
-            [microstate_s2(e), microstate_s2([1.0, 0.0, 0.0])], [0.9, 0.1]
-        )
+        tilted = Ensemble("s2", [e, [1.0, 0.0, 0.0]], [0.9, 0.1])
         assert pointwise_correlation(A3, A3, tilted) < 1.0
 
 
@@ -365,7 +369,7 @@ class TestClassicalCorrelation:
     def test_product_form_factorizes(self):
         # orthogonal directions, both orthogonal to the supported point
         sub = extend_to_substates(
-            Ensemble.point_mass(microstate_s2([0.0, 0.0, 1.0])),
+            Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0]),
             [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
         )
         assert classical_correlation([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], sub) == 0.0
@@ -385,7 +389,7 @@ class TestClassicalCorrelation:
 
     def test_unknown_direction(self):
         sub = extend_to_substates(
-            Ensemble.point_mass(microstate_s2([0.0, 0.0, 1.0])), [[1.0, 0.0, 0.0]]
+            Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0]), [[1.0, 0.0, 0.0]]
         )
         with pytest.raises(ValueError):
             classical_correlation([0.0, 1.0, 0.0], [1.0, 0.0, 0.0], sub)
@@ -626,7 +630,7 @@ class TestChainCore:
         # |rho|^2 = 1 + 8e-13 passes the purity check; p(+1) = 1 + 2e-13 snaps to 1
         rho_vec = np.array([0.0, 0.0, 1.0 + 4e-13])
         assert measurement_chain([A3], rho_vec)[1] == 1.0
-        assert sequence_probabilities(A3, A3, rho_vec)["++"] == 1.0
+        assert _sequence_probabilities(A3, A3, rho_vec)["++"] == 1.0
 
     def test_probability_outside_band_raises(self, monkeypatch):
         bad = np.diag([1.0 + 1e-9, -1e-9]).astype(complex)

@@ -15,7 +15,6 @@ from ensembleq.dynamics import (
     Hamiltonian,
     ReducedTransition,
     Trajectory,
-    conjugation_oracle,
     hamiltonian_from_rotation,
     integrate_bloch,
     integrate_open,
@@ -31,7 +30,7 @@ from ensembleq.dynamics import (
     _steps,
 )
 from ensembleq.fourstate import interference_trajectory
-from ensembleq.manifolds import Ensemble, microstate_s2, reduce_ensemble
+from ensembleq.manifolds import Ensemble, reduce_ensemble
 from ensembleq.validate import ConstraintViolation
 
 PAULI_OR_L = {2: qmatrix.PAULI, 4: qmatrix.L_BASIS}
@@ -46,6 +45,18 @@ def random_bloch(rng):
     return random_unit(rng) * rng.uniform(0.0, 1.0)
 
 
+def _conjugated(rho, alpha) -> np.ndarray:
+    """Bloch vector of U rho U^dagger with U = exp(i alpha_m tau_m), by matrices."""
+    gamma = float(np.linalg.norm(alpha))
+    beta = alpha / gamma if gamma > 0 else alpha
+    u = math.cos(gamma) * np.eye(2) + 1j * math.sin(gamma) * np.einsum("k,kij->ij", beta, qmatrix.PAULI)
+    return qmatrix.bloch_from_density(u @ qmatrix.density_from_bloch(rho) @ u.conj().T)
+
+
+def _dyad(psi) -> np.ndarray:
+    return np.outer(psi, psi.conj())
+
+
 def random_rotation(rng):
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     if np.linalg.det(q) < 0:
@@ -55,13 +66,13 @@ def random_rotation(rng):
 
 class TestRotateDistribution:
     def test_identity(self):
-        ens = Ensemble.point_mass(microstate_s2([1.0, 0.0, 0.0]))
+        ens = Ensemble("s2", [[1.0, 0.0, 0.0]], [1.0])
         out = rotate_distribution(ens, np.eye(3))
         np.testing.assert_array_equal(out.points, ens.points)
 
     def test_quarter_turn_about_z(self):
         r = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        ens = Ensemble.point_mass(microstate_s2([1.0, 0.0, 0.0]))
+        ens = Ensemble("s2", [[1.0, 0.0, 0.0]], [1.0])
         out = rotate_distribution(ens, r)
         np.testing.assert_allclose(out.points[0], [0.0, 1.0, 0.0], atol=1e-15)
 
@@ -80,7 +91,7 @@ class TestRotateDistribution:
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_non_orthogonal_rejected(self):
-        ens = Ensemble.point_mass(microstate_s2([1.0, 0.0, 0.0]))
+        ens = Ensemble("s2", [[1.0, 0.0, 0.0]], [1.0])
         with pytest.raises(ConstraintViolation):
             rotate_distribution(ens, 1.1 * np.eye(3))
 
@@ -99,7 +110,7 @@ class TestReducedFromMicro:
 
     def test_antipodal_swap(self):
         e = np.array([0.0, 0.0, 1.0])
-        ens = Ensemble.from_states([microstate_s2(e), microstate_s2(-e)], [0.8, 0.2])
+        ens = Ensemble("s2", [e, -e], [0.8, 0.2])
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
         s = reduced_from_micro(swap, ens)
         rho = reduce_ensemble(ens).rho
@@ -122,12 +133,12 @@ class TestReducedFromMicro:
 
     def test_equipartition_rejected(self):
         e = np.array([0.0, 0.0, 1.0])
-        ens = Ensemble.from_states([microstate_s2(e), microstate_s2(-e)], [0.5, 0.5])
+        ens = Ensemble("s2", [e, -e], [0.5, 0.5])
         with pytest.raises(ConstraintViolation):
             reduced_from_micro(np.eye(2), ens)
 
     def test_bad_transition_matrix(self):
-        ens = Ensemble.point_mass(microstate_s2([0.0, 0.0, 1.0]))
+        ens = Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0])
         with pytest.raises(ConstraintViolation):
             reduced_from_micro(np.array([[2.0]]), ens)
 
@@ -148,9 +159,9 @@ class TestUnitaryStep:
 
     def test_quarter_rotation_matches_oracle(self):
         # alpha = (0, 0, pi/4) rotates (1,0,0) by a half turn about z; the
-        # sense (to -y) is fixed by the conjugation oracle
+        # sense (to -y) is fixed by the matrix conjugation
         out = unitary_step(np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, math.pi / 4.0]))
-        oracle = conjugation_oracle(np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, math.pi / 4.0]))
+        oracle = _conjugated(np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, math.pi / 4.0]))
         np.testing.assert_allclose(out.rho, [0.0, -1.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(out.rho, oracle, atol=1e-12)
 
@@ -161,7 +172,7 @@ class TestUnitaryStep:
         alpha = rng.normal(size=3) * rng.uniform(0.0, 3.0)
         rho = random_bloch(rng)
         stepped = unitary_step(rho, alpha)
-        np.testing.assert_allclose(stepped.rho, conjugation_oracle(rho, alpha), atol=1e-12)
+        np.testing.assert_allclose(stepped.rho, _conjugated(rho, alpha), atol=1e-12)
         assert abs(stepped.purity - float(rho @ rho)) < 1e-14
 
     def test_non_orthogonal_map_changes_purity(self):
@@ -214,11 +225,11 @@ class TestVonNeumann:
         ham = Hamiltonian(h).matrix()
         psi0 = rng.normal(size=2) + 1j * rng.normal(size=2)
         psi0 /= np.linalg.norm(psi0)
-        traj = integrate_von_neumann(qmatrix.pure_state_matrix(psi0), h, (0.0, 5.0), 0.001)
+        traj = integrate_von_neumann(_dyad(psi0), h, (0.0, 5.0), 0.001)
         evals, evecs = np.linalg.eigh(ham)
         t = traj.times[-1]
         psi_t = evecs @ (np.exp(-1j * evals * t) * (evecs.conj().T @ psi0))
-        np.testing.assert_allclose(traj.matrices[-1], qmatrix.pure_state_matrix(psi_t),
+        np.testing.assert_allclose(traj.matrices[-1], _dyad(psi_t),
                                    atol=1e-8)
 
     def test_bad_dt(self):

@@ -7,7 +7,6 @@ import pytest
 
 from ensembleq.finite import (
     HALF_SQRT2,
-    CartesianSpinEnsemble,
     Q2,
     SPIN_VALUES,
     _is_exact_seq,
@@ -16,7 +15,6 @@ from ensembleq.finite import (
     integrate_out,
     pure_system,
     realizable_region_check,
-    reduce_to_rho,
     rho_components,
     zn_step_evolution,
     zn_system,
@@ -24,6 +22,16 @@ from ensembleq.finite import (
 
 SQ2 = 1.0 / math.sqrt(2.0)
 THIRD = Fraction(1, 3)
+
+
+def _rho(system) -> np.ndarray:
+    """The reduced state (rho_1, rho_2) of a circle system, as floats."""
+    return np.array([float(r) for r in rho_components(system)])
+
+
+def _spin_expectations(probs) -> list:
+    """<S_x>, <S_y>, <S_z> of eight substate probabilities, exact for exact input."""
+    return [sum(v * p for v, p in zip(values, probs)) for values in SPIN_VALUES]
 
 
 class TestQ2:
@@ -138,14 +146,11 @@ class TestIntegrateOut:
 
 class TestReduceToRho:
     def test_pure_states(self):
-        state = reduce_to_rho(pure_system(8, 0))
-        np.testing.assert_allclose(state.rho, [1.0, 0.0, 0.0], atol=1e-15)
-        state = reduce_to_rho(pure_system(8, 1))
-        np.testing.assert_allclose(state.rho, [SQ2, SQ2, 0.0], atol=1e-15)
+        np.testing.assert_allclose(_rho(pure_system(8, 0)), [1.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(_rho(pure_system(8, 1)), [SQ2, SQ2], atol=1e-15)
 
     def test_uniform_is_centred(self):
-        state = reduce_to_rho(zn_system(8))
-        assert np.abs(state.rho).max() < 1e-15
+        assert np.abs(_rho(zn_system(8))).max() < 1e-15
 
     def test_independent_of_coarse_graining_coefficients(self):
         rng = np.random.default_rng(1)
@@ -175,13 +180,12 @@ class TestZnSteps:
         p = rng.random(8)
         p /= p.sum()
         sys8 = zn_system(8, probs=tuple(p))
-        before = reduce_to_rho(sys8).rho
-        after = reduce_to_rho(zn_step_evolution(sys8, 1)).rho
+        before = _rho(sys8)
+        after = _rho(zn_step_evolution(sys8, 1))
         angle = math.pi / 4.0
         rot = np.array([
-            [math.cos(angle), -math.sin(angle), 0.0],
-            [math.sin(angle), math.cos(angle), 0.0],
-            [0.0, 0.0, 1.0],
+            [math.cos(angle), -math.sin(angle)],
+            [math.sin(angle), math.cos(angle)],
         ])
         np.testing.assert_allclose(after, rot @ before, atol=1e-12)
         assert abs(float(after @ after) - float(before @ before)) < 1e-14
@@ -214,8 +218,7 @@ class TestCartesianPurity:
             raw[-1] = 1 - sum(raw[:-1])
             if raw[-1] < 0:
                 continue
-            ens = CartesianSpinEnsemble(tuple(raw))
-            sx, sy, sz = ens.spin_expectations()
+            sx, sy, sz = _spin_expectations(raw)
             assert cartesian_purity(raw) == sx * sx + sy * sy + sz * sz
 
     def test_exactness_probe_of_float_table_allocates_nothing(self):
@@ -249,8 +252,7 @@ class TestCartesianMeasurement:
         assert out.purity_after == 1
         assert not out.constraint_violated
         assert out.pair_sums == (Fraction(1, 2),) * 4
-        ens = CartesianSpinEnsemble(out.probs)
-        assert ens.spin_expectations() == [0, 0, 1]
+        assert _spin_expectations(out.probs) == [0, 0, 1]
 
     def test_quantum_rule_free_parameter(self):
         out = cartesian_measure_sz(self.SCENARIO, "quantum", free_p1=Fraction(1, 8))
@@ -262,8 +264,7 @@ class TestCartesianMeasurement:
     def test_negative_outcome_mirrored(self):
         probs = [0, 0, 0, 0, 0.4, 0.3, 0.2, 0.1]
         out = cartesian_measure_sz(probs, "quantum", outcome=-1)
-        ens = CartesianSpinEnsemble(out.probs)
-        sx, sy, sz = ens.spin_expectations()
+        sx, sy, sz = _spin_expectations(out.probs)
         assert (sx, sy, sz) == (0.0, 0.0, -1.0)
 
     def test_zero_outcome_probability(self):
@@ -279,21 +280,6 @@ class TestCartesianMeasurement:
 
 
 class TestCompleteness:
-    def test_joint_probabilities_reproduce_classical_correlations(self):
-        rng = np.random.default_rng(6)
-        p = rng.random(8)
-        p /= p.sum()
-        ens = CartesianSpinEnsemble(tuple(p))
-        from ensembleq.finite import ENVIRONMENT_VALUES
-
-        for spin_vals in SPIN_VALUES:
-            for env_vals in ENVIRONMENT_VALUES:
-                joint = ens.joint_probabilities(spin_vals, env_vals)
-                assert abs(sum(joint.values()) - 1.0) < 1e-12
-                corr = sum(a * b * w for (a, b), w in joint.items())
-                direct = sum(a * b * w for a, b, w in zip(spin_vals, env_vals, p))
-                assert abs(corr - direct) < 1e-14
-
     def test_environment_observables_square_to_one(self):
         from ensembleq.finite import ENVIRONMENT_VALUES
 

@@ -10,17 +10,15 @@ from ensembleq import qmatrix
 from ensembleq.correlations import classical_correlation, simulate_sequences
 from ensembleq.dynamics import MAX_STEPS
 from ensembleq.fourstate import (
-    basis_expectations_three_ways,
     basis_psi,
     bell_check,
+    bit_observable,
     classical_pair_correlator,
     entangled_bloch,
     entangled_psi,
     entangled_state,
     exchange_matrix,
     exchange_symmetry,
-    interference_bloch,
-    interference_evolution,
     interference_trajectory,
     is_exchange_symmetric,
     outcomes_from_t,
@@ -28,18 +26,19 @@ from ensembleq.fourstate import (
     quantum_pair_correlator,
     rotated_spin_correlation,
     rotated_spin_observables,
-    rotated_spin_operators,
     symmetrized_hidden_ensemble,
 )
 from ensembleq.manifolds import (
     SAME_DIRECTION_TOL,
+    BlochState,
     Ensemble,
+    MicroState,
     SubstateEnsemble,
     canonical_direction,
     extend_to_substates,
-    microstate_four,
     reduce_ensemble,
 )
+from ensembleq.observables import expectation, operator_of
 from ensembleq.validate import DimensionMismatch
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -51,6 +50,30 @@ def random_four_state_bloch(rng, n_pure=4):
     w = rng.random(n_pure)
     w /= w.sum()
     return sum(wi * qmatrix.bloch_from_psi(psi) for wi, psi in zip(w, psis))
+
+
+def _microstate_four(psi) -> MicroState:
+    return MicroState("four", qmatrix.bloch_from_psi(psi), psi=psi)
+
+
+def _rotated_spin_operators(theta, phi):
+    """cos(t) L1 + sin(t) L8 and cos(p) L2 + sin(p) L4, the operators of the rotated spins."""
+    return tuple(map(operator_of, rotated_spin_observables(theta, phi)))
+
+
+def _interference_at(delta, t):
+    """The reduced state at time t of an interference run with 64 steps per radian, and <T_2>."""
+    _, f2, f5 = interference_trajectory(delta, t, max(64, int(math.ceil(abs(delta * t) * 64))))
+    return _interference_state(f2[-1], f5[-1]), float(f2[-1])
+
+
+def _interference_state(f2, f5) -> BlochState:
+    """The superposed state: f1 = 1, f2 = f3, f5 = f7 and every other component zero."""
+    vec = np.zeros(15)
+    vec[0] = 1.0
+    vec[1] = vec[2] = f2
+    vec[4] = vec[6] = f5
+    return BlochState(vec)
 
 
 class TestOutcomeTables:
@@ -81,7 +104,7 @@ class TestEntangledState:
 
     def test_matrix_matches_wavefunction_dyad(self):
         for sign in (1, -1):
-            dyad = qmatrix.pure_state_matrix(entangled_psi(sign))
+            dyad = np.outer(entangled_psi(sign), entangled_psi(sign).conj())
             np.testing.assert_allclose(entangled_state(sign), dyad, atol=1e-15)
 
     def test_bit_expectations_exact(self):
@@ -112,7 +135,7 @@ class TestEntangledState:
 
 class TestRotatedSpins:
     def test_operators_square_to_one(self):
-        a, b = rotated_spin_operators(0.7, 1.9)
+        a, b = _rotated_spin_operators(0.7, 1.9)
         np.testing.assert_allclose(a @ a, np.eye(4), atol=1e-15)
         np.testing.assert_allclose(b @ b, np.eye(4), atol=1e-15)
 
@@ -143,7 +166,7 @@ class TestRotatedSpins:
         for _ in range(50):
             bloch = random_four_state_bloch(rng)
             th, ph = rng.uniform(0.0, 2.0 * math.pi, size=2)
-            a, b = rotated_spin_operators(th, ph)
+            a, b = _rotated_spin_operators(th, ph)
             rho = qmatrix.density_from_bloch(bloch)
             oracle = qmatrix.anticommutator_expectation(a, b, rho)
             assert abs(rotated_spin_correlation(th, ph, bloch) - oracle) < 1e-12
@@ -216,7 +239,7 @@ class TestBellHarness:
         assert not bell_check(by_substates, t1, t2).violated
 
     def test_classical_correlator_needs_a_sphere_ensemble(self):
-        ens = Ensemble.point_mass(microstate_four(entangled_psi(1)))
+        ens = Ensemble.point_mass(_microstate_four(entangled_psi(1)))
         with pytest.raises(ValueError, match="sphere ensembles"):
             classical_pair_correlator(ens)
 
@@ -233,9 +256,9 @@ class TestBellHarness:
 class TestInterference:
     def test_oscillation_values(self):
         delta = 1.0
-        assert interference_evolution(delta, 0.0)[1] == 1.0
-        assert abs(interference_evolution(delta, math.pi / 2.0)[1]) < 1e-8
-        assert abs(interference_evolution(delta, math.pi)[1] + 1.0) < 1e-8
+        assert _interference_at(delta, 0.0)[1] == 1.0
+        assert abs(_interference_at(delta, math.pi / 2.0)[1]) < 1e-8
+        assert abs(_interference_at(delta, math.pi)[1] + 1.0) < 1e-8
 
     def test_matches_cosine_over_period(self):
         delta = 1.0
@@ -245,7 +268,7 @@ class TestInterference:
     def test_density_matrix_form(self):
         # rho = (1 + L1 + cos(dt)(L2 + L3) - sin(dt)(L5 + L7)) / 4
         delta, t = 0.8, 1.3
-        state, _ = interference_evolution(delta, t)
+        state, _ = _interference_at(delta, t)
         l = qmatrix.L_BASIS
         want = 0.25 * (np.eye(4) + l[0] + math.cos(delta * t) * (l[1] + l[2])
                        - math.sin(delta * t) * (l[4] + l[6]))
@@ -254,7 +277,7 @@ class TestInterference:
     def test_state_stays_pure(self):
         times, f2, f5 = interference_trajectory(1.0, 5.0, 4096)
         for i in range(0, len(times), 512):
-            assert abs(interference_bloch(f2[i], f5[i]).purity - 3.0) < 1e-8
+            assert abs(_interference_state(f2[i], f5[i]).purity - 3.0) < 1e-8
 
 
     def test_step_count_bounded_before_allocating(self):
@@ -328,9 +351,14 @@ class TestBasisExpectations:
         probs /= probs.sum()
         for _ in range(5):
             psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-            states.append(microstate_four(psi / np.linalg.norm(psi)))
+            states.append(_microstate_four(psi / np.linalg.norm(psi)))
         ens = Ensemble.from_states(states, probs)
-        by_sum, by_state, by_trace = basis_expectations_three_ways(ens)
+        # <T_m> by per-micro-state sum, by the reduced state, and by tr(L_m rho)
+        by_sum = [math.fsum(float(p) * float(f[m]) for f, p in zip(ens.points, ens.probs)) for m in range(15)]
+        reduced = reduce_ensemble(ens)
+        by_state = [expectation(bit_observable(m + 1), reduced) for m in range(15)]
+        rho = qmatrix.density_from_bloch(reduced.rho)
+        by_trace = [qmatrix.qm_expectation(qmatrix.L_BASIS[m], rho) for m in range(15)]
         np.testing.assert_allclose(by_sum, by_state, atol=1e-12)
         np.testing.assert_allclose(by_state, by_trace, atol=1e-12)
 
@@ -347,6 +375,6 @@ class TestMonteCarloOnEntangled:
 
     def test_pure_point_mass_realises_entangled_state(self):
         # the entangled reduced state comes from a single classical micro-state
-        ens = Ensemble.point_mass(microstate_four(entangled_psi(-1)))
+        ens = Ensemble.point_mass(_microstate_four(entangled_psi(-1)))
         np.testing.assert_allclose(reduce_ensemble(ens).rho, entangled_bloch(-1).rho,
                                    atol=1e-14)

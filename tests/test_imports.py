@@ -1,5 +1,6 @@
-"""What package modules import: every name they import is used, and nothing
-generates code or loads the exact-arithmetic module at package import.
+"""What package modules import: every name they import is used, only the
+oracle's own users reach the matrix oracle, and nothing generates code or
+loads the exact-arithmetic module at package import.
 
 ``__init__`` is skipped by the unused-import check: its imports are the
 public re-exports.
@@ -73,13 +74,61 @@ def test_the_generated_code_guard_sees_each_form():
                                        "line 3: exec()", "line 4: eval()"]
 
 
+# The matrix oracle is the reference the classical side is checked against: only
+# the oracle itself, the experiments that compare with it and the acceptance
+# suite may use it, so no classical-side path can take its answer from it.
+_ORACLE_USERS = {"qmatrix.py", "experiments.py", "acceptance.py"}
+_ORACLE = {"qm_expectation", "nested_anticommutator_expectation", "quantum_product", "commutator"}
+
+
+def _oracle_references(source: str) -> list[str]:
+    """Names, attributes, imported names and string constants that name an oracle function."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        elif isinstance(node, ast.Constant):
+            name = node.value
+        else:
+            continue
+        if isinstance(name, str) and (name in _ORACLE or name.startswith("anticommutator")):
+            found.append((node.lineno, name))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_only_the_oracle_experiments_and_suite_use_the_oracle():
+    offenders = {}
+    for path in sorted(Path(ensembleq.__file__).parent.glob("*.py")):
+        if path.name not in _ORACLE_USERS:
+            found = _oracle_references(path.read_text(encoding="utf-8"))
+            if found:
+                offenders[path.name] = found
+    assert offenders == {}
+
+
+def test_the_oracle_guard_sees_each_form():
+    source = ("from .qmatrix import qm_expectation as expect\n"
+              "qmatrix.anticommutator_expectation(a, b, rho)\n"
+              "getattr(qmatrix, 'commutator')(a, b)\n"
+              "from .qmatrix import anticommutator, nested_anticommutator_expectation\n"
+              "quantum_product(a, b)\n"
+              "qmatrix.density_from_bloch(vec), _commutator(ham), 'tr({A, B} rho)/2'\n")
+    assert _oracle_references(source) == [
+        "line 1: qm_expectation", "line 2: anticommutator_expectation", "line 3: commutator",
+        "line 4: anticommutator", "line 4: nested_anticommutator_expectation", "line 5: quantum_product"]
+
+
 def test_importing_the_suite_loads_no_exact_arithmetic():
     code = (
         "import sys\n"
         "import ensembleq.acceptance, ensembleq.experiments\n"
         "print(sorted({'ensembleq.finite', 'fractions'} & set(sys.modules)))\n"
         "import ensembleq\n"
-        "print(ensembleq.zn_system.__module__, ensembleq.CartesianSpinEnsemble.__module__)\n"
+        "print(ensembleq.zn_system.__module__, ensembleq.cartesian_purity.__module__)\n"
     )
     src = str(Path(ensembleq.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -6,20 +6,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ensembleq import manifolds
+from ensembleq import manifolds, qmatrix
 from ensembleq.correlations import classical_correlation, pointwise_correlation
 from ensembleq.manifolds import (
     MAX_GRID_POINTS,
     MAX_SUBSTATE_ROWS,
     BlochState,
     Ensemble,
+    MicroState,
     SubstateEnsemble,
     canonical_direction,
     extend_to_substates,
     grid_ensemble,
-    microstate_four,
-    microstate_s1,
-    microstate_s2,
     mix,
     purity,
     reduce_ensemble,
@@ -30,15 +28,24 @@ from ensembleq.validate import ConstraintViolation, check_probabilities
 
 def octagon_ensemble(probs=None):
     """Eight pure states at multiples of pi/4 in the 1-2 plane."""
-    states = [microstate_s1(angle=k * math.pi / 4.0) for k in range(8)]
+    points = [[math.cos(k * math.pi / 4.0), math.sin(k * math.pi / 4.0), 0.0] for k in range(8)]
     if probs is None:
         probs = [1.0 / 8.0] * 8
-    return Ensemble.from_states(states, probs)
+    return Ensemble("s1", points, probs)
+
+
+def _circle_point_mass(angle) -> Ensemble:
+    with np.errstate(invalid="ignore"):   # cos and sin of inf are NaN
+        return Ensemble("s1", [[np.cos(angle), np.sin(angle), 0.0]], [1.0])
+
+
+def _microstate_four(psi) -> MicroState:
+    return MicroState("four", qmatrix.bloch_from_psi(psi), psi=psi)
 
 
 class TestReduce:
     def test_point_mass(self):
-        ens = Ensemble.point_mass(microstate_s2([0.0, 0.0, 1.0]))
+        ens = Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0])
         state = reduce_ensemble(ens)
         assert np.array_equal(state.rho, [0.0, 0.0, 1.0])
         assert state.purity == 1.0
@@ -48,9 +55,7 @@ class TestReduce:
         assert np.abs(state.rho).max() < 1e-15
 
     def test_two_point_equal_mixture(self):
-        ens = Ensemble.from_states(
-            [microstate_s2([1.0, 0.0, 0.0]), microstate_s2([0.0, 1.0, 0.0])], [0.5, 0.5]
-        )
+        ens = Ensemble("s2", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [0.5, 0.5])
         state = reduce_ensemble(ens)
         np.testing.assert_array_equal(state.rho, [0.5, 0.5, 0.0])
         assert state.purity == 0.5
@@ -97,7 +102,7 @@ class TestReduce:
 
 class TestValidation:
     def test_probabilities_not_renormalised(self):
-        states = [microstate_s2([0, 0, 1.0]), microstate_s2([1.0, 0, 0])]
+        states = [MicroState("s2", np.array([0, 0, 1.0])), MicroState("s2", np.array([1.0, 0, 0]))]
         with pytest.raises(ConstraintViolation):
             Ensemble.from_states(states, [0.6, 0.5])
         with pytest.raises(ConstraintViolation):
@@ -105,24 +110,26 @@ class TestValidation:
 
     def test_norm_constraint(self):
         with pytest.raises(ConstraintViolation):
-            microstate_s2([0.0, 0.0, 1.1])
+            Ensemble("s2", [[0.0, 0.0, 1.1]], [1.0])
         with pytest.raises(ConstraintViolation):
-            microstate_four(np.array([1.0, 1.0, 0.0, 0.0]))
+            Ensemble.point_mass(_microstate_four(np.array([1.0, 1.0, 0.0, 0.0])))
 
     @pytest.mark.parametrize("build", [
-        lambda: microstate_s1(angle=math.nan),
-        lambda: microstate_s1(angle=math.inf),
-        lambda: microstate_four([math.nan, 0.0, 0.0, 1.0]),
+        lambda: _circle_point_mass(math.nan),
+        lambda: _circle_point_mass(math.inf),
+        lambda: Ensemble.point_mass(_microstate_four([math.nan, 0.0, 0.0, 1.0])),
     ], ids=["s1-nan-angle", "s1-inf-angle", "four-nan-entry"])
     def test_non_finite_micro_state_rejected_at_construction(self, build):
-        # both were caught only when put into an Ensemble, and a NaN norm
-        # passed the four-state normalisation test
-        with pytest.raises(ValueError):
+        # a micro-state enters the package only through an Ensemble, which
+        # rejects non-finite coordinates (a NaN norm passes a "> tol" test)
+        _circle_point_mass(0.5)   # control: a finite angle passes
+        with pytest.raises(ValueError, match="non-finite"):
             build()
 
     def test_manifold_mixing_rejected(self):
         with pytest.raises(ValueError):
-            Ensemble.from_states([microstate_s2([0, 0, 1.0]), microstate_s1(angle=0.0)], [0.5, 0.5])
+            Ensemble.from_states([MicroState("s2", np.array([0, 0, 1.0])),
+                                  MicroState("s1", np.array([1.0, 0, 0]))], [0.5, 0.5])
 
     def test_bloch_state_bounds(self):
         with pytest.raises(ConstraintViolation):
@@ -184,7 +191,7 @@ class TestFourStateStates:
         rng = np.random.default_rng(3)
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi /= np.linalg.norm(psi)
-        f = microstate_four(psi).f
+        f = _microstate_four(psi).f
         assert abs(f @ f - 3.0) < 1e-12
 
     def test_reduce_respects_four_state_bound(self):
@@ -193,7 +200,7 @@ class TestFourStateStates:
         for _ in range(5):
             psi = rng.normal(size=4) + 1j * rng.normal(size=4)
             psi /= np.linalg.norm(psi)
-            states.append(microstate_four(psi))
+            states.append(_microstate_four(psi))
         p = rng.random(5)
         p /= p.sum()
         state = reduce_ensemble(Ensemble.from_states(states, p))
@@ -202,24 +209,24 @@ class TestFourStateStates:
 
 class TestSubstates:
     def test_aligned_direction(self):
-        ens = Ensemble.point_mass(microstate_s2([0.0, 0.0, 1.0]))
+        ens = Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0])
         sub = extend_to_substates(ens, [[0.0, 0.0, 1.0]])
         np.testing.assert_array_equal(sub.probs, [1.0, 0.0])
 
     def test_orthogonal_direction(self):
-        ens = Ensemble.point_mass(microstate_s2([0.0, 0.0, 1.0]))
+        ens = Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0])
         sub = extend_to_substates(ens, [[1.0, 0.0, 0.0]])
         np.testing.assert_array_equal(sub.probs, [0.5, 0.5])
 
     def test_two_directions_product_form(self):
-        ens = Ensemble.point_mass(microstate_s2([0.0, 0.0, 1.0]))
+        ens = Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0])
         sub = extend_to_substates(ens, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
         # sign order (+,+), (+,-), (-,+), (-,-) on (z, x)
         np.testing.assert_array_equal(sub.probs, [0.5, 0.5, 0.0, 0.0])
         assert float(sub.probs @ sub.sign_values([0.0, 0.0, 1.0])) == 1.0
 
     def test_antipodal_pair_rejected(self):
-        ens = Ensemble.point_mass(microstate_s2([0.0, 0.0, 1.0]))
+        ens = Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0])
         with pytest.raises(ValueError):
             extend_to_substates(ens, [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
 
@@ -249,7 +256,7 @@ class TestSubstates:
 
     def test_flip_convention(self):
         # gamma(-g) = -gamma(g): querying the antipode negates the signs
-        ens = Ensemble.point_mass(microstate_s2([0.0, 0.0, 1.0]))
+        ens = Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0])
         sub = extend_to_substates(ens, [[0.0, 0.0, 1.0]])
         plus = sub.sign_values([0.0, 0.0, 1.0])
         minus = sub.sign_values([0.0, 0.0, -1.0])
@@ -345,7 +352,7 @@ class TestSubstates:
             extend_to_substates(ens, dirs)
 
     def test_sixteen_directions(self):
-        ens = Ensemble.point_mass(microstate_s2([0.0, 0.0, 1.0]))
+        ens = Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0])
         rng = np.random.default_rng(11)
         dirs = rng.normal(size=(16, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)

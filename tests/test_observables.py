@@ -5,24 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ensembleq.manifolds import Ensemble, microstate_s1, microstate_s2, reduce_ensemble
+from ensembleq.manifolds import Ensemble, MicroState, reduce_ensemble
 from ensembleq.observables import (
     RANDOM,
     TwoLevelObservable,
-    basic_state_probability,
     basis_spin,
     combine,
     expectation,
     mean_in_state,
     moment,
     prob_plus,
-    scale,
     shift,
     spin,
 )
 from ensembleq.validate import DimensionMismatch
 
 SQ2 = 1.0 / math.sqrt(2.0)
+
+
+def _sphere_point(f) -> MicroState:
+    return MicroState("s2", np.asarray(f, dtype=float))
 
 
 def random_unit(rng, dim=3):
@@ -70,35 +72,35 @@ class TestConstruction:
 
 class TestMeanInState:
     def test_aligned(self):
-        assert mean_in_state(basis_spin(1), microstate_s2([1.0, 0.0, 0.0])) == 1.0
+        assert mean_in_state(basis_spin(1), _sphere_point([1.0, 0.0, 0.0])) == 1.0
 
     def test_diagonal_state(self):
         # the pi/4 circle state against the first axis spin
-        f = microstate_s1(angle=math.pi / 4.0)
+        f = MicroState("s1", np.array([math.cos(math.pi / 4.0), math.sin(math.pi / 4.0), 0.0]))
         assert abs(mean_in_state(basis_spin(1), f) - SQ2) < 1e-15
 
     def test_orthogonal(self):
-        assert mean_in_state(basis_spin(2), microstate_s2([1.0, 0.0, 0.0])) == 0.0
+        assert mean_in_state(basis_spin(2), _sphere_point([1.0, 0.0, 0.0])) == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            mean_in_state(basis_spin(1, dim=15), microstate_s2([1.0, 0.0, 0.0]))
+            mean_in_state(basis_spin(1, dim=15), _sphere_point([1.0, 0.0, 0.0]))
 
 
 class TestOutcomeProbabilities:
     def test_parallel_and_antiparallel(self):
         e = np.array([0.0, 0.0, 1.0])
-        assert prob_plus(spin(e), microstate_s2(e)) == 1.0
-        assert prob_plus(spin(e), microstate_s2(-e)) == 0.0
+        assert prob_plus(spin(e), _sphere_point(e)) == 1.0
+        assert prob_plus(spin(e), _sphere_point(-e)) == 0.0
 
     def test_right_angle(self):
-        assert prob_plus(basis_spin(1), microstate_s2([0.0, 1.0, 0.0])) == 0.5
+        assert prob_plus(basis_spin(1), _sphere_point([0.0, 1.0, 0.0])) == 0.5
 
     def test_scaled_rejected(self):
         with pytest.raises(ValueError):
-            prob_plus(scale(basis_spin(1), 2.0), microstate_s2([1.0, 0.0, 0.0]))
+            prob_plus(TwoLevelObservable(2.0 * basis_spin(1).e), _sphere_point([1.0, 0.0, 0.0]))
         with pytest.raises(ValueError):
-            prob_plus(shift(basis_spin(1), 0.5), microstate_s2([1.0, 0.0, 0.0]))
+            prob_plus(shift(basis_spin(1), 0.5), _sphere_point([1.0, 0.0, 0.0]))
 
 
 class TestMoments:
@@ -123,11 +125,11 @@ class TestMoments:
         assert abs(moment(basis_spin(3), ens, 1) - rho[2]) < 1e-15
 
     def test_odd_moment_point_mass(self):
-        ens = Ensemble.point_mass(microstate_s2([0.0, 0.0, 1.0]))
+        ens = Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0])
         assert moment(basis_spin(3), ens, 3) == 1.0
 
     def test_bad_q(self):
-        ens = Ensemble.point_mass(microstate_s2([0.0, 0.0, 1.0]))
+        ens = Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0])
         with pytest.raises(ValueError):
             moment(basis_spin(3), ens, 0)
 
@@ -167,7 +169,7 @@ class TestAlgebra:
         assert diag.e0 == 0.0
 
     def test_scale_flips_direction(self):
-        flipped = scale(basis_spin(1), -1.0)
+        flipped = combine(-1.0, basis_spin(1), 0.0, basis_spin(2))
         np.testing.assert_array_equal(flipped.e, [-1.0, 0.0, 0.0])
 
     def test_shift_spectrum(self):
@@ -176,12 +178,12 @@ class TestAlgebra:
 
     def test_complex_scaling_rejected(self):
         with pytest.raises(ValueError):
-            scale(basis_spin(1), 1.0j)
+            combine(1.0j, basis_spin(1), 0.0, basis_spin(2))
 
     def test_spectrum_matches_operator_eigenvalues(self):
         from ensembleq.observables import operator_of
 
-        obs = shift(scale(basis_spin(2), -1.5), 0.25)
+        obs = shift(TwoLevelObservable(-1.5 * basis_spin(2).e), 0.25)
         eigenvalues = sorted(np.linalg.eigvalsh(operator_of(obs)), reverse=True)
         np.testing.assert_allclose(eigenvalues, obs.spectrum, atol=1e-14)
 
@@ -201,7 +203,7 @@ class TestRandomObservable:
     def test_mean_and_square(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
-            f = microstate_s2(random_unit(rng))
+            f = _sphere_point(random_unit(rng))
             assert mean_in_state(RANDOM, f) == 0.0
             assert prob_plus(RANDOM, f) == 0.5
         pts = rng.normal(size=(4, 3))
@@ -219,24 +221,19 @@ class TestRandomObservable:
 
 
 class TestBasicStateProbability:
+    # a beam polarised along f with degree sqrt(p) has the state vector sqrt(p) f, and the
+    # analyser along e passes it with probability (1 + sqrt(p) e.f)/2
     def test_pure_aligned(self):
         e = np.array([0.0, 0.0, 1.0])
-        assert basic_state_probability(e, e, 1.0, 1) == 1.0
+        assert prob_plus(spin(e), e) == 1.0
 
     def test_zero_purity(self):
         rng = np.random.default_rng(5)
-        assert basic_state_probability(random_unit(rng), random_unit(rng), 0.0, 1) == 0.5
-        assert basic_state_probability(random_unit(rng), random_unit(rng), 0.0, -1) == 0.5
+        assert prob_plus(spin(random_unit(rng)), 0.0 * random_unit(rng)) == 0.5
+        assert 1.0 - prob_plus(spin(random_unit(rng)), 0.0 * random_unit(rng)) == 0.5
 
     def test_quarter_turn(self):
         f = np.array([1.0, 0.0, 0.0])
         e = np.array([SQ2, SQ2, 0.0])
         want = 0.5 * (1.0 + math.cos(math.pi / 4.0))
-        assert abs(basic_state_probability(f, e, 1.0, 1) - want) < 1e-15
-
-    def test_purity_range(self):
-        e = np.array([0.0, 0.0, 1.0])
-        with pytest.raises(ValueError):
-            basic_state_probability(e, e, 1.5, 1)
-        with pytest.raises(ValueError):
-            basic_state_probability(e, e, 0.5, 2)
+        assert abs(prob_plus(spin(e), f) - want) < 1e-15

@@ -8,23 +8,21 @@ from hypothesis import strategies as st
 from ensembleq import qmatrix
 from ensembleq.correlations import measurement_chain
 from ensembleq.dynamics import integrate_open, integrate_von_neumann
-from ensembleq.observables import TwoLevelObservable
+from ensembleq.observables import TwoLevelObservable, prob_plus, spin
 from ensembleq.qmatrix import (
     L_BASIS,
     PAULI,
     basis_identity_error,
     bloch_from_density,
     bloch_from_psi,
+    anticommutator_expectation,
     density_from_bloch,
-    direction_from_operator,
     fix_phase,
     l_operator,
+    nested_anticommutator_expectation,
     operator_from_direction,
-    operator_product_expectations,
-    pure_state_matrix,
     qm_expectation,
     quantum_product,
-    transition_probability,
     wavefunction_from_pure,
 )
 from ensembleq.validate import ConstraintViolation
@@ -40,6 +38,19 @@ def random_bloch(rng, radius=1.0):
 def random_psi(rng, dim=2):
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return psi / np.linalg.norm(psi)
+
+
+def _dyad(psi) -> np.ndarray:
+    return np.outer(psi, psi.conj())
+
+
+def _outcome_probability(a, b) -> float:
+    """Probability of +1 for the spin along the Bloch vector of a, in the micro-state of b."""
+    return prob_plus(spin(bloch_from_psi(a)), bloch_from_psi(b))
+
+
+def _transition_probability(a, b) -> float:
+    return float(abs(np.vdot(a, b)) ** 2)
 
 
 class TestBases:
@@ -131,7 +142,10 @@ class TestExpectations:
         rng = np.random.default_rng(4)
         e = rng.normal(size=15)
         e /= np.linalg.norm(e)
-        got_e, got_e0 = direction_from_operator(operator_from_direction(e, 0.3))
+        op = operator_from_direction(e, 0.3)
+        # the trace formulas e_k = tr(A L_k)/4 and e0 = tr(A)/4 invert the construction
+        got_e = np.array([np.trace(op @ L_BASIS[k]).real / 4.0 for k in range(15)])
+        got_e0 = float(np.trace(op).real / 4.0)
         np.testing.assert_allclose(got_e, e, atol=1e-14)
         assert abs(got_e0 - 0.3) < 1e-14
 
@@ -159,8 +173,8 @@ class TestWaveFunctions:
     def test_round_trip_random_pure(self, seed, dim):
         rng = np.random.default_rng(seed)
         psi = random_psi(rng, dim)
-        back = wavefunction_from_pure(pure_state_matrix(psi))
-        np.testing.assert_allclose(pure_state_matrix(back), pure_state_matrix(psi), atol=1e-9)
+        back = wavefunction_from_pure(_dyad(psi))
+        np.testing.assert_allclose(_dyad(back), _dyad(psi), atol=1e-9)
 
     def test_phase_convention(self):
         psi = fix_phase(np.array([0.0, -1.0j]))
@@ -168,16 +182,19 @@ class TestWaveFunctions:
 
 
 class TestTransitions:
+    # |<a|b>|^2 between two-state wave functions is the classical outcome
+    # probability (1 + f_a.f_b)/2 of the spin along f_a in the micro-state f_b
     def test_same_and_orthogonal(self):
         a = np.array([1.0, 0.0], dtype=complex)
         b = np.array([0.0, 1.0], dtype=complex)
-        assert transition_probability(a, a) == 1.0
-        assert transition_probability(a, b) == 0.0
+        assert _outcome_probability(a, a) == _transition_probability(a, a) == 1.0
+        assert _outcome_probability(a, b) == _transition_probability(a, b) == 0.0
 
     def test_z_vs_x(self):
         z_up = np.array([1.0, 0.0], dtype=complex)
         x_up = np.array([SQ2, SQ2], dtype=complex)
-        assert abs(transition_probability(z_up, x_up) - 0.5) < 1e-15
+        assert abs(_outcome_probability(z_up, x_up) - 0.5) < 1e-15
+        assert abs(_transition_probability(z_up, x_up) - 0.5) < 1e-15
 
     def test_completeness_relation(self):
         rng = np.random.default_rng(5)
@@ -185,29 +202,30 @@ class TestTransitions:
             a = random_psi(rng)
             a_perp = np.array([-a[1].conjugate(), a[0].conjugate()])
             b = random_psi(rng)
-            total = transition_probability(a, b) + transition_probability(a_perp, b)
+            total = _outcome_probability(a, b) + _outcome_probability(a_perp, b)
             assert abs(total - 1.0) < 1e-12
+            assert abs(_outcome_probability(a, b) - _transition_probability(a, b)) < 1e-12
 
 
 class TestOperatorProducts:
+    # Re tr(A B rho) = tr({A,B} rho)/2, while Re tr(A B C rho) mixes measurement
+    # orders: it is the single-order tr({{A,B},C} rho)/4 plus tr([[A,B],C] rho)/4
     def test_squared_pauli(self):
         rng = np.random.default_rng(6)
         rho = density_from_bloch(random_bloch(rng))
-        out = operator_product_expectations(PAULI[0], PAULI[0], PAULI[2], rho)
-        assert out["re_ab"] == 1.0
+        assert anticommutator_expectation(PAULI[0], PAULI[0], rho) == 1.0
 
     def test_anticommuting_pair(self):
         rng = np.random.default_rng(7)
         rho = density_from_bloch(random_bloch(rng))
-        out = operator_product_expectations(PAULI[0], PAULI[1], PAULI[2], rho)
-        assert out["re_ab"] == 0.0
+        assert anticommutator_expectation(PAULI[0], PAULI[1], rho) == 0.0
 
     def test_triple_reads_component(self):
         rng = np.random.default_rng(8)
         vec = random_bloch(rng)
         rho = density_from_bloch(vec)
-        out = operator_product_expectations(PAULI[0], PAULI[0], PAULI[2], rho)
-        assert abs(out["re_abc"] - vec[2]) < 1e-14
+        assert abs(nested_anticommutator_expectation(PAULI[0], PAULI[0], PAULI[2], rho) - vec[2]) < 1e-14
+        assert abs(np.trace(PAULI[0] @ PAULI[0] @ PAULI[2] @ rho).real - vec[2]) < 1e-14
 
     def test_symmetrized_vs_sequential(self):
         # the symmetrized triple product differs from the single-order value
@@ -216,8 +234,8 @@ class TestOperatorProducts:
         a, b, c = (operator_from_direction(rng.normal(size=3) / np.linalg.norm(rng.normal(size=3)))
                    for _ in range(3))
         rho = density_from_bloch(random_bloch(rng))
-        sym = operator_product_expectations(a, b, c, rho)["re_abc"]
-        seq = qmatrix.nested_anticommutator_expectation(a, b, c, rho)
+        sym = np.trace(a @ b @ c @ rho).real
+        seq = nested_anticommutator_expectation(a, b, c, rho)
         gap = 0.25 * np.trace(
             qmatrix.commutator(qmatrix.commutator(a, b), c) @ rho
         ).real

@@ -14,13 +14,17 @@ def _check():
     return experiments.Check("c", True, 0.0, 0.0, 1e-12)
 
 
+def _micro_state():
+    return manifolds.MicroState("s2", np.array([0.0, 0.0, 1.0]))
+
+
 def _sphere_point():
-    return manifolds.Ensemble.point_mass(manifolds.microstate_s2([0.0, 0.0, 1.0]))
+    return manifolds.Ensemble.point_mass(_micro_state())
 
 
 # each factory builds a fresh record with the same fields on every call
 FACTORIES = {
-    manifolds.MicroState: lambda: manifolds.microstate_s2([0.0, 0.0, 1.0]),
+    manifolds.MicroState: _micro_state,
     manifolds.BlochState: lambda: manifolds.BlochState([0.1, 0.2, 0.3]),
     manifolds.Ensemble: _sphere_point,
     manifolds.SubstateEnsemble: lambda: manifolds.extend_to_substates(_sphere_point(), [[0.0, 0.0, 1.0]]),
@@ -37,7 +41,6 @@ FACTORIES = {
     finite.Q2: lambda: finite.Q2(1, Fraction(1, 2)),
     finite.FiniteSpinSystem: lambda: finite.zn_system(4),
     finite.RegionDiagnostics: lambda: finite.realizable_region_check(finite.zn_system(4, exact=True)),
-    finite.CartesianSpinEnsemble: lambda: finite.CartesianSpinEnsemble((Fraction(1, 8),) * 8),
     finite.MeasurementOutcome: lambda: finite.cartesian_measure_sz([Fraction(1, 8)] * 8, "classical"),
     experiments.ExperimentConfig: lambda: experiments.ExperimentConfig("precession", {"dt": 0.01}),
     experiments.Check: _check,

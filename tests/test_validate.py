@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from ensembleq import experiments
 from ensembleq.correlations import simulate_sequences
-from ensembleq.finite import CartesianSpinEnsemble, FiniteSpinSystem, cartesian_measure_sz, zn_system
+from ensembleq.finite import FiniteSpinSystem, cartesian_measure_sz, zn_system
 from ensembleq.fourstate import OutcomeTable, interference_trajectory, symmetrized_hidden_ensemble
 from ensembleq.manifolds import grid_ensemble
 from ensembleq.observables import basis_spin, moment
@@ -113,7 +113,6 @@ def test_check_real_names_the_bad_list_entry_and_keeps_good_values():
 
 PROBABILITY_ENTRY_POINTS = {
     "FiniteSpinSystem": lambda p: FiniteSpinSystem(4, (0, 1, 2, 3), p[:4], (0, 1)),
-    "CartesianSpinEnsemble": CartesianSpinEnsemble,
     "cartesian_measure_sz-classical": lambda p: cartesian_measure_sz(p, "classical"),
     "cartesian_measure_sz-quantum": lambda p: cartesian_measure_sz(p, "quantum"),
     "OutcomeTable": lambda p: OutcomeTable(*p[:4]),
