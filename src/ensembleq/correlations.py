@@ -37,7 +37,7 @@ from .observables import (
     has_eigenstates,
     operator_of,
 )
-from .validate import ConstraintViolation, DimensionMismatch, ValueRecord, as_float_array, check_count
+from .validate import ConstraintViolation, DimensionMismatch, Record, ValueRecord, as_float_array, check_count
 
 _SNAP = 1e-12
 # measurement_chain enumerates 2^m branches, and four-state level i keeps up to
@@ -181,11 +181,12 @@ def _two_level_projectors(obs) -> np.ndarray:
     return 0.5 * np.stack([eye + op, eye - op])
 
 
-class WeightedEigenstateSum(ValueRecord):
+class WeightedEigenstateSum(Record):
     """Signed combination of eigenstate density matrices from a measurement chain.
 
     The trace of the signed sum equals the conditional correlation of the
-    measured sequence.
+    measured sequence. Two sums are equal only when they are the same object:
+    the terms hold arrays, which have no single truth value to compare by.
     """
 
     __slots__ = ("terms",)

@@ -179,7 +179,7 @@ def _decoherence(params, seed):
     d, t_final, dt = (check_real(p[k], k) for k in ("d", "t_final", "dt"))
     if d >= 0:
         raise ConfigError("decoherence needs a negative rate d")
-    rho0 = np.asarray(check_real(p["rho0"], "rho0"))
+    rho0 = np.asarray(check_real(p["rho0"], "rho0", length=3))
     traj = dynamics.integrate_open(rho0, None, d, (0.0, t_final), dt)
     worst = float(np.abs(traj.bloch - rho0 * np.exp(d * traj.times)[:, None]).max())
     p0, purity = float(rho0 @ rho0), traj.purity
@@ -248,7 +248,7 @@ def _cartesian_spins(params, seed):
         third = Fraction(1, 3)
         probs = [third, 0, 0, 0, third, 0, 0, third]
     else:
-        probs = check_real(p["probs"], "probs")
+        probs = check_real(p["probs"], "probs", length=8)
     before = finite.cartesian_purity(probs)
     classical = finite.cartesian_measure_sz(probs, "classical")
     quantum = finite.cartesian_measure_sz(probs, "quantum", free_p1=p["free_p1"])
@@ -316,7 +316,7 @@ def _pseudo_quantum_region(params, seed):
 
 def _correlation_table(params, seed):
     p = _merge_params({"rho": [0.3, 0.1, 0.2], "grid_resolution": 48}, params, "correlation-table")
-    rho_vec = np.asarray(check_real(p["rho"], "rho"))
+    rho_vec = np.asarray(check_real(p["rho"], "rho", length=3))
     state = manifolds.BlochState(rho_vec)
     rho_mat = qmatrix.density_from_bloch(rho_vec)
     axis = rho_vec / np.linalg.norm(rho_vec) if np.linalg.norm(rho_vec) > 0 else np.array([0.0, 0.0, 1.0])
@@ -356,7 +356,7 @@ def _mc_sequences(params, seed):
                        "n": 1_000_000, "jobs": 1}, params, "mc-sequences")
     angles = check_real(p["angles"], "angles")
     check_count(len(angles), "chain length", lo=2, hi=6)
-    rho_vec = np.asarray(check_real(p["rho"], "rho"))
+    rho_vec = np.asarray(check_real(p["rho"], "rho", length=3))
     chain = [observables.TwoLevelObservable(np.array([math.sin(a), 0.0, math.cos(a)]))
              for a in angles]
     _, closed = correlations.measurement_chain(chain, rho_vec)

@@ -156,10 +156,14 @@ def check_count(value, name: str, lo: int = 0, hi: int | None = None) -> int:
     return n
 
 
-def check_real(value, name: str, lo: float = -math.inf, hi: float = math.inf):
+def check_real(value, name: str, lo: float = -math.inf, hi: float = math.inf, length: int | None = None):
     """A finite real number in [lo, hi] as a float, or a list of them as a list of floats;
-    a bool, a string or a non-finite value (NaN passes any "> tol" test) is a ValueError."""
-    if isinstance(value, (list, tuple, np.ndarray)):
+    a bool, a string or a non-finite value (NaN passes any "> tol" test) is a ValueError.
+    With ``length``, the value must be a list of exactly that many numbers."""
+    is_list = isinstance(value, (list, tuple, np.ndarray))
+    if length is not None and not (is_list and len(value) == length):
+        raise ValueError(f"{name} must be a list of {length} real numbers, got {value!r}")
+    if is_list:
         return [check_real(v, f"{name}[{i}]", lo, hi) for i, v in enumerate(value)]
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")

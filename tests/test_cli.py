@@ -85,13 +85,14 @@ def test_invalid_parameter_value(tmp_path):
     ("mc-sequences", {"n": 1e15}),
     ("pseudo-quantum-region", {"sizes": [100000000]}),
     ("pseudo-quantum-region", {"sizes": [4096] * 100000}),
+    ("cartesian-spins", {"probs": 7}),
 ], ids=["bad-rate", "unbounded-span", "unknown-key", "negative-trials", "zero-trials",
         "too-many-jobs", "fractional-steps", "fractional-trials", "fractional-n",
         "fractional-jobs", "bool-trials", "fractional-size", "size-not-multiple-of-4",
         "zero-size", "fractional-grid", "oversized-grid", "nan-probs", "overflowing-span",
         "bool-b", "bool-omega", "bool-delta", "bool-angles", "bool-dt", "nan-d", "nan-p0",
         "oversized-steps", "oversized-trials", "oversized-n", "oversized-size",
-        "too-many-sizes"])
+        "too-many-sizes", "scalar-probs"])
 def test_config_error_writes_no_files(tmp_path, name, params):
     # parameters, integration and checks all run before a file is opened
     with pytest.raises(ConfigError):

@@ -261,6 +261,14 @@ class TestSequenceProbabilities:
 
 
 class TestMeasurementChain:
+    def test_sums_compare_and_hash_by_identity(self):
+        rho_vec = np.array([0.1, 0.2, 0.3])
+        first, _ = measurement_chain([A1, A3], rho_vec)
+        second, _ = measurement_chain([A1, A3], rho_vec)
+        assert first == first and first != second
+        assert len({first, second, first}) == 2
+        assert [w for w, _ in first.terms] == [w for w, _ in second.terms]
+
     def test_single_measurement(self):
         rho_vec = np.array([0.2, -0.3, 0.4])
         wes, value = measurement_chain([A3], rho_vec)

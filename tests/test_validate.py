@@ -109,6 +109,10 @@ def test_check_real_names_the_bad_list_entry_and_keeps_good_values():
         check_real([0.0, 1.0, math.nan], "x")
     with pytest.raises(ValueError, match=r"x = 2.0 outside \[0.0, 1.0\]"):
         check_real(2, "x", 0.0, 1.0)
+    assert check_real([1, 2, 3], "x", length=3) == [1.0, 2.0, 3.0]
+    for wrong in (7, [1.0, 2.0], [1.0, 2.0, 3.0, 4.0]):
+        with pytest.raises(ValueError, match="x must be a list of 3 real numbers"):
+            check_real(wrong, "x", length=3)
 
 
 PROBABILITY_ENTRY_POINTS = {
