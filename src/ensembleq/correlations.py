@@ -308,7 +308,7 @@ def classical_correlation(dir_a, dir_b, substates: SubstateEnsemble) -> float:
     patterns, each weighted by its column total of the table, so it needs
     O(n + 2^m) memory, not a value per substate.
     """
-    signs = substates.pattern_values(dir_a) * substates.pattern_values(dir_b)
+    signs = substates._pattern_values(dir_a) * substates._pattern_values(dir_b)
     return weighted_sum(np.add.reduce(substates.table, axis=0), signs)
 
 

@@ -282,14 +282,14 @@ class SubstateEnsemble(Record):
             raise ValueError("direction is not among the substate directions")
         return j, flip
 
-    def pattern_values(self, direction) -> np.ndarray:
+    def _pattern_values(self, direction) -> np.ndarray:
         """(P,) int8 sign of the direction in each pattern."""
         j, flip = self.column(direction)
         return flip * self.patterns[:, j]
 
     def sign_values(self, direction) -> np.ndarray:
         """(rows,) int8 sign of the direction in each substate."""
-        return np.tile(self.pattern_values(direction), self.table.shape[0])
+        return np.tile(self._pattern_values(direction), self.table.shape[0])
 
     def marginal_micro_probs(self) -> np.ndarray:
         """Marginalise the sign variables; recovers the base micro-state weights."""
@@ -297,7 +297,7 @@ class SubstateEnsemble(Record):
 
     def mean_sign(self, direction) -> np.ndarray:
         """Per-micro-state conditional mean of gamma(direction); equals f . e."""
-        num = self.table @ self.pattern_values(direction)
+        num = self.table @ self._pattern_values(direction)
         den = self.marginal_micro_probs()
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)

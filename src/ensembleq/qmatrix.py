@@ -14,7 +14,9 @@ The oracle functions (``qm_expectation``, the ``anticommutator*`` and
 ``nested_anticommutator_expectation`` values, ``quantum_product`` and
 ``commutator``) are the reference the classical side is checked against, so
 only this module, ``experiments`` and ``acceptance`` call them; a test of the
-package's imports enforces it. Functions here take and return bare numpy arrays so that the module has no
+package's imports enforces it.
+
+Functions here take and return bare numpy arrays so that the module has no
 dependency on the rest of the package; objects exposing a ``.rho`` or ``.e``
 attribute are accepted where a vector is expected.
 """
