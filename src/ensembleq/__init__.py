@@ -64,7 +64,6 @@ from .fourstate import (
     BellCheck,
     OutcomeTable,
     bell_check,
-    bit_observable,
     entangled_bloch,
     entangled_psi,
     entangled_state,
@@ -95,7 +94,7 @@ __all__ = [
     "NoEigenstateError", "OutcomeTable", "ProductObservable", "RANDOM",
     "RandomObservable", "ReducedTransition", "SequenceEstimate",
     "SubstateEnsemble", "Trajectory", "TwoLevelObservable",
-    "WeightedEigenstateSum", "basis_spin", "bell_check", "bit_observable",
+    "WeightedEigenstateSum", "basis_spin", "bell_check",
     "cartesian_measure_sz", "cartesian_purity", "classical_correlation",
     "combine", "conditional_correlation_2pt", "conditional_correlation_3pt",
     "conditional_product", "entangled_bloch", "entangled_psi",

@@ -37,9 +37,9 @@ from .observables import (
     has_eigenstates,
     operator_of,
 )
-from .validate import ConstraintViolation, DimensionMismatch, Record, ValueRecord, as_float_array, check_count
+from .validate import (INVARIANT_TOL, ZERO_TOL, ConstraintViolation, DimensionMismatch, Record, ValueRecord,
+                       as_float_array, check_count)
 
-_SNAP = 1e-12
 # measurement_chain enumerates 2^m branches, and four-state level i keeps up to
 # 2^i reduced states; either count above this is rejected before building
 MAX_CHAIN_SIZE = 1 << 20
@@ -140,8 +140,8 @@ def conditional_product(x, y):
     when they are orthogonal, and in general a mean function constant + spin
     part. Left association (A o B) o C is supported by passing the returned
     object back in; the right factor must always admit eigenstates, so
-    A o R raises ``NoEigenstateError``. Directions within 1e-12 of the exact
-    parallel/orthogonal cases are snapped onto them.
+    A o R raises ``NoEigenstateError``. Directions within INVARIANT_TOL of the
+    exact parallel/orthogonal cases are snapped onto them.
     """
     if isinstance(y, RandomObservable) or not has_eigenstates(y):
         raise NoEigenstateError(
@@ -159,15 +159,15 @@ def conditional_product(x, y):
     if u.shape != y.e.shape:
         raise DimensionMismatch("factor dimensions differ")
     const = float(u @ y.e)   # mean of x in the +1 eigenstate of y, offset removed
-    if abs(d) <= _SNAP:
-        if abs(const - 1.0) <= _SNAP:
+    if abs(d) <= INVARIANT_TOL:
+        if abs(const - 1.0) <= INVARIANT_TOL:
             return TwoLevelObservable(np.zeros(3), 1.0)
-        if abs(const + 1.0) <= _SNAP:
+        if abs(const + 1.0) <= INVARIANT_TOL:
             return TwoLevelObservable(np.zeros(3), -1.0)
-        if abs(const) <= _SNAP:
+        if abs(const) <= INVARIANT_TOL:
             return RANDOM
         return ProductObservable(np.zeros(3), const)
-    if abs(const) <= _SNAP and abs(abs(d) - 1.0) <= _SNAP:
+    if abs(const) <= INVARIANT_TOL and abs(abs(d) - 1.0) <= INVARIANT_TOL:
         return TwoLevelObservable(math.copysign(1.0, d) * y.e)
     return ProductObservable(d * y.e, const)
 
@@ -176,7 +176,7 @@ def _two_level_projectors(obs) -> np.ndarray:
     """The eigenprojectors (P+, P-) of a +-1 observable, stacked."""
     op = operator_of(obs)
     eye = np.eye(op.shape[0])
-    if np.abs(op @ op - eye).max() > 1e-12:
+    if np.abs(op @ op - eye).max() > INVARIANT_TOL:
         raise ValueError("observable operator does not square to 1 (spectrum is not +-1)")
     return 0.5 * np.stack([eye + op, eye - op])
 
@@ -242,9 +242,9 @@ def _chain(observables, state, terms: bool):
         projs = _two_level_projectors(obs)
         left = projs @ states[:, None]                  # (k, 2, d, d): P_o rho_j
         probs = np.trace(left, axis1=2, axis2=3).real
-        if np.any((probs < -_SNAP) | (probs > 1.0 + _SNAP)):
-            raise ConstraintViolation(f"outcome probability outside [0, 1] by over {_SNAP}")
-        probs = np.where(probs > 1e-15, np.minimum(probs, 1.0), 0.0)
+        if np.any((probs < -INVARIANT_TOL) | (probs > 1.0 + INVARIANT_TOL)):
+            raise ConstraintViolation(f"outcome probability outside [0, 1] by over {INVARIANT_TOL}")
+        probs = np.where(probs > ZERO_TOL, np.minimum(probs, 1.0), 0.0)
         eigen = projs / np.trace(projs, axis1=1, axis2=2).real[:, None, None]
         succ = np.arange(2 * k)
         if rank1:

@@ -23,8 +23,9 @@ import numpy as np
 from . import qmatrix
 from .manifolds import BlochState, Ensemble, weighted_sum
 from .qmatrix import LEVI, PAULI
-from .validate import (ConstraintViolation, Record, ValueRecord, as_float_array, check_probabilities,
-                       check_real, check_rotation, freeze)
+from .validate import (DRIFT_TOL, INVARIANT_TOL, PURITY_TOL, RATE_GAP_TOL, ZERO_TOL, ConstraintViolation,
+                       Record, ValueRecord, as_float_array, check_probabilities, check_real, check_rotation,
+                       freeze)
 
 MAX_STEPS = 2**20
 
@@ -39,7 +40,7 @@ class Hamiltonian(Record):
         if arr.ndim == 2:
             if not np.isfinite(arr).all():
                 raise ValueError("Hamiltonian matrix contains non-finite entries")
-            if np.abs(arr - arr.conj().T).max() > 1e-12:
+            if np.abs(arr - arr.conj().T).max() > INVARIANT_TOL:
                 raise ConstraintViolation("Hamiltonian matrix is not Hermitian")
             arr = freeze(arr.astype(complex), copy=False)
         else:
@@ -182,7 +183,7 @@ def reduced_from_micro(transition, ensemble: Ensemble) -> ReducedTransition:
         check_probabilities(column)
     rho_before = weighted_sum(ensemble.probs, ensemble.points)
     norm2 = float(rho_before @ rho_before)
-    if norm2 <= 1e-15:
+    if norm2 <= ZERO_TOL:
         raise ConstraintViolation("reduced state at t' has zero purity; map undefined")
     rho_after = weighted_sum(np.add.reduce(trans * ensemble.probs, axis=1), ensemble.points)
     return ReducedTransition(np.outer(rho_after, rho_before) / norm2)
@@ -281,7 +282,7 @@ def integrate_von_neumann(rho0, hamiltonian, t_span, dt: float) -> Trajectory:
     """Fixed-step RK4 integration of d rho/dt = -i [H, rho].
 
     Accepts a density matrix, BlochState or Bloch vector. Trace and
-    Hermiticity drift beyond 1e-10 over the span abort the run.
+    Hermiticity drift beyond DRIFT_TOL over the span abort the run.
     """
     ham = _as_hamiltonian(hamiltonian).matrix()
     mat = qmatrix.density_matrix(rho0)
@@ -290,8 +291,8 @@ def integrate_von_neumann(rho0, hamiltonian, t_span, dt: float) -> Trajectory:
     times, h, n = _steps(t_span, dt)
     mats = _linear_flow(mat.reshape(-1), _commutator(ham), h, n).reshape((n + 1,) + mat.shape)
     mat = mats[-1]
-    if abs(np.trace(mat).real - 1.0) > 1e-10 or np.abs(mat - mat.conj().T).max() > 1e-10:
-        raise ConstraintViolation("integrator drifted: trace/Hermiticity broken beyond 1e-10")
+    if abs(np.trace(mat).real - 1.0) > DRIFT_TOL or np.abs(mat - mat.conj().T).max() > DRIFT_TOL:
+        raise ConstraintViolation(f"integrator drifted: trace/Hermiticity broken beyond {DRIFT_TOL:g}")
     return Trajectory(times, matrices=mats)
 
 
@@ -327,8 +328,8 @@ def hamiltonian_from_rotation(s_of_t, t: float, h: float = 3e-5) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _check_purity(times, purity) -> None:
-    """Abort at the first of ``times`` whose purity exceeds 1 + 1e-9."""
-    bad = np.flatnonzero(np.asarray(purity) > 1.0 + 1e-9)
+    """Abort at the first of ``times`` whose purity exceeds 1 + PURITY_TOL."""
+    bad = np.flatnonzero(np.asarray(purity) > 1.0 + PURITY_TOL)
     if bad.size:
         i = bad[0]
         raise ConstraintViolation(
@@ -342,8 +343,8 @@ def integrate_open(rho0, hamiltonian, d_rate, t_span, dt: float) -> Trajectory:
 
     ``d_rate`` is a callable (bloch_vector, t) -> D, or a constant (a linear
     flow in rho - 1/2). Purity obeys dP/dt = 2 D P along the trajectory. A
-    purity above 1 + 1e-9 aborts with a constraint-violation report instead
-    of being projected back.
+    purity above 1 + PURITY_TOL aborts with a constraint-violation report
+    instead of being projected back.
     """
     ham = _as_hamiltonian(hamiltonian if hamiltonian is not None else np.zeros(3)).matrix()
     mat = qmatrix.density_matrix(rho0)
@@ -381,7 +382,7 @@ def syncoherence_flow(p0: float, d0: float, params: FlowParams, t_span, dt: floa
     State variables are u = 1 - P and D with du/dt = -D, dD/dt = -a D + b u.
     For a > 0, 0 < b < a^2/4 and 0 <= D0 <= eps_1 (1 - P0) the trajectory
     decays exponentially onto (P, D) = (1, 0); other parameter regimes
-    integrate but are unvalidated. A purity above 1 + 1e-9 aborts.
+    integrate but are unvalidated. A purity above 1 + PURITY_TOL aborts.
 
     Returns a Trajectory whose ``bloch`` column holds P and ``d_values`` D.
     """
@@ -390,7 +391,7 @@ def syncoherence_flow(p0: float, d0: float, params: FlowParams, t_span, dt: floa
         raise ValueError("initial purity exceeds 1")
     times, h, n = _steps(t_span, dt)
     state = _linear_flow(np.array([u, float(d0)]), [[0.0, -1.0], [params.b, -params.a]], h, n)
-    bad = np.flatnonzero(state[:, 0] < -1e-9)
+    bad = np.flatnonzero(state[:, 0] < -PURITY_TOL)
     if bad.size:
         raise ConstraintViolation(
             f"purity exceeded 1 at t = {times[bad[0]]!r}: a pure state cannot get purer"
@@ -408,7 +409,7 @@ def syncoherence_closed_form(p0: float, d0: float, params: FlowParams, times) ->
     initial conditions.
     """
     eps1, eps2 = params.rates
-    if abs(eps1 - eps2) < 1e-14:
+    if abs(eps1 - eps2) < RATE_GAP_TOL:
         raise ValueError("degenerate rates: closed form needs eps_1 != eps_2")
     u0 = 1.0 - float(p0)
     x1 = (float(d0) - eps2 * u0) / (eps1 - eps2)

@@ -21,7 +21,7 @@ import numpy as np
 # that importing the package loads neither
 from . import correlations, dynamics, fourstate, manifolds, observables, qmatrix
 from .reporting import write_csv, write_json
-from .validate import ValueRecord, check_count, check_real
+from .validate import PURITY_TOL, RELATIVE_ERROR_FLOOR, ValueRecord, check_count, check_real
 
 # count limits: steps^2 grid rows <= MAX_STEPS (about 30 s of Bell checks); a
 # classical trial draws one ensemble in about 0.2 ms, so MAX_STEPS of them take
@@ -146,8 +146,7 @@ def _bell_sweep(params, seed):
             satisfied += 1
     checks = [
         _tol_check("correlator equals -cos(theta1-theta2)", worst, 0.0, 1e-12),
-        Check("violation at (pi/2, pi/4)", marked.violated and marked.lhs - marked.rhs > 0.414 - 1e-9,
-              marked.lhs - marked.rhs, 2.0 ** 0.5 - 1.0, 1e-9),
+        _tol_check("violation at (pi/2, pi/4)", marked.lhs - marked.rhs, 2.0 ** 0.5 - 1.0, 1e-9),
         _exact_check("classical correlators satisfy the inequality", satisfied, trials),
     ]
     results = {"lhs_at_mark": marked.lhs, "rhs_at_mark": marked.rhs,
@@ -204,8 +203,8 @@ def _syncoherence(params, seed):
     traj = dynamics.syncoherence_flow(p0, d0, flow, (0.0, t_final), dt)
     p_ref, d_ref = dynamics.syncoherence_closed_form(p0, d0, flow, traj.times)
     pv, dv = traj.bloch[:, 0], traj.d_values
-    worst = max(float((np.abs(pv - p_ref) / (np.abs(p_ref) + 1e-12)).max()),
-                float((np.abs(dv - d_ref) / (np.abs(d_ref) + 1e-12)).max()))
+    worst = max(float((np.abs(pv - p_ref) / (np.abs(p_ref) + RELATIVE_ERROR_FLOOR)).max()),
+                float((np.abs(dv - d_ref) / (np.abs(d_ref) + RELATIVE_ERROR_FLOOR)).max()))
     rows = zip(traj.times, pv, dv, p_ref, d_ref)
     eps1, eps2 = flow.rates
     checks = [_tol_check("flow matches the two-exponential closed form (rel)", worst, 0.0, 1e-6)]
@@ -262,7 +261,7 @@ def _cartesian_spins(params, seed):
     checks = [
         _tol_check("quantum-rule purity is 1", float(quantum.purity_after), 1.0, 1e-12),
         Check("classical rule flagged iff purity exceeds 1",
-              classical.constraint_violated == (float(classical.purity_after) > 1.0 + 1e-9),
+              classical.constraint_violated == (float(classical.purity_after) > 1.0 + PURITY_TOL),
               float(classical.purity_after), 1.0, 0.0),
         _tol_check("pair sums equal 1/2",
                    max(abs(float(s) - 0.5) for s in quantum.pair_sums), 0.0, 1e-12),

@@ -18,8 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .manifolds import weighted_sum
-from .validate import ConstraintViolation, Record, ValueRecord, check_count, check_probabilities
+from .validate import (INVARIANT_TOL, PURITY_TOL, ZERO_TOL, ConstraintViolation, Record, ValueRecord, check_count,
+                       check_probabilities)
 
 
 class Q2(Record):
@@ -262,7 +262,7 @@ def realizable_region_check(system: FiniteSpinSystem, target=None) -> RegionDiag
         x2, y2 = hull[(i + 1) % len(hull)]
         num = abs(x1 * y2 - x2 * y1)
         den = math.hypot(x2 - x1, y2 - y1)
-        if den > 1e-15:
+        if den > ZERO_TOL:
             inr = min(inr, num / den)
     n = system.n_positions
     if system.exact and len(system.state_angles) == n:
@@ -277,7 +277,7 @@ def realizable_region_check(system: FiniteSpinSystem, target=None) -> RegionDiag
             x1, y1 = hull[i]
             x2, y2 = hull[(i + 1) % len(hull)]
             cross = (x2 - x1) * (ty - y1) - (y2 - y1) * (tx - x1)
-            if cross < -1e-12:
+            if cross < -INVARIANT_TOL:
                 realizable = False
                 break
     return RegionDiagnostics(
@@ -333,27 +333,6 @@ def integrate_out(system: FiniteSpinSystem, alpha=None, beta=None) -> FiniteSpin
     return FiniteSpinSystem(
         8, axis, tuple(new), system.observable_angles, exact=exact, signed=True
     )
-
-
-def rho_components(system: FiniteSpinSystem):
-    """The two effective probabilities (rho_1, rho_2), in the system's arithmetic.
-
-    rho_1 = sum_s p_s cos(phi_s), rho_2 = sum_s p_s sin(phi_s). They are
-    independent of the coefficients used in any earlier coarse-graining step.
-    """
-    n = system.n_positions
-    if system.exact:
-        r1 = _sum(
-            _cos_index(-s, n, True) * p for s, p in zip(system.state_angles, system.probs)
-        )
-        r2 = _sum(
-            _cos_index(n // 4 - s, n, True) * p
-            for s, p in zip(system.state_angles, system.probs)
-        )
-        return r1, r2
-    angles = np.array([2.0 * math.pi * s / n for s in system.state_angles])
-    probs = np.array([float(p) for p in system.probs])
-    return weighted_sum(probs, np.cos(angles)), weighted_sum(probs, np.sin(angles))
 
 
 def zn_step_evolution(system: FiniteSpinSystem, steps: int) -> FiniteSpinSystem:
@@ -487,7 +466,7 @@ def cartesian_measure_sz(p, rule: str, outcome: int = 1, free_p1=None) -> Measur
         for i, v in zip(range(8)[keep], sector):
             new[i] = v / total if exact else float(v) / float(total)
         purity_after = cartesian_purity(new)
-        violated = (purity_after > 1) if exact else (float(purity_after) > 1.0 + 1e-9)
+        violated = (purity_after > 1) if exact else (float(purity_after) > 1.0 + PURITY_TOL)
         return MeasurementOutcome(rule, outcome, tuple(new), purity_before, purity_after, violated)
     if rule == "quantum":
         half = Fraction(1, 2) if exact else 0.5

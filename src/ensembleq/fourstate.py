@@ -1,5 +1,5 @@
-"""Four-state system: bit observables, entanglement, Bell harness, interference
-and particle-exchange symmetry.
+"""Four-state system: entanglement, Bell harness, interference and
+particle-exchange symmetry.
 
 The fifteen basis observables T_m have operator representation L_m; their
 expectation values are the components of the reduced 15-vector. The entangled
@@ -19,23 +19,10 @@ import numpy as np
 
 from . import qmatrix
 from .dynamics import MAX_STEPS, _linear_flow
-from .manifolds import (
-    SAME_DIRECTION_TOL,
-    BlochState,
-    Ensemble,
-    canonical_direction,
-    weighted_sum,
-)
+from .manifolds import BlochState, Ensemble, canonical_direction, weighted_sum
 from .observables import TwoLevelObservable
-from .validate import (DimensionMismatch, ValueRecord, as_float_array, check_count, check_probabilities,
-                       check_real)
-
-
-def bit_observable(m: int) -> TwoLevelObservable:
-    """The basis bit observable T_m, m = 1..15 (mean f_m in micro-state f)."""
-    e = np.zeros(15)
-    e[m - 1] = 1.0
-    return TwoLevelObservable(e)
+from .validate import (INVARIANT_TOL, PURITY_TOL, SAME_DIRECTION_TOL, DimensionMismatch, ValueRecord,
+                       as_float_array, check_count, check_probabilities, check_real)
 
 
 def basis_psi(m: int) -> np.ndarray:
@@ -135,12 +122,12 @@ class BellCheck(ValueRecord):
         self._set(lhs, rhs, violated)
 
 
-def bell_check(correlator, theta1: float, theta2: float, tol: float = 1e-12) -> BellCheck:
+def bell_check(correlator, theta1: float, theta2: float) -> BellCheck:
     """Evaluate |C(t1) - C(t2)| <= 1 + C(t1 - t2) for a correlator of the angle
-    difference; ``violated`` is strict beyond ``tol``."""
+    difference; ``violated`` is strict beyond INVARIANT_TOL."""
     lhs = float(abs(correlator(theta1) - correlator(theta2)))
     rhs = float(1.0 + correlator(theta1 - theta2))
-    return BellCheck(lhs=lhs, rhs=rhs, violated=bool(lhs > rhs + tol))
+    return BellCheck(lhs=lhs, rhs=rhs, violated=bool(lhs > rhs + INVARIANT_TOL))
 
 
 def quantum_pair_correlator(state):
@@ -259,29 +246,30 @@ def exchange_symmetry(f) -> np.ndarray:
     return vec[_EXCHANGE_PERM]
 
 
-def is_exchange_symmetric(state, tol: float = 1e-9) -> str:
+def is_exchange_symmetric(state) -> str:
     """Classify a state under bit exchange.
 
     Pure states (wave function, or a pure density matrix / 15-vector):
     "bosonic" if psi is invariant, "fermionic" if psi switches sign,
     "forbidden" if the density matrix itself is not exchange symmetric.
-    Mixed exchange-symmetric density matrices report "symmetric".
+    Mixed exchange-symmetric density matrices report "symmetric". States are
+    compared to within PURITY_TOL.
     """
     ex = exchange_matrix()
     arr = np.asarray(getattr(state, "rho", state))
     if arr.shape == (4,):
         psi = arr.astype(complex)
         swapped = ex @ psi
-        if np.abs(swapped - psi).max() <= tol:
+        if np.abs(swapped - psi).max() <= PURITY_TOL:
             return "bosonic"
-        if np.abs(swapped + psi).max() <= tol:
+        if np.abs(swapped + psi).max() <= PURITY_TOL:
             return "fermionic"
         return "forbidden"
     mat = qmatrix.density_matrix(arr)
     if mat.shape != (4, 4):
         raise DimensionMismatch("exchange symmetry is defined for four-state states")
-    if np.abs(ex @ mat @ ex - mat).max() > tol:
+    if np.abs(ex @ mat @ ex - mat).max() > PURITY_TOL:
         return "forbidden"
-    if float(np.trace(mat @ mat).real) >= 1.0 - 1e-9:
-        return is_exchange_symmetric(qmatrix.wavefunction_from_pure(mat), tol=tol)
+    if float(np.trace(mat @ mat).real) >= 1.0 - PURITY_TOL:
+        return is_exchange_symmetric(qmatrix.wavefunction_from_pure(mat))
     return "symmetric"

@@ -22,6 +22,9 @@ import numpy as np
 
 from . import qmatrix
 from .validate import (
+    INVARIANT_TOL,
+    SAME_DIRECTION_TOL,
+    ZERO_TOL,
     ConstraintViolation,
     Record,
     as_float_array,
@@ -43,13 +46,6 @@ MAX_SUBSTATE_ROWS = 2**22
 # 96 MiB of coordinates and 32 MiB of weights, checked before either exists.
 MAX_GRID_POINTS = 2**22
 
-# Canonical directions closer than this in every coordinate name the same
-# observable. Two unit vectors that pass check_unit_vector and point the same
-# way differ by under 5e-13. The window must stay this narrow: the pair
-# correlator takes its coincident value inside it, and a window of width w
-# lets the Bell inequality fail by up to w / 2.
-SAME_DIRECTION_TOL = 1e-12
-
 
 class MicroState(Record):
     """A point on a micro-state manifold; immutable."""
@@ -67,7 +63,7 @@ class BlochState(Record):
 
     Two-state vectors satisfy sum rho_k^2 <= 1; four-state vectors satisfy
     sum rho_k^2 <= 3 and map to a positive matrix. Both checks run at
-    construction with tolerance 1e-12.
+    construction with tolerance INVARIANT_TOL.
     """
 
     __slots__ = ("rho",)
@@ -75,7 +71,7 @@ class BlochState(Record):
     def __init__(self, rho: np.ndarray):
         vec = as_float_array(rho, "rho")
         if vec.shape == (3,):
-            if float(vec @ vec) > 1.0 + 1e-12:
+            if float(vec @ vec) > 1.0 + INVARIANT_TOL:
                 raise ConstraintViolation("purity bound violated: sum rho_k^2 > 1")
         elif vec.shape == (15,):
             qmatrix.density_from_bloch(vec)  # checks the bound and positivity
@@ -103,7 +99,7 @@ class Ensemble(Record):
 
     ``points`` holds the coordinate vectors f (embedded, shape (n, 3) or
     (n, 15)); ``probs`` the probabilities, validated to be nonnegative with
-    sum 1 within 1e-12. Inputs outside tolerance are rejected, not rescaled.
+    sum 1 within INVARIANT_TOL. Inputs outside tolerance are rejected, not rescaled.
     The arrays are stored read-only; a caller's arrays are copied.
     """
 
@@ -121,9 +117,9 @@ class Ensemble(Record):
             raise ValueError("points and probs lengths differ")
         norms = np.einsum("ij,ij->i", pts, pts)
         norms -= 3.0 if manifold == "four" else 1.0
-        if np.abs(norms, out=norms).max() > 1e-12:
+        if np.abs(norms, out=norms).max() > INVARIANT_TOL:
             raise ConstraintViolation("a point violates the manifold norm constraint")
-        if manifold == "s1" and np.abs(pts[:, 2]).max() > 1e-12:
+        if manifold == "s1" and np.abs(pts[:, 2]).max() > INVARIANT_TOL:
             raise ConstraintViolation("s1 points must lie in the 1-2 plane")
         self._set(manifold, freeze(pts), freeze(probs), None if psis is None else freeze(psis, complex))
 
@@ -197,7 +193,7 @@ def mix(a: Ensemble, b: Ensemble, alpha: float) -> Ensemble:
 # substate (hidden-variable) extension
 # ---------------------------------------------------------------------------
 
-def canonical_direction(g, tol: float = 1e-12) -> tuple[np.ndarray, int]:
+def canonical_direction(g) -> tuple[np.ndarray, int]:
     """Map g to the hemisphere representative (first nonzero coordinate > 0).
 
     Returns (canonical vector, flip) with flip = +-1 so that g = flip * canonical.
@@ -206,7 +202,7 @@ def canonical_direction(g, tol: float = 1e-12) -> tuple[np.ndarray, int]:
     """
     vec = check_unit_vector(g, "direction")
     for c in vec:
-        if abs(c) > tol:
+        if abs(c) > INVARIANT_TOL:
             if c < 0:
                 return freeze(-vec), -1
             return freeze(vec), 1
@@ -221,7 +217,7 @@ class SubstateEnsemble(Record):
     micro-states times P distinct sign ``patterns``, the rows of one shared
     (P, m) int8 table with entries +1 or -1. Directions are stored
     canonicalised to a hemisphere. The table is validated like any
-    probability vector (nonnegative, exact total 1 within 1e-12).
+    probability vector (nonnegative, exact total 1 within INVARIANT_TOL).
 
     Rows are the cells of the table, micro-state by micro-state, each with
     the P patterns in order. ``probs`` is the flattened table (a read-only
@@ -460,7 +456,7 @@ def grid_ensemble(resolution: int, density=uniform_density) -> Ensemble:
     points = freeze(points, copy=False)
     cell_area = 4.0 * math.pi / (nz * nphi)
     weights = _eval_density(density, points) * cell_area
-    if np.any(weights < -1e-15):
+    if np.any(weights < -ZERO_TOL):
         raise ValueError("density takes negative values")
     np.maximum(weights, 0.0, out=weights)
     total = float(weights.sum())

@@ -18,6 +18,8 @@ import numpy as np
 from . import qmatrix
 from .manifolds import weighted_sum
 from .validate import (
+    INVARIANT_TOL,
+    ConstraintViolation,
     DimensionMismatch,
     Record,
     as_float_array,
@@ -58,7 +60,7 @@ class TwoLevelObservable(Record):
 
     @property
     def is_unit(self) -> bool:
-        return abs(float(self.e @ self.e) - 1.0) <= 1e-12 and self.e0 == 0.0
+        return abs(float(self.e @ self.e) - 1.0) <= INVARIANT_TOL and self.e0 == 0.0
 
     @property
     def label(self) -> str:
@@ -102,7 +104,7 @@ class ProductObservable(Record):
         vec = as_float_array(coeff, "coeff")
         self._set(freeze(vec, float), float(const))
         reach = float(np.linalg.norm(vec)) + abs(self.const)
-        if reach > 1.0 + 1e-12:
+        if reach > 1.0 + INVARIANT_TOL:
             raise ValueError("mean function exceeds the +-1 outcome range")
 
     @property
@@ -149,14 +151,17 @@ def prob_plus(obs, f) -> float:
     """Probability of the +1 outcome in a micro-state, (1 + mean)/2.
 
     Defined only for observables with spectrum {+1, -1}; scaled or shifted
-    observables are rejected.
+    observables are rejected, and a micro-state that puts the probability
+    outside [0, 1] by over INVARIANT_TOL raises ConstraintViolation.
     """
     if isinstance(obs, RandomObservable):
         return 0.5
     if isinstance(obs, TwoLevelObservable) and not obs.is_unit:
         raise ValueError("outcome probabilities require a unit direction and zero offset")
-    m = mean_in_state(obs, f)
-    return min(1.0, max(0.0, 0.5 * (1.0 + m)))
+    p = 0.5 * (1.0 + mean_in_state(obs, f))
+    if not -INVARIANT_TOL <= p <= 1.0 + INVARIANT_TOL:
+        raise ConstraintViolation(f"outcome probability {p!r} outside [0, 1] by over {INVARIANT_TOL}")
+    return min(1.0, max(0.0, p))
 
 
 def moment(obs, ensemble, q: int) -> float:
@@ -216,7 +221,7 @@ def has_eigenstates(obs) -> bool:
     if isinstance(obs, RandomObservable):
         return False
     if isinstance(obs, ProductObservable):
-        return float(np.linalg.norm(obs.coeff)) + abs(obs.const) >= 1.0 - 1e-12
+        return float(np.linalg.norm(obs.coeff)) + abs(obs.const) >= 1.0 - INVARIANT_TOL
     return True
 
 

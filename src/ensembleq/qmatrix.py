@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .validate import ConstraintViolation, DimensionMismatch, check_finite
+from .validate import INVARIANT_TOL, PURITY_TOL, ConstraintViolation, DimensionMismatch, check_finite
 
 PAULI = np.array(
     [
@@ -127,34 +127,27 @@ def density_from_bloch(state) -> np.ndarray:
     """Density matrix (1 + rho_k tau_k)/2 or (1 + rho_k L_k)/4 from a Bloch vector.
 
     Rejects non-finite vectors, and vectors violating the purity bound or
-    positivity beyond 1e-12. The 2x2 matrix is written entry by entry.
+    positivity beyond INVARIANT_TOL. The 2x2 matrix is written entry by entry.
     """
     rho_vec = np.asarray(getattr(state, "rho", state), dtype=float)
     if rho_vec.shape == (3,):
         x, y, z = check_finite(rho_vec.tolist(), "Bloch vector")
-        if float(rho_vec @ rho_vec) > 1.0 + 1e-12:
+        if float(rho_vec @ rho_vec) > 1.0 + INVARIANT_TOL:
             raise ConstraintViolation("two-state purity bound exceeded: sum rho_k^2 > 1")
         return np.array([[0.5 * (1.0 + z), complex(0.5 * x, -0.5 * y)],
                          [complex(0.5 * x, 0.5 * y), 0.5 * (1.0 - z)]])
     if rho_vec.shape == (15,):
         check_finite(rho_vec.tolist(), "Bloch vector")
-        if float(rho_vec @ rho_vec) > 3.0 + 1e-12:
+        if float(rho_vec @ rho_vec) > 3.0 + INVARIANT_TOL:
             raise ConstraintViolation("four-state purity bound exceeded: sum rho_k^2 > 3")
         mat = 0.25 * (np.eye(4) + np.einsum("k,kij->ij", rho_vec, L_BASIS))
-        if np.linalg.eigvalsh(mat).min() < -1e-12:
+        if np.linalg.eigvalsh(mat).min() < -INVARIANT_TOL:
             raise ConstraintViolation("Bloch vector maps to a non-positive matrix")
         return mat
     raise DimensionMismatch("Bloch vector must have 3 or 15 components")
 
 
-def bloch_from_density(rho: np.ndarray) -> np.ndarray:
-    """Expectation values of the basis operators, inverting ``density_from_bloch``."""
-    rho = check_density_matrix(rho)
-    basis = PAULI if rho.shape == (2, 2) else L_BASIS
-    return np.einsum("kij,ji->k", basis, rho).real
-
-
-def check_density_matrix(rho, tol: float = 1e-12) -> np.ndarray:
+def check_density_matrix(rho, tol: float = INVARIANT_TOL) -> np.ndarray:
     mat = np.asarray(rho, dtype=complex)
     if mat.shape not in ((2, 2), (4, 4)):
         raise DimensionMismatch("density matrix must be 2x2 or 4x4")
@@ -180,41 +173,41 @@ def density_matrix(state) -> np.ndarray:
     return density_from_bloch(arr)
 
 
-def qm_expectation(op: np.ndarray, rho: np.ndarray, tol: float = 1e-12) -> float:
+def qm_expectation(op: np.ndarray, rho: np.ndarray) -> float:
     """tr(A rho); the imaginary part must vanish for Hermitian A."""
     op = np.asarray(op, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
     if op.shape != rho.shape:
         raise DimensionMismatch("operator and density matrix dimensions differ")
     val = complex(np.trace(op @ rho))
-    if np.abs(op - op.conj().T).max() <= tol and abs(val.imag) > 1e-12:
+    if np.abs(op - op.conj().T).max() <= INVARIANT_TOL and abs(val.imag) > INVARIANT_TOL:
         raise ConstraintViolation(f"expectation of Hermitian operator not real: {val!r}")
     return val.real
 
 
-def fix_phase(psi: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Make the first component with modulus > tol real and positive."""
+def fix_phase(psi: np.ndarray) -> np.ndarray:
+    """Make the first component with modulus > PURITY_TOL real and positive."""
     psi = np.asarray(psi, dtype=complex)
     for c in psi:
-        if abs(c) > tol:
+        if abs(c) > PURITY_TOL:
             return psi * (c.conjugate() / abs(c))
     raise ValueError("wave function is numerically zero")
 
 
-def wavefunction_from_pure(rho, tol: float = 1e-9) -> np.ndarray:
+def wavefunction_from_pure(rho) -> np.ndarray:
     """Wave function psi with psi psi^dagger = rho, for a pure density matrix.
 
     The 2x2 case is solved in closed form from the Bloch vector; the 4x4 case
-    uses the LAPACK Hermitian eigensolver. Mixed input (tr rho^2 < 1 - tol) is
-    rejected. The free global phase is fixed by ``fix_phase``.
+    uses the LAPACK Hermitian eigensolver. Mixed input (tr rho^2 < 1 - PURITY_TOL)
+    is rejected. The free global phase is fixed by ``fix_phase``.
     """
-    mat = check_density_matrix(rho, tol=1e-9)
+    mat = check_density_matrix(rho, tol=PURITY_TOL)
     pur = float(np.trace(mat @ mat).real)
-    if pur < 1.0 - tol:
+    if pur < 1.0 - PURITY_TOL:
         raise ConstraintViolation(f"not a pure state: tr rho^2 = {pur!r}")
     if mat.shape == (2, 2):
         r = np.einsum("kij,ji->k", PAULI, mat).real
-        if 1.0 + r[2] > tol:
+        if 1.0 + r[2] > PURITY_TOL:
             psi = np.array([1.0 + r[2], r[0] + 1j * r[1]], dtype=complex)
         else:
             psi = np.array([0.0, 1.0], dtype=complex)
@@ -222,16 +215,7 @@ def wavefunction_from_pure(rho, tol: float = 1e-9) -> np.ndarray:
     else:
         evals, evecs = np.linalg.eigh(mat)
         psi = evecs[:, int(np.argmax(evals))]
-    return fix_phase(psi, tol=tol)
-
-
-def bloch_from_psi(psi: np.ndarray) -> np.ndarray:
-    """Basis-observable values f_k = psi^dagger (tau or L)_k psi of a pure state."""
-    psi = np.asarray(psi, dtype=complex)
-    basis = PAULI if psi.shape == (2,) else L_BASIS
-    if psi.shape not in ((2,), (4,)):
-        raise DimensionMismatch("wave function must have 2 or 4 components")
-    return np.einsum("i,kij,j->k", psi.conj(), basis, psi).real
+    return fix_phase(psi)
 
 
 def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

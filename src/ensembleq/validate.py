@@ -11,7 +11,50 @@ import numbers
 
 import numpy as np
 
-TOL = 1e-12
+# Tolerances. Each roundoff window the package allows is named once, here.
+# The tolerance a check writes into a report (``Check.tolerance``) is part of
+# that report and stays in its check row.
+
+# An identity or bound that holds in exact arithmetic (a unit norm, a
+# probability total or range, the Bloch bound, hermiticity, orthogonality,
+# positivity, a +-1 spectrum) may be off by this much after a few float
+# operations. Within it a value meets the identity, and a value this close to
+# an exact case (a coordinate or dot product of 0 or +-1) is taken as that
+# case; beyond it the input is rejected, never repaired.
+INVARIANT_TOL = 1e-12
+
+# A weight, probability, squared norm or length at or below this is zero.
+ZERO_TOL = 1e-15
+
+# A state that went through many float steps (an integrated trajectory, a
+# renormalised distribution, an eigensolver's output) may miss the purity
+# bound 1 by this much: purity up to 1 + PURITY_TOL has not left the physical
+# region, purity from 1 - PURITY_TOL counts as pure, and the wave function and
+# exchange class read off such a state are resolved to the same accuracy.
+PURITY_TOL = 1e-9
+
+# Trace and hermiticity drift an integrated density matrix may show at the
+# end of its span.
+DRIFT_TOL = 1e-10
+
+# Canonical directions closer than this in every coordinate name the same
+# observable. Two unit vectors that pass check_unit_vector and point the same
+# way differ by under 5e-13. The window must stay this narrow: the pair
+# correlator takes its coincident value inside it, and a window of width w
+# lets the Bell inequality fail by up to w / 2.
+SAME_DIRECTION_TOL = 1e-12
+
+# The determinant of a matrix that passed the orthogonality check is +-1 to a
+# few INVARIANT_TOL; this window tells a rotation (+1) from a reflection (-1).
+DET_TOL = 1e-10
+
+# Two flow rates closer than this are degenerate: the closed form divides by
+# their difference.
+RATE_GAP_TOL = 1e-14
+
+# Added to |reference| under a relative error, so that a reference passing
+# through zero gives a finite ratio.
+RELATIVE_ERROR_FLOOR = 1e-12
 
 # check_probabilities feeds fsum this many entries at a time, so its exact
 # total holds at most this many Python floats (about 128 KiB) at once,
@@ -107,37 +150,37 @@ def freeze(x, dtype=None, copy: bool = True) -> np.ndarray:
     return arr
 
 
-def check_unit_vector(v, name: str = "e", tol: float = TOL) -> np.ndarray:
+def check_unit_vector(v, name: str = "e") -> np.ndarray:
     arr = as_float_array(v, name)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a 1-d vector")
     nrm2 = float(arr @ arr)
-    if abs(nrm2 - 1.0) > tol:
+    if abs(nrm2 - 1.0) > INVARIANT_TOL:
         raise ConstraintViolation(f"{name} is not unit norm: |{name}|^2 = {nrm2!r}")
     return arr
 
 
-def check_probabilities(p, tol: float = TOL) -> np.ndarray:
+def check_probabilities(p) -> np.ndarray:
     """Validate a probability vector: entries >= 0 and an (fsum-)exact total of 1."""
     arr = as_float_array(p, "probabilities")
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("probabilities must be a non-empty 1-d vector")
-    if np.any(arr < -tol):
+    if np.any(arr < -INVARIANT_TOL):
         raise ConstraintViolation(f"negative probability: min = {arr.min()!r}")
     chunks = (arr[i:i + _FSUM_CHUNK].tolist() for i in range(0, arr.size, _FSUM_CHUNK))
     total = math.fsum(itertools.chain.from_iterable(chunks))
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > INVARIANT_TOL:
         raise ConstraintViolation(f"probabilities sum to {total!r}, not 1")
     return arr
 
 
-def check_rotation(m, tol: float = 1e-12) -> np.ndarray:
+def check_rotation(m) -> np.ndarray:
     arr = as_float_array(m, "rotation")
     if arr.shape != (3, 3):
         raise ValueError("rotation must be a 3x3 matrix")
-    if np.abs(arr.T @ arr - np.eye(3)).max() > tol:
+    if np.abs(arr.T @ arr - np.eye(3)).max() > INVARIANT_TOL:
         raise ConstraintViolation("matrix is not orthogonal")
-    if abs(np.linalg.det(arr) - 1.0) > 1e-10:
+    if abs(np.linalg.det(arr) - 1.0) > DET_TOL:
         raise ConstraintViolation("matrix is orthogonal but not a proper rotation (det != +1)")
     return arr
 

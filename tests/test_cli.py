@@ -2,9 +2,11 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ensembleq.cli import main
-from ensembleq.experiments import EXPERIMENTS, ConfigError, ExperimentConfig, run
+from ensembleq.experiments import EXPERIMENTS, ConfigError, ExperimentConfig, RunReport, run
 
 
 def test_bell_sweep_outputs(tmp_path, capsys):
@@ -99,6 +101,52 @@ def test_config_error_writes_no_files(tmp_path, name, params):
         run(ExperimentConfig(name, params, seed=0, out_dir=str(tmp_path)))
     assert not (tmp_path / f"{name}.csv").exists()
     assert not (tmp_path / f"{name}.report.json").exists()
+
+
+# JSON-shaped values that no parameter accepts, or that sit on a parameter's edge
+_JUNK = st.sampled_from([None, True, False, "1", math.nan, math.inf, -math.inf, [], {}])
+# reals: 0, the lower bound of spans, steps, rates and free_p1, and values below
+# it; small values that keep step counts low; and huge ones
+_REAL = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 3.0, 1e300, -1e300]), _JUNK)
+
+
+def _count(lo, hi):
+    """Counts from lo - 1 up to a small hi, a fraction, a whole float, and junk."""
+    return st.one_of(st.integers(lo - 1, hi), st.sampled_from([float(lo), lo + 0.5]), _JUNK)
+
+
+def _vector(length):
+    entries = st.sampled_from([0.0, 0.125, 0.3, -0.5, 1.0])
+    return st.one_of(st.lists(entries, min_size=length, max_size=length),
+                     st.lists(_REAL, max_size=length + 1), _REAL)
+
+
+_PARAMS = {
+    "bell-sweep": {"steps": _count(2, 4), "classical_trials": _count(1, 3)},
+    "interference": {"delta": _REAL, "t_final": _REAL, "points": _count(2, 8)},
+    "decoherence": {"d": _REAL, "rho0": _vector(3), "t_final": _REAL, "dt": _REAL},
+    "syncoherence": dict.fromkeys(("a", "b", "p0", "d0", "t_final", "dt"), _REAL),
+    "precession": dict.fromkeys(("omega", "t_final", "dt"), _REAL),
+    "cartesian-spins": {"probs": _vector(8), "free_p1": _REAL},
+    "pseudo-quantum-region": {"sizes": st.one_of(st.lists(_count(4, 12), max_size=3), _JUNK)},
+    "correlation-table": {"rho": _vector(3), "grid_resolution": _count(2, 4)},
+    "mc-sequences": {"angles": st.one_of(st.lists(_REAL, max_size=4), _REAL), "rho": _vector(3),
+                     "n": _count(1, 64), "jobs": _count(1, 2)},
+}
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_every_config_is_a_report_or_a_config_error(tmp_path_factory, name, data):
+    params = data.draw(st.fixed_dictionaries({}, optional=_PARAMS[name]), label="params")
+    out = tmp_path_factory.mktemp(name)
+    try:
+        report = run(ExperimentConfig(name, params, seed=0, out_dir=str(out)))
+    except ConfigError:
+        assert list(out.iterdir()) == []
+    else:
+        assert isinstance(report, RunReport)
 
 
 @pytest.mark.parametrize("t_final", ["inf", "1e7"])

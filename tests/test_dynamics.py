@@ -50,7 +50,7 @@ def _conjugated(rho, alpha) -> np.ndarray:
     gamma = float(np.linalg.norm(alpha))
     beta = alpha / gamma if gamma > 0 else alpha
     u = math.cos(gamma) * np.eye(2) + 1j * math.sin(gamma) * np.einsum("k,kij->ij", beta, qmatrix.PAULI)
-    return qmatrix.bloch_from_density(u @ qmatrix.density_from_bloch(rho) @ u.conj().T)
+    return np.einsum("kij,ji->k", qmatrix.PAULI, u @ qmatrix.density_from_bloch(rho) @ u.conj().T).real
 
 
 def _dyad(psi) -> np.ndarray:

@@ -9,24 +9,37 @@ from ensembleq.finite import (
     HALF_SQRT2,
     Q2,
     SPIN_VALUES,
+    _cos_index,
     _is_exact_seq,
+    _sum,
     cartesian_measure_sz,
     cartesian_purity,
     integrate_out,
     pure_system,
     realizable_region_check,
-    rho_components,
     zn_step_evolution,
     zn_system,
 )
+from ensembleq.manifolds import weighted_sum
 
 SQ2 = 1.0 / math.sqrt(2.0)
 THIRD = Fraction(1, 3)
 
 
+def _rho_components(system):
+    """(rho_1, rho_2) = sum_s p_s (cos, sin)(2 pi s / N), in the system's arithmetic."""
+    n = system.n_positions
+    if system.exact:
+        return tuple(_sum(_cos_index(shift - s, n, True) * p for s, p in zip(system.state_angles, system.probs))
+                     for shift in (0, n // 4))
+    angles = np.array([2.0 * math.pi * s / n for s in system.state_angles])
+    probs = np.array([float(p) for p in system.probs])
+    return weighted_sum(probs, np.cos(angles)), weighted_sum(probs, np.sin(angles))
+
+
 def _rho(system) -> np.ndarray:
     """The reduced state (rho_1, rho_2) of a circle system, as floats."""
-    return np.array([float(r) for r in rho_components(system)])
+    return np.array([float(r) for r in _rho_components(system)])
 
 
 def _spin_expectations(probs) -> list:
@@ -157,7 +170,7 @@ class TestReduceToRho:
         raw = [Fraction(int(x), 32) for x in rng.integers(0, 5, size=8)]
         raw[-1] = 1 - sum(raw[:-1])
         sys8 = zn_system(8, probs=tuple(raw), exact=True)
-        direct = rho_components(sys8)
+        direct = _rho_components(sys8)
         for alpha, beta in ((Fraction(1, 2), Fraction(1, 2)), (Fraction(2), Fraction(-1))):
             eff = integrate_out(sys8, alpha, beta)
             assert (eff.probs[0] - eff.probs[1], eff.probs[2] - eff.probs[3]) == direct

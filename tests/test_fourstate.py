@@ -12,7 +12,6 @@ from ensembleq.dynamics import MAX_STEPS
 from ensembleq.fourstate import (
     basis_psi,
     bell_check,
-    bit_observable,
     classical_pair_correlator,
     entangled_bloch,
     entangled_psi,
@@ -29,7 +28,6 @@ from ensembleq.fourstate import (
     symmetrized_hidden_ensemble,
 )
 from ensembleq.manifolds import (
-    SAME_DIRECTION_TOL,
     BlochState,
     Ensemble,
     MicroState,
@@ -38,8 +36,8 @@ from ensembleq.manifolds import (
     extend_to_substates,
     reduce_ensemble,
 )
-from ensembleq.observables import expectation, operator_of
-from ensembleq.validate import DimensionMismatch
+from ensembleq.observables import TwoLevelObservable, expectation, operator_of
+from ensembleq.validate import SAME_DIRECTION_TOL, DimensionMismatch
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -49,11 +47,17 @@ def random_four_state_bloch(rng, n_pure=4):
     psis /= np.linalg.norm(psis, axis=1, keepdims=True)
     w = rng.random(n_pure)
     w /= w.sum()
-    return sum(wi * qmatrix.bloch_from_psi(psi) for wi, psi in zip(w, psis))
+    return sum(wi * _bloch_from_psi(psi) for wi, psi in zip(w, psis))
+
+
+def _bloch_from_psi(psi) -> np.ndarray:
+    """The basis-observable values f_k = psi^dagger L_k psi of a pure state."""
+    psi = np.asarray(psi, dtype=complex)
+    return np.einsum("i,kij,j->k", psi.conj(), qmatrix.L_BASIS, psi).real
 
 
 def _microstate_four(psi) -> MicroState:
-    return MicroState("four", qmatrix.bloch_from_psi(psi), psi=psi)
+    return MicroState("four", _bloch_from_psi(psi), psi=psi)
 
 
 def _rotated_spin_operators(theta, phi):
@@ -333,10 +337,8 @@ class TestExchangeSymmetry:
         for _ in range(20):
             psi = rng.normal(size=4) + 1j * rng.normal(size=4)
             psi /= np.linalg.norm(psi)
-            f_swapped = qmatrix.bloch_from_psi(exchange_matrix() @ psi)
-            np.testing.assert_allclose(
-                f_swapped, exchange_symmetry(qmatrix.bloch_from_psi(psi)), atol=1e-13
-            )
+            f_swapped = _bloch_from_psi(exchange_matrix() @ psi)
+            np.testing.assert_allclose(f_swapped, exchange_symmetry(_bloch_from_psi(psi)), atol=1e-13)
 
     def test_involution(self):
         rng = np.random.default_rng(6)
@@ -356,7 +358,7 @@ class TestBasisExpectations:
         # <T_m> by per-micro-state sum, by the reduced state, and by tr(L_m rho)
         by_sum = [math.fsum(float(p) * float(f[m]) for f, p in zip(ens.points, ens.probs)) for m in range(15)]
         reduced = reduce_ensemble(ens)
-        by_state = [expectation(bit_observable(m + 1), reduced) for m in range(15)]
+        by_state = [expectation(TwoLevelObservable(np.eye(15)[m]), reduced) for m in range(15)]
         rho = qmatrix.density_from_bloch(reduced.rho)
         by_trace = [qmatrix.qm_expectation(qmatrix.L_BASIS[m], rho) for m in range(15)]
         np.testing.assert_allclose(by_sum, by_state, atol=1e-12)

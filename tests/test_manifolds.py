@@ -40,7 +40,8 @@ def _circle_point_mass(angle) -> Ensemble:
 
 
 def _microstate_four(psi) -> MicroState:
-    return MicroState("four", qmatrix.bloch_from_psi(psi), psi=psi)
+    psi = np.asarray(psi, dtype=complex)
+    return MicroState("four", np.einsum("i,kij,j->k", psi.conj(), qmatrix.L_BASIS, psi).real, psi=psi)
 
 
 class TestReduce:

@@ -18,7 +18,7 @@ from ensembleq.observables import (
     shift,
     spin,
 )
-from ensembleq.validate import DimensionMismatch
+from ensembleq.validate import INVARIANT_TOL, ConstraintViolation, DimensionMismatch
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -101,6 +101,17 @@ class TestOutcomeProbabilities:
             prob_plus(TwoLevelObservable(2.0 * basis_spin(1).e), _sphere_point([1.0, 0.0, 0.0]))
         with pytest.raises(ValueError):
             prob_plus(shift(basis_spin(1), 0.5), _sphere_point([1.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("scale", [2.0, -3.0, 1.0 + 4 * INVARIANT_TOL])
+    def test_probability_outside_the_unit_interval_raises(self, scale):
+        e = np.array([0.0, 0.0, 1.0])
+        with pytest.raises(ConstraintViolation, match=r"outside \[0, 1\]"):
+            prob_plus(spin(e), scale * e)
+
+    def test_roundoff_inside_the_window_is_rounded_onto_the_interval(self):
+        e = np.array([0.0, 0.0, 1.0])
+        assert prob_plus(spin(e), (1.0 + INVARIANT_TOL) * e) == 1.0
+        assert prob_plus(spin(e), -(1.0 + INVARIANT_TOL) * e) == 0.0
 
 
 class TestMoments:

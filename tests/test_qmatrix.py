@@ -13,8 +13,6 @@ from ensembleq.qmatrix import (
     L_BASIS,
     PAULI,
     basis_identity_error,
-    bloch_from_density,
-    bloch_from_psi,
     anticommutator_expectation,
     density_from_bloch,
     fix_phase,
@@ -42,6 +40,21 @@ def random_psi(rng, dim=2):
 
 def _dyad(psi) -> np.ndarray:
     return np.outer(psi, psi.conj())
+
+
+def _basis(dim):
+    return PAULI if dim == 2 else L_BASIS
+
+
+def bloch_from_density(rho) -> np.ndarray:
+    """The basis-operator values tr(tau_k rho) or tr(L_k rho), inverting density_from_bloch."""
+    return np.einsum("kij,ji->k", _basis(len(rho)), rho).real
+
+
+def bloch_from_psi(psi) -> np.ndarray:
+    """The basis-observable values f_k = psi^dagger (tau or L)_k psi of a pure state."""
+    psi = np.asarray(psi, dtype=complex)
+    return np.einsum("i,kij,j->k", psi.conj(), _basis(len(psi)), psi).real
 
 
 def _outcome_probability(a, b) -> float:
