@@ -17,8 +17,6 @@ from .manifolds import (
     SubstateEnsemble,
     extend_to_substates,
     grid_ensemble,
-    mix,
-    purity,
     reduce_ensemble,
 )
 from .observables import (
@@ -33,7 +31,6 @@ from .observables import (
     mean_in_state,
     moment,
     prob_plus,
-    shift,
     spin,
 )
 from .correlations import (
@@ -58,7 +55,6 @@ from .dynamics import (
     rotate_distribution,
     syncoherence_closed_form,
     syncoherence_flow,
-    unitary_step,
 )
 from .fourstate import (
     BellCheck,
@@ -101,10 +97,10 @@ __all__ = [
     "entangled_state", "exchange_symmetry", "expectation",
     "extend_to_substates", "grid_ensemble", "integrate_open", "integrate_out",
     "integrate_von_neumann", "is_exchange_symmetric", "mean_in_state",
-    "measurement_chain", "mix", "moment", "outcomes_from_t",
-    "pointwise_correlation", "prob_plus", "purity", "realizable_region_check",
+    "measurement_chain", "moment", "outcomes_from_t",
+    "pointwise_correlation", "prob_plus", "realizable_region_check",
     "reduce_ensemble", "reduced_from_micro", "rotate_distribution",
-    "rotated_spin_correlation", "shift", "simulate_sequences", "spin",
-    "syncoherence_closed_form", "syncoherence_flow", "unitary_step",
+    "rotated_spin_correlation", "simulate_sequences", "spin",
+    "syncoherence_closed_form", "syncoherence_flow",
     "zn_step_evolution", "zn_system",
 ]

@@ -104,7 +104,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--param", action="append", metavar="KEY=VALUE",
                        help="override one parameter (JSON-parsed value)")
     p_run.add_argument("--jobs", type=int, default=None,
-                       help="parallel workers for experiments that sample")
+                       help="sampling shares: the calling thread runs one, a thread each the rest")
     p_run.set_defaults(func=_cmd_run)
 
     p_verify = sub.add_parser("verify", help="run the acceptance suite")

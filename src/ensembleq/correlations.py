@@ -23,6 +23,7 @@ measured first, so the list reads like the product A o B o C.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -43,7 +44,8 @@ from .validate import (INVARIANT_TOL, ZERO_TOL, ConstraintViolation, DimensionMi
 # measurement_chain enumerates 2^m branches, and four-state level i keeps up to
 # 2^i reduced states; either count above this is rejected before building
 MAX_CHAIN_SIZE = 1 << 20
-# simulate_sequences runs at most this many worker threads; more is rejected
+# simulate_sequences splits its blocks into at most this many shares, one run by
+# the calling thread and the rest by MAX_JOBS - 1 threads; more is rejected
 MAX_JOBS = 64
 # simulate_sequences draws at most this many samples: 4295 times the 10^6 of
 # c4 and the README, about five minutes on one core at 1.5e7 samples/s (m = 2)
@@ -351,13 +353,18 @@ def simulate_sequences(
     and block j draws its uniforms from the stream ``default_rng([seed, j])``
     in row-major order, one row of m uniforms per sample, column i feeding
     measurement i (rightmost measured first). So the result is bit-identical
-    for a given (seed, n_samples, block_size) whatever ``n_jobs`` is. Workers
-    draw and walk a block _TILE_ROWS rows at a time; successive draws continue
-    the stream, so the tile size never changes a result, and a worker's
+    for a given (seed, n_samples, block_size) whatever ``n_jobs`` is.
+
+    The blocks are dealt into min(n_jobs, n_blocks) shares, share w taking
+    blocks w, w + shares, ...; the calling thread runs share 0 and one thread
+    each runs the others, so ``n_jobs=1`` starts no thread. An error in any
+    share is raised in the caller once every thread has ended. A share draws
+    and walks a block _TILE_ROWS rows at a time; successive draws continue
+    the stream, so the tile size never changes a result, and a share's
     working set stays near _TILE_ROWS * m * 8 bytes whatever ``block_size``
     is. The mean converges to ``measurement_chain``'s closed form at the
     n^(-1/2) rate; the standard error is the sample std. dev. over sqrt(n).
-    More than MAX_SAMPLES samples or MAX_JOBS workers are rejected before drawing.
+    More than MAX_SAMPLES samples or MAX_JOBS shares are rejected before drawing.
     """
     n_samples = check_count(n_samples, "n_samples", lo=1, hi=MAX_SAMPLES)
     seed = check_count(seed, "seed")
@@ -376,14 +383,27 @@ def simulate_sequences(
             total += rows - 2 * int(np.count_nonzero(np.logical_xor.reduce(minus, axis=0)))
         return total
 
-    if n_jobs > 1 and n_blocks > 1:
-        # imported here, so that importing the package loads no concurrent.futures
-        from concurrent.futures import ThreadPoolExecutor
+    shares = min(n_jobs, n_blocks)
+    sums, errors = [0] * shares, [None] * shares
 
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            sums = list(pool.map(run_block, range(n_blocks)))
-    else:
-        sums = [run_block(j) for j in range(n_blocks)]
+    def run_share(w: int) -> None:
+        """Sum blocks w, w + shares, ... into sums[w], or keep the error for the caller."""
+        try:
+            sums[w] = sum(run_block(j) for j in range(w, n_blocks, shares))
+        except Exception as exc:
+            errors[w] = exc
+
+    threads = [threading.Thread(target=run_share, args=(w,)) for w in range(1, shares)]
+    for thread in threads:
+        thread.start()
+    try:
+        run_share(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     mean = sum(sums) / n_samples
     if n_samples > 1:
         var = max(0.0, 1.0 - mean * mean) * n_samples / (n_samples - 1)

@@ -140,16 +140,6 @@ class Trajectory(Record):
     def purity(self) -> np.ndarray:
         return _purity(self.bloch)
 
-    def to_csv(self, path) -> None:
-        from .reporting import write_csv
-
-        cols = ["t"] + [f"rho_{i + 1}" for i in range(self.bloch.shape[1])] + ["P"]
-        series = [self.times, *self.bloch.T, self.purity]
-        if self.d_values is not None:
-            cols.append("D")
-            series.append(self.d_values)
-        write_csv(path, cols, zip(*series))
-
 
 # ---------------------------------------------------------------------------
 # rotations of distributions and reduced transition maps
@@ -214,14 +204,6 @@ def rotation_from_generator(alpha) -> np.ndarray:
         + 2.0 * s * s * np.outer(beta, beta)
         + 2.0 * s * c * np.einsum("klm,m->kl", LEVI, beta)
     )
-
-
-def unitary_step(state, alpha) -> BlochState:
-    """Apply the closed-form rotation of ``rotation_from_generator`` to a state."""
-    vec = as_float_array(getattr(state, "rho", state), "rho")
-    if vec.shape != (3,):
-        raise ValueError("unitary_step acts on two-state Bloch vectors")
-    return BlochState(rotation_from_generator(alpha) @ vec)
 
 
 def _steps(t_span, dt: float) -> tuple[np.ndarray, float, int]:

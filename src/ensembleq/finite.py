@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .validate import (INVARIANT_TOL, PURITY_TOL, ZERO_TOL, ConstraintViolation, Record, ValueRecord, check_count,
+from .validate import (PURITY_TOL, ZERO_TOL, ConstraintViolation, Record, ValueRecord, check_count,
                        check_probabilities)
 
 
@@ -235,19 +235,16 @@ class RegionDiagnostics(ValueRecord):
     is computed by exact vertex enumeration.
     """
 
-    __slots__ = ("vertices", "max_mean_sum", "inradius", "inradius_squared", "target", "target_realizable")
+    __slots__ = ("vertices", "max_mean_sum", "inradius", "inradius_squared")
 
-    def __init__(self, vertices: tuple, max_mean_sum, inradius: float, inradius_squared,
-                 target: tuple | None = None, target_realizable: bool | None = None):
-        self._set(vertices, max_mean_sum, inradius, inradius_squared, target, target_realizable)
+    def __init__(self, vertices: tuple, max_mean_sum, inradius: float, inradius_squared):
+        self._set(vertices, max_mean_sum, inradius, inradius_squared)
 
 
-def realizable_region_check(system: FiniteSpinSystem, target=None) -> RegionDiagnostics:
+def realizable_region_check(system: FiniteSpinSystem) -> RegionDiagnostics:
     """Vertex-enumeration diagnostics of the reachable expectation region.
 
-    Uses the first two observables as plot axes. ``target_realizable`` tests
-    membership of a requested (A1, A2) pair in the convex hull of the
-    micro-state mean vectors.
+    Uses the first two observables as plot axes.
     """
     table = system.mean_table()
     sums = [_sum(table[i][j] for i in range(len(table))) for j in range(system.n_states)]
@@ -269,24 +266,11 @@ def realizable_region_check(system: FiniteSpinSystem, target=None) -> RegionDiag
         inr_sq = (Q2(1) + _cos_index(1, n, True)) * Fraction(1, 2)
     else:
         inr_sq = inr * inr
-    realizable = None
-    if target is not None:
-        tx, ty = float(target[0]), float(target[1])
-        realizable = True
-        for i in range(len(hull)):
-            x1, y1 = hull[i]
-            x2, y2 = hull[(i + 1) % len(hull)]
-            cross = (x2 - x1) * (ty - y1) - (y2 - y1) * (tx - x1)
-            if cross < -INVARIANT_TOL:
-                realizable = False
-                break
     return RegionDiagnostics(
         vertices=tuple(hull),
         max_mean_sum=max_sum,
         inradius=inr,
         inradius_squared=inr_sq,
-        target=None if target is None else (float(target[0]), float(target[1])),
-        target_realizable=realizable,
     )
 
 

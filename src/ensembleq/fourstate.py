@@ -41,9 +41,6 @@ class OutcomeTable(ValueRecord):
         check_probabilities((w_pp, w_pm, w_mp, w_mm))
         self._set(w_pp, w_pm, w_mp, w_mm)
 
-    def as_dict(self) -> dict[str, float]:
-        return {"++": self.w_pp, "+-": self.w_pm, "-+": self.w_mp, "--": self.w_mm}
-
 
 def outcomes_from_t(t1: float, t2: float, t3: float) -> OutcomeTable:
     """Invert the linear relations between <T_1>, <T_2>, <T_3> and the W's.

@@ -71,7 +71,8 @@ class BlochState(Record):
     def __init__(self, rho: np.ndarray):
         vec = as_float_array(rho, "rho")
         if vec.shape == (3,):
-            if float(vec @ vec) > 1.0 + INVARIANT_TOL:
+            x, y, z = vec.tolist()   # Python floats overflow to inf without a warning
+            if x * x + y * y + z * z > 1.0 + INVARIANT_TOL:
                 raise ConstraintViolation("purity bound violated: sum rho_k^2 > 1")
         elif vec.shape == (15,):
             qmatrix.density_from_bloch(vec)  # checks the bound and positivity
@@ -86,12 +87,6 @@ class BlochState(Record):
     @property
     def purity(self) -> float:
         return float(self.rho @ self.rho)
-
-
-def purity(state) -> float:
-    """sum_k rho_k^2 of a BlochState or bare vector."""
-    vec = as_float_array(getattr(state, "rho", state), "rho")
-    return float(vec @ vec)
 
 
 class Ensemble(Record):
@@ -144,13 +139,6 @@ class Ensemble(Record):
     def point_mass(cls, state: MicroState) -> "Ensemble":
         return cls.from_states([state], [1.0])
 
-    def states(self) -> list[tuple[MicroState, float]]:
-        out = []
-        for i in range(len(self)):
-            psi = None if self.psis is None else self.psis[i]
-            out.append((MicroState(self.manifold, self.points[i], psi=psi), float(self.probs[i])))
-        return out
-
 
 def weighted_sum(weights: np.ndarray, values: np.ndarray):
     """sum_i weights[i] values[i]: a float for a vector of values, one per column for a matrix.
@@ -173,20 +161,6 @@ def reduce_ensemble(ensemble: Ensemble) -> BlochState:
     tolerance, which signals a malformed input ensemble.
     """
     return BlochState(weighted_sum(ensemble.probs, ensemble.points))
-
-
-def mix(a: Ensemble, b: Ensemble, alpha: float) -> Ensemble:
-    """Convex combination alpha*a + (1-alpha)*b as a single point set."""
-    if a.manifold != b.manifold:
-        raise ValueError("cannot mix ensembles on different manifolds")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    pts = np.vstack([a.points, b.points])
-    probs = np.concatenate([alpha * a.probs, (1.0 - alpha) * b.probs])
-    psis = None
-    if a.manifold == "four":
-        psis = np.vstack([a.psis, b.psis])
-    return Ensemble(a.manifold, pts, probs, psis)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +200,7 @@ class SubstateEnsemble(Record):
     pattern table shared by all micro-states.
     """
 
-    __slots__ = ("directions", "base_points", "table", "patterns", "base_probs")
+    __slots__ = ("directions", "base_points", "table", "patterns")
 
     def __init__(
         self,
@@ -234,7 +208,6 @@ class SubstateEnsemble(Record):
         base_points: np.ndarray,  # (n, 3)
         table: np.ndarray,        # (n, P) probabilities
         patterns: np.ndarray,     # (P, m), int8 entries +-1
-        base_probs: np.ndarray | None = None,
     ):
         directions = freeze(as_float_array(directions))
         base_points = freeze(as_float_array(base_points))
@@ -247,9 +220,7 @@ class SubstateEnsemble(Record):
         if table.shape != (base_points.shape[0], patterns.shape[0]):
             raise ValueError("probability table must have shape (micro-states, patterns)")
         check_probabilities(table.reshape(-1))
-        if base_probs is not None:
-            base_probs = freeze(as_float_array(base_probs))
-        self._set(directions, base_points, freeze(table), freeze(patterns, np.int8), base_probs)
+        self._set(directions, base_points, freeze(table), freeze(patterns, np.int8))
 
     def __len__(self) -> int:
         return self.table.size
@@ -407,8 +378,7 @@ def extend_to_substates(ensemble: Ensemble, directions) -> SubstateEnsemble:
             np.multiply(level[:, :, 0], half[:, 1, None], out=level[:, :, 1])
             level[:, :, 0] *= half[:, 0, None]
     table *= ensemble.probs[:, None]
-    return SubstateEnsemble(canon, ensemble.points, freeze(table, copy=False), patterns,
-                            base_probs=ensemble.probs)
+    return SubstateEnsemble(canon, ensemble.points, freeze(table, copy=False), patterns)
 
 
 # ---------------------------------------------------------------------------

@@ -62,11 +62,6 @@ class TwoLevelObservable(Record):
     def is_unit(self) -> bool:
         return abs(float(self.e @ self.e) - 1.0) <= INVARIANT_TOL and self.e0 == 0.0
 
-    @property
-    def label(self) -> str:
-        coords = ",".join(f"{x:.3g}" for x in self.e)
-        return f"A({coords})" if self.e0 == 0.0 else f"A({coords})+{self.e0:.3g}"
-
 
 class RandomObservable:
     """The two-level observable with mean 0 and square 1 in every micro-state.
@@ -81,8 +76,6 @@ class RandomObservable:
         if cls._instance is None:
             cls._instance = super().__new__(cls)
         return cls._instance
-
-    label = "R"
 
     def __repr__(self):
         return "RandomObservable()"
@@ -106,10 +99,6 @@ class ProductObservable(Record):
         reach = float(np.linalg.norm(vec)) + abs(self.const)
         if reach > 1.0 + INVARIANT_TOL:
             raise ValueError("mean function exceeds the +-1 outcome range")
-
-    @property
-    def label(self) -> str:
-        return f"P({self.const:.3g}+{np.linalg.norm(self.coeff):.3g})"
 
 
 def spin(e, dim: int | None = None) -> TwoLevelObservable:
@@ -190,11 +179,6 @@ def expectation(obs, state) -> float:
     if obs.e.shape != rho.shape:
         raise DimensionMismatch("observable and state dimensions differ")
     return float(obs.e @ rho) + obs.e0
-
-
-def shift(obs: TwoLevelObservable, s: float) -> TwoLevelObservable:
-    """Add a multiple of the unit observable; outcomes shift by s."""
-    return TwoLevelObservable(obs.e, obs.e0 + float(s))
 
 
 def combine(lam1, a: TwoLevelObservable, lam2, b: TwoLevelObservable) -> TwoLevelObservable:

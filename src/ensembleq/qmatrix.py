@@ -132,13 +132,13 @@ def density_from_bloch(state) -> np.ndarray:
     rho_vec = np.asarray(getattr(state, "rho", state), dtype=float)
     if rho_vec.shape == (3,):
         x, y, z = check_finite(rho_vec.tolist(), "Bloch vector")
-        if float(rho_vec @ rho_vec) > 1.0 + INVARIANT_TOL:
+        if x * x + y * y + z * z > 1.0 + INVARIANT_TOL:   # Python floats overflow to inf silently
             raise ConstraintViolation("two-state purity bound exceeded: sum rho_k^2 > 1")
         return np.array([[0.5 * (1.0 + z), complex(0.5 * x, -0.5 * y)],
                          [complex(0.5 * x, 0.5 * y), 0.5 * (1.0 - z)]])
     if rho_vec.shape == (15,):
-        check_finite(rho_vec.tolist(), "Bloch vector")
-        if float(rho_vec @ rho_vec) > 3.0 + INVARIANT_TOL:
+        values = check_finite(rho_vec.tolist(), "Bloch vector")
+        if sum(v * v for v in values) > 3.0 + INVARIANT_TOL:
             raise ConstraintViolation("four-state purity bound exceeded: sum rho_k^2 > 3")
         mat = 0.25 * (np.eye(4) + np.einsum("k,kij->ij", rho_vec, L_BASIS))
         if np.linalg.eigvalsh(mat).min() < -INVARIANT_TOL:

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ensembleq
 from ensembleq.cli import main
 from ensembleq.experiments import EXPERIMENTS, ConfigError, ExperimentConfig, RunReport, run
 
@@ -147,6 +152,18 @@ def test_every_config_is_a_report_or_a_config_error(tmp_path_factory, name, data
         assert list(out.iterdir()) == []
     else:
         assert isinstance(report, RunReport)
+
+
+def test_huge_bloch_vector_writes_only_the_error(tmp_path):
+    src = str(Path(ensembleq.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "ensembleq", "run", "--experiment", "mc-sequences",
+                           "--param", "rho=[1e300,0,0]", "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2
+    assert "purity bound" in json.loads(done.stderr)["error"]
+    assert len(done.stderr.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("t_final", ["inf", "1e7"])

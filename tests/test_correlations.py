@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -485,14 +486,65 @@ class TestSimulation:
         with pytest.raises(ValueError, match="n_jobs"):
             simulate_sequences([A1, A2], np.zeros(3), 1000, seed=1, n_jobs=n_jobs)
 
+    @pytest.mark.parametrize("n_jobs", [1, 2, 3])
+    @pytest.mark.parametrize("n_blocks", [1, 2, 5])
+    def test_one_share_per_job_and_block_the_caller_runs_the_first(self, n_blocks, n_jobs, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counted_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        simulate_sequences([A1, A2], np.array([0.3, 0.0, 0.1]), 1000 * n_blocks, seed=5,
+                           n_jobs=n_jobs, block_size=1000)
+        assert len(started) == min(n_jobs, n_blocks) - 1
+
+    @pytest.mark.parametrize("n_jobs", [1, 2, 3])
+    def test_error_in_a_block_reaches_the_caller_after_every_thread_ends(self, n_jobs, monkeypatch):
+        error = RuntimeError("block 1 failed")
+        default_rng = np.random.default_rng
+
+        def failing_rng(key):
+            if list(key) == [5, 1]:
+                raise error
+            return default_rng(key)
+
+        monkeypatch.setattr(np.random, "default_rng", failing_rng)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            simulate_sequences([A1, A2], np.array([0.3, 0.0, 0.1]), 5000, seed=5, n_jobs=n_jobs,
+                               block_size=1000)
+        assert info.value is error
+        assert threading.active_count() == before
+
+    def test_more_shares_than_cores_under_fast_switching(self):
+        # every share writes only its own slot: a lost or doubled block sum would move the estimate
+        args = ([A1, DIAG, A3], np.array([0.2, -0.1, 0.3]), 40_000)
+        one = simulate_sequences(*args, seed=6, block_size=200)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = simulate_sequences(*args, seed=6, n_jobs=8, block_size=200)
+        finally:
+            sys.setswitchinterval(interval)
+        assert (one.value, one.stderr) == (many.value, many.stderr)
+
     def test_package_import_leaves_the_thread_pool_unloaded(self):
-        # simulate_sequences imports the executor only when it runs workers
+        # the shares run on plain threads: neither importing the package nor a
+        # two-job run loads concurrent.futures, or the logging it imports
         src = str(Path(correlations.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        code = "import sys, ensembleq; print('concurrent.futures' in sys.modules)"
+        code = ("import sys, ensembleq\n"
+                "loaded = lambda: sorted({'concurrent.futures', 'logging'} & set(sys.modules))\n"
+                "print(loaded())\n"
+                "a = ensembleq.basis_spin(1)\n"
+                "ensembleq.simulate_sequences([a, a], [0.0, 0.0, 0.5], 2000, 1, n_jobs=2, block_size=1000)\n"
+                "print(loaded())\n")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": path}, timeout=60, check=True)
-        assert done.stdout.strip() == "False"
+        assert done.stdout.splitlines() == ["[]", "[]"]
 
 
 def _reference_estimate(chain, state, n, seed, block_size):

@@ -24,7 +24,6 @@ from ensembleq.dynamics import (
     rotation_from_generator,
     syncoherence_closed_form,
     syncoherence_flow,
-    unitary_step,
     _linear_flow,
     _rk4,
     _steps,
@@ -155,15 +154,15 @@ class TestReducedFromMicro:
 class TestUnitaryStep:
     def test_zero_generator(self):
         rho = np.array([0.3, 0.1, -0.2])
-        np.testing.assert_array_equal(unitary_step(rho, np.zeros(3)).rho, rho)
+        np.testing.assert_array_equal(rotation_from_generator(np.zeros(3)) @ rho, rho)
 
     def test_quarter_rotation_matches_oracle(self):
         # alpha = (0, 0, pi/4) rotates (1,0,0) by a half turn about z; the
         # sense (to -y) is fixed by the matrix conjugation
-        out = unitary_step(np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, math.pi / 4.0]))
+        out = rotation_from_generator(np.array([0.0, 0.0, math.pi / 4.0])) @ np.array([1.0, 0.0, 0.0])
         oracle = _conjugated(np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, math.pi / 4.0]))
-        np.testing.assert_allclose(out.rho, [0.0, -1.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(out.rho, oracle, atol=1e-12)
+        np.testing.assert_allclose(out, [0.0, -1.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(out, oracle, atol=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -171,9 +170,9 @@ class TestUnitaryStep:
         rng = np.random.default_rng(seed)
         alpha = rng.normal(size=3) * rng.uniform(0.0, 3.0)
         rho = random_bloch(rng)
-        stepped = unitary_step(rho, alpha)
-        np.testing.assert_allclose(stepped.rho, _conjugated(rho, alpha), atol=1e-12)
-        assert abs(stepped.purity - float(rho @ rho)) < 1e-14
+        stepped = rotation_from_generator(alpha) @ rho
+        np.testing.assert_allclose(stepped, _conjugated(rho, alpha), atol=1e-12)
+        assert abs(float(stepped @ stepped) - float(rho @ rho)) < 1e-14
 
     def test_non_orthogonal_map_changes_purity(self):
         rng = np.random.default_rng(2)
@@ -539,10 +538,3 @@ class TestSyncoherence:
     def test_bad_dt(self):
         with pytest.raises(ValueError):
             syncoherence_flow(0.9, 0.0, FlowParams(3.0, 2.0), (0.0, 1.0), 0.0)
-
-    def test_csv_export(self, tmp_path):
-        traj = syncoherence_flow(0.9, 0.1, FlowParams(3.0, 2.0), (0.0, 1.0), 0.01)
-        path = tmp_path / "flow.csv"
-        traj.to_csv(path)
-        header = path.read_text().splitlines()[0]
-        assert header == "t,rho_1,P,D"

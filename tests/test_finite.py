@@ -89,14 +89,6 @@ class TestRegion:
         region = realizable_region_check(zn_system(4, exact=True))
         assert region.max_mean_sum == Q2(1)
 
-    def test_n8_vertex_target_realizable(self):
-        region = realizable_region_check(zn_system(8), target=(SQ2, SQ2))
-        assert region.target_realizable
-
-    def test_outside_target_not_realizable(self):
-        region = realizable_region_check(zn_system(8), target=(0.9, 0.9))
-        assert not region.target_realizable
-
     def test_n8_inradius_in_purity_terms(self):
         region = realizable_region_check(zn_system(8, exact=True))
         want = (Q2(2) + Q2(0, 1)) * Fraction(1, 4)   # (2 + sqrt 2)/4

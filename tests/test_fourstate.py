@@ -92,7 +92,7 @@ class TestOutcomeTables:
 
     def test_centre(self):
         table = outcomes_from_t(0.0, 0.0, 0.0)
-        assert set(table.as_dict().values()) == {0.25}
+        assert (table.w_pp, table.w_pm, table.w_mp, table.w_mm) == (0.25, 0.25, 0.25, 0.25)
 
     def test_infeasible(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,14 @@
 """What package modules import: every name they import is used, only the
-oracle's own users reach the matrix oracle, and nothing generates code or
-loads the exact-arithmetic module at package import.
+oracle's own users reach the matrix oracle, nothing generates code or loads
+the exact-arithmetic module at package import, and no public definition is
+there for the tests alone.
 
 ``__init__`` is skipped by the unused-import check: its imports are the
 public re-exports.
 """
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -120,6 +122,62 @@ def test_the_oracle_guard_sees_each_form():
     assert _oracle_references(source) == [
         "line 1: qm_expectation", "line 2: anticommutator_expectation", "line 3: commutator",
         "line 4: anticommutator", "line 4: nested_anticommutator_expectation", "line 5: quantum_product"]
+
+
+def _read_names(source: str) -> set[str]:
+    """Names and attribute names that code reads: imports and strings are not reads."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source)) if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def _test_only_definitions(modules: dict[str, str], read_elsewhere: set[str]) -> list[str]:
+    """Public top-level functions and classes of ``modules`` (file name -> source)
+    that no module reads and that are not in ``read_elsewhere``.
+
+    A read in the defining module counts, since a record class is built by the
+    module that returns it; a re-export or an ``__all__`` string does not.
+    """
+    read = read_elsewhere.union(*map(_read_names, modules.values()))
+    return [f"{name}: {node.name}" for name, source in sorted(modules.items())
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in read]
+
+
+# Public names kept although only tests use them, each with its reason.
+_TEST_ONLY_ALLOWED = {
+    "reduced_from_micro": "paper claim: reduced transition maps from micro-state transitions",
+    "rotate_distribution": "paper claim: rotating the distribution commutes with reduction",
+    "zn_step_evolution": "paper claim: Z_N steps map pure states to pure states",
+    "exchange_symmetry": "paper claim: the particle-exchange map of the four-state system",
+    "prob_plus": "paper claim: the +1 outcome probability (1 + mean)/2 in a micro-state",
+    "moment": "the moments <A^q> that make an observable two-level",
+    "quantum_product": "oracle: the operator product, named by the oracle guard",
+    "commutator": "oracle: the matrix commutator, named by the oracle guard",
+}
+
+
+def test_every_public_definition_is_used_outside_the_tests():
+    root = Path(ensembleq.__file__).resolve().parents[2]
+    modules = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(Path(ensembleq.__file__).parent.glob("*.py"))}
+    read_elsewhere = set(_TEST_ONLY_ALLOWED)
+    for path in sorted((root / "perfbench").glob("*.py")):
+        read_elsewhere |= _read_names(path.read_text(encoding="utf-8"))
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.M | re.S):
+        read_elsewhere |= set(re.findall(r"[A-Za-z_]\w*", block))
+    assert _test_only_definitions(modules, read_elsewhere) == []
+
+
+def test_the_test_only_guard_sees_a_definition_only_tests_use():
+    modules = {
+        "a.py": "def used():\n    pass\n\ndef orphan():\n    pass\n\n"
+                "class Record:\n    pass\n\ndef build():\n    return Record()\n\ndef _private():\n    pass\n",
+        "b.py": "from .a import used, orphan\n__all__ = ['orphan']\nused()\n",
+    }
+    assert _test_only_definitions(modules, set()) == ["a.py: orphan", "a.py: build"]
+    assert _test_only_definitions(modules, {"build"}) == ["a.py: orphan"]
 
 
 def test_importing_the_suite_loads_no_exact_arithmetic():

@@ -18,8 +18,6 @@ from ensembleq.manifolds import (
     canonical_direction,
     extend_to_substates,
     grid_ensemble,
-    mix,
-    purity,
     reduce_ensemble,
 )
 from ensembleq.observables import TwoLevelObservable
@@ -73,7 +71,8 @@ class TestReduce:
         p2 /= p2.sum()
         e1 = Ensemble("s2", pts, p1)
         e2 = Ensemble("s2", pts, p2)
-        mixed = reduce_ensemble(mix(e1, e2, alpha)).rho
+        mixed = reduce_ensemble(Ensemble("s2", np.vstack([pts, pts]),
+                                         np.concatenate([alpha * p1, (1 - alpha) * p2]))).rho
         direct = alpha * reduce_ensemble(e1).rho + (1 - alpha) * reduce_ensemble(e2).rho
         np.testing.assert_allclose(mixed, direct, atol=1e-14)
 
@@ -183,8 +182,8 @@ class TestValidation:
                 stored[0] = 0
 
     def test_purity_values(self):
-        assert purity(np.zeros(3)) == 0.0
-        assert purity(BlochState(np.array([0.0, 0.0, 1.0]))) == 1.0
+        assert BlochState(np.zeros(3)).purity == 0.0
+        assert BlochState(np.array([0.0, 0.0, 1.0])).purity == 1.0
 
 
 class TestFourStateStates:

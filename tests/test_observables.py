@@ -15,7 +15,6 @@ from ensembleq.observables import (
     mean_in_state,
     moment,
     prob_plus,
-    shift,
     spin,
 )
 from ensembleq.validate import INVARIANT_TOL, ConstraintViolation, DimensionMismatch
@@ -100,7 +99,7 @@ class TestOutcomeProbabilities:
         with pytest.raises(ValueError):
             prob_plus(TwoLevelObservable(2.0 * basis_spin(1).e), _sphere_point([1.0, 0.0, 0.0]))
         with pytest.raises(ValueError):
-            prob_plus(shift(basis_spin(1), 0.5), _sphere_point([1.0, 0.0, 0.0]))
+            prob_plus(TwoLevelObservable(basis_spin(1).e, 0.5), _sphere_point([1.0, 0.0, 0.0]))
 
     @pytest.mark.parametrize("scale", [2.0, -3.0, 1.0 + 4 * INVARIANT_TOL])
     def test_probability_outside_the_unit_interval_raises(self, scale):
@@ -184,7 +183,7 @@ class TestAlgebra:
         np.testing.assert_array_equal(flipped.e, [-1.0, 0.0, 0.0])
 
     def test_shift_spectrum(self):
-        shifted = shift(basis_spin(1), 2.0)
+        shifted = TwoLevelObservable(basis_spin(1).e, 2.0)
         assert shifted.spectrum == (3.0, 1.0)
 
     def test_complex_scaling_rejected(self):
@@ -194,7 +193,7 @@ class TestAlgebra:
     def test_spectrum_matches_operator_eigenvalues(self):
         from ensembleq.observables import operator_of
 
-        obs = shift(TwoLevelObservable(-1.5 * basis_spin(2).e), 0.25)
+        obs = TwoLevelObservable(-1.5 * basis_spin(2).e, 0.25)
         eigenvalues = sorted(np.linalg.eigvalsh(operator_of(obs)), reverse=True)
         np.testing.assert_allclose(eigenvalues, obs.spectrum, atol=1e-14)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from ensembleq import qmatrix
 from ensembleq.correlations import measurement_chain
 from ensembleq.dynamics import integrate_open, integrate_von_neumann
+from ensembleq.manifolds import BlochState
 from ensembleq.observables import TwoLevelObservable, prob_plus, spin
 from ensembleq.qmatrix import (
     L_BASIS,
@@ -364,3 +366,15 @@ def test_state_consumers_reject_alike(consumer, state, error):
     with pytest.raises(ValueError) as info:
         STATE_CONSUMERS[consumer](state)
     assert info.type is error
+
+
+@pytest.mark.parametrize("build, vec", [
+    (density_from_bloch, [1e300, 0.0, 0.0]),
+    (density_from_bloch, [1e300] + [0.0] * 14),
+    (BlochState, [1e300, 0.0, 0.0]),
+], ids=["two-state", "four-state", "BlochState"])
+def test_huge_bloch_vector_rejected_without_an_overflow_warning(build, vec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConstraintViolation, match="purity bound"):
+            build(np.array(vec))

@@ -77,29 +77,6 @@ def test_experiment_csv_matches_dict_rows(tmp_path, name, params, reference):
     assert (tmp_path / f"{name}.csv").read_bytes() == reference()
 
 
-@pytest.mark.parametrize("with_d", [False, True], ids=["bloch", "bloch-and-d"])
-def test_trajectory_csv_matches_dict_rows(tmp_path, with_d):
-    if with_d:
-        traj = dynamics.integrate_open(np.array([0.3, 0.1, 0.4]), np.ones(3), -0.2,
-                                       (0.0, 1.0), 0.01)
-    else:
-        traj = dynamics.integrate_von_neumann(np.array([0.3, 0.1, 0.4]), np.ones(3),
-                                              (0.0, 1.0), 0.01)
-    k = traj.bloch.shape[1]
-    cols = ["t"] + [f"rho_{i + 1}" for i in range(k)] + ["P"] + (["D"] if with_d else [])
-    rows = []
-    for i, t in enumerate(traj.times):
-        row = {"t": t, "P": traj.purity[i]}
-        for j in range(k):
-            row[f"rho_{j + 1}"] = traj.bloch[i, j]
-        if with_d:
-            row["D"] = traj.d_values[i]
-        rows.append(row)
-    path = tmp_path / "traj.csv"
-    traj.to_csv(path)
-    assert path.read_bytes() == dict_table_bytes(cols, rows)
-
-
 def test_csv_bytes_are_utf8_with_newline_ends(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, ["name", "x", "flag", "n"], iter([("α/β", 0.1, True, 3), ("b", -2.5, False, 0)]))
