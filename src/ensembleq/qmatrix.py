@@ -132,7 +132,7 @@ def density_from_bloch(state) -> np.ndarray:
     rho_vec = np.asarray(getattr(state, "rho", state), dtype=float)
     if rho_vec.shape == (3,):
         x, y, z = check_finite(rho_vec.tolist(), "Bloch vector")
-        if x * x + y * y + z * z > 1.0 + INVARIANT_TOL:   # Python floats overflow to inf silently
+        if x * x + y * y + z * z > 1.0 + INVARIANT_TOL:   # Python floats overflow to inf without a warning
             raise ConstraintViolation("two-state purity bound exceeded: sum rho_k^2 > 1")
         return np.array([[0.5 * (1.0 + z), complex(0.5 * x, -0.5 * y)],
                          [complex(0.5 * x, 0.5 * y), 0.5 * (1.0 - z)]])
