@@ -13,7 +13,6 @@ against the matrix oracle in ``qmatrix``.
 from .manifolds import (
     BlochState,
     Ensemble,
-    MicroState,
     SubstateEnsemble,
     extend_to_substates,
     grid_ensemble,
@@ -86,7 +85,7 @@ def __getattr__(name):
 
 __all__ = [
     "BellCheck", "BlochState", "ConstraintViolation", "DimensionMismatch",
-    "Ensemble", "FiniteSpinSystem", "FlowParams", "Hamiltonian", "MicroState",
+    "Ensemble", "FiniteSpinSystem", "FlowParams", "Hamiltonian",
     "NoEigenstateError", "OutcomeTable", "ProductObservable", "RANDOM",
     "RandomObservable", "ReducedTransition", "SequenceEstimate",
     "SubstateEnsemble", "Trajectory", "TwoLevelObservable",

@@ -186,8 +186,9 @@ def _two_level_projectors(obs) -> np.ndarray:
 class WeightedEigenstateSum(Record):
     """Signed combination of eigenstate density matrices from a measurement chain.
 
-    The trace of the signed sum equals the conditional correlation of the
-    measured sequence. Two sums are equal only when they are the same object:
+    ``terms`` holds (weight, density matrix) pairs; the weights sum to the
+    conditional correlation of the measured sequence, the trace of the signed
+    sum of the matrices. Two sums are equal only when they are the same object:
     the terms hold arrays, which have no single truth value to compare by.
     """
 
@@ -195,17 +196,6 @@ class WeightedEigenstateSum(Record):
 
     def __init__(self, terms: tuple):
         self._set(terms)
-
-    def signed_sum(self) -> np.ndarray:
-        if not self.terms:
-            return np.zeros((2, 2), dtype=complex)
-        out = np.zeros_like(self.terms[0][1], dtype=complex)
-        for w, mat in self.terms:
-            out = out + w * mat
-        return out
-
-    def trace(self) -> float:
-        return float(np.trace(self.signed_sum()).real)
 
 
 def _chain(observables, state, terms: bool):
@@ -286,9 +276,9 @@ def measurement_chain(observables, state) -> tuple[WeightedEigenstateSum, float]
     for probs, succ in levels:
         weights = (weights[:, None] * (probs * (1.0, -1.0))[sid]).ravel()
         sid = succ[(2 * sid[:, None] + (0, 1)).ravel()]
-    mats = list(final)
-    terms = tuple(zip(weights.tolist(), [mats[j] for j in sid.tolist()]))
-    return WeightedEigenstateSum(terms), math.fsum(weights.tolist())
+    mats, weights = list(final), weights.tolist()
+    terms = tuple(zip(weights, [mats[j] for j in sid.tolist()]))
+    return WeightedEigenstateSum(terms), math.fsum(weights)
 
 
 def pointwise_correlation(a, b, ensemble: Ensemble) -> float:
@@ -310,8 +300,8 @@ def classical_correlation(dir_a, dir_b, substates: SubstateEnsemble) -> float:
     patterns, each weighted by its column total of the table, so it needs
     O(n + 2^m) memory, not a value per substate.
     """
-    signs = substates._pattern_values(dir_a) * substates._pattern_values(dir_b)
-    return weighted_sum(np.add.reduce(substates.table, axis=0), signs)
+    products = substates._pattern_values(dir_a) * substates._pattern_values(dir_b)
+    return weighted_sum(np.add.reduce(substates.table, axis=0), products)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,14 @@
 """Micro-state manifolds, finite weighted ensembles, and their reductions.
 
-A micro-state is a point on one of three manifolds:
+A micro-state is a point f on one of three manifolds:
 
   * ``s1``   unit vector (f1, f2, 0), stored embedded in the 1-2 plane,
   * ``s2``   unit 3-vector,
-  * ``four`` normalised complex 4-vector psi, with the 15 basis-observable
-             values f_k = psi^dagger L_k psi derived from it (so manifold
-             membership holds by construction).
+  * ``four`` the 15 basis-observable values f_k = psi^dagger L_k psi of a
+             normalised complex 4-vector psi, so |f|^2 = 3.
 
-An Ensemble is a finite weighted point set over one manifold. Reduction maps
+An Ensemble is a finite weighted point set over one manifold, one micro-state
+per row of its ``points``. Reduction maps
 it onto the vector of basis-observable expectation values rho_k = sum_s p_s
 f_k(s), the state actually needed to predict any system observable. The
 substate extension realises each two-level observable as a sharp-valued
@@ -45,17 +45,6 @@ MAX_SUBSTATE_ROWS = 2**22
 # Most points grid_ensemble builds, 2 resolution^2 (resolution 1448 at most):
 # 96 MiB of coordinates and 32 MiB of weights, checked before either exists.
 MAX_GRID_POINTS = 2**22
-
-
-class MicroState(Record):
-    """A point on a micro-state manifold; immutable."""
-
-    __slots__ = ("manifold", "f", "psi")
-
-    def __init__(self, manifold: str, f: np.ndarray, psi: np.ndarray | None = None):
-        if manifold not in MANIFOLDS:
-            raise ValueError(f"unknown manifold {manifold!r}")
-        self._set(manifold, freeze(f), None if psi is None else freeze(psi))
 
 
 class BlochState(Record):
@@ -98,10 +87,9 @@ class Ensemble(Record):
     The arrays are stored read-only; a caller's arrays are copied.
     """
 
-    __slots__ = ("manifold", "points", "probs", "psis")
+    __slots__ = ("manifold", "points", "probs")
 
-    def __init__(self, manifold: str, points: np.ndarray, probs: np.ndarray,
-                 psis: np.ndarray | None = None):
+    def __init__(self, manifold: str, points: np.ndarray, probs: np.ndarray):
         if manifold not in MANIFOLDS:
             raise ValueError(f"unknown manifold {manifold!r}")
         pts = as_float_array(points, "points")
@@ -116,28 +104,10 @@ class Ensemble(Record):
             raise ConstraintViolation("a point violates the manifold norm constraint")
         if manifold == "s1" and np.abs(pts[:, 2]).max() > INVARIANT_TOL:
             raise ConstraintViolation("s1 points must lie in the 1-2 plane")
-        self._set(manifold, freeze(pts), freeze(probs), None if psis is None else freeze(psis, complex))
+        self._set(manifold, freeze(pts), freeze(probs))
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-    @classmethod
-    def from_states(cls, states, probs) -> "Ensemble":
-        states = list(states)
-        if not states:
-            raise ValueError("empty ensemble")
-        manifold = states[0].manifold
-        if any(s.manifold != manifold for s in states):
-            raise ValueError("all micro-states must live on the same manifold")
-        pts = np.array([s.f for s in states])
-        psis = None
-        if manifold == "four":
-            psis = np.array([s.psi for s in states])
-        return cls(manifold, pts, np.asarray(probs, dtype=float), psis)
-
-    @classmethod
-    def point_mass(cls, state: MicroState) -> "Ensemble":
-        return cls.from_states([state], [1.0])
 
 
 def weighted_sum(weights: np.ndarray, values: np.ndarray):
@@ -195,9 +165,9 @@ class SubstateEnsemble(Record):
 
     Rows are the cells of the table, micro-state by micro-state, each with
     the P patterns in order. ``probs`` is the flattened table (a read-only
-    view); ``state_index``, ``signs`` and ``sign_values`` build the matching
-    per-row columns as new arrays on each call. A row costs 8 bytes, plus the
-    pattern table shared by all micro-states.
+    view); ``state_index`` builds the matching micro-state column as a new
+    array on each call. A row costs 8 bytes, plus the pattern table shared by
+    all micro-states.
     """
 
     __slots__ = ("directions", "base_points", "table", "patterns")
@@ -235,11 +205,6 @@ class SubstateEnsemble(Record):
         """(rows,) micro-state index of each substate."""
         return np.repeat(np.arange(self.table.shape[0]), self.table.shape[1])
 
-    @property
-    def signs(self) -> np.ndarray:
-        """(rows, m) int8 signs of each substate."""
-        return np.tile(self.patterns, (self.table.shape[0], 1))
-
     def column(self, direction) -> tuple[int, int]:
         """Index of a stored direction plus the hemisphere flip of the query."""
         canon, flip = canonical_direction(direction)
@@ -254,10 +219,6 @@ class SubstateEnsemble(Record):
         j, flip = self.column(direction)
         return flip * self.patterns[:, j]
 
-    def sign_values(self, direction) -> np.ndarray:
-        """(rows,) int8 sign of the direction in each substate."""
-        return np.tile(self._pattern_values(direction), self.table.shape[0])
-
     def marginal_micro_probs(self) -> np.ndarray:
         """Marginalise the sign variables; recovers the base micro-state weights."""
         return self.table.sum(axis=1)
@@ -268,53 +229,6 @@ class SubstateEnsemble(Record):
         den = self.marginal_micro_probs()
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-
-    @classmethod
-    def from_rows(cls, directions, rows, base_points=None) -> "SubstateEnsemble":
-        """Hand-built ensemble from (micro-state f, signs, probability) rows.
-
-        Directions are canonicalised; sign columns of flipped directions are
-        negated so stored signs always refer to the canonical representative.
-        Sign patterns keep the order in which they first appear; table cells
-        no row names get probability 0, and two rows naming the same
-        (micro-state, pattern) cell raise ValueError. With ``base_points``,
-        each row's f must equal one base point exactly (same width, every
-        coordinate equal); any other f raises ValueError.
-        """
-        canon, flips = [], []
-        for g in directions:
-            c, fl = canonical_direction(g)
-            canon.append(c)
-            flips.append(fl)
-        canon = np.array(canon)
-        flips = np.array(flips)
-        fs, cols, ps = [], [], []
-        column_of = {}   # sign pattern -> table column
-        for f, signs, p in rows:
-            fs.append(np.asarray(f, dtype=float))
-            pattern = tuple((flips * np.asarray(signs, dtype=int)).tolist())
-            cols.append(column_of.setdefault(pattern, len(column_of)))
-            ps.append(float(p))
-        points = base_points
-        if points is None:
-            points, index = np.unique(np.array(fs), axis=0, return_inverse=True)
-        else:
-            points = np.asarray(points, dtype=float)
-            position = {}
-            for i, point in enumerate(points.tolist()):
-                position.setdefault(tuple(point), i)
-            try:
-                index = [position[tuple(f.tolist())] for f in fs]
-            except KeyError as exc:
-                raise ValueError(
-                    f"row micro-state {list(exc.args[0])} is not one of the base points"
-                ) from None
-        cells = np.asarray(index).reshape(-1) * len(column_of) + np.asarray(cols, dtype=int)
-        if np.unique(cells).size < cells.size:
-            raise ValueError("two rows name the same (micro-state, sign pattern) substate")
-        table = np.zeros((len(points), len(column_of)))
-        table.reshape(-1)[cells] = ps
-        return cls(canon, points, table, np.array(list(column_of)))
 
 
 def extend_to_substates(ensemble: Ensemble, directions) -> SubstateEnsemble:

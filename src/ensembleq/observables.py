@@ -51,14 +51,6 @@ class TwoLevelObservable(Record):
         return self.e.shape[0]
 
     @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.e))
-
-    @property
-    def spectrum(self) -> tuple[float, float]:
-        return (self.e0 + self.norm, self.e0 - self.norm)
-
-    @property
     def is_unit(self) -> bool:
         return abs(float(self.e @ self.e) - 1.0) <= INVARIANT_TOL and self.e0 == 0.0
 
@@ -118,15 +110,11 @@ def basis_spin(k: int, dim: int = 3) -> TwoLevelObservable:
     return TwoLevelObservable(e)
 
 
-def _micro_coords(f) -> np.ndarray:
-    return as_float_array(getattr(f, "f", f), "f")
-
-
 def mean_in_state(obs, f) -> float:
-    """Mean value of an observable in a single micro-state."""
+    """Mean value of an observable in the micro-state with coordinates f."""
     if isinstance(obs, RandomObservable):
         return 0.0
-    vec = _micro_coords(f)
+    vec = as_float_array(f, "f")
     if isinstance(obs, ProductObservable):
         if obs.coeff.shape != vec.shape:
             raise DimensionMismatch("observable and micro-state dimensions differ")
@@ -137,7 +125,7 @@ def mean_in_state(obs, f) -> float:
 
 
 def prob_plus(obs, f) -> float:
-    """Probability of the +1 outcome in a micro-state, (1 + mean)/2.
+    """Probability of the +1 outcome in the micro-state with coordinates f, (1 + mean)/2.
 
     Defined only for observables with spectrum {+1, -1}; scaled or shifted
     observables are rejected, and a micro-state that puts the probability

@@ -154,7 +154,7 @@ def check_unit_vector(v, name: str = "e") -> np.ndarray:
     arr = as_float_array(v, name)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a 1-d vector")
-    nrm2 = float(arr @ arr)
+    nrm2 = sum(c * c for c in arr.tolist())   # Python floats overflow to inf without a warning
     if abs(nrm2 - 1.0) > INVARIANT_TOL:
         raise ConstraintViolation(f"{name} is not unit norm: |{name}|^2 = {nrm2!r}")
     return arr

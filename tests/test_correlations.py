@@ -60,6 +60,11 @@ def _mean_in_plus_eigenstate(a, b):
     return expectation(a, b.e)
 
 
+def _signed_trace(wes) -> float:
+    """tr(sum_i w_i rho_i) over a measurement chain's (weight, eigenstate) terms."""
+    return float(np.trace(sum((w * mat for w, mat in wes.terms), np.zeros((2, 2), dtype=complex))).real)
+
+
 def _sequence_probabilities(a, b, rho_vec):
     """W_{s_A s_B} for measuring B first, then A, keyed by the A outcome first: the
     magnitudes of the chain's branch weights, which run (B+, A+), (B+, A-), (B-, A+), (B-, A-)."""
@@ -181,14 +186,14 @@ class TestConditionalProduct:
     def test_repeated_is_unit(self):
         out = conditional_product(A1, A1)
         assert isinstance(out, TwoLevelObservable)
-        assert out.e0 == 1.0 and out.norm == 0.0
+        assert out.e0 == 1.0 and np.linalg.norm(out.e) == 0.0
 
     def test_orthogonal_is_random(self):
         assert conditional_product(A1, A2) is RANDOM
 
     def test_antipodal_is_minus_unit(self):
         out = conditional_product(A1, spin(np.array([-1.0, 0.0, 0.0])))
-        assert out.e0 == -1.0 and out.norm == 0.0
+        assert out.e0 == -1.0 and np.linalg.norm(out.e) == 0.0
 
     def test_random_absorbs(self):
         assert conditional_product(RANDOM, A1) is RANDOM
@@ -274,7 +279,7 @@ class TestMeasurementChain:
         rho_vec = np.array([0.2, -0.3, 0.4])
         wes, value = measurement_chain([A3], rho_vec)
         assert abs(value - rho_vec[2]) < 1e-14
-        assert abs(wes.trace() - value) < 1e-14
+        assert abs(_signed_trace(wes) - value) < 1e-14
         assert len(wes.terms) == 2
 
     def test_two_chain_matches_2pt(self):
@@ -307,7 +312,7 @@ class TestMeasurementChain:
     def test_random_leftmost_allowed(self):
         wes, value = measurement_chain([RANDOM, A1], np.array([0.3, 0.0, 0.2]))
         assert value == 0.0
-        assert wes.trace() == 0.0
+        assert _signed_trace(wes) == 0.0
 
     def test_random_inner_rejected(self):
         with pytest.raises(NoEigenstateError):
@@ -412,13 +417,8 @@ class TestClassicalCorrelation:
         g1 = np.array([1.0, 0.0, 0.0])
         g2 = np.array([0.0, 1.0, 0.0])
         g3 = np.array([SQ2, SQ2, 0.0])
-        rows = [
-            (f, [1, 1, 1], 0.25),
-            (f, [1, -1, 1], 0.25),
-            (f, [-1, 1, -1], 0.25),
-            (f, [-1, -1, -1], 0.25),
-        ]
-        sub = SubstateEnsemble.from_rows([g1, g2, g3], rows)
+        patterns = [[1, 1, 1], [1, -1, 1], [-1, 1, -1], [-1, -1, -1]]
+        sub = SubstateEnsemble([g1, g2, g3], [f], [[0.25] * 4], patterns)
         # both g1 and g2 realise the mean-zero observable on this support
         assert float(sub.mean_sign(g1)[0]) == 0.0
         assert float(sub.mean_sign(g2)[0]) == 0.0
@@ -651,7 +651,7 @@ class TestChainCore:
             op = operator_of(obs)
             oracle = 0.5 * (op @ oracle + oracle @ op)
         assert abs(value - np.trace(oracle).real) < 1e-13
-        assert abs(wes.trace() - value) < 1e-13
+        assert abs(_signed_trace(wes) - value) < 1e-13
 
     def test_long_two_state_chain_samples(self):
         chain, rho_vec = _two_state_chain(40)

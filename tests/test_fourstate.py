@@ -30,7 +30,6 @@ from ensembleq.fourstate import (
 from ensembleq.manifolds import (
     BlochState,
     Ensemble,
-    MicroState,
     SubstateEnsemble,
     canonical_direction,
     extend_to_substates,
@@ -56,8 +55,8 @@ def _bloch_from_psi(psi) -> np.ndarray:
     return np.einsum("i,kij,j->k", psi.conj(), qmatrix.L_BASIS, psi).real
 
 
-def _microstate_four(psi) -> MicroState:
-    return MicroState("four", _bloch_from_psi(psi), psi=psi)
+def _point_mass_four(psi) -> Ensemble:
+    return Ensemble("four", [_bloch_from_psi(psi)], [1.0])
 
 
 def _rotated_spin_operators(theta, phi):
@@ -243,7 +242,7 @@ class TestBellHarness:
         assert not bell_check(by_substates, t1, t2).violated
 
     def test_classical_correlator_needs_a_sphere_ensemble(self):
-        ens = Ensemble.point_mass(_microstate_four(entangled_psi(1)))
+        ens = _point_mass_four(entangled_psi(1))
         with pytest.raises(ValueError, match="sphere ensembles"):
             classical_pair_correlator(ens)
 
@@ -353,8 +352,8 @@ class TestBasisExpectations:
         probs /= probs.sum()
         for _ in range(5):
             psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-            states.append(_microstate_four(psi / np.linalg.norm(psi)))
-        ens = Ensemble.from_states(states, probs)
+            states.append(_bloch_from_psi(psi / np.linalg.norm(psi)))
+        ens = Ensemble("four", np.array(states), probs)
         # <T_m> by per-micro-state sum, by the reduced state, and by tr(L_m rho)
         by_sum = [math.fsum(float(p) * float(f[m]) for f, p in zip(ens.points, ens.probs)) for m in range(15)]
         reduced = reduce_ensemble(ens)
@@ -377,6 +376,6 @@ class TestMonteCarloOnEntangled:
 
     def test_pure_point_mass_realises_entangled_state(self):
         # the entangled reduced state comes from a single classical micro-state
-        ens = Ensemble.point_mass(_microstate_four(entangled_psi(-1)))
+        ens = _point_mass_four(entangled_psi(-1))
         np.testing.assert_allclose(reduce_ensemble(ens).rho, entangled_bloch(-1).rho,
                                    atol=1e-14)

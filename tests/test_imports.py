@@ -130,27 +130,42 @@ def _read_names(source: str) -> set[str]:
             for node in ast.walk(ast.parse(source)) if isinstance(node, (ast.Name, ast.Attribute))}
 
 
+def _public_definitions(source: str):
+    """(key, name) of each public top-level function and class, and of each public
+    method, property, class and static method of a public class, keyed
+    ``Class.member``."""
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name
+            if isinstance(node, ast.ClassDef):
+                yield from ((f"{node.name}.{member.name}", member.name) for member in node.body
+                            if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"))
+
+
 def _test_only_definitions(modules: dict[str, str], read_elsewhere: set[str]) -> list[str]:
-    """Public top-level functions and classes of ``modules`` (file name -> source)
-    that no module reads and that are not in ``read_elsewhere``.
+    """Public definitions of ``modules`` (file name -> source) whose name no
+    module reads and whose name or key is not in ``read_elsewhere``.
 
     A read in the defining module counts, since a record class is built by the
-    module that returns it; a re-export or an ``__all__`` string does not.
+    module that returns it; a re-export or an ``__all__`` string does not. A
+    member counts as read when its name is read anywhere, whatever the object:
+    ``np.trace`` reads every member named ``trace``.
     """
     read = read_elsewhere.union(*map(_read_names, modules.values()))
-    return [f"{name}: {node.name}" for name, source in sorted(modules.items())
-            for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_") and node.name not in read]
+    return [f"{name}: {key}" for name, source in sorted(modules.items())
+            for key, member in _public_definitions(source)
+            if member not in read and key not in read]
 
 
-# Public names kept although only tests use them, each with its reason.
+# Public names and members kept although only tests use them, each with its reason.
 _TEST_ONLY_ALLOWED = {
     "reduced_from_micro": "paper claim: reduced transition maps from micro-state transitions",
+    "ReducedTransition.apply": "paper claim: the reduced map S carries rho(t') to rho(t) = S rho(t')",
     "rotate_distribution": "paper claim: rotating the distribution commutes with reduction",
     "zn_step_evolution": "paper claim: Z_N steps map pure states to pure states",
     "exchange_symmetry": "paper claim: the particle-exchange map of the four-state system",
     "prob_plus": "paper claim: the +1 outcome probability (1 + mean)/2 in a micro-state",
+    "SubstateEnsemble.mean_sign": "paper claim: sharp substate values average to f . e in each micro-state",
     "moment": "the moments <A^q> that make an observable two-level",
     "quantum_product": "oracle: the operator product, named by the oracle guard",
     "commutator": "oracle: the matrix commutator, named by the oracle guard",
@@ -173,11 +188,17 @@ def test_every_public_definition_is_used_outside_the_tests():
 def test_the_test_only_guard_sees_a_definition_only_tests_use():
     modules = {
         "a.py": "def used():\n    pass\n\ndef orphan():\n    pass\n\n"
-                "class Record:\n    pass\n\ndef build():\n    return Record()\n\ndef _private():\n    pass\n",
+                "class Record:\n    def read(self):\n        pass\n\n"
+                "    def orphan_method(self):\n        pass\n\n"
+                "    @property\n    def orphan_property(self):\n        pass\n\n"
+                "    def _private(self):\n        pass\n\n"
+                "def build():\n    return Record().read()\n\ndef _private():\n    pass\n",
         "b.py": "from .a import used, orphan\n__all__ = ['orphan']\nused()\n",
     }
-    assert _test_only_definitions(modules, set()) == ["a.py: orphan", "a.py: build"]
-    assert _test_only_definitions(modules, {"build"}) == ["a.py: orphan"]
+    assert _test_only_definitions(modules, set()) == [
+        "a.py: orphan", "a.py: Record.orphan_method", "a.py: Record.orphan_property", "a.py: build"]
+    assert _test_only_definitions(modules, {"build", "Record.orphan_method", "orphan_property"}) == [
+        "a.py: orphan"]
 
 
 def test_importing_the_suite_loads_no_exact_arithmetic():

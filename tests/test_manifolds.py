@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ensembleq import manifolds, qmatrix
@@ -13,7 +13,6 @@ from ensembleq.manifolds import (
     MAX_SUBSTATE_ROWS,
     BlochState,
     Ensemble,
-    MicroState,
     SubstateEnsemble,
     canonical_direction,
     extend_to_substates,
@@ -37,9 +36,10 @@ def _circle_point_mass(angle) -> Ensemble:
         return Ensemble("s1", [[np.cos(angle), np.sin(angle), 0.0]], [1.0])
 
 
-def _microstate_four(psi) -> MicroState:
+def _four_point(psi) -> np.ndarray:
+    """The coordinates f_k = psi^dagger L_k psi of a four-state micro-state."""
     psi = np.asarray(psi, dtype=complex)
-    return MicroState("four", np.einsum("i,kij,j->k", psi.conj(), qmatrix.L_BASIS, psi).real, psi=psi)
+    return np.einsum("i,kij,j->k", psi.conj(), qmatrix.L_BASIS, psi).real
 
 
 class TestReduce:
@@ -102,22 +102,22 @@ class TestReduce:
 
 class TestValidation:
     def test_probabilities_not_renormalised(self):
-        states = [MicroState("s2", np.array([0, 0, 1.0])), MicroState("s2", np.array([1.0, 0, 0]))]
+        points = [[0, 0, 1.0], [1.0, 0, 0]]
         with pytest.raises(ConstraintViolation):
-            Ensemble.from_states(states, [0.6, 0.5])
+            Ensemble("s2", points, [0.6, 0.5])
         with pytest.raises(ConstraintViolation):
-            Ensemble.from_states(states, [1.2, -0.2])
+            Ensemble("s2", points, [1.2, -0.2])
 
     def test_norm_constraint(self):
         with pytest.raises(ConstraintViolation):
             Ensemble("s2", [[0.0, 0.0, 1.1]], [1.0])
         with pytest.raises(ConstraintViolation):
-            Ensemble.point_mass(_microstate_four(np.array([1.0, 1.0, 0.0, 0.0])))
+            Ensemble("four", [_four_point(np.array([1.0, 1.0, 0.0, 0.0]))], [1.0])
 
     @pytest.mark.parametrize("build", [
         lambda: _circle_point_mass(math.nan),
         lambda: _circle_point_mass(math.inf),
-        lambda: Ensemble.point_mass(_microstate_four([math.nan, 0.0, 0.0, 1.0])),
+        lambda: Ensemble("four", [_four_point([math.nan, 0.0, 0.0, 1.0])], [1.0]),
     ], ids=["s1-nan-angle", "s1-inf-angle", "four-nan-entry"])
     def test_non_finite_micro_state_rejected_at_construction(self, build):
         # a micro-state enters the package only through an Ensemble, which
@@ -125,11 +125,6 @@ class TestValidation:
         _circle_point_mass(0.5)   # control: a finite angle passes
         with pytest.raises(ValueError, match="non-finite"):
             build()
-
-    def test_manifold_mixing_rejected(self):
-        with pytest.raises(ValueError):
-            Ensemble.from_states([MicroState("s2", np.array([0, 0, 1.0])),
-                                  MicroState("s1", np.array([1.0, 0, 0]))], [0.5, 0.5])
 
     def test_bloch_state_bounds(self):
         with pytest.raises(ConstraintViolation):
@@ -165,13 +160,12 @@ class TestValidation:
         pts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         p = np.array([0.25, 0.75])
         ens = Ensemble("s2", pts, p)
-        f, g = np.array([0.0, 0.0, 1.0]), np.array([-1.0, 0.0, 0.0])
-        base = np.array([[0.0, 0.0, 1.0]])
-        rows = [(f, np.array([1]), 0.5), (f, np.array([-1]), 0.5)]
-        sub = SubstateEnsemble.from_rows([g], rows, base_points=base)
+        g, base = np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 0.0, 1.0]])
+        table, patterns = np.array([[0.5, 0.5]]), np.array([[1], [-1]], dtype=np.int8)
+        sub = SubstateEnsemble(g, base, table, patterns)
         want = (ens.points.copy(), ens.probs.copy(), sub.table.copy(), sub.patterns.copy(),
                 sub.directions.copy(), sub.base_points.copy())
-        for arr in (pts, p, f, g, base, rows[0][1], rows[1][1]):
+        for arr in (pts, p, g, base, table, patterns):
             arr[...] = 7
         got = (ens.points, ens.probs, sub.table, sub.patterns, sub.directions, sub.base_points)
         for stored, before in zip(got, want):
@@ -191,7 +185,7 @@ class TestFourStateStates:
         rng = np.random.default_rng(3)
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi /= np.linalg.norm(psi)
-        f = _microstate_four(psi).f
+        f = _four_point(psi)
         assert abs(f @ f - 3.0) < 1e-12
 
     def test_reduce_respects_four_state_bound(self):
@@ -200,10 +194,10 @@ class TestFourStateStates:
         for _ in range(5):
             psi = rng.normal(size=4) + 1j * rng.normal(size=4)
             psi /= np.linalg.norm(psi)
-            states.append(_microstate_four(psi))
+            states.append(_four_point(psi))
         p = rng.random(5)
         p /= p.sum()
-        state = reduce_ensemble(Ensemble.from_states(states, p))
+        state = reduce_ensemble(Ensemble("four", np.array(states), p))
         assert state.purity <= 3.0 + 1e-12
 
 
@@ -222,8 +216,9 @@ class TestSubstates:
         ens = Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0])
         sub = extend_to_substates(ens, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
         # sign order (+,+), (+,-), (-,+), (-,-) on (z, x)
+        np.testing.assert_array_equal(sub.patterns, [[1, 1], [1, -1], [-1, 1], [-1, -1]])
         np.testing.assert_array_equal(sub.probs, [0.5, 0.5, 0.0, 0.0])
-        assert float(sub.probs @ sub.sign_values([0.0, 0.0, 1.0])) == 1.0
+        assert float(sub.table[0] @ sub.patterns[:, 0]) == 1.0
 
     def test_antipodal_pair_rejected(self):
         ens = Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0])
@@ -258,8 +253,8 @@ class TestSubstates:
         # gamma(-g) = -gamma(g): querying the antipode negates the signs
         ens = Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0])
         sub = extend_to_substates(ens, [[0.0, 0.0, 1.0]])
-        plus = sub.sign_values([0.0, 0.0, 1.0])
-        minus = sub.sign_values([0.0, 0.0, -1.0])
+        (j, flip_plus), (k, flip_minus) = sub.column([0.0, 0.0, 1.0]), sub.column([0.0, 0.0, -1.0])
+        plus, minus = flip_plus * sub.patterns[:, j], flip_minus * sub.patterns[:, k]
         np.testing.assert_array_equal(plus, -minus)
 
     def test_canonical_direction(self):
@@ -272,43 +267,23 @@ class TestSubstates:
     def test_hand_built_rows(self):
         f = np.array([0.0, 0.0, 1.0])
         dirs = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])]
-        rows = [
-            (f, [1, 1], 0.25),
-            (f, [1, -1], 0.25),
-            (f, [-1, 1], 0.25),
-            (f, [-1, -1], 0.25),
-        ]
-        sub = SubstateEnsemble.from_rows(dirs, rows)
+        patterns = [[1, 1], [1, -1], [-1, 1], [-1, -1]]
+        sub = SubstateEnsemble(dirs, [f], [[0.25] * 4], patterns)
         assert len(sub) == 4
         assert sub.marginal_micro_probs()[0] == 1.0
-        assert sub.signs.dtype == np.int8
+        assert sub.patterns.dtype == np.int8
 
     @pytest.mark.parametrize("bad", [0, 2, 300])
     def test_hand_built_rows_reject_non_unit_signs(self, bad):
         f = np.array([0.0, 0.0, 1.0])
-        rows = [(f, [1], 0.5), (f, [bad], 0.5)]
         with pytest.raises(ConstraintViolation):
-            SubstateEnsemble.from_rows([[1.0, 0.0, 0.0]], rows)
-
-    def test_hand_built_rows_reject_duplicate_substate(self):
-        f = np.array([0.0, 0.0, 1.0])
-        rows = [(f, [1], 0.25), (f, [-1], 0.5), (f, [1], 0.25)]
-        with pytest.raises(ValueError, match="same"):
-            SubstateEnsemble.from_rows([[1.0, 0.0, 0.0]], rows)
-
-    @pytest.mark.parametrize("f", [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0 - 1e-12], [1.0],
-                                   [0.0, 0.0, 1.0, 0.0]])
-    def test_hand_built_rows_reject_f_off_the_base_points(self, f):
-        # the nearest base point used to absorb any row, whatever its f or width
-        rows = [(np.array(f), [1], 0.5), (np.array(f), [-1], 0.5)]
-        with pytest.raises(ValueError, match="not one of the base points"):
-            SubstateEnsemble.from_rows([[1.0, 0.0, 0.0]], rows, base_points=[[0.0, 0.0, 1.0]])
+            SubstateEnsemble([[1.0, 0.0, 0.0]], [f], [[0.5, 0.5]], [[1], [bad]])
 
     def test_hand_built_rows_absent_cells_are_zero(self):
         up, down = np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])
-        rows = [(up, [1, 1], 0.5), (down, [-1, 1], 0.5)]
-        sub = SubstateEnsemble.from_rows([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], rows)
-        # points sort as (down, up); patterns keep the order of first appearance
+        # each micro-state puts all its weight on one pattern; the other cell is 0
+        sub = SubstateEnsemble([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], [down, up],
+                               [[0.0, 0.5], [0.5, 0.0]], [[1, 1], [-1, 1]])
         np.testing.assert_array_equal(sub.patterns, [[1, 1], [-1, 1]])
         np.testing.assert_array_equal(sub.table, [[0.0, 0.5], [0.5, 0.0]])
         np.testing.assert_array_equal(sub.mean_sign([0.0, 0.0, 1.0]), [-1.0, 1.0])
@@ -357,8 +332,8 @@ class TestSubstates:
         dirs = rng.normal(size=(16, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         sub = extend_to_substates(ens, dirs)
-        assert sub.signs.shape == (2**16, 16)
-        assert sub.signs.dtype == np.int8
+        assert sub.patterns.shape == (2**16, 16)
+        assert sub.patterns.dtype == np.int8
 
 
 def _unit_vectors():
@@ -403,18 +378,19 @@ class TestSubstateProperties:
         # gamma(-g) = -gamma(g) leaves each factor (1 + gamma f.g)/2 unchanged
         ens, dirs = case
         sub = extend_to_substates(ens, dirs)
-        gammas = [sub.sign_values(g) for g in dirs]
+        columns = [sub.column(g) for g in dirs]
         assert len(sub) == len(ens) * 2 ** len(dirs)
         for r in range(len(sub)):
-            i = int(sub.state_index[r])
+            i, k = int(sub.state_index[r]), r % len(sub.patterns)
             f = ens.points[i]
             want = float(ens.probs[i]) * math.prod(
-                (1.0 + int(gam[r]) * math.fsum(f * g)) / 2.0 for gam, g in zip(gammas, dirs)
+                (1.0 + flip * int(sub.patterns[k, j]) * math.fsum(f * g)) / 2.0
+                for (j, flip), g in zip(columns, dirs)
             )
             assert abs(float(sub.probs[r]) - want) <= 1e-15
-        for i in range(len(ens)):
-            patterns = {tuple(row) for row in sub.signs[sub.state_index == i].tolist()}
-            assert len(patterns) == 2 ** len(dirs)
+        # every micro-state carries every pattern: one table row of 2^m distinct patterns each
+        assert sub.table.shape == (len(ens), 2 ** len(dirs))
+        assert len({tuple(row) for row in sub.patterns.tolist()}) == 2 ** len(dirs)
 
     @settings(max_examples=60, deadline=None)
     @given(s2_extensions())
@@ -435,28 +411,10 @@ class TestSubstateProperties:
     def test_signs_are_int8_units(self, case):
         ens, dirs = case
         sub = extend_to_substates(ens, dirs)
-        assert sub.signs.dtype == np.int8
-        assert sub.signs.shape == (len(sub), len(dirs))
-        assert np.all(np.abs(sub.signs) == 1)
+        assert sub.patterns.dtype == np.int8
+        assert sub.patterns.shape == (len(sub) // len(ens), len(dirs))
+        assert np.all(np.abs(sub.patterns) == 1)
 
-
-    @settings(max_examples=60, deadline=None)
-    @given(s2_extensions())
-    def test_rows_round_trip_through_from_rows(self, case):
-        # rows given against the uncanonicalised directions, so from_rows flips
-        # the sign columns back onto the canonical representatives
-        ens, dirs = case
-        assume(len(np.unique(ens.points, axis=0)) == len(ens))
-        sub = extend_to_substates(ens, dirs)
-        gammas = np.column_stack([sub.sign_values(g) for g in dirs])
-        rows = zip(ens.points[sub.state_index], gammas, sub.probs)
-        back = SubstateEnsemble.from_rows(dirs, rows, base_points=ens.points)
-        np.testing.assert_array_equal(back.probs, sub.probs)
-        np.testing.assert_array_equal(back.marginal_micro_probs(), sub.marginal_micro_probs())
-        for a in dirs:
-            np.testing.assert_array_equal(back.mean_sign(a), sub.mean_sign(a))
-            for b in dirs:
-                assert classical_correlation(a, b, back) == classical_correlation(a, b, sub)
 
 
 class TestGridEnsemble:

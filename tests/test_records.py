@@ -14,17 +14,12 @@ def _check():
     return experiments.Check("c", True, 0.0, 0.0, 1e-12)
 
 
-def _micro_state():
-    return manifolds.MicroState("s2", np.array([0.0, 0.0, 1.0]))
-
-
 def _sphere_point():
-    return manifolds.Ensemble.point_mass(_micro_state())
+    return manifolds.Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0])
 
 
 # each factory builds a fresh record with the same fields on every call
 FACTORIES = {
-    manifolds.MicroState: _micro_state,
     manifolds.BlochState: lambda: manifolds.BlochState([0.1, 0.2, 0.3]),
     manifolds.Ensemble: _sphere_point,
     manifolds.SubstateEnsemble: lambda: manifolds.extend_to_substates(_sphere_point(), [[0.0, 0.0, 1.0]]),

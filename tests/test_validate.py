@@ -1,10 +1,11 @@
-"""The shared input checks: one count check and one probability check.
+"""The shared input checks: one count check, one probability check and one unit-vector check.
 
 Every count a public entry point takes goes through ``validate.check_count``,
 and every float probability vector through ``validate.check_probabilities``;
 these tests hold each entry point to the same rules.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,9 +16,9 @@ from ensembleq import experiments
 from ensembleq.correlations import simulate_sequences
 from ensembleq.finite import FiniteSpinSystem, cartesian_measure_sz, zn_system
 from ensembleq.fourstate import OutcomeTable, interference_trajectory, symmetrized_hidden_ensemble
-from ensembleq.manifolds import grid_ensemble
-from ensembleq.observables import basis_spin, moment
-from ensembleq.validate import check_count, check_real
+from ensembleq.manifolds import canonical_direction, grid_ensemble
+from ensembleq.observables import basis_spin, moment, spin
+from ensembleq.validate import ConstraintViolation, check_count, check_real, check_unit_vector
 
 _CHAIN = [basis_spin(3), basis_spin(1)]
 _RHO = np.array([0.1, 0.2, 0.3])
@@ -130,3 +131,15 @@ def test_float_probabilities_reject_non_finite_entries(entry, bad):
     build((0.5, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0))   # control: a valid vector passes
     with pytest.raises(ValueError, match="non-finite"):
         build((bad, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("check", [check_unit_vector, spin, canonical_direction],
+                         ids=["check_unit_vector", "spin", "canonical_direction"])
+@pytest.mark.parametrize("vec", [[1e300, 0.0, 0.0], [0.0, -1e200, 1e200], [1e155] * 15],
+                         ids=["1e300", "1e200-pair", "15x1e155"])
+def test_a_huge_direction_is_a_constraint_violation_without_a_warning(check, vec):
+    # the squared norm overflows to inf: the check must reject it, not warn first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConstraintViolation, match="not unit norm"):
+            check(vec)
