@@ -46,11 +46,9 @@ from .correlations import (
 from .dynamics import (
     FlowParams,
     Hamiltonian,
-    ReducedTransition,
     Trajectory,
     integrate_open,
     integrate_von_neumann,
-    reduced_from_micro,
     rotate_distribution,
     syncoherence_closed_form,
     syncoherence_flow,
@@ -87,19 +85,17 @@ __all__ = [
     "BellCheck", "BlochState", "ConstraintViolation", "DimensionMismatch",
     "Ensemble", "FiniteSpinSystem", "FlowParams", "Hamiltonian",
     "NoEigenstateError", "OutcomeTable", "ProductObservable", "RANDOM",
-    "RandomObservable", "ReducedTransition", "SequenceEstimate",
-    "SubstateEnsemble", "Trajectory", "TwoLevelObservable",
-    "WeightedEigenstateSum", "basis_spin", "bell_check",
+    "RandomObservable", "SequenceEstimate", "SubstateEnsemble", "Trajectory",
+    "TwoLevelObservable", "WeightedEigenstateSum", "basis_spin", "bell_check",
     "cartesian_measure_sz", "cartesian_purity", "classical_correlation",
     "combine", "conditional_correlation_2pt", "conditional_correlation_3pt",
     "conditional_product", "entangled_bloch", "entangled_psi",
     "entangled_state", "exchange_symmetry", "expectation",
     "extend_to_substates", "grid_ensemble", "integrate_open", "integrate_out",
     "integrate_von_neumann", "is_exchange_symmetric", "mean_in_state",
-    "measurement_chain", "moment", "outcomes_from_t",
-    "pointwise_correlation", "prob_plus", "realizable_region_check",
-    "reduce_ensemble", "reduced_from_micro", "rotate_distribution",
-    "rotated_spin_correlation", "simulate_sequences", "spin",
-    "syncoherence_closed_form", "syncoherence_flow",
+    "measurement_chain", "moment", "outcomes_from_t", "pointwise_correlation",
+    "prob_plus", "realizable_region_check", "reduce_ensemble",
+    "rotate_distribution", "rotated_spin_correlation", "simulate_sequences",
+    "spin", "syncoherence_closed_form", "syncoherence_flow",
     "zn_step_evolution", "zn_system",
 ]

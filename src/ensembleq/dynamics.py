@@ -1,5 +1,5 @@
-"""Time evolution: rotations of distributions, reduced transition maps,
-purity-conserving (unitary) evolution, and purity-changing flows.
+"""Time evolution: rotations of distributions, purity-conserving (unitary)
+evolution, and purity-changing flows.
 
 Purity-conserving evolution of the reduced state is an orthogonal rotation of
 the Bloch vector, equivalently conjugation of the density matrix by a unitary
@@ -21,21 +21,23 @@ import math
 import numpy as np
 
 from . import qmatrix
-from .manifolds import BlochState, Ensemble, weighted_sum
+from .manifolds import BlochState, Ensemble
 from .qmatrix import LEVI, PAULI
-from .validate import (DRIFT_TOL, INVARIANT_TOL, PURITY_TOL, RATE_GAP_TOL, ZERO_TOL, ConstraintViolation,
-                       Record, ValueRecord, as_float_array, check_probabilities, check_real, check_rotation,
-                       freeze)
+from .validate import (DRIFT_TOL, INVARIANT_TOL, PURITY_TOL, RATE_GAP_TOL, ConstraintViolation, Record,
+                       ValueRecord, as_float_array, check_real, check_rotation, freeze)
 
 MAX_STEPS = 2**20
 
+# time step of the central difference in hamiltonian_from_rotation
+_DIFF_STEP = 3e-5
+
 
 class Hamiltonian(Record):
-    """H = h_k tau_k + h0 for the two-state system, or an explicit matrix."""
+    """H = h_k tau_k for the two-state system, or an explicit matrix."""
 
-    __slots__ = ("hk", "h0")
+    __slots__ = ("hk",)
 
-    def __init__(self, hk: np.ndarray, h0: float = 0.0):
+    def __init__(self, hk: np.ndarray):
         arr = np.asarray(hk)
         if arr.ndim == 2:
             if not np.isfinite(arr).all():
@@ -48,12 +50,12 @@ class Hamiltonian(Record):
             if arr.shape != (3,):
                 raise ValueError("component form must be a real 3-vector")
             arr = freeze(arr)
-        self._set(arr, check_real(h0, "h0"))
+        self._set(arr)
 
     def matrix(self) -> np.ndarray:
         if self.hk.ndim == 2:
-            return self.hk + self.h0 * np.eye(self.hk.shape[0])
-        return qmatrix.operator_from_direction(self.hk, self.h0)
+            return self.hk
+        return qmatrix.operator_from_direction(self.hk)
 
 
 def _as_hamiltonian(h) -> Hamiltonian:
@@ -63,19 +65,6 @@ def _as_hamiltonian(h) -> Hamiltonian:
     if arr.ndim == 2:
         return Hamiltonian(arr)
     return Hamiltonian(as_float_array(arr, "H"))
-
-
-class ReducedTransition(Record):
-    """Linear map rho(t1) -> rho(t2) of reduced states."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: np.ndarray):
-        self._set(freeze(as_float_array(matrix, "S")))
-
-    def apply(self, state) -> BlochState:
-        vec = as_float_array(getattr(state, "rho", state), "rho")
-        return BlochState(self.matrix @ vec)
 
 
 class FlowParams(ValueRecord):
@@ -142,7 +131,7 @@ class Trajectory(Record):
 
 
 # ---------------------------------------------------------------------------
-# rotations of distributions and reduced transition maps
+# rotations of distributions
 # ---------------------------------------------------------------------------
 
 def rotate_distribution(ensemble: Ensemble, rotation) -> Ensemble:
@@ -154,29 +143,6 @@ def rotate_distribution(ensemble: Ensemble, rotation) -> Ensemble:
         raise ValueError("rotation acts on S^2 ensembles")
     rot = check_rotation(rotation)
     return Ensemble("s2", ensemble.points @ rot.T, ensemble.probs)
-
-
-def reduced_from_micro(transition, ensemble: Ensemble) -> ReducedTransition:
-    """Reduced transition matrix induced by a micro-state stochastic matrix.
-
-    With F the matrix of micro-state coordinates and p the current weights,
-    S_kl = rho_k(t) rho_l(t') / sum_m rho_m(t')^2 where rho(t) is the reduced
-    state of the propagated distribution. The map is exact on this ensemble
-    (S rho(t') = rho(t)) but rank one, so it is documented and tested only
-    through that contract. Zero purity at t' leaves the quotient undefined.
-    """
-    trans = as_float_array(transition, "transition")
-    n = len(ensemble)
-    if trans.shape != (n, n):
-        raise ValueError("transition matrix shape does not match the ensemble")
-    for column in trans.T:   # the distribution one micro-state moves to
-        check_probabilities(column)
-    rho_before = weighted_sum(ensemble.probs, ensemble.points)
-    norm2 = float(rho_before @ rho_before)
-    if norm2 <= ZERO_TOL:
-        raise ConstraintViolation("reduced state at t' has zero purity; map undefined")
-    rho_after = weighted_sum(np.add.reduce(trans * ensemble.probs, axis=1), ensemble.points)
-    return ReducedTransition(np.outer(rho_after, rho_before) / norm2)
 
 
 # ---------------------------------------------------------------------------
@@ -291,16 +257,16 @@ def integrate_bloch(rho0, hk, t_span, dt: float) -> Trajectory:
     return Trajectory(times, out)
 
 
-def hamiltonian_from_rotation(s_of_t, t: float, h: float = 3e-5) -> np.ndarray:
+def hamiltonian_from_rotation(s_of_t, t: float) -> np.ndarray:
     """Recover H_k from a rotating reduced map via
 
         H_k = -(1/4) dS_jl/dt S^-1_lm eps_jmk,
 
-    with the time derivative taken by central differences."""
-    s_plus = np.asarray(s_of_t(t + h), dtype=float)
-    s_minus = np.asarray(s_of_t(t - h), dtype=float)
+    with the time derivative taken by central differences of step _DIFF_STEP."""
+    s_plus = np.asarray(s_of_t(t + _DIFF_STEP), dtype=float)
+    s_minus = np.asarray(s_of_t(t - _DIFF_STEP), dtype=float)
     s_now = np.asarray(s_of_t(t), dtype=float)
-    s_dot = (s_plus - s_minus) / (2.0 * h)
+    s_dot = (s_plus - s_minus) / (2.0 * _DIFF_STEP)
     m = s_dot @ np.linalg.inv(s_now)
     return -0.25 * np.einsum("jm,jmk->k", m, LEVI)
 

@@ -230,10 +230,14 @@ def _precession(params, seed):
 
     h_err = float(np.abs(dynamics.hamiltonian_from_rotation(s_of_t, 0.7)
                          - np.array([0.0, 0.0, omega])).max())
+    ens, rot = manifolds.grid_ensemble(16, lambda pts: np.exp(pts[:, 0])), s_of_t(0.7)
+    commute_err = float(np.abs(manifolds.reduce_ensemble(dynamics.rotate_distribution(ens, rot)).rho
+                               - rot @ manifolds.reduce_ensemble(ens).rho).max())
     checks = [
         _tol_check("trajectory equals (cos 2wt, sin 2wt, 0)", worst, 0.0, 1e-8),
         _tol_check("purity drift", drift, 0.0, 1e-10),
         _tol_check("Hamiltonian recovered from the rotation", h_err, 0.0, 1e-8),
+        _tol_check("rotating the distribution commutes with reduction", commute_err, 0.0, 1e-12),
     ]
     return (["t", "rho1", "rho2", "rho3", "P", "rho1_ref", "rho2_ref"], rows,
             {"purity_drift": drift, "h_recovery_error": h_err}, checks)
@@ -345,7 +349,11 @@ def _correlation_table(params, seed):
             pointwise = correlations.pointwise_correlation(a, b, ens)
             classical = correlations.classical_correlation(a.e, b.e, sub)
             rows.append((name_a, name_b, conditional, oracle, pointwise, classical))
-    checks = [_tol_check("conditional equals anticommutator oracle", worst, 0.0, 1e-12)]
+    sign_err = max(float(np.abs(sub.mean_sign(a.e) - ens.points @ a.e).max()) for a in pool.values())
+    checks = [
+        _tol_check("conditional equals anticommutator oracle", worst, 0.0, 1e-12),
+        _tol_check("substate sign means equal f . e", sign_err, 0.0, 1e-12),
+    ]
     results = {"rho": [float(x) for x in rho_vec], "max_oracle_gap": worst}
     return ["A", "B", "conditional", "oracle", "pointwise", "classical"], rows, results, checks
 
@@ -398,10 +406,18 @@ def _expectation_law(params, seed):
         n_points, e = len(ens), _random_unit(rng)
         rho = qmatrix.density_from_bloch(manifolds.reduce_ensemble(ens).rho)
         oracle = qmatrix.qm_expectation(qmatrix.operator_from_direction(e), rho)
-        worst = max(worst, abs(manifolds.weighted_sum(ens.probs, ens.points @ e) - oracle))
+        mean = manifolds.weighted_sum(ens.probs, ens.points @ e)
+        worst = max(worst, abs(mean - oracle))
+    # on the last ensemble: the +1 probabilities (1 + e.f)/2 and the moments of A
+    a = observables.TwoLevelObservable(e)
+    signed = np.fromiter((2.0 * observables.prob_plus(a, f) - 1.0 for f in ens.points), float, n_points)
     return [
         _tol_check("max |sum p (e.f) - tr(A rho)|", worst, 0.0, 1e-12),
         Check("grid has at least 2048 points", n_points >= 2048, float(n_points), 2048.0, 0.0),
+        _tol_check("sum p (2 P(+1) - 1) equals tr(A rho)",
+                   manifolds.weighted_sum(ens.probs, signed), oracle, 1e-12),
+        _exact_check("<A^1> equals the ensemble mean", observables.moment(a, ens, 1), mean),
+        _exact_check("<A^2>", observables.moment(a, ens, 2), 1.0),
     ]
 
 
@@ -427,16 +443,17 @@ def _conditional_3pt(params, seed):
     """The conditional 3-point oracle equality, plus the exact orthogonal-spin identity."""
     n_trials, n_rho = (check_count(params[k], k, lo=1) for k in ("n_trials", "n_rho"))
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    cp = correlations.conditional_product
+    worst = worst_cp = 0.0
     for _ in range(n_trials):
-        obs = _random_observables(rng, 3)
+        a, b, c = obs = _random_observables(rng, 3)
         rho_vec = _random_bloch(rng)
         val = correlations.conditional_correlation_3pt(*obs, rho_vec)
         oracle = qmatrix.nested_anticommutator_expectation(
             *map(observables.operator_of, obs), qmatrix.density_from_bloch(rho_vec))
         worst = max(worst, abs(val - oracle))
+        worst_cp = max(worst_cp, abs(observables.expectation(cp(cp(a, b), c), rho_vec) - val))
     spins = [observables.basis_spin(k) for k in (1, 2, 3)]
-    cp = correlations.conditional_product
     products = [(k, l, m, cp(cp(spins[k], spins[l]), spins[m]))
                 for k, l, m in itertools.product(range(3), repeat=3)]
     mismatches = 0
@@ -446,6 +463,7 @@ def _conditional_3pt(params, seed):
             mismatches += int(observables.expectation(prod, rho_vec) != (rho_vec[m] if k == l else 0.0))
     return [
         _tol_check("max |expr - tr({{A,B},C}rho)/4|", worst, 0.0, 1e-12),
+        _tol_check("max |<(A o B) o C> - expr|", worst_cp, 0.0, 1e-12),
         _exact_check("(k, l, m, rho) breaking delta_kl rho_m", mismatches, 0),
     ]
 
@@ -487,11 +505,15 @@ def _four_state(params, seed):
     psi_m, psi_p = fourstate.entangled_psi(-1), fourstate.entangled_psi(1)
     mixed = (psi_m + psi_p) / np.linalg.norm(psi_m + psi_p)
     classes = [fourstate.is_exchange_symmetric(psi) for psi in
-               (psi_m, psi_p, fourstate.basis_psi(1), fourstate.basis_psi(4), mixed)]
+               (psi_m, psi_p, fourstate.basis_psi(1), fourstate.basis_psi(4), mixed, rho_m)]
+    moved = sum(not np.array_equal(fourstate.exchange_symmetry(v), v.rho)
+                for v in (bloch, fourstate.entangled_bloch(1)))
     return checks + _interference({}, 0)[3] + [
         _tol_check("max |corr + cos(theta - phi)|", worst, 0.0, 1e-12),
-        _exact_check("exchange classes of psi-, psi+, basis 1, basis 4, mixed",
-                     classes == ["fermionic", "bosonic", "bosonic", "bosonic", "forbidden"], True),
+        _exact_check("exchange classes of psi-, psi+, basis 1, basis 4, mixed, rho-",
+                     classes == ["fermionic", "bosonic", "bosonic", "bosonic", "forbidden", "fermionic"],
+                     True),
+        _exact_check("entangled 15-vectors moved by the exchange map", moved, 0),
     ]
 
 
@@ -529,7 +551,12 @@ def _reduction_identities(params, seed):
         sys8 = finite.zn_system(8, probs=tuple(raw), exact=True)
         alpha, beta = (Fraction(int(rng.integers(-3, 4)), 4) for _ in range(2))
         changed += sys8.expectations() != finite.integrate_out(sys8, alpha, beta).expectations()
-    return [_exact_check("reductions changing an expectation", changed, 0)]
+    pure = [finite.pure_system(8, j, exact=True) for j in range(8)]
+    off = sum(finite.zn_step_evolution(pure[1], k) != pure[(1 + k) % 8] for k in range(8))
+    return [
+        _exact_check("reductions changing an expectation", changed, 0),
+        _exact_check("steps k carrying the pure state at 1 elsewhere than 1 + k", off, 0),
+    ]
 
 
 EXPERIMENTS = {

@@ -21,8 +21,8 @@ from . import qmatrix
 from .dynamics import MAX_STEPS, _linear_flow
 from .manifolds import BlochState, Ensemble, canonical_direction, weighted_sum
 from .observables import TwoLevelObservable
-from .validate import (INVARIANT_TOL, PURITY_TOL, SAME_DIRECTION_TOL, DimensionMismatch, ValueRecord,
-                       as_float_array, check_count, check_probabilities, check_real)
+from .validate import (INVARIANT_TOL, PURITY_TOL, SAME_DIRECTION_TOL, ConstraintViolation, DimensionMismatch,
+                       ValueRecord, as_float_array, check_count, check_probabilities, check_real)
 
 
 def basis_psi(m: int) -> np.ndarray:
@@ -250,12 +250,19 @@ def is_exchange_symmetric(state) -> str:
     "bosonic" if psi is invariant, "fermionic" if psi switches sign,
     "forbidden" if the density matrix itself is not exchange symmetric.
     Mixed exchange-symmetric density matrices report "symmetric". States are
-    compared to within PURITY_TOL.
+    compared to within PURITY_TOL. A wave function must be finite (else
+    ValueError) and have |psi|^2 within INVARIANT_TOL of 1 (else
+    ConstraintViolation).
     """
     ex = exchange_matrix()
     arr = np.asarray(getattr(state, "rho", state))
     if arr.shape == (4,):
         psi = arr.astype(complex)
+        if not np.isfinite(psi).all():
+            raise ValueError("wave function contains non-finite entries")
+        norm2 = sum(c.real * c.real + c.imag * c.imag for c in psi.tolist())
+        if abs(norm2 - 1.0) > INVARIANT_TOL:
+            raise ConstraintViolation(f"wave function is not normalised: |psi|^2 = {norm2!r}")
         swapped = ex @ psi
         if np.abs(swapped - psi).max() <= PURITY_TOL:
             return "bosonic"

@@ -69,14 +69,6 @@ class BlochState(Record):
             raise ValueError("Bloch vector must have 3 or 15 components")
         self._set(freeze(vec))
 
-    @property
-    def dim(self) -> int:
-        return self.rho.shape[0]
-
-    @property
-    def purity(self) -> float:
-        return float(self.rho @ self.rho)
-
 
 class Ensemble(Record):
     """Finite weighted set of micro-states on one manifold.
@@ -224,8 +216,11 @@ class SubstateEnsemble(Record):
         return self.table.sum(axis=1)
 
     def mean_sign(self, direction) -> np.ndarray:
-        """Per-micro-state conditional mean of gamma(direction); equals f . e."""
-        num = self.table @ self._pattern_values(direction)
+        """Per-micro-state conditional mean of gamma(direction); equals f . e.
+
+        Each row is summed by numpy's pairwise summation, not a BLAS product,
+        so the means do not depend on the number of BLAS threads."""
+        num = np.add.reduce(self.table * self._pattern_values(direction), axis=1)
         den = self.marginal_micro_probs()
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
@@ -299,10 +294,6 @@ def extend_to_substates(ensemble: Ensemble, directions) -> SubstateEnsemble:
 # quadrature ensembles on S^2
 # ---------------------------------------------------------------------------
 
-def uniform_density(points: np.ndarray) -> np.ndarray:
-    return np.full(points.shape[0], 1.0 / (4.0 * math.pi))
-
-
 def _eval_density(density, points: np.ndarray) -> np.ndarray:
     try:
         vals = np.asarray(density(points), dtype=float)
@@ -313,7 +304,7 @@ def _eval_density(density, points: np.ndarray) -> np.ndarray:
     return np.array([float(density(p)) for p in points])
 
 
-def grid_ensemble(resolution: int, density=uniform_density) -> Ensemble:
+def grid_ensemble(resolution: int, density) -> Ensemble:
     """Equal-area quadrature ensemble on S^2 for a nonnegative density.
 
     The sphere is partitioned into ``resolution`` bands uniform in z and

@@ -130,6 +130,9 @@ PINNED_CHECKS = {
     "c1": [
         ('max |sum p (e.f) - tr(A rho)|', 1e-12),
         ('grid has at least 2048 points', 0.0),
+        ('sum p (2 P(+1) - 1) equals tr(A rho)', 1e-12),
+        ('<A^1> equals the ensemble mean', 0.0),
+        ('<A^2>', 0.0),
     ],
     "c2": [
         ('max |construction - tr({A,B}rho)/2|', 1e-12),
@@ -137,6 +140,7 @@ PINNED_CHECKS = {
     ],
     "c3": [
         ('max |expr - tr({{A,B},C}rho)/4|', 1e-12),
+        ('max |<(A o B) o C> - expr|', 1e-12),
         ('(k, l, m, rho) breaking delta_kl rho_m', 0.0),
     ],
     "c4": [
@@ -160,6 +164,7 @@ PINNED_CHECKS = {
         ('trajectory equals (cos 2wt, sin 2wt, 0)', 1e-08),
         ('purity drift', 1e-10),
         ('Hamiltonian recovered from the rotation', 1e-08),
+        ('rotating the distribution commutes with reduction', 1e-12),
     ],
     "c7": [
         ('rho_k(t) equals rho_k(0) exp(D t)', 1e-08),
@@ -178,7 +183,8 @@ PINNED_CHECKS = {
         ('weight w_mm', 0.0),
         ('<T2> equals cos(delta t)', 1e-06),
         ('max |corr + cos(theta - phi)|', 1e-12),
-        ('exchange classes of psi-, psi+, basis 1, basis 4, mixed', 0.0),
+        ('exchange classes of psi-, psi+, basis 1, basis 4, mixed, rho-', 0.0),
+        ('entangled 15-vectors moved by the exchange map', 0.0),
     ],
     "c9": [
         ('max |poly - sum <S>^2|', 1e-12),
@@ -194,6 +200,7 @@ PINNED_CHECKS = {
         ('most negative effective weight', 0.0),
         ('alpha=beta=1 nonnegative weights cost total sqrt(2)', 0.0),
         ('reductions changing an expectation', 0.0),
+        ('steps k carrying the pure state at 1 elsewhere than 1 + k', 0.0),
     ],
 }
 

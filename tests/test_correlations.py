@@ -348,7 +348,7 @@ class TestPointwise:
         assert pointwise_correlation(A3, A3, east) == 0.0
 
     def test_uniform_grid_third(self):
-        ens = grid_ensemble(128)
+        ens = grid_ensemble(128, lambda pts: np.ones(len(pts)))
         assert abs(pointwise_correlation(A3, A3, ens) - 1.0 / 3.0) < 1e-4
 
     def test_bounded_by_one(self):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from ensembleq.manifolds import (
     reduce_ensemble,
 )
 from ensembleq.observables import TwoLevelObservable, expectation, operator_of
-from ensembleq.validate import SAME_DIRECTION_TOL, DimensionMismatch
+from ensembleq.validate import SAME_DIRECTION_TOL, ConstraintViolation, DimensionMismatch
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -121,7 +122,7 @@ class TestEntangledState:
             vec = entangled_bloch(sign).rho
             assert vec[2] == -1.0 and vec[11] == sign and vec[13] == -sign
             assert np.count_nonzero(vec) == 3
-            assert entangled_bloch(sign).purity == 3.0
+            assert entangled_bloch(sign).rho @ entangled_bloch(sign).rho == 3.0
 
     def test_anticorrelation_conditionals(self):
         # conditional probability of bit 2 given bit 1 from the outcome table
@@ -280,7 +281,8 @@ class TestInterference:
     def test_state_stays_pure(self):
         times, f2, f5 = interference_trajectory(1.0, 5.0, 4096)
         for i in range(0, len(times), 512):
-            assert abs(_interference_state(f2[i], f5[i]).purity - 3.0) < 1e-8
+            rho = _interference_state(f2[i], f5[i]).rho
+            assert abs(rho @ rho - 3.0) < 1e-8
 
 
     def test_step_count_bounded_before_allocating(self):
@@ -316,6 +318,21 @@ class TestExchangeSymmetry:
     def test_symmetric_mixed_state(self):
         rho = 0.5 * entangled_state(1) + 0.5 * entangled_state(-1)
         assert is_exchange_symmetric(rho) == "symmetric"
+
+    @pytest.mark.parametrize("psi, error, message", [
+        (np.zeros(4), ConstraintViolation, "not normalised"),
+        (2.0 * basis_psi(1), ConstraintViolation, "not normalised"),
+        ((1.0 + 1e-9) * entangled_psi(-1), ConstraintViolation, "not normalised"),
+        (np.array([1e300, 0.0, 0.0, 0.0]), ConstraintViolation, "not normalised"),
+        (np.full(4, np.nan), ValueError, "non-finite"),
+        (np.array([0.0, 1j * np.inf, 0.0, 0.0]), ValueError, "non-finite"),
+    ], ids=["zeros", "doubled", "off-by-2e-9", "huge", "nan", "inf"])
+    def test_wave_function_must_be_finite_and_normalised(self, psi, error, message):
+        # these were classified: zeros as "bosonic", NaN as "forbidden"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=message):
+                is_exchange_symmetric(psi)
 
     @pytest.mark.parametrize("state", [np.eye(2) / 2.0, np.array([0.0, 0.0, 1.0])],
                              ids=["matrix", "bloch"])

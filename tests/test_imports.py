@@ -1,21 +1,29 @@
 """What package modules import: every name they import is used, only the
 oracle's own users reach the matrix oracle, nothing generates code or loads
-the exact-arithmetic module at package import, and no public definition is
-there for the tests alone.
+the exact-arithmetic module at package import, and every public definition
+runs when ``verify``, the nine experiments or the README example run.
 
 ``__init__`` is skipped by the unused-import check: its imports are the
 public re-exports.
 """
 import ast
+import contextlib
+import importlib
+import inspect
+import io
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import ensembleq
+from ensembleq import cli
+from ensembleq.experiments import EXPERIMENTS
+from ensembleq.validate import Record
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -125,80 +133,175 @@ def test_the_oracle_guard_sees_each_form():
 
 
 def _read_names(source: str) -> set[str]:
-    """Names and attribute names that code reads: imports and strings are not reads."""
-    return {node.id if isinstance(node, ast.Name) else node.attr
-            for node in ast.walk(ast.parse(source)) if isinstance(node, (ast.Name, ast.Attribute))}
+    """What code reads: each name, and each attribute name both bare and as ``.name``,
+    since a member is read only as an attribute. Imports and strings are not reads."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found |= {node.attr, "." + node.attr}
+    return found
 
 
-def _public_definitions(source: str):
-    """(key, name) of each public top-level function and class, and of each public
-    method, property, class and static method of a public class, keyed
-    ``Class.member``."""
-    for node in ast.parse(source).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield node.name, node.name
-            if isinstance(node, ast.ClassDef):
-                yield from ((f"{node.name}.{member.name}", member.name) for member in node.body
-                            if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"))
+def _entered(run) -> set:
+    """Code objects of the Python functions that ``run()`` enters, under ``sys.setprofile``."""
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return entered
 
 
-def _test_only_definitions(modules: dict[str, str], read_elsewhere: set[str]) -> list[str]:
-    """Public definitions of ``modules`` (file name -> source) whose name no
-    module reads and whose name or key is not in ``read_elsewhere``.
+def _codes(obj) -> list:
+    """Code objects whose entry counts as running ``obj``: a function's own code; for
+    a record class, the ``__init__`` of it or of a subclass, since one runs whenever
+    an instance is built."""
+    if not inspect.isclass(obj):
+        return [inspect.unwrap(obj).__code__]
+    classes, codes = [obj], []
+    while classes:
+        cls = classes.pop()
+        classes += cls.__subclasses__()
+        if "__init__" in vars(cls):
+            codes.append(vars(cls)["__init__"].__code__)
+    return codes
 
-    A read in the defining module counts, since a record class is built by the
-    module that returns it; a re-export or an ``__all__`` string does not. A
-    member counts as read when its name is read anywhere, whatever the object:
-    ``np.trace`` reads every member named ``trace``.
-    """
-    read = read_elsewhere.union(*map(_read_names, modules.values()))
-    return [f"{name}: {key}" for name, source in sorted(modules.items())
-            for key, member in _public_definitions(source)
-            if member not in read and key not in read]
+
+def _public_definitions(module):
+    """(key, object) of each public function and record class defined in ``module``,
+    and of each public method, property, class and static method of its public
+    classes, keyed ``Class.member``. Exception classes are skipped."""
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj) and not issubclass(obj, BaseException):
+            if issubclass(obj, Record):
+                yield name, obj
+            for member, attr in vars(obj).items():
+                func = attr.fget if isinstance(attr, property) else getattr(attr, "__func__", attr)
+                if not member.startswith("_") and inspect.isfunction(func):
+                    yield f"{name}.{member}", func
 
 
-# Public names and members kept although only tests use them, each with its reason.
+def _unentered(modules, entered: set, exempt: set[str]) -> list[str]:
+    """``module: key`` of each public definition of ``modules`` whose code no run
+    entered, unless ``exempt`` holds its name, or ``.member`` for a member."""
+    found = []
+    for module in modules:
+        for key, obj in _public_definitions(module):
+            name, dot, member = key.partition(".")
+            if (dot + member or name) not in exempt and entered.isdisjoint(_codes(obj)):
+                found.append(f"{module.__name__.rpartition('.')[2]}: {key}")
+    return found
+
+
+# Public definitions kept although no run enters them, each with its reason.
 _TEST_ONLY_ALLOWED = {
-    "reduced_from_micro": "paper claim: reduced transition maps from micro-state transitions",
-    "ReducedTransition.apply": "paper claim: the reduced map S carries rho(t') to rho(t) = S rho(t')",
-    "rotate_distribution": "paper claim: rotating the distribution commutes with reduction",
-    "zn_step_evolution": "paper claim: Z_N steps map pure states to pure states",
-    "exchange_symmetry": "paper claim: the particle-exchange map of the four-state system",
-    "prob_plus": "paper claim: the +1 outcome probability (1 + mean)/2 in a micro-state",
-    "SubstateEnsemble.mean_sign": "paper claim: sharp substate values average to f . e in each micro-state",
-    "moment": "the moments <A^q> that make an observable two-level",
     "quantum_product": "oracle: the operator product, named by the oracle guard",
     "commutator": "oracle: the matrix commutator, named by the oracle guard",
 }
 
 
-def test_every_public_definition_is_used_outside_the_tests():
+def test_every_public_definition_is_used_outside_the_tests(tmp_path):
+    # what a reader runs: verify, the nine experiments and the README's Python example
     root = Path(ensembleq.__file__).resolve().parents[2]
-    modules = {path.name: path.read_text(encoding="utf-8")
-               for path in sorted(Path(ensembleq.__file__).parent.glob("*.py"))}
-    read_elsewhere = set(_TEST_ONLY_ALLOWED)
-    for path in sorted((root / "perfbench").glob("*.py")):
-        read_elsewhere |= _read_names(path.read_text(encoding="utf-8"))
     readme = (root / "README.md").read_text(encoding="utf-8")
-    for block in re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.M | re.S):
-        read_elsewhere |= set(re.findall(r"[A-Za-z_]\w*", block))
-    assert _test_only_definitions(modules, read_elsewhere) == []
+    examples = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert examples
+
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify"]) == 0
+            for name in EXPERIMENTS:
+                assert cli.main(["run", "--experiment", name, "--out", str(tmp_path)]) == 0
+            for example in examples:
+                exec(example, {})
+
+    exempt = set(_TEST_ONLY_ALLOWED)
+    for path in sorted((root / "perfbench").glob("*.py")):
+        exempt |= _read_names(path.read_text(encoding="utf-8"))
+    # importing __main__ would run the command line
+    modules = [importlib.import_module(f"ensembleq.{path.stem}")
+               for path in sorted(Path(ensembleq.__file__).parent.glob("*.py"))
+               if path.stem not in ("__init__", "__main__")]
+    assert _unentered(modules, _entered(run), exempt) == []
+
+
+_PLANTED = """
+from ensembleq.validate import Record
+
+
+def used():
+    return Built(1).read()
+
+
+def orphan():
+    pass
+
+
+class Built(Record):
+    __slots__ = ("x",)
+
+    def __init__(self, x):
+        self._set(x)
+
+    def read(self):
+        return self.x
+
+    def orphan_method(self):
+        pass
+
+    @property
+    def orphan_property(self):
+        pass
+
+    @staticmethod
+    def orphan_static():
+        pass
+
+    def _private(self):
+        pass
+
+
+class Unbuilt(Record):
+    __slots__ = ()
+
+    def __init__(self):
+        pass
+
+
+class PlantedError(ValueError):
+    pass
+
+
+def _private():
+    pass
+"""
 
 
 def test_the_test_only_guard_sees_a_definition_only_tests_use():
-    modules = {
-        "a.py": "def used():\n    pass\n\ndef orphan():\n    pass\n\n"
-                "class Record:\n    def read(self):\n        pass\n\n"
-                "    def orphan_method(self):\n        pass\n\n"
-                "    @property\n    def orphan_property(self):\n        pass\n\n"
-                "    def _private(self):\n        pass\n\n"
-                "def build():\n    return Record().read()\n\ndef _private():\n    pass\n",
-        "b.py": "from .a import used, orphan\n__all__ = ['orphan']\nused()\n",
-    }
-    assert _test_only_definitions(modules, set()) == [
-        "a.py: orphan", "a.py: Record.orphan_method", "a.py: Record.orphan_property", "a.py: build"]
-    assert _test_only_definitions(modules, {"build", "Record.orphan_method", "orphan_property"}) == [
-        "a.py: orphan"]
+    module = types.ModuleType("planted")
+    exec(_PLANTED, vars(module))
+    entered = _entered(module.used)
+    assert _unentered([module], entered, set()) == [
+        "planted: orphan", "planted: Built.orphan_method", "planted: Built.orphan_property",
+        "planted: Built.orphan_static", "planted: Unbuilt"]
+    assert _unentered([module], entered, {"orphan", "orphan_method", ".orphan_property", "Unbuilt"}) == [
+        "planted: Built.orphan_method", "planted: Built.orphan_static"]
+    assert _read_names("x.orphan_method(orphan)\nimport used\n'Unbuilt'\n") == {
+        "x", "orphan_method", ".orphan_method", "orphan"}
+    assert _unentered([module], set(), set())[:2] == ["planted: used", "planted: orphan"]
 
 
 def test_importing_the_suite_loads_no_exact_arithmetic():

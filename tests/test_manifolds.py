@@ -42,12 +42,20 @@ def _four_point(psi) -> np.ndarray:
     return np.einsum("i,kij,j->k", psi.conj(), qmatrix.L_BASIS, psi).real
 
 
+def _purity(state) -> float:
+    return float(state.rho @ state.rho)
+
+
+def _uniform(points):
+    return np.ones(len(points))
+
+
 class TestReduce:
     def test_point_mass(self):
         ens = Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0])
         state = reduce_ensemble(ens)
         assert np.array_equal(state.rho, [0.0, 0.0, 1.0])
-        assert state.purity == 1.0
+        assert _purity(state) == 1.0
 
     def test_uniform_octagon_cancels(self):
         state = reduce_ensemble(octagon_ensemble())
@@ -57,7 +65,7 @@ class TestReduce:
         ens = Ensemble("s2", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [0.5, 0.5])
         state = reduce_ensemble(ens)
         np.testing.assert_array_equal(state.rho, [0.5, 0.5, 0.0])
-        assert state.purity == 0.5
+        assert _purity(state) == 0.5
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
@@ -84,7 +92,7 @@ class TestReduce:
             pts /= np.linalg.norm(pts, axis=1, keepdims=True)
             p = rng.random(n)
             p /= p.sum()
-            assert reduce_ensemble(Ensemble("s2", pts, p)).purity <= 1.0 + 1e-12
+            assert _purity(reduce_ensemble(Ensemble("s2", pts, p))) <= 1.0 + 1e-12
 
     def test_pure_iff_unit_purity_on_grids(self):
         # a point mass reduces to unit norm; conversely purity near 1 forces
@@ -92,7 +100,7 @@ class TestReduce:
         # mass outside the cap f.d > 1-delta is at most (1 - rho.d)/delta)
         ens = grid_ensemble(600, lambda pts: np.exp(200.0 * (pts[:, 2] - 1.0)))
         state = reduce_ensemble(ens)
-        assert 0.98 < state.purity < 1.0
+        assert 0.98 < _purity(state) < 1.0
         direction = state.rho / np.linalg.norm(state.rho)
         delta = 0.05
         inside = float(ens.probs[ens.points @ direction > 1.0 - delta].sum())
@@ -176,8 +184,8 @@ class TestValidation:
                 stored[0] = 0
 
     def test_purity_values(self):
-        assert BlochState(np.zeros(3)).purity == 0.0
-        assert BlochState(np.array([0.0, 0.0, 1.0])).purity == 1.0
+        assert _purity(BlochState(np.zeros(3))) == 0.0
+        assert _purity(BlochState(np.array([0.0, 0.0, 1.0]))) == 1.0
 
 
 class TestFourStateStates:
@@ -198,7 +206,7 @@ class TestFourStateStates:
         p = rng.random(5)
         p /= p.sum()
         state = reduce_ensemble(Ensemble("four", np.array(states), p))
-        assert state.purity <= 3.0 + 1e-12
+        assert _purity(state) <= 3.0 + 1e-12
 
 
 class TestSubstates:
@@ -290,7 +298,7 @@ class TestSubstates:
 
     def test_extension_working_set_bounded(self):
         # (n, m) = (512, 12): a 16 MiB table built in place and kept uncopied
-        ens = grid_ensemble(16)
+        ens = grid_ensemble(16, _uniform)
         rng = np.random.default_rng(12)
         dirs = rng.normal(size=(12, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -304,7 +312,7 @@ class TestSubstates:
         assert peak < 32 * 2**20
 
     def test_oversized_extension_rejected_before_allocating(self):
-        ens = grid_ensemble(64)   # 8192 points
+        ens = grid_ensemble(64, _uniform)   # 8192 points
         rng = np.random.default_rng(10)
         dirs = rng.normal(size=(16, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -423,7 +431,7 @@ class TestGridEnsemble:
         # weights, with no second copy of either
         tracemalloc.start()
         try:
-            ens = grid_ensemble(512)
+            ens = grid_ensemble(512, _uniform)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -431,7 +439,7 @@ class TestGridEnsemble:
         assert peak < 24 * 2**20
 
     def test_uniform_density_reduces_to_zero(self):
-        state = reduce_ensemble(grid_ensemble(16))
+        state = reduce_ensemble(grid_ensemble(16, _uniform))
         assert np.abs(state.rho).max() < 1e-13
 
     def test_concentrated_density_points_north(self):
@@ -478,7 +486,7 @@ class TestGridEnsemble:
 
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
-            grid_ensemble(1)
+            grid_ensemble(1, _uniform)
 
     @pytest.mark.parametrize("resolution", [1449, 100_000])
     def test_oversized_grid_rejected_before_allocating(self, resolution):
@@ -487,7 +495,7 @@ class TestGridEnsemble:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="grid points"):
-                grid_ensemble(resolution)
+                grid_ensemble(resolution, _uniform)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -28,7 +28,6 @@ FACTORIES = {
     correlations.WeightedEigenstateSum: lambda: correlations.WeightedEigenstateSum(()),
     correlations.SequenceEstimate: lambda: correlations.SequenceEstimate(0.5, 0.01, 100, 3),
     dynamics.Hamiltonian: lambda: dynamics.Hamiltonian(np.array([0.0, 0.0, 1.0])),
-    dynamics.ReducedTransition: lambda: dynamics.ReducedTransition(np.eye(3)),
     dynamics.FlowParams: lambda: dynamics.FlowParams(3.0, 2.0),
     dynamics.Trajectory: lambda: dynamics.Trajectory(np.zeros(2), components=np.zeros((2, 3))),
     fourstate.OutcomeTable: lambda: fourstate.OutcomeTable(0.25, 0.25, 0.25, 0.25),

@@ -24,8 +24,12 @@ _CHAIN = [basis_spin(3), basis_spin(1)]
 _RHO = np.array([0.1, 0.2, 0.3])
 
 
+def _uniform(points):
+    return np.ones(len(points))
+
+
 def _grid(resolution):
-    ens = grid_ensemble(resolution)
+    ens = grid_ensemble(resolution, _uniform)
     return ens.points, ens.probs
 
 
@@ -45,7 +49,7 @@ COUNT_ENTRY_POINTS = {
         lambda n: simulate_sequences(_CHAIN, _RHO, 1000, seed=1, n_jobs=n, block_size=256), 2),
     "grid_ensemble": (_grid, 8),
     "interference_trajectory": (lambda n: interference_trajectory(1.0, 1.0, n), 64),
-    "moment": (lambda n: moment(basis_spin(3), grid_ensemble(4), n), 3),
+    "moment": (lambda n: moment(basis_spin(3), grid_ensemble(4, _uniform), n), 3),
     "zn_system": (zn_system, 8),
     "zn_system-observable_angles": (lambda n: zn_system(8, observable_angles=(0, n)).observable_angles, 2),
     "FiniteSpinSystem-state_angles": (
