@@ -34,6 +34,8 @@ class Q2(Record):
     def of(x) -> "Q2":
         if isinstance(x, Q2):
             return x
+        if isinstance(x, str):   # Fraction would parse it
+            raise TypeError(f"not a number: {x!r}")
         return Q2(Fraction(x))
 
     def __add__(self, other):
@@ -48,9 +50,6 @@ class Q2(Record):
     def __sub__(self, other):
         return self + (-Q2.of(other))
 
-    def __rsub__(self, other):
-        return Q2.of(other) + (-self)
-
     def __mul__(self, other):
         o = Q2.of(other)
         return Q2(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
@@ -58,11 +57,15 @@ class Q2(Record):
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        o = Q2.of(other)
+        try:
+            o = Q2.of(other)
+        except (TypeError, ValueError, OverflowError):   # not a finite number
+            return NotImplemented
         return self.a == o.a and self.b == o.b
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        # a rational element equals its Fraction, int or float, so it hashes as one
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
 
     def sign(self) -> int:
         if self.a == 0 and self.b == 0:
@@ -78,9 +81,6 @@ class Q2(Record):
 
     def __lt__(self, other):
         return (self - Q2.of(other)).sign() < 0
-
-    def __le__(self, other):
-        return (self - Q2.of(other)).sign() <= 0
 
     def __gt__(self, other):
         return (self - Q2.of(other)).sign() > 0
@@ -147,6 +147,7 @@ class FiniteSpinSystem(ValueRecord):
 
     def __init__(self, n_positions: int, state_angles: tuple, probs: tuple, observable_angles: tuple,
                  exact: bool = False, signed: bool = False):
+        n_positions = check_count(n_positions, "n_positions", lo=1)
         state_angles, observable_angles = (   # whole indices, reduced mod N
             tuple(check_count(a, name, lo=-math.inf) % n_positions for a in angles)
             for name, angles in (("state_angles", state_angles), ("observable_angles", observable_angles)))
@@ -187,35 +188,33 @@ _TABLE_ORDER_8 = (0, 4, 2, 6, 1, 7, 3, 5)   # (0),(pi),(pi/2),(-pi/2),(pi/4),(-p
 _TABLE_ORDER_4 = (0, 2, 1, 3)               # (0),(pi),(pi/2),(-pi/2)
 
 
-def zn_system(n: int, probs=None, observable_angles=None, exact: bool = False) -> FiniteSpinSystem:
+def zn_system(n: int, probs=None, exact: bool = False) -> FiniteSpinSystem:
     """Z_N system with micro-states at angles 2 pi j / N.
 
     For N = 8 the state order follows the conventional table layout (the four
-    axis states first, the four diagonal states after) and the default
-    observables are the two axis spins plus the two diagonal spins; for other
-    N the states are in natural order with the two axis spins.
+    axis states first, the four diagonal states after) and the observables are
+    the two axis spins plus the two diagonal spins; for other N the states are
+    in natural order with the two axis spins.
     """
     n = check_count(n, "n", lo=2)
     if n == 8:
         order = _TABLE_ORDER_8
-        default_obs = (0, 2, 1, 7)   # directions 0, pi/2, pi/4, -pi/4
+        observable_angles = (0, 2, 1, 7)   # directions 0, pi/2, pi/4, -pi/4
     elif n == 4:
         order = _TABLE_ORDER_4
-        default_obs = (0, 1)
+        observable_angles = (0, 1)
     else:
         order = tuple(range(n))
-        default_obs = (0, n // 4) if n % 4 == 0 else (0, 1)
-    if observable_angles is None:
-        observable_angles = default_obs
+        observable_angles = (0, n // 4) if n % 4 == 0 else (0, 1)
     if probs is None:
         one = Fraction(1, n) if exact else 1.0 / n
         probs = (one,) * n
-    return FiniteSpinSystem(n, order, tuple(probs), tuple(observable_angles), exact=exact)
+    return FiniteSpinSystem(n, order, tuple(probs), observable_angles, exact=exact)
 
 
-def pure_system(n: int, angle_index: int, exact: bool = False, **kw) -> FiniteSpinSystem:
+def pure_system(n: int, angle_index: int, exact: bool = False) -> FiniteSpinSystem:
     """Point mass on the micro-state at angle 2 pi * angle_index / n."""
-    base = zn_system(n, exact=exact, **kw)
+    base = zn_system(n, exact=exact)
     one = Fraction(1) if exact else 1.0
     zero = Fraction(0) if exact else 0.0
     probs = tuple(one if a == angle_index % n else zero for a in base.state_angles)
@@ -323,8 +322,9 @@ def zn_step_evolution(system: FiniteSpinSystem, steps: int) -> FiniteSpinSystem:
     """Rotate the distribution by ``steps`` units of 2 pi / N.
 
     Pure states map to pure states and the reduced state rotates by the same
-    angle; purity at step boundaries is unchanged.
+    angle; purity at step boundaries is unchanged. ``steps`` may be negative.
     """
+    steps = check_count(steps, "steps", lo=-math.inf)
     n = system.n_positions
     pos = {a: i for i, a in enumerate(system.state_angles)}
     new = list(system.probs)
@@ -395,12 +395,7 @@ def cartesian_purity(p):
         + p3 * p4 + p3 * p5 + p3 * p7
         + p5 * p6 + p5 * p7
     )
-    out = 3 - 4 * lin + 4 * quad + 8 * cross
-    if isinstance(out, np.ndarray):
-        if out.shape:
-            return out
-        return out.item() if out.dtype == object else float(out)
-    return out
+    return 3 - 4 * lin + 4 * quad + 8 * cross
 
 
 def _is_exact_seq(p) -> bool:
@@ -413,63 +408,46 @@ def _is_exact_seq(p) -> bool:
 
 
 class MeasurementOutcome(ValueRecord):
-    """Result of updating the cartesian ensemble after measuring S_z."""
+    """Result of updating the cartesian ensemble after measuring S_z = +1."""
 
-    __slots__ = ("rule", "outcome", "probs", "purity_before", "purity_after", "constraint_violated",
-                 "pair_sums")
+    __slots__ = ("rule", "probs", "purity_before", "purity_after", "constraint_violated", "pair_sums")
 
-    def __init__(self, rule: str, outcome: int, probs: tuple, purity_before, purity_after,
+    def __init__(self, rule: str, probs: tuple, purity_before, purity_after,
                  constraint_violated: bool, pair_sums: tuple | None = None):
-        self._set(rule, outcome, probs, purity_before, purity_after, constraint_violated, pair_sums)
+        self._set(rule, probs, purity_before, purity_after, constraint_violated, pair_sums)
 
 
-def cartesian_measure_sz(p, rule: str, outcome: int = 1, free_p1=None) -> MeasurementOutcome:
-    """State update after measuring S_z with the given outcome.
+def cartesian_measure_sz(p, rule: str, free_p1=None) -> MeasurementOutcome:
+    """State update after measuring S_z with the outcome +1.
 
     rule="classical" renormalises the four compatible substates, keeping their
     relative weights; this uses environment information and can push the spin
     purity above 1 (flagged, not raised). rule="quantum" keeps only the
-    subsystem information: the new state has rho = (0, 0, outcome), purity 1,
+    subsystem information: the new state has rho = (0, 0, 1), purity 1,
     with substate weights p2 = p3 = 1/2 - p1 and p4 = p1; the leftover
     parameter p1 in [0, 1/2] concerns the environment alone and defaults to
     its midpoint 1/4.
     """
     probs = _check_cartesian_probs(p)
     exact = _is_exact_seq(probs)
-    if outcome not in (1, -1):
-        raise ValueError("outcome must be +1 or -1")
-    keep = slice(0, 4) if outcome == 1 else slice(4, 8)
-    sector = probs[keep]
+    sector = probs[:4]
     total = _sum(sector)
     purity_before = cartesian_purity(probs)
     zero = Fraction(0) if exact else 0.0
     if (total == 0) if exact else (float(total) <= 0.0):
         raise ValueError("the measured outcome has zero probability")
     if rule == "classical":
-        new = [zero] * 8
-        for i, v in zip(range(8)[keep], sector):
-            new[i] = v / total if exact else float(v) / float(total)
+        new = [v / total if exact else float(v) / float(total) for v in sector] + [zero] * 4
         purity_after = cartesian_purity(new)
         violated = (purity_after > 1) if exact else (float(purity_after) > 1.0 + PURITY_TOL)
-        return MeasurementOutcome(rule, outcome, tuple(new), purity_before, purity_after, violated)
+        return MeasurementOutcome(rule, tuple(new), purity_before, purity_after, violated)
     if rule == "quantum":
         half = Fraction(1, 2) if exact else 0.5
         q = (Fraction(1, 4) if exact else 0.25) if free_p1 is None else free_p1
         if not (0 <= (Fraction(q) if exact else float(q)) <= half):
             raise ValueError("free parameter p1 must lie in [0, 1/2]")
-        block = [q, half - q, half - q, q]
-        new = [zero] * 8
-        for i, v in zip(range(8)[keep], block):
-            new[i] = v
+        new = [q, half - q, half - q, q] + [zero] * 4
         purity_after = cartesian_purity(new)
-        base = 0 if outcome == 1 else 4
-        pair_sums = (
-            new[base + 0] + new[base + 1],
-            new[base + 0] + new[base + 2],
-            new[base + 1] + new[base + 3],
-            new[base + 2] + new[base + 3],
-        )
-        return MeasurementOutcome(
-            rule, outcome, tuple(new), purity_before, purity_after, False, pair_sums
-        )
+        pair_sums = (new[0] + new[1], new[0] + new[2], new[1] + new[3], new[2] + new[3])
+        return MeasurementOutcome(rule, tuple(new), purity_before, purity_after, False, pair_sums)
     raise ValueError("rule must be 'classical' or 'quantum'")

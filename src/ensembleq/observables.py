@@ -62,13 +62,6 @@ class RandomObservable:
     has no eigenstates, so nothing can be measured after it.
     """
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self):
         return "RandomObservable()"
 
@@ -93,19 +86,16 @@ class ProductObservable(Record):
             raise ValueError("mean function exceeds the +-1 outcome range")
 
 
-def spin(e, dim: int | None = None) -> TwoLevelObservable:
+def spin(e) -> TwoLevelObservable:
     """Unit-direction observable with spectrum +-1 and zero offset."""
-    vec = check_unit_vector(e, "e")
-    if dim is not None and vec.shape[0] != dim:
-        raise DimensionMismatch(f"expected a {dim}-component direction")
-    return TwoLevelObservable(vec, 0.0)
+    return TwoLevelObservable(check_unit_vector(e, "e"), 0.0)
 
 
-def basis_spin(k: int, dim: int = 3) -> TwoLevelObservable:
-    """The k-th basis observable (1-based), A^(k) = A(e_k)."""
-    if not 1 <= k <= dim:
+def basis_spin(k: int) -> TwoLevelObservable:
+    """The k-th basis observable (1-based) of the two-state system, A^(k) = A(e_k)."""
+    if not 1 <= k <= 3:
         raise ValueError("basis index out of range")
-    e = np.zeros(dim)
+    e = np.zeros(3)
     e[k - 1] = 1.0
     return TwoLevelObservable(e)
 

@@ -76,7 +76,7 @@ class Record:
     A record lists its fields in ``__slots__`` and sets them once, in
     ``__init__``, through ``_set``; assigning or deleting an attribute
     afterwards raises AttributeError. A slot whose name starts with ``_`` is
-    not a field: it is left out of ``repr``, equality and pickling.
+    not a field: it is left out of ``repr`` and equality.
     """
 
     __slots__ = ()
@@ -98,10 +98,6 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__ if k[0] != "_")
         return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        # pickle and copy rebuild the record through __init__, which takes the fields in order
-        return type(self), self._fields()
 
 
 class ValueRecord(Record):
@@ -199,20 +195,20 @@ def check_count(value, name: str, lo: int = 0, hi: int | None = None) -> int:
     return n
 
 
-def check_real(value, name: str, lo: float = -math.inf, hi: float = math.inf, length: int | None = None):
-    """A finite real number in [lo, hi] as a float, or a list of them as a list of floats;
+def check_real(value, name: str, lo: float = -math.inf, length: int | None = None):
+    """A finite real number >= lo as a float, or a list of them as a list of floats;
     a bool, a string or a non-finite value (NaN passes any "> tol" test) is a ValueError.
     With ``length``, the value must be a list of exactly that many numbers."""
     is_list = isinstance(value, (list, tuple, np.ndarray))
     if length is not None and not (is_list and len(value) == length):
         raise ValueError(f"{name} must be a list of {length} real numbers, got {value!r}")
     if is_list:
-        return [check_real(v, f"{name}[{i}]", lo, hi) for i, v in enumerate(value)]
+        return [check_real(v, f"{name}[{i}]", lo) for i, v in enumerate(value)]
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     x = float(value)   # OverflowError for an int beyond the float range
     if not math.isfinite(x):
         raise ValueError(f"{name} is non-finite: {x!r}")
-    if not lo <= x <= hi:
-        raise ValueError(f"{name} = {x!r} outside [{lo}, {hi}]")
+    if x < lo:
+        raise ValueError(f"{name} = {x!r} outside [{lo}, inf]")
     return x

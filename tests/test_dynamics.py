@@ -409,6 +409,14 @@ class TestOpenEvolution:
         p_ref = float(rho0 @ rho0) * np.exp(2 * d * traj.times)
         assert np.abs(traj.purity - p_ref).max() < 1e-8
 
+    def test_time_dependent_rate_decay(self):
+        # with H = 0, rho(t) = rho(0) exp(int_0^t D) = rho(0) exp(-0.2 t - 0.1 sin t); RK4's
+        # midpoint stages must evaluate D at t + h/2
+        rho0 = np.array([0.4, -0.2, 0.5])
+        traj = integrate_open(rho0, None, lambda _b, t: -0.2 - 0.1 * math.cos(t), (0.0, 5.0), 0.01)
+        decay = np.exp(-0.2 * traj.times - 0.1 * np.sin(traj.times))
+        assert np.abs(traj.bloch - rho0[None, :] * decay[:, None]).max() < 1e-8
+
     def test_zero_rate_reduces_to_von_neumann(self):
         rng = np.random.default_rng(6)
         h = rng.normal(size=3)

@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ensembleq.finite import (
     HALF_SQRT2,
     Q2,
+    FiniteSpinSystem,
     SPIN_VALUES,
     _cos_index,
     _is_exact_seq,
@@ -60,6 +63,16 @@ class TestQ2:
         assert Q2(0, 1) < Fraction(3, 2)     # sqrt 2 < 1.5
         assert Q2(-3, 2) < 0                 # 2 sqrt 2 < 3
         assert Q2(-1, 1) > 0                 # sqrt 2 > 1
+
+    def test_equality_with_other_types(self):
+        # a rational Q2 hashed apart from the int it equals, and Q2(1) == "x" raised ValueError
+        assert len({Q2(1), 1}) == 1 and len({Q2(Fraction(1, 2)), 0.5}) == 1
+        assert Q2(1) != "x" and Q2(1) != "1" and Q2(1) != None and Q2(1) != math.inf  # noqa: E711
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.integers(), st.fractions()))
+    def test_equal_values_hash_equal(self, x):
+        assert x == Q2.of(x) and hash(x) == hash(Q2.of(x))
 
 
 class TestZnSystems:
@@ -173,6 +186,15 @@ class TestZnSteps:
         stepped = zn_step_evolution(pure_system(8, 0), 1)
         assert stepped.probs == pure_system(8, 1).probs
 
+    def test_negative_steps_rotate_back(self):
+        # steps is a whole number (tests/test_validate.py), and a negative one is legal
+        assert zn_step_evolution(pure_system(8, 1), -1).probs == pure_system(8, 0).probs
+
+    def test_zero_positions_rejected(self):
+        # n_positions=0 raised ZeroDivisionError
+        with pytest.raises(ValueError, match="n_positions must be >= 1"):
+            FiniteSpinSystem(0, (0,), (1.0,), (0,))
+
     def test_full_cycle_is_identity(self):
         rng = np.random.default_rng(2)
         p = rng.random(8)
@@ -266,16 +288,10 @@ class TestCartesianMeasurement:
         with pytest.raises(ValueError):
             cartesian_measure_sz(self.SCENARIO, "quantum", free_p1=Fraction(3, 4))
 
-    def test_negative_outcome_mirrored(self):
-        probs = [0, 0, 0, 0, 0.4, 0.3, 0.2, 0.1]
-        out = cartesian_measure_sz(probs, "quantum", outcome=-1)
-        sx, sy, sz = _spin_expectations(out.probs)
-        assert (sx, sy, sz) == (0.0, 0.0, -1.0)
-
     def test_zero_outcome_probability(self):
         probs = [0, 0, 0, 0, 0.5, 0.5, 0, 0]
         with pytest.raises(ValueError):
-            cartesian_measure_sz(probs, "classical", outcome=1)
+            cartesian_measure_sz(probs, "classical")
 
     def test_classical_rule_keeps_relative_weights(self):
         probs = [0.2, 0.1, 0.05, 0.05, 0.3, 0.1, 0.1, 0.1]

@@ -307,6 +307,8 @@ class TestExchangeSymmetry:
         assert is_exchange_symmetric(entangled_psi(1)) == "bosonic"
         assert is_exchange_symmetric(basis_psi(1)) == "bosonic"
         assert is_exchange_symmetric(basis_psi(4)) == "bosonic"
+        # a global phase leaves the class alone; |psi|^2 sums re^2 + im^2, not re^2 - im^2
+        assert is_exchange_symmetric(np.exp(0.7j) * basis_psi(1)) == "bosonic"
         combo = (entangled_psi(1) + basis_psi(1) + basis_psi(4)) / math.sqrt(3.0)
         assert is_exchange_symmetric(combo) == "bosonic"
 

@@ -1,10 +1,24 @@
 """What package modules import: every name they import is used, only the
 oracle's own users reach the matrix oracle, nothing generates code or loads
 the exact-arithmetic module at package import, and every public definition
-runs when ``verify``, the nine experiments or the README example run.
+and option is used when the program runs.
 
-``__init__`` is skipped by the unused-import check: its imports are the
-public re-exports.
+The run is ``verify``, the nine experiments, the README example and one tiny
+pass of the ``sequences``, ``trajectories`` and ``substates`` benchmark
+workloads, under ``sys.setprofile``. Three rules go beyond "the definition's
+code was entered":
+
+- each defaulted parameter, and each ``**kw``, of an entered public function
+  must be set by some call to a value other than its default (a value equal
+  to a bool, int, float, str or None default counts as the default);
+- special methods other than ``__init__``, ``__repr__``, ``__eq__`` and
+  ``__hash__`` count as definitions of their own;
+- what the benchmark uses is exempt because the run enters it, not because
+  ``perfbench/`` names it.
+
+What stays without such a use is allowlisted by ``Class.member`` or
+``func(param)``, with its reason. ``__init__`` is skipped by the
+unused-import check: its imports are the public re-exports.
 """
 import ast
 import contextlib
@@ -132,33 +146,15 @@ def test_the_oracle_guard_sees_each_form():
         "line 4: anticommutator", "line 4: nested_anticommutator_expectation", "line 5: quantum_product"]
 
 
-def _read_names(source: str) -> set[str]:
-    """What code reads: each name, and each attribute name both bare and as ``.name``,
-    since a member is read only as an attribute. Imports and strings are not reads."""
-    found = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
-            found.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            found |= {node.attr, "." + node.attr}
-    return found
+# Special methods Python calls on every record (building, printing, comparing,
+# hashing it); any other special method counts as a definition of its own.
+_KEPT_SPECIAL = {"__init__", "__repr__", "__eq__", "__hash__"}
 
 
-def _entered(run) -> set:
-    """Code objects of the Python functions that ``run()`` enters, under ``sys.setprofile``."""
-    entered = set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            entered.add(frame.f_code)
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        run()
-    finally:
-        sys.setprofile(previous)
-    return entered
+def _counted(member: str) -> bool:
+    """A class member that the guard checks: public, or a special method not in _KEPT_SPECIAL."""
+    special = member.startswith("__") and member.endswith("__")
+    return not member.startswith("_") or (special and member not in _KEPT_SPECIAL)
 
 
 def _codes(obj) -> list:
@@ -176,10 +172,17 @@ def _codes(obj) -> list:
     return codes
 
 
+def _called(obj):
+    """The function whose parameters a call of ``obj`` fills: ``obj`` itself, or a
+    record class's own ``__init__`` (None when it inherits one)."""
+    return vars(obj).get("__init__") if inspect.isclass(obj) else inspect.unwrap(obj)
+
+
 def _public_definitions(module):
     """(key, object) of each public function and record class defined in ``module``,
-    and of each public method, property, class and static method of its public
-    classes, keyed ``Class.member``. Exception classes are skipped."""
+    and of each public method, property, class and static method and each counted
+    special method of its public classes, keyed ``Class.member``. Exception classes
+    are skipped."""
     for name, obj in vars(module).items():
         if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
             continue
@@ -190,35 +193,115 @@ def _public_definitions(module):
                 yield name, obj
             for member, attr in vars(obj).items():
                 func = attr.fget if isinstance(attr, property) else getattr(attr, "__func__", attr)
-                if not member.startswith("_") and inspect.isfunction(func):
+                if _counted(member) and inspect.isfunction(func):
                     yield f"{name}.{member}", func
 
 
-def _unentered(modules, entered: set, exempt: set[str]) -> list[str]:
-    """``module: key`` of each public definition of ``modules`` whose code no run
-    entered, unless ``exempt`` holds its name, or ``.member`` for a member."""
-    found = []
-    for module in modules:
-        for key, obj in _public_definitions(module):
-            name, dot, member = key.partition(".")
-            if (dot + member or name) not in exempt and entered.isdisjoint(_codes(obj)):
-                found.append(f"{module.__name__.rpartition('.')[2]}: {key}")
+def _defaults(func) -> dict:
+    """Each defaulted parameter of ``func`` mapped to its default, and ``**name``
+    of a keyword catch-all mapped to the empty dict."""
+    found = {}
+    for param in inspect.signature(func).parameters.values():
+        if param.kind is param.VAR_KEYWORD:
+            found["**" + param.name] = {}
+        elif param.default is not param.empty:
+            found[param.name] = param.default
     return found
 
 
-# Public definitions kept although no run enters them, each with its reason.
+def _is_default(value, default) -> bool:
+    """``value`` is ``default``, or equals a bool, int, float, str or None default."""
+    if value is default:
+        return True
+    if not isinstance(default, (bool, int, float, str, type(None))):
+        return False
+    try:
+        return bool(value == default)
+    except (TypeError, ValueError):   # an array compares elementwise
+        return False
+
+
+def _trace(run, modules) -> tuple[set, dict]:
+    """What ``run()`` does with the public definitions of ``modules``, under
+    ``sys.setprofile``: the code objects of the Python functions it enters, and,
+    for each public function with defaulted parameters, those of its parameters
+    that no call set to another value (a ``**name`` that no call filled)."""
+    unvaried = {}
+    for module in modules:
+        for _, obj in _public_definitions(module):
+            func = _called(obj)
+            params = _defaults(func) if func is not None else {}
+            if params:
+                unvaried[func.__code__] = params
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        entered.add(frame.f_code)
+        params = unvaried.get(frame.f_code)
+        if params:
+            args = frame.f_locals
+            varied = [n for n, d in params.items()
+                      if (args[n[2:]] if n.startswith("**") else not _is_default(args[n], d))]
+            for name in varied:
+                del params[name]
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return entered, unvaried
+
+
+def _unused(modules, entered: set, unvaried: dict, allowed) -> list[str]:
+    """``module: key`` of each public definition of ``modules`` whose code no run
+    entered, and ``module: key(param)`` of each parameter ``unvaried`` holds for an
+    entered one, unless ``allowed`` holds that key."""
+    found = []
+    for module in modules:
+        prefix = module.__name__.rpartition(".")[2]
+        for key, obj in _public_definitions(module):
+            if entered.isdisjoint(_codes(obj)):
+                keys = [key]
+            else:
+                params = unvaried.get(getattr(_called(obj), "__code__", None), ())
+                keys = [f"{key}({name})" for name in params]
+            found += [f"{prefix}: {k}" for k in keys if k not in allowed]
+    return found
+
+
+# Kept although no run enters or varies them, each with its reason.
 _TEST_ONLY_ALLOWED = {
     "quantum_product": "oracle: the operator product, named by the oracle guard",
     "commutator": "oracle: the matrix commutator, named by the oracle guard",
+    "CriterionResult.detail": "read by the benchmark's reproduce pass, which the guard does not run",
+    "Record.__setattr__": "the immutability guard: runs only when code tries to assign a field",
+    "Record.__delattr__": "the immutability guard: runs only when code tries to delete a field",
+    "simulate_sequences(block_size)": "the Monte Carlo contract: results are fixed per (seed, n, block_size)",
+    "run_all(seed)": "set by verify --seed",
+    "run_all(only)": "set by verify --criteria",
+    "ExperimentConfig(seed)": "set by run --seed or a config file's seed",
+    "cartesian_measure_sz(free_p1)": "set by the cartesian-spins parameter free_p1",
+    "basis_identity_error(basis)": "the basis audit's negative control passes a broken basis",
+    "basis_audit(**params)": "the same negative control, given to the audit as a budget override",
+    "operator_from_direction(e0)": "operator_of passes a shifted observable's offset; a check row "
+                                   "for it would change the pinned run_all() records",
 }
 
 
-def test_every_public_definition_is_used_outside_the_tests(tmp_path):
-    # what a reader runs: verify, the nine experiments and the README's Python example
+def test_every_public_definition_is_used_outside_the_tests(tmp_path, monkeypatch):
+    # what a reader runs: verify, the nine experiments and the README's Python example,
+    # and one tiny pass of each benchmark workload that these do not already run
     root = Path(ensembleq.__file__).resolve().parents[2]
     readme = (root / "README.md").read_text(encoding="utf-8")
     examples = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
     assert examples
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    tracing, workloads = importlib.import_module("tracing"), importlib.import_module("workloads")
+    gate = workloads.Gate()
 
     def run():
         with contextlib.redirect_stdout(io.StringIO()):
@@ -227,15 +310,17 @@ def test_every_public_definition_is_used_outside_the_tests(tmp_path):
                 assert cli.main(["run", "--experiment", name, "--out", str(tmp_path)]) == 0
             for example in examples:
                 exec(example, {})
+        for name in ("sequences", "trajectories", "substates"):   # reproduce repeats the above
+            workload = workloads.WORKLOADS[name]
+            workload.run_pass(workload.make_inputs(1, "tiny", tmp_path), tracing.NullTracer(), gate)
 
-    exempt = set(_TEST_ONLY_ALLOWED)
-    for path in sorted((root / "perfbench").glob("*.py")):
-        exempt |= _read_names(path.read_text(encoding="utf-8"))
     # importing __main__ would run the command line
     modules = [importlib.import_module(f"ensembleq.{path.stem}")
                for path in sorted(Path(ensembleq.__file__).parent.glob("*.py"))
                if path.stem not in ("__init__", "__main__")]
-    assert _unentered(modules, _entered(run), exempt) == []
+    entered, unvaried = _trace(run, modules)
+    assert gate.failed == 0, gate.failures
+    assert _unused(modules, entered, unvaried, _TEST_ONLY_ALLOWED) == []
 
 
 _PLANTED = """
@@ -243,7 +328,12 @@ from ensembleq.validate import Record
 
 
 def used():
-    return Built(1).read()
+    tuned(0, 2, same=None)
+    return Built(1).read() + Built(2).purity
+
+
+def tuned(x, varied=1, same=None, **kw):
+    pass
 
 
 def orphan():
@@ -259,6 +349,10 @@ class Built(Record):
     def read(self):
         return self.x
 
+    @property
+    def purity(self):
+        return 1
+
     def orphan_method(self):
         pass
 
@@ -270,7 +364,19 @@ class Built(Record):
     def orphan_static():
         pass
 
+    def __le__(self, other):
+        pass
+
+    def __hash__(self):
+        pass
+
     def _private(self):
+        pass
+
+
+class Other:
+    @property
+    def purity(self):
         pass
 
 
@@ -293,15 +399,17 @@ def _private():
 def test_the_test_only_guard_sees_a_definition_only_tests_use():
     module = types.ModuleType("planted")
     exec(_PLANTED, vars(module))
-    entered = _entered(module.used)
-    assert _unentered([module], entered, set()) == [
-        "planted: orphan", "planted: Built.orphan_method", "planted: Built.orphan_property",
-        "planted: Built.orphan_static", "planted: Unbuilt"]
-    assert _unentered([module], entered, {"orphan", "orphan_method", ".orphan_property", "Unbuilt"}) == [
-        "planted: Built.orphan_method", "planted: Built.orphan_static"]
-    assert _read_names("x.orphan_method(orphan)\nimport used\n'Unbuilt'\n") == {
-        "x", "orphan_method", ".orphan_method", "orphan"}
-    assert _unentered([module], set(), set())[:2] == ["planted: used", "planted: orphan"]
+    entered, unvaried = _trace(module.used, [module])
+    assert _unused([module], entered, unvaried, set()) == [
+        "planted: tuned(same)", "planted: tuned(**kw)", "planted: orphan",
+        "planted: Built.orphan_method", "planted: Built.orphan_property",
+        "planted: Built.orphan_static", "planted: Built.__le__", "planted: Other.purity",
+        "planted: Unbuilt"]
+    allowed = {"orphan", "Built.orphan_method", "Built.orphan_property", "tuned(same)", "Unbuilt"}
+    assert _unused([module], entered, unvaried, allowed) == [
+        "planted: tuned(**kw)", "planted: Built.orphan_static", "planted: Built.__le__",
+        "planted: Other.purity"]
+    assert _unused([module], set(), {}, set())[:3] == ["planted: used", "planted: tuned", "planted: orphan"]
 
 
 def test_importing_the_suite_loads_no_exact_arithmetic():

@@ -79,7 +79,7 @@ class TestMeanInState:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            mean_in_state(basis_spin(1, dim=15), [1.0, 0.0, 0.0])
+            mean_in_state(TwoLevelObservable(np.eye(15)[0]), [1.0, 0.0, 0.0])
 
 
 class TestOutcomeProbabilities:
@@ -216,11 +216,6 @@ class TestRandomObservable:
         ens = Ensemble("s2", pts, p)
         assert moment(RANDOM, ens, 1) == 0.0
         assert moment(RANDOM, ens, 2) == 1.0
-
-    def test_singleton(self):
-        from ensembleq.observables import RandomObservable
-
-        assert RandomObservable() is RANDOM
 
 
 class TestBasicStateProbability:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from ensembleq import experiments
 from ensembleq.correlations import simulate_sequences
-from ensembleq.finite import FiniteSpinSystem, cartesian_measure_sz, zn_system
+from ensembleq.finite import FiniteSpinSystem, cartesian_measure_sz, zn_step_evolution, zn_system
 from ensembleq.fourstate import OutcomeTable, interference_trajectory, symmetrized_hidden_ensemble
 from ensembleq.manifolds import canonical_direction, grid_ensemble
 from ensembleq.observables import basis_spin, moment, spin
@@ -51,7 +51,10 @@ COUNT_ENTRY_POINTS = {
     "interference_trajectory": (lambda n: interference_trajectory(1.0, 1.0, n), 64),
     "moment": (lambda n: moment(basis_spin(3), grid_ensemble(4, _uniform), n), 3),
     "zn_system": (zn_system, 8),
-    "zn_system-observable_angles": (lambda n: zn_system(8, observable_angles=(0, n)).observable_angles, 2),
+    "FiniteSpinSystem-observable_angles": (
+        lambda n: FiniteSpinSystem(4, (0, 1, 2, 3), (0.25,) * 4, (0, n)).observable_angles, 2),
+    "FiniteSpinSystem-n_positions": (lambda n: FiniteSpinSystem(n, (0, 1), (0.5, 0.5), (0,)).mean_table(), 4),
+    "zn_step_evolution": (lambda n: zn_step_evolution(zn_system(4, probs=(0.5, 0.5, 0, 0)), n).probs, 3),
     "FiniteSpinSystem-state_angles": (
         lambda n: FiniteSpinSystem(4, (0, 1, 2, n), (0.25,) * 4, (0, 1)).state_angles, 3),
     "symmetrized_hidden_ensemble": (
@@ -79,7 +82,7 @@ def test_every_count_entry_point_takes_whole_numbers_only(entry):
 def test_angle_indices_are_whole_and_reduce_mod_n():
     # a fractional index was truncated: observable_angles=(0.5, 2.7) built (0, 2)
     with pytest.raises(ValueError, match="observable_angles must be an integer, got 0.5"):
-        zn_system(8, observable_angles=(0.5, 2.7))
+        FiniteSpinSystem(8, (0,), (1.0,), (0.5, 2.7))
     system = FiniteSpinSystem(8, (-1, 9.0, np.int64(-8)), (0.5, 0.25, 0.25), (-2, 10))
     assert system.state_angles == (7, 1, 0) and system.observable_angles == (6, 2)
 
@@ -112,8 +115,8 @@ def test_check_real_names_the_bad_list_entry_and_keeps_good_values():
     assert check_real((1, 2.5, np.float32(0.5)), "x") == [1.0, 2.5, 0.5]
     with pytest.raises(ValueError, match=r"x\[2\] is non-finite"):
         check_real([0.0, 1.0, math.nan], "x")
-    with pytest.raises(ValueError, match=r"x = 2.0 outside \[0.0, 1.0\]"):
-        check_real(2, "x", 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"x = -2.0 outside \[0.0, inf\]"):
+        check_real(-2, "x", 0.0)
     assert check_real([1, 2, 3], "x", length=3) == [1.0, 2.0, 3.0]
     for wrong in (7, [1.0, 2.0], [1.0, 2.0, 3.0, 4.0]):
         with pytest.raises(ValueError, match="x must be a list of 3 real numbers"):
