@@ -22,7 +22,6 @@ from .observables import (
     NoEigenstateError,
     ProductObservable,
     RANDOM,
-    RandomObservable,
     TwoLevelObservable,
     basis_spin,
     combine,
@@ -85,8 +84,8 @@ __all__ = [
     "BellCheck", "BlochState", "ConstraintViolation", "DimensionMismatch",
     "Ensemble", "FiniteSpinSystem", "FlowParams", "Hamiltonian",
     "NoEigenstateError", "OutcomeTable", "ProductObservable", "RANDOM",
-    "RandomObservable", "SequenceEstimate", "SubstateEnsemble", "Trajectory",
-    "TwoLevelObservable", "WeightedEigenstateSum", "basis_spin", "bell_check",
+    "SequenceEstimate", "SubstateEnsemble", "Trajectory", "TwoLevelObservable",
+    "WeightedEigenstateSum", "basis_spin", "bell_check",
     "cartesian_measure_sz", "cartesian_purity", "classical_correlation",
     "combine", "conditional_correlation_2pt", "conditional_correlation_3pt",
     "conditional_product", "entangled_bloch", "entangled_psi",

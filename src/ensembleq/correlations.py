@@ -28,18 +28,17 @@ import threading
 import numpy as np
 
 from . import qmatrix
-from .manifolds import Ensemble, SubstateEnsemble, weighted_sum
+from .manifolds import BlochState, Ensemble, SubstateEnsemble, weighted_sum
 from .observables import (
     NoEigenstateError,
     ProductObservable,
     RANDOM,
-    RandomObservable,
     TwoLevelObservable,
     has_eigenstates,
     operator_of,
 )
 from .validate import (INVARIANT_TOL, ZERO_TOL, ConstraintViolation, DimensionMismatch, Record, ValueRecord,
-                       as_float_array, check_count)
+                       check_count)
 
 # measurement_chain enumerates 2^m branches, and four-state level i keeps up to
 # 2^i reduced states; either count above this is rejected before building
@@ -56,15 +55,15 @@ _TILE_ROWS = 4096
 
 
 def _require_unit_spin(obs, name: str) -> TwoLevelObservable:
-    if isinstance(obs, RandomObservable):
-        raise NoEigenstateError(f"{name} is the random observable: it has no eigenstates")
+    if not has_eigenstates(obs):
+        raise NoEigenstateError(f"{name} has no eigenstates")
     if not isinstance(obs, TwoLevelObservable) or not obs.is_unit:
         raise ValueError(f"{name} must be a unit-direction observable with zero offset")
     return obs
 
 
 def _as_bloch(state, dim: int) -> np.ndarray:
-    vec = as_float_array(getattr(state, "rho", state), "state")
+    vec = BlochState(getattr(state, "rho", state)).rho
     if vec.shape != (dim,):
         raise DimensionMismatch(f"state must have {dim} components")
     return vec
@@ -73,7 +72,7 @@ def _as_bloch(state, dim: int) -> np.ndarray:
 def _check_chain_dims(seq, mat) -> None:
     want = 3 if mat.shape[0] == 2 else 15
     for obs in seq:
-        if isinstance(obs, TwoLevelObservable) and obs.dim != want:
+        if obs.e.shape != (want,):
             raise DimensionMismatch("observable dimension does not match the state")
 
 
@@ -109,7 +108,7 @@ def conditional_correlation_3pt(a, b, c, state) -> float:
     <A>_{+-B}, <B>_{+-C} and <C>. Four-state path: projective reduction chain.
     Equals tr({{A, B}, C} rho)/4; invariant under A <-> B but not B <-> C.
     """
-    if isinstance(a, RandomObservable):
+    if a is RANDOM:
         # R o X = R for every X, so the correlation vanishes identically.
         _require_unit_spin(b, "B")
         _require_unit_spin(c, "C")
@@ -141,26 +140,16 @@ def conditional_product(x, y):
     the unit observable when the directions coincide, the random observable R
     when they are orthogonal, and in general a mean function constant + spin
     part. Left association (A o B) o C is supported by passing the returned
-    object back in; the right factor must always admit eigenstates, so
+    object back in (R o B is R); the right factor must be a unit spin, so
     A o R raises ``NoEigenstateError``. Directions within INVARIANT_TOL of the
     exact parallel/orthogonal cases are snapped onto them.
     """
-    if isinstance(y, RandomObservable) or not has_eigenstates(y):
-        raise NoEigenstateError(
-            "the right factor has no eigenstates, so the conditional product is undefined"
-        )
-    if isinstance(x, RandomObservable):
-        return RANDOM
-    y = _require_unit_spin(y, "right factor")
+    y = _require_unit_spin(y, "the right factor")
     if y.dim != 3:
         raise DimensionMismatch("conditional products are implemented for the two-state system")
-    if isinstance(x, ProductObservable):
-        u, d = x.coeff, x.const
-    else:
-        u, d = x.e, x.e0
-    if u.shape != y.e.shape:
+    if x.e.shape != y.e.shape:
         raise DimensionMismatch("factor dimensions differ")
-    const = float(u @ y.e)   # mean of x in the +1 eigenstate of y, offset removed
+    const, d = float(x.e @ y.e), x.e0   # const: mean of x in the +1 eigenstate of y, offset removed
     if abs(d) <= INVARIANT_TOL:
         if abs(const - 1.0) <= INVARIANT_TOL:
             return TwoLevelObservable(np.zeros(3), 1.0)
@@ -213,7 +202,7 @@ def _chain(observables, state, terms: bool):
     if not seq:
         raise ValueError("empty measurement sequence")
     for obs in seq[:-1]:
-        if isinstance(obs, RandomObservable) or not has_eigenstates(obs):
+        if not has_eigenstates(obs):
             raise NoEigenstateError(
                 "an inner observable has no eigenstates: the sequence is undefined"
             )
@@ -227,7 +216,7 @@ def _chain(observables, state, terms: bool):
     states, levels = rho[None], []
     for i, obs in enumerate(seq):
         k = len(states)
-        if isinstance(obs, RandomObservable):
+        if obs is RANDOM:
             levels.append((np.full((k, 2), 0.5), np.zeros(2 * k, dtype=np.intp)))
             return levels, None
         _require_unit_spin(obs, "observable")
@@ -283,13 +272,8 @@ def measurement_chain(observables, state) -> tuple[WeightedEigenstateSum, float]
 
 def pointwise_correlation(a, b, ensemble: Ensemble) -> float:
     """<A x B> = sum_s p_s  mean_A(s) mean_B(s); memoryless repeated measurement."""
-    def _means(obs):
-        if isinstance(obs, RandomObservable):
-            return np.zeros(len(ensemble))
-        if isinstance(obs, ProductObservable):
-            return ensemble.points @ obs.coeff + obs.const
-        return ensemble.points @ obs.e + obs.e0
-    return weighted_sum(ensemble.probs, _means(a) * _means(b))
+    pts = ensemble.points
+    return weighted_sum(ensemble.probs, (pts @ a.e + a.e0) * (pts @ b.e + b.e0))
 
 
 def classical_correlation(dir_a, dir_b, substates: SubstateEnsemble) -> float:

@@ -29,6 +29,7 @@ from .validate import (
     Record,
     as_float_array,
     check_count,
+    check_finite,
     check_probabilities,
     check_unit_vector,
     freeze,
@@ -58,13 +59,14 @@ class BlochState(Record):
     __slots__ = ("rho",)
 
     def __init__(self, rho: np.ndarray):
-        vec = as_float_array(rho, "rho")
+        vec = np.asarray(rho, dtype=float)
         if vec.shape == (3,):
-            x, y, z = vec.tolist()   # Python floats overflow to inf without a warning
+            # Python floats overflow to inf without a warning, and cost less to check than a ufunc
+            x, y, z = check_finite(vec.tolist(), "rho")
             if x * x + y * y + z * z > 1.0 + INVARIANT_TOL:
                 raise ConstraintViolation("purity bound violated: sum rho_k^2 > 1")
         elif vec.shape == (15,):
-            qmatrix.density_from_bloch(vec)  # checks the bound and positivity
+            qmatrix.density_from_bloch(vec)  # checks finiteness, the bound and positivity
         else:
             raise ValueError("Bloch vector must have 3 or 15 components")
         self._set(freeze(vec))
@@ -294,16 +296,6 @@ def extend_to_substates(ensemble: Ensemble, directions) -> SubstateEnsemble:
 # quadrature ensembles on S^2
 # ---------------------------------------------------------------------------
 
-def _eval_density(density, points: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(density(points), dtype=float)
-        if vals.shape == (points.shape[0],):
-            return vals
-    except (TypeError, ValueError):
-        pass  # a scalar-only density; evaluate it point by point
-    return np.array([float(density(p)) for p in points])
-
-
 def grid_ensemble(resolution: int, density) -> Ensemble:
     """Equal-area quadrature ensemble on S^2 for a nonnegative density.
 
@@ -312,7 +304,9 @@ def grid_ensemble(resolution: int, density) -> Ensemble:
     area 4 pi / (2 resolution^2), so cell-centre weights are
     density * cell_area, normalised. reduce() of the result converges to the
     continuum integral of f_k density at second order in 1/resolution.
-    A grid of more than MAX_GRID_POINTS points is rejected before allocating.
+    ``density`` is called once with the (n, 3) array of cell centres and
+    must return n values. A grid of more than MAX_GRID_POINTS points is
+    rejected before allocating.
     """
     nz = check_count(resolution, "resolution", lo=2)
     nphi = 2 * nz
@@ -330,7 +324,10 @@ def grid_ensemble(resolution: int, density) -> Ensemble:
     cells[:, :, 2] = z[:, None]
     points = freeze(points, copy=False)
     cell_area = 4.0 * math.pi / (nz * nphi)
-    weights = _eval_density(density, points) * cell_area
+    weights = np.asarray(density(points), dtype=float) * cell_area
+    if weights.shape != (len(points),):
+        raise ValueError(f"density must return one value per point, shape ({len(points)},), "
+                         f"got shape {weights.shape}")
     if np.any(weights < -ZERO_TOL):
         raise ValueError("density takes negative values")
     np.maximum(weights, 0.0, out=weights)

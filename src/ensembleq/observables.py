@@ -2,21 +2,23 @@
 
 A two-level observable takes only the values +1 and -1 in any micro-state; it
 is specified per micro-state by the probability of the + outcome,
-w_+ = (1 + mean)/2, where mean = e . f for a direction vector e. Directions
-with |e| = 1 give spectrum {+1, -1}; scaling and shifting act on the spectrum,
-so the general observable carries a direction e and a scalar offset e0 with
-operator spectrum {e0 + |e|, e0 - |e|}.
+w_+ = (1 + mean)/2, so by its mean function. Every observable here carries
+that function as a direction vector e and a scalar offset e0, with mean
+e0 + e . f in the micro-state f, and every function of this module reads it
+the same way.
 
-The random observable R (mean 0, square 1 in every micro-state) and the
-constant-plus-direction mean functions produced by conditional products are
-separate kinds; dispatch in this module accepts all of them.
+A ``TwoLevelObservable`` is also an operator observable: |e| = 1 and e0 = 0
+give spectrum {+1, -1}, and scaling and shifting act on the spectrum
+{e0 + |e|, e0 - |e|}. A ``ProductObservable`` is the mean function of a
+conditional product and has no operator. The random observable R is the
+product observable with mean 0 in every micro-state.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from . import qmatrix
-from .manifolds import weighted_sum
+from .manifolds import BlochState, weighted_sum
 from .validate import (
     INVARIANT_TOL,
     ConstraintViolation,
@@ -55,35 +57,27 @@ class TwoLevelObservable(Record):
         return abs(float(self.e @ self.e) - 1.0) <= INVARIANT_TOL and self.e0 == 0.0
 
 
-class RandomObservable:
-    """The two-level observable with mean 0 and square 1 in every micro-state.
-
-    It is distinct from the zero observable (which has the sharp value 0) and
-    has no eigenstates, so nothing can be measured after it.
-    """
-
-    def __repr__(self):
-        return "RandomObservable()"
-
-
-RANDOM = RandomObservable()
-
-
 class ProductObservable(Record):
-    """+-1-valued observable whose micro-state mean is const + coeff . f.
+    """+-1-valued observable whose micro-state mean is e0 + e . f.
 
-    Conditional products of spins produce these; |const| + |coeff| <= 1 keeps
-    the outcome probabilities well defined.
+    Conditional products of spins produce these; |e0| + |e| <= 1 keeps the
+    outcome probabilities well defined. The random observable R is the one
+    with mean 0 everywhere.
     """
 
-    __slots__ = ("coeff", "const")
+    __slots__ = ("e", "e0")
 
-    def __init__(self, coeff: np.ndarray, const: float = 0.0):
-        vec = as_float_array(coeff, "coeff")
-        self._set(freeze(vec, float), float(const))
-        reach = float(np.linalg.norm(vec)) + abs(self.const)
+    def __init__(self, e: np.ndarray, e0: float = 0.0):
+        vec = as_float_array(e, "e")
+        self._set(freeze(vec, float), float(e0))
+        reach = float(np.linalg.norm(vec)) + abs(self.e0)
         if reach > 1.0 + INVARIANT_TOL:
             raise ValueError("mean function exceeds the +-1 outcome range")
+
+
+# mean 0 and square 1 in every micro-state: distinct from the zero observable
+# (sharp value 0), and without eigenstates, so nothing can be measured after it
+RANDOM = ProductObservable(np.zeros(3))
 
 
 def spin(e) -> TwoLevelObservable:
@@ -101,14 +95,8 @@ def basis_spin(k: int) -> TwoLevelObservable:
 
 
 def mean_in_state(obs, f) -> float:
-    """Mean value of an observable in the micro-state with coordinates f."""
-    if isinstance(obs, RandomObservable):
-        return 0.0
+    """Mean value of an observable in the micro-state with coordinates f, e0 + e . f."""
     vec = as_float_array(f, "f")
-    if isinstance(obs, ProductObservable):
-        if obs.coeff.shape != vec.shape:
-            raise DimensionMismatch("observable and micro-state dimensions differ")
-        return float(obs.coeff @ vec) + obs.const
     if obs.e.shape != vec.shape:
         raise DimensionMismatch("observable and micro-state dimensions differ")
     return float(obs.e @ vec) + obs.e0
@@ -121,8 +109,6 @@ def prob_plus(obs, f) -> float:
     observables are rejected, and a micro-state that puts the probability
     outside [0, 1] by over INVARIANT_TOL raises ConstraintViolation.
     """
-    if isinstance(obs, RandomObservable):
-        return 0.5
     if isinstance(obs, TwoLevelObservable) and not obs.is_unit:
         raise ValueError("outcome probabilities require a unit direction and zero offset")
     p = 0.5 * (1.0 + mean_in_state(obs, f))
@@ -135,25 +121,14 @@ def moment(obs, ensemble, q: int) -> float:
     """Ensemble moment <A^q>: the mean for odd q, exactly 1 for even q."""
     if check_count(q, "q", lo=1) % 2 == 0:
         return 1.0
-    if isinstance(obs, RandomObservable):
-        return 0.0
     if isinstance(obs, TwoLevelObservable) and not obs.is_unit:
         raise ValueError("moments assume spectrum +-1 (unit direction, zero offset)")
-    means = ensemble.points @ (obs.coeff if isinstance(obs, ProductObservable) else obs.e)
-    if isinstance(obs, ProductObservable):
-        means = means + obs.const
-    return weighted_sum(ensemble.probs, means)
+    return weighted_sum(ensemble.probs, ensemble.points @ obs.e + obs.e0)
 
 
 def expectation(obs, state) -> float:
-    """Ensemble expectation value from the reduced state alone."""
-    if isinstance(obs, RandomObservable):
-        return 0.0
-    rho = as_float_array(getattr(state, "rho", state), "rho")
-    if isinstance(obs, ProductObservable):
-        if obs.coeff.shape != rho.shape:
-            raise DimensionMismatch("observable and state dimensions differ")
-        return float(obs.coeff @ rho) + obs.const
+    """Ensemble expectation value from the reduced state alone; the state is checked physical."""
+    rho = BlochState(getattr(state, "rho", state)).rho
     if obs.e.shape != rho.shape:
         raise DimensionMismatch("observable and state dimensions differ")
     return float(obs.e @ rho) + obs.e0
@@ -176,21 +151,18 @@ def combine(lam1, a: TwoLevelObservable, lam2, b: TwoLevelObservable) -> TwoLeve
 def has_eigenstates(obs) -> bool:
     """True if some micro-state gives the observable a sharp value.
 
-    A spin has eigenstates at f = +-e (and a pure offset is sharp everywhere).
-    The random observable never has one, nor does a conditional product whose
-    mean function stays strictly inside (-1, 1).
+    An operator observable is sharp in the micro-states f = +-e/|e| (a pure
+    offset everywhere). A +-1-valued mean function is sharp only where it
+    reaches +-1, so only if |e| + |e0| reaches 1: the random observable and
+    every conditional product whose mean stays strictly inside (-1, 1) have none.
     """
-    if isinstance(obs, RandomObservable):
-        return False
-    if isinstance(obs, ProductObservable):
-        return float(np.linalg.norm(obs.coeff)) + abs(obs.const) >= 1.0 - INVARIANT_TOL
-    return True
+    if isinstance(obs, TwoLevelObservable):
+        return True
+    return float(np.linalg.norm(obs.e)) + abs(obs.e0) >= 1.0 - INVARIANT_TOL
 
 
 def operator_of(obs) -> np.ndarray:
-    """Hermitian matrix associated with an observable."""
-    if isinstance(obs, RandomObservable):
-        raise NoEigenstateError("the random observable has no associated operator")
+    """Hermitian matrix associated with an observable; a product observable has none."""
     if isinstance(obs, ProductObservable):
-        raise ValueError("conditional products are not operator observables")
+        raise ValueError("conditional products, R among them, are not operator observables")
     return qmatrix.operator_from_direction(obs.e, obs.e0)

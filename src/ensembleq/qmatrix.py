@@ -17,8 +17,9 @@ only this module, ``experiments`` and ``acceptance`` call them; a test of the
 package's imports enforces it.
 
 Functions here take and return bare numpy arrays so that the module has no
-dependency on the rest of the package; objects exposing a ``.rho`` or ``.e``
-attribute are accepted where a vector is expected.
+dependency on the rest of the package; a state may also be an object exposing
+its Bloch vector as ``.rho``. Observables reach this module only as direction
+arrays, through ``observables.operator_of``.
 """
 from __future__ import annotations
 
@@ -103,17 +104,13 @@ def basis_identity_error(basis: np.ndarray | None = None) -> float:
     return worst
 
 
-def _direction(e) -> np.ndarray:
-    return np.asarray(getattr(e, "e", e), dtype=float)
-
-
 def operator_from_direction(e, e0: float = 0.0) -> np.ndarray:
     """Hermitian operator e_k tau_k + e0 (3 components) or e_k L_k + e0 (15).
 
     The 2x2 matrix is written entry by entry, [[e0 + z, x - iy], [x + iy, e0 - z]]:
     the values of the basis sum, without its call overhead.
     """
-    vec = _direction(e)
+    vec = np.asarray(e, dtype=float)
     if vec.shape == (3,):
         x, y, z, e0 = check_finite((*vec.tolist(), e0), "direction")
         return np.array([[e0 + z, complex(x, -y)], [complex(x, y), e0 - z]])
@@ -197,25 +194,16 @@ def fix_phase(psi: np.ndarray) -> np.ndarray:
 def wavefunction_from_pure(rho) -> np.ndarray:
     """Wave function psi with psi psi^dagger = rho, for a pure density matrix.
 
-    The 2x2 case is solved in closed form from the Bloch vector; the 4x4 case
-    uses the LAPACK Hermitian eigensolver. Mixed input (tr rho^2 < 1 - PURITY_TOL)
+    The eigenvector of the largest eigenvalue, from the LAPACK Hermitian
+    eigensolver, for 2x2 and 4x4 alike. Mixed input (tr rho^2 < 1 - PURITY_TOL)
     is rejected. The free global phase is fixed by ``fix_phase``.
     """
     mat = check_density_matrix(rho, tol=PURITY_TOL)
     pur = float(np.trace(mat @ mat).real)
     if pur < 1.0 - PURITY_TOL:
         raise ConstraintViolation(f"not a pure state: tr rho^2 = {pur!r}")
-    if mat.shape == (2, 2):
-        r = np.einsum("kij,ji->k", PAULI, mat).real
-        if 1.0 + r[2] > PURITY_TOL:
-            psi = np.array([1.0 + r[2], r[0] + 1j * r[1]], dtype=complex)
-        else:
-            psi = np.array([0.0, 1.0], dtype=complex)
-        psi = psi / np.linalg.norm(psi)
-    else:
-        evals, evecs = np.linalg.eigh(mat)
-        psi = evecs[:, int(np.argmax(evals))]
-    return fix_phase(psi)
+    evals, evecs = np.linalg.eigh(mat)
+    return fix_phase(evecs[:, int(np.argmax(evals))])
 
 
 def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -242,8 +230,8 @@ def quantum_product(a, b) -> tuple[float, np.ndarray]:
     For A = a_k tau_k and B = b_k tau_k the product is A B = (a.b) + i eps_klm
     a_l b_m tau_k; returns (scalar part, complex 3-vector part).
     """
-    ea = _direction(a)
-    eb = _direction(b)
+    ea = np.asarray(a, dtype=float)
+    eb = np.asarray(b, dtype=float)
     if ea.shape != (3,) or eb.shape != (3,):
         raise DimensionMismatch("quantum_product is defined for the two-state system")
     e0 = float(ea @ eb)

@@ -99,6 +99,11 @@ class Record:
         fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__ if k[0] != "_")
         return f"{type(self).__name__}({fields})"
 
+    def __reduce_ex__(self, protocol):
+        # the default slot-state restore would assign each field and fail on
+        # load, so pickle and copy refuse a record at once
+        raise TypeError(f"{type(self).__name__} records cannot be pickled or copied")
+
 
 class ValueRecord(Record):
     """An immutable record that equals another of its class with equal fields."""

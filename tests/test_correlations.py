@@ -95,6 +95,17 @@ class TestEigenstateExpectations:
             assert abs(val - via_state) < 1e-14
 
 
+@pytest.mark.parametrize("correlation", [
+    lambda state: conditional_correlation_2pt(A1, A3, state),
+    lambda state: conditional_correlation_3pt(A1, A2, A3, state),
+    lambda state: measurement_chain([A1, A3], state)[1],
+], ids=["2pt", "3pt", "chain"])
+@pytest.mark.parametrize("state", [[0.0, 0.0, 5.0], [0.8, 0.0, 0.8]], ids=["far", "just-outside"])
+def test_unphysical_state_rejected(correlation, state):
+    with pytest.raises(ConstraintViolation):
+        correlation(np.array(state))
+
+
 class TestConditional2pt:
     def test_same_spin_any_state(self):
         rng = np.random.default_rng(1)
@@ -205,7 +216,7 @@ class TestConditionalProduct:
     def test_general_angle_constant_mean(self):
         out = conditional_product(A1, DIAG)
         assert isinstance(out, ProductObservable)
-        assert abs(out.const - SQ2) < 1e-15
+        assert abs(out.e0 - SQ2) < 1e-15
         rng = np.random.default_rng(7)
         for _ in range(10):
             assert abs(expectation(out, random_bloch(rng)) - SQ2) < 1e-15
@@ -221,8 +232,8 @@ class TestConditionalProduct:
         # mean function of (A o B) o C is (e_A.e_B)(e_C.f)
         out = conditional_product(conditional_product(A1, DIAG), A3)
         assert isinstance(out, ProductObservable)
-        np.testing.assert_allclose(out.coeff, SQ2 * A3.e, atol=1e-15)
-        assert out.const == 0.0
+        np.testing.assert_allclose(out.e, SQ2 * A3.e, atol=1e-15)
+        assert out.e0 == 0.0
 
     def test_right_association_undefined(self):
         inner = conditional_product(A2, A3)   # random observable

@@ -280,6 +280,7 @@ _TEST_ONLY_ALLOWED = {
     "CriterionResult.detail": "read by the benchmark's reproduce pass, which the guard does not run",
     "Record.__setattr__": "the immutability guard: runs only when code tries to assign a field",
     "Record.__delattr__": "the immutability guard: runs only when code tries to delete a field",
+    "Record.__reduce_ex__": "refuses pickle and copy: runs only when code tries to pickle or copy a record",
     "simulate_sequences(block_size)": "the Monte Carlo contract: results are fixed per (seed, n, block_size)",
     "run_all(seed)": "set by verify --seed",
     "run_all(only)": "set by verify --criteria",

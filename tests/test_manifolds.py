@@ -501,12 +501,15 @@ class TestGridEnsemble:
             tracemalloc.stop()
         assert peak < 64 * 2**10
 
-    def test_scalar_only_density(self):
-        # math.exp rejects an array with TypeError; the grid falls back to
-        # evaluating the density one point at a time
-        vectorised = grid_ensemble(8, lambda pts: np.exp(pts[:, 2]))
-        scalar = grid_ensemble(8, lambda p: math.exp(p[2]))
-        np.testing.assert_allclose(scalar.probs, vectorised.probs, rtol=1e-15, atol=0)
+    @pytest.mark.parametrize("density, error", [
+        (lambda p: math.exp(p[2]), TypeError),   # scalar-only: math.exp gets a row of the array
+        (lambda pts: 1.0, ValueError),           # one value for the whole grid
+        (lambda pts: np.exp(pts[:, 2:]), ValueError),   # shape (n, 1)
+    ], ids=["scalar-only", "constant", "column"])
+    def test_density_must_return_one_value_per_point(self, density, error):
+        # the density is called once on the whole (n, 3) array, never point by point
+        with pytest.raises(error):
+            grid_ensemble(8, density)
 
     def test_density_error_propagates(self):
         calls = []

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ensembleq.correlations import conditional_product, pointwise_correlation
 from ensembleq.manifolds import Ensemble, reduce_ensemble
 from ensembleq.observables import (
     RANDOM,
+    ProductObservable,
     TwoLevelObservable,
     basis_spin,
     combine,
@@ -150,6 +152,11 @@ class TestExpectation:
         diag = combine(SQ2, basis_spin(1), SQ2, basis_spin(2))
         assert abs(expectation(diag, rho) - (rho[0] + rho[1]) * SQ2) < 1e-15
 
+    @pytest.mark.parametrize("state", [[5.0, 0.0, 0.0], [0.8, 0.0, 0.8]], ids=["far", "just-outside"])
+    def test_unphysical_state_rejected(self, state):
+        with pytest.raises(ConstraintViolation):
+            expectation(basis_spin(1), np.array(state))
+
     def test_pure_offset(self):
         unit_half = TwoLevelObservable(np.zeros(3), 0.5)
         assert expectation(unit_half, np.array([0.9, 0.0, 0.0])) == 0.5
@@ -216,6 +223,31 @@ class TestRandomObservable:
         ens = Ensemble("s2", pts, p)
         assert moment(RANDOM, ens, 1) == 0.0
         assert moment(RANDOM, ens, 2) == 1.0
+
+
+class TestMeanFunction:
+    """Every reading of an observable goes through its one mean function e0 + e . f."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 16),
+           st.sampled_from(["spin", "product", "nested", "random"]))
+    def test_readings_agree(self, seed, n, kind):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(n, 3))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        p = rng.random(n) + 0.01
+        ens = Ensemble("s2", pts, p / p.sum())
+        a, b, c = (spin(random_unit(rng)) for _ in range(3))
+        obs = {"spin": a, "product": conditional_product(a, b),
+               "nested": conditional_product(conditional_product(a, b), c), "random": RANDOM}[kind]
+        assert isinstance(obs, ProductObservable) == (kind != "spin")
+        means = np.array([mean_in_state(obs, f) for f in ens.points])
+        first = moment(obs, ens, 1)
+        assert abs(first - math.fsum(ens.probs * means)) <= 1e-12
+        assert abs(pointwise_correlation(obs, obs, ens) - math.fsum(ens.probs * means**2)) <= 1e-12
+        assert abs(expectation(obs, reduce_ensemble(ens)) - first) <= 1e-12
+        for f, mean in zip(ens.points, means):
+            assert abs(prob_plus(obs, f) - 0.5 * (1.0 + mean)) <= 1e-12
 
 
 class TestBasicStateProbability:

@@ -10,7 +10,7 @@ from ensembleq import qmatrix
 from ensembleq.correlations import measurement_chain
 from ensembleq.dynamics import integrate_open, integrate_von_neumann
 from ensembleq.manifolds import BlochState
-from ensembleq.observables import TwoLevelObservable, prob_plus, spin
+from ensembleq.observables import ProductObservable, TwoLevelObservable, prob_plus, spin
 from ensembleq.qmatrix import (
     L_BASIS,
     PAULI,
@@ -163,6 +163,12 @@ class TestExpectations:
         got_e0 = float(np.trace(op).real / 4.0)
         np.testing.assert_allclose(got_e, e, atol=1e-14)
         assert abs(got_e0 - 0.3) < 1e-14
+
+    def test_observable_object_rejected(self):
+        # an observable reaches the oracle only through operator_of, which refuses a
+        # conditional product; read as an array, its offset would be dropped
+        with pytest.raises(TypeError):
+            operator_from_direction(ProductObservable(np.array([0.5, 0.0, 0.0]), 0.25))
 
 
 class TestWaveFunctions:

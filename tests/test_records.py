@@ -1,4 +1,6 @@
 """The package's records are immutable, slotted, and compare as they did as dataclasses."""
+import copy
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -82,3 +84,11 @@ def test_repr_names_the_fields_and_hides_the_lazy_slot():
     assert repr(traj).startswith("Trajectory(times=array([0.]), components=None, matrices=")
     assert "_bloch" not in repr(traj)
     assert repr(fourstate.BellCheck(0.5, 1.0, False)) == "BellCheck(lhs=0.5, rhs=1.0, violated=False)"
+
+
+@pytest.mark.parametrize("how", [pickle.dumps, copy.copy, copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+def test_records_refuse_pickle_and_copy(how):
+    # restoring the slots would assign each field, so a record fails here, not on load
+    for factory in FACTORIES.values():
+        with pytest.raises(TypeError, match="cannot be pickled or copied"):
+            how(factory())
