@@ -273,6 +273,8 @@ def measurement_chain(observables, state) -> tuple[WeightedEigenstateSum, float]
 def pointwise_correlation(a, b, ensemble: Ensemble) -> float:
     """<A x B> = sum_s p_s  mean_A(s) mean_B(s); memoryless repeated measurement."""
     pts = ensemble.points
+    if not a.e.shape == b.e.shape == pts.shape[1:]:
+        raise DimensionMismatch("observable and ensemble dimensions differ")
     return weighted_sum(ensemble.probs, (pts @ a.e + a.e0) * (pts @ b.e + b.e0))
 
 

@@ -59,12 +59,7 @@ class Hamiltonian(Record):
 
 
 def _as_hamiltonian(h) -> Hamiltonian:
-    if isinstance(h, Hamiltonian):
-        return h
-    arr = np.asarray(h)
-    if arr.ndim == 2:
-        return Hamiltonian(arr)
-    return Hamiltonian(as_float_array(arr, "H"))
+    return h if isinstance(h, Hamiltonian) else Hamiltonian(h)
 
 
 class FlowParams(ValueRecord):
@@ -104,19 +99,19 @@ def _purity(bloch: np.ndarray) -> np.ndarray:
 class Trajectory(Record):
     """A fixed-step run: the sample times and what the integrator produced there.
 
-    ``integrate_bloch`` and ``syncoherence_flow`` store ``components``;
-    ``integrate_von_neumann`` and ``integrate_open`` store the density
-    ``matrices``, and ``integrate_open`` also the rate ``d_values``. ``bloch``
-    is the stored components or, for a matrix run, the Bloch components of
-    the matrices (Pauli basis for 2x2, L basis for 4x4), derived on first
-    read and kept.
+    ``integrate_bloch`` and ``syncoherence_flow`` pass the Bloch
+    ``components``, which ``bloch`` returns; ``integrate_von_neumann`` and
+    ``integrate_open`` store the density ``matrices``, and ``integrate_open``
+    also the rate ``d_values``. For a matrix run ``bloch`` is the Bloch
+    components of the matrices (Pauli basis for 2x2, L basis for 4x4),
+    derived on first read and kept.
     """
 
-    __slots__ = ("times", "components", "matrices", "d_values", "_bloch")
+    __slots__ = ("times", "matrices", "d_values", "_bloch")
 
     def __init__(self, times: np.ndarray, components: np.ndarray | None = None,
                  matrices: np.ndarray | None = None, d_values: np.ndarray | None = None):
-        self._set(times, components, matrices, d_values, components)
+        self._set(times, matrices, d_values, components)
 
     @property
     def bloch(self) -> np.ndarray:

@@ -234,10 +234,10 @@ class RegionDiagnostics(ValueRecord):
     is computed by exact vertex enumeration.
     """
 
-    __slots__ = ("vertices", "max_mean_sum", "inradius", "inradius_squared")
+    __slots__ = ("vertices", "max_mean_sum", "inradius")
 
-    def __init__(self, vertices: tuple, max_mean_sum, inradius: float, inradius_squared):
-        self._set(vertices, max_mean_sum, inradius, inradius_squared)
+    def __init__(self, vertices: tuple, max_mean_sum, inradius: float):
+        self._set(vertices, max_mean_sum, inradius)
 
 
 def realizable_region_check(system: FiniteSpinSystem) -> RegionDiagnostics:
@@ -260,17 +260,7 @@ def realizable_region_check(system: FiniteSpinSystem) -> RegionDiagnostics:
         den = math.hypot(x2 - x1, y2 - y1)
         if den > ZERO_TOL:
             inr = min(inr, num / den)
-    n = system.n_positions
-    if system.exact and len(system.state_angles) == n:
-        inr_sq = (Q2(1) + _cos_index(1, n, True)) * Fraction(1, 2)
-    else:
-        inr_sq = inr * inr
-    return RegionDiagnostics(
-        vertices=tuple(hull),
-        max_mean_sum=max_sum,
-        inradius=inr,
-        inradius_squared=inr_sq,
-    )
+    return RegionDiagnostics(vertices=tuple(hull), max_mean_sum=max_sum, inradius=inr)
 
 
 # ---------------------------------------------------------------------------
@@ -351,20 +341,6 @@ SPIN_VALUES = (
     (1, 1, 1, 1, -1, -1, -1, -1),   # S_z
 )
 
-ENVIRONMENT_VALUES = tuple(
-    tuple(
-        {
-            0: SPIN_VALUES[1][t] * SPIN_VALUES[2][t],
-            1: SPIN_VALUES[0][t] * SPIN_VALUES[2][t],
-            2: SPIN_VALUES[0][t] * SPIN_VALUES[1][t],
-            3: SPIN_VALUES[0][t] * SPIN_VALUES[1][t] * SPIN_VALUES[2][t],
-        }[i]
-        for t in range(8)
-    )
-    for i in range(4)
-)
-
-
 def _check_cartesian_probs(p):
     p = list(p)
     if len(p) != 8:
@@ -410,11 +386,10 @@ def _is_exact_seq(p) -> bool:
 class MeasurementOutcome(ValueRecord):
     """Result of updating the cartesian ensemble after measuring S_z = +1."""
 
-    __slots__ = ("rule", "probs", "purity_before", "purity_after", "constraint_violated", "pair_sums")
+    __slots__ = ("probs", "purity_after", "constraint_violated", "pair_sums")
 
-    def __init__(self, rule: str, probs: tuple, purity_before, purity_after,
-                 constraint_violated: bool, pair_sums: tuple | None = None):
-        self._set(rule, probs, purity_before, purity_after, constraint_violated, pair_sums)
+    def __init__(self, probs: tuple, purity_after, constraint_violated: bool, pair_sums: tuple | None = None):
+        self._set(probs, purity_after, constraint_violated, pair_sums)
 
 
 def cartesian_measure_sz(p, rule: str, free_p1=None) -> MeasurementOutcome:
@@ -432,7 +407,6 @@ def cartesian_measure_sz(p, rule: str, free_p1=None) -> MeasurementOutcome:
     exact = _is_exact_seq(probs)
     sector = probs[:4]
     total = _sum(sector)
-    purity_before = cartesian_purity(probs)
     zero = Fraction(0) if exact else 0.0
     if (total == 0) if exact else (float(total) <= 0.0):
         raise ValueError("the measured outcome has zero probability")
@@ -440,7 +414,7 @@ def cartesian_measure_sz(p, rule: str, free_p1=None) -> MeasurementOutcome:
         new = [v / total if exact else float(v) / float(total) for v in sector] + [zero] * 4
         purity_after = cartesian_purity(new)
         violated = (purity_after > 1) if exact else (float(purity_after) > 1.0 + PURITY_TOL)
-        return MeasurementOutcome(rule, tuple(new), purity_before, purity_after, violated)
+        return MeasurementOutcome(tuple(new), purity_after, violated)
     if rule == "quantum":
         half = Fraction(1, 2) if exact else 0.5
         q = (Fraction(1, 4) if exact else 0.25) if free_p1 is None else free_p1
@@ -449,5 +423,5 @@ def cartesian_measure_sz(p, rule: str, free_p1=None) -> MeasurementOutcome:
         new = [q, half - q, half - q, q] + [zero] * 4
         purity_after = cartesian_purity(new)
         pair_sums = (new[0] + new[1], new[0] + new[2], new[1] + new[3], new[2] + new[3])
-        return MeasurementOutcome(rule, tuple(new), purity_before, purity_after, False, pair_sums)
+        return MeasurementOutcome(tuple(new), purity_after, False, pair_sums)
     raise ValueError("rule must be 'classical' or 'quantum'")

@@ -104,7 +104,7 @@ def rotated_spin_correlation(theta: float, phi: float, state) -> float:
 
     which on the entangled states collapses to -cos(theta - phi).
     """
-    rho = as_float_array(getattr(state, "rho", state), "state")
+    rho = state.rho if isinstance(state, BlochState) else BlochState(state).rho
     if rho.shape != (15,):
         raise ValueError("state must be a four-state 15-vector")
     ct, st = math.cos(theta), math.sin(theta)
@@ -133,10 +133,10 @@ def quantum_pair_correlator(state):
     On the entangled states this is -cos(theta) and depends only on the angle
     difference, as the Bell form requires.
     """
-    rho = getattr(state, "rho", state)
+    state = state if isinstance(state, BlochState) else BlochState(state)
 
     def correlator(theta: float) -> float:
-        return rotated_spin_correlation(theta, 0.0, rho)
+        return rotated_spin_correlation(theta, 0.0, state)
 
     return correlator
 

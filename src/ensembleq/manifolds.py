@@ -151,40 +151,29 @@ class SubstateEnsemble(Record):
     """Finite classical ensemble on which listed observables have sharp values.
 
     A substate is a micro-state together with one sign per stored direction.
-    The ensemble stores an (n, P) probability ``table`` over the n base
-    micro-states times P distinct sign ``patterns``, the rows of one shared
-    (P, m) int8 table with entries +1 or -1. Directions are stored
-    canonicalised to a hemisphere. The table is validated like any
-    probability vector (nonnegative, exact total 1 within INVARIANT_TOL).
+    The ensemble stores an (n, 2^m) probability ``table`` over the n base
+    micro-states times all 2^m sign patterns of its m ``directions`` (stored
+    canonicalised to a hemisphere). Column k is pattern k of
+    ``itertools.product((1, -1), repeat=m)``: direction j has the sign -1
+    where bit m-1-j of k is set. A support without some pattern has a zero
+    column there. The table is validated like any probability vector
+    (nonnegative, exact total 1 within INVARIANT_TOL).
 
     Rows are the cells of the table, micro-state by micro-state, each with
-    the P patterns in order. ``probs`` is the flattened table (a read-only
+    the 2^m patterns in order. ``probs`` is the flattened table (a read-only
     view); ``state_index`` builds the matching micro-state column as a new
-    array on each call. A row costs 8 bytes, plus the pattern table shared by
-    all micro-states.
+    array on each call. A row costs 8 bytes.
     """
 
-    __slots__ = ("directions", "base_points", "table", "patterns")
+    __slots__ = ("directions", "table")
 
-    def __init__(
-        self,
-        directions: np.ndarray,   # (m, 3), canonical
-        base_points: np.ndarray,  # (n, 3)
-        table: np.ndarray,        # (n, P) probabilities
-        patterns: np.ndarray,     # (P, m), int8 entries +-1
-    ):
+    def __init__(self, directions: np.ndarray, table: np.ndarray):   # (m, 3) canonical; (n, 2^m)
         directions = freeze(as_float_array(directions))
-        base_points = freeze(as_float_array(base_points))
-        patterns = np.asarray(patterns)
-        if patterns.ndim != 2 or patterns.shape[1] != directions.shape[0]:
-            raise ValueError("sign patterns must have one column per direction")
-        if not np.all(np.abs(patterns) == 1):
-            raise ConstraintViolation("substate signs must be +1 or -1")
         table = np.asarray(table, dtype=float)
-        if table.shape != (base_points.shape[0], patterns.shape[0]):
-            raise ValueError("probability table must have shape (micro-states, patterns)")
+        if directions.shape[1:] != (3,) or table.shape[1:] != (2 ** len(directions),):
+            raise ValueError("directions must have shape (m, 3) and the table shape (micro-states, 2^m)")
         check_probabilities(table.reshape(-1))
-        self._set(directions, base_points, freeze(table), freeze(patterns, np.int8))
+        self._set(directions, freeze(table))
 
     def __len__(self) -> int:
         return self.table.size
@@ -209,9 +198,10 @@ class SubstateEnsemble(Record):
         return j, flip
 
     def _pattern_values(self, direction) -> np.ndarray:
-        """(P,) int8 sign of the direction in each pattern."""
+        """(2^m,) sign of the direction in each pattern: -flip where bit m-1-j is set."""
         j, flip = self.column(direction)
-        return flip * self.patterns[:, j]
+        bits = (np.arange(self.table.shape[1]) >> (len(self.directions) - 1 - j)) & 1
+        return flip * (1 - 2 * bits)
 
     def marginal_micro_probs(self) -> np.ndarray:
         """Marginalise the sign variables; recovers the base micro-state weights."""
@@ -237,15 +227,15 @@ def extend_to_substates(ensemble: Ensemble, directions) -> SubstateEnsemble:
         p(f, {gamma}) = p(f) * prod_j (1 + gamma_j f.g_j) / 2.
 
     Directions are canonicalised to one hemisphere first; a list containing an
-    antipodal pair (or an exact duplicate) is invalid input. The patterns are
-    all 2^m sign patterns in ``itertools.product((1, -1), repeat=m)`` order.
+    antipodal pair (or an exact duplicate) is invalid input. The table's
+    columns are the 2^m sign patterns in ``itertools.product((1, -1),
+    repeat=m)`` order.
 
     The (n, 2^m) table is built by Kronecker doubling inside the result, one
     direction at a time, and is not copied afterwards. The result keeps
-    8 bytes per row plus the shared (2^m, m) int8 pattern table; validating
-    it adds a 1-byte mask per row, about 9 bytes per row at peak. Inputs with
-    m > 16 or n * 2^m > MAX_SUBSTATE_ROWS are rejected before any of it is
-    allocated.
+    8 bytes per row; validating it adds a 1-byte mask per row, about 9 bytes
+    per row at peak. Inputs with m > 16 or n * 2^m > MAX_SUBSTATE_ROWS are
+    rejected before any of it is allocated.
     """
     if ensemble.manifold not in ("s1", "s2"):
         raise ValueError("substate extension is defined for sphere ensembles")
@@ -271,7 +261,6 @@ def extend_to_substates(ensemble: Ensemble, directions) -> SubstateEnsemble:
     dots = ensemble.points @ canon.T   # (n, m)
     pm = np.array([1.0, -1.0])
     table = np.empty((n, 2**m))
-    patterns = np.ones((2**m, m), dtype=np.int8)
     # Pattern i has -1 for direction j where bit m-1-j of i is set, the
     # itertools.product((1, -1), repeat=m) order. The table is built by
     # Kronecker doubling in place: level j keeps its 2^(j+1) products 2^(m-j-1)
@@ -280,7 +269,6 @@ def extend_to_substates(ensemble: Ensemble, directions) -> SubstateEnsemble:
     # Every cell multiplies its factors (1 + gamma_j f.g_j)/2 in direction
     # order, then p(f).
     for j in range(m):
-        patterns.reshape(2**j, 2, -1, m)[:, 1, :, j] = -1
         half = 0.5 * (1.0 + pm * dots[:, j, None])
         level = table.reshape(n, 2**j, 2, -1)[:, :, :, 0]
         if j == 0:
@@ -289,7 +277,7 @@ def extend_to_substates(ensemble: Ensemble, directions) -> SubstateEnsemble:
             np.multiply(level[:, :, 0], half[:, 1, None], out=level[:, :, 1])
             level[:, :, 0] *= half[:, 0, None]
     table *= ensemble.probs[:, None]
-    return SubstateEnsemble(canon, ensemble.points, freeze(table, copy=False), patterns)
+    return SubstateEnsemble(canon, freeze(table, copy=False))
 
 
 # ---------------------------------------------------------------------------

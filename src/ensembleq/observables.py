@@ -119,6 +119,8 @@ def prob_plus(obs, f) -> float:
 
 def moment(obs, ensemble, q: int) -> float:
     """Ensemble moment <A^q>: the mean for odd q, exactly 1 for even q."""
+    if obs.e.shape != ensemble.points.shape[1:]:
+        raise DimensionMismatch("observable and ensemble dimensions differ")
     if check_count(q, "q", lo=1) % 2 == 0:
         return 1.0
     if isinstance(obs, TwoLevelObservable) and not obs.is_unit:

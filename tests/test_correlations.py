@@ -39,7 +39,7 @@ from ensembleq.observables import (
     operator_of,
     spin,
 )
-from ensembleq.validate import ConstraintViolation
+from ensembleq.validate import ConstraintViolation, DimensionMismatch
 
 SQ2 = 1.0 / math.sqrt(2.0)
 A1, A2, A3 = basis_spin(1), basis_spin(2), basis_spin(3)
@@ -412,6 +412,13 @@ class TestClassicalCorrelation:
         want = pointwise_correlation(spin(ga), spin(gb), ens)
         assert abs(got - want) < 1e-12
 
+    def test_pointwise_dimension_mismatch(self):
+        ens = Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0])
+        four = TwoLevelObservable(np.eye(15)[0])
+        for a, b in ((four, spin([0.0, 0.0, 1.0])), (spin([0.0, 0.0, 1.0]), four), (four, four)):
+            with pytest.raises(DimensionMismatch):
+                pointwise_correlation(a, b, ens)
+
     def test_unknown_direction(self):
         sub = extend_to_substates(
             Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0]), [[1.0, 0.0, 0.0]]
@@ -424,12 +431,12 @@ class TestClassicalCorrelation:
         # mean zero on the single occupied micro-state) correlate differently
         # with a third observable: the classical product is not a function of
         # the probabilistic observables alone
-        f = np.array([0.0, 0.0, 1.0])
         g1 = np.array([1.0, 0.0, 0.0])
         g2 = np.array([0.0, 1.0, 0.0])
         g3 = np.array([SQ2, SQ2, 0.0])
-        patterns = [[1, 1, 1], [1, -1, 1], [-1, 1, -1], [-1, -1, -1]]
-        sub = SubstateEnsemble([g1, g2, g3], [f], [[0.25] * 4], patterns)
+        # weight 1/4 on the sign patterns (+,+,+), (+,-,+), (-,+,-) and (-,-,-), columns
+        # 0, 2, 5 and 7 of the itertools.product((1, -1), repeat=3) order
+        sub = SubstateEnsemble([g1, g2, g3], [[0.25, 0.0, 0.25, 0.0, 0.0, 0.25, 0.0, 0.25]])
         # both g1 and g2 realise the mean-zero observable on this support
         assert float(sub.mean_sign(g1)[0]) == 0.0
         assert float(sub.mean_sign(g2)[0]) == 0.0

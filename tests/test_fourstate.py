@@ -175,6 +175,17 @@ class TestRotatedSpins:
             oracle = qmatrix.anticommutator_expectation(a, b, rho)
             assert abs(rotated_spin_correlation(th, ph, bloch) - oracle) < 1e-12
 
+    @pytest.mark.parametrize("rho3", [5.0, 1.5])
+    def test_unphysical_state_rejected(self, rho3):
+        # at theta = phi = 0 the correlation is rho_3: beyond 1 only off the state
+        # space, past the purity bound (5) or with the bound met but rho not positive (1.5)
+        vec = np.zeros(15)
+        vec[2] = rho3
+        with pytest.raises(ConstraintViolation):
+            rotated_spin_correlation(0.0, 0.0, vec)
+        with pytest.raises(ConstraintViolation):
+            quantum_pair_correlator(vec)
+
 
 class TestBellHarness:
     def test_quantum_violation_at_marked_angles(self):

@@ -1,11 +1,11 @@
 """What package modules import: every name they import is used, only the
 oracle's own users reach the matrix oracle, nothing generates code or loads
-the exact-arithmetic module at package import, and every public definition
-and option is used when the program runs.
+the exact-arithmetic module at package import, and every public definition,
+option and record field is used when the program runs.
 
 The run is ``verify``, the nine experiments, the README example and one tiny
 pass of the ``sequences``, ``trajectories`` and ``substates`` benchmark
-workloads, under ``sys.setprofile``. Three rules go beyond "the definition's
+workloads, under ``sys.setprofile``. Four rules go beyond "the definition's
 code was entered":
 
 - each defaulted parameter, and each ``**kw``, of an entered public function
@@ -13,6 +13,9 @@ code was entered":
   to a bool, int, float, str or None default counts as the default);
 - special methods other than ``__init__``, ``__repr__``, ``__eq__`` and
   ``__hash__`` count as definitions of their own;
+- each public ``__slots__`` field of a record class must be read by some
+  code other than ``Record.__repr__`` and ``Record._fields`` (which serves
+  ``==`` and ``hash``); private slots are left out;
 - what the benchmark uses is exempt because the run enters it, not because
   ``perfbench/`` names it.
 
@@ -158,9 +161,11 @@ def _counted(member: str) -> bool:
 
 
 def _codes(obj) -> list:
-    """Code objects whose entry counts as running ``obj``: a function's own code; for
-    a record class, the ``__init__`` of it or of a subclass, since one runs whenever
-    an instance is built."""
+    """What a run must use for ``obj`` to count as used: a record field's slot
+    descriptor itself; a function's own code; for a record class, the ``__init__``
+    of it or of a subclass, since one runs whenever an instance is built."""
+    if isinstance(obj, types.MemberDescriptorType):
+        return [obj]
     if not inspect.isclass(obj):
         return [inspect.unwrap(obj).__code__]
     classes, codes = [obj], []
@@ -174,15 +179,18 @@ def _codes(obj) -> list:
 
 def _called(obj):
     """The function whose parameters a call of ``obj`` fills: ``obj`` itself, or a
-    record class's own ``__init__`` (None when it inherits one)."""
-    return vars(obj).get("__init__") if inspect.isclass(obj) else inspect.unwrap(obj)
+    record class's own ``__init__`` (None when it inherits one, and for a field)."""
+    if inspect.isclass(obj):
+        return vars(obj).get("__init__")
+    return inspect.unwrap(obj) if inspect.isfunction(obj) else None
 
 
 def _public_definitions(module):
     """(key, object) of each public function and record class defined in ``module``,
-    and of each public method, property, class and static method and each counted
-    special method of its public classes, keyed ``Class.member``. Exception classes
-    are skipped."""
+    of each public field (the slot descriptor of a public ``__slots__`` name) of its
+    record classes, and of each public method, property, class and static method and
+    each counted special method of its public classes, keyed ``Class.member``.
+    Exception classes are skipped."""
     for name, obj in vars(module).items():
         if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
             continue
@@ -191,6 +199,9 @@ def _public_definitions(module):
         elif inspect.isclass(obj) and not issubclass(obj, BaseException):
             if issubclass(obj, Record):
                 yield name, obj
+                for field in vars(obj).get("__slots__", ()):
+                    if not field.startswith("_"):
+                        yield f"{name}.{field}", vars(obj)[field]
             for member, attr in vars(obj).items():
                 func = attr.fget if isinstance(attr, property) else getattr(attr, "__func__", attr)
                 if _counted(member) and inspect.isfunction(func):
@@ -221,24 +232,55 @@ def _is_default(value, default) -> bool:
         return False
 
 
+def _nested(code) -> list:
+    """``code`` and the code objects of the functions and generator expressions in it."""
+    return [code] + [c for const in code.co_consts if isinstance(const, types.CodeType)
+                     for c in _nested(const)]
+
+
+# Reads made here serve repr, == and hash, which read every field of any record.
+_SERVING = {c for f in (Record.__repr__, Record._fields) for c in _nested(f.__code__)}
+
+
+class _Recorded:
+    """Stands in for a record field's slot descriptor while a run is traced; the
+    first read from code other than _SERVING adds the slot to ``used`` and puts the
+    slot back, so later reads cost nothing."""
+
+    def __init__(self, slot, used: set):
+        self.slot, self.used = slot, used
+
+    def __get__(self, obj, owner=None):
+        if obj is not None and sys._getframe(1).f_code not in _SERVING:
+            self.used.add(self.slot)
+            setattr(self.slot.__objclass__, self.slot.__name__, self.slot)
+        return self.slot.__get__(obj, owner)
+
+    def __set__(self, obj, value):
+        self.slot.__set__(obj, value)
+
+
 def _trace(run, modules) -> tuple[set, dict]:
     """What ``run()`` does with the public definitions of ``modules``, under
-    ``sys.setprofile``: the code objects of the Python functions it enters, and,
-    for each public function with defaulted parameters, those of its parameters
-    that no call set to another value (a ``**name`` that no call filled)."""
-    unvaried = {}
+    ``sys.setprofile``: the code objects of the Python functions it enters and the
+    slot descriptors of the record fields it reads, and, for each public function
+    with defaulted parameters, those of its parameters that no call set to another
+    value (a ``**name`` that no call filled)."""
+    unvaried, slots = {}, []
     for module in modules:
         for _, obj in _public_definitions(module):
+            if isinstance(obj, types.MemberDescriptorType):
+                slots.append(obj)
             func = _called(obj)
             params = _defaults(func) if func is not None else {}
             if params:
                 unvaried[func.__code__] = params
-    entered = set()
+    used = set()
 
     def profile(frame, event, arg):
         if event != "call":
             return
-        entered.add(frame.f_code)
+        used.add(frame.f_code)
         params = unvaried.get(frame.f_code)
         if params:
             args = frame.f_locals
@@ -248,23 +290,27 @@ def _trace(run, modules) -> tuple[set, dict]:
                 del params[name]
 
     previous = sys.getprofile()
-    sys.setprofile(profile)
     try:
+        for slot in slots:
+            setattr(slot.__objclass__, slot.__name__, _Recorded(slot, used))
+        sys.setprofile(profile)
         run()
     finally:
         sys.setprofile(previous)
-    return entered, unvaried
+        for slot in slots:
+            setattr(slot.__objclass__, slot.__name__, slot)
+    return used, unvaried
 
 
-def _unused(modules, entered: set, unvaried: dict, allowed) -> list[str]:
-    """``module: key`` of each public definition of ``modules`` whose code no run
-    entered, and ``module: key(param)`` of each parameter ``unvaried`` holds for an
-    entered one, unless ``allowed`` holds that key."""
+def _unused(modules, used: set, unvaried: dict, allowed) -> list[str]:
+    """``module: key`` of each public definition of ``modules`` that no run entered
+    (for a field: read), and ``module: key(param)`` of each parameter ``unvaried``
+    holds for an entered one, unless ``allowed`` holds that key."""
     found = []
     for module in modules:
         prefix = module.__name__.rpartition(".")[2]
         for key, obj in _public_definitions(module):
-            if entered.isdisjoint(_codes(obj)):
+            if used.isdisjoint(_codes(obj)):
                 keys = [key]
             else:
                 params = unvaried.get(getattr(_called(obj), "__code__", None), ())
@@ -319,18 +365,19 @@ def test_every_public_definition_is_used_outside_the_tests(tmp_path, monkeypatch
     modules = [importlib.import_module(f"ensembleq.{path.stem}")
                for path in sorted(Path(ensembleq.__file__).parent.glob("*.py"))
                if path.stem not in ("__init__", "__main__")]
-    entered, unvaried = _trace(run, modules)
+    used, unvaried = _trace(run, modules)
     assert gate.failed == 0, gate.failures
-    assert _unused(modules, entered, unvaried, _TEST_ONLY_ALLOWED) == []
+    assert _unused(modules, used, unvaried, _TEST_ONLY_ALLOWED) == []
 
 
 _PLANTED = """
-from ensembleq.validate import Record
+from ensembleq.validate import Record, ValueRecord
 
 
 def used():
     tuned(0, 2, same=None)
-    return Built(1).read() + Built(2).purity
+    shown = Shown(1)
+    return Built(1).read() + Built(2).purity, repr(shown), shown == Shown(2), hash(shown)
 
 
 def tuned(x, varied=1, same=None, **kw):
@@ -342,10 +389,10 @@ def orphan():
 
 
 class Built(Record):
-    __slots__ = ("x",)
+    __slots__ = ("x", "unread", "_private_slot")
 
     def __init__(self, x):
-        self._set(x)
+        self._set(x, None, None)
 
     def read(self):
         return self.x
@@ -375,6 +422,13 @@ class Built(Record):
         pass
 
 
+class Shown(ValueRecord):
+    __slots__ = ("shown",)
+
+    def __init__(self, shown):
+        self._set(shown)
+
+
 class Other:
     @property
     def purity(self):
@@ -400,16 +454,20 @@ def _private():
 def test_the_test_only_guard_sees_a_definition_only_tests_use():
     module = types.ModuleType("planted")
     exec(_PLANTED, vars(module))
-    entered, unvaried = _trace(module.used, [module])
-    assert _unused([module], entered, unvaried, set()) == [
-        "planted: tuned(same)", "planted: tuned(**kw)", "planted: orphan",
+    used, unvaried = _trace(module.used, [module])
+    # a field read only through repr, == or hash is as unused as one nobody reads
+    assert _unused([module], used, unvaried, set()) == [
+        "planted: tuned(same)", "planted: tuned(**kw)", "planted: orphan", "planted: Built.unread",
         "planted: Built.orphan_method", "planted: Built.orphan_property",
-        "planted: Built.orphan_static", "planted: Built.__le__", "planted: Other.purity",
-        "planted: Unbuilt"]
-    allowed = {"orphan", "Built.orphan_method", "Built.orphan_property", "tuned(same)", "Unbuilt"}
-    assert _unused([module], entered, unvaried, allowed) == [
-        "planted: tuned(**kw)", "planted: Built.orphan_static", "planted: Built.__le__",
-        "planted: Other.purity"]
+        "planted: Built.orphan_static", "planted: Built.__le__", "planted: Shown.shown",
+        "planted: Other.purity", "planted: Unbuilt"]
+    allowed = {"orphan", "Built.orphan_method", "Built.orphan_property", "tuned(same)", "Unbuilt",
+               "Shown.shown"}
+    assert _unused([module], used, unvaried, allowed) == [
+        "planted: tuned(**kw)", "planted: Built.unread", "planted: Built.orphan_static",
+        "planted: Built.__le__", "planted: Other.purity"]
+    # the run leaves the slot descriptors as it found them
+    assert all(type(vars(module.Built)[k]) is types.MemberDescriptorType for k in module.Built.__slots__)
     assert _unused([module], set(), {}, set())[:3] == ["planted: used", "planted: tuned", "planted: orphan"]
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -168,14 +169,12 @@ class TestValidation:
         pts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         p = np.array([0.25, 0.75])
         ens = Ensemble("s2", pts, p)
-        g, base = np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 0.0, 1.0]])
-        table, patterns = np.array([[0.5, 0.5]]), np.array([[1], [-1]], dtype=np.int8)
-        sub = SubstateEnsemble(g, base, table, patterns)
-        want = (ens.points.copy(), ens.probs.copy(), sub.table.copy(), sub.patterns.copy(),
-                sub.directions.copy(), sub.base_points.copy())
-        for arr in (pts, p, g, base, table, patterns):
+        g, table = np.array([[1.0, 0.0, 0.0]]), np.array([[0.5, 0.5]])
+        sub = SubstateEnsemble(g, table)
+        want = (ens.points.copy(), ens.probs.copy(), sub.table.copy(), sub.directions.copy())
+        for arr in (pts, p, g, table):
             arr[...] = 7
-        got = (ens.points, ens.probs, sub.table, sub.patterns, sub.directions, sub.base_points)
+        got = (ens.points, ens.probs, sub.table, sub.directions)
         for stored, before in zip(got, want):
             np.testing.assert_array_equal(stored, before)
         for stored in got + (sub.probs,):
@@ -224,9 +223,10 @@ class TestSubstates:
         ens = Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0])
         sub = extend_to_substates(ens, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
         # sign order (+,+), (+,-), (-,+), (-,-) on (z, x)
-        np.testing.assert_array_equal(sub.patterns, [[1, 1], [1, -1], [-1, 1], [-1, -1]])
+        np.testing.assert_array_equal(sub._pattern_values([0.0, 0.0, 1.0]), [1, 1, -1, -1])
+        np.testing.assert_array_equal(sub._pattern_values([1.0, 0.0, 0.0]), [1, -1, 1, -1])
         np.testing.assert_array_equal(sub.probs, [0.5, 0.5, 0.0, 0.0])
-        assert float(sub.table[0] @ sub.patterns[:, 0]) == 1.0
+        np.testing.assert_array_equal(sub.mean_sign([0.0, 0.0, 1.0]), [1.0])
 
     def test_antipodal_pair_rejected(self):
         ens = Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0])
@@ -260,10 +260,13 @@ class TestSubstates:
     def test_flip_convention(self):
         # gamma(-g) = -gamma(g): querying the antipode negates the signs
         ens = Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0])
-        sub = extend_to_substates(ens, [[0.0, 0.0, 1.0]])
-        (j, flip_plus), (k, flip_minus) = sub.column([0.0, 0.0, 1.0]), sub.column([0.0, 0.0, -1.0])
-        plus, minus = flip_plus * sub.patterns[:, j], flip_minus * sub.patterns[:, k]
-        np.testing.assert_array_equal(plus, -minus)
+        dirs = [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+        sub = extend_to_substates(ens, dirs)
+        for j, g in enumerate(dirs):
+            want = [pattern[j] for pattern in itertools.product((1, -1), repeat=len(dirs))]
+            np.testing.assert_array_equal(sub._pattern_values(g), want)
+            np.testing.assert_array_equal(sub._pattern_values(-np.array(g)), [-s for s in want])
+        np.testing.assert_array_equal(sub.mean_sign([0.0, 0.0, -1.0]), -sub.mean_sign([0.0, 0.0, 1.0]))
 
     def test_canonical_direction(self):
         canon, flip = canonical_direction([-1.0, 0.0, 0.0])
@@ -273,28 +276,23 @@ class TestSubstates:
         assert flip == 1
 
     def test_hand_built_rows(self):
-        f = np.array([0.0, 0.0, 1.0])
         dirs = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])]
-        patterns = [[1, 1], [1, -1], [-1, 1], [-1, -1]]
-        sub = SubstateEnsemble(dirs, [f], [[0.25] * 4], patterns)
+        sub = SubstateEnsemble(dirs, [[0.25] * 4])
         assert len(sub) == 4
         assert sub.marginal_micro_probs()[0] == 1.0
-        assert sub.patterns.dtype == np.int8
-
-    @pytest.mark.parametrize("bad", [0, 2, 300])
-    def test_hand_built_rows_reject_non_unit_signs(self, bad):
-        f = np.array([0.0, 0.0, 1.0])
-        with pytest.raises(ConstraintViolation):
-            SubstateEnsemble([[1.0, 0.0, 0.0]], [f], [[0.5, 0.5]], [[1], [bad]])
+        with pytest.raises(ValueError, match="shape"):
+            SubstateEnsemble(dirs, [[0.5, 0.5]])   # two directions need 2^2 pattern columns
+        with pytest.raises(ValueError, match="shape"):
+            SubstateEnsemble(dirs[0], [[0.125] * 8])   # one direction, not three coordinates
 
     def test_hand_built_rows_absent_cells_are_zero(self):
-        up, down = np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])
-        # each micro-state puts all its weight on one pattern; the other cell is 0
-        sub = SubstateEnsemble([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], [down, up],
-                               [[0.0, 0.5], [0.5, 0.0]], [[1, 1], [-1, 1]])
-        np.testing.assert_array_equal(sub.patterns, [[1, 1], [-1, 1]])
-        np.testing.assert_array_equal(sub.table, [[0.0, 0.5], [0.5, 0.0]])
+        # each micro-state puts all its weight on one pattern, (-,+) or (+,+);
+        # the patterns it leaves out are zero columns
+        sub = SubstateEnsemble([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
+                               [[0.0, 0.0, 0.5, 0.0], [0.5, 0.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(sub.table, [[0.0, 0.0, 0.5, 0.0], [0.5, 0.0, 0.0, 0.0]])
         np.testing.assert_array_equal(sub.mean_sign([0.0, 0.0, 1.0]), [-1.0, 1.0])
+        np.testing.assert_array_equal(sub.mean_sign([1.0, 0.0, 0.0]), [1.0, 1.0])
 
     def test_extension_working_set_bounded(self):
         # (n, m) = (512, 12): a 16 MiB table built in place and kept uncopied
@@ -340,8 +338,10 @@ class TestSubstates:
         dirs = rng.normal(size=(16, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         sub = extend_to_substates(ens, dirs)
-        assert sub.patterns.shape == (2**16, 16)
-        assert sub.patterns.dtype == np.int8
+        assert sub.table.shape == (1, 2**16)
+        # the last pattern has every sign -1
+        for g in dirs:
+            assert sub._pattern_values(g)[-1] == -canonical_direction(g)[1]
 
 
 def _unit_vectors():
@@ -371,7 +371,36 @@ def s2_extensions(draw):
     return Ensemble("s2", pts, weights / weights.sum()), dirs
 
 
+@st.composite
+def hand_built_tables(draw):
+    """1-4 pairwise non-antipodal directions and a probability table over 1-3
+    micro-states times their 2^m sign patterns, some cells exactly zero."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    dirs = draw(st.lists(_unit_vectors(), min_size=m, max_size=m).filter(_distinct_axes))
+    cells = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    weights = np.array(draw(st.lists(cells, min_size=n * 2**m, max_size=n * 2**m).filter(any)))
+    return dirs, (weights / weights.sum()).reshape(n, 2**m)
+
+
 class TestSubstateProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(hand_built_tables())
+    def test_columns_follow_the_product_order(self, case):
+        # column k of the table is pattern k of itertools.product((1, -1), repeat=m),
+        # whose signs belong to the canonical directions: gamma(-g) = -gamma(g)
+        dirs, table = case
+        sub = SubstateEnsemble([canonical_direction(g)[0] for g in dirs], table)
+        patterns = list(itertools.product((1, -1), repeat=len(dirs)))
+        signs = [[canonical_direction(g)[1] * p[j] for p in patterns] for j, g in enumerate(dirs)]
+        for j, g in enumerate(dirs):
+            for row, got in zip(table, sub.mean_sign(g)):
+                total = math.fsum(row)
+                want = math.fsum(row * signs[j]) / total if total > 0 else 0.0
+                assert abs(got - want) <= 1e-12
+            for k, h in enumerate(dirs):
+                want = math.fsum((table * signs[j] * signs[k]).ravel())
+                assert abs(classical_correlation(g, h, sub) - want) <= 1e-12
+
     @settings(max_examples=60, deadline=None)
     @given(s2_extensions())
     def test_marginals_recover_ensemble(self, case):
@@ -386,19 +415,21 @@ class TestSubstateProperties:
         # gamma(-g) = -gamma(g) leaves each factor (1 + gamma f.g)/2 unchanged
         ens, dirs = case
         sub = extend_to_substates(ens, dirs)
-        columns = [sub.column(g) for g in dirs]
-        assert len(sub) == len(ens) * 2 ** len(dirs)
+        # the patterns of each micro-state, enumerated in itertools.product order;
+        # pattern signs belong to the canonical directions
+        patterns = list(itertools.product((1, -1), repeat=len(dirs)))
+        flips = [canonical_direction(g)[1] for g in dirs]
+        assert len(sub) == len(ens) * len(patterns)
         for r in range(len(sub)):
-            i, k = int(sub.state_index[r]), r % len(sub.patterns)
+            i, signs = int(sub.state_index[r]), patterns[r % len(patterns)]
             f = ens.points[i]
             want = float(ens.probs[i]) * math.prod(
-                (1.0 + flip * int(sub.patterns[k, j]) * math.fsum(f * g)) / 2.0
-                for (j, flip), g in zip(columns, dirs)
+                (1.0 + flip * gamma * math.fsum(f * g)) / 2.0
+                for gamma, flip, g in zip(signs, flips, dirs)
             )
             assert abs(float(sub.probs[r]) - want) <= 1e-15
-        # every micro-state carries every pattern: one table row of 2^m distinct patterns each
-        assert sub.table.shape == (len(ens), 2 ** len(dirs))
-        assert len({tuple(row) for row in sub.patterns.tolist()}) == 2 ** len(dirs)
+        # every micro-state carries every pattern: one table row of 2^m patterns each
+        assert sub.table.shape == (len(ens), len(patterns))
 
     @settings(max_examples=60, deadline=None)
     @given(s2_extensions())
@@ -413,15 +444,6 @@ class TestSubstateProperties:
                 else:
                     want = pointwise_correlation(TwoLevelObservable(a), TwoLevelObservable(b), ens)
                 assert abs(got - want) < 1e-12
-
-    @settings(max_examples=60, deadline=None)
-    @given(s2_extensions())
-    def test_signs_are_int8_units(self, case):
-        ens, dirs = case
-        sub = extend_to_substates(ens, dirs)
-        assert sub.patterns.dtype == np.int8
-        assert sub.patterns.shape == (len(sub) // len(ens), len(dirs))
-        assert np.all(np.abs(sub.patterns) == 1)
 
 
 

@@ -141,6 +141,12 @@ class TestMoments:
         with pytest.raises(ValueError):
             moment(basis_spin(3), ens, 0)
 
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_dimension_mismatch(self, q):
+        ens = Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0])
+        with pytest.raises(DimensionMismatch):
+            moment(TwoLevelObservable(np.eye(15)[0]), ens, q)
+
 
 class TestExpectation:
     def test_components(self):

@@ -81,7 +81,7 @@ def test_record_is_immutable_slotted_and_compares_as_before(cls):
 
 def test_repr_names_the_fields_and_hides_the_lazy_slot():
     traj = dynamics.Trajectory(np.zeros(1), matrices=np.eye(2)[None] / 2)
-    assert repr(traj).startswith("Trajectory(times=array([0.]), components=None, matrices=")
+    assert repr(traj).startswith("Trajectory(times=array([0.]), matrices=")
     assert "_bloch" not in repr(traj)
     assert repr(fourstate.BellCheck(0.5, 1.0, False)) == "BellCheck(lhs=0.5, rhs=1.0, violated=False)"
 
