@@ -40,6 +40,8 @@ class Hamiltonian(Record):
     def __init__(self, hk: np.ndarray):
         arr = np.asarray(hk)
         if arr.ndim == 2:
+            if arr.shape not in ((2, 2), (4, 4)):
+                raise ValueError(f"Hamiltonian matrix must be 2x2 or 4x4, got shape {arr.shape}")
             if not np.isfinite(arr).all():
                 raise ValueError("Hamiltonian matrix contains non-finite entries")
             if np.abs(arr - arr.conj().T).max() > INVARIANT_TOL:

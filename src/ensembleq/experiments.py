@@ -299,8 +299,8 @@ def _pseudo_quantum_region(params, seed):
         worst = max(worst, abs(region.inradius - ref))
         rows.append((n, region.inradius, ref, float(region.max_mean_sum)))
         polygons[str(n)] = [[x, y] for x, y in region.vertices]
-    region4 = finite.realizable_region_check(finite.zn_system(4, exact=True))
-    pure_diag = finite.pure_system(8, 1, exact=True)
+    region4 = finite.realizable_region_check(finite.zn_system(4, probs=(Fraction(1, 4),) * 4))
+    pure_diag = finite.pure_system(8, 1)
     eff = finite.integrate_out(pure_diag)
     min_w = min(eff.probs)
     eff_11 = finite.integrate_out(pure_diag, Fraction(1), Fraction(1))
@@ -548,10 +548,10 @@ def _reduction_identities(params, seed):
         raw[-1] = 1 - sum(raw[:-1])
         if raw[-1] < 0:
             continue
-        sys8 = finite.zn_system(8, probs=tuple(raw), exact=True)
+        sys8 = finite.zn_system(8, probs=tuple(raw))
         alpha, beta = (Fraction(int(rng.integers(-3, 4)), 4) for _ in range(2))
         changed += sys8.expectations() != finite.integrate_out(sys8, alpha, beta).expectations()
-    pure = [finite.pure_system(8, j, exact=True) for j in range(8)]
+    pure = [finite.pure_system(8, j) for j in range(8)]
     off = sum(finite.zn_step_evolution(pure[1], k) != pure[(1 + k) % 8] for k in range(8))
     return [
         _exact_check("reductions changing an expectation", changed, 0),

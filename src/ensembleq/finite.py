@@ -7,9 +7,10 @@ expectations) can force negative effective weights; such signed systems are a
 separate type so they cannot be mistaken for true ensembles.
 
 All mean-value tables for N in {4, 8} live in the field Q(sqrt 2), so the
-module supports exact arithmetic: pass Fraction (or Q2) probabilities and the
-reductions, region checks and purity polynomials are evaluated without any
-floating-point rounding.
+module supports exact arithmetic, decided by the numbers: a system whose
+probabilities are all int, Fraction or Q2 is evaluated without any rounding
+(one float entry makes it a float system), and the cartesian-spin functions
+are exact on int and Fraction inputs.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .validate import (PURITY_TOL, ZERO_TOL, ConstraintViolation, Record, ValueRecord, check_count,
-                       check_probabilities)
+                       check_finite, check_probabilities)
 
 
 class Q2(Record):
@@ -111,11 +112,9 @@ _COS_PI4 = (
 
 
 def _cos_index(j: int, n: int, exact: bool):
-    """cos(2 pi j / n), exactly in Q(sqrt 2) when n divides 8."""
+    """cos(2 pi j / n), exactly in Q(sqrt 2) (n must then divide 8) or as a float."""
     j = j % n
     if exact:
-        if 8 % n != 0:
-            raise ValueError("exact tables exist only for N dividing 8")
         return _COS_PI4[(j * (8 // n)) % 8]
     return math.cos(2.0 * math.pi * j / n)
 
@@ -127,9 +126,20 @@ def _sum(values):
     return total
 
 
-def _check_exact_probabilities(probs) -> None:
-    """Exact probabilities (int, Fraction or Q2): each >= 0 and a total of exactly 1."""
-    if any(Q2.of(p) < 0 for p in probs) or sum(map(Q2.of, probs), Q2(0)) != 1:
+def _is_exact_seq(p, kinds=(int, Fraction, Q2)) -> bool:
+    if isinstance(p, np.ndarray) and p.dtype != object:
+        return False   # numpy scalars and rows are never int, Fraction or Q2
+    try:
+        return all(isinstance(x, kinds) for x in list(p))
+    except TypeError:
+        return False
+
+
+def _check_probs(probs, exact: bool) -> None:
+    """Entries >= 0 with a total of 1: exactly for exact entries, else through check_probabilities."""
+    if not exact:
+        check_probabilities([float(p) for p in probs])
+    elif any(Q2.of(p) < 0 for p in probs) or sum(map(Q2.of, probs), Q2(0)) != 1:
         raise ConstraintViolation(f"invalid exact probability vector {tuple(probs)}")
 
 
@@ -138,27 +148,29 @@ class FiniteSpinSystem(ValueRecord):
 
     Angles are stored as integer multiples of 2 pi / n_positions; the mean of
     the observable at index o in the micro-state at index s is
-    cos(2 pi (o - s) / N). ``exact=True`` keeps all table entries in Q(sqrt 2)
-    (N must divide 8) so that expectation values of Fraction-valued
-    probabilities are exact.
+    cos(2 pi (o - s) / N). The system is ``exact`` when every probability is
+    an int, Fraction or Q2: its means are then in Q(sqrt 2) (N must divide 8).
+    A ``signed`` system waives nonnegativity and the total, not finiteness.
     """
 
     __slots__ = ("n_positions", "state_angles", "probs", "observable_angles", "exact", "signed")
 
     def __init__(self, n_positions: int, state_angles: tuple, probs: tuple, observable_angles: tuple,
-                 exact: bool = False, signed: bool = False):
+                 signed: bool = False):
         n_positions = check_count(n_positions, "n_positions", lo=1)
         state_angles, observable_angles = (   # whole indices, reduced mod N
             tuple(check_count(a, name, lo=-math.inf) % n_positions for a in angles)
             for name, angles in (("state_angles", state_angles), ("observable_angles", observable_angles)))
-        self._set(n_positions, state_angles, tuple(probs), observable_angles, exact, signed)
+        probs = tuple(probs)
+        self._set(n_positions, state_angles, probs, observable_angles, _is_exact_seq(probs), signed)
         if len(self.probs) != len(self.state_angles):
             raise ValueError("probs and state_angles lengths differ")
+        if self.exact and 8 % n_positions:
+            raise ValueError(f"exact probabilities need N dividing 8, got N = {n_positions}")
         if not signed:
-            if exact:
-                _check_exact_probabilities(self.probs)
-            else:
-                check_probabilities([float(p) for p in self.probs])
+            _check_probs(probs, self.exact)
+        elif not self.exact:
+            check_finite([float(p) for p in probs], "probs")
 
     @property
     def n_states(self) -> int:
@@ -188,13 +200,14 @@ _TABLE_ORDER_8 = (0, 4, 2, 6, 1, 7, 3, 5)   # (0),(pi),(pi/2),(-pi/2),(pi/4),(-p
 _TABLE_ORDER_4 = (0, 2, 1, 3)               # (0),(pi),(pi/2),(-pi/2)
 
 
-def zn_system(n: int, probs=None, exact: bool = False) -> FiniteSpinSystem:
+def zn_system(n: int, probs=None) -> FiniteSpinSystem:
     """Z_N system with micro-states at angles 2 pi j / N.
 
     For N = 8 the state order follows the conventional table layout (the four
     axis states first, the four diagonal states after) and the observables are
     the two axis spins plus the two diagonal spins; for other N the states are
-    in natural order with the two axis spins.
+    in natural order with the two axis spins. ``probs`` defaults to the
+    uniform float distribution; exact probabilities make an exact system.
     """
     n = check_count(n, "n", lo=2)
     if n == 8:
@@ -207,18 +220,16 @@ def zn_system(n: int, probs=None, exact: bool = False) -> FiniteSpinSystem:
         order = tuple(range(n))
         observable_angles = (0, n // 4) if n % 4 == 0 else (0, 1)
     if probs is None:
-        one = Fraction(1, n) if exact else 1.0 / n
-        probs = (one,) * n
-    return FiniteSpinSystem(n, order, tuple(probs), observable_angles, exact=exact)
+        probs = (1.0 / n,) * n
+    return FiniteSpinSystem(n, order, tuple(probs), observable_angles)
 
 
-def pure_system(n: int, angle_index: int, exact: bool = False) -> FiniteSpinSystem:
-    """Point mass on the micro-state at angle 2 pi * angle_index / n."""
-    base = zn_system(n, exact=exact)
-    one = Fraction(1) if exact else 1.0
-    zero = Fraction(0) if exact else 0.0
-    probs = tuple(one if a == angle_index % n else zero for a in base.state_angles)
-    return FiniteSpinSystem(n, base.state_angles, probs, base.observable_angles, exact=exact)
+def pure_system(n: int, angle_index: int) -> FiniteSpinSystem:
+    """Point mass on the micro-state at angle 2 pi * angle_index / n. Its
+    weights are the ints 1 and 0, so the system is exact and N must divide 8."""
+    base = zn_system(n)
+    probs = tuple(1 if a == angle_index % n else 0 for a in base.state_angles)
+    return FiniteSpinSystem(n, base.state_angles, probs, base.observable_angles)
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +278,7 @@ def realizable_region_check(system: FiniteSpinSystem) -> RegionDiagnostics:
 # coarse graining of the 8-state system
 # ---------------------------------------------------------------------------
 
-def _half(exact: bool):
-    return Fraction(1, 2) if exact else 0.5
-
-
-def integrate_out(system: FiniteSpinSystem, alpha=None, beta=None) -> FiniteSpinSystem:
+def integrate_out(system: FiniteSpinSystem, alpha=Fraction(1, 2), beta=Fraction(1, 2)) -> FiniteSpinSystem:
     """Remove the four diagonal states of the Z_8 system, keeping all four
     observable expectations exactly.
 
@@ -283,29 +290,22 @@ def integrate_out(system: FiniteSpinSystem, alpha=None, beta=None) -> FiniteSpin
 
     for any coefficients alpha, beta (default 1/2 each). The result can carry
     negative weights and is returned as a ``signed`` system; negativity is a
-    reported feature, not an error.
+    reported feature, not an error; an exact system gives Q2 weights.
     """
     if system.n_positions != 8 or system.n_states != 8:
         raise ValueError("integrate_out expects the full Z_8 system")
-    exact = system.exact
-    if alpha is None:
-        alpha = _half(exact)
-    if beta is None:
-        beta = _half(exact)
     axis = (0, 4, 2, 6)
     pos = {a: i for i, a in enumerate(system.state_angles)}
     new = [system.probs[pos[a]] for a in axis]
     for ang in (1, 7, 3, 5):
         p_d = system.probs[pos[ang]]
-        a1 = _cos_index(ang, 8, exact)
-        a2 = _cos_index(ang - 2, 8, exact)   # sin = cos shifted by pi/2
+        a1 = _cos_index(ang, 8, system.exact)
+        a2 = _cos_index(ang - 2, 8, system.exact)   # sin = cos shifted by pi/2
         new[0] = new[0] + alpha * a1 * p_d
         new[1] = new[1] + (alpha - 1) * a1 * p_d
         new[2] = new[2] + beta * a2 * p_d
         new[3] = new[3] + (beta - 1) * a2 * p_d
-    return FiniteSpinSystem(
-        8, axis, tuple(new), system.observable_angles, exact=exact, signed=True
-    )
+    return FiniteSpinSystem(8, axis, tuple(new), system.observable_angles, signed=True)
 
 
 def zn_step_evolution(system: FiniteSpinSystem, steps: int) -> FiniteSpinSystem:
@@ -323,10 +323,7 @@ def zn_step_evolution(system: FiniteSpinSystem, steps: int) -> FiniteSpinSystem:
         if src not in pos:
             raise ValueError("state set is not closed under Z_N steps")
         new[i] = system.probs[pos[src]]
-    return FiniteSpinSystem(
-        n, system.state_angles, tuple(new), system.observable_angles,
-        exact=system.exact, signed=system.signed,
-    )
+    return FiniteSpinSystem(n, system.state_angles, tuple(new), system.observable_angles, signed=system.signed)
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +342,9 @@ def _check_cartesian_probs(p):
     p = list(p)
     if len(p) != 8:
         raise ValueError("cartesian spin ensembles have eight substates")
-    if _is_exact_seq(p):
-        _check_exact_probabilities(p)
-        return [Fraction(x) for x in p]
-    return check_probabilities([float(x) for x in p]).tolist()
+    exact = _is_exact_seq(p, (int, Fraction))   # a Q2 entry is read as a float
+    _check_probs(p, exact)
+    return [Fraction(x) for x in p] if exact else [float(x) for x in p]
 
 
 def cartesian_purity(p):
@@ -358,7 +354,7 @@ def cartesian_purity(p):
     sum_k <S_k>^2. Works elementwise on an (..., 8) float array, and exactly
     on Fraction inputs.
     """
-    arr = np.asarray(p, dtype=object if _is_exact_seq(p) else float)
+    arr = np.asarray(p, dtype=object if _is_exact_seq(p, (int, Fraction)) else float)
     if arr.shape[-1] != 8:
         raise ValueError("expected eight substate probabilities")
     p1, p2, p3, p4 = arr[..., 0], arr[..., 1], arr[..., 2], arr[..., 3]
@@ -372,15 +368,6 @@ def cartesian_purity(p):
         + p5 * p6 + p5 * p7
     )
     return 3 - 4 * lin + 4 * quad + 8 * cross
-
-
-def _is_exact_seq(p) -> bool:
-    if isinstance(p, np.ndarray) and p.dtype != object:
-        return False   # numpy scalars and rows are never int or Fraction
-    try:
-        return all(isinstance(x, (int, Fraction)) for x in list(p))
-    except TypeError:
-        return False
 
 
 class MeasurementOutcome(ValueRecord):

@@ -147,13 +147,24 @@ def canonical_direction(g) -> tuple[np.ndarray, int]:
     raise ValueError("zero direction vector")
 
 
+def _check_directions(directions: np.ndarray) -> None:
+    """Stored substate directions: unit (else ConstraintViolation), canonical and no two
+    within SAME_DIRECTION_TOL (else ValueError; canonical antipodes coincide)."""
+    for j, g in enumerate(directions):
+        if canonical_direction(g)[1] < 0:
+            raise ValueError(f"direction {g.tolist()} is not canonical: its first nonzero coordinate is < 0")
+        if j and np.abs(directions[:j] - g).max(axis=1).min() < SAME_DIRECTION_TOL:
+            raise ValueError("directions contain an antipodal or duplicate pair")
+
+
 class SubstateEnsemble(Record):
     """Finite classical ensemble on which listed observables have sharp values.
 
     A substate is a micro-state together with one sign per stored direction.
     The ensemble stores an (n, 2^m) probability ``table`` over the n base
-    micro-states times all 2^m sign patterns of its m ``directions`` (stored
-    canonicalised to a hemisphere). Column k is pattern k of
+    micro-states times all 2^m sign patterns of its m ``directions``, which
+    the constructor checks to be unit, canonical (first nonzero coordinate
+    > 0) and pairwise distinct beyond SAME_DIRECTION_TOL. Column k is pattern k of
     ``itertools.product((1, -1), repeat=m)``: direction j has the sign -1
     where bit m-1-j of k is set. A support without some pattern has a zero
     column there. The table is validated like any probability vector
@@ -172,6 +183,7 @@ class SubstateEnsemble(Record):
         table = np.asarray(table, dtype=float)
         if directions.shape[1:] != (3,) or table.shape[1:] != (2 ** len(directions),):
             raise ValueError("directions must have shape (m, 3) and the table shape (micro-states, 2^m)")
+        _check_directions(directions)
         check_probabilities(table.reshape(-1))
         self._set(directions, freeze(table))
 
@@ -227,7 +239,7 @@ def extend_to_substates(ensemble: Ensemble, directions) -> SubstateEnsemble:
         p(f, {gamma}) = p(f) * prod_j (1 + gamma_j f.g_j) / 2.
 
     Directions are canonicalised to one hemisphere first; a list containing an
-    antipodal pair (or an exact duplicate) is invalid input. The table's
+    antipodal pair (or a duplicate) is invalid input. The table's
     columns are the 2^m sign patterns in ``itertools.product((1, -1),
     repeat=m)`` order.
 
@@ -239,17 +251,12 @@ def extend_to_substates(ensemble: Ensemble, directions) -> SubstateEnsemble:
     """
     if ensemble.manifold not in ("s1", "s2"):
         raise ValueError("substate extension is defined for sphere ensembles")
-    canon = []
-    for g in directions:
-        c, _ = canonical_direction(g)
-        for prev in canon:
-            if np.abs(prev - c).max() < SAME_DIRECTION_TOL:
-                raise ValueError("directions contain an antipodal or duplicate pair")
-        canon.append(c)
-    if not canon:
+    canon = np.array([canonical_direction(g)[0] for g in directions])
+    if not len(canon):
         raise ValueError("need at least one direction")
     if len(canon) > 16:
         raise ValueError("more than 16 directions would create 2^m > 65536 substates")
+    _check_directions(canon)
     n, m = len(ensemble), len(canon)
     rows = n * 2**m
     if rows > MAX_SUBSTATE_ROWS:
@@ -257,7 +264,6 @@ def extend_to_substates(ensemble: Ensemble, directions) -> SubstateEnsemble:
             f"substate extension at (n, m) = ({n}, {m}) has n * 2^m = {rows} rows, "
             f"over the limit of {MAX_SUBSTATE_ROWS}"
         )
-    canon = np.array(canon)
     dots = ensemble.points @ canon.T   # (n, m)
     pm = np.array([1.0, -1.0])
     table = np.empty((n, 2**m))

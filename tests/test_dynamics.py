@@ -201,6 +201,13 @@ class TestVonNeumann:
         with pytest.raises(ValueError, match="non-finite"):
             integrate_von_neumann(np.array([0.0, 0.0, 1.0]), mat, (0.0, 1.0), 0.1)
 
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (1, 1)], ids=["3x3", "2x3", "1x1"])
+    def test_matrix_shape_rejected(self, shape):
+        # a wrong square shape would fail only later, as a dimension mismatch, and a
+        # non-square one inside the Hermiticity check; the constructor names the shape
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            Hamiltonian(np.zeros(shape))
+
     def test_caller_components_copied_and_stored_read_only(self):
         v = np.array([0.0, 0.0, 1.0])
         h = Hamiltonian(v)

@@ -77,7 +77,7 @@ class TestQ2:
 
 class TestZnSystems:
     def test_table_means_n8(self):
-        sys8 = zn_system(8, exact=True)
+        sys8 = zn_system(8, probs=(Fraction(1, 8),) * 8)
         table = sys8.mean_table()
         # axis spin in the four axis states, then the diagonal states
         assert table[0][:4] == [Q2(1), Q2(-1), Q2(0), Q2(0)]
@@ -96,14 +96,58 @@ class TestZnSystems:
         with pytest.raises(ValueError):
             zn_system(4, probs=(0.5, 0.5, 0.5, -0.5))
 
+    def test_exact_probabilities_give_exact_means(self):
+        # exact probabilities keep every mean in Q(sqrt 2): the uniform means are 0, not -2.8e-17
+        sys8 = zn_system(8, probs=(Fraction(1, 8),) * 8)
+        assert sys8.exact and sys8.expectations() == [0, 0, 0, 0]
+        assert all(isinstance(x, Q2) for x in sys8.expectations())
+        assert not zn_system(8).exact and pure_system(8, 3).exact
+
+    def test_exact_probabilities_need_n_dividing_8(self):
+        with pytest.raises(ValueError, match="N dividing 8"):
+            zn_system(16, probs=(Fraction(1, 16),) * 16)
+        with pytest.raises(ValueError, match="N dividing 8"):
+            pure_system(16, 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_signed_weights_must_be_finite(self, bad):
+        # signed waives nonnegativity and the total, not finiteness
+        with pytest.raises(ValueError, match="non-finite"):
+            FiniteSpinSystem(8, (0, 1), (bad, 0.5), (0,), signed=True)
+        assert FiniteSpinSystem(8, (0, 1), (-2.0, 0.5), (0,), signed=True).signed
+
+
+def _fraction_probs(weights):
+    return tuple(Fraction(w, sum(weights)) for w in weights)
+
+
+class TestExactFloatTwins:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 16), min_size=8, max_size=8).filter(any).map(_fraction_probs),
+           st.fractions(-4, 4, max_denominator=16), st.fractions(-4, 4, max_denominator=16),
+           st.integers(-9, 9))
+    def test_float_twin_agrees(self, probs, alpha, beta, steps):
+        # the same Z_8 system with exact and with float probabilities: the exact
+        # one stays in Q(sqrt 2), the float one in floats, and they agree to roundoff
+        exact = zn_system(8, probs=probs)
+        twin = zn_system(8, probs=tuple(float(p) for p in probs))
+        assert exact.exact and not twin.exact
+        pairs = [(exact, twin), (integrate_out(exact, alpha, beta), integrate_out(twin, alpha, beta)),
+                 (zn_step_evolution(exact, steps), zn_step_evolution(twin, steps))]
+        for a, b in pairs:
+            assert a.exact and not b.exact
+            assert all(isinstance(x, float) for x in b.expectations())
+            assert max(abs(float(x) - y) for x, y in zip(a.probs, b.probs)) <= 1e-12
+            assert max(abs(float(x) - y) for x, y in zip(a.expectations(), b.expectations())) <= 1e-12
+
 
 class TestRegion:
     def test_n4_summed_mean_bound(self):
-        region = realizable_region_check(zn_system(4, exact=True))
+        region = realizable_region_check(zn_system(4, probs=(Fraction(1, 4),) * 4))
         assert region.max_mean_sum == Q2(1)
 
     def test_n8_inradius_in_purity_terms(self):
-        region = realizable_region_check(zn_system(8, exact=True))
+        region = realizable_region_check(zn_system(8, probs=(Fraction(1, 8),) * 8))
         want = (Q2(2) + Q2(0, 1)) * Fraction(1, 4)   # (2 + sqrt 2)/4
         assert abs(region.inradius ** 2 - float(want)) < 1e-12
         assert abs(region.inradius - math.cos(math.pi / 8.0)) < 1e-12
@@ -121,7 +165,7 @@ class TestRegion:
 
 class TestIntegrateOut:
     def test_pure_diagonal_negative_weights(self):
-        eff = integrate_out(pure_system(8, 1, exact=True))
+        eff = integrate_out(pure_system(8, 1))
         # weights on (0), (pi), (pi/2), (-pi/2)
         assert eff.probs[0] == HALF_SQRT2 * Fraction(1, 2)
         assert eff.probs[1] == -HALF_SQRT2 * Fraction(1, 2)
@@ -132,7 +176,7 @@ class TestIntegrateOut:
 
     def test_axis_mass_unchanged(self):
         probs = (Fraction(1, 4),) * 4 + (Fraction(0),) * 4
-        sys8 = zn_system(8, probs=probs, exact=True)
+        sys8 = zn_system(8, probs=probs)
         eff = integrate_out(sys8)
         assert eff.probs == (Fraction(1, 4),) * 4
 
@@ -143,18 +187,18 @@ class TestIntegrateOut:
             raw[-1] = 1 - sum(raw[:-1])
             if raw[-1] < 0:
                 continue
-            sys8 = zn_system(8, probs=tuple(raw), exact=True)
+            sys8 = zn_system(8, probs=tuple(raw))
             alpha = Fraction(int(rng.integers(-8, 9)), 8)
             beta = Fraction(int(rng.integers(-8, 9)), 8)
             eff = integrate_out(sys8, alpha, beta)
             assert sys8.expectations() == eff.expectations()
 
     def test_nonnegativity_costs_total_sqrt2(self):
-        eff = integrate_out(pure_system(8, 1, exact=True), Fraction(1), Fraction(1))
+        eff = integrate_out(pure_system(8, 1), Fraction(1), Fraction(1))
         assert all(Q2.of(w) >= 0 for w in eff.probs)
         assert sum(eff.probs, Q2(0)) == Q2(0, 1)   # exactly sqrt 2
         # and any alpha, beta >= 1 keeps the total at or above sqrt 2
-        eff2 = integrate_out(pure_system(8, 1, exact=True), Fraction(3, 2), Fraction(5, 4))
+        eff2 = integrate_out(pure_system(8, 1), Fraction(3, 2), Fraction(5, 4))
         assert sum(eff2.probs, Q2(0)) >= Q2(0, 1)
 
     def test_requires_full_z8(self):
@@ -174,7 +218,7 @@ class TestReduceToRho:
         rng = np.random.default_rng(1)
         raw = [Fraction(int(x), 32) for x in rng.integers(0, 5, size=8)]
         raw[-1] = 1 - sum(raw[:-1])
-        sys8 = zn_system(8, probs=tuple(raw), exact=True)
+        sys8 = zn_system(8, probs=tuple(raw))
         direct = _rho_components(sys8)
         for alpha, beta in ((Fraction(1, 2), Fraction(1, 2)), (Fraction(2), Fraction(-1))):
             eff = integrate_out(sys8, alpha, beta)

@@ -285,6 +285,19 @@ class TestSubstates:
         with pytest.raises(ValueError, match="shape"):
             SubstateEnsemble(dirs[0], [[0.125] * 8])   # one direction, not three coordinates
 
+    @pytest.mark.parametrize("dirs, table, error, match", [
+        ([[-1.0, 0.0, 0.0]], [[0.5, 0.5]], ValueError, "not canonical"),
+        ([[0.0, -0.6, 0.8]], [[0.5, 0.5]], ValueError, "not canonical"),
+        ([[3.0, 0.0, 0.0]], [[0.5, 0.5]], ConstraintViolation, "not unit norm"),
+        ([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [[0.25] * 4], ValueError, "duplicate"),
+        ([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 1e-13]], [[0.125] * 8], ValueError, "duplicate"),
+    ], ids=["antipode", "antipode-y", "non-unit", "duplicate", "near-duplicate"])
+    def test_hand_built_directions_checked(self, dirs, table, error, match):
+        # no query can match a stored direction that is not canonical or not unit,
+        # and a duplicate would give one observable two columns
+        with pytest.raises(error, match=match):
+            SubstateEnsemble(dirs, table)
+
     def test_hand_built_rows_absent_cells_are_zero(self):
         # each micro-state puts all its weight on one pattern, (-,+) or (+,+);
         # the patterns it leaves out are zero columns

@@ -35,7 +35,8 @@ FACTORIES = {
     fourstate.BellCheck: lambda: fourstate.BellCheck(0.5, 1.0, False),
     finite.Q2: lambda: finite.Q2(1, Fraction(1, 2)),
     finite.FiniteSpinSystem: lambda: finite.zn_system(4),
-    finite.RegionDiagnostics: lambda: finite.realizable_region_check(finite.zn_system(4, exact=True)),
+    finite.RegionDiagnostics:
+        lambda: finite.realizable_region_check(finite.zn_system(4, probs=(Fraction(1, 4),) * 4)),
     finite.MeasurementOutcome: lambda: finite.cartesian_measure_sz([Fraction(1, 8)] * 8, "classical"),
     experiments.ExperimentConfig: lambda: experiments.ExperimentConfig("precession", {"dt": 0.01}),
     experiments.Check: _check,
