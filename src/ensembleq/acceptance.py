@@ -52,11 +52,17 @@ def _bell(params, seed):
 
 
 def _open_dynamics(params, seed):
-    """The decoherence and syncoherence bodies, plus the flow's rates."""
+    """The decoherence and syncoherence bodies, plus the flow's rates.
+
+    At the default d0 = eps2 (1 - P0) the eps1 mode is not excited; the last
+    row starts at d0 = 0.15, where both modes carry 0.05 of 1 - P0."""
     _, _, sync, sync_checks = experiments._syncoherence({}, seed)
+    both = experiments._syncoherence({"d0": 0.15}, seed)[2]
     return experiments._decoherence({}, seed)[3] + sync_checks + [
         _exact_check("eps1 of (a, b) = (3, 2)", sync["eps1"], 2.0),
         _exact_check("eps2 of (a, b) = (3, 2)", sync["eps2"], 1.0),
+        _tol_check("flow with both rates excited (d0 = 0.15) matches the closed form (rel)",
+                   both["max_rel_error"], 0.0, 1e-6),
     ]
 
 

@@ -9,10 +9,12 @@ The general reduced evolution adds a scaling rate D:
 
     d rho/dt = -i [H, rho] + D (rho - 1/2),   dP/dt = 2 D P.
 
-Integrators are fixed-step classical 4th order: ``_linear_flow`` for every
-constant-coefficient (linear) flow, ``_rk4`` for a rate D(bloch, t); spans over
-MAX_STEPS steps are rejected before allocating. Constraint violations along a
-trajectory (purity above one) abort loudly; nothing is clamped or projected.
+The two-state flows run on the Bloch vector; only the von Neumann equation of
+either dimension runs on the density matrix. Integrators are fixed-step
+classical 4th order: ``_linear_flow`` for every constant-coefficient (linear)
+flow, ``_rk4`` for a rate D(bloch, t); spans over MAX_STEPS steps are rejected
+before allocating. Constraint violations along a trajectory (purity above one)
+abort loudly; nothing is clamped or projected.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import math
 import numpy as np
 
 from . import qmatrix
-from .manifolds import BlochState, Ensemble
+from .manifolds import Ensemble
 from .qmatrix import LEVI, PAULI
 from .validate import (DRIFT_TOL, INVARIANT_TOL, PURITY_TOL, RATE_GAP_TOL, ConstraintViolation, Record,
                        ValueRecord, as_float_array, check_real, check_rotation, freeze)
@@ -101,12 +103,11 @@ def _purity(bloch: np.ndarray) -> np.ndarray:
 class Trajectory(Record):
     """A fixed-step run: the sample times and what the integrator produced there.
 
-    ``integrate_bloch`` and ``syncoherence_flow`` pass the Bloch
-    ``components``, which ``bloch`` returns; ``integrate_von_neumann`` and
-    ``integrate_open`` store the density ``matrices``, and ``integrate_open``
-    also the rate ``d_values``. For a matrix run ``bloch`` is the Bloch
-    components of the matrices (Pauli basis for 2x2, L basis for 4x4),
-    derived on first read and kept.
+    ``integrate_open`` (and so ``integrate_bloch``) and ``syncoherence_flow``
+    pass the Bloch ``components``, which ``bloch`` returns, and the rate
+    ``d_values``; only ``integrate_von_neumann`` stores density ``matrices``.
+    For a matrix run ``bloch`` is the Bloch components of the matrices (Pauli
+    basis for 2x2, L basis for 4x4), derived on first read and kept.
     """
 
     __slots__ = ("times", "matrices", "d_values", "_bloch")
@@ -242,16 +243,8 @@ def integrate_von_neumann(rho0, hamiltonian, t_span, dt: float) -> Trajectory:
 
 
 def integrate_bloch(rho0, hk, t_span, dt: float) -> Trajectory:
-    """Integrate the component form d rho_k/dt = 2 eps_lmk H_l rho_m directly.
-
-    rho0 is validated as in ``integrate_von_neumann``; hk is a real 3-vector."""
-    vec = BlochState(getattr(rho0, "rho", rho0)).rho
-    h_vec = as_float_array(hk, "H")
-    if vec.shape != (3,) or h_vec.shape != (3,):
-        raise ValueError("integrate_bloch needs a two-state Bloch vector and a real 3-vector H")
-    times, h, n = _steps(t_span, dt)
-    out = _linear_flow(vec, 2.0 * np.einsum("klm,l->km", LEVI, h_vec), h, n)
-    return Trajectory(times, out)
+    """Integrate the component form d rho_k/dt = 2 eps_lmk H_l rho_m: ``integrate_open`` at D = 0."""
+    return integrate_open(rho0, hk, 0.0, t_span, dt)
 
 
 def hamiltonian_from_rotation(s_of_t, t: float) -> np.ndarray:
@@ -286,37 +279,37 @@ def _check_purity(times, purity) -> None:
 def integrate_open(rho0, hamiltonian, d_rate, t_span, dt: float) -> Trajectory:
     """Integrate d rho/dt = -i [H, rho] + D (rho - 1/2) for the two-state system.
 
-    ``d_rate`` is a callable (bloch_vector, t) -> D, or a constant (a linear
-    flow in rho - 1/2). Purity obeys dP/dt = 2 D P along the trajectory. A
-    purity above 1 + PURITY_TOL aborts with a constraint-violation report
-    instead of being projected back.
+    The flow runs on the Bloch vector, d rho_k/dt = 2 eps_lmk H_l rho_m + D rho_k,
+    from the Pauli components of the checked density matrix and of H.
+    ``d_rate`` is a callable (bloch_vector, t) -> D, given a copy of the state,
+    or a constant (a linear flow). Purity obeys dP/dt = 2 D P along the
+    trajectory. A purity above 1 + PURITY_TOL aborts with a constraint-violation
+    report instead of being projected back.
     """
     ham = _as_hamiltonian(hamiltonian if hamiltonian is not None else np.zeros(3)).matrix()
     mat = qmatrix.density_matrix(rho0)
-    if mat.shape != (2, 2):
+    if mat.shape != (2, 2) or ham.shape != (2, 2):
         raise ValueError("open-system integration is implemented for the two-state system")
-    half = 0.5 * np.eye(2)
+    vec, h_vec = (np.einsum("kij,ji->k", PAULI, m).real for m in (mat, 0.5 * ham))
+    gen = 2.0 * np.einsum("klm,l->km", LEVI, h_vec)
     times, h, n = _steps(t_span, dt)
     if callable(d_rate):
         def rhs(y, t):
-            bloch = np.einsum("kij,ji->k", PAULI, y).real
-            return -1j * (ham @ y - y @ ham) + d_rate(bloch, t) * (y - half)
+            return gen @ y + d_rate(y.copy(), t) * y
 
-        mats = np.empty((n + 1, 2, 2), dtype=complex)
+        out = np.empty((n + 1, 3))
         d_vals = np.empty(n + 1)
-        mats[0] = mat
+        out[0] = vec
         for i in range(n + 1):
-            bloch_i = np.einsum("kij,ji->k", PAULI, mats[i]).real
-            d_vals[i] = d_rate(bloch_i, times[i])
-            _check_purity(times[i:i + 1], [float(bloch_i @ bloch_i)])
+            d_vals[i] = d_rate(out[i].copy(), times[i])
+            purity = float(out[i] @ out[i])
+            if purity > 1.0 + PURITY_TOL:
+                _check_purity(times[i:i + 1], [purity])
             if i < n:
-                mats[i + 1] = _rk4(mats[i], times[i], h, rhs)
-        return Trajectory(times, matrices=mats, d_values=d_vals)
+                out[i + 1] = _rk4(out[i], times[i], h, rhs)
+        return Trajectory(times, out, d_values=d_vals)
     d = float(d_rate)
-    gen = _commutator(ham) + d * np.eye(4)
-    mats = _linear_flow((mat - half).reshape(-1), gen, h, n).reshape(n + 1, 2, 2)
-    mats += half   # in place, so the trajectory is never held twice
-    traj = Trajectory(times, matrices=mats, d_values=np.full(n + 1, d))
+    traj = Trajectory(times, _linear_flow(vec, gen + d * np.eye(3), h, n), d_values=np.full(n + 1, d))
     _check_purity(times, traj.purity)
     return traj
 

@@ -508,12 +508,18 @@ def _four_state(params, seed):
                (psi_m, psi_p, fourstate.basis_psi(1), fourstate.basis_psi(4), mixed, rho_m)]
     moved = sum(not np.array_equal(fourstate.exchange_symmetry(v), v.rho)
                 for v in (bloch, fourstate.entangled_bloch(1)))
+    # a state with T1 and T2 both nonzero: (T1, T2, T3) = (1/2, -1/4, 1/4)
+    weights = (0.375, 0.375, 0.0, 0.25)
+    skewed = fourstate.outcomes_from_t(*(qmatrix.qm_expectation(qmatrix.l_operator(m), np.diag(weights))
+                                         for m in (1, 2, 3)))
     return checks + _interference({}, 0)[3] + [
         _tol_check("max |corr + cos(theta - phi)|", worst, 0.0, 1e-12),
         _exact_check("exchange classes of psi-, psi+, basis 1, basis 4, mixed, rho-",
                      classes == ["fermionic", "bosonic", "bosonic", "bosonic", "forbidden", "fermionic"],
                      True),
         _exact_check("entangled 15-vectors moved by the exchange map", moved, 0),
+        _exact_check("weights of diag(3/8, 3/8, 0, 1/4) from its T1, T2, T3",
+                     (skewed.w_pp, skewed.w_pm, skewed.w_mp, skewed.w_mm) == weights, True),
     ]
 
 

@@ -165,6 +165,8 @@ class FiniteSpinSystem(ValueRecord):
         self._set(n_positions, state_angles, probs, observable_angles, _is_exact_seq(probs), signed)
         if len(self.probs) != len(self.state_angles):
             raise ValueError("probs and state_angles lengths differ")
+        if not probs:
+            raise ValueError("a Z_N system needs at least one micro-state")
         if self.exact and 8 % n_positions:
             raise ValueError(f"exact probabilities need N dividing 8, got N = {n_positions}")
         if not signed:

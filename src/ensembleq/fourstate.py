@@ -244,15 +244,14 @@ def exchange_symmetry(f) -> np.ndarray:
 
 
 def is_exchange_symmetric(state) -> str:
-    """Classify a state under bit exchange.
+    """Classify a state under bit exchange E, read off its density matrix rho.
 
-    Pure states (wave function, or a pure density matrix / 15-vector):
-    "bosonic" if psi is invariant, "fermionic" if psi switches sign,
-    "forbidden" if the density matrix itself is not exchange symmetric.
-    Mixed exchange-symmetric density matrices report "symmetric". States are
-    compared to within PURITY_TOL. A wave function must be finite (else
-    ValueError) and have |psi|^2 within INVARIANT_TOL of 1 (else
-    ConstraintViolation).
+    A wave function psi must be finite (else ValueError) and have |psi|^2
+    within INVARIANT_TOL of 1 (else ConstraintViolation); it is read as
+    psi psi^dagger / |psi|^2. The state is "forbidden" if E rho E differs from
+    rho by more than PURITY_TOL, "symmetric" if it is mixed
+    (tr rho^2 < 1 - PURITY_TOL), and otherwise "bosonic" or "fermionic" by the
+    sign of tr(E rho) = psi^dagger E psi = +-1.
     """
     ex = exchange_matrix()
     arr = np.asarray(getattr(state, "rho", state))
@@ -263,17 +262,12 @@ def is_exchange_symmetric(state) -> str:
         norm2 = sum(c.real * c.real + c.imag * c.imag for c in psi.tolist())
         if abs(norm2 - 1.0) > INVARIANT_TOL:
             raise ConstraintViolation(f"wave function is not normalised: |psi|^2 = {norm2!r}")
-        swapped = ex @ psi
-        if np.abs(swapped - psi).max() <= PURITY_TOL:
-            return "bosonic"
-        if np.abs(swapped + psi).max() <= PURITY_TOL:
-            return "fermionic"
-        return "forbidden"
+        arr = np.outer(psi, psi.conj()) / norm2
     mat = qmatrix.density_matrix(arr)
     if mat.shape != (4, 4):
         raise DimensionMismatch("exchange symmetry is defined for four-state states")
     if np.abs(ex @ mat @ ex - mat).max() > PURITY_TOL:
         return "forbidden"
-    if float(np.trace(mat @ mat).real) >= 1.0 - PURITY_TOL:
-        return is_exchange_symmetric(qmatrix.wavefunction_from_pure(mat))
-    return "symmetric"
+    if float(np.trace(mat @ mat).real) < 1.0 - PURITY_TOL:
+        return "symmetric"
+    return "bosonic" if np.trace(ex @ mat).real > 0 else "fermionic"

@@ -7,8 +7,7 @@ against plain Hermitian matrix algebra living here:
     (L_k^2 = 1, tr L_k = 0, tr(L_k L_l) = 4 delta_kl),
   * density matrices rho = (1 + rho_k tau_k)/2 and rho = (1 + rho_k L_k)/4
     built from a vector of basis-observable expectation values,
-  * expectation values tr(A rho), wave functions for pure states and
-    (anti)commutator expectations.
+  * expectation values tr(A rho) and (anti)commutator expectations.
 
 The oracle functions (``qm_expectation``, the ``anticommutator*`` and
 ``nested_anticommutator_expectation`` values, ``quantum_product`` and
@@ -25,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .validate import INVARIANT_TOL, PURITY_TOL, ConstraintViolation, DimensionMismatch, check_finite
+from .validate import INVARIANT_TOL, ConstraintViolation, DimensionMismatch, check_finite
 
 PAULI = np.array(
     [
@@ -144,20 +143,20 @@ def density_from_bloch(state) -> np.ndarray:
     raise DimensionMismatch("Bloch vector must have 3 or 15 components")
 
 
-def check_density_matrix(rho, tol: float = INVARIANT_TOL) -> np.ndarray:
+def check_density_matrix(rho) -> np.ndarray:
     mat = np.asarray(rho, dtype=complex)
     if mat.shape not in ((2, 2), (4, 4)):
         raise DimensionMismatch("density matrix must be 2x2 or 4x4")
     if not np.isfinite(mat).all():
         raise ValueError("density matrix contains non-finite entries")
-    if np.abs(mat - mat.conj().T).max() > tol:
+    if np.abs(mat - mat.conj().T).max() > INVARIANT_TOL:
         raise ConstraintViolation("density matrix is not Hermitian")
-    if abs(np.trace(mat).real - 1.0) > tol or abs(np.trace(mat).imag) > tol:
+    if abs(np.trace(mat).real - 1.0) > INVARIANT_TOL or abs(np.trace(mat).imag) > INVARIANT_TOL:
         raise ConstraintViolation("density matrix trace is not 1")
     ev = np.linalg.eigvalsh(mat)
-    if ev.min() < -tol:
+    if ev.min() < -INVARIANT_TOL:
         raise ConstraintViolation(f"density matrix has a negative eigenvalue {ev.min()!r}")
-    if float(np.trace(mat @ mat).real) > 1.0 + tol:
+    if float(np.trace(mat @ mat).real) > 1.0 + INVARIANT_TOL:
         raise ConstraintViolation("tr rho^2 exceeds 1")
     return mat
 
@@ -180,30 +179,6 @@ def qm_expectation(op: np.ndarray, rho: np.ndarray) -> float:
     if np.abs(op - op.conj().T).max() <= INVARIANT_TOL and abs(val.imag) > INVARIANT_TOL:
         raise ConstraintViolation(f"expectation of Hermitian operator not real: {val!r}")
     return val.real
-
-
-def fix_phase(psi: np.ndarray) -> np.ndarray:
-    """Make the first component with modulus > PURITY_TOL real and positive."""
-    psi = np.asarray(psi, dtype=complex)
-    for c in psi:
-        if abs(c) > PURITY_TOL:
-            return psi * (c.conjugate() / abs(c))
-    raise ValueError("wave function is numerically zero")
-
-
-def wavefunction_from_pure(rho) -> np.ndarray:
-    """Wave function psi with psi psi^dagger = rho, for a pure density matrix.
-
-    The eigenvector of the largest eigenvalue, from the LAPACK Hermitian
-    eigensolver, for 2x2 and 4x4 alike. Mixed input (tr rho^2 < 1 - PURITY_TOL)
-    is rejected. The free global phase is fixed by ``fix_phase``.
-    """
-    mat = check_density_matrix(rho, tol=PURITY_TOL)
-    pur = float(np.trace(mat @ mat).real)
-    if pur < 1.0 - PURITY_TOL:
-        raise ConstraintViolation(f"not a pure state: tr rho^2 = {pur!r}")
-    evals, evecs = np.linalg.eigh(mat)
-    return fix_phase(evecs[:, int(np.argmax(evals))])
 
 
 def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

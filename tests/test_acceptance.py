@@ -172,6 +172,7 @@ PINNED_CHECKS = {
         ('flow matches the two-exponential closed form (rel)', 1e-06),
         ('eps1 of (a, b) = (3, 2)', 0.0),
         ('eps2 of (a, b) = (3, 2)', 0.0),
+        ('flow with both rates excited (d0 = 0.15) matches the closed form (rel)', 1e-06),
     ],
     "c8": [
         ('T1 of the entangled state', 0.0),
@@ -185,6 +186,7 @@ PINNED_CHECKS = {
         ('max |corr + cos(theta - phi)|', 1e-12),
         ('exchange classes of psi-, psi+, basis 1, basis 4, mixed, rho-', 0.0),
         ('entangled 15-vectors moved by the exchange map', 0.0),
+        ('weights of diag(3/8, 3/8, 0, 1/4) from its T1, T2, T3', 0.0),
     ],
     "c9": [
         ('max |poly - sum <S>^2|', 1e-12),

@@ -27,7 +27,7 @@ from ensembleq.dynamics import (
     _steps,
 )
 from ensembleq.fourstate import interference_trajectory
-from ensembleq.manifolds import Ensemble, reduce_ensemble
+from ensembleq.manifolds import BlochState, Ensemble, reduce_ensemble
 from ensembleq.validate import ConstraintViolation
 
 PAULI_OR_L = {2: qmatrix.PAULI, 4: qmatrix.L_BASIS}
@@ -252,11 +252,15 @@ class TestTrajectoryMemory:
                                (0.0, 1.0), 0.01),
     ], ids=["von-neumann-2", "von-neumann-4", "open-constant", "open-callable"])
     def test_bloch_owns_its_memory(self, run):
-        # a .real view would keep the complex array, twice its size, alive behind it
+        # a .real view would keep the complex array, twice its size, alive behind it;
+        # an open run stores its real components and no matrices
         traj = run()
         assert traj.bloch.base is None
-        basis = PAULI_OR_L[traj.matrices.shape[1]]
-        assert np.array_equal(traj.bloch, np.einsum("kij,nji->nk", basis, traj.matrices).real)
+        if traj.matrices is None:
+            assert traj.bloch.dtype == float and traj.bloch.shape == (len(traj.times), 3)
+        else:
+            basis = PAULI_OR_L[traj.matrices.shape[1]]
+            assert np.array_equal(traj.bloch, np.einsum("kij,nji->nk", basis, traj.matrices).real)
 
     def test_matrix_run_holds_only_matrices_and_times(self):
         rho0, ham = _random_state_and_hamiltonian(np.random.default_rng(12), 4)
@@ -316,7 +320,6 @@ class TestLinearFlow:
         call = integrate_open(rho0, h, lambda _b, _t: d, (0.0, 2.0), 0.01)
         np.testing.assert_array_equal(const.times, call.times)
         np.testing.assert_array_equal(const.d_values, call.d_values)
-        assert np.abs(const.matrices - call.matrices).max() <= 1e-12
         assert np.abs(const.bloch - call.bloch).max() <= 1e-12
 
     @pytest.mark.parametrize("run", [
@@ -406,7 +409,63 @@ class TestHamiltonianRecovery:
         np.testing.assert_allclose(h, hk, atol=1e-8)
 
 
+def _open_reference(rho0, hamiltonian, d_rate, t_span, dt) -> np.ndarray:
+    """Bloch rows of d y/dt = -i [H, y] + D (y - 1/2) stepped on the 2x2 matrix by _rk4."""
+    ham = Hamiltonian(hamiltonian).matrix()
+    rate = d_rate if callable(d_rate) else lambda _b, _t: d_rate
+
+    def bloch(y):
+        return np.einsum("kij,ji->k", qmatrix.PAULI, y).real
+
+    def rhs(y, t):
+        return -1j * (ham @ y - y @ ham) + rate(bloch(y), t) * (y - 0.5 * np.eye(2))
+
+    times, h, n = _steps(t_span, dt)
+    mats = [qmatrix.density_matrix(rho0)]
+    for i in range(n):
+        mats.append(_rk4(mats[-1], times[i], h, rhs))
+    return np.array([bloch(y) for y in mats])
+
+
 class TestOpenEvolution:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["vector", "matrix"]),
+           st.sampled_from(["vector", "state", "matrix"]), st.booleans())
+    def test_bloch_flow_matches_the_matrix_flow(self, seed, h_form, rho_form, rate_is_callable):
+        rng = np.random.default_rng(seed)
+        hk, rho_vec = rng.normal(size=3), random_bloch(rng)
+        h = hk if h_form == "vector" else qmatrix.operator_from_direction(hk, rng.normal())
+        rho0 = {"vector": rho_vec, "state": BlochState(rho_vec),
+                "matrix": qmatrix.density_from_bloch(rho_vec)}[rho_form]
+        c0, c1 = rng.uniform(0.0, 1.0, size=2)
+        if rate_is_callable:
+            # state- and time-dependent, and never above 0 at purity one
+            def d_rate(b, t):
+                return c0 * (1.0 - float(b @ b)) + c1 * (math.sin(t) - 1.0)
+        else:
+            d_rate = -c0
+        got = integrate_open(rho0, h, d_rate, (0.0, 1.0), 0.01)
+        assert np.abs(got.bloch - _open_reference(rho0, h, d_rate, (0.0, 1.0), 0.01)).max() <= 1e-12
+
+    def test_bloch_integrator_is_the_zero_rate_flow(self):
+        rng = np.random.default_rng(9)
+        for _ in range(5):
+            h, rho0 = rng.normal(size=3), random_bloch(rng)
+            closed = integrate_bloch(rho0, h, (0.0, 3.0), 0.01)
+            opened = integrate_open(rho0, h, 0.0, (0.0, 3.0), 0.01)
+            assert np.array_equal(closed.times, opened.times)
+            assert np.array_equal(closed.bloch, opened.bloch)
+
+    def test_rate_writing_into_its_argument_leaves_the_trajectory(self):
+        def clobber(b, _t):
+            b[:] = 7.0
+            return -0.2
+
+        rho0, h = np.array([0.3, 0.0, 0.4]), np.array([0.2, -0.5, 1.0])
+        got = integrate_open(rho0, h, clobber, (0.0, 1.0), 0.01)
+        want = integrate_open(rho0, h, lambda _b, _t: -0.2, (0.0, 1.0), 0.01)
+        assert np.array_equal(got.bloch, want.bloch)
+
     def test_constant_negative_rate_decay(self):
         d = -0.35
         rho0 = np.array([0.4, -0.2, 0.5])

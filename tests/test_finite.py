@@ -116,6 +116,13 @@ class TestZnSystems:
             FiniteSpinSystem(8, (0, 1), (bad, 0.5), (0,), signed=True)
         assert FiniteSpinSystem(8, (0, 1), (-2.0, 0.5), (0,), signed=True).signed
 
+    @pytest.mark.parametrize("signed", [False, True], ids=["unsigned", "signed"])
+    def test_empty_system_rejected(self, signed):
+        # the signed system's expectations() were [None]; the unsigned one failed as an invalid vector
+        with pytest.raises(ValueError, match="at least one micro-state") as info:
+            FiniteSpinSystem(8, (), (), (0,), signed=signed)
+        assert info.type is ValueError
+
 
 def _fraction_probs(weights):
     return tuple(Fraction(w, sum(weights)) for w in weights)

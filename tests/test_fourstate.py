@@ -353,6 +353,20 @@ class TestExchangeSymmetry:
         with pytest.raises(DimensionMismatch):
             is_exchange_symmetric(state)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["bosonic", "fermionic", "forbidden"]),
+           st.booleans())
+    def test_exchange_eigenspaces_by_sign(self, seed, want, as_matrix):
+        # E = +1 on psi_1, psi_4 and psi_2 + psi_3, E = -1 on psi_2 - psi_3; weight in both is forbidden
+        rng = np.random.default_rng(seed)
+        sym = (rng.normal(size=3) + 1j * rng.normal(size=3)) @ [basis_psi(1), basis_psi(4), entangled_psi(1)]
+        sym /= np.linalg.norm(sym)
+        weight = {"bosonic": 1.0, "fermionic": 0.0, "forbidden": rng.uniform(0.05, 0.95)}[want]
+        anti = np.exp(2j * math.pi * rng.random()) * entangled_psi(-1)
+        psi = math.sqrt(weight) * sym + math.sqrt(1.0 - weight) * anti
+        psi = np.exp(2j * math.pi * rng.random()) * psi / np.linalg.norm(psi)
+        assert is_exchange_symmetric(np.outer(psi, psi.conj()) if as_matrix else psi) == want
+
     def test_index_map_matches_conjugation(self):
         ex = exchange_matrix()
         perm = [exchange_symmetry(np.eye(15)[k]) for k in range(15)]

@@ -17,13 +17,11 @@ from ensembleq.qmatrix import (
     basis_identity_error,
     anticommutator_expectation,
     density_from_bloch,
-    fix_phase,
     l_operator,
     nested_anticommutator_expectation,
     operator_from_direction,
     qm_expectation,
     quantum_product,
-    wavefunction_from_pure,
 )
 from ensembleq.validate import ConstraintViolation
 
@@ -38,10 +36,6 @@ def random_bloch(rng, radius=1.0):
 def random_psi(rng, dim=2):
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return psi / np.linalg.norm(psi)
-
-
-def _dyad(psi) -> np.ndarray:
-    return np.outer(psi, psi.conj())
 
 
 def _basis(dim):
@@ -169,37 +163,6 @@ class TestExpectations:
         # conditional product; read as an array, its offset would be dropped
         with pytest.raises(TypeError):
             operator_from_direction(ProductObservable(np.array([0.5, 0.0, 0.0]), 0.25))
-
-
-class TestWaveFunctions:
-    def test_diagonal_projector(self):
-        np.testing.assert_array_equal(wavefunction_from_pure(np.diag([1.0, 0.0])), [1.0, 0.0])
-
-    def test_x_eigenstate(self):
-        rho = 0.5 * (np.eye(2) + PAULI[0])
-        np.testing.assert_allclose(wavefunction_from_pure(rho), np.array([SQ2, SQ2]),
-                                   atol=1e-12)
-
-    def test_entangled_state_psi(self):
-        rho = 0.25 * (np.eye(4) - l_operator(3) - (l_operator(12) - l_operator(14)))
-        psi = wavefunction_from_pure(rho)
-        np.testing.assert_allclose(psi, np.array([0.0, SQ2, -SQ2, 0.0]), atol=1e-9)
-
-    def test_mixed_rejected(self):
-        with pytest.raises(ConstraintViolation):
-            wavefunction_from_pure(0.5 * np.eye(2))
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4]))
-    def test_round_trip_random_pure(self, seed, dim):
-        rng = np.random.default_rng(seed)
-        psi = random_psi(rng, dim)
-        back = wavefunction_from_pure(_dyad(psi))
-        np.testing.assert_allclose(_dyad(back), _dyad(psi), atol=1e-9)
-
-    def test_phase_convention(self):
-        psi = fix_phase(np.array([0.0, -1.0j]))
-        assert psi[1].real > 0 and abs(psi[1].imag) < 1e-15
 
 
 class TestTransitions:
