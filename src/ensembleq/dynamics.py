@@ -4,17 +4,18 @@ evolution, and purity-changing flows.
 Purity-conserving evolution of the reduced state is an orthogonal rotation of
 the Bloch vector, equivalently conjugation of the density matrix by a unitary
 U = exp(i alpha_m tau_m); infinitesimally this is the von Neumann equation
-d rho/dt = -i [H, rho], on Bloch components d rho_k/dt = 2 eps_lmk H_l rho_m.
-The general reduced evolution adds a scaling rate D:
+d rho/dt = -i [H, rho]. For rho = (1 + rho_k B_k)/d and H = h_0 + h_k B_k, with
+[B_k, B_l] = 2i f_klm B_m, it is d rho_m/dt = 2 f_klm h_k rho_l: f = eps for
+the Pauli basis and f_klm = Im tr(L_k L_l L_m)/4 for the L basis (G. Kimura,
+Phys. Lett. A 314, 339 (2003)). The two-state evolution adds a scaling rate D:
 
     d rho/dt = -i [H, rho] + D (rho - 1/2),   dP/dt = 2 D P.
 
-The two-state flows run on the Bloch vector; only the von Neumann equation of
-either dimension runs on the density matrix. Integrators are fixed-step
-classical 4th order: ``_linear_flow`` for every constant-coefficient (linear)
-flow, ``_rk4`` for a rate D(bloch, t); spans over MAX_STEPS steps are rejected
-before allocating. Constraint violations along a trajectory (purity above one)
-abort loudly; nothing is clamped or projected.
+Every flow runs on real components, by fixed-step classical RK4: one
+precomputed step matrix for a constant-coefficient flow (``_linear_flow``),
+general steps for a rate D(bloch, t). Spans over MAX_STEPS steps are rejected
+before allocating; a purity above its pure-state value aborts, and nothing is
+clamped or projected.
 """
 from __future__ import annotations
 
@@ -24,18 +25,33 @@ import numpy as np
 
 from . import qmatrix
 from .manifolds import Ensemble
-from .qmatrix import LEVI, PAULI
-from .validate import (DRIFT_TOL, INVARIANT_TOL, PURITY_TOL, RATE_GAP_TOL, ConstraintViolation, Record,
-                       ValueRecord, as_float_array, check_real, check_rotation, freeze)
+from .qmatrix import L_BASIS, LEVI, PAULI
+from .validate import (INVARIANT_TOL, PURITY_TOL, RATE_GAP_TOL, ConstraintViolation, Record, ValueRecord,
+                       as_float_array, check_real, check_rotation, freeze)
 
 MAX_STEPS = 2**20
 
 # time step of the central difference in hamiltonian_from_rotation
 _DIFF_STEP = 3e-5
 
+# basis and structure constants f_klm, [B_k, B_l] = 2i f_klm B_m, by number of components;
+# f comes from one einsum, as a stacked complex matmul leaves about 0.35 MB more resident
+_ALGEBRA = {
+    3: (PAULI, LEVI),
+    15: (L_BASIS, np.einsum("kij,ljn,mni->klm", L_BASIS, L_BASIS, L_BASIS).imag / 4.0),
+}
+
+
+def _components(mat: np.ndarray) -> np.ndarray:
+    """tr(B_k M) of a 2x2 or 4x4 matrix M in the Pauli or L basis."""
+    basis = PAULI if len(mat) == 2 else L_BASIS
+    return np.einsum("kij,ji->k", basis, mat).real
+
 
 class Hamiltonian(Record):
-    """H = h_k tau_k for the two-state system, or an explicit matrix."""
+    """H = h_0 + h_k B_k stored as its 3 (Pauli) or 15 (L basis) components h_k,
+    given as such or as a 2x2 or 4x4 Hermitian matrix, converted once,
+    h_k = tr(B_k H)/d: h_0 drops out of every commutator."""
 
     __slots__ = ("hk",)
 
@@ -48,22 +64,22 @@ class Hamiltonian(Record):
                 raise ValueError("Hamiltonian matrix contains non-finite entries")
             if np.abs(arr - arr.conj().T).max() > INVARIANT_TOL:
                 raise ConstraintViolation("Hamiltonian matrix is not Hermitian")
-            arr = freeze(arr.astype(complex), copy=False)
+            arr = freeze(_components(arr) / len(arr), copy=False)
         else:
             arr = as_float_array(arr, "hk")
-            if arr.shape != (3,):
-                raise ValueError("component form must be a real 3-vector")
+            if arr.shape not in ((3,), (15,)):
+                raise ValueError("component form must be a real 3- or 15-vector")
             arr = freeze(arr)
         self._set(arr)
 
-    def matrix(self) -> np.ndarray:
-        if self.hk.ndim == 2:
-            return self.hk
-        return qmatrix.operator_from_direction(self.hk)
 
-
-def _as_hamiltonian(h) -> Hamiltonian:
-    return h if isinstance(h, Hamiltonian) else Hamiltonian(h)
+def _flow(rho0, hamiltonian) -> tuple[np.ndarray, np.ndarray]:
+    """Bloch vector of the checked state rho0, and the generator 2 f.h that H drives on it."""
+    vec = _components(qmatrix.density_matrix(rho0))
+    hk = (hamiltonian if isinstance(hamiltonian, Hamiltonian) else Hamiltonian(hamiltonian)).hk
+    if len(hk) != len(vec):
+        raise ValueError("Hamiltonian and state dimensions differ")
+    return vec, 2.0 * np.einsum("klm,l->km", _ALGEBRA[len(vec)][1], hk)
 
 
 class FlowParams(ValueRecord):
@@ -93,39 +109,31 @@ class FlowParams(ValueRecord):
 
 def _purity(bloch: np.ndarray) -> np.ndarray:
     """sum_k bloch_k^2 of each row, added in k order whatever the memory layout."""
-    squares = bloch * bloch
-    total = squares[:, 0].copy()
-    for column in squares.T[1:]:
-        total += column
+    total = bloch[:, 0] * bloch[:, 0]
+    for column in bloch.T[1:]:
+        total += column * column
     return total
 
 
 class Trajectory(Record):
-    """A fixed-step run: the sample times and what the integrator produced there.
+    """A fixed-step run: the sample times, the real components there (``bloch``:
+    the Bloch vector in the Pauli or L basis, or P for ``syncoherence_flow``),
+    and the rate D, None for a von Neumann run."""
 
-    ``integrate_open`` (and so ``integrate_bloch``) and ``syncoherence_flow``
-    pass the Bloch ``components``, which ``bloch`` returns, and the rate
-    ``d_values``; only ``integrate_von_neumann`` stores density ``matrices``.
-    For a matrix run ``bloch`` is the Bloch components of the matrices (Pauli
-    basis for 2x2, L basis for 4x4), derived on first read and kept.
-    """
+    __slots__ = ("times", "bloch", "d_values")
 
-    __slots__ = ("times", "matrices", "d_values", "_bloch")
-
-    def __init__(self, times: np.ndarray, components: np.ndarray | None = None,
-                 matrices: np.ndarray | None = None, d_values: np.ndarray | None = None):
-        self._set(times, matrices, d_values, components)
-
-    @property
-    def bloch(self) -> np.ndarray:
-        if self._bloch is None:
-            basis = PAULI if self.matrices.shape[1] == 2 else qmatrix.L_BASIS
-            object.__setattr__(self, "_bloch", np.einsum("kij,nji->nk", basis, self.matrices).real.copy())
-        return self._bloch
+    def __init__(self, times: np.ndarray, bloch: np.ndarray, d_values: np.ndarray | None = None):
+        self._set(times, bloch, d_values)
 
     @property
     def purity(self) -> np.ndarray:
         return _purity(self.bloch)
+
+    @property
+    def matrices(self) -> np.ndarray:
+        """The density matrices (1 + rho_k B_k)/d of a Bloch run, rebuilt on each read."""
+        basis = _ALGEBRA[self.bloch.shape[1]][0]
+        return (np.eye(len(basis[0])) + np.einsum("nk,kij->nij", self.bloch, basis)) / len(basis[0])
 
 
 # ---------------------------------------------------------------------------
@@ -185,14 +193,6 @@ def _steps(t_span, dt: float) -> tuple[np.ndarray, float, int]:
     return t0 + h * np.arange(n + 1), h, n
 
 
-def _rk4(y, t, h, rhs):
-    k1 = rhs(y, t)
-    k2 = rhs(y + 0.5 * h * k1, t + 0.5 * h)
-    k3 = rhs(y + 0.5 * h * k2, t + 0.5 * h)
-    k4 = rhs(y + h * k3, t + h)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 @np.errstate(over="ignore", invalid="ignore")   # an overflow is raised below, not warned
 def _linear_flow(y0, generator, h: float, n: int) -> np.ndarray:
     """(n + 1, dim) RK4 trajectory of dy/dt = A y from y0 with step h.
@@ -218,28 +218,17 @@ def _linear_flow(y0, generator, h: float, n: int) -> np.ndarray:
     return out
 
 
-def _commutator(ham: np.ndarray) -> np.ndarray:
-    """Generator of y -> -i [H, y] on row-major flattened matrices y."""
-    eye = np.eye(ham.shape[0])
-    return -1j * (np.kron(ham, eye) - np.kron(eye, ham.T))
-
-
 def integrate_von_neumann(rho0, hamiltonian, t_span, dt: float) -> Trajectory:
-    """Fixed-step RK4 integration of d rho/dt = -i [H, rho].
+    """Fixed-step RK4 integration of d rho/dt = -i [H, rho] on the Bloch components.
 
-    Accepts a density matrix, BlochState or Bloch vector. Trace and
-    Hermiticity drift beyond DRIFT_TOL over the span abort the run.
+    Takes a density matrix, BlochState or Bloch vector of either size, and H of
+    the same size. A purity above its pure-state value by over PURITY_TOL aborts.
     """
-    ham = _as_hamiltonian(hamiltonian).matrix()
-    mat = qmatrix.density_matrix(rho0)
-    if ham.shape != mat.shape:
-        raise ValueError("Hamiltonian and state dimensions differ")
+    vec, gen = _flow(rho0, hamiltonian)
     times, h, n = _steps(t_span, dt)
-    mats = _linear_flow(mat.reshape(-1), _commutator(ham), h, n).reshape((n + 1,) + mat.shape)
-    mat = mats[-1]
-    if abs(np.trace(mat).real - 1.0) > DRIFT_TOL or np.abs(mat - mat.conj().T).max() > DRIFT_TOL:
-        raise ConstraintViolation(f"integrator drifted: trace/Hermiticity broken beyond {DRIFT_TOL:g}")
-    return Trajectory(times, matrices=mats)
+    bloch = _linear_flow(vec, gen, h, n)
+    _check_purity(times, bloch)
+    return Trajectory(times, bloch)
 
 
 def integrate_bloch(rho0, hk, t_span, dt: float) -> Trajectory:
@@ -265,13 +254,16 @@ def hamiltonian_from_rotation(s_of_t, t: float) -> np.ndarray:
 # purity-changing flows
 # ---------------------------------------------------------------------------
 
-def _check_purity(times, purity) -> None:
-    """Abort at the first of ``times`` whose purity exceeds 1 + PURITY_TOL."""
-    bad = np.flatnonzero(np.asarray(purity) > 1.0 + PURITY_TOL)
+def _check_purity(times, bloch: np.ndarray) -> None:
+    """Abort at the first of ``times`` whose purity sum_k bloch_k^2 exceeds its
+    pure-state value, 1 for 3 components and 3 for 15, by over PURITY_TOL."""
+    bound = 1.0 if bloch.shape[1] == 3 else 3.0
+    purity = _purity(bloch)
+    bad = np.flatnonzero(purity > bound + PURITY_TOL)
     if bad.size:
         i = bad[0]
         raise ConstraintViolation(
-            f"purity exceeded 1 at t = {times[i]!r}: P = {float(purity[i])!r}; "
+            f"purity exceeded {bound:g} at t = {times[i]!r}: P = {float(purity[i])!r}; "
             "the flow left the physical region"
         )
 
@@ -281,37 +273,38 @@ def integrate_open(rho0, hamiltonian, d_rate, t_span, dt: float) -> Trajectory:
 
     The flow runs on the Bloch vector, d rho_k/dt = 2 eps_lmk H_l rho_m + D rho_k,
     from the Pauli components of the checked density matrix and of H.
-    ``d_rate`` is a callable (bloch_vector, t) -> D, given a copy of the state,
-    or a constant (a linear flow). Purity obeys dP/dt = 2 D P along the
-    trajectory. A purity above 1 + PURITY_TOL aborts with a constraint-violation
-    report instead of being projected back.
+    ``d_rate`` is a callable (bloch_vector, t) -> D, given a copy of the state
+    and called four times per RK4 step, or a constant (a linear flow). Purity
+    obeys dP/dt = 2 D P along the trajectory. A purity above 1 + PURITY_TOL
+    aborts with a constraint-violation report instead of being projected back.
     """
-    ham = _as_hamiltonian(hamiltonian if hamiltonian is not None else np.zeros(3)).matrix()
-    mat = qmatrix.density_matrix(rho0)
-    if mat.shape != (2, 2) or ham.shape != (2, 2):
+    vec, gen = _flow(rho0, hamiltonian if hamiltonian is not None else np.zeros(3))
+    if len(vec) != 3:
         raise ValueError("open-system integration is implemented for the two-state system")
-    vec, h_vec = (np.einsum("kij,ji->k", PAULI, m).real for m in (mat, 0.5 * ham))
-    gen = 2.0 * np.einsum("klm,l->km", LEVI, h_vec)
     times, h, n = _steps(t_span, dt)
-    if callable(d_rate):
-        def rhs(y, t):
-            return gen @ y + d_rate(y.copy(), t) * y
+    if not callable(d_rate):
+        d = float(d_rate)
+        bloch = _linear_flow(vec, gen + d * np.eye(3), h, n)
+        _check_purity(times, bloch)
+        return Trajectory(times, bloch, np.full(n + 1, d))
 
-        out = np.empty((n + 1, 3))
-        d_vals = np.empty(n + 1)
-        out[0] = vec
-        for i in range(n + 1):
-            d_vals[i] = d_rate(out[i].copy(), times[i])
-            purity = float(out[i] @ out[i])
-            if purity > 1.0 + PURITY_TOL:
-                _check_purity(times[i:i + 1], [purity])
-            if i < n:
-                out[i + 1] = _rk4(out[i], times[i], h, rhs)
-        return Trajectory(times, out, d_values=d_vals)
-    d = float(d_rate)
-    traj = Trajectory(times, _linear_flow(vec, gen + d * np.eye(3), h, n), d_values=np.full(n + 1, d))
-    _check_purity(times, traj.purity)
-    return traj
+    def rate(y, t):
+        return gen @ y + d_rate(y.copy(), t) * y
+
+    out, d_vals = np.empty((n + 1, 3)), np.empty(n + 1)
+    out[0] = vec
+    for i in range(n + 1):
+        y, t = out[i], times[i]
+        d_vals[i] = d_rate(y.copy(), t)
+        if float(y @ y) > 1.0 + PURITY_TOL:
+            _check_purity(times[i:i + 1], out[i:i + 1])
+        if i < n:   # an RK4 step whose first stage reuses D(y, t)
+            k1 = gen @ y + d_vals[i] * y
+            k2 = rate(y + 0.5 * h * k1, t + 0.5 * h)
+            k3 = rate(y + 0.5 * h * k2, t + 0.5 * h)
+            k4 = rate(y + h * k3, t + h)
+            out[i + 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return Trajectory(times, out, d_vals)
 
 
 def syncoherence_flow(p0: float, d0: float, params: FlowParams, t_span, dt: float) -> Trajectory:
@@ -334,7 +327,7 @@ def syncoherence_flow(p0: float, d0: float, params: FlowParams, t_span, dt: floa
         raise ConstraintViolation(
             f"purity exceeded 1 at t = {times[bad[0]]!r}: a pure state cannot get purer"
         )
-    return Trajectory(times, 1.0 - state[:, :1], d_values=state[:, 1])
+    return Trajectory(times, 1.0 - state[:, :1], state[:, 1])
 
 
 def syncoherence_closed_form(p0: float, d0: float, params: FlowParams, times) -> tuple[np.ndarray, np.ndarray]:

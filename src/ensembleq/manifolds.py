@@ -33,6 +33,7 @@ from .validate import (
     check_probabilities,
     check_unit_vector,
     freeze,
+    real_array,
 )
 
 MANIFOLDS = ("s1", "s2", "four")
@@ -59,7 +60,7 @@ class BlochState(Record):
     __slots__ = ("rho",)
 
     def __init__(self, rho: np.ndarray):
-        vec = np.asarray(rho, dtype=float)
+        vec = real_array(rho, "rho")
         if vec.shape == (3,):
             # Python floats overflow to inf without a warning, and cost less to check than a ufunc
             x, y, z = check_finite(vec.tolist(), "rho")

@@ -29,6 +29,7 @@ from .validate import (
     check_finite,
     check_unit_vector,
     freeze,
+    real_array,
 )
 
 
@@ -42,7 +43,7 @@ class TwoLevelObservable(Record):
     __slots__ = ("e", "e0")
 
     def __init__(self, e: np.ndarray, e0: float = 0.0):
-        vec = freeze(e, float)
+        vec = freeze(real_array(e, "e"))
         if vec.shape not in ((3,), (15,)):
             raise ValueError("direction must have 3 or 15 components")
         check_finite(vec.tolist(), "e")
@@ -69,7 +70,7 @@ class ProductObservable(Record):
 
     def __init__(self, e: np.ndarray, e0: float = 0.0):
         vec = as_float_array(e, "e")
-        self._set(freeze(vec, float), float(e0))
+        self._set(freeze(vec), float(e0))
         reach = float(np.linalg.norm(vec)) + abs(self.e0)
         if reach > 1.0 + INVARIANT_TOL:
             raise ValueError("mean function exceeds the +-1 outcome range")

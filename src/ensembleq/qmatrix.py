@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .validate import INVARIANT_TOL, ConstraintViolation, DimensionMismatch, check_finite
+from .validate import INVARIANT_TOL, ConstraintViolation, DimensionMismatch, check_finite, real_array
 
 PAULI = np.array(
     [
@@ -125,7 +125,7 @@ def density_from_bloch(state) -> np.ndarray:
     Rejects non-finite vectors, and vectors violating the purity bound or
     positivity beyond INVARIANT_TOL. The 2x2 matrix is written entry by entry.
     """
-    rho_vec = np.asarray(getattr(state, "rho", state), dtype=float)
+    rho_vec = real_array(getattr(state, "rho", state), "Bloch vector")
     if rho_vec.shape == (3,):
         x, y, z = check_finite(rho_vec.tolist(), "Bloch vector")
         if x * x + y * y + z * z > 1.0 + INVARIANT_TOL:   # Python floats overflow to inf without a warning

@@ -33,10 +33,6 @@ ZERO_TOL = 1e-15
 # exchange class read off such a state are resolved to the same accuracy.
 PURITY_TOL = 1e-9
 
-# Trace and hermiticity drift an integrated density matrix may show at the
-# end of its span.
-DRIFT_TOL = 1e-10
-
 # Canonical directions closer than this in every coordinate name the same
 # observable. Two unit vectors that pass check_unit_vector and point the same
 # way differ by under 5e-13. The window must stay this narrow: the pair
@@ -75,8 +71,7 @@ class Record:
 
     A record lists its fields in ``__slots__`` and sets them once, in
     ``__init__``, through ``_set``; assigning or deleting an attribute
-    afterwards raises AttributeError. A slot whose name starts with ``_`` is
-    not a field: it is left out of ``repr`` and equality.
+    afterwards raises AttributeError. Every slot is a field, shown by ``repr``.
     """
 
     __slots__ = ()
@@ -87,7 +82,7 @@ class Record:
             object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
-        return tuple(getattr(self, k) for k in self.__slots__ if k[0] != "_")
+        return tuple(getattr(self, k) for k in self.__slots__)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -96,7 +91,7 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self):
-        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__ if k[0] != "_")
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
         return f"{type(self).__name__}({fields})"
 
     def __reduce_ex__(self, protocol):
@@ -119,8 +114,17 @@ class ValueRecord(Record):
         return hash(self._fields())
 
 
+def real_array(x, name: str) -> np.ndarray:
+    """x as a float array. Complex entries are a ValueError naming ``name``:
+    casting them would drop their imaginary part."""
+    arr = np.asarray(x)
+    if arr.dtype.kind == "c":
+        raise ValueError(f"{name} has complex entries")
+    return arr if arr.dtype == float else arr.astype(float)
+
+
 def as_float_array(x, name: str = "array") -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
+    arr = real_array(x, name)
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
@@ -136,7 +140,7 @@ def check_finite(values, name: str):
     return values
 
 
-def freeze(x, dtype=None, copy: bool = True) -> np.ndarray:
+def freeze(x, copy: bool = True) -> np.ndarray:
     """Read-only array with the values of x that no other reference can change.
 
     A caller's array is copied. An array that is already read-only and owns
@@ -144,7 +148,7 @@ def freeze(x, dtype=None, copy: bool = True) -> np.ndarray:
     again. copy=False seals x in place; it is for an array the module has
     just built and holds the only reference to.
     """
-    arr = np.asarray(x, dtype=dtype)
+    arr = np.asarray(x)
     if copy and (arr.flags.writeable or arr.base is not None):
         arr = arr.copy()
     arr.setflags(write=False)

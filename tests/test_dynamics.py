@@ -22,15 +22,22 @@ from ensembleq.dynamics import (
     rotation_from_generator,
     syncoherence_closed_form,
     syncoherence_flow,
+    _ALGEBRA,
     _linear_flow,
-    _rk4,
     _steps,
 )
 from ensembleq.fourstate import interference_trajectory
 from ensembleq.manifolds import BlochState, Ensemble, reduce_ensemble
 from ensembleq.validate import ConstraintViolation
 
-PAULI_OR_L = {2: qmatrix.PAULI, 4: qmatrix.L_BASIS}
+
+def _rk4_step(y, t, h, rhs):
+    """One classical RK4 step of dy/dt = rhs(y, t)."""
+    k1 = rhs(y, t)
+    k2 = rhs(y + 0.5 * h * k1, t + 0.5 * h)
+    k3 = rhs(y + 0.5 * h * k2, t + 0.5 * h)
+    k4 = rhs(y + h * k3, t + h)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def random_unit(rng):
@@ -59,6 +66,19 @@ def random_rotation(rng):
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+class TestStructureConstants:
+    @pytest.mark.parametrize("size, nonzero", [(3, 6), (15, 120)], ids=["pauli", "l-basis"])
+    def test_table_gives_every_commutator(self, size, nonzero):
+        # [B_k, B_l] = 2i f_klm B_m with f totally antisymmetric and every entry 0 or +-1
+        basis, f = _ALGEBRA[size]
+        assert np.array_equal(f, -f.transpose(1, 0, 2)) and np.array_equal(f, -f.transpose(0, 2, 1))
+        assert set(np.unique(f)) == {-1.0, 0.0, 1.0} and np.count_nonzero(f) == nonzero
+        for k in range(size):
+            for l in range(size):
+                commutator = basis[k] @ basis[l] - basis[l] @ basis[k]
+                assert np.array_equal(commutator, 2j * np.einsum("m,mij->ij", f[k, l], basis))
 
 
 class TestRotateDistribution:
@@ -145,27 +165,60 @@ class TestVonNeumann:
         assert np.abs(traj.purity - 1.0).max() < 1e-10
 
     def test_matrix_and_bloch_integrators_agree(self):
+        # both run the same generator 2 eps.h through the same linear flow
         rng = np.random.default_rng(3)
         for _ in range(5):
             h = rng.normal(size=3)
             rho0 = random_bloch(rng)
             tm = integrate_von_neumann(rho0, h, (0.0, 10.0), 0.002)
             tb = integrate_bloch(rho0, h, (0.0, 10.0), 0.002)
-            assert np.abs(tm.bloch - tb.bloch).max() < 1e-8
+            assert np.array_equal(tm.times, tb.times)
+            assert np.array_equal(tm.bloch, tb.bloch)
 
     def test_energy_conserved(self):
         rng = np.random.default_rng(4)
         h = rng.normal(size=3)
-        ham = Hamiltonian(h)
-        traj = integrate_von_neumann(random_bloch(rng), ham, (0.0, 10.0), 0.002)
-        energies = [qmatrix.qm_expectation(ham.matrix(), m) for m in traj.matrices]
+        traj = integrate_von_neumann(random_bloch(rng), Hamiltonian(h), (0.0, 10.0), 0.002)
+        energies = [qmatrix.qm_expectation(qmatrix.operator_from_direction(h), m) for m in traj.matrices]
         assert max(energies) - min(energies) < 1e-8
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_four_state_flow_follows_the_unitary_conjugation(self, seed):
+        # rho_k(t) = tr(L_k U rho U^dagger) with U = exp(-i H t); H has a trace part
+        rng = np.random.default_rng(seed)
+        rho0, ham = _random_state_and_hamiltonian(rng, 4)
+        ham = 0.5 * ham + rng.normal() * np.eye(4)
+        traj = integrate_von_neumann(rho0, ham, (0.0, 0.1), 5e-4)
+        lam, vec = np.linalg.eigh(ham)
+        u = np.einsum("ij,tj,kj->tik", vec, np.exp(-1j * np.outer(traj.times, lam)), vec.conj())
+        want = np.einsum("kij,tjl,tli->tk", qmatrix.L_BASIS, u @ rho0, u.conj().transpose(0, 2, 1)).real
+        assert np.abs(traj.bloch - want).max() <= 1e-10
+
+    def test_matrices_are_the_density_matrices_of_the_rows(self):
+        rng = np.random.default_rng(8)
+        for dim in (2, 4):
+            rho0, ham = _random_state_and_hamiltonian(rng, dim)
+            traj = integrate_von_neumann(rho0, ham, (0.0, 0.5), 0.01)
+            want = [qmatrix.density_from_bloch(row) for row in traj.bloch]
+            assert np.array_equal(traj.matrices, want)
+
+    @pytest.mark.parametrize("rho0, ham", [
+        (np.array([0.6, 0.0, 0.8]), np.array([0.0, 0.0, 20.0])),
+        (0.5 * np.eye(15)[0], 20.0 * (qmatrix.l_operator(4) + qmatrix.l_operator(8))),
+    ], ids=["two-state", "four-state"])
+    def test_unstable_step_aborts_on_purity(self, rho0, ham):
+        # omega dt = 4 lies outside RK4's stability interval: the purity grows
+        # every step, while the step keeps the trace exactly
+        bound = 1 if len(rho0) == 3 else 3
+        with pytest.raises(ConstraintViolation, match=f"purity exceeded {bound} at t = "):
+            integrate_von_neumann(rho0, ham, (0.0, 5.0), 0.1)
 
     def test_pure_state_matches_schrodinger(self):
         # psi(t) = exp(-i H t) psi(0) for constant H; compare the projector
         rng = np.random.default_rng(5)
         h = rng.normal(size=3)
-        ham = Hamiltonian(h).matrix()
+        ham = qmatrix.operator_from_direction(h)
         psi0 = rng.normal(size=2) + 1j * rng.normal(size=2)
         psi0 /= np.linalg.norm(psi0)
         traj = integrate_von_neumann(_dyad(psi0), h, (0.0, 5.0), 0.001)
@@ -212,7 +265,7 @@ class TestVonNeumann:
         v = np.array([0.0, 0.0, 1.0])
         h = Hamiltonian(v)
         v[2] = 5.0
-        assert h.matrix()[0, 0] == 1.0
+        assert h.hk[2] == 1.0
         assert not h.hk.flags.writeable
         with pytest.raises(ValueError):
             h.hk[2] = 5.0
@@ -222,10 +275,23 @@ class TestVonNeumann:
         mat = np.array([[1.0, 0.5], [0.5, -1.0]], dtype=dtype)
         h = Hamiltonian(mat)
         mat[0, 0] = 5.0
-        np.testing.assert_array_equal(h.matrix(), [[1.0, 0.5], [0.5, -1.0]])
+        np.testing.assert_array_equal(h.hk, [0.5, 0.0, 1.0])
         assert not h.hk.flags.writeable
         with pytest.raises(ValueError):
-            h.hk[0, 0] = 5.0
+            h.hk[0] = 5.0
+
+    def test_matrix_stored_as_components_without_its_trace(self):
+        rng = np.random.default_rng(11)
+        for dim, basis in ((2, qmatrix.PAULI), (4, qmatrix.L_BASIS)):
+            hk = rng.normal(size=len(basis))
+            h = Hamiltonian(np.einsum("k,kij->ij", hk, basis) + rng.normal() * np.eye(dim))
+            np.testing.assert_allclose(h.hk, hk, rtol=0.0, atol=1e-14)
+            # the stored components build the same Hamiltonian and drive the same run
+            rho0, _ = _random_state_and_hamiltonian(rng, dim)
+            again = Hamiltonian(h.hk)
+            assert np.array_equal(again.hk, h.hk)
+            assert np.array_equal(integrate_von_neumann(rho0, again, (0.0, 0.1), 0.01).bloch,
+                                  integrate_von_neumann(rho0, h, (0.0, 0.1), 0.01).bloch)
 
 
 def _four_state_von_neumann():
@@ -252,17 +318,12 @@ class TestTrajectoryMemory:
                                (0.0, 1.0), 0.01),
     ], ids=["von-neumann-2", "von-neumann-4", "open-constant", "open-callable"])
     def test_bloch_owns_its_memory(self, run):
-        # a .real view would keep the complex array, twice its size, alive behind it;
-        # an open run stores its real components and no matrices
+        # every run stores its real components in an array of its own, and no matrices
         traj = run()
-        assert traj.bloch.base is None
-        if traj.matrices is None:
-            assert traj.bloch.dtype == float and traj.bloch.shape == (len(traj.times), 3)
-        else:
-            basis = PAULI_OR_L[traj.matrices.shape[1]]
-            assert np.array_equal(traj.bloch, np.einsum("kij,nji->nk", basis, traj.matrices).real)
+        assert traj.bloch.base is None and traj.bloch.dtype == float
+        assert traj.bloch.shape in ((len(traj.times), 3), (len(traj.times), 15))
 
-    def test_matrix_run_holds_only_matrices_and_times(self):
+    def test_four_state_run_holds_only_components_and_times(self):
         rho0, ham = _random_state_and_hamiltonian(np.random.default_rng(12), 4)
         integrate_von_neumann(rho0, ham, (0.0, 0.01), 1e-3)   # warm numpy's caches
         tracemalloc.start()
@@ -271,18 +332,9 @@ class TestTrajectoryMemory:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(traj.times) == 10_001
-        assert peak < 3 * 2**20
-        assert held <= traj.matrices.nbytes + traj.times.nbytes + 64 * 2**10
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4]))
-    def test_bloch_is_derived_once_from_the_matrices(self, seed, dim):
-        rho0, ham = _random_state_and_hamiltonian(np.random.default_rng(seed), dim)
-        traj = integrate_von_neumann(rho0, ham, (0.0, 0.5), 0.01)
-        want = np.einsum("kij,nji->nk", PAULI_OR_L[dim], traj.matrices).real
-        assert np.array_equal(traj.bloch, want)
-        assert traj.bloch is traj.bloch
+        assert len(traj.times) == 10_001 and traj.bloch.shape == (10_001, 15)
+        assert peak < 1.5 * 2**20
+        assert held <= traj.bloch.nbytes + traj.times.nbytes + 64 * 2**10
 
     @pytest.mark.parametrize("k", [1, 3, 15])
     def test_purity_summed_in_order_whatever_the_layout(self, k):
@@ -306,7 +358,7 @@ class TestLinearFlow:
         if is_complex:
             a = a + 1j * rng.normal(size=(dim, dim))
             y = y + 1j * rng.normal(size=dim)
-        want = _rk4(y, 0.0, h, lambda v, _t: a @ v)
+        want = _rk4_step(y, 0.0, h, lambda v, _t: a @ v)
         got = _linear_flow(y, a, h, 1)
         np.testing.assert_array_equal(got[0], y)
         assert np.abs(got[1] - want).max() <= 1e-12 * np.abs(want).max()
@@ -410,8 +462,8 @@ class TestHamiltonianRecovery:
 
 
 def _open_reference(rho0, hamiltonian, d_rate, t_span, dt) -> np.ndarray:
-    """Bloch rows of d y/dt = -i [H, y] + D (y - 1/2) stepped on the 2x2 matrix by _rk4."""
-    ham = Hamiltonian(hamiltonian).matrix()
+    """Bloch rows of d y/dt = -i [H, y] + D (y - 1/2) stepped on the 2x2 matrix by RK4."""
+    ham = hamiltonian if np.ndim(hamiltonian) == 2 else qmatrix.operator_from_direction(hamiltonian)
     rate = d_rate if callable(d_rate) else lambda _b, _t: d_rate
 
     def bloch(y):
@@ -423,7 +475,7 @@ def _open_reference(rho0, hamiltonian, d_rate, t_span, dt) -> np.ndarray:
     times, h, n = _steps(t_span, dt)
     mats = [qmatrix.density_matrix(rho0)]
     for i in range(n):
-        mats.append(_rk4(mats[-1], times[i], h, rhs))
+        mats.append(_rk4_step(mats[-1], times[i], h, rhs))
     return np.array([bloch(y) for y in mats])
 
 
@@ -455,6 +507,36 @@ class TestOpenEvolution:
             opened = integrate_open(rho0, h, 0.0, (0.0, 3.0), 0.01)
             assert np.array_equal(closed.times, opened.times)
             assert np.array_equal(closed.bloch, opened.bloch)
+
+    def test_callable_rate_is_called_four_times_per_step(self):
+        calls = []
+
+        def d_rate(_b, t):
+            calls.append(t)
+            return -0.2
+
+        traj = integrate_open(np.array([0.3, 0.0, 0.4]), np.ones(3), d_rate, (0.0, 1.0), 1e-4)
+        n = len(traj.times) - 1
+        assert n == 10_000 and len(calls) == 4 * n + 1
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_callable_rate_steps_are_the_rk4_stages(self, seed):
+        # the first stage reuses the stored D(y_i, t_i); the other three call D afresh
+        rng = np.random.default_rng(seed)
+        hk, rho0, c = rng.normal(size=3), random_bloch(rng), rng.uniform(0.1, 1.0)
+
+        def d_rate(b, t):
+            return c * (1.0 - float(b @ b)) - 0.3 * math.cos(t)
+
+        got = integrate_open(rho0, hk, d_rate, (0.0, 1.0), 0.01)
+        gen = 2.0 * np.einsum("klm,l->km", qmatrix.LEVI, hk)
+        times, h, n = _steps((0.0, 1.0), 0.01)
+        want = [got.bloch[0]]   # rho0 read back from its density matrix, equal to within ulps
+        np.testing.assert_allclose(want[0], rho0, rtol=0.0, atol=1e-15)
+        for i in range(n):
+            want.append(_rk4_step(want[-1], times[i], h, lambda y, t: gen @ y + d_rate(y, t) * y))
+        assert np.array_equal(got.bloch, want)
+        assert np.array_equal(got.d_values, [d_rate(y, t) for y, t in zip(want, times)])
 
     def test_rate_writing_into_its_argument_leaves_the_trajectory(self):
         def clobber(b, _t):

@@ -13,9 +13,9 @@ code was entered":
   to a bool, int, float, str or None default counts as the default);
 - special methods other than ``__init__``, ``__repr__``, ``__eq__`` and
   ``__hash__`` count as definitions of their own;
-- each public ``__slots__`` field of a record class must be read by some
-  code other than ``Record.__repr__`` and ``Record._fields`` (which serves
-  ``==`` and ``hash``); private slots are left out;
+- each ``__slots__`` field of a record class must be read by some code
+  other than ``Record.__repr__`` and ``Record._fields`` (which serves ``==``
+  and ``hash``);
 - what the benchmark uses is exempt because the run enters it, not because
   ``perfbench/`` names it.
 
@@ -187,9 +187,9 @@ def _called(obj):
 
 def _public_definitions(module):
     """(key, object) of each public function and record class defined in ``module``,
-    of each public field (the slot descriptor of a public ``__slots__`` name) of its
-    record classes, and of each public method, property, class and static method and
-    each counted special method of its public classes, keyed ``Class.member``.
+    of each field (the slot descriptor of a ``__slots__`` name) of its record classes,
+    and of each public method, property, class and static method and each counted
+    special method of its public classes, keyed ``Class.member``.
     Exception classes are skipped."""
     for name, obj in vars(module).items():
         if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
@@ -200,8 +200,7 @@ def _public_definitions(module):
             if issubclass(obj, Record):
                 yield name, obj
                 for field in vars(obj).get("__slots__", ()):
-                    if not field.startswith("_"):
-                        yield f"{name}.{field}", vars(obj)[field]
+                    yield f"{name}.{field}", vars(obj)[field]
             for member, attr in vars(obj).items():
                 func = attr.fget if isinstance(attr, property) else getattr(attr, "__func__", attr)
                 if _counted(member) and inspect.isfunction(func):
@@ -389,10 +388,10 @@ def orphan():
 
 
 class Built(Record):
-    __slots__ = ("x", "unread", "_private_slot")
+    __slots__ = ("x", "unread")
 
     def __init__(self, x):
-        self._set(x, None, None)
+        self._set(x, None)
 
     def read(self):
         return self.x

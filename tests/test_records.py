@@ -30,7 +30,7 @@ FACTORIES = {
     correlations.SequenceEstimate: lambda: correlations.SequenceEstimate(0.5, 0.01, 100, 3),
     dynamics.Hamiltonian: lambda: dynamics.Hamiltonian(np.array([0.0, 0.0, 1.0])),
     dynamics.FlowParams: lambda: dynamics.FlowParams(3.0, 2.0),
-    dynamics.Trajectory: lambda: dynamics.Trajectory(np.zeros(2), components=np.zeros((2, 3))),
+    dynamics.Trajectory: lambda: dynamics.Trajectory(np.zeros(2), np.zeros((2, 3))),
     fourstate.OutcomeTable: lambda: fourstate.OutcomeTable(0.25, 0.25, 0.25, 0.25),
     fourstate.BellCheck: lambda: fourstate.BellCheck(0.5, 1.0, False),
     finite.Q2: lambda: finite.Q2(1, Fraction(1, 2)),
@@ -80,10 +80,9 @@ def test_record_is_immutable_slotted_and_compares_as_before(cls):
         assert a == a and a != b
 
 
-def test_repr_names_the_fields_and_hides_the_lazy_slot():
-    traj = dynamics.Trajectory(np.zeros(1), matrices=np.eye(2)[None] / 2)
-    assert repr(traj).startswith("Trajectory(times=array([0.]), matrices=")
-    assert "_bloch" not in repr(traj)
+def test_repr_names_the_fields():
+    traj = dynamics.Trajectory(np.zeros(1), np.zeros((1, 3)))
+    assert repr(traj) == "Trajectory(times=array([0.]), bloch=array([[0., 0., 0.]]), d_values=None)"
     assert repr(fourstate.BellCheck(0.5, 1.0, False)) == "BellCheck(lhs=0.5, rhs=1.0, violated=False)"
 
 

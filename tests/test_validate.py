@@ -1,7 +1,9 @@
-"""The shared input checks: one count check, one probability check and one unit-vector check.
+"""The shared input checks: one count check, one probability check, one unit-vector check
+and one real-array check.
 
 Every count a public entry point takes goes through ``validate.check_count``,
-and every float probability vector through ``validate.check_probabilities``;
+every float probability vector through ``validate.check_probabilities``, and
+the state, direction and Hamiltonian arrays through ``validate.real_array``;
 these tests hold each entry point to the same rules.
 """
 import math
@@ -12,13 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ensembleq import experiments
+from ensembleq import experiments, qmatrix
+from ensembleq.dynamics import Hamiltonian, integrate_von_neumann
 from ensembleq.correlations import simulate_sequences
 from ensembleq.finite import FiniteSpinSystem, cartesian_measure_sz, zn_step_evolution, zn_system
 from ensembleq.fourstate import OutcomeTable, interference_trajectory, symmetrized_hidden_ensemble
-from ensembleq.manifolds import canonical_direction, grid_ensemble
-from ensembleq.observables import basis_spin, moment, spin
-from ensembleq.validate import ConstraintViolation, check_count, check_real, check_unit_vector
+from ensembleq.manifolds import BlochState, canonical_direction, grid_ensemble
+from ensembleq.observables import TwoLevelObservable, basis_spin, moment, spin
+from ensembleq.validate import ConstraintViolation, check_count, check_real, check_unit_vector, real_array
 
 _CHAIN = [basis_spin(3), basis_spin(1)]
 _RHO = np.array([0.1, 0.2, 0.3])
@@ -150,3 +153,18 @@ def test_a_huge_direction_is_a_constraint_violation_without_a_warning(check, vec
         warnings.simplefilter("error")
         with pytest.raises(ConstraintViolation, match="not unit norm"):
             check(vec)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda v: real_array(v, "x"), "x"),
+    (Hamiltonian, "hk"),
+    (TwoLevelObservable, "e"),
+    (BlochState, "rho"),
+    (qmatrix.density_from_bloch, "Bloch vector"),
+    (lambda v: integrate_von_neumann(v, np.zeros(3), (0.0, 1.0), 0.1), "Bloch vector"),
+], ids=["real_array", "Hamiltonian", "TwoLevelObservable", "BlochState", "density_from_bloch",
+        "integrate_von_neumann"])
+@pytest.mark.parametrize("form", [list, np.array], ids=["list", "array"])
+def test_complex_input_rejected_not_cut_to_its_real_part(build, name, form):
+    with pytest.raises(ValueError, match=f"^{name} has complex entries$"):
+        build(form([0.5j, 0.0, 0.5]))
