@@ -27,16 +27,8 @@ import threading
 
 import numpy as np
 
-from . import qmatrix
-from .manifolds import BlochState, Ensemble, SubstateEnsemble, weighted_sum
-from .observables import (
-    NoEigenstateError,
-    ProductObservable,
-    RANDOM,
-    TwoLevelObservable,
-    has_eigenstates,
-    operator_of,
-)
+from .manifolds import STRUCTURE, BlochState, Ensemble, SubstateEnsemble, weighted_sum
+from .observables import NoEigenstateError, ProductObservable, RANDOM, TwoLevelObservable, has_eigenstates
 from .validate import (INVARIANT_TOL, ZERO_TOL, ConstraintViolation, DimensionMismatch, Record, ValueRecord,
                        check_count)
 
@@ -67,13 +59,6 @@ def _as_bloch(state, dim: int) -> np.ndarray:
     if vec.shape != (dim,):
         raise DimensionMismatch(f"state must have {dim} components")
     return vec
-
-
-def _check_chain_dims(seq, mat) -> None:
-    want = 3 if mat.shape[0] == 2 else 15
-    for obs in seq:
-        if obs.e.shape != (want,):
-            raise DimensionMismatch("observable dimension does not match the state")
 
 
 def conditional_correlation_2pt(a, b, state) -> float:
@@ -163,22 +148,15 @@ def conditional_product(x, y):
     return ProductObservable(d * y.e, const)
 
 
-def _two_level_projectors(obs) -> np.ndarray:
-    """The eigenprojectors (P+, P-) of a +-1 observable, stacked."""
-    op = operator_of(obs)
-    eye = np.eye(op.shape[0])
-    if np.abs(op @ op - eye).max() > INVARIANT_TOL:
-        raise ValueError("observable operator does not square to 1 (spectrum is not +-1)")
-    return 0.5 * np.stack([eye + op, eye - op])
-
-
 class WeightedEigenstateSum(Record):
-    """Signed combination of eigenstate density matrices from a measurement chain.
+    """Signed combination of reduced states from a measurement chain.
 
-    ``terms`` holds (weight, density matrix) pairs; the weights sum to the
-    conditional correlation of the measured sequence, the trace of the signed
-    sum of the matrices. Two sums are equal only when they are the same object:
-    the terms hold arrays, which have no single truth value to compare by.
+    ``terms`` holds (weight, Bloch vector) pairs, one per branch; the weights
+    sum to the conditional correlation of the measured sequence, and
+    sum_i w_i (1, rho_i) is the component vector of the composed Lueders maps
+    applied to the initial state. Two sums are equal only when they are the
+    same object: the terms hold arrays, which have no single truth value to
+    compare by.
     """
 
     __slots__ = ("terms",)
@@ -192,54 +170,61 @@ def _chain(observables, state, terms: bool):
 
     Level i is a pair (probs, succ) over the distinct reduced states before
     measurement i: probs[j] holds the (+1, -1) outcome probabilities in state
-    j, and succ[2 j + o] the state index after outcome o (0 for +1). A rank-1
-    projector (every two-state spin) reduces any state to its own eigenstate,
-    so two-state levels hold at most 2 states: a Markov chain. Four-state
-    level i keeps up to 2^i states. The random observable (legal only when
-    measured last) gives outcomes +-1 with probability 1/2 and no final states.
+    j, and succ[2 j + o] the state index after outcome o (0 for +1). A state
+    is a row (1, rho) of real components. Measuring A = e_k B_k gives +-1 with
+    probability (1 +- e.rho)/2 and, by the Lueders map P+- X P+-, the state
+    (D^2 +- D)(1, rho)/2 over that probability, where D = {A, .}/2 has row
+    and column 0 equal to (0, e) and block e_k d_klm. A rank-1 projector
+    (every two-state spin, d = 0) reduces any state to its own eigenstate
+    (1, +-e), so two-state levels hold at most 2 states: a Markov chain.
+    Four-state level i keeps up to 2^i states. The random observable (legal
+    only when measured last) gives outcomes +-1 with probability 1/2 and no
+    final states.
     """
     seq = list(reversed(list(observables)))
     if not seq:
         raise ValueError("empty measurement sequence")
     for obs in seq[:-1]:
         if not has_eigenstates(obs):
-            raise NoEigenstateError(
-                "an inner observable has no eigenstates: the sequence is undefined"
-            )
-    rho = qmatrix.density_matrix(state)
-    _check_chain_dims(seq, rho)
-    m, rank1 = len(seq), rho.shape[0] == 2
-    size = 2**m if terms else (2 if rank1 else 2 ** (m - 1))
+            raise NoEigenstateError("an inner observable has no eigenstates: the sequence is undefined")
+    rho = _as_bloch(state, len(seq[0].e))
+    if any(obs.e.shape != rho.shape for obs in seq):
+        raise DimensionMismatch("observable dimension does not match the state")
+    (n,), m = rho.shape, len(seq)
+    size = 2**m if terms else (2 if n == 3 else 2 ** (m - 1))
     if size > MAX_CHAIN_SIZE:
         raise ValueError(f"a chain of {m} measurements needs {size} "
                          f"{'branches' if terms else 'reduced states'}, over {MAX_CHAIN_SIZE}")
-    states, levels = rho[None], []
+    states, levels, sign = np.concatenate(([1.0], rho))[None], [], np.array([1.0, -1.0])
     for i, obs in enumerate(seq):
         k = len(states)
         if obs is RANDOM:
             levels.append((np.full((k, 2), 0.5), np.zeros(2 * k, dtype=np.intp)))
             return levels, None
-        _require_unit_spin(obs, "observable")
-        projs = _two_level_projectors(obs)
-        left = projs @ states[:, None]                  # (k, 2, d, d): P_o rho_j
-        probs = np.trace(left, axis1=2, axis2=3).real
+        e = _require_unit_spin(obs, "observable").e
+        dmat = np.zeros((n + 1, n + 1))
+        dmat[0, 1:] = dmat[1:, 0] = e
+        dmat[1:, 1:] = np.tensordot(e, STRUCTURE[n][0], axes=1)
+        if np.abs(dmat[1:, 1:] @ e).max() > INVARIANT_TOL:   # A^2 = 1 + e_k e_l d_klm B_m
+            raise ValueError("observable operator does not square to 1 (spectrum is not +-1)")
+        once = states @ dmat                            # (k, n + 1): D (1, rho_j), D symmetric
+        probs = 0.5 * (1.0 + once[:, :1] * sign)        # (1 +- e.rho_j)/2
         if np.any((probs < -INVARIANT_TOL) | (probs > 1.0 + INVARIANT_TOL)):
             raise ConstraintViolation(f"outcome probability outside [0, 1] by over {INVARIANT_TOL}")
         probs = np.where(probs > ZERO_TOL, np.minimum(probs, 1.0), 0.0)
-        eigen = projs / np.trace(projs, axis1=1, axis2=2).real[:, None, None]
+        eigen = np.concatenate((np.ones((2, 1)), np.outer(sign, e)), axis=1)   # (1, +-e)
         succ = np.arange(2 * k)
-        if rank1:
+        if n == 3:   # d = 0: every state reduces to (1, +-e)
             succ %= 2
             states = eigen
         elif i < m - 1 or terms:
-            # P rho P / p, or the canonical eigenspace state P / tr P for p = 0
-            # in one (k, 2, d, d) buffer: the level holds no other array of that size
-            live = (probs > 0.0)[..., None, None]
-            reduced = left @ projs
-            del left
-            reduced /= np.where(live, probs[..., None, None], 1.0)
+            # (D^2 +- D)(1, rho)/2 over p, or the eigenspace state (1, +-e) for p = 0
+            live = (probs > 0.0)[..., None]
+            reduced = 0.5 * ((once @ dmat)[:, None] + sign[:, None] * once[:, None])
+            reduced[..., 0] = probs
+            reduced /= np.where(live, probs[..., None], 1.0)
             np.copyto(reduced, eigen, where=~live)
-            states = reduced.reshape((2 * k,) + rho.shape)
+            states = reduced.reshape(2 * k, n + 1)
         levels.append((probs, succ))
     return levels, states
 
@@ -265,8 +250,8 @@ def measurement_chain(observables, state) -> tuple[WeightedEigenstateSum, float]
     for probs, succ in levels:
         weights = (weights[:, None] * (probs * (1.0, -1.0))[sid]).ravel()
         sid = succ[(2 * sid[:, None] + (0, 1)).ravel()]
-    mats, weights = list(final), weights.tolist()
-    terms = tuple(zip(weights, [mats[j] for j in sid.tolist()]))
+    vecs, weights = list(final[:, 1:]), weights.tolist()
+    terms = tuple(zip(weights, [vecs[j] for j in sid.tolist()]))
     return WeightedEigenstateSum(terms), math.fsum(weights)
 
 

@@ -5,9 +5,10 @@ Purity-conserving evolution of the reduced state is an orthogonal rotation of
 the Bloch vector, equivalently conjugation of the density matrix by a unitary
 U = exp(i alpha_m tau_m); infinitesimally this is the von Neumann equation
 d rho/dt = -i [H, rho]. For rho = (1 + rho_k B_k)/d and H = h_0 + h_k B_k, with
-[B_k, B_l] = 2i f_klm B_m, it is d rho_m/dt = 2 f_klm h_k rho_l: f = eps for
-the Pauli basis and f_klm = Im tr(L_k L_l L_m)/4 for the L basis (G. Kimura,
-Phys. Lett. A 314, 339 (2003)). The two-state evolution adds a scaling rate D:
+[B_k, B_l] = 2i f_klm B_m, it is d rho_m/dt = 2 f_klm h_k rho_l, with f read
+from ``manifolds.STRUCTURE``: eps for the Pauli basis, and the table built from
+the L basis' Pauli words (G. Kimura, Phys. Lett. A 314, 339 (2003)). The
+two-state evolution adds a scaling rate D:
 
     d rho/dt = -i [H, rho] + D (rho - 1/2),   dP/dt = 2 D P.
 
@@ -24,8 +25,8 @@ import math
 import numpy as np
 
 from . import qmatrix
-from .manifolds import Ensemble
-from .qmatrix import L_BASIS, LEVI, PAULI
+from .manifolds import STRUCTURE, Ensemble
+from .qmatrix import L_BASIS, PAULI
 from .validate import (INVARIANT_TOL, PURITY_TOL, RATE_GAP_TOL, ConstraintViolation, Record, ValueRecord,
                        as_float_array, check_real, check_rotation, freeze)
 
@@ -33,14 +34,6 @@ MAX_STEPS = 2**20
 
 # time step of the central difference in hamiltonian_from_rotation
 _DIFF_STEP = 3e-5
-
-# basis and structure constants f_klm, [B_k, B_l] = 2i f_klm B_m, by number of components;
-# f comes from one einsum, as a stacked complex matmul leaves about 0.35 MB more resident
-_ALGEBRA = {
-    3: (PAULI, LEVI),
-    15: (L_BASIS, np.einsum("kij,ljn,mni->klm", L_BASIS, L_BASIS, L_BASIS).imag / 4.0),
-}
-
 
 def _components(mat: np.ndarray) -> np.ndarray:
     """tr(B_k M) of a 2x2 or 4x4 matrix M in the Pauli or L basis."""
@@ -79,7 +72,7 @@ def _flow(rho0, hamiltonian) -> tuple[np.ndarray, np.ndarray]:
     hk = (hamiltonian if isinstance(hamiltonian, Hamiltonian) else Hamiltonian(hamiltonian)).hk
     if len(hk) != len(vec):
         raise ValueError("Hamiltonian and state dimensions differ")
-    return vec, 2.0 * np.einsum("klm,l->km", _ALGEBRA[len(vec)][1], hk)
+    return vec, 2.0 * np.einsum("klm,l->km", STRUCTURE[len(vec)][1], hk)
 
 
 class FlowParams(ValueRecord):
@@ -132,7 +125,7 @@ class Trajectory(Record):
     @property
     def matrices(self) -> np.ndarray:
         """The density matrices (1 + rho_k B_k)/d of a Bloch run, rebuilt on each read."""
-        basis = _ALGEBRA[self.bloch.shape[1]][0]
+        basis = PAULI if self.bloch.shape[1] == 3 else L_BASIS
         return (np.eye(len(basis[0])) + np.einsum("nk,kij->nij", self.bloch, basis)) / len(basis[0])
 
 
@@ -174,7 +167,7 @@ def rotation_from_generator(alpha) -> np.ndarray:
     return (
         (1.0 - 2.0 * s * s) * np.eye(3)
         + 2.0 * s * s * np.outer(beta, beta)
-        + 2.0 * s * c * np.einsum("klm,m->kl", LEVI, beta)
+        + 2.0 * s * c * np.einsum("klm,m->kl", STRUCTURE[3][1], beta)
     )
 
 
@@ -247,7 +240,7 @@ def hamiltonian_from_rotation(s_of_t, t: float) -> np.ndarray:
     s_now = np.asarray(s_of_t(t), dtype=float)
     s_dot = (s_plus - s_minus) / (2.0 * _DIFF_STEP)
     m = s_dot @ np.linalg.inv(s_now)
-    return -0.25 * np.einsum("jm,jmk->k", m, LEVI)
+    return -0.25 * np.einsum("jm,jmk->k", m, STRUCTURE[3][1])
 
 
 # ---------------------------------------------------------------------------

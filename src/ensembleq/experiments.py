@@ -498,10 +498,18 @@ def _four_state(params, seed):
     checks += [_exact_check(f"weight w_{k}", getattr(table, f"w_{k}"), want)
                for k, want in (("pm", 0.5), ("mp", 0.5), ("pp", 0.0), ("mm", 0.0))]
     rng, bloch = np.random.default_rng(seed), fourstate.entangled_bloch(-1)
-    worst = 0.0
+    # half singlet, half psi_1 (f1 = f2 = f3 = 1): both bits polarised, so 3-point values are not 0
+    tilted = manifolds.BlochState(0.5 * (bloch.rho + np.eye(15)[:3].sum(axis=0)))
+    tilted_m, worst2, worst3 = qmatrix.density_from_bloch(tilted.rho), 0.0, 0.0
     for _ in range(check_count(params["n_angles"], "n_angles", lo=1)):
-        th, ph = rng.uniform(0.0, 2.0 * math.pi, size=2)
-        worst = max(worst, abs(fourstate.rotated_spin_correlation(th, ph, bloch) + math.cos(th - ph)))
+        th, ph, ps = rng.uniform(0.0, 2.0 * math.pi, size=3)
+        obs = (*fourstate.rotated_spin_observables(th, ph), fourstate.rotated_spin_observables(ps, 0.0)[0])
+        ops = [observables.operator_of(o) for o in obs]
+        val = correlations.conditional_correlation_2pt(*obs[:2], bloch)
+        worst2 = max(worst2, abs(val + math.cos(th - ph)),
+                     abs(val - qmatrix.anticommutator_expectation(*ops[:2], rho_m)))
+        worst3 = max(worst3, abs(correlations.conditional_correlation_3pt(*obs, tilted)
+                                 - qmatrix.nested_anticommutator_expectation(*ops, tilted_m)))
     psi_m, psi_p = fourstate.entangled_psi(-1), fourstate.entangled_psi(1)
     mixed = (psi_m + psi_p) / np.linalg.norm(psi_m + psi_p)
     classes = [fourstate.is_exchange_symmetric(psi) for psi in
@@ -513,7 +521,8 @@ def _four_state(params, seed):
     skewed = fourstate.outcomes_from_t(*(qmatrix.qm_expectation(qmatrix.l_operator(m), np.diag(weights))
                                          for m in (1, 2, 3)))
     return checks + _interference({}, 0)[3] + [
-        _tol_check("max |corr + cos(theta - phi)|", worst, 0.0, 1e-12),
+        _tol_check("chain 2-pt equals -cos(theta - phi) and tr({A,B}rho)/2", worst2, 0.0, 1e-12),
+        _tol_check("chain 3-pt equals tr({{A,B},C}rho)/4", worst3, 0.0, 1e-12),
         _exact_check("exchange classes of psi-, psi+, basis 1, basis 4, mixed, rho-",
                      classes == ["fermionic", "bosonic", "bosonic", "bosonic", "forbidden", "fermionic"],
                      True),

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import qmatrix
 from .dynamics import MAX_STEPS, _linear_flow
-from .manifolds import BlochState, Ensemble, canonical_direction, weighted_sum
+from .manifolds import BASIS_WORDS, BlochState, Ensemble, canonical_direction, weighted_sum
 from .observables import TwoLevelObservable
 from .validate import (INVARIANT_TOL, PURITY_TOL, SAME_DIRECTION_TOL, ConstraintViolation, DimensionMismatch,
                        ValueRecord, as_float_array, check_count, check_probabilities, check_real)
@@ -223,9 +223,8 @@ def interference_trajectory(delta: float, t_final: float, n_steps: int = 4096):
 # particle-exchange symmetry
 # ---------------------------------------------------------------------------
 
-# index map of the 15-vector under exchanging the two bits (1-based pairs):
-# 1<->2, 4<->8, 5<->9, 6<->10, 7<->11, 13<->15; 3, 12, 14 fixed.
-_EXCHANGE_PERM = np.array([1, 0, 2, 7, 8, 9, 10, 3, 4, 5, 6, 11, 14, 13, 12])
+# index map of the 15-vector under exchanging the two bits: reverse each Pauli word
+_EXCHANGE_PERM = np.array([BASIS_WORDS[15].index(w[:-2] + w[-2:][::-1]) for w in BASIS_WORDS[15]])
 
 
 def exchange_matrix() -> np.ndarray:

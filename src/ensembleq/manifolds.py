@@ -48,6 +48,35 @@ MAX_SUBSTATE_ROWS = 2**22
 # 96 MiB of coordinates and 32 MiB of weights, checked before either exists.
 MAX_GRID_POINTS = 2**22
 
+# The basis observables as signed Pauli words: tau_1..tau_3 on one bit, L_1..L_15 on two (bit 1 first)
+BASIS_WORDS = {3: ("X", "Y", "Z"),
+               15: ("ZI", "IZ", "ZZ", "IX", "IY", "ZX", "ZY", "XI", "YI", "XZ", "YZ", "XX", "XY", "-YY", "YX")}
+
+
+def _structure_constants(words) -> tuple[np.ndarray, np.ndarray]:
+    """(d, f) with B_k B_l = delta_kl + (d_klm + i f_klm) B_m, multiplying the
+    words letter by letter under the one-bit rule XY = iZ (cyclic)."""
+    bare, n = [w.lstrip("-") for w in words], len(words)
+    signs = [-1 if w[0] == "-" else 1 for w in words]
+    d, f = np.zeros((n, n, n)), np.zeros((n, n, n))
+    for k in range(n):
+        for l in range(n):
+            power, letters = 0, ""   # the product of the bare words is i^power times ``letters``
+            for x, y in zip(bare[k], bare[l]):
+                if x == y or "I" in (x, y):
+                    letters += "I" if x == y else (x + y).replace("I", "")
+                else:
+                    letters += ({"X", "Y", "Z"} - {x, y}).pop()
+                    power += 1 if x + y in ("XY", "YZ", "ZX") else 3
+            if k != l:   # i^power = (-1)^(power // 2) i^(power % 2)
+                m = bare.index(letters)
+                (f if power % 2 else d)[k, l, m] = signs[k] * signs[l] * signs[m] * (-1) ** (power // 2)
+    return freeze(d, copy=False), freeze(f, copy=False)
+
+
+# (d, f) of the Pauli (3) and L (15) bases: symmetric d, antisymmetric f, entries 0 and +-1
+STRUCTURE = {n: _structure_constants(words) for n, words in BASIS_WORDS.items()}
+
 
 class BlochState(Record):
     """Reduced state: the vector of basis-observable expectation values.

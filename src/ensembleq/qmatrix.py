@@ -4,16 +4,18 @@ Everything the classical-ensemble side of the package computes is cross-checked
 against plain Hermitian matrix algebra living here:
 
   * the Pauli basis tau_1..tau_3 and the fifteen 4x4 basis matrices L_1..L_15
-    (L_k^2 = 1, tr L_k = 0, tr(L_k L_l) = 4 delta_kl),
+    (L_k^2 = 1, tr L_k = 0, tr(L_k L_l) = 4 delta_kl), built as matrices, apart
+    from the Pauli words whose products give the classical side's algebra
+    (``manifolds.STRUCTURE``),
   * density matrices rho = (1 + rho_k tau_k)/2 and rho = (1 + rho_k L_k)/4
     built from a vector of basis-observable expectation values,
-  * expectation values tr(A rho) and (anti)commutator expectations.
+  * expectation values tr(A rho) and anticommutator expectations.
 
-The oracle functions (``qm_expectation``, the ``anticommutator*`` and
-``nested_anticommutator_expectation`` values, ``quantum_product`` and
-``commutator``) are the reference the classical side is checked against, so
-only this module, ``experiments`` and ``acceptance`` call them; a test of the
-package's imports enforces it.
+The oracle functions (``qm_expectation``, ``anticommutator`` and the
+``anticommutator_expectation`` and ``nested_anticommutator_expectation``
+values) are the reference the classical side is checked against, so only this
+module, ``experiments`` and ``acceptance`` call them; a test of the package's
+imports enforces it.
 
 Functions here take and return bare numpy arrays so that the module has no
 dependency on the rest of the package; a state may also be an object exposing
@@ -35,11 +37,6 @@ PAULI = np.array(
     dtype=complex,
 )
 PAULI.setflags(write=False)
-
-LEVI = np.zeros((3, 3, 3))
-LEVI[0, 1, 2] = LEVI[1, 2, 0] = LEVI[2, 0, 1] = 1.0
-LEVI[0, 2, 1] = LEVI[2, 1, 0] = LEVI[1, 0, 2] = -1.0
-LEVI.setflags(write=False)
 
 
 def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -109,7 +106,7 @@ def operator_from_direction(e, e0: float = 0.0) -> np.ndarray:
     The 2x2 matrix is written entry by entry, [[e0 + z, x - iy], [x + iy, e0 - z]]:
     the values of the basis sum, without its call overhead.
     """
-    vec = np.asarray(e, dtype=float)
+    vec = real_array(e, "direction")
     if vec.shape == (3,):
         x, y, z, e0 = check_finite((*vec.tolist(), e0), "direction")
         return np.array([[e0 + z, complex(x, -y)], [complex(x, y), e0 - z]])
@@ -185,10 +182,6 @@ def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b + b @ a
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
-
-
 def anticommutator_expectation(a, b, rho) -> float:
     """tr({A, B} rho)/2, the matrix-side value of the conditional 2-point correlation."""
     return float(np.trace(anticommutator(a, b) @ rho).real) / 2.0
@@ -197,18 +190,3 @@ def anticommutator_expectation(a, b, rho) -> float:
 def nested_anticommutator_expectation(a, b, c, rho) -> float:
     """tr({{A, B}, C} rho)/4, the matrix-side value of the conditional 3-point correlation."""
     return float(np.trace(anticommutator(anticommutator(a, b), c) @ rho).real) / 4.0
-
-
-def quantum_product(a, b) -> tuple[float, np.ndarray]:
-    """Coefficients of the operator product of two offset-free two-state observables.
-
-    For A = a_k tau_k and B = b_k tau_k the product is A B = (a.b) + i eps_klm
-    a_l b_m tau_k; returns (scalar part, complex 3-vector part).
-    """
-    ea = np.asarray(a, dtype=float)
-    eb = np.asarray(b, dtype=float)
-    if ea.shape != (3,) or eb.shape != (3,):
-        raise DimensionMismatch("quantum_product is defined for the two-state system")
-    e0 = float(ea @ eb)
-    evec = 1j * np.einsum("klm,l,m->k", LEVI, ea, eb).astype(complex)
-    return e0, evec

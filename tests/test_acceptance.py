@@ -183,7 +183,8 @@ PINNED_CHECKS = {
         ('weight w_pp', 0.0),
         ('weight w_mm', 0.0),
         ('<T2> equals cos(delta t)', 1e-06),
-        ('max |corr + cos(theta - phi)|', 1e-12),
+        ('chain 2-pt equals -cos(theta - phi) and tr({A,B}rho)/2', 1e-12),
+        ('chain 3-pt equals tr({{A,B},C}rho)/4', 1e-12),
         ('exchange classes of psi-, psi+, basis 1, basis 4, mixed, rho-', 0.0),
         ('entangled 15-vectors moved by the exchange map', 0.0),
         ('weights of diag(3/8, 3/8, 0, 1/4) from its T1, T2, T3', 0.0),

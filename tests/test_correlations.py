@@ -5,6 +5,7 @@ import sys
 import threading
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -60,9 +61,20 @@ def _mean_in_plus_eigenstate(a, b):
     return expectation(a, b.e)
 
 
-def _signed_trace(wes) -> float:
-    """tr(sum_i w_i rho_i) over a measurement chain's (weight, eigenstate) terms."""
-    return float(np.trace(sum((w * mat for w, mat in wes.terms), np.zeros((2, 2), dtype=complex))).real)
+def _signed_sum(wes) -> np.ndarray:
+    """sum_i w_i (1, rho_i) over a measurement chain's (weight, Bloch vector) terms."""
+    return sum(w * np.concatenate(([1.0], vec)) for w, vec in wes.terms)
+
+
+def _lueders_components(chain, rho_vec) -> np.ndarray:
+    """(tr X, tr(B_k X)) of the oracle's Lueders maps X <- {A, X}/2 applied to the
+    density matrix, rightmost observable first."""
+    x = qmatrix.density_from_bloch(rho_vec)
+    for obs in reversed(chain):
+        op = operator_of(obs)
+        x = 0.5 * (op @ x + x @ op)
+    basis = qmatrix.PAULI if len(x) == 2 else qmatrix.L_BASIS
+    return np.concatenate(([np.trace(x).real], np.einsum("kij,ji->k", basis, x).real))
 
 
 def _sequence_probabilities(a, b, rho_vec):
@@ -290,8 +302,8 @@ class TestMeasurementChain:
         rho_vec = np.array([0.2, -0.3, 0.4])
         wes, value = measurement_chain([A3], rho_vec)
         assert abs(value - rho_vec[2]) < 1e-14
-        assert abs(_signed_trace(wes) - value) < 1e-14
         assert len(wes.terms) == 2
+        np.testing.assert_allclose(_signed_sum(wes), _lueders_components([A3], rho_vec), rtol=0, atol=1e-14)
 
     def test_two_chain_matches_2pt(self):
         rng = np.random.default_rng(10)
@@ -323,7 +335,7 @@ class TestMeasurementChain:
     def test_random_leftmost_allowed(self):
         wes, value = measurement_chain([RANDOM, A1], np.array([0.3, 0.0, 0.2]))
         assert value == 0.0
-        assert _signed_trace(wes) == 0.0
+        assert wes.terms == ()
 
     def test_random_inner_rejected(self):
         with pytest.raises(NoEigenstateError):
@@ -663,13 +675,10 @@ class TestChainCore:
         chain, rho_vec = _two_state_chain(6)
         wes, value = measurement_chain(chain, rho_vec)
         assert len(wes.terms) == 2**6
-        assert len({id(mat) for _, mat in wes.terms}) == 2
-        oracle = qmatrix.density_from_bloch(rho_vec)
-        for obs in reversed(chain):   # Lueders map X <- {A, X}/2, rightmost first
-            op = operator_of(obs)
-            oracle = 0.5 * (op @ oracle + oracle @ op)
-        assert abs(value - np.trace(oracle).real) < 1e-13
-        assert abs(_signed_trace(wes) - value) < 1e-13
+        assert len({id(vec) for _, vec in wes.terms}) == 2
+        oracle = _lueders_components(chain, rho_vec)
+        assert abs(value - oracle[0]) < 1e-13
+        np.testing.assert_allclose(_signed_sum(wes), oracle, rtol=0, atol=1e-13)
 
     def test_long_two_state_chain_samples(self):
         chain, rho_vec = _two_state_chain(40)
@@ -711,9 +720,21 @@ class TestChainCore:
         assert _sequence_probabilities(A3, A3, rho_vec)["++"] == 1.0
 
     def test_probability_outside_band_raises(self, monkeypatch):
-        bad = np.diag([1.0 + 1e-9, -1e-9]).astype(complex)
-        monkeypatch.setattr(qmatrix, "density_matrix", lambda state: bad)
-        with pytest.raises(ConstraintViolation):
-            measurement_chain([A3], np.zeros(3))
-        with pytest.raises(ConstraintViolation):
-            simulate_sequences([A3], np.zeros(3), 10, seed=1)
+        # a state past the purity check's band: p(+1) = 1 + 5e-10
+        monkeypatch.setattr(correlations, "BlochState", lambda rho: SimpleNamespace(rho=np.asarray(rho)))
+        bad = np.array([0.0, 0.0, 1.0 + 1e-9])
+        with pytest.raises(ConstraintViolation, match="outcome probability outside"):
+            measurement_chain([A3], bad)
+        with pytest.raises(ConstraintViolation, match="outcome probability outside"):
+            simulate_sequences([A3], bad, 10, seed=1)
+
+    @pytest.mark.parametrize("consumer", [
+        lambda a, state: measurement_chain([a], state),
+        lambda a, state: conditional_correlation_2pt(a, rotated_spin_observables(0.3, 0.0)[1], state),
+        lambda a, state: simulate_sequences([a], state, 10, seed=1),
+    ], ids=["chain", "2pt", "monte-carlo"])
+    def test_unit_direction_without_pm1_spectrum_rejected(self, consumer):
+        # (L1 + L2)/sqrt(2) is unit, but squares to 1 + L3
+        a = TwoLevelObservable(np.eye(15)[0] * SQ2 + np.eye(15)[1] * SQ2)
+        with pytest.raises(ValueError, match="spectrum is not \\+-1"):
+            consumer(a, entangled_bloch(-1))

@@ -22,12 +22,11 @@ from ensembleq.dynamics import (
     rotation_from_generator,
     syncoherence_closed_form,
     syncoherence_flow,
-    _ALGEBRA,
     _linear_flow,
     _steps,
 )
 from ensembleq.fourstate import interference_trajectory
-from ensembleq.manifolds import BlochState, Ensemble, reduce_ensemble
+from ensembleq.manifolds import STRUCTURE, BlochState, Ensemble, reduce_ensemble
 from ensembleq.validate import ConstraintViolation
 
 
@@ -72,7 +71,7 @@ class TestStructureConstants:
     @pytest.mark.parametrize("size, nonzero", [(3, 6), (15, 120)], ids=["pauli", "l-basis"])
     def test_table_gives_every_commutator(self, size, nonzero):
         # [B_k, B_l] = 2i f_klm B_m with f totally antisymmetric and every entry 0 or +-1
-        basis, f = _ALGEBRA[size]
+        basis, f = qmatrix.PAULI if size == 3 else qmatrix.L_BASIS, STRUCTURE[size][1]
         assert np.array_equal(f, -f.transpose(1, 0, 2)) and np.array_equal(f, -f.transpose(0, 2, 1))
         assert set(np.unique(f)) == {-1.0, 0.0, 1.0} and np.count_nonzero(f) == nonzero
         for k in range(size):
@@ -529,7 +528,10 @@ class TestOpenEvolution:
             return c * (1.0 - float(b @ b)) - 0.3 * math.cos(t)
 
         got = integrate_open(rho0, hk, d_rate, (0.0, 1.0), 0.01)
-        gen = 2.0 * np.einsum("klm,l->km", qmatrix.LEVI, hk)
+        eps = np.zeros((3, 3, 3))
+        for k, l, m in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            eps[k, l, m], eps[l, k, m] = 1.0, -1.0
+        gen = 2.0 * np.einsum("klm,l->km", eps, hk)
         times, h, n = _steps((0.0, 1.0), 0.01)
         want = [got.bloch[0]]   # rho0 read back from its density matrix, equal to within ulps
         np.testing.assert_allclose(want[0], rho0, rtol=0.0, atol=1e-15)

@@ -29,6 +29,7 @@ from ensembleq.fourstate import (
     symmetrized_hidden_ensemble,
 )
 from ensembleq.manifolds import (
+    STRUCTURE,
     BlochState,
     Ensemble,
     SubstateEnsemble,
@@ -174,6 +175,16 @@ class TestRotatedSpins:
             rho = qmatrix.density_from_bloch(bloch)
             oracle = qmatrix.anticommutator_expectation(a, b, rho)
             assert abs(rotated_spin_correlation(th, ph, bloch) - oracle) < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4),
+           st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 2.0 * math.pi))
+    def test_correlation_is_the_d_contraction(self, seed, n_pure, theta, phi):
+        # a.b = 0 (the spins act on different bits), so tr({A, B} rho)/2 = a_k b_l d_klm rho_m
+        bloch = random_four_state_bloch(np.random.default_rng(seed), n_pure)
+        a, b = rotated_spin_observables(theta, phi)
+        want = np.einsum("k,l,klm,m->", a.e, b.e, STRUCTURE[15][0], bloch)
+        assert abs(rotated_spin_correlation(theta, phi, bloch) - want) < 1e-12
 
     @pytest.mark.parametrize("rho3", [5.0, 1.5])
     def test_unphysical_state_rejected(self, rho3):

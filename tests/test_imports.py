@@ -320,8 +320,6 @@ def _unused(modules, used: set, unvaried: dict, allowed) -> list[str]:
 
 # Kept although no run enters or varies them, each with its reason.
 _TEST_ONLY_ALLOWED = {
-    "quantum_product": "oracle: the operator product, named by the oracle guard",
-    "commutator": "oracle: the matrix commutator, named by the oracle guard",
     "CriterionResult.detail": "read by the benchmark's reproduce pass, which the guard does not run",
     "Record.__setattr__": "the immutability guard: runs only when code tries to assign a field",
     "Record.__delattr__": "the immutability guard: runs only when code tries to delete a field",

@@ -12,6 +12,7 @@ from ensembleq.correlations import classical_correlation, pointwise_correlation
 from ensembleq.manifolds import (
     MAX_GRID_POINTS,
     MAX_SUBSTATE_ROWS,
+    STRUCTURE,
     BlochState,
     Ensemble,
     SubstateEnsemble,
@@ -49,6 +50,55 @@ def _purity(state) -> float:
 
 def _uniform(points):
     return np.ones(len(points))
+
+
+def _table_product(a, b) -> tuple[float, np.ndarray]:
+    """A B = (a.b) + (d_klm + i f_klm) a_k b_l B_m for A = a_k B_k, B = b_l B_l, read off the
+    table: (scalar part, complex component vector)."""
+    d, f = STRUCTURE[len(a)]
+    return float(a @ b), np.einsum("k,l,klm->m", a, b, d + 1j * f)
+
+
+class TestStructureConstants:
+    @pytest.mark.parametrize("size, nonzero", [(3, (0, 6)), (15, (90, 120))], ids=["pauli", "l-basis"])
+    def test_table_gives_every_product(self, size, nonzero):
+        # B_k B_l = delta_kl + (d_klm + i f_klm) B_m, exactly, against the oracle's own matrices
+        basis, (d, f) = qmatrix.PAULI if size == 3 else qmatrix.L_BASIS, STRUCTURE[size]
+        assert not d.flags.writeable and not f.flags.writeable
+        assert all(np.array_equal(d, d.transpose(p)) for p in itertools.permutations(range(3)))
+        assert np.array_equal(f, -f.transpose(1, 0, 2)) and np.array_equal(f, -f.transpose(0, 2, 1))
+        assert (np.count_nonzero(d), np.count_nonzero(f)) == nonzero
+        assert set(np.unique(d)) | set(np.unique(f)) <= {-1.0, 0.0, 1.0}
+        eye = np.eye(len(basis[0]))
+        for k in range(size):
+            for l in range(size):
+                want = (k == l) * eye + np.einsum("m,mij->ij", d[k, l] + 1j * f[k, l], basis)
+                assert np.array_equal(basis[k] @ basis[l], want), (k, l)
+
+    def test_same_direction_squares_to_one(self):
+        e0, evec = _table_product(np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+        assert e0 == 1.0
+        np.testing.assert_array_equal(evec, np.zeros(3))
+
+    def test_orthogonal_pair_gives_i_tau3(self):
+        e0, evec = _table_product(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
+        assert e0 == 0.0
+        np.testing.assert_array_equal(evec, [0.0, 0.0, 1.0j])
+
+    def test_reversed_pair_gives_minus_i_tau3(self):
+        e0, evec = _table_product(np.array([0.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+        np.testing.assert_array_equal(evec, [0.0, 0.0, -1.0j])
+
+    def test_matches_matrix_product(self):
+        rng = np.random.default_rng(10)
+        for size in (3, 15):
+            basis = qmatrix.PAULI if size == 3 else qmatrix.L_BASIS
+            for _ in range(50):
+                ea, eb = (v / np.linalg.norm(v) for v in rng.normal(size=(2, size)))
+                e0, evec = _table_product(ea, eb)
+                mat = qmatrix.operator_from_direction(ea) @ qmatrix.operator_from_direction(eb)
+                want = e0 * np.eye(len(basis[0])) + np.einsum("k,kij->ij", evec, basis)
+                np.testing.assert_allclose(mat, want, atol=1e-12)
 
 
 class TestReduce:

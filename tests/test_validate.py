@@ -161,9 +161,10 @@ def test_a_huge_direction_is_a_constraint_violation_without_a_warning(check, vec
     (TwoLevelObservable, "e"),
     (BlochState, "rho"),
     (qmatrix.density_from_bloch, "Bloch vector"),
+    (qmatrix.operator_from_direction, "direction"),
     (lambda v: integrate_von_neumann(v, np.zeros(3), (0.0, 1.0), 0.1), "Bloch vector"),
 ], ids=["real_array", "Hamiltonian", "TwoLevelObservable", "BlochState", "density_from_bloch",
-        "integrate_von_neumann"])
+        "operator_from_direction", "integrate_von_neumann"])
 @pytest.mark.parametrize("form", [list, np.array], ids=["list", "array"])
 def test_complex_input_rejected_not_cut_to_its_real_part(build, name, form):
     with pytest.raises(ValueError, match=f"^{name} has complex entries$"):
