@@ -24,8 +24,7 @@ import math
 
 import numpy as np
 
-from . import qmatrix
-from .manifolds import STRUCTURE, Ensemble
+from .manifolds import STRUCTURE, Ensemble, _components, bloch_vector
 from .qmatrix import L_BASIS, PAULI
 from .validate import (INVARIANT_TOL, PURITY_TOL, RATE_GAP_TOL, ConstraintViolation, Record, ValueRecord,
                        as_float_array, check_real, check_rotation, freeze)
@@ -34,11 +33,6 @@ MAX_STEPS = 2**20
 
 # time step of the central difference in hamiltonian_from_rotation
 _DIFF_STEP = 3e-5
-
-def _components(mat: np.ndarray) -> np.ndarray:
-    """tr(B_k M) of a 2x2 or 4x4 matrix M in the Pauli or L basis."""
-    basis = PAULI if len(mat) == 2 else L_BASIS
-    return np.einsum("kij,ji->k", basis, mat).real
 
 
 class Hamiltonian(Record):
@@ -67,8 +61,9 @@ class Hamiltonian(Record):
 
 
 def _flow(rho0, hamiltonian) -> tuple[np.ndarray, np.ndarray]:
-    """Bloch vector of the checked state rho0, and the generator 2 f.h that H drives on it."""
-    vec = _components(qmatrix.density_matrix(rho0))
+    """Bloch vector of rho0, read and checked by ``manifolds.bloch_vector``, and the
+    generator 2 f.h that H drives on it."""
+    vec = bloch_vector(rho0)
     hk = (hamiltonian if isinstance(hamiltonian, Hamiltonian) else Hamiltonian(hamiltonian)).hk
     if len(hk) != len(vec):
         raise ValueError("Hamiltonian and state dimensions differ")
@@ -265,7 +260,7 @@ def integrate_open(rho0, hamiltonian, d_rate, t_span, dt: float) -> Trajectory:
     """Integrate d rho/dt = -i [H, rho] + D (rho - 1/2) for the two-state system.
 
     The flow runs on the Bloch vector, d rho_k/dt = 2 eps_lmk H_l rho_m + D rho_k,
-    from the Pauli components of the checked density matrix and of H.
+    from the checked state read by ``manifolds.bloch_vector`` and the Pauli components of H.
     ``d_rate`` is a callable (bloch_vector, t) -> D, given a copy of the state
     and called four times per RK4 step, or a constant (a linear flow). Purity
     obeys dP/dt = 2 D P along the trajectory. A purity above 1 + PURITY_TOL

@@ -482,9 +482,12 @@ def _mc_convergence(params, seed):
                                         est, closed))
     a = observables.TwoLevelObservable(np.array([1.0, 0.0, 0.0]))
     rep = correlations.simulate_sequences([a, a], _random_bloch(np.random.default_rng(seed + 99)), n, seed)
+    # the last chain again, its blocks dealt into two shares: the same bits for any n_jobs
+    shared = correlations.simulate_sequences(chain, rho_vec, n, seed + trial, n_jobs=2)
     return checks + [
         _exact_check("repeated chain value", rep.value, 1.0),
         _exact_check("repeated chain standard error", rep.stderr, 0.0),
+        _exact_check(f"trial {trial} {len(chain)}-chain at n_jobs=2 equals n_jobs=1", shared.value, est.value),
     ]
 
 
@@ -512,8 +515,16 @@ def _four_state(params, seed):
                                  - qmatrix.nested_anticommutator_expectation(*ops, tilted_m)))
     psi_m, psi_p = fourstate.entangled_psi(-1), fourstate.entangled_psi(1)
     mixed = (psi_m + psi_p) / np.linalg.norm(psi_m + psi_p)
+    rho_pm = 0.5 * (fourstate.entangled_state(1) + rho_m)
     classes = [fourstate.is_exchange_symmetric(psi) for psi in
-               (psi_m, psi_p, fourstate.basis_psi(1), fourstate.basis_psi(4), mixed, rho_m)]
+               (psi_m, psi_p, fourstate.basis_psi(1), fourstate.basis_psi(4), mixed, rho_m, rho_pm)]
+    # classical entanglement: micro-states psi psi^dagger of the singlet, psi_1 and psi_+, weighted 0.5, 0.3, 0.2
+    micro = [np.outer(psi, psi.conj()) for psi in (psi_m, fourstate.basis_psi(1), psi_p)]
+    micro_probs = (0.5, 0.3, 0.2)
+    ensemble = manifolds.Ensemble("four", [manifolds.bloch_vector(m) for m in micro], micro_probs)
+    rho_mix = sum(p * m for p, m in zip(micro_probs, micro))
+    entangled_gap = float(np.abs(manifolds.reduce_ensemble(ensemble).rho - [
+        qmatrix.qm_expectation(qmatrix.l_operator(m), rho_mix) for m in range(1, 16)]).max())
     moved = sum(not np.array_equal(fourstate.exchange_symmetry(v), v.rho)
                 for v in (bloch, fourstate.entangled_bloch(1)))
     # a state with T1 and T2 both nonzero: (T1, T2, T3) = (1/2, -1/4, 1/4)
@@ -523,9 +534,11 @@ def _four_state(params, seed):
     return checks + _interference({}, 0)[3] + [
         _tol_check("chain 2-pt equals -cos(theta - phi) and tr({A,B}rho)/2", worst2, 0.0, 1e-12),
         _tol_check("chain 3-pt equals tr({{A,B},C}rho)/4", worst3, 0.0, 1e-12),
-        _exact_check("exchange classes of psi-, psi+, basis 1, basis 4, mixed, rho-",
-                     classes == ["fermionic", "bosonic", "bosonic", "bosonic", "forbidden", "fermionic"],
-                     True),
+        _exact_check("exchange classes of psi-, psi+, basis 1, basis 4, mixed, rho-, (rho+ + rho-)/2",
+                     classes == ["fermionic", "bosonic", "bosonic", "bosonic", "forbidden", "fermionic",
+                                 "symmetric"], True),
+        _tol_check("four-ensemble of psi micro-states reduces to tr(L_m rho) of their mixture",
+                   entangled_gap, 0.0, 1e-12),
         _exact_check("entangled 15-vectors moved by the exchange map", moved, 0),
         _exact_check("weights of diag(3/8, 3/8, 0, 1/4) from its T1, T2, T3",
                      (skewed.w_pp, skewed.w_pm, skewed.w_mp, skewed.w_mm) == weights, True),

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import qmatrix
 from .dynamics import MAX_STEPS, _linear_flow
-from .manifolds import BASIS_WORDS, BlochState, Ensemble, canonical_direction, weighted_sum
+from .manifolds import BASIS_WORDS, BlochState, Ensemble, bloch_vector, canonical_direction, weighted_sum
 from .observables import TwoLevelObservable
 from .validate import (INVARIANT_TOL, PURITY_TOL, SAME_DIRECTION_TOL, ConstraintViolation, DimensionMismatch,
                        ValueRecord, as_float_array, check_count, check_probabilities, check_real)
@@ -226,12 +226,9 @@ def interference_trajectory(delta: float, t_final: float, n_steps: int = 4096):
 # index map of the 15-vector under exchanging the two bits: reverse each Pauli word
 _EXCHANGE_PERM = np.array([BASIS_WORDS[15].index(w[:-2] + w[-2:][::-1]) for w in BASIS_WORDS[15]])
 
-
-def exchange_matrix() -> np.ndarray:
-    """Wave-function representation: permutation swapping components 2 and 3."""
-    e = np.eye(4)
-    e[[1, 2]] = e[[2, 1]]
-    return e
+# (index, sign) of the L_k that are +-XX, +-YY, +-ZZ: E = (1 + XX + YY + ZZ)/2 is the bit exchange
+_SWAP_TERMS = [(k, -1.0 if w[0] == "-" else 1.0) for k, w in enumerate(BASIS_WORDS[15])
+               if w.lstrip("-") in ("XX", "YY", "ZZ")]
 
 
 def exchange_symmetry(f) -> np.ndarray:
@@ -243,16 +240,15 @@ def exchange_symmetry(f) -> np.ndarray:
 
 
 def is_exchange_symmetric(state) -> str:
-    """Classify a state under bit exchange E, read off its density matrix rho.
+    """Classify a state under bit exchange E, read off its 15-vector rho by ``bloch_vector``.
 
     A wave function psi must be finite (else ValueError) and have |psi|^2
     within INVARIANT_TOL of 1 (else ConstraintViolation); it is read as
-    psi psi^dagger / |psi|^2. The state is "forbidden" if E rho E differs from
-    rho by more than PURITY_TOL, "symmetric" if it is mixed
-    (tr rho^2 < 1 - PURITY_TOL), and otherwise "bosonic" or "fermionic" by the
-    sign of tr(E rho) = psi^dagger E psi = +-1.
+    psi psi^dagger / |psi|^2. The state is "forbidden" if the exchange map
+    moves some rho_k by more than PURITY_TOL, "symmetric" if it is mixed
+    (sum rho_k^2 < 3 - 4 PURITY_TOL, i.e. tr rho^2 < 1 - PURITY_TOL), and
+    otherwise "bosonic" or "fermionic" by the sign of 2 tr(E rho) = 1 + <XX> + <YY> + <ZZ>.
     """
-    ex = exchange_matrix()
     arr = np.asarray(getattr(state, "rho", state))
     if arr.shape == (4,):
         psi = arr.astype(complex)
@@ -262,11 +258,11 @@ def is_exchange_symmetric(state) -> str:
         if abs(norm2 - 1.0) > INVARIANT_TOL:
             raise ConstraintViolation(f"wave function is not normalised: |psi|^2 = {norm2!r}")
         arr = np.outer(psi, psi.conj()) / norm2
-    mat = qmatrix.density_matrix(arr)
-    if mat.shape != (4, 4):
+    vec = bloch_vector(arr)
+    if vec.shape != (15,):
         raise DimensionMismatch("exchange symmetry is defined for four-state states")
-    if np.abs(ex @ mat @ ex - mat).max() > PURITY_TOL:
+    if np.abs(vec[_EXCHANGE_PERM] - vec).max() > PURITY_TOL:
         return "forbidden"
-    if float(np.trace(mat @ mat).real) < 1.0 - PURITY_TOL:
+    if float(vec @ vec) < 3.0 - 4.0 * PURITY_TOL:
         return "symmetric"
-    return "bosonic" if np.trace(ex @ mat).real > 0 else "fermionic"
+    return "bosonic" if 1.0 + sum(sign * vec[k] for k, sign in _SWAP_TERMS) > 0 else "fermionic"

@@ -102,6 +102,21 @@ class BlochState(Record):
         self._set(freeze(vec))
 
 
+def _components(mat: np.ndarray) -> np.ndarray:
+    """tr(B_k M) of a 2x2 or 4x4 matrix M in the Pauli or L basis."""
+    return np.einsum("kij,ji->k", qmatrix.PAULI if len(mat) == 2 else qmatrix.L_BASIS, mat).real
+
+
+def bloch_vector(state) -> np.ndarray:
+    """The checked Bloch vector of a state: a BlochState or a 3- or 15-vector goes
+    through BlochState, a 2x2 or 4x4 density matrix through
+    ``qmatrix.check_density_matrix`` and is read as rho_k = tr(B_k rho)."""
+    arr = np.asarray(getattr(state, "rho", state))
+    if arr.ndim == 2:
+        return _components(qmatrix.check_density_matrix(arr))
+    return BlochState(real_array(arr, "Bloch vector")).rho
+
+
 class Ensemble(Record):
     """Finite weighted set of micro-states on one manifold.
 

@@ -158,14 +158,6 @@ def check_density_matrix(rho) -> np.ndarray:
     return mat
 
 
-def density_matrix(state) -> np.ndarray:
-    """Checked density matrix from a BlochState, a bare Bloch vector or a matrix."""
-    arr = np.asarray(getattr(state, "rho", state))
-    if arr.ndim == 2:
-        return check_density_matrix(arr)
-    return density_from_bloch(arr)
-
-
 def qm_expectation(op: np.ndarray, rho: np.ndarray) -> float:
     """tr(A rho); the imaginary part must vanish for Hermitian A."""
     op = np.asarray(op, dtype=complex)

@@ -3,13 +3,21 @@
 Each test runs one criterion, prints its pass/fail line, and asserts both the
 outcome and (where stated) the runtime budget. The statistical-control and
 negative-control tests at the bottom exercise the harness itself, and the
-sharing tests check that c6 and c7 report the experiments' own checks.
+sharing tests check that c6 and c7 report the experiments' own checks, and
+the planted mutants that each defect in the table fails the criterion that owns it.
 """
 import math
+import os
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ensembleq
 from ensembleq import acceptance, experiments
 from ensembleq.acceptance import CRITERIA, basis_audit
 
@@ -152,6 +160,7 @@ PINNED_CHECKS = {
         ('trial 2 3-chain within 5 standard errors', 0.15543249100255474),
         ('repeated chain value', 0.0),
         ('repeated chain standard error', 0.0),
+        ('trial 2 3-chain at n_jobs=2 equals n_jobs=1', 0.0),
     ],
     "c5": [
         ('correlator equals -cos(theta1-theta2)', 1e-12),
@@ -185,7 +194,8 @@ PINNED_CHECKS = {
         ('<T2> equals cos(delta t)', 1e-06),
         ('chain 2-pt equals -cos(theta - phi) and tr({A,B}rho)/2', 1e-12),
         ('chain 3-pt equals tr({{A,B},C}rho)/4', 1e-12),
-        ('exchange classes of psi-, psi+, basis 1, basis 4, mixed, rho-', 0.0),
+        ('exchange classes of psi-, psi+, basis 1, basis 4, mixed, rho-, (rho+ + rho-)/2', 0.0),
+        ('four-ensemble of psi micro-states reduces to tr(L_m rho) of their mixture', 1e-12),
         ('entangled 15-vectors moved by the exchange map', 0.0),
         ('weights of diag(3/8, 3/8, 0, 1/4) from its T1, T2, T3', 0.0),
     ],
@@ -242,3 +252,31 @@ def test_run_all_rejects_a_bad_seed_before_running(monkeypatch, seed):
         monkeypatch.setitem(acceptance.CRITERIA, cid, must_not_run)
     with pytest.raises(experiments.ConfigError, match="seed"):
         acceptance.run_all(seed=seed)
+
+
+# Planted defects, one a row: (module, source fragment, replacement, owning criterion).
+# ``verify --criteria <owner>`` on a copy of the package with the defect must fail.
+_MUTANTS = [
+    ("manifolds.py", '"XY", "-YY", "YX"', '"XY", "YY", "YX"', "c8"),
+    ("dynamics.py", "x2 = u0 - x1", "x2 = u0 + x1", "c7"),
+    ("fourstate.py",
+     "(1.0 + t1 + t2 + t3)\n    w_pm = 0.25 * (1.0 + t1 - t2 - t3)\n"
+     "    w_mp = 0.25 * (1.0 - t1 + t2 - t3)\n    w_mm = 0.25 * (1.0 - t1 - t2 + t3)",
+     "(1.0 + t1 - t2 + t3)\n    w_pm = 0.25 * (1.0 + t1 + t2 - t3)\n"
+     "    w_mp = 0.25 * (1.0 - t1 - t2 - t3)\n    w_mm = 0.25 * (1.0 - t1 + t2 + t3)", "c8"),
+]
+
+
+@pytest.mark.parametrize("module, fragment, replacement, owner", _MUTANTS,
+                         ids=["L14-sign", "syncoherence-x2", "outcome-T2-signs"])
+def test_planted_mutant_fails_its_criterion(tmp_path, module, fragment, replacement, owner):
+    package = Path(ensembleq.__file__).parent
+    shutil.copytree(package, tmp_path / "ensembleq", ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "ensembleq" / module
+    source = path.read_text(encoding="utf-8")
+    assert source.count(fragment) == 1, "the planted fragment must name one place"
+    path.write_text(source.replace(fragment, replacement), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(tmp_path), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-m", "ensembleq", "verify", "--criteria", owner],
+                          env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1 and re.search(rf"^FAIL +{owner} ", proc.stdout, re.M), proc.stdout + proc.stderr

@@ -472,7 +472,7 @@ def _open_reference(rho0, hamiltonian, d_rate, t_span, dt) -> np.ndarray:
         return -1j * (ham @ y - y @ ham) + rate(bloch(y), t) * (y - 0.5 * np.eye(2))
 
     times, h, n = _steps(t_span, dt)
-    mats = [qmatrix.density_matrix(rho0)]
+    mats = [rho0 if np.ndim(rho0) == 2 else qmatrix.density_from_bloch(rho0)]
     for i in range(n):
         mats.append(_rk4_step(mats[-1], times[i], h, rhs))
     return np.array([bloch(y) for y in mats])

@@ -17,7 +17,6 @@ from ensembleq.fourstate import (
     entangled_bloch,
     entangled_psi,
     entangled_state,
-    exchange_matrix,
     exchange_symmetry,
     interference_trajectory,
     is_exchange_symmetric,
@@ -38,7 +37,7 @@ from ensembleq.manifolds import (
     reduce_ensemble,
 )
 from ensembleq.observables import TwoLevelObservable, expectation, operator_of
-from ensembleq.validate import SAME_DIRECTION_TOL, ConstraintViolation, DimensionMismatch
+from ensembleq.validate import PURITY_TOL, SAME_DIRECTION_TOL, ConstraintViolation, DimensionMismatch
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -55,6 +54,23 @@ def _bloch_from_psi(psi) -> np.ndarray:
     """The basis-observable values f_k = psi^dagger L_k psi of a pure state."""
     psi = np.asarray(psi, dtype=complex)
     return np.einsum("i,kij,j->k", psi.conj(), qmatrix.L_BASIS, psi).real
+
+
+def exchange_matrix() -> np.ndarray:
+    """E on wave functions: the permutation swapping components 2 and 3."""
+    e = np.eye(4)
+    e[[1, 2]] = e[[2, 1]]
+    return e
+
+
+def _exchange_class_by_matrix(rho) -> str:
+    """The exchange class by the matrix rule: E rho E against rho, tr rho^2, then the sign of tr(E rho)."""
+    ex = exchange_matrix()
+    if np.abs(ex @ rho @ ex - rho).max() > PURITY_TOL:
+        return "forbidden"
+    if np.trace(rho @ rho).real < 1.0 - PURITY_TOL:
+        return "symmetric"
+    return "bosonic" if np.trace(ex @ rho).real > 0 else "fermionic"
 
 
 def _point_mass_four(psi) -> Ensemble:
@@ -377,6 +393,35 @@ class TestExchangeSymmetry:
         psi = math.sqrt(weight) * sym + math.sqrt(1.0 - weight) * anti
         psi = np.exp(2j * math.pi * rng.random()) * psi / np.linalg.norm(psi)
         assert is_exchange_symmetric(np.outer(psi, psi.conj()) if as_matrix else psi) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["bosonic", "fermionic", "forbidden", "symmetric"]),
+           st.floats(1e-6, 1.0 - 1e-6), st.sampled_from(["psi", "matrix", "vector"]))
+    @example(0, "forbidden", 1e-6, "psi")
+    @example(0, "forbidden", 1.0 - 1e-6, "vector")
+    def test_vector_classes_equal_the_matrix_rule(self, seed, want, weight, form):
+        # pure states in the E = +1 and E = -1 spaces, pure states with weight >= 1e-6 in both,
+        # and E-invariant mixtures of a +1 state with a state of either space
+        rng = np.random.default_rng(seed)
+
+        def eigenstate(sign):
+            if sign < 0:
+                return np.exp(2j * math.pi * rng.random()) * entangled_psi(-1)
+            v = (rng.normal(size=3) + 1j * rng.normal(size=3)) @ [basis_psi(1), basis_psi(4), entangled_psi(1)]
+            return v / np.linalg.norm(v)
+
+        if want == "symmetric":
+            pair = eigenstate(1), eigenstate(rng.choice([1, -1]))
+            rho = sum(w * np.outer(v, v.conj()) for w, v in zip((weight, 1.0 - weight), pair))
+            psi, form = None, "matrix" if form == "psi" else form
+        else:
+            w = {"bosonic": 1.0, "fermionic": 0.0, "forbidden": weight}[want]
+            psi = math.sqrt(w) * eigenstate(1) + math.sqrt(1.0 - w) * eigenstate(-1)
+            psi /= np.linalg.norm(psi)
+            rho = np.outer(psi, psi.conj())
+        assert _exchange_class_by_matrix(rho) == want
+        vec = np.einsum("kij,ji->k", qmatrix.L_BASIS, rho).real
+        assert is_exchange_symmetric({"psi": psi, "matrix": rho, "vector": vec}[form]) == want
 
     def test_index_map_matches_conjugation(self):
         ex = exchange_matrix()
