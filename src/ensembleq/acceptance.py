@@ -10,9 +10,12 @@ module, and its ``seed`` reseeds only the reseeded rows (c4 and c5).
 """
 from __future__ import annotations
 
+import math
 import time
 
-from . import experiments, qmatrix
+import numpy as np
+
+from . import dynamics, experiments, qmatrix
 from .experiments import ConfigError, _exact_check, _merge_params, _tol_check
 from .validate import ValueRecord
 
@@ -52,17 +55,26 @@ def _bell(params, seed):
 
 
 def _open_dynamics(params, seed):
-    """The decoherence and syncoherence bodies, plus the flow's rates.
+    """The decoherence and syncoherence bodies, plus the flow's rates and a
+    time-dependent rate.
 
-    At the default d0 = eps2 (1 - P0) the eps1 mode is not excited; the last
-    row starts at d0 = 0.15, where both modes carry 0.05 of 1 - P0."""
+    At the default d0 = eps2 (1 - P0) the eps1 mode is not excited; the
+    both-rates row starts at d0 = 0.15, where both modes carry 0.05 of 1 - P0.
+    The last row runs the callable-rate integrator at H = 0, where the flow
+    d rho/dt = D(t) rho integrates to rho(0) exp of the integral of D."""
     _, _, sync, sync_checks = experiments._syncoherence({}, seed)
     both = experiments._syncoherence({"d0": 0.15}, seed)[2]
+    rho0 = np.array([0.4, -0.2, 0.5])
+    timed = dynamics.integrate_open(rho0, None, lambda bloch, t: -0.2 - 0.1 * math.cos(t), (0.0, 5.0), 0.005)
+    decayed = rho0 * np.exp(-0.2 * timed.times - 0.1 * np.sin(timed.times))[:, None]
+    decay_gap = float(np.abs(timed.bloch - decayed).max())
     return experiments._decoherence({}, seed)[3] + sync_checks + [
         _exact_check("eps1 of (a, b) = (3, 2)", sync["eps1"], 2.0),
         _exact_check("eps2 of (a, b) = (3, 2)", sync["eps2"], 1.0),
         _tol_check("flow with both rates excited (d0 = 0.15) matches the closed form (rel)",
                    both["max_rel_error"], 0.0, 1e-6),
+        _tol_check("time-dependent rate D(t) = -0.2 - 0.1 cos t at H = 0: "
+                   "rho(t) = rho(0) exp(-0.2t - 0.1 sin t)", decay_gap, 0.0, 1e-8),
     ]
 
 

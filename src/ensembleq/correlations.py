@@ -27,7 +27,7 @@ import threading
 
 import numpy as np
 
-from .manifolds import STRUCTURE, BlochState, Ensemble, SubstateEnsemble, weighted_sum
+from .manifolds import STRUCTURE, Ensemble, SubstateEnsemble, bloch_vector, weighted_sum
 from .observables import NoEigenstateError, ProductObservable, RANDOM, TwoLevelObservable, has_eigenstates
 from .validate import (INVARIANT_TOL, ZERO_TOL, ConstraintViolation, DimensionMismatch, Record, ValueRecord,
                        check_count)
@@ -54,11 +54,21 @@ def _require_unit_spin(obs, name: str) -> TwoLevelObservable:
     return obs
 
 
-def _as_bloch(state, dim: int) -> np.ndarray:
-    vec = BlochState(getattr(state, "rho", state)).rho
-    if vec.shape != (dim,):
-        raise DimensionMismatch(f"state must have {dim} components")
-    return vec
+def _factors(observables, state) -> tuple[list, np.ndarray]:
+    """The factors of A o B o ... (rightmost measured first) and the state's Bloch vector, read
+    by ``manifolds.bloch_vector``. The one factor rule: the leftmost factor, measured last, may
+    be R (R o X = R); every other is a unit spin (NoEigenstateError if it has no eigenstates);
+    every factor has the state's dimension (else DimensionMismatch)."""
+    factors = list(observables)
+    if not factors:
+        raise ValueError("empty measurement sequence")
+    for i, obs in enumerate(factors):
+        if i or obs is not RANDOM:
+            _require_unit_spin(obs, f"factor {i + 1} of the product")
+    rho = bloch_vector(state)
+    if any(obs.e.shape != rho.shape for obs in factors):
+        raise DimensionMismatch(f"a factor's dimension differs from the state's {len(rho)} components")
+    return factors, rho
 
 
 def conditional_correlation_2pt(a, b, state) -> float:
@@ -70,20 +80,15 @@ def conditional_correlation_2pt(a, b, state) -> float:
 
     for the four-state system the eigenstates are degenerate and the value is
     produced by the projective reduction chain instead. Either path agrees
-    with tr({A, B} rho)/2 and is symmetric under A <-> B.
+    with tr({A, B} rho)/2 and is symmetric under A <-> B. A may be R (value 0).
     """
-    a = _require_unit_spin(a, "A")
-    b = _require_unit_spin(b, "B")
-    if a.dim != b.dim:
-        raise DimensionMismatch("A and B dimensions differ")
-    if a.dim == 3:
-        rho = _as_bloch(state, 3)
-        a_plus_b = float(a.e @ b.e)
-        a_minus_b = float(a.e @ (-b.e))
-        mean_b = float(b.e @ rho)
-        return 0.5 * (1.0 + mean_b) * a_plus_b - 0.5 * (1.0 - mean_b) * a_minus_b
-    _, value = measurement_chain([a, b], state)
-    return value
+    (a, b), rho = _factors((a, b), state)
+    if len(rho) == 15:
+        return _branch_sum([a, b], rho)[1]
+    a_plus_b = float(a.e @ b.e)
+    a_minus_b = float(a.e @ (-b.e))
+    mean_b = float(b.e @ rho)
+    return 0.5 * (1.0 + mean_b) * a_plus_b - 0.5 * (1.0 - mean_b) * a_minus_b
 
 
 def conditional_correlation_3pt(a, b, c, state) -> float:
@@ -91,31 +96,20 @@ def conditional_correlation_3pt(a, b, c, state) -> float:
 
     Two-state path: the explicit expectation-value expression built from
     <A>_{+-B}, <B>_{+-C} and <C>. Four-state path: projective reduction chain.
-    Equals tr({{A, B}, C} rho)/4; invariant under A <-> B but not B <-> C.
+    Equals tr({{A, B}, C} rho)/4; invariant under A <-> B but not B <-> C. A may be R (value 0).
     """
-    if a is RANDOM:
-        # R o X = R for every X, so the correlation vanishes identically.
-        _require_unit_spin(b, "B")
-        _require_unit_spin(c, "C")
-        return 0.0
-    a = _require_unit_spin(a, "A")
-    b = _require_unit_spin(b, "B")
-    c = _require_unit_spin(c, "C")
-    if not (a.dim == b.dim == c.dim):
-        raise DimensionMismatch("A, B, C dimensions differ")
-    if a.dim == 3:
-        rho = _as_bloch(state, 3)
-        a_pb = float(a.e @ b.e)
-        a_mb = float(a.e @ (-b.e))
-        b_pc = float(b.e @ c.e)
-        b_mc = float(b.e @ (-c.e))
-        mean_c = float(c.e @ rho)
-        return 0.25 * (
-            a_pb * ((1.0 + b_pc) * (1.0 + mean_c) - (1.0 + b_mc) * (1.0 - mean_c))
-            + a_mb * ((1.0 - b_mc) * (1.0 - mean_c) - (1.0 - b_pc) * (1.0 + mean_c))
-        )
-    _, value = measurement_chain([a, b, c], state)
-    return value
+    (a, b, c), rho = _factors((a, b, c), state)
+    if len(rho) == 15:
+        return _branch_sum([a, b, c], rho)[1]
+    a_pb = float(a.e @ b.e)
+    a_mb = float(a.e @ (-b.e))
+    b_pc = float(b.e @ c.e)
+    b_mc = float(b.e @ (-c.e))
+    mean_c = float(c.e @ rho)
+    return 0.25 * (
+        a_pb * ((1.0 + b_pc) * (1.0 + mean_c) - (1.0 + b_mc) * (1.0 - mean_c))
+        + a_mb * ((1.0 - b_mc) * (1.0 - mean_c) - (1.0 - b_pc) * (1.0 + mean_c))
+    )
 
 
 def conditional_product(x, y):
@@ -165,8 +159,8 @@ class WeightedEigenstateSum(Record):
         self._set(terms)
 
 
-def _chain(observables, state, terms: bool):
-    """Levels of a measurement chain, and its final states when ``terms`` is set.
+def _chain(factors, rho: np.ndarray, terms: bool):
+    """Levels of the chain of checked ``factors`` on rho, and its final states when ``terms`` is set.
 
     Level i is a pair (probs, succ) over the distinct reduced states before
     measurement i: probs[j] holds the (+1, -1) outcome probabilities in state
@@ -181,15 +175,7 @@ def _chain(observables, state, terms: bool):
     only when measured last) gives outcomes +-1 with probability 1/2 and no
     final states.
     """
-    seq = list(reversed(list(observables)))
-    if not seq:
-        raise ValueError("empty measurement sequence")
-    for obs in seq[:-1]:
-        if not has_eigenstates(obs):
-            raise NoEigenstateError("an inner observable has no eigenstates: the sequence is undefined")
-    rho = _as_bloch(state, len(seq[0].e))
-    if any(obs.e.shape != rho.shape for obs in seq):
-        raise DimensionMismatch("observable dimension does not match the state")
+    seq = factors[::-1]
     (n,), m = rho.shape, len(seq)
     size = 2**m if terms else (2 if n == 3 else 2 ** (m - 1))
     if size > MAX_CHAIN_SIZE:
@@ -201,7 +187,7 @@ def _chain(observables, state, terms: bool):
         if obs is RANDOM:
             levels.append((np.full((k, 2), 0.5), np.zeros(2 * k, dtype=np.intp)))
             return levels, None
-        e = _require_unit_spin(obs, "observable").e
+        e = obs.e
         dmat = np.zeros((n + 1, n + 1))
         dmat[0, 1:] = dmat[1:, 0] = e
         dmat[1:, 1:] = np.tensordot(e, STRUCTURE[n][0], axes=1)
@@ -242,7 +228,12 @@ def measurement_chain(observables, state) -> tuple[WeightedEigenstateSum, float]
     empty sum with value 0. A chain of more than MAX_CHAIN_SIZE branches is
     rejected before any is built.
     """
-    levels, final = _chain(observables, state, terms=True)
+    return _branch_sum(*_factors(observables, state))
+
+
+def _branch_sum(factors, rho: np.ndarray) -> tuple[WeightedEigenstateSum, float]:
+    """``measurement_chain`` of factors that passed ``_factors`` on the Bloch vector rho."""
+    levels, final = _chain(factors, rho, terms=True)
     if final is None:
         # Outcomes +-1 with probability 1/2 each cancel exactly.
         return WeightedEigenstateSum(()), 0.0
@@ -331,7 +322,7 @@ def simulate_sequences(
     seed = check_count(seed, "seed")
     block_size = check_count(block_size, "block_size", lo=1)
     n_jobs = check_count(n_jobs, "n_jobs", lo=1, hi=MAX_JOBS)
-    levels, _ = _chain(observables, state, terms=False)
+    levels, _ = _chain(*_factors(observables, state), terms=False)
     n_blocks = (n_samples + block_size - 1) // block_size
 
     def run_block(j: int) -> int:

@@ -27,7 +27,7 @@ import numpy as np
 from .manifolds import STRUCTURE, Ensemble, _components, bloch_vector
 from .qmatrix import L_BASIS, PAULI
 from .validate import (INVARIANT_TOL, PURITY_TOL, RATE_GAP_TOL, ConstraintViolation, Record, ValueRecord,
-                       as_float_array, check_real, check_rotation, freeze)
+                       as_float_array, check_components, check_real, check_rotation, freeze)
 
 MAX_STEPS = 2**20
 
@@ -53,10 +53,7 @@ class Hamiltonian(Record):
                 raise ConstraintViolation("Hamiltonian matrix is not Hermitian")
             arr = freeze(_components(arr) / len(arr), copy=False)
         else:
-            arr = as_float_array(arr, "hk")
-            if arr.shape not in ((3,), (15,)):
-                raise ValueError("component form must be a real 3- or 15-vector")
-            arr = freeze(arr)
+            arr = check_components(arr, "hk")
         self._set(arr)
 
 

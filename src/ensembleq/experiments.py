@@ -21,7 +21,8 @@ import numpy as np
 # that importing the package loads neither
 from . import correlations, dynamics, fourstate, manifolds, observables, qmatrix
 from .reporting import write_csv, write_json
-from .validate import PURITY_TOL, RELATIVE_ERROR_FLOOR, ValueRecord, check_count, check_real
+from .validate import (PURITY_TOL, RELATIVE_ERROR_FLOOR, ConstraintViolation, ValueRecord, check_count,
+                       check_real)
 
 # count limits: steps^2 grid rows <= MAX_STEPS (about 30 s of Bell checks); a
 # classical trial draws one ensemble in about 0.2 ms, so MAX_STEPS of them take
@@ -521,9 +522,12 @@ def _four_state(params, seed):
     # classical entanglement: micro-states psi psi^dagger of the singlet, psi_1 and psi_+, weighted 0.5, 0.3, 0.2
     micro = [np.outer(psi, psi.conj()) for psi in (psi_m, fourstate.basis_psi(1), psi_p)]
     micro_probs = (0.5, 0.3, 0.2)
-    ensemble = manifolds.Ensemble("four", [manifolds.bloch_vector(m) for m in micro], micro_probs)
     rho_mix = sum(p * m for p, m in zip(micro_probs, micro))
-    entangled_gap = float(np.abs(manifolds.reduce_ensemble(ensemble).rho - [
+    try:
+        ensemble = manifolds.Ensemble("four", [manifolds.bloch_vector(m) for m in micro], micro_probs)
+    except ConstraintViolation:   # a wrong d_klm table sees the psi points as not pure: the row fails
+        ensemble = None
+    entangled_gap = math.inf if ensemble is None else float(np.abs(manifolds.reduce_ensemble(ensemble).rho - [
         qmatrix.qm_expectation(qmatrix.l_operator(m), rho_mix) for m in range(1, 16)]).max())
     moved = sum(not np.array_equal(fourstate.exchange_symmetry(v), v.rho)
                 for v in (bloch, fourstate.entangled_bloch(1)))

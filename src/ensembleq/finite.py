@@ -256,7 +256,10 @@ class RegionDiagnostics(ValueRecord):
 def realizable_region_check(system: FiniteSpinSystem) -> RegionDiagnostics:
     """Vertex-enumeration diagnostics of the reachable expectation region.
 
-    Uses the first two observables as plot axes.
+    Uses the first two observables as plot axes. The inradius is the distance
+    from the origin to the nearest edge when the origin lies strictly inside,
+    that is when every angular gap between consecutive vertices is below pi,
+    and 0.0 otherwise.
     """
     table = system.mean_table()
     sums = [_sum(table[i][j] for i in range(len(table))) for j in range(system.n_states)]
@@ -264,6 +267,10 @@ def realizable_region_check(system: FiniteSpinSystem) -> RegionDiagnostics:
     pts = [(float(table[0][j]), float(table[1][j])) for j in range(system.n_states)]
     order = sorted(range(len(pts)), key=lambda j: math.atan2(pts[j][1], pts[j][0]))
     hull = [pts[j] for j in order]
+    angles = [math.atan2(y, x) for x, y in hull]
+    if max(b - a for a, b in zip(angles, angles[1:] + [angles[0] + 2.0 * math.pi])) >= math.pi:
+        # the origin is not strictly inside the hull
+        return RegionDiagnostics(vertices=tuple(hull), max_mean_sum=max_sum, inradius=0.0)
     # distances from the origin to polygon edges; valid for these star-shaped hulls
     inr = math.inf
     for i in range(len(hull)):

@@ -94,6 +94,20 @@ def rotated_spin_observables(theta: float, phi: float) -> tuple[TwoLevelObservab
     return TwoLevelObservable(ea), TwoLevelObservable(eb)
 
 
+def _four_state(state) -> np.ndarray:
+    """The 15-vector of a four-state state, read and checked by ``manifolds.bloch_vector``."""
+    rho = bloch_vector(state)
+    if rho.shape != (15,):
+        raise DimensionMismatch("expected a four-state state (15 components)")
+    return rho
+
+
+def _spin_pair_value(theta: float, phi: float, rho: np.ndarray) -> float:
+    ct, st = math.cos(theta), math.sin(theta)
+    cp, sp = math.cos(phi), math.sin(phi)
+    return ct * cp * rho[2] + ct * sp * rho[5] + st * cp * rho[9] + st * sp * rho[11]
+
+
 def rotated_spin_correlation(theta: float, phi: float, state) -> float:
     """Conditional correlation of the two rotated spins from the reduced state.
 
@@ -104,12 +118,7 @@ def rotated_spin_correlation(theta: float, phi: float, state) -> float:
 
     which on the entangled states collapses to -cos(theta - phi).
     """
-    rho = state.rho if isinstance(state, BlochState) else BlochState(state).rho
-    if rho.shape != (15,):
-        raise ValueError("state must be a four-state 15-vector")
-    ct, st = math.cos(theta), math.sin(theta)
-    cp, sp = math.cos(phi), math.sin(phi)
-    return ct * cp * rho[2] + ct * sp * rho[5] + st * cp * rho[9] + st * sp * rho[11]
+    return _spin_pair_value(theta, phi, _four_state(state))
 
 
 class BellCheck(ValueRecord):
@@ -131,14 +140,10 @@ def quantum_pair_correlator(state):
     """Angle correlator theta -> rotated_spin_correlation(theta, 0, state).
 
     On the entangled states this is -cos(theta) and depends only on the angle
-    difference, as the Bell form requires.
+    difference, as the Bell form requires. The state is read once.
     """
-    state = state if isinstance(state, BlochState) else BlochState(state)
-
-    def correlator(theta: float) -> float:
-        return rotated_spin_correlation(theta, 0.0, state)
-
-    return correlator
+    rho = _four_state(state)
+    return lambda theta: _spin_pair_value(theta, 0.0, rho)
 
 
 def plane_direction(theta: float) -> np.ndarray:
@@ -249,18 +254,15 @@ def is_exchange_symmetric(state) -> str:
     (sum rho_k^2 < 3 - 4 PURITY_TOL, i.e. tr rho^2 < 1 - PURITY_TOL), and
     otherwise "bosonic" or "fermionic" by the sign of 2 tr(E rho) = 1 + <XX> + <YY> + <ZZ>.
     """
-    arr = np.asarray(getattr(state, "rho", state))
-    if arr.shape == (4,):
-        psi = arr.astype(complex)
+    if np.shape(state) == (4,):
+        psi = np.asarray(state, dtype=complex)
         if not np.isfinite(psi).all():
             raise ValueError("wave function contains non-finite entries")
         norm2 = sum(c.real * c.real + c.imag * c.imag for c in psi.tolist())
         if abs(norm2 - 1.0) > INVARIANT_TOL:
             raise ConstraintViolation(f"wave function is not normalised: |psi|^2 = {norm2!r}")
-        arr = np.outer(psi, psi.conj()) / norm2
-    vec = bloch_vector(arr)
-    if vec.shape != (15,):
-        raise DimensionMismatch("exchange symmetry is defined for four-state states")
+        state = np.outer(psi, psi.conj()) / norm2
+    vec = _four_state(state)
     if np.abs(vec[_EXCHANGE_PERM] - vec).max() > PURITY_TOL:
         return "forbidden"
     if float(vec @ vec) < 3.0 - 4.0 * PURITY_TOL:

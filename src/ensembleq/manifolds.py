@@ -28,8 +28,8 @@ from .validate import (
     ConstraintViolation,
     Record,
     as_float_array,
+    check_components,
     check_count,
-    check_finite,
     check_probabilities,
     check_unit_vector,
     freeze,
@@ -89,17 +89,15 @@ class BlochState(Record):
     __slots__ = ("rho",)
 
     def __init__(self, rho: np.ndarray):
-        vec = real_array(rho, "rho")
-        if vec.shape == (3,):
+        vec = check_components(rho, "rho")
+        if len(vec) == 3:
             # Python floats overflow to inf without a warning, and cost less to check than a ufunc
-            x, y, z = check_finite(vec.tolist(), "rho")
+            x, y, z = vec.tolist()
             if x * x + y * y + z * z > 1.0 + INVARIANT_TOL:
                 raise ConstraintViolation("purity bound violated: sum rho_k^2 > 1")
-        elif vec.shape == (15,):
-            qmatrix.density_from_bloch(vec)  # checks finiteness, the bound and positivity
         else:
-            raise ValueError("Bloch vector must have 3 or 15 components")
-        self._set(freeze(vec))
+            qmatrix.density_from_bloch(vec)  # checks the bound and positivity
+        self._set(vec)
 
 
 def _components(mat: np.ndarray) -> np.ndarray:
@@ -108,10 +106,12 @@ def _components(mat: np.ndarray) -> np.ndarray:
 
 
 def bloch_vector(state) -> np.ndarray:
-    """The checked Bloch vector of a state: a BlochState or a 3- or 15-vector goes
-    through BlochState, a 2x2 or 4x4 density matrix through
-    ``qmatrix.check_density_matrix`` and is read as rho_k = tr(B_k rho)."""
-    arr = np.asarray(getattr(state, "rho", state))
+    """The checked Bloch vector of a state, the classical side's one state reader: a BlochState's
+    own ``rho`` (checked when built), a 3- or 15-vector through BlochState, and a 2x2 or 4x4
+    density matrix through ``qmatrix.check_density_matrix``, read as rho_k = tr(B_k rho)."""
+    if isinstance(state, BlochState):
+        return state.rho
+    arr = np.asarray(state)
     if arr.ndim == 2:
         return _components(qmatrix.check_density_matrix(arr))
     return BlochState(real_array(arr, "Bloch vector")).rho
@@ -143,6 +143,10 @@ class Ensemble(Record):
             raise ConstraintViolation("a point violates the manifold norm constraint")
         if manifold == "s1" and np.abs(pts[:, 2]).max() > INVARIANT_TOL:
             raise ConstraintViolation("s1 points must lie in the 1-2 plane")
+        # psi psi^dagger is a projector: with |f|^2 = 3, rho^2 = rho reads d_klm f_k f_l = 2 f_m
+        if manifold == "four" and np.abs(np.einsum("ik,il,klm->im", pts, pts, STRUCTURE[15][0])
+                                         - 2.0 * pts).max() > INVARIANT_TOL:
+            raise ConstraintViolation("a four-state point is not a pure state: d_klm f_k f_l != 2 f_m")
         self._set(manifold, freeze(pts), freeze(probs))
 
     def __len__(self) -> int:

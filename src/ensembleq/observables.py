@@ -18,18 +18,16 @@ from __future__ import annotations
 import numpy as np
 
 from . import qmatrix
-from .manifolds import BlochState, weighted_sum
+from .manifolds import bloch_vector, weighted_sum
 from .validate import (
     INVARIANT_TOL,
     ConstraintViolation,
     DimensionMismatch,
     Record,
     as_float_array,
+    check_components,
     check_count,
-    check_finite,
     check_unit_vector,
-    freeze,
-    real_array,
 )
 
 
@@ -43,11 +41,7 @@ class TwoLevelObservable(Record):
     __slots__ = ("e", "e0")
 
     def __init__(self, e: np.ndarray, e0: float = 0.0):
-        vec = freeze(real_array(e, "e"))
-        if vec.shape not in ((3,), (15,)):
-            raise ValueError("direction must have 3 or 15 components")
-        check_finite(vec.tolist(), "e")
-        self._set(vec, float(e0))
+        self._set(check_components(e, "e"), float(e0))
 
     @property
     def dim(self) -> int:
@@ -69,9 +63,8 @@ class ProductObservable(Record):
     __slots__ = ("e", "e0")
 
     def __init__(self, e: np.ndarray, e0: float = 0.0):
-        vec = as_float_array(e, "e")
-        self._set(freeze(vec), float(e0))
-        reach = float(np.linalg.norm(vec)) + abs(self.e0)
+        self._set(check_components(e, "e"), float(e0))
+        reach = float(np.linalg.norm(self.e)) + abs(self.e0)
         if reach > 1.0 + INVARIANT_TOL:
             raise ValueError("mean function exceeds the +-1 outcome range")
 
@@ -130,8 +123,8 @@ def moment(obs, ensemble, q: int) -> float:
 
 
 def expectation(obs, state) -> float:
-    """Ensemble expectation value from the reduced state alone; the state is checked physical."""
-    rho = BlochState(getattr(state, "rho", state)).rho
+    """Ensemble expectation value from the reduced state alone, read by ``manifolds.bloch_vector``."""
+    rho = bloch_vector(state)
     if obs.e.shape != rho.shape:
         raise DimensionMismatch("observable and state dimensions differ")
     return float(obs.e @ rho) + obs.e0

@@ -155,6 +155,17 @@ def freeze(x, copy: bool = True) -> np.ndarray:
     return arr
 
 
+def check_components(x, name: str) -> np.ndarray:
+    """x as a frozen (see ``freeze``), real, finite vector of 3 or 15 components;
+    any other input is a ValueError naming ``name``."""
+    arr = real_array(x, name)
+    if arr.shape not in ((3,), (15,)):
+        raise ValueError(f"{name} must have 3 or 15 components, got shape {arr.shape}")
+    if not all(map(math.isfinite, arr.tolist())):
+        raise ValueError(f"{name} contains non-finite entries")
+    return freeze(arr)
+
+
 def check_unit_vector(v, name: str = "e") -> np.ndarray:
     arr = as_float_array(v, name)
     if arr.ndim != 1:

@@ -182,6 +182,7 @@ PINNED_CHECKS = {
         ('eps1 of (a, b) = (3, 2)', 0.0),
         ('eps2 of (a, b) = (3, 2)', 0.0),
         ('flow with both rates excited (d0 = 0.15) matches the closed form (rel)', 1e-06),
+        ('time-dependent rate D(t) = -0.2 - 0.1 cos t at H = 0: rho(t) = rho(0) exp(-0.2t - 0.1 sin t)', 1e-08),
     ],
     "c8": [
         ('T1 of the entangled state', 0.0),
@@ -259,6 +260,7 @@ def test_run_all_rejects_a_bad_seed_before_running(monkeypatch, seed):
 _MUTANTS = [
     ("manifolds.py", '"XY", "-YY", "YX"', '"XY", "YY", "YX"', "c8"),
     ("dynamics.py", "x2 = u0 - x1", "x2 = u0 + x1", "c7"),
+    ("dynamics.py", "k1 = gen @ y + d_vals[i] * y", "k1 = gen @ y", "c7"),
     ("fourstate.py",
      "(1.0 + t1 + t2 + t3)\n    w_pm = 0.25 * (1.0 + t1 - t2 - t3)\n"
      "    w_mp = 0.25 * (1.0 - t1 + t2 - t3)\n    w_mm = 0.25 * (1.0 - t1 - t2 + t3)",
@@ -268,7 +270,7 @@ _MUTANTS = [
 
 
 @pytest.mark.parametrize("module, fragment, replacement, owner", _MUTANTS,
-                         ids=["L14-sign", "syncoherence-x2", "outcome-T2-signs"])
+                         ids=["L14-sign", "syncoherence-x2", "callable-rate-k1", "outcome-T2-signs"])
 def test_planted_mutant_fails_its_criterion(tmp_path, module, fragment, replacement, owner):
     package = Path(ensembleq.__file__).parent
     shutil.copytree(package, tmp_path / "ensembleq", ignore=shutil.ignore_patterns("__pycache__"))

@@ -5,7 +5,6 @@ import sys
 import threading
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -23,8 +22,10 @@ from ensembleq.correlations import (
     pointwise_correlation,
     simulate_sequences,
 )
-from ensembleq.fourstate import entangled_bloch, rotated_spin_observables
+from ensembleq.fourstate import (entangled_bloch, quantum_pair_correlator, rotated_spin_correlation,
+                                 rotated_spin_observables)
 from ensembleq.manifolds import (
+    BlochState,
     Ensemble,
     SubstateEnsemble,
     extend_to_substates,
@@ -116,6 +117,88 @@ class TestEigenstateExpectations:
 def test_unphysical_state_rejected(correlation, state):
     with pytest.raises(ConstraintViolation):
         correlation(np.array(state))
+
+
+# One factor rule: the leftmost factor (measured last) may be R, every other is a unit spin
+_PRODUCTS = {
+    "2pt": lambda obs, state: conditional_correlation_2pt(*obs, state),
+    "3pt": lambda obs, state: conditional_correlation_3pt(*obs, state),
+    "chain": lambda obs, state: measurement_chain(obs, state)[1],
+    "monte-carlo": lambda obs, state: simulate_sequences(obs, state, 1000, seed=3).value,
+}
+
+
+@pytest.mark.parametrize("product", sorted(_PRODUCTS))
+def test_random_observable_stands_only_leftmost(product):
+    # R o X = R: R measured last gives 0 (the sampled +-1 average of 1000 draws, within
+    # 5 standard errors of 0); R measured before another factor has no eigenstates
+    rho_vec, run = np.array([0.3, -0.1, 0.5]), _PRODUCTS[product]
+    factors = [A1, DIAG] if product == "2pt" else [A1, DIAG, A3]
+    value = run([RANDOM, *factors[1:]], rho_vec)
+    assert abs(value) < 5.0 / math.sqrt(1000) if product == "monte-carlo" else value == 0.0
+    for i in range(1, len(factors)):
+        with pytest.raises(NoEigenstateError):
+            run(factors[:i] + [RANDOM] + factors[i + 1:], rho_vec)
+
+
+def test_random_observable_with_four_state_factors_is_a_dimension_mismatch():
+    a, b = rotated_spin_observables(0.3, 1.1)
+    for name, product in _PRODUCTS.items():
+        with pytest.raises(DimensionMismatch):
+            product([RANDOM, a] if name == "2pt" else [RANDOM, a, b], entangled_bloch(-1))
+
+
+def _random_state(rng, dim):
+    """A physical Bloch vector: a random 3-vector in the ball, or the 15-vector of a
+    random mixture of three pure four-state states."""
+    if dim == 3:
+        return random_bloch(rng)
+    psis = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+    w = rng.random(3)
+    rho = np.einsum("n,ni,nj->ij", w / w.sum(), psis, psis.conj())
+    return np.einsum("kij,ji->k", qmatrix.L_BASIS, rho).real
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([3, 15]))
+def test_every_state_form_gives_the_same_value(seed, dim):
+    # a BlochState, a list and an array are the same numbers; a density matrix is read
+    # back as tr(B_k rho), which may differ in the last bits
+    rng = np.random.default_rng(seed)
+    rho_vec = _random_state(rng, dim)
+    if dim == 3:
+        a, b, c = (spin(random_unit(rng)) for _ in range(3))
+    else:
+        (a, b), (c, _) = rotated_spin_observables(*rng.uniform(0.0, 6.3, 2)), rotated_spin_observables(1.0, 0.0)
+    uses = [lambda s: conditional_correlation_2pt(a, b, s),
+            lambda s: conditional_correlation_3pt(a, b, c, s),
+            lambda s: expectation(a, s),
+            lambda s: simulate_sequences([a, b, c], s, 500, seed=seed).value]
+    forms = [BlochState(rho_vec), rho_vec.tolist(), rho_vec]
+    for use in uses:
+        values = [use(form) for form in forms]
+        assert values[0] == values[1] == values[2]
+        assert abs(use(qmatrix.density_from_bloch(rho_vec)) - values[0]) <= 1e-12
+
+
+def test_a_four_state_bloch_state_is_not_checked_again():
+    state = entangled_bloch(-1)
+    a, b = rotated_spin_observables(0.4, 1.3)
+    with mock.patch.object(qmatrix, "density_from_bloch", wraps=qmatrix.density_from_bloch) as spy:
+        conditional_correlation_2pt(a, b, state)
+        conditional_correlation_3pt(a, b, a, state)
+        rotated_spin_correlation(0.4, 1.3, state)
+    assert spy.call_count == 0
+
+
+def test_the_pair_correlator_reads_its_state_once():
+    vec = entangled_bloch(1).rho.copy()
+    with mock.patch.object(qmatrix, "density_from_bloch", wraps=qmatrix.density_from_bloch) as spy:
+        correlator = quantum_pair_correlator(vec)
+        values = [correlator(theta) for theta in (0.0, 0.5, 2.0)]
+    assert spy.call_count == 1
+    assert values == [rotated_spin_correlation(theta, 0.0, vec) for theta in (0.0, 0.5, 2.0)]
 
 
 class TestConditional2pt:
@@ -721,7 +804,7 @@ class TestChainCore:
 
     def test_probability_outside_band_raises(self, monkeypatch):
         # a state past the purity check's band: p(+1) = 1 + 5e-10
-        monkeypatch.setattr(correlations, "BlochState", lambda rho: SimpleNamespace(rho=np.asarray(rho)))
+        monkeypatch.setattr(correlations, "bloch_vector", np.asarray)
         bad = np.array([0.0, 0.0, 1.0 + 1e-9])
         with pytest.raises(ConstraintViolation, match="outcome probability outside"):
             measurement_chain([A3], bad)

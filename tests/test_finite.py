@@ -159,6 +159,14 @@ class TestRegion:
         assert abs(region.inradius ** 2 - float(want)) < 1e-12
         assert abs(region.inradius - math.cos(math.pi / 8.0)) < 1e-12
 
+    def test_no_inradius_when_the_origin_is_outside_the_hull(self):
+        # states at 0, pi/4 and pi/2: the triangle of their means leaves the origin out
+        third = FiniteSpinSystem(8, (0, 1, 2), (THIRD,) * 3, (0, 2))
+        assert realizable_region_check(third).inradius == 0.0
+        # the square's diagonal half has the origin on its edge, not strictly inside
+        half = FiniteSpinSystem(4, (0, 1, 2), (THIRD,) * 3, (0, 1))
+        assert realizable_region_check(half).inradius == 0.0
+
     def test_inradius_converges_to_one(self):
         previous = 0.0
         for n in (8, 16, 32, 64):

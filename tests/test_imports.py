@@ -22,6 +22,14 @@ code was entered":
 What stays without such a use is allowlisted by ``Class.member`` or
 ``func(param)``, with its reason. ``__init__`` is skipped by the
 unused-import check: its imports are the public re-exports.
+
+The guard keys its tables by code object, and a profile frame carries no
+function object, so closures made from one ``def`` share one entry: one that a
+run enters, or one whose parameter a run varies, counts for all of them. For
+example ``acceptance._criterion`` returns the same ``run`` code for the basis
+audit and c1-c10, so the guard compares every criterion's ``seed`` with the
+basis audit's default 0 and cannot tell whether any one criterion's ``seed``
+is ever varied.
 """
 import ast
 import contextlib

@@ -185,6 +185,23 @@ class TestValidation:
         with pytest.raises(ValueError, match="non-finite"):
             build()
 
+    def test_four_state_points_must_be_pure(self):
+        # |f|^2 = 3 holds for +-sqrt(3) e1, and their even mix reduces to the valid state 0,
+        # but neither point is a psi^dagger L psi: d_klm f_k f_l = 0, not 2 f_m
+        point = math.sqrt(3.0) * np.eye(15)[0]
+        with pytest.raises(ConstraintViolation, match="not a pure state"):
+            Ensemble("four", [point, -point], [0.5, 0.5])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 8), min_size=1, max_size=6))
+    def test_points_built_from_wave_functions_are_accepted(self, raw):
+        psis = np.array([np.array(r[:4]) + 1j * np.array(r[4:]) for r in raw])
+        norms = np.linalg.norm(psis, axis=1)
+        psis = psis[norms > 0.1] / norms[norms > 0.1, None]
+        if len(psis):
+            ens = Ensemble("four", [_four_point(psi) for psi in psis], [1.0 / len(psis)] * len(psis))
+            assert len(ens) == len(psis)
+
     def test_bloch_state_bounds(self):
         with pytest.raises(ConstraintViolation):
             BlochState(np.array([1.0, 0.5, 0.0]))

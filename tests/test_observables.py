@@ -67,6 +67,12 @@ class TestConstruction:
         assert TwoLevelObservable(obs.e, 0.5).e is obs.e
 
 
+    @pytest.mark.parametrize("e", [np.zeros(5), np.zeros((3, 3)), np.zeros(0)], ids=["5-vector", "3x3", "empty"])
+    def test_product_observable_needs_3_or_15_components(self, e):
+        with pytest.raises(ValueError, match="3 or 15"):
+            ProductObservable(e)
+
+
 class TestMeanInState:
     def test_aligned(self):
         assert mean_in_state(basis_spin(1), [1.0, 0.0, 0.0]) == 1.0

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ensembleq import qmatrix
-from ensembleq.correlations import measurement_chain
+from ensembleq.correlations import (conditional_correlation_2pt, conditional_correlation_3pt, measurement_chain,
+                                    simulate_sequences)
 from ensembleq.dynamics import integrate_open, integrate_von_neumann
 from ensembleq.manifolds import BlochState
-from ensembleq.observables import ProductObservable, TwoLevelObservable, prob_plus, spin
+from ensembleq.observables import ProductObservable, TwoLevelObservable, expectation, prob_plus, spin
 from ensembleq.qmatrix import (
     L_BASIS,
     PAULI,
@@ -286,8 +287,14 @@ class TestClosedFormBuilders:
         assert np.array_equal(got, want)
 
 
+_Z = TwoLevelObservable([0.0, 0.0, 1.0])
+
 STATE_CONSUMERS = {
-    "measurement_chain": lambda s: measurement_chain([TwoLevelObservable([0.0, 0.0, 1.0])], s),
+    "measurement_chain": lambda s: measurement_chain([_Z], s),
+    "simulate_sequences": lambda s: simulate_sequences([_Z], s, 10, seed=1),
+    "conditional_correlation_2pt": lambda s: conditional_correlation_2pt(_Z, _Z, s),
+    "conditional_correlation_3pt": lambda s: conditional_correlation_3pt(_Z, _Z, _Z, s),
+    "expectation": lambda s: expectation(_Z, s),
     "integrate_von_neumann": lambda s: integrate_von_neumann(s, np.zeros(3), (0.0, 0.1), 0.01),
     "integrate_open": lambda s: integrate_open(s, None, -0.1, (0.0, 0.1), 0.01),
 }
@@ -301,11 +308,11 @@ STATE_CONSUMERS = {
     (np.array([[math.nan, 0.0], [0.0, 0.5]]), ValueError),
 ], ids=["non-hermitian", "purity-bound", "nan-vector", "nan-matrix"])
 def test_state_consumers_reject_alike(consumer, state, error):
-    # the integrators check a state through qmatrix.density_matrix; the chain reads it as a
-    # BlochState, so a matrix is a plain ValueError there (not a Bloch vector)
+    # every consumer reads its state through manifolds.bloch_vector: a matrix through
+    # qmatrix.check_density_matrix, a vector through BlochState
     with pytest.raises(ValueError) as info:
         STATE_CONSUMERS[consumer](state)
-    assert info.type is (ValueError if consumer == "measurement_chain" and state.ndim == 2 else error)
+    assert info.type is error
 
 
 @pytest.mark.parametrize("build, vec", [
