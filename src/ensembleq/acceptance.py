@@ -6,7 +6,9 @@ an experiment report carries. The bodies live in ``experiments``, beside the
 experiment bodies that c5-c10 take their checks from, so each tolerance is
 defined once. ``CRITERIA[cid](seed=..., **budget)`` runs one criterion, timed;
 ``run_all`` runs the suite for ``ensembleq verify`` and the pytest acceptance
-module, and its ``seed`` reseeds only the reseeded rows (c4 and c5).
+module, and its ``seed`` reseeds only the reseeded rows (c4 and c5). In
+``run_all`` a criterion that raises fails, with one check naming the exception,
+and the criteria after it still run; a direct call lets the exception through.
 """
 from __future__ import annotations
 
@@ -15,8 +17,8 @@ import time
 
 import numpy as np
 
-from . import dynamics, experiments, qmatrix
-from .experiments import ConfigError, _exact_check, _merge_params, _tol_check
+from . import dynamics, experiments, fourstate, qmatrix
+from .experiments import Check, ConfigError, _exact_check, _merge_params, _tol_check
 from .validate import ValueRecord
 
 
@@ -46,11 +48,16 @@ def _criterion(cid, name, body, seed=0, budget=None):
 
 
 def _bell(params, seed):
-    """The bell-sweep body, plus the marked lhs and rhs values."""
+    """The bell-sweep body, plus the marked lhs and rhs values and the classical
+    correlator's coincident branch."""
     _, _, res, checks = experiments._bell_sweep({"classical_trials": params["n_trials"]}, seed)
+    hidden = fourstate.symmetrized_hidden_ensemble(np.random.default_rng(seed))
+    corr = fourstate.classical_pair_correlator(hidden)
     return checks + [
         _tol_check("lhs at (pi/2, pi/4)", res["lhs_at_mark"], 0.70711, 5e-6),
         _tol_check("rhs at (pi/2, pi/4)", res["rhs_at_mark"], 0.29289, 5e-6),
+        _exact_check("classical pair correlator is -1 at theta = 0 and +1 at pi (coincident branch)",
+                     (corr(0.0), corr(math.pi)) == (-1.0, 1.0), True),
     ]
 
 
@@ -104,9 +111,11 @@ _TABLE = [
 ]
 CRITERIA = {cid: _criterion(cid, name, body, seed, budget) for cid, name, body, seed, budget, _ in _TABLE}
 _RESEEDED = frozenset(cid for cid, *_, reseeded in _TABLE if reseeded)
+_NAMES = {"basis": "L-basis identities (square, trace, orthogonality)",
+          **{cid: name for cid, name, *_ in _TABLE}}
 
 basis_audit = _criterion(
-    "basis", "L-basis identities (square, trace, orthogonality)",
+    "basis", _NAMES["basis"],
     lambda p, seed: [_tol_check("max identity deviation", qmatrix.basis_identity_error(p["basis"]),
                                 0.0, 1e-12)],
     budget={"basis": None})
@@ -117,13 +126,25 @@ def run_all(seed: int | None = None, only=None) -> list[CriterionResult]:
 
     ``seed`` reseeds the rows marked reseeded; the others keep their default seeds.
     A seed that is not a nonnegative integer, or an id in ``only`` that names
-    no criterion, raises ConfigError before any runs.
+    no criterion, raises ConfigError before any runs. A criterion that raises
+    an Exception fails with one check naming it, and the rest still run.
     """
     if seed is not None:
         seed = experiments.check_seed(seed)
     unknown = sorted(set(only or ()) - {"basis", *CRITERIA})
     if unknown:
         raise ConfigError(f"unknown criteria {unknown}; choose from {list(CRITERIA)}")
-    return [basis_audit()] + [
-        fn(seed=seed) if seed is not None and cid in _RESEEDED else fn()
-        for cid, fn in CRITERIA.items() if only is None or cid in only]
+    runs = [("basis", basis_audit)] + [(cid, fn) for cid, fn in CRITERIA.items()
+                                        if only is None or cid in only]
+    return [_caught(cid, fn, seed if cid in _RESEEDED else None) for cid, fn in runs]
+
+
+def _caught(cid: str, run, seed) -> CriterionResult:
+    """``run()``, given ``seed`` unless it is None; if that raises, a failing result whose
+    one check names the exception."""
+    t0 = time.perf_counter()
+    try:
+        return run() if seed is None else run(seed=seed)
+    except Exception as exc:
+        raised = Check(f"raised {type(exc).__name__}: {exc}", False, math.nan, 0.0, 0.0)
+        return CriterionResult(cid, _NAMES[cid], [raised], time.perf_counter() - t0)

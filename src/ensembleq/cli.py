@@ -8,9 +8,10 @@
 tolerance check passes, 1 on a tolerance failure, 2 on a config error (which
 also prints a machine-readable error JSON). ``verify`` runs the acceptance
 suite and prints one pass/fail line per criterion, followed by the checks of
-each failing one; exit code 0 when every criterion passes, 1 when one fails,
-2 when ``--criteria`` names an unknown id or ``--seed`` is negative (nothing
-runs; error JSON as above).
+each failing one (a criterion that raises fails, and the rest still run);
+exit code 0 when every criterion passes, 1 when one fails, 2 when
+``--criteria`` names an unknown id or ``--seed`` is negative (nothing runs;
+error JSON as above).
 """
 from __future__ import annotations
 

@@ -28,7 +28,7 @@ import threading
 import numpy as np
 
 from .manifolds import STRUCTURE, Ensemble, SubstateEnsemble, bloch_vector, weighted_sum
-from .observables import NoEigenstateError, ProductObservable, RANDOM, TwoLevelObservable, has_eigenstates
+from .observables import RANDOM, ProductObservable, TwoLevelObservable, _require_spin
 from .validate import (INVARIANT_TOL, ZERO_TOL, ConstraintViolation, DimensionMismatch, Record, ValueRecord,
                        check_count)
 
@@ -46,25 +46,18 @@ MAX_SAMPLES = 1 << 32
 _TILE_ROWS = 4096
 
 
-def _require_unit_spin(obs, name: str) -> TwoLevelObservable:
-    if not has_eigenstates(obs):
-        raise NoEigenstateError(f"{name} has no eigenstates")
-    if not isinstance(obs, TwoLevelObservable) or not obs.is_unit:
-        raise ValueError(f"{name} must be a unit-direction observable with zero offset")
-    return obs
-
-
 def _factors(observables, state) -> tuple[list, np.ndarray]:
     """The factors of A o B o ... (rightmost measured first) and the state's Bloch vector, read
     by ``manifolds.bloch_vector``. The one factor rule: the leftmost factor, measured last, may
-    be R (R o X = R); every other is a unit spin (NoEigenstateError if it has no eigenstates);
-    every factor has the state's dimension (else DimensionMismatch)."""
+    be R (R o X = R); every other passes the spin rule ``observables._require_spin``
+    (NoEigenstateError if it has no eigenstates); every factor has the state's dimension
+    (else DimensionMismatch)."""
     factors = list(observables)
     if not factors:
         raise ValueError("empty measurement sequence")
     for i, obs in enumerate(factors):
         if i or obs is not RANDOM:
-            _require_unit_spin(obs, f"factor {i + 1} of the product")
+            _require_spin(obs, f"factor {i + 1} of the product")
     rho = bloch_vector(state)
     if any(obs.e.shape != rho.shape for obs in factors):
         raise DimensionMismatch(f"a factor's dimension differs from the state's {len(rho)} components")
@@ -119,11 +112,12 @@ def conditional_product(x, y):
     the unit observable when the directions coincide, the random observable R
     when they are orthogonal, and in general a mean function constant + spin
     part. Left association (A o B) o C is supported by passing the returned
-    object back in (R o B is R); the right factor must be a unit spin, so
-    A o R raises ``NoEigenstateError``. Directions within INVARIANT_TOL of the
-    exact parallel/orthogonal cases are snapped onto them.
+    object back in (R o B is R); the right factor must be a spin
+    (``_require_spin``), so A o R raises ``NoEigenstateError``. Directions
+    within INVARIANT_TOL of the exact parallel/orthogonal cases are snapped
+    onto them.
     """
-    y = _require_unit_spin(y, "the right factor")
+    y = _require_spin(y, "the right factor")
     if y.dim != 3:
         raise DimensionMismatch("conditional products are implemented for the two-state system")
     if x.e.shape != y.e.shape:
@@ -160,7 +154,7 @@ class WeightedEigenstateSum(Record):
 
 
 def _chain(factors, rho: np.ndarray, terms: bool):
-    """Levels of the chain of checked ``factors`` on rho, and its final states when ``terms`` is set.
+    """Levels of the chain of ``_factors``-checked factors on rho, and its final states if ``terms``.
 
     Level i is a pair (probs, succ) over the distinct reduced states before
     measurement i: probs[j] holds the (+1, -1) outcome probabilities in state
@@ -190,9 +184,7 @@ def _chain(factors, rho: np.ndarray, terms: bool):
         e = obs.e
         dmat = np.zeros((n + 1, n + 1))
         dmat[0, 1:] = dmat[1:, 0] = e
-        dmat[1:, 1:] = np.tensordot(e, STRUCTURE[n][0], axes=1)
-        if np.abs(dmat[1:, 1:] @ e).max() > INVARIANT_TOL:   # A^2 = 1 + e_k e_l d_klm B_m
-            raise ValueError("observable operator does not square to 1 (spectrum is not +-1)")
+        dmat[1:, 1:] = e @ STRUCTURE[n][0]
         once = states @ dmat                            # (k, n + 1): D (1, rho_j), D symmetric
         probs = 0.5 * (1.0 + once[:, :1] * sign)        # (1 +- e.rho_j)/2
         if np.any((probs < -INVARIANT_TOL) | (probs > 1.0 + INVARIANT_TOL)):

@@ -21,8 +21,7 @@ import numpy as np
 # that importing the package loads neither
 from . import correlations, dynamics, fourstate, manifolds, observables, qmatrix
 from .reporting import write_csv, write_json
-from .validate import (PURITY_TOL, RELATIVE_ERROR_FLOOR, ConstraintViolation, ValueRecord, check_count,
-                       check_real)
+from .validate import PURITY_TOL, RELATIVE_ERROR_FLOOR, ValueRecord, check_count, check_real
 
 # count limits: steps^2 grid rows <= MAX_STEPS (about 30 s of Bell checks); a
 # classical trial draws one ensemble in about 0.2 ms, so MAX_STEPS of them take
@@ -462,10 +461,14 @@ def _conditional_3pt(params, seed):
         rho_vec = _random_bloch(rng)
         for k, l, m, prod in products:
             mismatches += int(observables.expectation(prod, rho_vec) != (rho_vec[m] if k == l else 0.0))
+    r_first = correlations.measurement_chain([observables.RANDOM, b], rho_vec)[1]
+    antiparallel = observables.expectation(cp(a, observables.TwoLevelObservable(-a.e)), rho_vec)
     return [
         _tol_check("max |expr - tr({{A,B},C}rho)/4|", worst, 0.0, 1e-12),
         _tol_check("max |<(A o B) o C> - expr|", worst_cp, 0.0, 1e-12),
         _exact_check("(k, l, m, rho) breaking delta_kl rho_m", mismatches, 0),
+        _exact_check("measurement_chain([R, B]) value (R o X = R)", r_first, 0.0),
+        _exact_check("<A o (-A)>", antiparallel, -1.0),
     ]
 
 
@@ -485,10 +488,12 @@ def _mc_convergence(params, seed):
     rep = correlations.simulate_sequences([a, a], _random_bloch(np.random.default_rng(seed + 99)), n, seed)
     # the last chain again, its blocks dealt into two shares: the same bits for any n_jobs
     shared = correlations.simulate_sequences(chain, rho_vec, n, seed + trial, n_jobs=2)
+    r_first = correlations.simulate_sequences([observables.RANDOM, b], rho_vec, n, seed)
     return checks + [
         _exact_check("repeated chain value", rep.value, 1.0),
         _exact_check("repeated chain standard error", rep.stderr, 0.0),
         _exact_check(f"trial {trial} {len(chain)}-chain at n_jobs=2 equals n_jobs=1", shared.value, est.value),
+        _stderr_check("R o B chain within 5 standard errors of 0", r_first, 0.0),
     ]
 
 
@@ -523,14 +528,17 @@ def _four_state(params, seed):
     micro = [np.outer(psi, psi.conj()) for psi in (psi_m, fourstate.basis_psi(1), psi_p)]
     micro_probs = (0.5, 0.3, 0.2)
     rho_mix = sum(p * m for p, m in zip(micro_probs, micro))
-    try:
-        ensemble = manifolds.Ensemble("four", [manifolds.bloch_vector(m) for m in micro], micro_probs)
-    except ConstraintViolation:   # a wrong d_klm table sees the psi points as not pure: the row fails
-        ensemble = None
-    entangled_gap = math.inf if ensemble is None else float(np.abs(manifolds.reduce_ensemble(ensemble).rho - [
+    ensemble = manifolds.Ensemble("four", [manifolds.bloch_vector(m) for m in micro], micro_probs)
+    entangled_gap = float(np.abs(manifolds.reduce_ensemble(ensemble).rho - [
         qmatrix.qm_expectation(qmatrix.l_operator(m), rho_mix) for m in range(1, 16)]).max())
-    moved = sum(not np.array_equal(fourstate.exchange_symmetry(v), v.rho)
+    moved = sum(not np.array_equal(fourstate.exchange_symmetry(v.rho), v.rho)
                 for v in (bloch, fourstate.entangled_bloch(1)))
+    # (L1 + L2)/sqrt(2) is unit but squares to 1 + L3: no spin
+    not_spin = observables.TwoLevelObservable((np.eye(15)[0] + np.eye(15)[1]) / math.sqrt(2.0))
+    rejected = sum(_rejects_as_not_spin(call) for call in (
+        lambda: correlations.measurement_chain([not_spin], bloch),
+        lambda: observables.prob_plus(not_spin, bloch.rho),
+        lambda: observables.moment(not_spin, ensemble, 1)))
     # a state with T1 and T2 both nonzero: (T1, T2, T3) = (1/2, -1/4, 1/4)
     weights = (0.375, 0.375, 0.0, 0.25)
     skewed = fourstate.outcomes_from_t(*(qmatrix.qm_expectation(qmatrix.l_operator(m), np.diag(weights))
@@ -546,7 +554,17 @@ def _four_state(params, seed):
         _exact_check("entangled 15-vectors moved by the exchange map", moved, 0),
         _exact_check("weights of diag(3/8, 3/8, 0, 1/4) from its T1, T2, T3",
                      (skewed.w_pp, skewed.w_pm, skewed.w_mp, skewed.w_mm) == weights, True),
+        _exact_check("(L1 + L2)/sqrt(2) is rejected by measurement_chain, prob_plus and moment", rejected, 3),
     ]
+
+
+def _rejects_as_not_spin(call) -> bool:
+    """True if ``call()`` raises the spin rule's "spectrum is not +-1" ValueError."""
+    try:
+        call()
+    except ValueError as exc:
+        return "spectrum is not +-1" in str(exc)
+    return False
 
 
 def _cartesian_identities(params, seed):

@@ -22,7 +22,7 @@ from .dynamics import MAX_STEPS, _linear_flow
 from .manifolds import BASIS_WORDS, BlochState, Ensemble, bloch_vector, canonical_direction, weighted_sum
 from .observables import TwoLevelObservable
 from .validate import (INVARIANT_TOL, PURITY_TOL, SAME_DIRECTION_TOL, ConstraintViolation, DimensionMismatch,
-                       ValueRecord, as_float_array, check_count, check_probabilities, check_real)
+                       ValueRecord, check_components, check_count, check_probabilities, check_real)
 
 
 def basis_psi(m: int) -> np.ndarray:
@@ -237,8 +237,9 @@ _SWAP_TERMS = [(k, -1.0 if w[0] == "-" else 1.0) for k, w in enumerate(BASIS_WOR
 
 
 def exchange_symmetry(f) -> np.ndarray:
-    """Apply the particle-exchange index map to a 15-vector."""
-    vec = as_float_array(getattr(f, "rho", f), "f")
+    """Apply the particle-exchange index map to a real, finite 15-vector, read by
+    ``validate.check_components``; ``is_exchange_symmetric`` classifies states."""
+    vec = check_components(f, "f")
     if vec.shape != (15,):
         raise ValueError("expected a 15-component vector")
     return vec[_EXCHANGE_PERM]

@@ -7,18 +7,20 @@ that function as a direction vector e and a scalar offset e0, with mean
 e0 + e . f in the micro-state f, and every function of this module reads it
 the same way.
 
-A ``TwoLevelObservable`` is also an operator observable: |e| = 1 and e0 = 0
-give spectrum {+1, -1}, and scaling and shifting act on the spectrum
-{e0 + |e|, e0 - |e|}. A ``ProductObservable`` is the mean function of a
-conditional product and has no operator. The random observable R is the
-product observable with mean 0 in every micro-state.
+A ``TwoLevelObservable`` is also an operator observable, A = e0 + e_k B_k, and
+a spin (spectrum +-1) when e0 = 0 and A^2 = 1: |e| = 1 for two states, and
+also e_k e_l d_klm = 0 for four, where (L1 + L2)/sqrt(2) has mean sqrt(2) at
+psi_1. ``_require_spin`` is the one rule for every function that needs a spin.
+A ``ProductObservable`` is the mean function of a conditional product and has
+no operator. The random observable R is the product observable with mean 0 in
+every micro-state.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from . import qmatrix
-from .manifolds import bloch_vector, weighted_sum
+from .manifolds import STRUCTURE, bloch_vector, weighted_sum
 from .validate import (
     INVARIANT_TOL,
     ConstraintViolation,
@@ -47,10 +49,6 @@ class TwoLevelObservable(Record):
     def dim(self) -> int:
         return self.e.shape[0]
 
-    @property
-    def is_unit(self) -> bool:
-        return abs(float(self.e @ self.e) - 1.0) <= INVARIANT_TOL and self.e0 == 0.0
-
 
 class ProductObservable(Record):
     """+-1-valued observable whose micro-state mean is e0 + e . f.
@@ -74,9 +72,23 @@ class ProductObservable(Record):
 RANDOM = ProductObservable(np.zeros(3))
 
 
+def _require_spin(obs, name: str) -> TwoLevelObservable:
+    """``obs`` if it is a spin: a ``TwoLevelObservable`` with e0 == 0, |e.e - 1| <= INVARIANT_TOL
+    and, for 15 components, max_m |e_k e_l d_klm| <= INVARIANT_TOL (A^2 = 1 + e_k e_l d_klm L_m).
+    A product observable with |e| + |e0| < 1 - INVARIANT_TOL (R among them) is sharp in no
+    micro-state: NoEigenstateError. Anything else is a ValueError naming ``name``."""
+    if isinstance(obs, ProductObservable) and np.linalg.norm(obs.e) + abs(obs.e0) < 1.0 - INVARIANT_TOL:
+        raise NoEigenstateError(f"{name} has no eigenstates")
+    if not isinstance(obs, TwoLevelObservable) or obs.e0 != 0.0 or abs(obs.e @ obs.e - 1.0) > INVARIANT_TOL:
+        raise ValueError(f"{name} must be a unit-direction observable with zero offset")
+    if obs.dim == 15 and np.abs(obs.e @ STRUCTURE[15][0] @ obs.e).max() > INVARIANT_TOL:
+        raise ValueError(f"{name}: the operator does not square to 1 (spectrum is not +-1)")
+    return obs
+
+
 def spin(e) -> TwoLevelObservable:
-    """Unit-direction observable with spectrum +-1 and zero offset."""
-    return TwoLevelObservable(check_unit_vector(e, "e"), 0.0)
+    """Unit-direction observable with spectrum +-1 and zero offset (``_require_spin``)."""
+    return _require_spin(TwoLevelObservable(check_unit_vector(e, "e"), 0.0), "e")
 
 
 def basis_spin(k: int) -> TwoLevelObservable:
@@ -99,12 +111,11 @@ def mean_in_state(obs, f) -> float:
 def prob_plus(obs, f) -> float:
     """Probability of the +1 outcome in the micro-state with coordinates f, (1 + mean)/2.
 
-    Defined only for observables with spectrum {+1, -1}; scaled or shifted
-    observables are rejected, and a micro-state that puts the probability
-    outside [0, 1] by over INVARIANT_TOL raises ConstraintViolation.
+    Defined only for +-1 observables (``_require_spin``); a micro-state that puts
+    the probability outside [0, 1] by over INVARIANT_TOL raises ConstraintViolation.
     """
-    if isinstance(obs, TwoLevelObservable) and not obs.is_unit:
-        raise ValueError("outcome probabilities require a unit direction and zero offset")
+    if isinstance(obs, TwoLevelObservable):
+        _require_spin(obs, "obs")
     p = 0.5 * (1.0 + mean_in_state(obs, f))
     if not -INVARIANT_TOL <= p <= 1.0 + INVARIANT_TOL:
         raise ConstraintViolation(f"outcome probability {p!r} outside [0, 1] by over {INVARIANT_TOL}")
@@ -112,13 +123,15 @@ def prob_plus(obs, f) -> float:
 
 
 def moment(obs, ensemble, q: int) -> float:
-    """Ensemble moment <A^q>: the mean for odd q, exactly 1 for even q."""
+    """Ensemble moment <A^q> of a +-1 observable (``_require_spin``): the mean for odd q,
+    exactly 1 for even q."""
     if obs.e.shape != ensemble.points.shape[1:]:
         raise DimensionMismatch("observable and ensemble dimensions differ")
-    if check_count(q, "q", lo=1) % 2 == 0:
+    q = check_count(q, "q", lo=1)
+    if isinstance(obs, TwoLevelObservable):
+        _require_spin(obs, "obs")
+    if q % 2 == 0:
         return 1.0
-    if isinstance(obs, TwoLevelObservable) and not obs.is_unit:
-        raise ValueError("moments assume spectrum +-1 (unit direction, zero offset)")
     return weighted_sum(ensemble.probs, ensemble.points @ obs.e + obs.e0)
 
 
@@ -133,8 +146,10 @@ def expectation(obs, state) -> float:
 def combine(lam1, a: TwoLevelObservable, lam2, b: TwoLevelObservable) -> TwoLevelObservable:
     """Linear combination lam1*A + lam2*B; expectation values combine exactly.
 
-    With lam1^2 + lam2^2 = 1 and orthogonal unit inputs this is again a
-    spectrum-+-1 observable (a rotated spin).
+    With lam1^2 + lam2^2 = 1 and orthogonal unit spins the result is unit.
+    It is again a spin only if the inputs anticommute (a_k b_l d_klm = 0 for
+    four states): always for two states, but not for L1 and L2, whose
+    combination squares to 1 + 2 lam1 lam2 L3.
     """
     if isinstance(lam1, complex) or isinstance(lam2, complex):
         raise ValueError("complex scaling of measurable observables is unsupported")
@@ -142,19 +157,6 @@ def combine(lam1, a: TwoLevelObservable, lam2, b: TwoLevelObservable) -> TwoLeve
         raise DimensionMismatch("cannot combine observables of different dimension")
     return TwoLevelObservable(float(lam1) * a.e + float(lam2) * b.e,
                               float(lam1) * a.e0 + float(lam2) * b.e0)
-
-
-def has_eigenstates(obs) -> bool:
-    """True if some micro-state gives the observable a sharp value.
-
-    An operator observable is sharp in the micro-states f = +-e/|e| (a pure
-    offset everywhere). A +-1-valued mean function is sharp only where it
-    reaches +-1, so only if |e| + |e0| reaches 1: the random observable and
-    every conditional product whose mean stays strictly inside (-1, 1) have none.
-    """
-    if isinstance(obs, TwoLevelObservable):
-        return True
-    return float(np.linalg.norm(obs.e)) + abs(obs.e0) >= 1.0 - INVARIANT_TOL
 
 
 def operator_of(obs) -> np.ndarray:

@@ -150,6 +150,8 @@ PINNED_CHECKS = {
         ('max |expr - tr({{A,B},C}rho)/4|', 1e-12),
         ('max |<(A o B) o C> - expr|', 1e-12),
         ('(k, l, m, rho) breaking delta_kl rho_m', 0.0),
+        ('measurement_chain([R, B]) value (R o X = R)', 0.0),
+        ('<A o (-A)>', 0.0),
     ],
     "c4": [
         ('trial 0 2-chain within 5 standard errors', 0.1558354410417755),
@@ -161,6 +163,7 @@ PINNED_CHECKS = {
         ('repeated chain value', 0.0),
         ('repeated chain standard error', 0.0),
         ('trial 2 3-chain at n_jobs=2 equals n_jobs=1', 0.0),
+        ('R o B chain within 5 standard errors of 0', 0.1581926829057682),
     ],
     "c5": [
         ('correlator equals -cos(theta1-theta2)', 1e-12),
@@ -168,6 +171,7 @@ PINNED_CHECKS = {
         ('classical correlators satisfy the inequality', 0.0),
         ('lhs at (pi/2, pi/4)', 5e-06),
         ('rhs at (pi/2, pi/4)', 5e-06),
+        ('classical pair correlator is -1 at theta = 0 and +1 at pi (coincident branch)', 0.0),
     ],
     "c6": [
         ('trajectory equals (cos 2wt, sin 2wt, 0)', 1e-08),
@@ -199,6 +203,7 @@ PINNED_CHECKS = {
         ('four-ensemble of psi micro-states reduces to tr(L_m rho) of their mixture', 1e-12),
         ('entangled 15-vectors moved by the exchange map', 0.0),
         ('weights of diag(3/8, 3/8, 0, 1/4) from its T1, T2, T3', 0.0),
+        ('(L1 + L2)/sqrt(2) is rejected by measurement_chain, prob_plus and moment', 0.0),
     ],
     "c9": [
         ('max |poly - sum <S>^2|', 1e-12),
@@ -266,11 +271,16 @@ _MUTANTS = [
      "    w_mp = 0.25 * (1.0 - t1 + t2 - t3)\n    w_mm = 0.25 * (1.0 - t1 - t2 + t3)",
      "(1.0 + t1 - t2 + t3)\n    w_pm = 0.25 * (1.0 + t1 + t2 - t3)\n"
      "    w_mp = 0.25 * (1.0 - t1 - t2 - t3)\n    w_mm = 0.25 * (1.0 - t1 + t2 + t3)", "c8"),
+    ("observables.py",
+     "    if obs.dim == 15 and np.abs(obs.e @ STRUCTURE[15][0] @ obs.e).max() > INVARIANT_TOL:\n"
+     '        raise ValueError(f"{name}: the operator does not square to 1 (spectrum is not +-1)")\n',
+     "", "c8"),
 ]
 
 
 @pytest.mark.parametrize("module, fragment, replacement, owner", _MUTANTS,
-                         ids=["L14-sign", "syncoherence-x2", "callable-rate-k1", "outcome-T2-signs"])
+                         ids=["L14-sign", "syncoherence-x2", "callable-rate-k1", "outcome-T2-signs",
+                              "spin-square-test"])
 def test_planted_mutant_fails_its_criterion(tmp_path, module, fragment, replacement, owner):
     package = Path(ensembleq.__file__).parent
     shutil.copytree(package, tmp_path / "ensembleq", ignore=shutil.ignore_patterns("__pycache__"))

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -307,6 +308,29 @@ def test_verify_prints_failing_checks(capsys, monkeypatch):
     assert "  [ok  ] held: value 0 vs 0 (tol 0)" in out
     assert "  [FAIL] broken: value 2 vs 1 (tol 0.5)" in out
     assert "1/2 criteria passed" in out
+
+
+def test_verify_reports_a_criterion_that_raises_as_a_failure(capsys, monkeypatch):
+    from ensembleq import acceptance
+    from ensembleq.validate import ConstraintViolation
+
+    def raises(**kwargs):
+        raise ConstraintViolation("planted")
+
+    ran = []
+    for cid in acceptance.CRITERIA:   # a cheap passing stub for each criterion; c8 then raises
+        passing = acceptance._criterion(cid, f"stub {cid}", lambda params, seed, cid=cid: ran.append(cid) or [])
+        monkeypatch.setitem(acceptance.CRITERIA, cid, passing)
+    monkeypatch.setitem(acceptance.CRITERIA, "c8", raises)
+    assert main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert re.search(r"^FAIL +c8 ", out, re.M)
+    assert "  [FAIL] raised ConstraintViolation: planted: value nan vs 0 (tol 0)" in out
+    assert all(re.search(rf"^PASS +{cid} ", out, re.M) for cid in ("c9", "c10"))
+    assert ran == [cid for cid in acceptance.CRITERIA if cid != "c8"]
+    assert "10/11 criteria passed" in out
+    with pytest.raises(ConstraintViolation):   # a direct call still raises
+        acceptance.CRITERIA["c8"]()
 
 
 def test_cartesian_report_contents(tmp_path):

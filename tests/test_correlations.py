@@ -38,10 +38,12 @@ from ensembleq.observables import (
     TwoLevelObservable,
     basis_spin,
     expectation,
+    moment,
     operator_of,
+    prob_plus,
     spin,
 )
-from ensembleq.validate import ConstraintViolation, DimensionMismatch
+from ensembleq.validate import INVARIANT_TOL, ConstraintViolation, DimensionMismatch
 
 SQ2 = 1.0 / math.sqrt(2.0)
 A1, A2, A3 = basis_spin(1), basis_spin(2), basis_spin(3)
@@ -814,10 +816,47 @@ class TestChainCore:
     @pytest.mark.parametrize("consumer", [
         lambda a, state: measurement_chain([a], state),
         lambda a, state: conditional_correlation_2pt(a, rotated_spin_observables(0.3, 0.0)[1], state),
+        lambda a, state: conditional_correlation_3pt(*rotated_spin_observables(0.3, 0.0), a, state),
         lambda a, state: simulate_sequences([a], state, 10, seed=1),
-    ], ids=["chain", "2pt", "monte-carlo"])
+        lambda a, state: spin(a.e),
+        lambda a, state: prob_plus(a, state.rho),
+        lambda a, state: moment(a, Ensemble("four", [state.rho], [1.0]), 1),
+        lambda a, state: moment(a, Ensemble("four", [state.rho], [1.0]), 2),
+    ], ids=["chain", "2pt", "3pt", "monte-carlo", "spin", "prob_plus", "moment-1", "moment-2"])
     def test_unit_direction_without_pm1_spectrum_rejected(self, consumer):
-        # (L1 + L2)/sqrt(2) is unit, but squares to 1 + L3
+        # (L1 + L2)/sqrt(2) is unit, but squares to 1 + L3: every consumer of a spin rejects it
         a = TwoLevelObservable(np.eye(15)[0] * SQ2 + np.eye(15)[1] * SQ2)
         with pytest.raises(ValueError, match="spectrum is not \\+-1"):
             consumer(a, entangled_bloch(-1))
+
+
+def _anticommuting_words(order) -> list[int]:
+    """The L_k, taken in ``order``, that anticommute with every one taken before, by the oracle's matrices."""
+    words, basis = [], qmatrix.L_BASIS
+    for k in order:
+        if all(not np.any(basis[k] @ basis[l] + basis[l] @ basis[k]) for l in words):
+            words.append(k)
+    return words
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_spin_rule_agrees_with_the_operator_square(seed, anticommuting):
+    # a unit combination of mutually anticommuting words squares to 1; a random unit direction does not
+    rng = np.random.default_rng(seed)
+    e = np.zeros(15)
+    if anticommuting:
+        words = _anticommuting_words(rng.permutation(15))[:int(rng.integers(1, 6))]
+        e[words] = rng.normal(size=len(words))
+    else:
+        e = rng.normal(size=15)
+    e /= np.linalg.norm(e)
+    op = operator_of(TwoLevelObservable(e))
+    squares_to_one = np.abs(op @ op - np.eye(4)).max() <= INVARIANT_TOL
+    try:
+        spin(e)
+        accepted = True
+    except ValueError as exc:
+        assert "spectrum is not +-1" in str(exc)
+        accepted = False
+    assert accepted == squares_to_one == anticommuting

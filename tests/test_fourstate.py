@@ -444,6 +444,16 @@ class TestExchangeSymmetry:
         f = rng.normal(size=15)
         np.testing.assert_array_equal(exchange_symmetry(exchange_symmetry(f)), f)
 
+    @pytest.mark.parametrize("f, message", [
+        (np.zeros(3), "15-component"),
+        (np.eye(4) / 4.0, "3 or 15 components"),
+        (np.eye(15)[0] * 1j, "complex entries"),
+        (np.full(15, np.nan), "non-finite"),
+    ], ids=["3-vector", "density-matrix", "complex", "nan"])
+    def test_index_map_reads_only_real_finite_15_vectors(self, f, message):
+        with pytest.raises(ValueError, match=message):
+            exchange_symmetry(f)
+
 
 class TestBasisExpectations:
     def test_three_ways_agree(self):

@@ -3,10 +3,9 @@ oracle's own users reach the matrix oracle, nothing generates code or loads
 the exact-arithmetic module at package import, and every public definition,
 option and record field is used when the program runs.
 
-The run is ``verify``, the nine experiments, the README example and one tiny
-pass of the ``sequences``, ``trajectories`` and ``substates`` benchmark
-workloads, under ``sys.setprofile``. Four rules go beyond "the definition's
-code was entered":
+The run is ``verify``, the nine experiments and the README example, under
+``sys.setprofile``; the benchmark is not run. Four rules go beyond "the
+definition's code was entered":
 
 - each defaulted parameter, and each ``**kw``, of an entered public function
   must be set by some call to a value other than its default (a value equal
@@ -16,8 +15,7 @@ code was entered":
 - each ``__slots__`` field of a record class must be read by some code
   other than ``Record.__repr__`` and ``Record._fields`` (which serves ``==``
   and ``hash``);
-- what the benchmark uses is exempt because the run enters it, not because
-  ``perfbench/`` names it.
+- a use by the benchmark alone does not count.
 
 What stays without such a use is allowlisted by ``Class.member`` or
 ``func(param)``, with its reason. ``__init__`` is skipped by the
@@ -341,19 +339,18 @@ _TEST_ONLY_ALLOWED = {
     "basis_audit(**params)": "the same negative control, given to the audit as a budget override",
     "operator_from_direction(e0)": "operator_of passes a shifted observable's offset; a check row "
                                    "for it would change the pinned run_all() records",
+    **dict.fromkeys(["WeightedEigenstateSum.terms", "Trajectory.matrices", "integrate_bloch",
+                     "interference_trajectory(n_steps)", "SubstateEnsemble.__len__", "SubstateEnsemble.probs",
+                     "SubstateEnsemble.state_index"], "read only by perfbench; ROADMAP item 3"),
 }
 
 
-def test_every_public_definition_is_used_outside_the_tests(tmp_path, monkeypatch):
-    # what a reader runs: verify, the nine experiments and the README's Python example,
-    # and one tiny pass of each benchmark workload that these do not already run
+def test_every_public_definition_is_used_outside_the_tests(tmp_path):
+    # what a reader runs: verify, the nine experiments and the README's Python example
     root = Path(ensembleq.__file__).resolve().parents[2]
     readme = (root / "README.md").read_text(encoding="utf-8")
     examples = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
     assert examples
-    monkeypatch.syspath_prepend(str(root / "perfbench"))
-    tracing, workloads = importlib.import_module("tracing"), importlib.import_module("workloads")
-    gate = workloads.Gate()
 
     def run():
         with contextlib.redirect_stdout(io.StringIO()):
@@ -362,16 +359,12 @@ def test_every_public_definition_is_used_outside_the_tests(tmp_path, monkeypatch
                 assert cli.main(["run", "--experiment", name, "--out", str(tmp_path)]) == 0
             for example in examples:
                 exec(example, {})
-        for name in ("sequences", "trajectories", "substates"):   # reproduce repeats the above
-            workload = workloads.WORKLOADS[name]
-            workload.run_pass(workload.make_inputs(1, "tiny", tmp_path), tracing.NullTracer(), gate)
 
     # importing __main__ would run the command line
     modules = [importlib.import_module(f"ensembleq.{path.stem}")
                for path in sorted(Path(ensembleq.__file__).parent.glob("*.py"))
                if path.stem not in ("__init__", "__main__")]
     used, unvaried = _trace(run, modules)
-    assert gate.failed == 0, gate.failures
     assert _unused(modules, used, unvaried, _TEST_ONLY_ALLOWED) == []
 
 

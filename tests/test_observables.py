@@ -147,6 +147,16 @@ class TestMoments:
         with pytest.raises(ValueError):
             moment(basis_spin(3), ens, 0)
 
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("obs", [TwoLevelObservable(np.array([0.5, 0.0, 0.0])),
+                                     TwoLevelObservable(np.array([1.0, 0.0, 0.0]), 0.3)],
+                             ids=["short", "offset"])
+    def test_non_spin_rejected_at_every_q(self, obs, q):
+        # the even-q shortcut returned 1.0 for these
+        ens = Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0])
+        with pytest.raises(ValueError, match="unit-direction observable with zero offset"):
+            moment(obs, ens, q)
+
     @pytest.mark.parametrize("q", [1, 2])
     def test_dimension_mismatch(self, q):
         ens = Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0])
