@@ -26,8 +26,8 @@ import numpy as np
 
 from .manifolds import STRUCTURE, Ensemble, _components, bloch_vector
 from .qmatrix import L_BASIS, PAULI
-from .validate import (INVARIANT_TOL, PURITY_TOL, RATE_GAP_TOL, ConstraintViolation, Record, ValueRecord,
-                       as_float_array, check_components, check_real, check_rotation, freeze)
+from .validate import (PURITY_TOL, RATE_GAP_TOL, ConstraintViolation, Record, ValueRecord, _check_hermitian,
+                       as_float_array, check_components, check_real, check_rotation, real_array)
 
 MAX_STEPS = 2**20
 
@@ -43,18 +43,10 @@ class Hamiltonian(Record):
     __slots__ = ("hk",)
 
     def __init__(self, hk: np.ndarray):
-        arr = np.asarray(hk)
+        arr = real_array(hk, "hk", complex_ok=True)
         if arr.ndim == 2:
-            if arr.shape not in ((2, 2), (4, 4)):
-                raise ValueError(f"Hamiltonian matrix must be 2x2 or 4x4, got shape {arr.shape}")
-            if not np.isfinite(arr).all():
-                raise ValueError("Hamiltonian matrix contains non-finite entries")
-            if np.abs(arr - arr.conj().T).max() > INVARIANT_TOL:
-                raise ConstraintViolation("Hamiltonian matrix is not Hermitian")
-            arr = freeze(_components(arr) / len(arr), copy=False)
-        else:
-            arr = check_components(arr, "hk")
-        self._set(arr)
+            arr = _components(_check_hermitian(arr, "Hamiltonian matrix")) / len(arr)
+        self._set(check_components(arr, "hk"))
 
 
 def _flow(rho0, hamiltonian) -> tuple[np.ndarray, np.ndarray]:
@@ -227,9 +219,7 @@ def hamiltonian_from_rotation(s_of_t, t: float) -> np.ndarray:
         H_k = -(1/4) dS_jl/dt S^-1_lm eps_jmk,
 
     with the time derivative taken by central differences of step _DIFF_STEP."""
-    s_plus = np.asarray(s_of_t(t + _DIFF_STEP), dtype=float)
-    s_minus = np.asarray(s_of_t(t - _DIFF_STEP), dtype=float)
-    s_now = np.asarray(s_of_t(t), dtype=float)
+    s_plus, s_minus, s_now = (real_array(s_of_t(u), "s_of_t") for u in (t + _DIFF_STEP, t - _DIFF_STEP, t))
     s_dot = (s_plus - s_minus) / (2.0 * _DIFF_STEP)
     m = s_dot @ np.linalg.inv(s_now)
     return -0.25 * np.einsum("jm,jmk->k", m, STRUCTURE[3][1])
@@ -330,7 +320,7 @@ def syncoherence_closed_form(p0: float, d0: float, params: FlowParams, times) ->
     u0 = 1.0 - float(p0)
     x1 = (float(d0) - eps2 * u0) / (eps1 - eps2)
     x2 = u0 - x1
-    t = np.asarray(times, dtype=float) - float(times[0])
+    t = real_array(times, "times") - float(times[0])
     u = x1 * np.exp(-eps1 * t) + x2 * np.exp(-eps2 * t)
     d = eps1 * x1 * np.exp(-eps1 * t) + eps2 * x2 * np.exp(-eps2 * t)
     return 1.0 - u, d

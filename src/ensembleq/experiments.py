@@ -89,6 +89,8 @@ def _merge_params(defaults: dict, given: dict, name: str) -> dict:
     for key, value in given.items():
         if key not in defaults:
             raise ConfigError(f"unknown parameter {key!r} for experiment {name!r}")
+        if isinstance(defaults[key], list) and not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
         params[key] = value
     return params
 
@@ -254,6 +256,8 @@ def _cartesian_spins(params, seed):
         probs = check_real(p["probs"], "probs", length=8)
     before = finite.cartesian_purity(probs)
     classical = finite.cartesian_measure_sz(probs, "classical")
+    if p["free_p1"] is not None:
+        check_real(p["free_p1"], "free_p1")   # an int or Fraction goes on as given, so it stays exact
     quantum = finite.cartesian_measure_sz(probs, "quantum", free_p1=p["free_p1"])
     rows = []
     for label, vec, pur in (

@@ -19,8 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .validate import (PURITY_TOL, ZERO_TOL, ConstraintViolation, Record, ValueRecord, check_count,
-                       check_finite, check_probabilities)
+from .validate import (PURITY_TOL, ZERO_TOL, ConstraintViolation, Record, ValueRecord, as_float_array,
+                       check_count, check_probabilities, real_array)
 
 
 class Q2(Record):
@@ -172,7 +172,7 @@ class FiniteSpinSystem(ValueRecord):
         if not signed:
             _check_probs(probs, self.exact)
         elif not self.exact:
-            check_finite([float(p) for p in probs], "probs")
+            as_float_array([float(p) for p in probs], "probs")
 
     @property
     def n_states(self) -> int:
@@ -363,7 +363,7 @@ def cartesian_purity(p):
     sum_k <S_k>^2. Works elementwise on an (..., 8) float array, and exactly
     on Fraction inputs.
     """
-    arr = np.asarray(p, dtype=object if _is_exact_seq(p, (int, Fraction)) else float)
+    arr = np.asarray(p, dtype=object) if _is_exact_seq(p, (int, Fraction)) else real_array(p, "p")
     if arr.shape[-1] != 8:
         raise ValueError("expected eight substate probabilities")
     p1, p2, p3, p4 = arr[..., 0], arr[..., 1], arr[..., 2], arr[..., 3]

@@ -22,7 +22,7 @@ from .dynamics import MAX_STEPS, _linear_flow
 from .manifolds import BASIS_WORDS, BlochState, Ensemble, bloch_vector, canonical_direction, weighted_sum
 from .observables import TwoLevelObservable
 from .validate import (INVARIANT_TOL, PURITY_TOL, SAME_DIRECTION_TOL, ConstraintViolation, DimensionMismatch,
-                       ValueRecord, check_components, check_count, check_probabilities, check_real)
+                       ValueRecord, check_components, check_count, check_probabilities, check_real, real_array)
 
 
 def basis_psi(m: int) -> np.ndarray:
@@ -241,7 +241,7 @@ def exchange_symmetry(f) -> np.ndarray:
     ``validate.check_components``; ``is_exchange_symmetric`` classifies states."""
     vec = check_components(f, "f")
     if vec.shape != (15,):
-        raise ValueError("expected a 15-component vector")
+        raise ValueError(f"f must be a 15-component vector, got shape {vec.shape}")
     return vec[_EXCHANGE_PERM]
 
 
@@ -255,8 +255,8 @@ def is_exchange_symmetric(state) -> str:
     (sum rho_k^2 < 3 - 4 PURITY_TOL, i.e. tr rho^2 < 1 - PURITY_TOL), and
     otherwise "bosonic" or "fermionic" by the sign of 2 tr(E rho) = 1 + <XX> + <YY> + <ZZ>.
     """
-    if np.shape(state) == (4,):
-        psi = np.asarray(state, dtype=complex)
+    psi = None if isinstance(state, BlochState) else real_array(state, "state", complex_ok=True)
+    if psi is not None and psi.shape == (4,):
         if not np.isfinite(psi).all():
             raise ValueError("wave function contains non-finite entries")
         norm2 = sum(c.real * c.real + c.imag * c.imag for c in psi.tolist())

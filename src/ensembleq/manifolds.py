@@ -111,7 +111,7 @@ def bloch_vector(state) -> np.ndarray:
     density matrix through ``qmatrix.check_density_matrix``, read as rho_k = tr(B_k rho)."""
     if isinstance(state, BlochState):
         return state.rho
-    arr = np.asarray(state)
+    arr = real_array(state, "state", complex_ok=True)
     if arr.ndim == 2:
         return _components(qmatrix.check_density_matrix(arr))
     return BlochState(real_array(arr, "Bloch vector")).rho
@@ -228,8 +228,8 @@ class SubstateEnsemble(Record):
     __slots__ = ("directions", "table")
 
     def __init__(self, directions: np.ndarray, table: np.ndarray):   # (m, 3) canonical; (n, 2^m)
-        directions = freeze(as_float_array(directions))
-        table = np.asarray(table, dtype=float)
+        directions = freeze(as_float_array(directions, "directions"))
+        table = real_array(table, "table")
         if directions.shape[1:] != (3,) or table.shape[1:] != (2 ** len(directions),):
             raise ValueError("directions must have shape (m, 3) and the table shape (micro-states, 2^m)")
         _check_directions(directions)
@@ -367,7 +367,7 @@ def grid_ensemble(resolution: int, density) -> Ensemble:
     cells[:, :, 2] = z[:, None]
     points = freeze(points, copy=False)
     cell_area = 4.0 * math.pi / (nz * nphi)
-    weights = np.asarray(density(points), dtype=float) * cell_area
+    weights = real_array(density(points), "density") * cell_area
     if weights.shape != (len(points),):
         raise ValueError(f"density must return one value per point, shape ({len(points)},), "
                          f"got shape {weights.shape}")

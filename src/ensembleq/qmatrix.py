@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .validate import INVARIANT_TOL, ConstraintViolation, DimensionMismatch, check_finite, real_array
+from .validate import (INVARIANT_TOL, ConstraintViolation, DimensionMismatch, _check_hermitian, check_components,
+                       check_real)
 
 PAULI = np.array(
     [
@@ -106,14 +107,11 @@ def operator_from_direction(e, e0: float = 0.0) -> np.ndarray:
     The 2x2 matrix is written entry by entry, [[e0 + z, x - iy], [x + iy, e0 - z]]:
     the values of the basis sum, without its call overhead.
     """
-    vec = real_array(e, "direction")
+    vec, e0 = check_components(e, "direction"), check_real(e0, "e0")
     if vec.shape == (3,):
-        x, y, z, e0 = check_finite((*vec.tolist(), e0), "direction")
+        x, y, z = vec.tolist()
         return np.array([[e0 + z, complex(x, -y)], [complex(x, y), e0 - z]])
-    if vec.shape == (15,):
-        check_finite((*vec.tolist(), e0), "direction")
-        return np.einsum("k,kij->ij", vec, L_BASIS) + e0 * np.eye(4)
-    raise DimensionMismatch(f"direction must have 3 or 15 components, got {vec.shape}")
+    return np.einsum("k,kij->ij", vec, L_BASIS) + e0 * np.eye(4)
 
 
 def density_from_bloch(state) -> np.ndarray:
@@ -122,32 +120,23 @@ def density_from_bloch(state) -> np.ndarray:
     Rejects non-finite vectors, and vectors violating the purity bound or
     positivity beyond INVARIANT_TOL. The 2x2 matrix is written entry by entry.
     """
-    rho_vec = real_array(getattr(state, "rho", state), "Bloch vector")
+    rho_vec = check_components(getattr(state, "rho", state), "Bloch vector")
     if rho_vec.shape == (3,):
-        x, y, z = check_finite(rho_vec.tolist(), "Bloch vector")
+        x, y, z = rho_vec.tolist()
         if x * x + y * y + z * z > 1.0 + INVARIANT_TOL:   # Python floats overflow to inf without a warning
             raise ConstraintViolation("two-state purity bound exceeded: sum rho_k^2 > 1")
         return np.array([[0.5 * (1.0 + z), complex(0.5 * x, -0.5 * y)],
                          [complex(0.5 * x, 0.5 * y), 0.5 * (1.0 - z)]])
-    if rho_vec.shape == (15,):
-        values = check_finite(rho_vec.tolist(), "Bloch vector")
-        if sum(v * v for v in values) > 3.0 + INVARIANT_TOL:
-            raise ConstraintViolation("four-state purity bound exceeded: sum rho_k^2 > 3")
-        mat = 0.25 * (np.eye(4) + np.einsum("k,kij->ij", rho_vec, L_BASIS))
-        if np.linalg.eigvalsh(mat).min() < -INVARIANT_TOL:
-            raise ConstraintViolation("Bloch vector maps to a non-positive matrix")
-        return mat
-    raise DimensionMismatch("Bloch vector must have 3 or 15 components")
+    if sum(v * v for v in rho_vec.tolist()) > 3.0 + INVARIANT_TOL:
+        raise ConstraintViolation("four-state purity bound exceeded: sum rho_k^2 > 3")
+    mat = 0.25 * (np.eye(4) + np.einsum("k,kij->ij", rho_vec, L_BASIS))
+    if np.linalg.eigvalsh(mat).min() < -INVARIANT_TOL:
+        raise ConstraintViolation("Bloch vector maps to a non-positive matrix")
+    return mat
 
 
 def check_density_matrix(rho) -> np.ndarray:
-    mat = np.asarray(rho, dtype=complex)
-    if mat.shape not in ((2, 2), (4, 4)):
-        raise DimensionMismatch("density matrix must be 2x2 or 4x4")
-    if not np.isfinite(mat).all():
-        raise ValueError("density matrix contains non-finite entries")
-    if np.abs(mat - mat.conj().T).max() > INVARIANT_TOL:
-        raise ConstraintViolation("density matrix is not Hermitian")
+    mat = _check_hermitian(rho, "density matrix")
     if abs(np.trace(mat).real - 1.0) > INVARIANT_TOL or abs(np.trace(mat).imag) > INVARIANT_TOL:
         raise ConstraintViolation("density matrix trace is not 1")
     ev = np.linalg.eigvalsh(mat)

@@ -8,6 +8,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import reprlib
 
 import numpy as np
 
@@ -114,30 +115,31 @@ class ValueRecord(Record):
         return hash(self._fields())
 
 
-def real_array(x, name: str) -> np.ndarray:
-    """x as a float array. Complex entries are a ValueError naming ``name``:
-    casting them would drop their imaginary part."""
-    arr = np.asarray(x)
-    if arr.dtype.kind == "c":
+def real_array(x, name: str, complex_ok: bool = False) -> np.ndarray:
+    """x as a float array, or with ``complex_ok`` (Hermitian matrices, wave functions) a float
+    or complex one. Anything else is a ValueError naming ``name``: a string, bytes, bools, None,
+    a record, ragged nesting, and complex entries unless allowed, whose imaginary part a cast
+    would drop. An object array of real numbers (int, Fraction) is converted."""
+    try:
+        arr = np.asarray(x)
+    except ValueError:   # ragged nesting
+        arr = np.asarray(None)
+    kind = arr.dtype.kind
+    if kind == "O" and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in arr.flat):
+        arr, kind = arr.astype(float), "f"
+    if kind == "c" and not complex_ok:
         raise ValueError(f"{name} has complex entries")
-    return arr if arr.dtype == float else arr.astype(float)
+    if kind not in "iufc":
+        raise ValueError(f"{name} must be an array of numbers, got {reprlib.repr(x)}")
+    dtype = complex if kind == "c" else float
+    return arr if arr.dtype == dtype else arr.astype(dtype)
 
 
-def as_float_array(x, name: str = "array") -> np.ndarray:
+def as_float_array(x, name: str) -> np.ndarray:
     arr = real_array(x, name)
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
-
-
-def check_finite(values, name: str):
-    """The values of a short sequence of Python numbers, checked finite.
-
-    For a handful of entries this costs less than a ufunc call on an array.
-    """
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return values
 
 
 def freeze(x, copy: bool = True) -> np.ndarray:
@@ -164,6 +166,18 @@ def check_components(x, name: str) -> np.ndarray:
     if not all(map(math.isfinite, arr.tolist())):
         raise ValueError(f"{name} contains non-finite entries")
     return freeze(arr)
+
+
+def _check_hermitian(x, name: str) -> np.ndarray:
+    """x as a finite Hermitian 2x2 or 4x4 matrix; any other input is an error naming ``name``."""
+    mat = real_array(x, name, complex_ok=True)
+    if mat.shape not in ((2, 2), (4, 4)):
+        raise DimensionMismatch(f"{name} must be 2x2 or 4x4, got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    if np.abs(mat - mat.conj().T).max() > INVARIANT_TOL:
+        raise ConstraintViolation(f"{name} is not Hermitian")
+    return mat
 
 
 def check_unit_vector(v, name: str = "e") -> np.ndarray:
@@ -224,7 +238,8 @@ def check_real(value, name: str, lo: float = -math.inf, length: int | None = Non
         raise ValueError(f"{name} must be a list of {length} real numbers, got {value!r}")
     if is_list:
         return [check_real(v, f"{name}[{i}]", lo) for i, v in enumerate(value)]
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    # a float skips the abstract-class test, which costs more than the rest of the check
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     x = float(value)   # OverflowError for an int beyond the float range
     if not math.isfinite(x):

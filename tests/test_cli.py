@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -94,19 +95,46 @@ def test_invalid_parameter_value(tmp_path):
     ("pseudo-quantum-region", {"sizes": [100000000]}),
     ("pseudo-quantum-region", {"sizes": [4096] * 100000}),
     ("cartesian-spins", {"probs": 7}),
+    ("cartesian-spins", {"free_p1": False}),
+    ("cartesian-spins", {"free_p1": "1/4"}),
 ], ids=["bad-rate", "unbounded-span", "unknown-key", "negative-trials", "zero-trials",
         "too-many-jobs", "fractional-steps", "fractional-trials", "fractional-n",
         "fractional-jobs", "bool-trials", "fractional-size", "size-not-multiple-of-4",
         "zero-size", "fractional-grid", "oversized-grid", "nan-probs", "overflowing-span",
         "bool-b", "bool-omega", "bool-delta", "bool-angles", "bool-dt", "nan-d", "nan-p0",
         "oversized-steps", "oversized-trials", "oversized-n", "oversized-size",
-        "too-many-sizes", "scalar-probs"])
+        "too-many-sizes", "scalar-probs", "bool-free_p1", "string-free_p1"])
 def test_config_error_writes_no_files(tmp_path, name, params):
     # parameters, integration and checks all run before a file is opened
     with pytest.raises(ConfigError):
         run(ExperimentConfig(name, params, seed=0, out_dir=str(tmp_path)))
     assert not (tmp_path / f"{name}.csv").exists()
     assert not (tmp_path / f"{name}.report.json").exists()
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("mc-sequences", "angles", 0.5),
+    ("pseudo-quantum-region", "sizes", 8),
+    ("cartesian-spins", "free_p1", False),
+    ("cartesian-spins", "free_p1", "1/4"),
+], ids=["scalar-angles", "scalar-sizes", "bool-free_p1", "string-free_p1"])
+def test_config_error_names_the_parameter(tmp_path, capsys, name, key, value):
+    # these failed as "object of type 'float' has no len()", "'int' object is not iterable",
+    # or ran free_p1=false as p1 = 0
+    code = main(["run", "--experiment", name, "--param", f"{key}={json.dumps(value)}",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"].startswith(
+        (f"{key} must be", f"invalid parameters for {name!r}: {key} must be"))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("free_p1", [0, Fraction(1, 8), 0.125], ids=["int", "Fraction", "float"])
+def test_free_p1_keeps_its_exactness(tmp_path, free_p1):
+    report = run(ExperimentConfig("cartesian-spins", {"free_p1": free_p1}, seed=0, out_dir=str(tmp_path)))
+    exact = not isinstance(free_p1, float)
+    assert isinstance(report.results["pair_sums"][0], Fraction) == exact
+    assert report.results["purity_quantum"] == 1
 
 
 # JSON-shaped values that no parameter accepts, or that sit on a parameter's edge

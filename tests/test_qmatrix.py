@@ -161,7 +161,7 @@ class TestExpectations:
     def test_observable_object_rejected(self):
         # an observable reaches the oracle only through operator_of, which refuses a
         # conditional product; read as an array, its offset would be dropped
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="^direction must be an array of numbers"):
             operator_from_direction(ProductObservable(np.array([0.5, 0.0, 0.0]), 0.25))
 
 

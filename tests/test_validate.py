@@ -3,10 +3,11 @@ and one real-array check.
 
 Every count a public entry point takes goes through ``validate.check_count``,
 every float probability vector through ``validate.check_probabilities``, and
-the state, direction and Hamiltonian arrays through ``validate.real_array``;
-these tests hold each entry point to the same rules.
+every array a caller passes (states, directions, Hamiltonians, tables, times)
+through ``validate.real_array``; these tests hold each entry point to the same rules.
 """
 import math
+import re
 import warnings
 
 import numpy as np
@@ -15,13 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ensembleq import experiments, qmatrix
-from ensembleq.dynamics import Hamiltonian, integrate_von_neumann
-from ensembleq.correlations import simulate_sequences
-from ensembleq.finite import FiniteSpinSystem, cartesian_measure_sz, zn_step_evolution, zn_system
-from ensembleq.fourstate import OutcomeTable, interference_trajectory, symmetrized_hidden_ensemble
-from ensembleq.manifolds import BlochState, canonical_direction, grid_ensemble
+from ensembleq.dynamics import FlowParams, Hamiltonian, integrate_von_neumann, syncoherence_closed_form
+from ensembleq.correlations import conditional_correlation_2pt, simulate_sequences
+from ensembleq.finite import FiniteSpinSystem, cartesian_measure_sz, cartesian_purity, zn_step_evolution, zn_system
+from ensembleq.fourstate import (OutcomeTable, basis_psi, entangled_bloch, exchange_symmetry, interference_trajectory,
+                                 is_exchange_symmetric, symmetrized_hidden_ensemble)
+from ensembleq.manifolds import (BlochState, Ensemble, SubstateEnsemble, bloch_vector, canonical_direction,
+                                 grid_ensemble)
 from ensembleq.observables import TwoLevelObservable, basis_spin, moment, spin
-from ensembleq.validate import ConstraintViolation, check_count, check_real, check_unit_vector, real_array
+from ensembleq.validate import (ConstraintViolation, check_components, check_count, check_real, check_unit_vector,
+                                real_array)
 
 _CHAIN = [basis_spin(3), basis_spin(1)]
 _RHO = np.array([0.1, 0.2, 0.3])
@@ -163,9 +167,82 @@ def test_a_huge_direction_is_a_constraint_violation_without_a_warning(check, vec
     (qmatrix.density_from_bloch, "Bloch vector"),
     (qmatrix.operator_from_direction, "direction"),
     (lambda v: integrate_von_neumann(v, np.zeros(3), (0.0, 1.0), 0.1), "Bloch vector"),
+    (lambda v: SubstateEnsemble([[0.0, 0.0, 1.0]], [v[:2]]), "table"),
+    (lambda v: grid_ensemble(2, lambda pts: np.resize(v, len(pts))), "density"),
+    (lambda v: cartesian_purity([*v, *v, 0.0, 0.0]), "p"),
+    (lambda v: syncoherence_closed_form(0.9, 0.0, FlowParams(3.0, 1.0), v), "times"),
 ], ids=["real_array", "Hamiltonian", "TwoLevelObservable", "BlochState", "density_from_bloch",
-        "operator_from_direction", "integrate_von_neumann"])
+        "operator_from_direction", "integrate_von_neumann", "SubstateEnsemble", "grid_ensemble",
+        "cartesian_purity", "syncoherence_closed_form"])
 @pytest.mark.parametrize("form", [list, np.array], ids=["list", "array"])
 def test_complex_input_rejected_not_cut_to_its_real_part(build, name, form):
     with pytest.raises(ValueError, match=f"^{name} has complex entries$"):
         build(form([0.5j, 0.0, 0.5]))
+
+
+_Z = basis_spin(3)
+
+# Public readers of caller arrays: (call, a valid input, the names its messages may give the
+# argument, whether a BlochState is a valid input). A state reader names the state, its vector
+# form (BlochState's ``rho``) or its matrix form, a Hamiltonian its components or its matrix.
+JUNK_READERS = {
+    "check_components": (lambda x: check_components(x, "v"), np.array([0.0, 0.0, 1.0]), "v", False),
+    "TwoLevelObservable": (TwoLevelObservable, np.array([0.0, 0.0, 1.0]), "e", False),
+    "BlochState": (BlochState, np.array([0.0, 0.0, 0.5]), "rho", False),
+    "bloch_vector-vector": (bloch_vector, np.array([0.0, 0.0, 0.5]), "state|Bloch vector|rho|density matrix", True),
+    "bloch_vector-matrix": (bloch_vector, np.eye(2) / 2.0, "state|Bloch vector|rho|density matrix", True),
+    "Hamiltonian-vector": (Hamiltonian, np.array([0.0, 0.0, 1.0]), "hk|Hamiltonian matrix", False),
+    "Hamiltonian-matrix": (Hamiltonian, np.diag([1.0, -1.0]), "hk|Hamiltonian matrix", False),
+    "spin": (spin, np.array([0.0, 0.0, 1.0]), "e", False),
+    "Ensemble-points": (lambda x: Ensemble("s2", x, [1.0]), np.array([[0.0, 0.0, 1.0]]), "points", False),
+    "Ensemble-probs": (lambda x: Ensemble("s2", [[0.0, 0.0, 1.0]], x), np.array([1.0]), "probabilities|probs",
+                       False),
+    "conditional_correlation_2pt-state": (lambda x: conditional_correlation_2pt(_Z, _Z, x),
+                                          np.array([0.0, 0.0, 0.5]), "state|Bloch vector|rho|density matrix", True),
+    "exchange_symmetry": (exchange_symmetry, np.eye(15)[0], "f", False),
+    "is_exchange_symmetric-vector": (is_exchange_symmetric, entangled_bloch(-1).rho,
+                                     "state|Bloch vector|rho|density matrix|wave function", True),
+    "is_exchange_symmetric-psi": (is_exchange_symmetric, basis_psi(1),
+                                  "state|Bloch vector|rho|density matrix|wave function", True),
+    "check_density_matrix": (qmatrix.check_density_matrix, np.eye(2) / 2.0, "density matrix", False),
+}
+
+
+def _with_entry(valid, value):
+    out = valid.astype(np.result_type(valid, value))
+    out.flat[0] += value
+    return out
+
+
+def _junk(valid, takes_state):
+    """Inputs that are no array of numbers, or the valid array spoiled one way."""
+    not_arrays = st.one_of(
+        st.text(max_size=5), st.binary(max_size=5), st.sampled_from([None, object(), {}, {"rho": valid.tolist()}]),
+        st.integers(0, 3).flatmap(lambda a: st.integers(a + 1, 4).map(
+            lambda b: [[0.0] * a, [0.0] * b])),                      # ragged
+        st.just([0.0, valid.tolist()]))                              # a list nested in a list of numbers
+    if not takes_state:
+        not_arrays = st.one_of(not_arrays, st.just(BlochState([0.0, 0.0, 0.5])))
+    spoiled = st.sampled_from([
+        np.ones(valid.shape, dtype=bool),                            # a bool array
+        valid.astype(bool).tolist(),
+        np.concatenate([valid, np.zeros(valid.shape[:-1] + (1,))], axis=-1),   # one entry too many
+        valid[None, None],                                           # nested two levels deeper
+        0.5,                                                         # a scalar
+        _with_entry(valid, 0.5j),                                    # a complex entry
+        _with_entry(valid, math.nan), _with_entry(valid, math.inf), _with_entry(valid, -math.inf)])
+    return st.one_of(not_arrays, spoiled, spoiled.map(lambda a: a.tolist() if isinstance(a, np.ndarray) else a))
+
+
+@pytest.mark.parametrize("reader", JUNK_READERS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_junk_input_is_a_value_error_naming_the_argument(reader, data):
+    # a BlochState, string, object or ragged list escaped as numpy's own TypeError or
+    # ValueError naming no argument, and a bool array read as 0s and 1s
+    call, valid, names, takes_state = JUNK_READERS[reader]
+    call(valid)   # control: the valid input is read
+    junk = data.draw(_junk(valid, takes_state), label="junk")
+    with pytest.raises(ValueError) as info:
+        call(junk)
+    assert re.search(rf"\b({names})\b", str(info.value)), str(info.value)
