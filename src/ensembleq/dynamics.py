@@ -27,7 +27,7 @@ import numpy as np
 from .manifolds import STRUCTURE, Ensemble, _components, bloch_vector
 from .qmatrix import L_BASIS, PAULI
 from .validate import (PURITY_TOL, RATE_GAP_TOL, ConstraintViolation, Record, ValueRecord, _check_hermitian,
-                       as_float_array, check_components, check_real, check_rotation, real_array)
+                       _real_number, as_float_array, check_components, check_real, check_rotation, real_array)
 
 MAX_STEPS = 2**20
 
@@ -157,7 +157,7 @@ def rotation_from_generator(alpha) -> np.ndarray:
 
 def _steps(t_span, dt: float) -> tuple[np.ndarray, float, int]:
     """Times, step and step count of a fixed-step run over t_span."""
-    (t0, t1), dt = check_real(t_span, "t_span"), check_real(dt, "dt")
+    (t0, t1), dt = check_real(t_span, "t_span", length=2), _real_number(dt, "dt")
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t1 < t0:

@@ -21,7 +21,7 @@ import numpy as np
 # that importing the package loads neither
 from . import correlations, dynamics, fourstate, manifolds, observables, qmatrix
 from .reporting import write_csv, write_json
-from .validate import PURITY_TOL, RELATIVE_ERROR_FLOOR, ValueRecord, check_count, check_real
+from .validate import PURITY_TOL, RELATIVE_ERROR_FLOOR, ValueRecord, _real_number, check_count, check_real
 
 # count limits: steps^2 grid rows <= MAX_STEPS (about 30 s of Bell checks); a
 # classical trial draws one ensemble in about 0.2 ms, so MAX_STEPS of them take
@@ -158,7 +158,7 @@ def _bell_sweep(params, seed):
 
 def _interference(params, seed):
     p = _merge_params({"delta": 1.0, "t_final": 2.0 * math.pi, "points": 256}, params, "interference")
-    delta, t_final = check_real(p["delta"], "delta"), check_real(p["t_final"], "t_final")
+    delta, t_final = _real_number(p["delta"], "delta"), _real_number(p["t_final"], "t_final")
     points = check_count(p["points"], "points", lo=2)
     if t_final <= 0:
         raise ConfigError("t_final must be > 0")
@@ -177,7 +177,7 @@ def _decoherence(params, seed):
     p = _merge_params(
         {"d": -0.35, "rho0": [0.4, -0.2, 0.5], "t_final": 5.0, "dt": 0.005}, params, "decoherence"
     )
-    d, t_final, dt = (check_real(p[k], k) for k in ("d", "t_final", "dt"))
+    d, t_final, dt = (_real_number(p[k], k) for k in ("d", "t_final", "dt"))
     if d >= 0:
         raise ConfigError("decoherence needs a negative rate d")
     rho0 = np.asarray(check_real(p["rho0"], "rho0", length=3))
@@ -198,7 +198,7 @@ def _syncoherence(params, seed):
         {"a": 3.0, "b": 2.0, "p0": 0.9, "d0": 0.1, "t_final": 6.0, "dt": 0.001},
         params, "syncoherence",
     )
-    a, b, p0, d0, t_final, dt = (check_real(p[k], k) for k in ("a", "b", "p0", "d0", "t_final", "dt"))
+    a, b, p0, d0, t_final, dt = (_real_number(p[k], k) for k in ("a", "b", "p0", "d0", "t_final", "dt"))
     flow = dynamics.FlowParams(a, b)
     if not flow.in_fixed_point_regime:
         raise ConfigError("fixed-point regime requires a > 0 and 0 < b < a^2/4")
@@ -216,7 +216,7 @@ def _syncoherence(params, seed):
 
 def _precession(params, seed):
     p = _merge_params({"omega": 1.0, "t_final": 10.0, "dt": 0.002}, params, "precession")
-    omega, t_final, dt = (check_real(p[k], k) for k in ("omega", "t_final", "dt"))
+    omega, t_final, dt = (_real_number(p[k], k) for k in ("omega", "t_final", "dt"))
     ham = dynamics.Hamiltonian(np.array([0.0, 0.0, omega]))
     traj = dynamics.integrate_von_neumann(np.array([1.0, 0.0, 0.0]), ham, (0.0, t_final), dt)
     n, angle = len(traj.times), 2 * omega * traj.times
@@ -256,8 +256,6 @@ def _cartesian_spins(params, seed):
         probs = check_real(p["probs"], "probs", length=8)
     before = finite.cartesian_purity(probs)
     classical = finite.cartesian_measure_sz(probs, "classical")
-    if p["free_p1"] is not None:
-        check_real(p["free_p1"], "free_p1")   # an int or Fraction goes on as given, so it stays exact
     quantum = finite.cartesian_measure_sz(probs, "quantum", free_p1=p["free_p1"])
     rows = []
     for label, vec, pur in (

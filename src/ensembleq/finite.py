@@ -7,10 +7,10 @@ expectations) can force negative effective weights; such signed systems are a
 separate type so they cannot be mistaken for true ensembles.
 
 All mean-value tables for N in {4, 8} live in the field Q(sqrt 2), so the
-module supports exact arithmetic, decided by the numbers: a system whose
-probabilities are all int, Fraction or Q2 is evaluated without any rounding
-(one float entry makes it a float system), and the cartesian-spin functions
-are exact on int and Fraction inputs.
+module supports exact arithmetic, decided once by the numbers (``_read_probs``):
+probabilities that are all int, Fraction or Q2 (int or Fraction for the
+cartesian spins) are kept and evaluated without any rounding; any other input
+is read as finite floats, so exact numbers and floats are never mixed.
 """
 from __future__ import annotations
 
@@ -19,8 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .validate import (PURITY_TOL, ZERO_TOL, ConstraintViolation, Record, ValueRecord, as_float_array,
-                       check_count, check_probabilities, real_array)
+from .validate import (PURITY_TOL, ZERO_TOL, ConstraintViolation, Record, ValueRecord, _real_number, check_count,
+                       check_probabilities, check_real, real_array)
 
 
 class Q2(Record):
@@ -119,28 +119,28 @@ def _cos_index(j: int, n: int, exact: bool):
     return math.cos(2.0 * math.pi * j / n)
 
 
-def _sum(values):
-    total = None
-    for v in values:
-        total = v if total is None else total + v
-    return total
-
-
 def _is_exact_seq(p, kinds=(int, Fraction, Q2)) -> bool:
     if isinstance(p, np.ndarray) and p.dtype != object:
         return False   # numpy scalars and rows are never int, Fraction or Q2
     try:
-        return all(isinstance(x, kinds) for x in list(p))
+        return all(type(x) is not bool and isinstance(x, kinds) for x in list(p))
     except TypeError:
         return False
 
 
-def _check_probs(probs, exact: bool) -> None:
-    """Entries >= 0 with a total of 1: exactly for exact entries, else through check_probabilities."""
+def _read_probs(p, name: str, kinds=(int, Fraction, Q2), signed: bool = False) -> tuple[tuple, bool]:
+    """``p`` as a tuple, and whether it is exact: entries all of ``kinds`` (no bool) are kept as
+    given, else each becomes a finite float (``check_real``; a Q2 through float). Unless
+    ``signed``, p must be >= 0 with a total of 1: exactly, or through check_probabilities."""
+    p = tuple(p)
+    exact = _is_exact_seq(p, kinds)
     if not exact:
-        check_probabilities([float(p) for p in probs])
-    elif any(Q2.of(p) < 0 for p in probs) or sum(map(Q2.of, probs), Q2(0)) != 1:
-        raise ConstraintViolation(f"invalid exact probability vector {tuple(probs)}")
+        p = tuple(check_real([float(x) if isinstance(x, Q2) else x for x in p], name))
+    if not (signed or exact):
+        check_probabilities(p)
+    elif not signed and (any(x < 0 for x in p) or sum(p) != 1):
+        raise ConstraintViolation(f"invalid exact probability vector {p}")
+    return p, exact
 
 
 class FiniteSpinSystem(ValueRecord):
@@ -162,17 +162,14 @@ class FiniteSpinSystem(ValueRecord):
             tuple(check_count(a, name, lo=-math.inf) % n_positions for a in angles)
             for name, angles in (("state_angles", state_angles), ("observable_angles", observable_angles)))
         probs = tuple(probs)
-        self._set(n_positions, state_angles, probs, observable_angles, _is_exact_seq(probs), signed)
-        if len(self.probs) != len(self.state_angles):
+        if len(probs) != len(state_angles):
             raise ValueError("probs and state_angles lengths differ")
         if not probs:
             raise ValueError("a Z_N system needs at least one micro-state")
-        if self.exact and 8 % n_positions:
+        probs, exact = _read_probs(probs, "probs", signed=signed)
+        if exact and 8 % n_positions:
             raise ValueError(f"exact probabilities need N dividing 8, got N = {n_positions}")
-        if not signed:
-            _check_probs(probs, self.exact)
-        elif not self.exact:
-            as_float_array([float(p) for p in probs], "probs")
+        self._set(n_positions, state_angles, probs, observable_angles, exact, signed)
 
     @property
     def n_states(self) -> int:
@@ -193,7 +190,7 @@ class FiniteSpinSystem(ValueRecord):
 
     def expectations(self):
         return [
-            _sum(self.mean(i, j) * self.probs[j] for j in range(self.n_states))
+            sum(self.mean(i, j) * self.probs[j] for j in range(self.n_states))
             for i in range(len(self.observable_angles))
         ]
 
@@ -262,7 +259,7 @@ def realizable_region_check(system: FiniteSpinSystem) -> RegionDiagnostics:
     and 0.0 otherwise.
     """
     table = system.mean_table()
-    sums = [_sum(table[i][j] for i in range(len(table))) for j in range(system.n_states)]
+    sums = [sum(table[i][j] for i in range(len(table))) for j in range(system.n_states)]
     max_sum = max(sums)
     pts = [(float(table[0][j]), float(table[1][j])) for j in range(system.n_states)]
     order = sorted(range(len(pts)), key=lambda j: math.atan2(pts[j][1], pts[j][0]))
@@ -347,14 +344,6 @@ SPIN_VALUES = (
     (1, 1, 1, 1, -1, -1, -1, -1),   # S_z
 )
 
-def _check_cartesian_probs(p):
-    p = list(p)
-    if len(p) != 8:
-        raise ValueError("cartesian spin ensembles have eight substates")
-    exact = _is_exact_seq(p, (int, Fraction))   # a Q2 entry is read as a float
-    _check_probs(p, exact)
-    return [Fraction(x) for x in p] if exact else [float(x) for x in p]
-
 
 def cartesian_purity(p):
     """Purity of the spin subsystem directly from the substate probabilities.
@@ -397,24 +386,25 @@ def cartesian_measure_sz(p, rule: str, free_p1=None) -> MeasurementOutcome:
     subsystem information: the new state has rho = (0, 0, 1), purity 1,
     with substate weights p2 = p3 = 1/2 - p1 and p4 = p1; the leftover
     parameter p1 in [0, 1/2] concerns the environment alone and defaults to
-    its midpoint 1/4.
+    its midpoint 1/4. The update is exact when p and p1 are int or Fraction.
     """
-    probs = _check_cartesian_probs(p)
-    exact = _is_exact_seq(probs)
-    sector = probs[:4]
-    total = _sum(sector)
+    probs, exact = _read_probs(p, "p", (int, Fraction))
+    if len(probs) != 8:
+        raise ValueError("cartesian spin ensembles have eight substates")
     zero = Fraction(0) if exact else 0.0
-    if (total == 0) if exact else (float(total) <= 0.0):
+    total = sum(probs[:4], zero)
+    if not total > 0:
         raise ValueError("the measured outcome has zero probability")
     if rule == "classical":
-        new = [v / total if exact else float(v) / float(total) for v in sector] + [zero] * 4
+        new = [v / total for v in probs[:4]] + [zero] * 4
         purity_after = cartesian_purity(new)
-        violated = (purity_after > 1) if exact else (float(purity_after) > 1.0 + PURITY_TOL)
-        return MeasurementOutcome(tuple(new), purity_after, violated)
+        violated = purity_after > (1 if exact else 1 + PURITY_TOL)
+        return MeasurementOutcome(tuple(new), purity_after, bool(violated))
     if rule == "quantum":
-        half = Fraction(1, 2) if exact else 0.5
         q = (Fraction(1, 4) if exact else 0.25) if free_p1 is None else free_p1
-        if not (0 <= (Fraction(q) if exact else float(q)) <= half):
+        exact = exact and _is_exact_seq((q,), (int, Fraction))   # one float input makes the update float
+        q, half, zero = (q, Fraction(1, 2), zero) if exact else (_real_number(q, "free_p1"), 0.5, 0.0)
+        if not 0 <= q <= half:
             raise ValueError("free parameter p1 must lie in [0, 1/2]")
         new = [q, half - q, half - q, q] + [zero] * 4
         purity_after = cartesian_purity(new)

@@ -22,7 +22,8 @@ from .dynamics import MAX_STEPS, _linear_flow
 from .manifolds import BASIS_WORDS, BlochState, Ensemble, bloch_vector, canonical_direction, weighted_sum
 from .observables import TwoLevelObservable
 from .validate import (INVARIANT_TOL, PURITY_TOL, SAME_DIRECTION_TOL, ConstraintViolation, DimensionMismatch,
-                       ValueRecord, check_components, check_count, check_probabilities, check_real, real_array)
+                       ValueRecord, _real_number, check_components, check_count, check_probabilities, check_real,
+                       real_array)
 
 
 def basis_psi(m: int) -> np.ndarray:
@@ -38,8 +39,9 @@ class OutcomeTable(ValueRecord):
     __slots__ = ("w_pp", "w_pm", "w_mp", "w_mm")
 
     def __init__(self, w_pp: float, w_pm: float, w_mp: float, w_mm: float):
-        check_probabilities((w_pp, w_pm, w_mp, w_mm))
-        self._set(w_pp, w_pm, w_mp, w_mm)
+        weights = [_real_number(w, name) for w, name in zip((w_pp, w_pm, w_mp, w_mm), self.__slots__)]
+        check_probabilities(weights)
+        self._set(*weights)
 
 
 def outcomes_from_t(t1: float, t2: float, t3: float) -> OutcomeTable:

@@ -26,6 +26,7 @@ from .validate import (
     ConstraintViolation,
     DimensionMismatch,
     Record,
+    _real_number,
     as_float_array,
     check_components,
     check_count,
@@ -43,7 +44,7 @@ class TwoLevelObservable(Record):
     __slots__ = ("e", "e0")
 
     def __init__(self, e: np.ndarray, e0: float = 0.0):
-        self._set(check_components(e, "e"), float(e0))
+        self._set(check_components(e, "e"), _real_number(e0, "e0"))
 
     @property
     def dim(self) -> int:
@@ -61,7 +62,7 @@ class ProductObservable(Record):
     __slots__ = ("e", "e0")
 
     def __init__(self, e: np.ndarray, e0: float = 0.0):
-        self._set(check_components(e, "e"), float(e0))
+        self._set(check_components(e, "e"), _real_number(e0, "e0"))
         reach = float(np.linalg.norm(self.e)) + abs(self.e0)
         if reach > 1.0 + INVARIANT_TOL:
             raise ValueError("mean function exceeds the +-1 outcome range")

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .validate import (INVARIANT_TOL, ConstraintViolation, DimensionMismatch, _check_hermitian, check_components,
-                       check_real)
+from .validate import (INVARIANT_TOL, ConstraintViolation, DimensionMismatch, _check_hermitian, _real_number,
+                       check_components)
 
 PAULI = np.array(
     [
@@ -107,7 +107,7 @@ def operator_from_direction(e, e0: float = 0.0) -> np.ndarray:
     The 2x2 matrix is written entry by entry, [[e0 + z, x - iy], [x + iy, e0 - z]]:
     the values of the basis sum, without its call overhead.
     """
-    vec, e0 = check_components(e, "direction"), check_real(e0, "e0")
+    vec, e0 = check_components(e, "direction"), _real_number(e0, "e0")
     if vec.shape == (3,):
         x, y, z = vec.tolist()
         return np.array([[e0 + z, complex(x, -y)], [complex(x, y), e0 - z]])

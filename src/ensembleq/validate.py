@@ -230,14 +230,19 @@ def check_count(value, name: str, lo: int = 0, hi: int | None = None) -> int:
 
 
 def check_real(value, name: str, lo: float = -math.inf, length: int | None = None):
-    """A finite real number >= lo as a float, or a list of them as a list of floats;
-    a bool, a string or a non-finite value (NaN passes any "> tol" test) is a ValueError.
-    With ``length``, the value must be a list of exactly that many numbers."""
+    """A finite real number >= lo as a float (``_real_number``), or a list of them as a list of
+    floats. With ``length``, the value must be a list of exactly that many numbers."""
     is_list = isinstance(value, (list, tuple, np.ndarray))
     if length is not None and not (is_list and len(value) == length):
         raise ValueError(f"{name} must be a list of {length} real numbers, got {value!r}")
     if is_list:
-        return [check_real(v, f"{name}[{i}]", lo) for i, v in enumerate(value)]
+        return [_real_number(v, f"{name}[{i}]", lo) for i, v in enumerate(value)]
+    return _real_number(value, name, lo)
+
+
+def _real_number(value, name: str, lo: float = -math.inf) -> float:
+    """A finite real number >= lo as a float; a bool, a string, a list or a non-finite value
+    (NaN passes any "> tol" test) is a ValueError naming ``name``."""
     # a float skips the abstract-class test, which costs more than the rest of the check
     if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise ValueError(f"{name} must be a real number, got {value!r}")

@@ -117,10 +117,17 @@ def test_config_error_writes_no_files(tmp_path, name, params):
     ("pseudo-quantum-region", "sizes", 8),
     ("cartesian-spins", "free_p1", False),
     ("cartesian-spins", "free_p1", "1/4"),
-], ids=["scalar-angles", "scalar-sizes", "bool-free_p1", "string-free_p1"])
+    ("cartesian-spins", "free_p1", [0.25]),
+    ("interference", "delta", [1.0]),
+    ("precession", "omega", [1.0]),
+    ("syncoherence", "a", [3.0]),
+    ("decoherence", "d", [-0.35]),
+], ids=["scalar-angles", "scalar-sizes", "bool-free_p1", "string-free_p1", "list-free_p1", "list-delta",
+        "list-omega", "list-a", "list-d"])
 def test_config_error_names_the_parameter(tmp_path, capsys, name, key, value):
     # these failed as "object of type 'float' has no len()", "'int' object is not iterable",
-    # or ran free_p1=false as p1 = 0
+    # ran free_p1=false as p1 = 0, or failed on a scalar given as a list in numpy or in
+    # an operator ("bad operand type for unary -: 'list'")
     code = main(["run", "--experiment", name, "--param", f"{key}={json.dumps(value)}",
                  "--out", str(tmp_path)])
     assert code == 2

@@ -14,7 +14,6 @@ from ensembleq.finite import (
     SPIN_VALUES,
     _cos_index,
     _is_exact_seq,
-    _sum,
     cartesian_measure_sz,
     cartesian_purity,
     integrate_out,
@@ -33,7 +32,7 @@ def _rho_components(system):
     """(rho_1, rho_2) = sum_s p_s (cos, sin)(2 pi s / N), in the system's arithmetic."""
     n = system.n_positions
     if system.exact:
-        return tuple(_sum(_cos_index(shift - s, n, True) * p for s, p in zip(system.state_angles, system.probs))
+        return tuple(sum(_cos_index(shift - s, n, True) * p for s, p in zip(system.state_angles, system.probs))
                      for shift in (0, n // 4))
     angles = np.array([2.0 * math.pi * s / n for s in system.state_angles])
     probs = np.array([float(p) for p in system.probs])
@@ -132,17 +131,19 @@ class TestExactFloatTwins:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, 16), min_size=8, max_size=8).filter(any).map(_fraction_probs),
            st.fractions(-4, 4, max_denominator=16), st.fractions(-4, 4, max_denominator=16),
-           st.integers(-9, 9))
-    def test_float_twin_agrees(self, probs, alpha, beta, steps):
+           st.integers(-9, 9), st.integers(0, 7), st.sampled_from([Fraction, Q2.of]))
+    def test_float_twin_agrees(self, probs, alpha, beta, steps, kept, kind):
         # the same Z_8 system with exact and with float probabilities: the exact
-        # one stays in Q(sqrt 2), the float one in floats, and they agree to roundoff
+        # one stays in Q(sqrt 2), the float one in floats, and they agree to roundoff;
+        # the twin keeps one exact entry (Fraction or Q2), which is read as a float
         exact = zn_system(8, probs=probs)
-        twin = zn_system(8, probs=tuple(float(p) for p in probs))
+        twin = zn_system(8, probs=tuple(kind(p) if i == kept else float(p) for i, p in enumerate(probs)))
         assert exact.exact and not twin.exact
         pairs = [(exact, twin), (integrate_out(exact, alpha, beta), integrate_out(twin, alpha, beta)),
                  (zn_step_evolution(exact, steps), zn_step_evolution(twin, steps))]
         for a, b in pairs:
             assert a.exact and not b.exact
+            assert all(type(x) is float for x in b.probs)
             assert all(isinstance(x, float) for x in b.expectations())
             assert max(abs(float(x) - y) for x, y in zip(a.probs, b.probs)) <= 1e-12
             assert max(abs(float(x) - y) for x, y in zip(a.expectations(), b.expectations())) <= 1e-12

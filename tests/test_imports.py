@@ -341,7 +341,7 @@ _TEST_ONLY_ALLOWED = {
                                    "for it would change the pinned run_all() records",
     **dict.fromkeys(["WeightedEigenstateSum.terms", "Trajectory.matrices", "integrate_bloch",
                      "interference_trajectory(n_steps)", "SubstateEnsemble.__len__", "SubstateEnsemble.probs",
-                     "SubstateEnsemble.state_index"], "read only by perfbench; ROADMAP item 3"),
+                     "SubstateEnsemble.state_index"], "read only by perfbench; ROADMAP item 2"),
 }
 
 

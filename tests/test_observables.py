@@ -72,6 +72,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match="3 or 15"):
             ProductObservable(e)
 
+    @pytest.mark.parametrize("cls", [TwoLevelObservable, ProductObservable])
+    @pytest.mark.parametrize("e0", [math.nan, math.inf, -math.inf, "0.5", True, [0.5]],
+                             ids=["nan", "inf", "-inf", "string", "bool", "list"])
+    def test_offset_must_be_a_finite_real_number(self, cls, e0):
+        # a bare float(e0) built ProductObservable([0.5, 0, 0], nan) and read "0.5" and True as numbers
+        with pytest.raises(ValueError, match="^e0 "):
+            cls([0.5, 0.0, 0.0], e0)
+
 
 class TestMeanInState:
     def test_aligned(self):

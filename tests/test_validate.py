@@ -9,6 +9,7 @@ through ``validate.real_array``; these tests hold each entry point to the same r
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -132,6 +133,7 @@ def test_check_real_names_the_bad_list_entry_and_keeps_good_values():
 
 PROBABILITY_ENTRY_POINTS = {
     "FiniteSpinSystem": lambda p: FiniteSpinSystem(4, (0, 1, 2, 3), p[:4], (0, 1)),
+    "FiniteSpinSystem-signed": lambda p: FiniteSpinSystem(4, (0, 1, 2, 3), p[:4], (0, 1), signed=True),
     "cartesian_measure_sz-classical": lambda p: cartesian_measure_sz(p, "classical"),
     "cartesian_measure_sz-quantum": lambda p: cartesian_measure_sz(p, "quantum"),
     "OutcomeTable": lambda p: OutcomeTable(*p[:4]),
@@ -145,6 +147,16 @@ def test_float_probabilities_reject_non_finite_entries(entry, bad):
     build((0.5, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0))   # control: a valid vector passes
     with pytest.raises(ValueError, match="non-finite"):
         build((bad, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("entry", PROBABILITY_ENTRY_POINTS)
+@pytest.mark.parametrize("bad, rest", [("0.5", Fraction(1, 2)), (True, 0)], ids=["string", "bool"])
+@pytest.mark.parametrize("kind", [float, Fraction], ids=["among-floats", "among-fractions"])
+def test_probabilities_reject_string_and_bool_entries(entry, bad, rest, kind):
+    # float("0.5") and float(True) were read as 0.5 and 1.0, a system with "0.5" failed only in
+    # its expectations, and (True, 0, 0, 0) built an exact system
+    with pytest.raises(ValueError, match=r"^(probs\[0\]|p\[0\]|w_pp) must be a real number, got"):
+        PROBABILITY_ENTRY_POINTS[entry]((bad, *map(kind, (0, 0, rest, 0, 0, 0, 0))))
 
 
 @pytest.mark.parametrize("check", [check_unit_vector, spin, canonical_direction],
