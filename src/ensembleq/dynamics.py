@@ -27,7 +27,7 @@ import numpy as np
 from .manifolds import STRUCTURE, Ensemble, _components, bloch_vector
 from .qmatrix import L_BASIS, PAULI
 from .validate import (PURITY_TOL, RATE_GAP_TOL, ConstraintViolation, Record, ValueRecord, _check_hermitian,
-                       _real_number, as_float_array, check_components, check_real, check_rotation, real_array)
+                       _real_number, check_components, check_rotation, real_array)
 
 MAX_STEPS = 2**20
 
@@ -69,7 +69,7 @@ class FlowParams(ValueRecord):
     __slots__ = ("a", "b")
 
     def __init__(self, a: float, b: float):
-        self._set(a, b)
+        self._set(_real_number(a, "a"), _real_number(b, "b"))
 
     @property
     def rates(self) -> tuple[float, float]:
@@ -140,7 +140,7 @@ def rotation_from_generator(alpha) -> np.ndarray:
     exp(+i alpha.tau) rotates by -2g about alpha) is fixed by matching the
     matrix product U rho U^dagger.
     """
-    a = as_float_array(alpha, "alpha")
+    a = real_array(alpha, "alpha")
     if a.shape != (3,):
         raise ValueError("alpha must be a real 3-vector")
     gamma = float(np.linalg.norm(a))
@@ -157,7 +157,10 @@ def rotation_from_generator(alpha) -> np.ndarray:
 
 def _steps(t_span, dt: float) -> tuple[np.ndarray, float, int]:
     """Times, step and step count of a fixed-step run over t_span."""
-    (t0, t1), dt = check_real(t_span, "t_span", length=2), _real_number(dt, "dt")
+    span, dt = real_array(t_span, "t_span"), _real_number(dt, "dt")
+    if span.shape != (2,):
+        raise ValueError(f"t_span must be a list of 2 real numbers, got {t_span!r}")
+    t0, t1 = span.tolist()
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t1 < t0:
@@ -176,15 +179,15 @@ def _linear_flow(y0, generator, h: float, n: int) -> np.ndarray:
 
     On a linear flow an RK4 step is y <- y + Q y, Q = sum_{1<=j<=4} (h A)^j / j!
     built once; adding Q y to y, not applying a rounded I + Q, keeps rounding
-    from biasing every step the same way. A non-finite y0 or Q is rejected
-    before allocating, and so is a non-finite last row after stepping: with Q
-    finite, a non-finite entry never turns finite again."""
+    from biasing every step the same way. A non-finite Q (y0 comes from checked
+    input) is rejected before allocating, and so is a non-finite last row after
+    stepping: with Q finite, a non-finite entry never turns finite again."""
     ha = h * np.asarray(generator)
     inc = ha   # Q in Horner form
     for j in (4.0, 3.0, 2.0):
         inc = ha @ (np.eye(len(ha)) + inc / j)
-    if not (np.isfinite(y0).all() and np.isfinite(inc).all()):
-        raise ValueError("non-finite initial state or step matrix")
+    if not np.isfinite(inc).all():
+        raise ValueError("non-finite step matrix")
     out = np.empty((n + 1, len(y0)), dtype=np.result_type(y0, inc))
     out[0] = y0
     for i in range(n):
@@ -258,7 +261,7 @@ def integrate_open(rho0, hamiltonian, d_rate, t_span, dt: float) -> Trajectory:
         raise ValueError("open-system integration is implemented for the two-state system")
     times, h, n = _steps(t_span, dt)
     if not callable(d_rate):
-        d = float(d_rate)
+        d = _real_number(d_rate, "d_rate")
         bloch = _linear_flow(vec, gen + d * np.eye(3), h, n)
         _check_purity(times, bloch)
         return Trajectory(times, bloch, np.full(n + 1, d))
@@ -292,11 +295,11 @@ def syncoherence_flow(p0: float, d0: float, params: FlowParams, t_span, dt: floa
 
     Returns a Trajectory whose ``bloch`` column holds P and ``d_values`` D.
     """
-    u = 1.0 - float(p0)
+    u = 1.0 - _real_number(p0, "p0")
     if u < 0:
         raise ValueError("initial purity exceeds 1")
     times, h, n = _steps(t_span, dt)
-    state = _linear_flow(np.array([u, float(d0)]), [[0.0, -1.0], [params.b, -params.a]], h, n)
+    state = _linear_flow(np.array([u, _real_number(d0, "d0")]), [[0.0, -1.0], [params.b, -params.a]], h, n)
     bad = np.flatnonzero(state[:, 0] < -PURITY_TOL)
     if bad.size:
         raise ConstraintViolation(
@@ -317,10 +320,11 @@ def syncoherence_closed_form(p0: float, d0: float, params: FlowParams, times) ->
     eps1, eps2 = params.rates
     if abs(eps1 - eps2) < RATE_GAP_TOL:
         raise ValueError("degenerate rates: closed form needs eps_1 != eps_2")
-    u0 = 1.0 - float(p0)
-    x1 = (float(d0) - eps2 * u0) / (eps1 - eps2)
+    u0 = 1.0 - _real_number(p0, "p0")
+    x1 = (_real_number(d0, "d0") - eps2 * u0) / (eps1 - eps2)
     x2 = u0 - x1
-    t = real_array(times, "times") - float(times[0])
+    t = real_array(times, "times")
+    t = t - t[0]
     u = x1 * np.exp(-eps1 * t) + x2 * np.exp(-eps2 * t)
     d = eps1 * x1 * np.exp(-eps1 * t) + eps2 * x2 * np.exp(-eps2 * t)
     return 1.0 - u, d

@@ -21,7 +21,7 @@ import numpy as np
 # that importing the package loads neither
 from . import correlations, dynamics, fourstate, manifolds, observables, qmatrix
 from .reporting import write_csv, write_json
-from .validate import PURITY_TOL, RELATIVE_ERROR_FLOOR, ValueRecord, _real_number, check_count, check_real
+from .validate import PURITY_TOL, RELATIVE_ERROR_FLOOR, ValueRecord, _real_number, check_count, real_array
 
 # count limits: steps^2 grid rows <= MAX_STEPS (about 30 s of Bell checks); a
 # classical trial draws one ensemble in about 0.2 ms, so MAX_STEPS of them take
@@ -93,6 +93,14 @@ def _merge_params(defaults: dict, given: dict, name: str) -> dict:
             raise ConfigError(f"{key} must be a list, got {value!r}")
         params[key] = value
     return params
+
+
+def _real_list(p: dict, key: str, length: int | None = None) -> np.ndarray:
+    """Parameter ``key`` as a 1-d array read by ``validate.real_array``, of ``length`` entries if given."""
+    arr = real_array(p[key], key)
+    if arr.ndim != 1 or length not in (None, len(arr)):
+        raise ValueError(f"{key} must be a list of {length or 'any number of'} real numbers, got {p[key]!r}")
+    return arr
 
 
 def _tol_check(name, value, reference, tol) -> Check:
@@ -180,7 +188,7 @@ def _decoherence(params, seed):
     d, t_final, dt = (_real_number(p[k], k) for k in ("d", "t_final", "dt"))
     if d >= 0:
         raise ConfigError("decoherence needs a negative rate d")
-    rho0 = np.asarray(check_real(p["rho0"], "rho0", length=3))
+    rho0 = _real_list(p, "rho0", 3)
     traj = dynamics.integrate_open(rho0, None, d, (0.0, t_final), dt)
     worst = float(np.abs(traj.bloch - rho0 * np.exp(d * traj.times)[:, None]).max())
     p0, purity = float(rho0 @ rho0), traj.purity
@@ -253,7 +261,7 @@ def _cartesian_spins(params, seed):
         third = Fraction(1, 3)
         probs = [third, 0, 0, 0, third, 0, 0, third]
     else:
-        probs = check_real(p["probs"], "probs", length=8)
+        probs = _real_list(p, "probs", 8)
     before = finite.cartesian_purity(probs)
     classical = finite.cartesian_measure_sz(probs, "classical")
     quantum = finite.cartesian_measure_sz(probs, "quantum", free_p1=p["free_p1"])
@@ -321,7 +329,7 @@ def _pseudo_quantum_region(params, seed):
 
 def _correlation_table(params, seed):
     p = _merge_params({"rho": [0.3, 0.1, 0.2], "grid_resolution": 48}, params, "correlation-table")
-    rho_vec = np.asarray(check_real(p["rho"], "rho", length=3))
+    rho_vec = _real_list(p, "rho", 3)
     state = manifolds.BlochState(rho_vec)
     rho_mat = qmatrix.density_from_bloch(rho_vec)
     axis = rho_vec / np.linalg.norm(rho_vec) if np.linalg.norm(rho_vec) > 0 else np.array([0.0, 0.0, 1.0])
@@ -363,9 +371,9 @@ def _correlation_table(params, seed):
 def _mc_sequences(params, seed):
     p = _merge_params({"angles": [0.0, math.pi / 4.0], "rho": [0.0, 0.0, 0.6],
                        "n": 1_000_000, "jobs": 1}, params, "mc-sequences")
-    angles = check_real(p["angles"], "angles")
+    angles = _real_list(p, "angles")
     check_count(len(angles), "chain length", lo=2, hi=6)
-    rho_vec = np.asarray(check_real(p["rho"], "rho", length=3))
+    rho_vec = _real_list(p, "rho", 3)
     chain = [observables.TwoLevelObservable(np.array([math.sin(a), 0.0, math.cos(a)]))
              for a in angles]
     _, closed = correlations.measurement_chain(chain, rho_vec)

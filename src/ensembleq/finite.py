@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .validate import (PURITY_TOL, ZERO_TOL, ConstraintViolation, Record, ValueRecord, _real_number, check_count,
-                       check_probabilities, check_real, real_array)
+                       check_probabilities, real_array)
 
 
 class Q2(Record):
@@ -130,12 +130,12 @@ def _is_exact_seq(p, kinds=(int, Fraction, Q2)) -> bool:
 
 def _read_probs(p, name: str, kinds=(int, Fraction, Q2), signed: bool = False) -> tuple[tuple, bool]:
     """``p`` as a tuple, and whether it is exact: entries all of ``kinds`` (no bool) are kept as
-    given, else each becomes a finite float (``check_real``; a Q2 through float). Unless
+    given, else each becomes a finite float (``_real_number``; a Q2 through float). Unless
     ``signed``, p must be >= 0 with a total of 1: exactly, or through check_probabilities."""
     p = tuple(p)
     exact = _is_exact_seq(p, kinds)
     if not exact:
-        p = tuple(check_real([float(x) if isinstance(x, Q2) else x for x in p], name))
+        p = tuple(_real_number(float(x) if isinstance(x, Q2) else x, f"{name}[{i}]") for i, x in enumerate(p))
     if not (signed or exact):
         check_probabilities(p)
     elif not signed and (any(x < 0 for x in p) or sum(p) != 1):
@@ -296,17 +296,21 @@ def integrate_out(system: FiniteSpinSystem, alpha=Fraction(1, 2), beta=Fraction(
 
     for any coefficients alpha, beta (default 1/2 each). The result can carry
     negative weights and is returned as a ``signed`` system; negativity is a
-    reported feature, not an error; an exact system gives Q2 weights.
+    reported feature, not an error. An exact system with int or Fraction alpha and
+    beta gives Q2 weights; one float among them gives a float system.
     """
     if system.n_positions != 8 or system.n_states != 8:
         raise ValueError("integrate_out expects the full Z_8 system")
+    exact = system.exact and _is_exact_seq((alpha, beta), (int, Fraction))
+    if not exact:
+        alpha, beta = _real_number(alpha, "alpha"), _real_number(beta, "beta")
+    probs = dict(zip(system.state_angles, system.probs if exact else map(float, system.probs)))
     axis = (0, 4, 2, 6)
-    pos = {a: i for i, a in enumerate(system.state_angles)}
-    new = [system.probs[pos[a]] for a in axis]
+    new = [probs[a] for a in axis]
     for ang in (1, 7, 3, 5):
-        p_d = system.probs[pos[ang]]
-        a1 = _cos_index(ang, 8, system.exact)
-        a2 = _cos_index(ang - 2, 8, system.exact)   # sin = cos shifted by pi/2
+        p_d = probs[ang]
+        a1 = _cos_index(ang, 8, exact)
+        a2 = _cos_index(ang - 2, 8, exact)   # sin = cos shifted by pi/2
         new[0] = new[0] + alpha * a1 * p_d
         new[1] = new[1] + (alpha - 1) * a1 * p_d
         new[2] = new[2] + beta * a2 * p_d

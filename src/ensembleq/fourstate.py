@@ -22,14 +22,13 @@ from .dynamics import MAX_STEPS, _linear_flow
 from .manifolds import BASIS_WORDS, BlochState, Ensemble, bloch_vector, canonical_direction, weighted_sum
 from .observables import TwoLevelObservable
 from .validate import (INVARIANT_TOL, PURITY_TOL, SAME_DIRECTION_TOL, ConstraintViolation, DimensionMismatch,
-                       ValueRecord, _real_number, check_components, check_count, check_probabilities, check_real,
-                       real_array)
+                       ValueRecord, _real_number, check_components, check_count, check_probabilities, real_array)
 
 
 def basis_psi(m: int) -> np.ndarray:
     """Computational basis wave function psi_m, m = 1..4."""
     psi = np.zeros(4, dtype=complex)
-    psi[m - 1] = 1.0
+    psi[check_count(m, "m", lo=1, hi=4) - 1] = 1.0
     return psi
 
 
@@ -57,11 +56,16 @@ def outcomes_from_t(t1: float, t2: float, t3: float) -> OutcomeTable:
     return OutcomeTable(w_pp, w_pm, w_mp, w_mm)
 
 
+def _sign(sign) -> float:
+    """``sign`` as +1.0 or -1.0; any other value, a bool among them, is a ValueError naming it."""
+    if (value := _real_number(sign, "sign")) not in (1.0, -1.0):
+        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+    return value
+
+
 def entangled_psi(sign: int) -> np.ndarray:
     """(psi_2 + sign * psi_3)/sqrt(2): total-bit eigenstates with T_3 = -1."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return (basis_psi(2) + sign * basis_psi(3)) / math.sqrt(2.0)
+    return (basis_psi(2) + _sign(sign) * basis_psi(3)) / math.sqrt(2.0)
 
 
 def entangled_state(sign: int) -> np.ndarray:
@@ -71,18 +75,15 @@ def entangled_state(sign: int) -> np.ndarray:
     characteristic expectation values (<T_3> = -1, the outcome weights 1/2)
     come out exact; it agrees with psi psi^dagger to roundoff.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     l = qmatrix.L_BASIS
-    return 0.25 * (np.eye(4) - l[2] + sign * (l[11] - l[13]))
+    return 0.25 * (np.eye(4) - l[2] + _sign(sign) * (l[11] - l[13]))
 
 
 def entangled_bloch(sign: int) -> BlochState:
     """15-vector of the entangled state: f3 = -1, f12 = +-1, f14 = -+1."""
     vec = np.zeros(15)
-    vec[2] = -1.0
-    vec[11] = float(sign)
-    vec[13] = -float(sign)
+    vec[2], vec[11] = -1.0, _sign(sign)
+    vec[13] = -vec[11]
     return BlochState(vec)
 
 
@@ -217,7 +218,7 @@ def interference_trajectory(delta: float, t_final: float, n_steps: int = 4096):
     f7 = f5, f1 = 1 and all other components zero, starting from f2 = 1. The
     expectation <T_2> oscillates as cos(delta t). At most MAX_STEPS steps.
     """
-    t_final = check_real(t_final, "t_final", 0.0)
+    delta, t_final = _real_number(delta, "delta"), _real_number(t_final, "t_final", 0.0)
     n_steps = check_count(n_steps, "n_steps", lo=1, hi=MAX_STEPS)
     h = t_final / n_steps
     times = np.arange(n_steps + 1, dtype=float)
@@ -259,8 +260,6 @@ def is_exchange_symmetric(state) -> str:
     """
     psi = None if isinstance(state, BlochState) else real_array(state, "state", complex_ok=True)
     if psi is not None and psi.shape == (4,):
-        if not np.isfinite(psi).all():
-            raise ValueError("wave function contains non-finite entries")
         norm2 = sum(c.real * c.real + c.imag * c.imag for c in psi.tolist())
         if abs(norm2 - 1.0) > INVARIANT_TOL:
             raise ConstraintViolation(f"wave function is not normalised: |psi|^2 = {norm2!r}")

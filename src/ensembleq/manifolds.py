@@ -27,7 +27,7 @@ from .validate import (
     ZERO_TOL,
     ConstraintViolation,
     Record,
-    as_float_array,
+    _check_distribution,
     check_components,
     check_count,
     check_probabilities,
@@ -131,7 +131,7 @@ class Ensemble(Record):
     def __init__(self, manifold: str, points: np.ndarray, probs: np.ndarray):
         if manifold not in MANIFOLDS:
             raise ValueError(f"unknown manifold {manifold!r}")
-        pts = as_float_array(points, "points")
+        pts = real_array(points, "points")
         if pts.ndim != 2 or pts.shape[1] != _DIM[manifold]:
             raise ValueError(f"points must have shape (n, {_DIM[manifold]})")
         probs = check_probabilities(probs)
@@ -228,12 +228,12 @@ class SubstateEnsemble(Record):
     __slots__ = ("directions", "table")
 
     def __init__(self, directions: np.ndarray, table: np.ndarray):   # (m, 3) canonical; (n, 2^m)
-        directions = freeze(as_float_array(directions, "directions"))
+        directions = freeze(real_array(directions, "directions"))
         table = real_array(table, "table")
         if directions.shape[1:] != (3,) or table.shape[1:] != (2 ** len(directions),):
             raise ValueError("directions must have shape (m, 3) and the table shape (micro-states, 2^m)")
         _check_directions(directions)
-        check_probabilities(table.reshape(-1))
+        _check_distribution(table.reshape(-1))   # real_array checked the entries finite, once
         self._set(directions, freeze(table))
 
     def __len__(self) -> int:

@@ -27,10 +27,10 @@ from .validate import (
     DimensionMismatch,
     Record,
     _real_number,
-    as_float_array,
     check_components,
     check_count,
     check_unit_vector,
+    real_array,
 )
 
 
@@ -94,16 +94,14 @@ def spin(e) -> TwoLevelObservable:
 
 def basis_spin(k: int) -> TwoLevelObservable:
     """The k-th basis observable (1-based) of the two-state system, A^(k) = A(e_k)."""
-    if not 1 <= k <= 3:
-        raise ValueError("basis index out of range")
     e = np.zeros(3)
-    e[k - 1] = 1.0
+    e[check_count(k, "k", lo=1, hi=3) - 1] = 1.0
     return TwoLevelObservable(e)
 
 
 def mean_in_state(obs, f) -> float:
     """Mean value of an observable in the micro-state with coordinates f, e0 + e . f."""
-    vec = as_float_array(f, "f")
+    vec = real_array(f, "f")
     if obs.e.shape != vec.shape:
         raise DimensionMismatch("observable and micro-state dimensions differ")
     return float(obs.e @ vec) + obs.e0
@@ -152,12 +150,10 @@ def combine(lam1, a: TwoLevelObservable, lam2, b: TwoLevelObservable) -> TwoLeve
     four states): always for two states, but not for L1 and L2, whose
     combination squares to 1 + 2 lam1 lam2 L3.
     """
-    if isinstance(lam1, complex) or isinstance(lam2, complex):
-        raise ValueError("complex scaling of measurable observables is unsupported")
+    lam1, lam2 = _real_number(lam1, "lam1"), _real_number(lam2, "lam2")   # complex scaling is not measurable
     if a.dim != b.dim:
         raise DimensionMismatch("cannot combine observables of different dimension")
-    return TwoLevelObservable(float(lam1) * a.e + float(lam2) * b.e,
-                              float(lam1) * a.e0 + float(lam2) * b.e0)
+    return TwoLevelObservable(lam1 * a.e + lam2 * b.e, lam1 * a.e0 + lam2 * b.e0)
 
 
 def operator_of(obs) -> np.ndarray:

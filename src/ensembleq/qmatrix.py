@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .validate import (INVARIANT_TOL, ConstraintViolation, DimensionMismatch, _check_hermitian, _real_number,
-                       check_components)
+                       check_components, check_count)
 
 PAULI = np.array(
     [
@@ -78,9 +78,7 @@ L_BASIS.setflags(write=False)
 
 def l_operator(k: int) -> np.ndarray:
     """Return L_k by its conventional 1-based index."""
-    if not 1 <= k <= 15:
-        raise ValueError("L index must be in 1..15")
-    return L_BASIS[k - 1]
+    return L_BASIS[check_count(k, "k", lo=1, hi=15) - 1]
 
 
 def basis_identity_error(basis: np.ndarray | None = None) -> float:

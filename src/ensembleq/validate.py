@@ -116,28 +116,28 @@ class ValueRecord(Record):
 
 
 def real_array(x, name: str, complex_ok: bool = False) -> np.ndarray:
-    """x as a float array, or with ``complex_ok`` (Hermitian matrices, wave functions) a float
-    or complex one. Anything else is a ValueError naming ``name``: a string, bytes, bools, None,
-    a record, ragged nesting, and complex entries unless allowed, whose imaginary part a cast
-    would drop. An object array of real numbers (int, Fraction) is converted."""
+    """x as a finite float array, or with ``complex_ok`` (Hermitian matrices, wave functions) a finite float or
+    complex one; an object array of real numbers (int, Fraction) is converted. Anything else is a ValueError naming
+    ``name``: strings, bytes, None, records, ragged nesting, non-finite entries, bools (also one in a list of
+    numbers, which numpy reads as 0 or 1) and complex entries unless allowed, whose imaginary part a cast drops."""
     try:
         arr = np.asarray(x)
     except ValueError:   # ragged nesting
         arr = np.asarray(None)
-    kind = arr.dtype.kind
+    dtype = arr.dtype
+    kind = dtype.kind
     if kind == "O" and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in arr.flat):
-        arr, kind = arr.astype(float), "f"
+        kind = "f"   # converted below
     if kind == "c" and not complex_ok:
         raise ValueError(f"{name} has complex entries")
-    if kind not in "iufc":
+    if kind not in "iufc" or arr is not x and isinstance(x, (list, tuple)) and not {bool, np.bool_}.isdisjoint(
+            map(type, np.asarray(x, dtype=object).flat)):
         raise ValueError(f"{name} must be an array of numbers, got {reprlib.repr(x)}")
-    dtype = complex if kind == "c" else float
-    return arr if arr.dtype == dtype else arr.astype(dtype)
-
-
-def as_float_array(x, name: str) -> np.ndarray:
-    arr = real_array(x, name)
-    if not np.isfinite(arr).all():
+    if dtype != (want := complex if kind == "c" else float):
+        arr = arr.astype(want)
+    # a short real vector is checked as Python floats, which costs less than a ufunc
+    if not (all(map(math.isfinite, arr.tolist())) if arr.size <= 16 and arr.ndim == 1 and kind != "c"
+            else np.isfinite(arr).all()):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -163,8 +163,6 @@ def check_components(x, name: str) -> np.ndarray:
     arr = real_array(x, name)
     if arr.shape not in ((3,), (15,)):
         raise ValueError(f"{name} must have 3 or 15 components, got shape {arr.shape}")
-    if not all(map(math.isfinite, arr.tolist())):
-        raise ValueError(f"{name} contains non-finite entries")
     return freeze(arr)
 
 
@@ -173,15 +171,13 @@ def _check_hermitian(x, name: str) -> np.ndarray:
     mat = real_array(x, name, complex_ok=True)
     if mat.shape not in ((2, 2), (4, 4)):
         raise DimensionMismatch(f"{name} must be 2x2 or 4x4, got shape {mat.shape}")
-    if not np.isfinite(mat).all():
-        raise ValueError(f"{name} contains non-finite entries")
     if np.abs(mat - mat.conj().T).max() > INVARIANT_TOL:
         raise ConstraintViolation(f"{name} is not Hermitian")
     return mat
 
 
 def check_unit_vector(v, name: str = "e") -> np.ndarray:
-    arr = as_float_array(v, name)
+    arr = real_array(v, name)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a 1-d vector")
     nrm2 = sum(c * c for c in arr.tolist())   # Python floats overflow to inf without a warning
@@ -192,9 +188,14 @@ def check_unit_vector(v, name: str = "e") -> np.ndarray:
 
 def check_probabilities(p) -> np.ndarray:
     """Validate a probability vector: entries >= 0 and an (fsum-)exact total of 1."""
-    arr = as_float_array(p, "probabilities")
+    arr = real_array(p, "probabilities")
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("probabilities must be a non-empty 1-d vector")
+    return _check_distribution(arr)
+
+
+def _check_distribution(arr: np.ndarray) -> np.ndarray:
+    """``arr``, a vector already read by ``real_array``, if it is >= 0 with an (fsum-)exact total of 1."""
     if np.any(arr < -INVARIANT_TOL):
         raise ConstraintViolation(f"negative probability: min = {arr.min()!r}")
     chunks = (arr[i:i + _FSUM_CHUNK].tolist() for i in range(0, arr.size, _FSUM_CHUNK))
@@ -205,7 +206,7 @@ def check_probabilities(p) -> np.ndarray:
 
 
 def check_rotation(m) -> np.ndarray:
-    arr = as_float_array(m, "rotation")
+    arr = real_array(m, "rotation")
     if arr.shape != (3, 3):
         raise ValueError("rotation must be a 3x3 matrix")
     if np.abs(arr.T @ arr - np.eye(3)).max() > INVARIANT_TOL:
@@ -227,17 +228,6 @@ def check_count(value, name: str, lo: int = 0, hi: int | None = None) -> int:
     if hi is not None and n > hi:
         raise ValueError(f"{name} = {n}; the limit is {hi}")
     return n
-
-
-def check_real(value, name: str, lo: float = -math.inf, length: int | None = None):
-    """A finite real number >= lo as a float (``_real_number``), or a list of them as a list of
-    floats. With ``length``, the value must be a list of exactly that many numbers."""
-    is_list = isinstance(value, (list, tuple, np.ndarray))
-    if length is not None and not (is_list and len(value) == length):
-        raise ValueError(f"{name} must be a list of {length} real numbers, got {value!r}")
-    if is_list:
-        return [_real_number(v, f"{name}[{i}]", lo) for i, v in enumerate(value)]
-    return _real_number(value, name, lo)
 
 
 def _real_number(value, name: str, lo: float = -math.inf) -> float:

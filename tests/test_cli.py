@@ -122,8 +122,11 @@ def test_config_error_writes_no_files(tmp_path, name, params):
     ("precession", "omega", [1.0]),
     ("syncoherence", "a", [3.0]),
     ("decoherence", "d", [-0.35]),
+    ("correlation-table", "rho", [0.1, 0.2]),
+    ("cartesian-spins", "probs", 7),
+    ("mc-sequences", "angles", [[0.0], [1.0]]),
 ], ids=["scalar-angles", "scalar-sizes", "bool-free_p1", "string-free_p1", "list-free_p1", "list-delta",
-        "list-omega", "list-a", "list-d"])
+        "list-omega", "list-a", "list-d", "short-rho", "scalar-probs", "nested-angles"])
 def test_config_error_names_the_parameter(tmp_path, capsys, name, key, value):
     # these failed as "object of type 'float' has no len()", "'int' object is not iterable",
     # ran free_p1=false as p1 = 0, or failed on a scalar given as a list in numpy or in

@@ -221,6 +221,16 @@ class TestIntegrateOut:
         with pytest.raises(ValueError):
             integrate_out(zn_system(4))
 
+    def test_a_float_coefficient_gives_a_float_system(self):
+        # 0.1 was taken as the Fraction of its binary value: the "exact" first weight was
+        # Q2(1/36, -3602879701896397/648518346341351424), float roundoff presented as exact
+        sys8 = zn_system(8, probs=tuple(Fraction(k, 36) for k in range(1, 9)))
+        exact = integrate_out(sys8, Fraction(1, 10), Fraction(1, 2))
+        for alpha, beta in ((0.1, Fraction(1, 2)), (Fraction(1, 10), 0.5), (0.1, 0.5)):
+            eff = integrate_out(sys8, alpha, beta)
+            assert exact.exact and not eff.exact and all(type(w) is float for w in eff.probs)
+            assert max(abs(float(x) - y) for x, y in zip(exact.probs, eff.probs)) <= 1e-15
+
 
 class TestReduceToRho:
     def test_pure_states(self):

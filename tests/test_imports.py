@@ -155,6 +155,98 @@ def test_the_oracle_guard_sees_each_form():
         "line 4: anticommutator", "line 4: nested_anticommutator_expectation", "line 5: quantum_product"]
 
 
+# Conversions that read a value without validate's rules: float() and np.asarray() take a bool
+# as 1, float() takes the string "0.5", and none of them rejects NaN or names the argument.
+_BARE_BUILTINS, _BARE_NUMPY = {"float", "int", "complex"}, {"asarray", "array"}
+
+# Public functions that may still pass a parameter to one of them, each with its reason.
+_BARE_READ_ALLOWED = {
+    "qm_expectation(op)": "the oracle takes bare arrays (the qmatrix docstring): the reference reads them as given",
+    "qm_expectation(rho)": "the oracle takes bare arrays (the qmatrix docstring): the reference reads them as given",
+    "basis_identity_error(basis)": "the oracle audits a candidate basis as given; the basis audit's negative "
+                                   "control passes a broken one",
+    "cartesian_purity(p)": "the exact path: an object array of the int and Fraction entries _is_exact_seq "
+                           "has just checked",
+}
+
+
+def _bare_reads(source: str) -> list[str]:
+    """``func(param)`` for each public function that passes a parameter of its own, or a subscript
+    of one, to float(), int(), complex(), np.asarray() or np.array(); a public method is keyed
+    ``Class.method`` and an ``__init__`` by its class."""
+    tree = ast.parse(source)
+    funcs = [(f.name, f) for f in tree.body if isinstance(f, ast.FunctionDef) and f.name[0] != "_"]
+    funcs += [(c.name if f.name == "__init__" else f"{c.name}.{f.name}", f) for c in tree.body
+              if isinstance(c, ast.ClassDef) and c.name[0] != "_"
+              for f in c.body if isinstance(f, ast.FunctionDef) and (f.name == "__init__" or f.name[0] != "_")]
+    found = []
+    for key, func in funcs:
+        a = func.args
+        params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p is not None}
+        for node in ast.walk(func):
+            callee = getattr(node, "func", None)
+            if not (isinstance(callee, ast.Name) and callee.id in _BARE_BUILTINS
+                    or isinstance(callee, ast.Attribute) and callee.attr in _BARE_NUMPY
+                    and getattr(callee.value, "id", None) in ("np", "numpy")):
+                continue
+            for arg in node.args + [k.value for k in node.keywords]:
+                arg = arg.value if isinstance(arg, ast.Subscript) else arg
+                if isinstance(arg, ast.Name) and arg.id in params and f"{key}({arg.id})" not in found:
+                    found.append(f"{key}({arg.id})")
+    return found
+
+
+def test_no_public_function_reads_a_parameter_with_a_bare_conversion():
+    # validate holds the readers; a bare float() took "0.5" and True as numbers and NaN as a rate
+    offenders, seen = {}, set()
+    for path in sorted(Path(ensembleq.__file__).parent.glob("*.py")):
+        if path.name != "validate.py":
+            found = _bare_reads(path.read_text(encoding="utf-8"))
+            seen.update(found)
+            if set(found) - set(_BARE_READ_ALLOWED):
+                offenders[path.name] = [f for f in found if f not in _BARE_READ_ALLOWED]
+    assert offenders == {}
+    assert set(_BARE_READ_ALLOWED) <= seen   # an allowance whose read is gone is removed with it
+
+
+def test_the_bare_read_guard_sees_each_form():
+    source = """
+import numpy as np
+from .validate import real_array
+
+
+def each(a, b, c, d, e, *rest, f=None, **kw):
+    return float(a), int(b[0]), complex(c), np.asarray(d, dtype=float), np.array(object=e), float(rest), int(kw)
+
+
+def checked(x, y):
+    x = real_array(x, "x")
+    return float(len(y)), float(y + 1), math.floor(y), other.array(y), np.float64(x)
+
+
+def _private(x):
+    return float(x)
+
+
+class Record:
+    def __init__(self, x):
+        self.x = float(x)
+
+    def scaled(self, s):
+        return np.array(s) * self.x
+
+    def _hidden(self, s):
+        return float(s)
+
+
+class _Hidden:
+    def public(self, s):
+        return float(s)
+"""
+    assert _bare_reads(source) == ["each(a)", "each(b)", "each(c)", "each(d)", "each(e)", "each(rest)", "each(kw)",
+                                   "Record(x)", "Record.scaled(s)"]
+
+
 # Special methods Python calls on every record (building, printing, comparing,
 # hashing it); any other special method counts as a definition of its own.
 _KEPT_SPECIAL = {"__init__", "__repr__", "__eq__", "__hash__"}

@@ -1,10 +1,13 @@
-"""The shared input checks: one count check, one probability check, one unit-vector check
-and one real-array check.
+"""The shared input checks: one count check, one probability check, one unit-vector check,
+one real-number check and one real-array check.
 
-Every count a public entry point takes goes through ``validate.check_count``,
-every float probability vector through ``validate.check_probabilities``, and
-every array a caller passes (states, directions, Hamiltonians, tables, times)
-through ``validate.real_array``; these tests hold each entry point to the same rules.
+Every count or index a public entry point takes goes through ``validate.check_count``,
+every float probability vector through ``validate.check_probabilities``, every real
+scalar a caller passes (rates, initial values, coefficients) through
+``validate._real_number``, and every array or list a caller passes (states,
+directions, Hamiltonians, tables, times) through ``validate.real_array``, the one
+place that decides non-finite and bool entries; these tests hold each entry point
+to the same rules.
 """
 import math
 import re
@@ -17,16 +20,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ensembleq import experiments, qmatrix
-from ensembleq.dynamics import FlowParams, Hamiltonian, integrate_von_neumann, syncoherence_closed_form
+from ensembleq.dynamics import (FlowParams, Hamiltonian, integrate_open, integrate_von_neumann, rotation_from_generator,
+                                syncoherence_closed_form, syncoherence_flow)
 from ensembleq.correlations import conditional_correlation_2pt, simulate_sequences
-from ensembleq.finite import FiniteSpinSystem, cartesian_measure_sz, cartesian_purity, zn_step_evolution, zn_system
-from ensembleq.fourstate import (OutcomeTable, basis_psi, entangled_bloch, exchange_symmetry, interference_trajectory,
-                                 is_exchange_symmetric, symmetrized_hidden_ensemble)
+from ensembleq.finite import (FiniteSpinSystem, cartesian_measure_sz, cartesian_purity, integrate_out,
+                              zn_step_evolution, zn_system)
+from ensembleq.fourstate import (OutcomeTable, basis_psi, entangled_bloch, entangled_psi, entangled_state,
+                                 exchange_symmetry, interference_trajectory, is_exchange_symmetric,
+                                 symmetrized_hidden_ensemble)
 from ensembleq.manifolds import (BlochState, Ensemble, SubstateEnsemble, bloch_vector, canonical_direction,
                                  grid_ensemble)
-from ensembleq.observables import TwoLevelObservable, basis_spin, moment, spin
-from ensembleq.validate import (ConstraintViolation, check_components, check_count, check_real, check_unit_vector,
-                                real_array)
+from ensembleq.observables import TwoLevelObservable, basis_spin, combine, moment, spin
+from ensembleq.validate import (ConstraintViolation, _real_number, check_components, check_count,
+                                check_probabilities, check_rotation, check_unit_vector, real_array)
 
 _CHAIN = [basis_spin(3), basis_spin(1)]
 _RHO = np.array([0.1, 0.2, 0.3])
@@ -113,22 +119,24 @@ def test_check_count_accepts_exactly_the_whole_numbers_in_range(n, lo, span, bou
             check_count(bad, "n", lo, hi)
 
 
-@pytest.mark.parametrize("value", [True, "1.5", None, math.nan, -math.inf, [1.0, False]])
-def test_check_real_rejects_bools_strings_and_non_finite_values(value):
-    with pytest.raises(ValueError, match="^x"):
-        check_real(value, "x")
+def test_real_number_keeps_good_values_and_holds_its_lower_bound():
+    assert [_real_number(v, "x") for v in (1, 2.5, np.float32(0.5), Fraction(1, 4))] == [1.0, 2.5, 0.5, 0.25]
+    assert _real_number(0, "x", 0.0) == 0.0
+    with pytest.raises(ValueError, match=r"^x = -2.0 outside \[0.0, inf\]$"):
+        _real_number(-2, "x", 0.0)
 
 
-def test_check_real_names_the_bad_list_entry_and_keeps_good_values():
-    assert check_real((1, 2.5, np.float32(0.5)), "x") == [1.0, 2.5, 0.5]
-    with pytest.raises(ValueError, match=r"x\[2\] is non-finite"):
-        check_real([0.0, 1.0, math.nan], "x")
-    with pytest.raises(ValueError, match=r"x = -2.0 outside \[0.0, inf\]"):
-        check_real(-2, "x", 0.0)
-    assert check_real([1, 2, 3], "x", length=3) == [1.0, 2.0, 3.0]
-    for wrong in (7, [1.0, 2.0], [1.0, 2.0, 3.0, 4.0]):
-        with pytest.raises(ValueError, match="x must be a list of 3 real numbers"):
-            check_real(wrong, "x", length=3)
+@pytest.mark.parametrize("read, bad", [
+    (lambda x: real_array(x, "probabilities"), [True, 0.0]),
+    (lambda x: real_array(x, "probabilities"), (0.5, np.False_)),
+    (lambda x: real_array(x, "probabilities"), [[0.5, 0.0], [np.True_, 0.5]]),
+    (lambda x: real_array(x, "probabilities"), [np.array([True, False]), [0.5, 0.5]]),
+    (check_probabilities, [True, 0.0]),
+], ids=["True-in-list", "numpy-False-in-tuple", "nested", "bool-array-in-list", "check_probabilities"])
+def test_a_bool_among_numbers_is_not_read_as_0_or_1(read, bad):
+    # numpy reads [True, 0.0] as [1.0, 0.0], so check_probabilities passed it as a distribution
+    with pytest.raises(ValueError, match=r"^probabilities must be an array of numbers, got"):
+        read(bad)
 
 
 PROBABILITY_ENTRY_POINTS = {
@@ -207,8 +215,8 @@ JUNK_READERS = {
     "Hamiltonian-matrix": (Hamiltonian, np.diag([1.0, -1.0]), "hk|Hamiltonian matrix", False),
     "spin": (spin, np.array([0.0, 0.0, 1.0]), "e", False),
     "Ensemble-points": (lambda x: Ensemble("s2", x, [1.0]), np.array([[0.0, 0.0, 1.0]]), "points", False),
-    "Ensemble-probs": (lambda x: Ensemble("s2", [[0.0, 0.0, 1.0]], x), np.array([1.0]), "probabilities|probs",
-                       False),
+    "Ensemble-probs": (lambda x: Ensemble("s2", [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], x), np.array([0.5, 0.5]),
+                       "probabilities|probs", False),
     "conditional_correlation_2pt-state": (lambda x: conditional_correlation_2pt(_Z, _Z, x),
                                           np.array([0.0, 0.0, 0.5]), "state|Bloch vector|rho|density matrix", True),
     "exchange_symmetry": (exchange_symmetry, np.eye(15)[0], "f", False),
@@ -217,12 +225,27 @@ JUNK_READERS = {
     "is_exchange_symmetric-psi": (is_exchange_symmetric, basis_psi(1),
                                   "state|Bloch vector|rho|density matrix|wave function", True),
     "check_density_matrix": (qmatrix.check_density_matrix, np.eye(2) / 2.0, "density matrix", False),
+    "rotation_from_generator": (rotation_from_generator, np.zeros(3), "alpha", False),
+    "check_rotation": (check_rotation, np.eye(3), "rotation", False),
+    "SubstateEnsemble-directions": (lambda x: SubstateEnsemble(x, [[0.5, 0.5]]), np.array([[0.0, 0.0, 1.0]]),
+                                    "directions", False),
+    "SubstateEnsemble-table": (lambda x: SubstateEnsemble([[0.0, 0.0, 1.0]], x), np.array([[0.5, 0.5]]), "table",
+                               False),
 }
 
 
 def _with_entry(valid, value):
     out = valid.astype(np.result_type(valid, value))
     out.flat[0] += value
+    return out
+
+
+def _with_bool(valid, flag, last=False):
+    """valid as nested lists with its first (or last) entry replaced by the bool ``flag``."""
+    out = row = valid.tolist()
+    while isinstance(row[-1 if last else 0], list):
+        row = row[-1 if last else 0]
+    row[-1 if last else 0] = flag
     return out
 
 
@@ -238,6 +261,7 @@ def _junk(valid, takes_state):
     spoiled = st.sampled_from([
         np.ones(valid.shape, dtype=bool),                            # a bool array
         valid.astype(bool).tolist(),
+        _with_bool(valid, True), tuple(_with_bool(valid, np.False_, last=True)),   # numpy reads them as 1.0, 0.0
         np.concatenate([valid, np.zeros(valid.shape[:-1] + (1,))], axis=-1),   # one entry too many
         valid[None, None],                                           # nested two levels deeper
         0.5,                                                         # a scalar
@@ -258,3 +282,48 @@ def test_junk_input_is_a_value_error_naming_the_argument(reader, data):
     with pytest.raises(ValueError) as info:
         call(junk)
     assert re.search(rf"\b({names})\b", str(info.value)), str(info.value)
+
+
+_EXACT_Z8 = zn_system(8, probs=tuple(Fraction(k, 36) for k in range(1, 9)))
+_FLOW = FlowParams(3.0, 2.0)
+
+# Public readers of caller scalars: (call, a valid value, the argument's name, values of the right
+# type outside the reader's range). Each reads its value through validate._real_number or check_count.
+SCALAR_READERS = {
+    "basis_psi": (basis_psi, 1, "m", (0, 5, 1.5)),
+    "basis_spin": (basis_spin, 1, "k", (0, 4, 1.5)),
+    "l_operator": (qmatrix.l_operator, 1, "k", (0, 16, 2.5)),
+    "entangled_psi": (entangled_psi, -1, "sign", (0, 0.5, 2, -2)),
+    "entangled_state": (entangled_state, -1, "sign", (0, 0.5, 2, -2)),
+    "entangled_bloch": (entangled_bloch, -1, "sign", (0, 0.5, 2, -2)),
+    "FlowParams-a": (lambda x: FlowParams(x, 2.0), 3.0, "a", ()),
+    "FlowParams-b": (lambda x: FlowParams(3.0, x), 2.0, "b", ()),
+    "syncoherence_flow-p0": (lambda x: syncoherence_flow(x, 0.1, _FLOW, (0.0, 0.01), 0.001), 0.9, "p0", ()),
+    "syncoherence_flow-d0": (lambda x: syncoherence_flow(0.9, x, _FLOW, (0.0, 0.01), 0.001), 0.1, "d0", ()),
+    "syncoherence_closed_form-p0": (lambda x: syncoherence_closed_form(x, 0.1, _FLOW, [0.0, 0.1]), 0.9, "p0", ()),
+    "syncoherence_closed_form-d0": (lambda x: syncoherence_closed_form(0.9, x, _FLOW, [0.0, 0.1]), 0.1, "d0", ()),
+    "integrate_open-d_rate": (lambda x: integrate_open(np.array([0.5, 0.0, 0.0]), None, x, (0.0, 0.01), 0.001),
+                              -0.1, "d_rate", ()),
+    "combine-lam1": (lambda x: combine(x, basis_spin(1), 0.0, basis_spin(2)), 1.0, "lam1", ()),
+    "combine-lam2": (lambda x: combine(1.0, basis_spin(1), x, basis_spin(2)), 0.0, "lam2", ()),
+    "integrate_out-alpha": (lambda x: integrate_out(_EXACT_Z8, x, Fraction(1, 2)), Fraction(1, 2), "alpha", ()),
+    "integrate_out-beta": (lambda x: integrate_out(_EXACT_Z8, Fraction(1, 2), x), Fraction(1, 2), "beta", ()),
+    "interference_trajectory-delta": (lambda x: interference_trajectory(x, 1.0, 16), 1.0, "delta", ()),
+    "interference_trajectory-t_final": (lambda x: interference_trajectory(1.0, x, 16), 1.0, "t_final", (-1.0,)),
+}
+
+# no scalar reader takes these: a bool is no number, and a string, a list or an array is no scalar
+_SCALAR_JUNK = (True, False, np.True_, "1", b"1", None, object(), 1j, [1.0], (1.0,), np.array([1.0]),
+                math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("reader", SCALAR_READERS)
+def test_scalar_junk_is_a_value_error_naming_the_argument(reader):
+    # float() read "0.5" and True as numbers, NaN and a list escaped into numpy, an index of 0 read
+    # psi_4, and a sign of 0.5 built a mixed state
+    call, valid, name, outside = SCALAR_READERS[reader]
+    call(valid)   # control: the valid value is read
+    for junk in (*_SCALAR_JUNK, *outside):
+        with pytest.raises(ValueError) as info:
+            call(junk)
+        assert re.match(rf"{name}\b", str(info.value)), (junk, str(info.value))
