@@ -28,9 +28,8 @@ import threading
 import numpy as np
 
 from .manifolds import STRUCTURE, Ensemble, SubstateEnsemble, bloch_vector, weighted_sum
-from .observables import RANDOM, ProductObservable, TwoLevelObservable, _require_spin
-from .validate import (INVARIANT_TOL, ZERO_TOL, ConstraintViolation, DimensionMismatch, Record, ValueRecord,
-                       check_count)
+from .observables import RANDOM, ProductObservable, TwoLevelObservable, _mean, _require_spin
+from .validate import INVARIANT_TOL, ZERO_TOL, ConstraintViolation, Record, ValueRecord, _check_dim, check_count
 
 # measurement_chain enumerates 2^m branches, and four-state level i keeps up to
 # 2^i reduced states; either count above this is rejected before building
@@ -41,6 +40,9 @@ MAX_JOBS = 64
 # simulate_sequences draws at most this many samples: 4295 times the 10^6 of
 # c4 and the README, about five minutes on one core at 1.5e7 samples/s (m = 2)
 MAX_SAMPLES = 1 << 32
+# simulate_sequences splits its samples into blocks of this many, block j drawing
+# from the stream default_rng([seed, j]); a result is fixed per (seed, n_samples)
+_BLOCK_SIZE = 1 << 16
 # simulate_sequences draws and walks this many rows of uniforms at a time:
 # 4096 x m float64, 320 KiB at m = 10
 _TILE_ROWS = 4096
@@ -51,16 +53,16 @@ def _factors(observables, state) -> tuple[list, np.ndarray]:
     by ``manifolds.bloch_vector``. The one factor rule: the leftmost factor, measured last, may
     be R (R o X = R); every other passes the spin rule ``observables._require_spin``
     (NoEigenstateError if it has no eigenstates); every factor has the state's dimension
-    (else DimensionMismatch)."""
+    (``validate._check_dim``)."""
     factors = list(observables)
     if not factors:
         raise ValueError("empty measurement sequence")
-    for i, obs in enumerate(factors):
-        if i or obs is not RANDOM:
-            _require_spin(obs, f"factor {i + 1} of the product")
     rho = bloch_vector(state)
-    if any(obs.e.shape != rho.shape for obs in factors):
-        raise DimensionMismatch(f"a factor's dimension differs from the state's {len(rho)} components")
+    for i, obs in enumerate(factors):
+        name = f"factor {i + 1} of the product"
+        if i or obs is not RANDOM:
+            _require_spin(obs, name)
+        _check_dim(obs.e, len(rho), name, "the state")
     return factors, rho
 
 
@@ -118,10 +120,8 @@ def conditional_product(x, y):
     onto them.
     """
     y = _require_spin(y, "the right factor")
-    if y.dim != 3:
-        raise DimensionMismatch("conditional products are implemented for the two-state system")
-    if x.e.shape != y.e.shape:
-        raise DimensionMismatch("factor dimensions differ")
+    _check_dim(y.e, 3, "the right factor", "the two-state system")
+    _check_dim(x.e, 3, "the left factor", "the right factor")
     const, d = float(x.e @ y.e), x.e0   # const: mean of x in the +1 eigenstate of y, offset removed
     if abs(d) <= INVARIANT_TOL:
         if abs(const - 1.0) <= INVARIANT_TOL:
@@ -241,9 +241,7 @@ def _branch_sum(factors, rho: np.ndarray) -> tuple[WeightedEigenstateSum, float]
 def pointwise_correlation(a, b, ensemble: Ensemble) -> float:
     """<A x B> = sum_s p_s  mean_A(s) mean_B(s); memoryless repeated measurement."""
     pts = ensemble.points
-    if not a.e.shape == b.e.shape == pts.shape[1:]:
-        raise DimensionMismatch("observable and ensemble dimensions differ")
-    return weighted_sum(ensemble.probs, (pts @ a.e + a.e0) * (pts @ b.e + b.e0))
+    return weighted_sum(ensemble.probs, _mean(a, pts, "ensemble") * _mean(b, pts, "ensemble"))
 
 
 def classical_correlation(dir_a, dir_b, substates: SubstateEnsemble) -> float:
@@ -289,15 +287,14 @@ def simulate_sequences(
     n_samples: int,
     seed: int,
     n_jobs: int = 1,
-    block_size: int = 1 << 16,
 ) -> SequenceEstimate:
     """Monte Carlo estimate of a conditional correlation from sampled sequences.
 
-    Reproducibility contract: sample s belongs to block j = s // block_size,
-    and block j draws its uniforms from the stream ``default_rng([seed, j])``
-    in row-major order, one row of m uniforms per sample, column i feeding
-    measurement i (rightmost measured first). So the result is bit-identical
-    for a given (seed, n_samples, block_size) whatever ``n_jobs`` is.
+    Reproducibility contract: sample s belongs to block j = s // _BLOCK_SIZE
+    (65,536), and block j draws its uniforms from the stream
+    ``default_rng([seed, j])`` in row-major order, one row of m uniforms per
+    sample, column i feeding measurement i (rightmost measured first). So the
+    result is bit-identical for a given (seed, n_samples) whatever ``n_jobs`` is.
 
     The blocks are dealt into min(n_jobs, n_blocks) shares, share w taking
     blocks w, w + shares, ...; the calling thread runs share 0 and one thread
@@ -305,22 +302,21 @@ def simulate_sequences(
     share is raised in the caller once every thread has ended. A share draws
     and walks a block _TILE_ROWS rows at a time; successive draws continue
     the stream, so the tile size never changes a result, and a share's
-    working set stays near _TILE_ROWS * m * 8 bytes whatever ``block_size``
+    working set stays near _TILE_ROWS * m * 8 bytes whatever _BLOCK_SIZE
     is. The mean converges to ``measurement_chain``'s closed form at the
     n^(-1/2) rate; the standard error is the sample std. dev. over sqrt(n).
     More than MAX_SAMPLES samples or MAX_JOBS shares are rejected before drawing.
     """
     n_samples = check_count(n_samples, "n_samples", lo=1, hi=MAX_SAMPLES)
     seed = check_count(seed, "seed")
-    block_size = check_count(block_size, "block_size", lo=1)
     n_jobs = check_count(n_jobs, "n_jobs", lo=1, hi=MAX_JOBS)
     levels, _ = _chain(*_factors(observables, state), terms=False)
-    n_blocks = (n_samples + block_size - 1) // block_size
+    n_blocks = (n_samples + _BLOCK_SIZE - 1) // _BLOCK_SIZE
 
     def run_block(j: int) -> int:
         """Sum of the +-1 sequence values in block j, drawn _TILE_ROWS rows at a time."""
         rng = np.random.default_rng([seed, j])
-        count, total = min(block_size, n_samples - j * block_size), 0
+        count, total = min(_BLOCK_SIZE, n_samples - j * _BLOCK_SIZE), 0
         for start in range(0, count, _TILE_ROWS):
             rows = min(_TILE_ROWS, count - start)
             minus = _walk(levels, rng.random((rows, len(levels))))

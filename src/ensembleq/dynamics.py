@@ -26,8 +26,8 @@ import numpy as np
 
 from .manifolds import STRUCTURE, Ensemble, _components, bloch_vector
 from .qmatrix import L_BASIS, PAULI
-from .validate import (PURITY_TOL, RATE_GAP_TOL, ConstraintViolation, Record, ValueRecord, _check_hermitian,
-                       _real_number, check_components, check_rotation, real_array)
+from .validate import (PURITY_TOL, RATE_GAP_TOL, ConstraintViolation, Record, ValueRecord, _check_dim,
+                       _check_hermitian, _real_number, check_components, check_rotation, real_array)
 
 MAX_STEPS = 2**20
 
@@ -54,8 +54,7 @@ def _flow(rho0, hamiltonian) -> tuple[np.ndarray, np.ndarray]:
     generator 2 f.h that H drives on it."""
     vec = bloch_vector(rho0)
     hk = (hamiltonian if isinstance(hamiltonian, Hamiltonian) else Hamiltonian(hamiltonian)).hk
-    if len(hk) != len(vec):
-        raise ValueError("Hamiltonian and state dimensions differ")
+    _check_dim(vec, len(hk), "rho0", "the Hamiltonian")
     return vec, 2.0 * np.einsum("klm,l->km", STRUCTURE[len(vec)][1], hk)
 
 
@@ -257,8 +256,7 @@ def integrate_open(rho0, hamiltonian, d_rate, t_span, dt: float) -> Trajectory:
     aborts with a constraint-violation report instead of being projected back.
     """
     vec, gen = _flow(rho0, hamiltonian if hamiltonian is not None else np.zeros(3))
-    if len(vec) != 3:
-        raise ValueError("open-system integration is implemented for the two-state system")
+    _check_dim(vec, 3, "rho0", "the two-state open flow")
     times, h, n = _steps(t_span, dt)
     if not callable(d_rate):
         d = _real_number(d_rate, "d_rate")

@@ -21,8 +21,8 @@ from . import qmatrix
 from .dynamics import MAX_STEPS, _linear_flow
 from .manifolds import BASIS_WORDS, BlochState, Ensemble, bloch_vector, canonical_direction, weighted_sum
 from .observables import TwoLevelObservable
-from .validate import (INVARIANT_TOL, PURITY_TOL, SAME_DIRECTION_TOL, ConstraintViolation, DimensionMismatch,
-                       ValueRecord, _real_number, check_components, check_count, check_probabilities, real_array)
+from .validate import (INVARIANT_TOL, PURITY_TOL, SAME_DIRECTION_TOL, ConstraintViolation, ValueRecord,
+                       _check_dim, _real_number, check_components, check_count, check_probabilities, real_array)
 
 
 def basis_psi(m: int) -> np.ndarray:
@@ -69,14 +69,14 @@ def entangled_psi(sign: int) -> np.ndarray:
 
 
 def entangled_state(sign: int) -> np.ndarray:
-    """Pure density matrix of the entangled state, (1 - L3 +- (L12 - L14))/4.
+    """Pure density matrix of the entangled state, (1 - L3 +- (L12 - L14))/4, built by
+    ``qmatrix.density_from_bloch`` from ``entangled_bloch``.
 
-    Built from the basis combination, whose entries are exact dyadics, so the
-    characteristic expectation values (<T_3> = -1, the outcome weights 1/2)
-    come out exact; it agrees with psi psi^dagger to roundoff.
+    The entries are exact dyadics, so the characteristic expectation values
+    (<T_3> = -1, the outcome weights 1/2) come out exact; it agrees with
+    psi psi^dagger to roundoff.
     """
-    l = qmatrix.L_BASIS
-    return 0.25 * (np.eye(4) - l[2] + _sign(sign) * (l[11] - l[13]))
+    return qmatrix.density_from_bloch(entangled_bloch(sign))
 
 
 def entangled_bloch(sign: int) -> BlochState:
@@ -99,10 +99,7 @@ def rotated_spin_observables(theta: float, phi: float) -> tuple[TwoLevelObservab
 
 def _four_state(state) -> np.ndarray:
     """The 15-vector of a four-state state, read and checked by ``manifolds.bloch_vector``."""
-    rho = bloch_vector(state)
-    if rho.shape != (15,):
-        raise DimensionMismatch("expected a four-state state (15 components)")
-    return rho
+    return _check_dim(bloch_vector(state), 15, "state", "the four-state system")
 
 
 def _spin_pair_value(theta: float, phi: float, rho: np.ndarray) -> float:
@@ -242,10 +239,7 @@ _SWAP_TERMS = [(k, -1.0 if w[0] == "-" else 1.0) for k, w in enumerate(BASIS_WOR
 def exchange_symmetry(f) -> np.ndarray:
     """Apply the particle-exchange index map to a real, finite 15-vector, read by
     ``validate.check_components``; ``is_exchange_symmetric`` classifies states."""
-    vec = check_components(f, "f")
-    if vec.shape != (15,):
-        raise ValueError(f"f must be a 15-component vector, got shape {vec.shape}")
-    return vec[_EXCHANGE_PERM]
+    return _check_dim(check_components(f, "f"), 15, "f", "the exchange map")[_EXCHANGE_PERM]
 
 
 def is_exchange_symmetric(state) -> str:

@@ -24,13 +24,12 @@ from .manifolds import STRUCTURE, bloch_vector, weighted_sum
 from .validate import (
     INVARIANT_TOL,
     ConstraintViolation,
-    DimensionMismatch,
     Record,
+    _check_dim,
     _real_number,
     check_components,
     check_count,
     check_unit_vector,
-    real_array,
 )
 
 
@@ -99,12 +98,15 @@ def basis_spin(k: int) -> TwoLevelObservable:
     return TwoLevelObservable(e)
 
 
+def _mean(obs, x: np.ndarray, name: str):
+    """The mean e0 + e . x over the last axis of a micro-state, a Bloch vector or (n, d) points x,
+    which ``validate._check_dim`` pairs with the observable; the package reads every mean here."""
+    return _check_dim(x, len(obs.e), name, "the observable") @ obs.e + obs.e0
+
+
 def mean_in_state(obs, f) -> float:
     """Mean value of an observable in the micro-state with coordinates f, e0 + e . f."""
-    vec = real_array(f, "f")
-    if obs.e.shape != vec.shape:
-        raise DimensionMismatch("observable and micro-state dimensions differ")
-    return float(obs.e @ vec) + obs.e0
+    return float(_mean(obs, check_components(f, "f"), "f"))
 
 
 def prob_plus(obs, f) -> float:
@@ -124,22 +126,16 @@ def prob_plus(obs, f) -> float:
 def moment(obs, ensemble, q: int) -> float:
     """Ensemble moment <A^q> of a +-1 observable (``_require_spin``): the mean for odd q,
     exactly 1 for even q."""
-    if obs.e.shape != ensemble.points.shape[1:]:
-        raise DimensionMismatch("observable and ensemble dimensions differ")
+    means = _mean(obs, ensemble.points, "ensemble")
     q = check_count(q, "q", lo=1)
     if isinstance(obs, TwoLevelObservable):
         _require_spin(obs, "obs")
-    if q % 2 == 0:
-        return 1.0
-    return weighted_sum(ensemble.probs, ensemble.points @ obs.e + obs.e0)
+    return 1.0 if q % 2 == 0 else weighted_sum(ensemble.probs, means)
 
 
 def expectation(obs, state) -> float:
     """Ensemble expectation value from the reduced state alone, read by ``manifolds.bloch_vector``."""
-    rho = bloch_vector(state)
-    if obs.e.shape != rho.shape:
-        raise DimensionMismatch("observable and state dimensions differ")
-    return float(obs.e @ rho) + obs.e0
+    return float(_mean(obs, bloch_vector(state), "state"))
 
 
 def combine(lam1, a: TwoLevelObservable, lam2, b: TwoLevelObservable) -> TwoLevelObservable:
@@ -151,8 +147,7 @@ def combine(lam1, a: TwoLevelObservable, lam2, b: TwoLevelObservable) -> TwoLeve
     combination squares to 1 + 2 lam1 lam2 L3.
     """
     lam1, lam2 = _real_number(lam1, "lam1"), _real_number(lam2, "lam2")   # complex scaling is not measurable
-    if a.dim != b.dim:
-        raise DimensionMismatch("cannot combine observables of different dimension")
+    _check_dim(b.e, a.dim, "b", "a")
     return TwoLevelObservable(lam1 * a.e + lam2 * b.e, lam1 * a.e0 + lam2 * b.e0)
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .validate import (INVARIANT_TOL, ConstraintViolation, DimensionMismatch, _check_hermitian, _real_number,
+from .validate import (INVARIANT_TOL, ConstraintViolation, _check_dim, _check_hermitian, _real_number,
                        check_components, check_count)
 
 PAULI = np.array(
@@ -149,8 +149,8 @@ def qm_expectation(op: np.ndarray, rho: np.ndarray) -> float:
     """tr(A rho); the imaginary part must vanish for Hermitian A."""
     op = np.asarray(op, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
-    if op.shape != rho.shape:
-        raise DimensionMismatch("operator and density matrix dimensions differ")
+    _check_dim(op, len(rho) if rho.ndim else 0, "op", "rho")
+    _check_dim(rho, len(op), "rho", "op")
     val = complex(np.trace(op @ rho))
     if np.abs(op - op.conj().T).max() <= INVARIANT_TOL and abs(val.imag) > INVARIANT_TOL:
         raise ConstraintViolation(f"expectation of Hermitian operator not real: {val!r}")

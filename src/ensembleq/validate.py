@@ -130,8 +130,7 @@ def real_array(x, name: str, complex_ok: bool = False) -> np.ndarray:
         kind = "f"   # converted below
     if kind == "c" and not complex_ok:
         raise ValueError(f"{name} has complex entries")
-    if kind not in "iufc" or arr is not x and isinstance(x, (list, tuple)) and not {bool, np.bool_}.isdisjoint(
-            map(type, np.asarray(x, dtype=object).flat)):
+    if kind not in "iufc" or isinstance(x, (list, tuple)) and _holds_bool(x):
         raise ValueError(f"{name} must be an array of numbers, got {reprlib.repr(x)}")
     if dtype != (want := complex if kind == "c" else float):
         arr = arr.astype(want)
@@ -140,6 +139,14 @@ def real_array(x, name: str, complex_ok: bool = False) -> np.ndarray:
             else np.isfinite(arr).all()):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def _holds_bool(seq) -> bool:
+    """Whether a list or tuple, or a list, tuple or array inside it, holds a bool; read without a copy."""
+    types = set(map(type, seq))
+    nested = tuple(t for t in types if issubclass(t, (list, tuple, np.ndarray)))
+    return not types.isdisjoint((bool, np.bool_)) or any(
+        _holds_bool(np.ravel(v).tolist() if isinstance(v, np.ndarray) else v) for v in seq if isinstance(v, nested))
 
 
 def freeze(x, copy: bool = True) -> np.ndarray:
@@ -164,6 +171,15 @@ def check_components(x, name: str) -> np.ndarray:
     if arr.shape not in ((3,), (15,)):
         raise ValueError(f"{name} must have 3 or 15 components, got shape {arr.shape}")
     return freeze(arr)
+
+
+def _check_dim(x: np.ndarray, n: int, name: str, against: str) -> np.ndarray:
+    """x if its last axis has n components: the length of what it is paired with, or the 3 or 15
+    a reader requires. Anything else is a DimensionMismatch naming ``name`` and both lengths."""
+    if x.shape[-1:] != (n,):
+        raise DimensionMismatch(f"{name} must be {n}-component to match {against}, "
+                                f"got {x.shape[-1] if x.ndim else 0} components")
+    return x
 
 
 def _check_hermitian(x, name: str) -> np.ndarray:

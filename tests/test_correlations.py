@@ -589,12 +589,6 @@ class TestSimulation:
         with pytest.raises(ValueError):
             simulate_sequences([A1, A2], np.zeros(3), 10, seed=-1)
 
-    @pytest.mark.parametrize("block_size", [0, -5])
-    def test_bad_block_size_rejected_before_drawing(self, block_size, monkeypatch):
-        monkeypatch.setattr(np.random, "default_rng", None)   # any draw would fail
-        with pytest.raises(ValueError, match="block_size"):
-            simulate_sequences([A1, A2], np.zeros(3), 1000, seed=1, block_size=block_size)
-
     @pytest.mark.parametrize("n_jobs", [0, -1, correlations.MAX_JOBS + 1])
     def test_bad_n_jobs_rejected_before_drawing(self, n_jobs, monkeypatch):
         monkeypatch.setattr(np.random, "default_rng", None)
@@ -604,6 +598,7 @@ class TestSimulation:
     @pytest.mark.parametrize("n_jobs", [1, 2, 3])
     @pytest.mark.parametrize("n_blocks", [1, 2, 5])
     def test_one_share_per_job_and_block_the_caller_runs_the_first(self, n_blocks, n_jobs, monkeypatch):
+        monkeypatch.setattr(correlations, "_BLOCK_SIZE", 1000)
         started = []
         start = threading.Thread.start
 
@@ -612,8 +607,7 @@ class TestSimulation:
             start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", counted_start)
-        simulate_sequences([A1, A2], np.array([0.3, 0.0, 0.1]), 1000 * n_blocks, seed=5,
-                           n_jobs=n_jobs, block_size=1000)
+        simulate_sequences([A1, A2], np.array([0.3, 0.0, 0.1]), 1000 * n_blocks, seed=5, n_jobs=n_jobs)
         assert len(started) == min(n_jobs, n_blocks) - 1
 
     @pytest.mark.parametrize("n_jobs", [1, 2, 3])
@@ -627,21 +621,22 @@ class TestSimulation:
             return default_rng(key)
 
         monkeypatch.setattr(np.random, "default_rng", failing_rng)
+        monkeypatch.setattr(correlations, "_BLOCK_SIZE", 1000)
         before = threading.active_count()
         with pytest.raises(RuntimeError) as info:
-            simulate_sequences([A1, A2], np.array([0.3, 0.0, 0.1]), 5000, seed=5, n_jobs=n_jobs,
-                               block_size=1000)
+            simulate_sequences([A1, A2], np.array([0.3, 0.0, 0.1]), 5000, seed=5, n_jobs=n_jobs)
         assert info.value is error
         assert threading.active_count() == before
 
-    def test_more_shares_than_cores_under_fast_switching(self):
+    def test_more_shares_than_cores_under_fast_switching(self, monkeypatch):
         # every share writes only its own slot: a lost or doubled block sum would move the estimate
+        monkeypatch.setattr(correlations, "_BLOCK_SIZE", 200)
         args = ([A1, DIAG, A3], np.array([0.2, -0.1, 0.3]), 40_000)
-        one = simulate_sequences(*args, seed=6, block_size=200)
+        one = simulate_sequences(*args, seed=6)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            many = simulate_sequences(*args, seed=6, n_jobs=8, block_size=200)
+            many = simulate_sequences(*args, seed=6, n_jobs=8)
         finally:
             sys.setswitchinterval(interval)
         assert (one.value, one.stderr) == (many.value, many.stderr)
@@ -655,7 +650,8 @@ class TestSimulation:
                 "loaded = lambda: sorted({'concurrent.futures', 'logging'} & set(sys.modules))\n"
                 "print(loaded())\n"
                 "a = ensembleq.basis_spin(1)\n"
-                "ensembleq.simulate_sequences([a, a], [0.0, 0.0, 0.5], 2000, 1, n_jobs=2, block_size=1000)\n"
+                "ensembleq.correlations._BLOCK_SIZE = 1000\n"
+                "ensembleq.simulate_sequences([a, a], [0.0, 0.0, 0.5], 2000, 1, n_jobs=2)\n"
                 "print(loaded())\n")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": path}, timeout=60, check=True)
@@ -718,11 +714,12 @@ class TestSamplingStream:
 
     @pytest.mark.parametrize("n_jobs", [1, 2, 3])
     @pytest.mark.parametrize("case", ["m2", "m6", "m10", "four-state"])
-    def test_matches_reference_stream(self, case, n_jobs):
+    def test_matches_reference_stream(self, case, n_jobs, monkeypatch):
         chain, state = _four_state_chain() if case == "four-state" else _two_state_chain(int(case[1:]))
         # 4 full blocks of 10000 rows (two whole tiles and a partial one each) and a 5000-row rest
         n, block_size = 45_000, 10_000
-        est = simulate_sequences(chain, state, n, seed=21, n_jobs=n_jobs, block_size=block_size)
+        monkeypatch.setattr(correlations, "_BLOCK_SIZE", block_size)
+        est = simulate_sequences(chain, state, n, seed=21, n_jobs=n_jobs)
         assert (est.value, est.stderr) == _reference_estimate(chain, state, n, 21, block_size)
 
     def test_working_set_bounded(self):
@@ -748,10 +745,10 @@ class TestSamplingStream:
         rng = np.random.default_rng(seed)
         chain = [spin(random_unit(rng)) for _ in range(m)]
         rho_vec = random_bloch(rng)
-        one = simulate_sequences(chain, rho_vec, n, seed, block_size=block_size)
-        with mock.patch.object(correlations, "_TILE_ROWS", tile):
-            many = simulate_sequences(chain, rho_vec, n, seed, n_jobs=n_jobs,
-                                      block_size=block_size)
+        with mock.patch.object(correlations, "_BLOCK_SIZE", block_size):
+            one = simulate_sequences(chain, rho_vec, n, seed)
+            with mock.patch.object(correlations, "_TILE_ROWS", tile):
+                many = simulate_sequences(chain, rho_vec, n, seed, n_jobs=n_jobs)
         assert (one.value, one.stderr) == (many.value, many.stderr)
 
 

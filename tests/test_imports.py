@@ -247,6 +247,52 @@ class _Hidden:
                                    "Record(x)", "Record.scaled(s)"]
 
 
+def _dimension_mismatches(source: str) -> list[str]:
+    """``line N`` for each call that builds a DimensionMismatch, by its name, as a module
+    attribute or under an import alias."""
+    tree = ast.parse(source)
+    names = {"DimensionMismatch"} | {a.asname for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                                     for a in node.names if a.name == "DimensionMismatch" and a.asname}
+    return [f"line {n}" for n in sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                                          and (getattr(node.func, "id", None) in names
+                                               or getattr(node.func, "attr", None) in names))]
+
+
+def test_only_validate_builds_a_dimension_mismatch():
+    # the pairing rule was written in 13 places with 13 messages, none naming its argument;
+    # validate._check_dim is the one place, and its message names both lengths
+    found = {path.name: _dimension_mismatches(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(ensembleq.__file__).parent.glob("*.py")) if path.name != "validate.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_the_dimension_guard_sees_each_form():
+    source = """
+from . import validate
+from .validate import DimensionMismatch, DimensionMismatch as Mismatch, _check_dim
+
+
+def direct(x):
+    raise DimensionMismatch("x")
+
+
+def via_module(x):
+    raise validate.DimensionMismatch("x")
+
+
+def aliased(x):
+    return Mismatch("x")
+
+
+def checked(x):
+    try:
+        return _check_dim(x, 3, "x", "the observable")
+    except DimensionMismatch:
+        raise
+"""
+    assert _dimension_mismatches(source) == ["line 7", "line 11", "line 15"]
+
+
 # Special methods Python calls on every record (building, printing, comparing,
 # hashing it); any other special method counts as a definition of its own.
 _KEPT_SPECIAL = {"__init__", "__repr__", "__eq__", "__hash__"}
@@ -422,7 +468,6 @@ _TEST_ONLY_ALLOWED = {
     "Record.__setattr__": "the immutability guard: runs only when code tries to assign a field",
     "Record.__delattr__": "the immutability guard: runs only when code tries to delete a field",
     "Record.__reduce_ex__": "refuses pickle and copy: runs only when code tries to pickle or copy a record",
-    "simulate_sequences(block_size)": "the Monte Carlo contract: results are fixed per (seed, n, block_size)",
     "run_all(seed)": "set by verify --seed",
     "run_all(only)": "set by verify --criteria",
     "ExperimentConfig(seed)": "set by run --seed or a config file's seed",

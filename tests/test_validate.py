@@ -1,13 +1,14 @@
 """The shared input checks: one count check, one probability check, one unit-vector check,
-one real-number check and one real-array check.
+one real-number check, one real-array check and one pairing check.
 
 Every count or index a public entry point takes goes through ``validate.check_count``,
 every float probability vector through ``validate.check_probabilities``, every real
 scalar a caller passes (rates, initial values, coefficients) through
 ``validate._real_number``, and every array or list a caller passes (states,
 directions, Hamiltonians, tables, times) through ``validate.real_array``, the one
-place that decides non-finite and bool entries; these tests hold each entry point
-to the same rules.
+place that decides non-finite and bool entries. Every observable, state or operator
+paired with another of the same length goes through ``validate._check_dim``. These
+tests hold each entry point to the same rules.
 """
 import math
 import re
@@ -22,16 +23,18 @@ from hypothesis import strategies as st
 from ensembleq import experiments, qmatrix
 from ensembleq.dynamics import (FlowParams, Hamiltonian, integrate_open, integrate_von_neumann, rotation_from_generator,
                                 syncoherence_closed_form, syncoherence_flow)
-from ensembleq.correlations import conditional_correlation_2pt, simulate_sequences
+from ensembleq.correlations import (conditional_correlation_2pt, conditional_correlation_3pt, conditional_product,
+                                    measurement_chain, pointwise_correlation, simulate_sequences)
 from ensembleq.finite import (FiniteSpinSystem, cartesian_measure_sz, cartesian_purity, integrate_out,
                               zn_step_evolution, zn_system)
 from ensembleq.fourstate import (OutcomeTable, basis_psi, entangled_bloch, entangled_psi, entangled_state,
                                  exchange_symmetry, interference_trajectory, is_exchange_symmetric,
-                                 symmetrized_hidden_ensemble)
+                                 quantum_pair_correlator, rotated_spin_correlation, symmetrized_hidden_ensemble)
 from ensembleq.manifolds import (BlochState, Ensemble, SubstateEnsemble, bloch_vector, canonical_direction,
                                  grid_ensemble)
-from ensembleq.observables import TwoLevelObservable, basis_spin, combine, moment, spin
-from ensembleq.validate import (ConstraintViolation, _real_number, check_components, check_count,
+from ensembleq.observables import (TwoLevelObservable, basis_spin, combine, expectation, mean_in_state, moment,
+                                   prob_plus, spin)
+from ensembleq.validate import (ConstraintViolation, DimensionMismatch, _real_number, check_components, check_count,
                                 check_probabilities, check_rotation, check_unit_vector, real_array)
 
 _CHAIN = [basis_spin(3), basis_spin(1)]
@@ -57,10 +60,7 @@ def _body(name, **params):
 COUNT_ENTRY_POINTS = {
     "simulate_sequences-n_samples": (lambda n: simulate_sequences(_CHAIN, _RHO, n, seed=1), 1000),
     "simulate_sequences-seed": (lambda n: simulate_sequences(_CHAIN, _RHO, 1000, seed=n), 3),
-    "simulate_sequences-block_size": (
-        lambda n: simulate_sequences(_CHAIN, _RHO, 1000, seed=1, block_size=n), 256),
-    "simulate_sequences-n_jobs": (
-        lambda n: simulate_sequences(_CHAIN, _RHO, 1000, seed=1, n_jobs=n, block_size=256), 2),
+    "simulate_sequences-n_jobs": (lambda n: simulate_sequences(_CHAIN, _RHO, 1000, seed=1, n_jobs=n), 2),
     "grid_ensemble": (_grid, 8),
     "interference_trajectory": (lambda n: interference_trajectory(1.0, 1.0, n), 64),
     "moment": (lambda n: moment(basis_spin(3), grid_ensemble(4, _uniform), n), 3),
@@ -231,6 +231,11 @@ JUNK_READERS = {
                                     "directions", False),
     "SubstateEnsemble-table": (lambda x: SubstateEnsemble([[0.0, 0.0, 1.0]], x), np.array([[0.5, 0.5]]), "table",
                                False),
+    "mean_in_state": (lambda x: mean_in_state(_Z, x), np.array([0.0, 0.0, 1.0]), "f", False),
+    "expectation": (lambda x: expectation(_Z, x), np.array([0.0, 0.0, 0.5]), "state|Bloch vector|rho|density matrix",
+                    True),
+    "moment-points": (lambda x: moment(_Z, Ensemble("s2", x, [1.0]), 1), np.array([[0.0, 0.0, 1.0]]), "points",
+                      False),
 }
 
 
@@ -327,3 +332,83 @@ def test_scalar_junk_is_a_value_error_naming_the_argument(reader):
         with pytest.raises(ValueError) as info:
             call(junk)
         assert re.match(rf"{name}\b", str(info.value)), (junk, str(info.value))
+
+
+def _ensemble(n):
+    """A one-point ensemble with n-component points: a pole of S^2 or a pure four-state point."""
+    return Ensemble("four", [entangled_bloch(-1).rho], [1.0]) if n == 15 else Ensemble("s2", [np.eye(n)[2]], [1.0])
+
+
+# Every place an observable, state or operator is paired with another: (call with the argument
+# under test given n components, its name in a mismatch message, its name when it has one entry
+# too many, the length it is read at). Every other operand has the length given last; a 3-vector
+# stands against 15, a 15-vector against 3, a 2x2 matrix against 4x4.
+PAIRINGS = {
+    "mean_in_state": (lambda n: mean_in_state(_Z, np.eye(n)[2]), "f", "f", 3),
+    "prob_plus": (lambda n: prob_plus(_Z, np.eye(n)[2]), "f", "f", 3),
+    "expectation": (lambda n: expectation(_Z, np.zeros(n)), "state", "rho", 3),
+    "moment": (lambda n: moment(_Z, _ensemble(n), 1), "ensemble", "points", 3),
+    "combine": (lambda n: combine(1.0, _Z, 0.0, TwoLevelObservable(np.eye(n)[0])), "b", "e", 3),
+    "conditional_correlation_2pt": (lambda n: conditional_correlation_2pt(_Z, spin(np.eye(n)[0]), np.zeros(3)),
+                                    "factor 2 of the product", "e", 3),
+    "conditional_correlation_3pt": (
+        lambda n: conditional_correlation_3pt(spin(np.eye(n)[0]), _Z, _Z, np.zeros(3)), "factor 1 of the product",
+        "e", 3),
+    "measurement_chain": (lambda n: measurement_chain([_Z, _Z], np.zeros(n)), "factor 1 of the product", "rho", 3),
+    "simulate_sequences": (lambda n: simulate_sequences([_Z, spin(np.eye(n)[0])], np.zeros(3), 10, seed=1),
+                           "factor 2 of the product", "e", 3),
+    "conditional_product-right": (lambda n: conditional_product(_Z, spin(np.eye(n)[0])), "the right factor", "e", 3),
+    "conditional_product-left": (lambda n: conditional_product(TwoLevelObservable(np.eye(n)[0]), _Z),
+                                 "the left factor", "e", 3),
+    "pointwise_correlation-ensemble": (lambda n: pointwise_correlation(_Z, _Z, _ensemble(n)), "ensemble", "points",
+                                       3),
+    "pointwise_correlation-b": (lambda n: pointwise_correlation(_Z, TwoLevelObservable(np.eye(n)[0]), _ensemble(3)),
+                                "ensemble", "e", 3),
+    "integrate_von_neumann": (lambda n: integrate_von_neumann(np.zeros(n), Hamiltonian(np.eye(3)[2]), (0.0, 0.01),
+                                                              0.001), "rho0", "rho", 3),
+    "integrate_open": (lambda n: integrate_open(np.zeros(n), np.eye(n)[0], 0.0, (0.0, 0.01), 0.001), "rho0", "rho",
+                       3),
+    "rotated_spin_correlation": (lambda n: rotated_spin_correlation(0.3, 0.7, np.zeros(n)), "state", "rho", 15),
+    "quantum_pair_correlator": (lambda n: quantum_pair_correlator(np.zeros(n))(0.3), "state", "rho", 15),
+    "is_exchange_symmetric": (lambda n: is_exchange_symmetric(np.zeros(n)), "state", "rho", 15),
+    "exchange_symmetry": (lambda n: exchange_symmetry(np.eye(n)[0]), "f", "f", 15),
+    "qm_expectation": (lambda n: qmatrix.qm_expectation(np.eye(n), np.eye(2) / 2.0), "op", "op", 2),
+}
+
+
+@pytest.mark.parametrize("site", PAIRINGS)
+def test_every_pairing_names_the_argument_and_both_lengths(site):
+    # the rule was written at 13 sites: ten DimensionMismatch and three plain ValueError
+    # messages, none naming the argument or a length
+    call, name, too_many_name, good = PAIRINGS[site]
+    other = {3: 15, 15: 3, 2: 4}[good]
+    call(good)   # control: the paired lengths are read
+    with pytest.raises(DimensionMismatch) as info:
+        call(other)
+    lengths = re.fullmatch(rf"{name} must be (\d+)-component to match .+, got (\d+) components", str(info.value))
+    assert lengths and {int(lengths[1]), int(lengths[2])} == {good, other}, str(info.value)
+    with pytest.raises(ValueError) as info:
+        call(good + 1)
+    assert re.match(rf"{too_many_name}\b", str(info.value)), str(info.value)
+
+
+def _vectors(n):
+    return st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n).map(np.array)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([3, 15]), st.integers(1, 16), st.data())
+def test_a_mean_is_read_on_a_micro_state_of_the_observable_length_only(d_obs, d_f, data):
+    e, f = data.draw(_vectors(d_obs), label="e"), data.draw(_vectors(d_f), label="f")
+    e0 = data.draw(st.floats(-1.0, 1.0), label="e0")
+    obs = TwoLevelObservable(e, e0)
+    if d_f not in (3, 15):
+        with pytest.raises(ValueError, match=rf"^f must have 3 or 15 components, got shape \({d_f},\)$"):
+            mean_in_state(obs, f)
+    elif d_f != d_obs:
+        with pytest.raises(DimensionMismatch,
+                           match=rf"^f must be {d_obs}-component to match the observable, got {d_f} components$"):
+            mean_in_state(obs, f)
+    else:
+        assert mean_in_state(obs, f) == float(obs.e @ f) + e0   # today's arithmetic, to the bit
+        assert mean_in_state(obs, list(f)) == mean_in_state(obs, f)
