@@ -116,9 +116,7 @@ _NAMES = {"basis": "L-basis identities (square, trace, orthogonality)",
 
 basis_audit = _criterion(
     "basis", _NAMES["basis"],
-    lambda p, seed: [_tol_check("max identity deviation", qmatrix.basis_identity_error(p["basis"]),
-                                0.0, 1e-12)],
-    budget={"basis": None})
+    lambda p, seed: [_tol_check("max identity deviation", qmatrix.basis_identity_error(), 0.0, 1e-12)])
 
 
 def run_all(seed: int | None = None, only=None) -> list[CriterionResult]:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .manifolds import STRUCTURE, Ensemble, SubstateEnsemble, bloch_vector, weighted_sum
 from .observables import RANDOM, ProductObservable, TwoLevelObservable, _mean, _require_spin
-from .validate import INVARIANT_TOL, ZERO_TOL, ConstraintViolation, Record, ValueRecord, _check_dim, check_count
+from .validate import INVARIANT_TOL, Record, ValueRecord, _check_dim, _outcome_probabilities, check_count
 
 # measurement_chain enumerates 2^m branches, and four-state level i keeps up to
 # 2^i reduced states; either count above this is rejected before building
@@ -186,10 +186,7 @@ def _chain(factors, rho: np.ndarray, terms: bool):
         dmat[0, 1:] = dmat[1:, 0] = e
         dmat[1:, 1:] = e @ STRUCTURE[n][0]
         once = states @ dmat                            # (k, n + 1): D (1, rho_j), D symmetric
-        probs = 0.5 * (1.0 + once[:, :1] * sign)        # (1 +- e.rho_j)/2
-        if np.any((probs < -INVARIANT_TOL) | (probs > 1.0 + INVARIANT_TOL)):
-            raise ConstraintViolation(f"outcome probability outside [0, 1] by over {INVARIANT_TOL}")
-        probs = np.where(probs > ZERO_TOL, np.minimum(probs, 1.0), 0.0)
+        probs = _outcome_probabilities(once[:, 0])      # (1 +- e.rho_j)/2
         eigen = np.concatenate((np.ones((2, 1)), np.outer(sign, e)), axis=1)   # (1, +-e)
         succ = np.arange(2 * k)
         if n == 3:   # d = 0: every state reduces to (1, +-e)

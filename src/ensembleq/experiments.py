@@ -605,9 +605,7 @@ def _reduction_identities(params, seed):
     changed = 0
     for _ in range(50):
         raw = [Fraction(int(x), 64) for x in rng.integers(0, 9, size=8)]
-        raw[-1] = 1 - sum(raw[:-1])
-        if raw[-1] < 0:
-            continue
+        raw[-1] = 1 - sum(raw[:-1])   # the seven draws are at most 8/64 each: raw[-1] >= 1/8
         sys8 = finite.zn_system(8, probs=tuple(raw))
         alpha, beta = (Fraction(int(rng.integers(-3, 4)), 4) for _ in range(2))
         changed += sys8.expectations() != finite.integrate_out(sys8, alpha, beta).expectations()

@@ -164,17 +164,11 @@ def symmetrized_hidden_ensemble(rng, n_base: int = 4, order: int = 4) -> Ensembl
     phi0 = rng.uniform(0.0, 2.0 * math.pi, size=n_base)
     w = rng.random(n_base) + 0.05
     w = w / w.sum()
-    pts = []
-    probs = []
-    for j in range(n_base):
-        r = math.sqrt(max(0.0, 1.0 - z[j] ** 2))
-        for k in range(order):
-            ang = phi0[j] + 2.0 * math.pi * k / order
-            pts.append([r * math.cos(ang), r * math.sin(ang), z[j]])
-            probs.append(w[j] / order)
-    pts = np.asarray(pts)
+    r = np.sqrt(np.maximum(0.0, 1.0 - z**2))[:, None]
+    ang = phi0[:, None] + 2.0 * math.pi * np.arange(order) / order   # (n_base, order)
+    pts = np.stack((r * np.cos(ang), r * np.sin(ang), np.repeat(z[:, None], order, axis=1)), axis=-1).reshape(-1, 3)
     pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-    return Ensemble("s2", pts, np.asarray(probs))
+    return Ensemble("s2", pts, np.repeat(w / order, order))
 
 
 def classical_pair_correlator(ensemble: Ensemble):

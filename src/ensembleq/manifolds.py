@@ -28,6 +28,7 @@ from .validate import (
     ConstraintViolation,
     Record,
     _check_distribution,
+    _outcome_probabilities,
     check_components,
     check_count,
     check_probabilities,
@@ -216,8 +217,8 @@ class SubstateEnsemble(Record):
     > 0) and pairwise distinct beyond SAME_DIRECTION_TOL. Column k is pattern k of
     ``itertools.product((1, -1), repeat=m)``: direction j has the sign -1
     where bit m-1-j of k is set. A support without some pattern has a zero
-    column there. The table is validated like any probability vector
-    (nonnegative, exact total 1 within INVARIANT_TOL).
+    column there. The table is validated like any probability vector (nonnegative and an exact
+    total of 1, each within INVARIANT_TOL); one built by ``extend_to_substates`` has no negative cell.
 
     Rows are the cells of the table, micro-state by micro-state, each with
     the 2^m patterns in order. ``probs`` is the flattened table (a read-only
@@ -285,10 +286,11 @@ def extend_to_substates(ensemble: Ensemble, directions) -> SubstateEnsemble:
     Each micro-state f splits into 2^m substates labelled by signs
     gamma(g_j) = +-1, one per direction, with probabilities
 
-        p(f, {gamma}) = p(f) * prod_j (1 + gamma_j f.g_j) / 2.
+        p(f, {gamma}) = p(f) * prod_j (1 + gamma_j f.g_j) / 2,
 
-    Directions are canonicalised to one hemisphere first; a list containing an
-    antipodal pair (or a duplicate) is invalid input. The table's
+    each factor read by ``validate._outcome_probabilities``, so no cell is
+    negative. Directions are canonicalised to one hemisphere first; a list
+    containing an antipodal pair (or a duplicate) is invalid input. The table's
     columns are the 2^m sign patterns in ``itertools.product((1, -1),
     repeat=m)`` order.
 
@@ -314,7 +316,6 @@ def extend_to_substates(ensemble: Ensemble, directions) -> SubstateEnsemble:
             f"over the limit of {MAX_SUBSTATE_ROWS}"
         )
     dots = ensemble.points @ canon.T   # (n, m)
-    pm = np.array([1.0, -1.0])
     table = np.empty((n, 2**m))
     # Pattern i has -1 for direction j where bit m-1-j of i is set, the
     # itertools.product((1, -1), repeat=m) order. The table is built by
@@ -324,7 +325,7 @@ def extend_to_substates(ensemble: Ensemble, directions) -> SubstateEnsemble:
     # Every cell multiplies its factors (1 + gamma_j f.g_j)/2 in direction
     # order, then p(f).
     for j in range(m):
-        half = 0.5 * (1.0 + pm * dots[:, j, None])
+        half = _outcome_probabilities(dots[:, j])
         level = table.reshape(n, 2**j, 2, -1)[:, :, :, 0]
         if j == 0:
             level[:, 0, :] = half

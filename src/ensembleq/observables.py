@@ -23,9 +23,9 @@ from . import qmatrix
 from .manifolds import STRUCTURE, bloch_vector, weighted_sum
 from .validate import (
     INVARIANT_TOL,
-    ConstraintViolation,
     Record,
     _check_dim,
+    _outcome_probabilities,
     _real_number,
     check_components,
     check_count,
@@ -112,15 +112,14 @@ def mean_in_state(obs, f) -> float:
 def prob_plus(obs, f) -> float:
     """Probability of the +1 outcome in the micro-state with coordinates f, (1 + mean)/2.
 
-    Defined only for +-1 observables (``_require_spin``); a micro-state that puts
-    the probability outside [0, 1] by over INVARIANT_TOL raises ConstraintViolation.
+    Defined only for +-1 observables (``_require_spin``). It is read by the rule of
+    the chain and the substate table, ``validate._outcome_probabilities``: it lies in
+    [0, 1], is 0.0 at or below ZERO_TOL, and a micro-state that puts it outside
+    [0, 1] by over INVARIANT_TOL raises ConstraintViolation.
     """
     if isinstance(obs, TwoLevelObservable):
         _require_spin(obs, "obs")
-    p = 0.5 * (1.0 + mean_in_state(obs, f))
-    if not -INVARIANT_TOL <= p <= 1.0 + INVARIANT_TOL:
-        raise ConstraintViolation(f"outcome probability {p!r} outside [0, 1] by over {INVARIANT_TOL}")
-    return min(1.0, max(0.0, p))
+    return _outcome_probabilities(mean_in_state(obs, f))[0]
 
 
 def moment(obs, ensemble, q: int) -> float:

@@ -81,21 +81,18 @@ def l_operator(k: int) -> np.ndarray:
     return L_BASIS[check_count(k, "k", lo=1, hi=15) - 1]
 
 
-def basis_identity_error(basis: np.ndarray | None = None) -> float:
-    """Largest deviation from L_k^2 = 1, tr L_k = 0, tr(L_k L_l) = 4 delta_kl.
-
-    Exactly zero for the built-in basis; pass a candidate basis to audit it.
-    """
-    b = L_BASIS if basis is None else np.asarray(basis, dtype=complex)
+def basis_identity_error() -> float:
+    """Largest deviation of L_BASIS from L_k^2 = 1, tr L_k = 0, tr(L_k L_l) = 4 delta_kl
+    and hermiticity; exactly zero for the built-in basis."""
     eye = np.eye(4)
     worst = 0.0
-    for k in range(15):
-        worst = max(worst, float(np.abs(b[k] @ b[k] - eye).max()))
-        worst = max(worst, abs(complex(np.trace(b[k]))))
-        worst = max(worst, float(np.abs(b[k] - b[k].conj().T).max()))
+    for k, b in enumerate(L_BASIS):
+        worst = max(worst, float(np.abs(b @ b - eye).max()))
+        worst = max(worst, abs(complex(np.trace(b))))
+        worst = max(worst, float(np.abs(b - b.conj().T).max()))
         for l in range(15):
             want = 4.0 if k == l else 0.0
-            worst = max(worst, abs(complex(np.trace(b[k] @ b[l])) - want))
+            worst = max(worst, abs(complex(np.trace(b @ L_BASIS[l])) - want))
     return worst
 
 

@@ -182,6 +182,21 @@ def _check_dim(x: np.ndarray, n: int, name: str, against: str) -> np.ndarray:
     return x
 
 
+def _outcome_probabilities(mean):
+    """(P(+1), P(-1)) = (1 +- mean)/2, a pair for a float mean, else along a new last axis: one outside [0, 1]
+    by over INVARIANT_TOL is a ConstraintViolation, one at or below ZERO_TOL is 0.0 and one above 1 is 1.0."""
+    if isinstance(mean, float):   # two Python floats: an array would cost about 3x as much per call
+        probs = plus, minus = 0.5 * (1.0 + mean), 0.5 * (1.0 - mean)
+        if -INVARIANT_TOL <= plus <= 1.0 + INVARIANT_TOL and -INVARIANT_TOL <= minus <= 1.0 + INVARIANT_TOL:
+            return (min(plus, 1.0) if plus > ZERO_TOL else 0.0), (min(minus, 1.0) if minus > ZERO_TOL else 0.0)
+    else:
+        probs = 0.5 * (1.0 + mean[..., None] * (1.0, -1.0))
+        if np.all((probs >= -INVARIANT_TOL) & (probs <= 1.0 + INVARIANT_TOL)):
+            return np.where(probs > ZERO_TOL, np.minimum(probs, 1.0), 0.0)
+    first = next(p for p in np.ravel(probs).tolist() if not -INVARIANT_TOL <= p <= 1.0 + INVARIANT_TOL)
+    raise ConstraintViolation(f"outcome probability outside [0, 1] by over {INVARIANT_TOL}: {first!r}")
+
+
 def _check_hermitian(x, name: str) -> np.ndarray:
     """x as a finite Hermitian 2x2 or 4x4 matrix; any other input is an error naming ``name``."""
     mat = real_array(x, name, complex_ok=True)

@@ -74,12 +74,13 @@ def test_basis_audit_positive():
     _report(basis_audit())
 
 
-def test_basis_audit_negative_control():
-    from ensembleq.qmatrix import L_BASIS
+def test_basis_audit_negative_control(monkeypatch):
+    from ensembleq import qmatrix
 
-    corrupted = np.array(L_BASIS)
+    corrupted = np.array(qmatrix.L_BASIS)
     corrupted[7, 0, 1] = 0.3
-    result = basis_audit(basis=corrupted)
+    monkeypatch.setattr(qmatrix, "L_BASIS", corrupted)
+    result = basis_audit()
     assert not result.passed            # reported, not raised
     assert "deviation" in result.detail
 

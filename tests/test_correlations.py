@@ -43,7 +43,8 @@ from ensembleq.observables import (
     prob_plus,
     spin,
 )
-from ensembleq.validate import INVARIANT_TOL, ConstraintViolation, DimensionMismatch
+from ensembleq.validate import (INVARIANT_TOL, ZERO_TOL, ConstraintViolation, DimensionMismatch,
+                                _outcome_probabilities)
 
 SQ2 = 1.0 / math.sqrt(2.0)
 A1, A2, A3 = basis_spin(1), basis_spin(2), basis_spin(3)
@@ -825,6 +826,84 @@ class TestChainCore:
         a = TwoLevelObservable(np.eye(15)[0] * SQ2 + np.eye(15)[1] * SQ2)
         with pytest.raises(ValueError, match="spectrum is not \\+-1"):
             consumer(a, entangled_bloch(-1))
+
+
+def _rule_draw(seed: int, dim: int, kind: str):
+    """(spin, micro-state) for the outcome-probability property. Three components: a unit e and f
+    random, +-e, +-e with e.e rounding past 1 ("past"), or e tilted by 1e-8 ("near": a mean within
+    ZERO_TOL of 1). Fifteen: a rotated spin and the point of a random psi, of the spin's +-1
+    eigenvector, or of that eigenvector perturbed by 1e-9 ("near")."""
+    rng = np.random.default_rng(seed)
+    sign = rng.choice([1.0, -1.0])
+    if dim == 3:
+        e = random_unit(rng)
+        while kind == "past" and e @ e <= 1.0:
+            e = random_unit(rng)
+        f = {"random": random_unit(rng), "plus": e, "minus": -e, "past": sign * e,
+             "near": random_unit(rng) * 1e-8 + sign * e}[kind]
+        return spin(e), f / np.linalg.norm(f) if kind in ("random", "near") else f
+    a = rotated_spin_observables(*rng.uniform(0.0, 6.3, 2))[rng.integers(2)]
+    _, vecs = np.linalg.eigh(operator_of(a))
+    psi = {"random": rng.normal(size=4) + 1j * rng.normal(size=4), "plus": vecs[:, -1], "minus": vecs[:, 0],
+           "near": vecs[:, -1 if sign > 0 else 0] + 1e-9 * rng.normal(size=4)}[kind]
+    psi = psi / np.linalg.norm(psi)
+    return a, np.einsum("i,kij,j->k", psi.conj(), qmatrix.L_BASIS, psi).real
+
+
+class TestOutcomeProbabilityRule:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.one_of(st.tuples(st.just(3), st.sampled_from(["random", "plus", "minus", "past", "near"])),
+                     st.tuples(st.just(15), st.sampled_from(["random", "plus", "minus", "near"]))))
+    def test_prob_plus_the_chain_and_the_substate_row_agree(self, seed, case):
+        # one rule, three readers: (P(+1), P(-1)) by prob_plus of A and -A, the magnitudes of the
+        # chain's two branch weights, and the two-state substate row of a one-point ensemble.
+        # The chain takes e.f from a row of its (1, rho) D product, prob_plus from a dot product;
+        # with three components they round alike, with fifteen they may differ in the last bit,
+        # so there the readings agree to one rounding of the mean, and exactly at an eigenstate,
+        # where the rule sets the other probability to 0.0
+        dim, kind = case
+        a, f = _rule_draw(seed, dim, kind)
+        pair = [prob_plus(a, f), prob_plus(TwoLevelObservable(-a.e), f)]
+        chain = [abs(w) for w, _ in measurement_chain([a], f)[0].terms]
+        assert all(0.0 <= p <= 1.0 for p in pair + chain)
+        if dim == 3:
+            assert chain == pair
+            sub = extend_to_substates(Ensemble("s2", [f], [1.0]), [a.e])
+            row = sub.table[0].tolist()
+            assert (row if sub.column(a.e)[1] == 1 else row[::-1]) == pair
+        else:
+            assert max(abs(x - y) for x, y in zip(chain, pair)) <= 2.0**-52
+            if kind != "random":
+                assert min(chain) == min(pair) == 0.0
+
+    def test_a_dot_product_past_one_leaves_no_negative_cell(self):
+        f = np.array([0.36486176735685877, 0.9240647543268905, -0.11393077078653184])
+        assert f @ f == 1.0000000000000002
+        sub = extend_to_substates(Ensemble("s2", [f, -f], [0.5, 0.5]), [f])
+        assert sub.table.tolist() == [[0.5, 0.0], [0.0, 0.5]]
+
+    def test_prob_plus_snaps_to_zero_where_the_chain_does(self):
+        f = [0.0, 0.0, -1.0 + 3e-16]
+        assert prob_plus(A3, f) == 0.0
+        assert measurement_chain([A3], f)[0].terms[0][0] == 0.0
+
+    @pytest.mark.parametrize("pattern", ["outcome probability outside", r"outside \[0, 1\]"])
+    @pytest.mark.parametrize("form", [float, np.array], ids=["float", "array"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_rule_rejects_just_outside_its_window(self, pattern, form, sign):
+        # mean 1 + 3 INVARIANT_TOL puts one probability 1.5 INVARIANT_TOL past the interval;
+        # mean 1 + INVARIANT_TOL stays inside, and both probabilities are rounded onto it
+        with pytest.raises(ConstraintViolation, match=pattern):
+            _outcome_probabilities(form(sign * (1.0 + 3 * INVARIANT_TOL)))
+        inside = np.ravel(_outcome_probabilities(form(sign * (1.0 + INVARIANT_TOL)))).tolist()
+        assert inside == ([1.0, 0.0] if sign > 0 else [0.0, 1.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.floats(-1.0 - 2 * INVARIANT_TOL, 1.0 + 2 * INVARIANT_TOL),
+                     st.sampled_from([1.0 - 2 * ZERO_TOL, -1.0 + 2 * ZERO_TOL, 1.0 - 3 * ZERO_TOL, 2.0**-60])))
+    def test_float_and_array_forms_give_the_same_pair(self, mean):
+        assert list(_outcome_probabilities(mean)) == _outcome_probabilities(np.array([mean]))[0].tolist()
 
 
 def _anticommuting_words(order) -> list[int]:

@@ -258,6 +258,26 @@ class TestBellHarness:
         assert corr(math.pi) == 1.0   # antipodal analyser, anticorrelated pair
 
     @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(3, 12))
+    def test_hidden_ensemble_equals_the_point_by_point_build(self, seed, n_base, order):
+        # the reference: one point at a time with math.cos and math.sin, bit for bit
+        rng = np.random.default_rng(seed)
+        z, phi0 = rng.uniform(-1.0, 1.0, size=n_base), rng.uniform(0.0, 2.0 * math.pi, size=n_base)
+        w = rng.random(n_base) + 0.05
+        w = w / w.sum()
+        pts, probs = [], []
+        for j in range(n_base):
+            r = math.sqrt(max(0.0, 1.0 - z[j] ** 2))
+            for k in range(order):
+                ang = phi0[j] + 2.0 * math.pi * k / order
+                pts.append([r * math.cos(ang), r * math.sin(ang), z[j]])
+                probs.append(w[j] / order)
+        pts = np.asarray(pts)
+        ens = symmetrized_hidden_ensemble(np.random.default_rng(seed), n_base, order)
+        assert np.array_equal(ens.points, pts / np.linalg.norm(pts, axis=1, keepdims=True))
+        assert np.array_equal(ens.probs, probs)
+
+    @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(3, 8),
            st.floats(-4.0 * math.pi, 4.0 * math.pi), st.floats(-4.0 * math.pi, 4.0 * math.pi))
     # t2 inside a 1e-9 coincidence window broke the inequality by 4e-11

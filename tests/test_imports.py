@@ -163,8 +163,6 @@ _BARE_BUILTINS, _BARE_NUMPY = {"float", "int", "complex"}, {"asarray", "array"}
 _BARE_READ_ALLOWED = {
     "qm_expectation(op)": "the oracle takes bare arrays (the qmatrix docstring): the reference reads them as given",
     "qm_expectation(rho)": "the oracle takes bare arrays (the qmatrix docstring): the reference reads them as given",
-    "basis_identity_error(basis)": "the oracle audits a candidate basis as given; the basis audit's negative "
-                                   "control passes a broken one",
     "cartesian_purity(p)": "the exact path: an object array of the int and Fraction entries _is_exact_seq "
                            "has just checked",
 }
@@ -472,8 +470,8 @@ _TEST_ONLY_ALLOWED = {
     "run_all(only)": "set by verify --criteria",
     "ExperimentConfig(seed)": "set by run --seed or a config file's seed",
     "cartesian_measure_sz(free_p1)": "set by the cartesian-spins parameter free_p1",
-    "basis_identity_error(basis)": "the basis audit's negative control passes a broken basis",
-    "basis_audit(**params)": "the same negative control, given to the audit as a budget override",
+    "basis_audit(**params)": "the shared _criterion wrapper's run: c1-c10 take budget overrides through it, "
+                             "the audit has none to take",
     "operator_from_direction(e0)": "operator_of passes a shifted observable's offset; a check row "
                                    "for it would change the pinned run_all() records",
     **dict.fromkeys(["WeightedEigenstateSum.terms", "Trajectory.matrices", "integrate_bloch",

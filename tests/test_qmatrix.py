@@ -71,10 +71,11 @@ class TestBases:
     def test_l_basis_identities_exact(self):
         assert basis_identity_error() == 0.0
 
-    def test_corrupted_basis_detected(self):
+    def test_corrupted_basis_detected(self, monkeypatch):
         bad = np.array(L_BASIS)
         bad[4, 0, 0] = 0.5
-        assert basis_identity_error(bad) > 1e-6
+        monkeypatch.setattr(qmatrix, "L_BASIS", bad)
+        assert basis_identity_error() > 1e-6
 
     def test_direct_product_forms(self):
         t1, t2, t3 = PAULI
