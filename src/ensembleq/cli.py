@@ -34,6 +34,14 @@ def _parse_param(text: str) -> tuple[str, object]:
     return key, value
 
 
+def _config_field(cfg: dict, key: str, kind: type, what: str):
+    """The config file's ``key``, None if absent; a value that is not ``kind`` is a ConfigError naming ``key``."""
+    value = cfg.get(key)
+    if value is not None and not isinstance(value, kind):
+        raise ConfigError(f"config field {key!r} must be {what}, got {value!r}")
+    return value
+
+
 def _build_config(args) -> ExperimentConfig:
     params: dict = {}
     experiment = args.experiment
@@ -45,12 +53,14 @@ def _build_config(args) -> ExperimentConfig:
                 cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        experiment = experiment or cfg.get("experiment")
-        params.update(cfg.get("params", {}))
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"config file must hold a JSON object, got {cfg!r}")
+        experiment = experiment or _config_field(cfg, "experiment", str, "a string")
+        params.update(_config_field(cfg, "params", dict, "an object") or {})
         if seed is None:
             seed = cfg.get("seed")
         if out_dir is None:
-            out_dir = cfg.get("out")
+            out_dir = _config_field(cfg, "out", str, "a string")
     for item in args.param or []:
         key, value = _parse_param(item)
         params[key] = value

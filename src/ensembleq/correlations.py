@@ -29,7 +29,7 @@ import numpy as np
 
 from .manifolds import STRUCTURE, Ensemble, SubstateEnsemble, bloch_vector, weighted_sum
 from .observables import RANDOM, ProductObservable, TwoLevelObservable, _mean, _require_spin
-from .validate import INVARIANT_TOL, Record, ValueRecord, _check_dim, _outcome_probabilities, check_count
+from .validate import INVARIANT_TOL, Record, ValueRecord, _check_dim, _dot, _outcome_probabilities, check_count
 
 # measurement_chain enumerates 2^m branches, and four-state level i keeps up to
 # 2^i reduced states; either count above this is rejected before building
@@ -80,9 +80,9 @@ def conditional_correlation_2pt(a, b, state) -> float:
     (a, b), rho = _factors((a, b), state)
     if len(rho) == 15:
         return _branch_sum([a, b], rho)[1]
-    a_plus_b = float(a.e @ b.e)
-    a_minus_b = float(a.e @ (-b.e))
-    mean_b = float(b.e @ rho)
+    a_plus_b = _dot(a.e, b.e)
+    a_minus_b = _dot(a.e, -b.e)
+    mean_b = _mean(b, rho, "state")
     return 0.5 * (1.0 + mean_b) * a_plus_b - 0.5 * (1.0 - mean_b) * a_minus_b
 
 
@@ -96,11 +96,11 @@ def conditional_correlation_3pt(a, b, c, state) -> float:
     (a, b, c), rho = _factors((a, b, c), state)
     if len(rho) == 15:
         return _branch_sum([a, b, c], rho)[1]
-    a_pb = float(a.e @ b.e)
-    a_mb = float(a.e @ (-b.e))
-    b_pc = float(b.e @ c.e)
-    b_mc = float(b.e @ (-c.e))
-    mean_c = float(c.e @ rho)
+    a_pb = _dot(a.e, b.e)
+    a_mb = _dot(a.e, -b.e)
+    b_pc = _dot(b.e, c.e)
+    b_mc = _dot(b.e, -c.e)
+    mean_c = _mean(c, rho, "state")
     return 0.25 * (
         a_pb * ((1.0 + b_pc) * (1.0 + mean_c) - (1.0 + b_mc) * (1.0 - mean_c))
         + a_mb * ((1.0 - b_mc) * (1.0 - mean_c) - (1.0 - b_pc) * (1.0 + mean_c))
@@ -122,7 +122,7 @@ def conditional_product(x, y):
     y = _require_spin(y, "the right factor")
     _check_dim(y.e, 3, "the right factor", "the two-state system")
     _check_dim(x.e, 3, "the left factor", "the right factor")
-    const, d = float(x.e @ y.e), x.e0   # const: mean of x in the +1 eigenstate of y, offset removed
+    const, d = _dot(x.e, y.e), x.e0   # const: mean of x in the +1 eigenstate of y, offset removed
     if abs(d) <= INVARIANT_TOL:
         if abs(const - 1.0) <= INVARIANT_TOL:
             return TwoLevelObservable(np.zeros(3), 1.0)
@@ -157,17 +157,17 @@ def _chain(factors, rho: np.ndarray, terms: bool):
     """Levels of the chain of ``_factors``-checked factors on rho, and its final states if ``terms``.
 
     Level i is a pair (probs, succ) over the distinct reduced states before
-    measurement i: probs[j] holds the (+1, -1) outcome probabilities in state
-    j, and succ[2 j + o] the state index after outcome o (0 for +1). A state
-    is a row (1, rho) of real components. Measuring A = e_k B_k gives +-1 with
-    probability (1 +- e.rho)/2 and, by the Lueders map P+- X P+-, the state
-    (D^2 +- D)(1, rho)/2 over that probability, where D = {A, .}/2 has row
-    and column 0 equal to (0, e) and block e_k d_klm. A rank-1 projector
-    (every two-state spin, d = 0) reduces any state to its own eigenstate
-    (1, +-e), so two-state levels hold at most 2 states: a Markov chain.
-    Four-state level i keeps up to 2^i states. The random observable (legal
-    only when measured last) gives outcomes +-1 with probability 1/2 and no
-    final states.
+    measurement i: probs[j] holds the (+1, -1) outcome probabilities in state j,
+    and succ[2 j + o] the state index after outcome o (0 for +1). A state is a
+    row (1, rho) of real components. Measuring A = e_k B_k gives +-1 with
+    probability (1 +- e.rho)/2 (e.rho read by ``validate._dot``, as everywhere)
+    and, by the Lueders map P+- X P+-, the state (D^2 +- D)(1, rho)/2 over that
+    probability, where D = {A, .}/2 has row and column 0 equal to (0, e) and
+    block e_k d_klm. A rank-1 projector (every two-state spin, d = 0) reduces
+    any state to its own eigenstate (1, +-e), so two-state levels hold at most 2
+    states: a Markov chain. Four-state level i keeps up to 2^i states. The
+    random observable (legal only when measured last) gives outcomes +-1 with
+    probability 1/2 and no final states.
     """
     seq = factors[::-1]
     (n,), m = rho.shape, len(seq)
@@ -182,11 +182,7 @@ def _chain(factors, rho: np.ndarray, terms: bool):
             levels.append((np.full((k, 2), 0.5), np.zeros(2 * k, dtype=np.intp)))
             return levels, None
         e = obs.e
-        dmat = np.zeros((n + 1, n + 1))
-        dmat[0, 1:] = dmat[1:, 0] = e
-        dmat[1:, 1:] = e @ STRUCTURE[n][0]
-        once = states @ dmat                            # (k, n + 1): D (1, rho_j), D symmetric
-        probs = _outcome_probabilities(once[:, 0])      # (1 +- e.rho_j)/2
+        probs = _outcome_probabilities(_dot(states[:, 1:], e))   # (1 +- e.rho_j)/2
         eigen = np.concatenate((np.ones((2, 1)), np.outer(sign, e)), axis=1)   # (1, +-e)
         succ = np.arange(2 * k)
         if n == 3:   # d = 0: every state reduces to (1, +-e)
@@ -194,6 +190,10 @@ def _chain(factors, rho: np.ndarray, terms: bool):
             states = eigen
         elif i < m - 1 or terms:
             # (D^2 +- D)(1, rho)/2 over p, or the eigenspace state (1, +-e) for p = 0
+            dmat = np.zeros((n + 1, n + 1))
+            dmat[0, 1:] = dmat[1:, 0] = e
+            dmat[1:, 1:] = e @ STRUCTURE[n][0]
+            once = states @ dmat   # (k, n + 1): D (1, rho_j), D symmetric
             live = (probs > 0.0)[..., None]
             reduced = 0.5 * ((once @ dmat)[:, None] + sign[:, None] * once[:, None])
             reduced[..., 0] = probs

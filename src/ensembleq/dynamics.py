@@ -26,7 +26,7 @@ import numpy as np
 
 from .manifolds import STRUCTURE, Ensemble, _components, bloch_vector
 from .qmatrix import L_BASIS, PAULI
-from .validate import (PURITY_TOL, RATE_GAP_TOL, ConstraintViolation, Record, ValueRecord, _check_dim,
+from .validate import (PURITY_TOL, RATE_GAP_TOL, ConstraintViolation, Record, ValueRecord, _check_dim, _dot,
                        _check_hermitian, _real_number, check_components, check_rotation, real_array)
 
 MAX_STEPS = 2**20
@@ -83,14 +83,6 @@ class FlowParams(ValueRecord):
         return self.a > 0 and 0.0 < self.b < self.a * self.a / 4.0
 
 
-def _purity(bloch: np.ndarray) -> np.ndarray:
-    """sum_k bloch_k^2 of each row, added in k order whatever the memory layout."""
-    total = bloch[:, 0] * bloch[:, 0]
-    for column in bloch.T[1:]:
-        total += column * column
-    return total
-
-
 class Trajectory(Record):
     """A fixed-step run: the sample times, the real components there (``bloch``:
     the Bloch vector in the Pauli or L basis, or P for ``syncoherence_flow``),
@@ -103,7 +95,7 @@ class Trajectory(Record):
 
     @property
     def purity(self) -> np.ndarray:
-        return _purity(self.bloch)
+        return _dot(self.bloch, self.bloch)
 
     @property
     def matrices(self) -> np.ndarray:
@@ -235,7 +227,7 @@ def _check_purity(times, bloch: np.ndarray) -> None:
     """Abort at the first of ``times`` whose purity sum_k bloch_k^2 exceeds its
     pure-state value, 1 for 3 components and 3 for 15, by over PURITY_TOL."""
     bound = 1.0 if bloch.shape[1] == 3 else 3.0
-    purity = _purity(bloch)
+    purity = _dot(bloch, bloch)
     bad = np.flatnonzero(purity > bound + PURITY_TOL)
     if bad.size:
         i = bad[0]
@@ -272,7 +264,7 @@ def integrate_open(rho0, hamiltonian, d_rate, t_span, dt: float) -> Trajectory:
     for i in range(n + 1):
         y, t = out[i], times[i]
         d_vals[i] = d_rate(y.copy(), t)
-        if float(y @ y) > 1.0 + PURITY_TOL:
+        if _dot(y, y) > 1.0 + PURITY_TOL:
             _check_purity(times[i:i + 1], out[i:i + 1])
         if i < n:   # an RK4 step whose first stage reuses D(y, t)
             k1 = gen @ y + d_vals[i] * y

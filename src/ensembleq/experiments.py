@@ -21,7 +21,7 @@ import numpy as np
 # that importing the package loads neither
 from . import correlations, dynamics, fourstate, manifolds, observables, qmatrix
 from .reporting import write_csv, write_json
-from .validate import PURITY_TOL, RELATIVE_ERROR_FLOOR, ValueRecord, _real_number, check_count, real_array
+from .validate import PURITY_TOL, RELATIVE_ERROR_FLOOR, ValueRecord, _dot, _real_number, check_count, real_array
 
 # count limits: steps^2 grid rows <= MAX_STEPS (about 30 s of Bell checks); a
 # classical trial draws one ensemble in about 0.2 ms, so MAX_STEPS of them take
@@ -359,7 +359,7 @@ def _correlation_table(params, seed):
             pointwise = correlations.pointwise_correlation(a, b, ens)
             classical = correlations.classical_correlation(a.e, b.e, sub)
             rows.append((name_a, name_b, conditional, oracle, pointwise, classical))
-    sign_err = max(float(np.abs(sub.mean_sign(a.e) - ens.points @ a.e).max()) for a in pool.values())
+    sign_err = max(float(np.abs(sub.mean_sign(a.e) - _dot(ens.points, a.e)).max()) for a in pool.values())
     checks = [
         _tol_check("conditional equals anticommutator oracle", worst, 0.0, 1e-12),
         _tol_check("substate sign means equal f . e", sign_err, 0.0, 1e-12),
@@ -416,7 +416,7 @@ def _expectation_law(params, seed):
         n_points, e = len(ens), _random_unit(rng)
         rho = qmatrix.density_from_bloch(manifolds.reduce_ensemble(ens).rho)
         oracle = qmatrix.qm_expectation(qmatrix.operator_from_direction(e), rho)
-        mean = manifolds.weighted_sum(ens.probs, ens.points @ e)
+        mean = manifolds.weighted_sum(ens.probs, _dot(ens.points, e))
         worst = max(worst, abs(mean - oracle))
     # on the last ensemble: the +1 probabilities (1 + e.f)/2 and the moments of A
     a = observables.TwoLevelObservable(e)

@@ -22,7 +22,7 @@ from .dynamics import MAX_STEPS, _linear_flow
 from .manifolds import BASIS_WORDS, BlochState, Ensemble, bloch_vector, canonical_direction, weighted_sum
 from .observables import TwoLevelObservable
 from .validate import (INVARIANT_TOL, PURITY_TOL, SAME_DIRECTION_TOL, ConstraintViolation, ValueRecord,
-                       _check_dim, _real_number, check_components, check_count, check_probabilities, real_array)
+                       _check_dim, _dot, _real_number, check_components, check_count, check_probabilities, real_array)
 
 
 def basis_psi(m: int) -> np.ndarray:
@@ -186,14 +186,14 @@ def classical_pair_correlator(ensemble: Ensemble):
         raise ValueError("the pair correlator is defined for sphere ensembles")
     d0 = plane_direction(0.0)
     c0, f0 = canonical_direction(d0)
-    along_d0 = ensemble.probs * (ensemble.points @ d0)
+    along_d0 = ensemble.probs * _dot(ensemble.points, d0)
 
     def correlator(theta: float) -> float:
         d1 = plane_direction(theta)
         c1, f1 = canonical_direction(d1)
         if np.abs(c0 - c1).max() < SAME_DIRECTION_TOL:
             return -float(f0 * f1)
-        return -weighted_sum(along_d0, ensemble.points @ d1)
+        return -weighted_sum(along_d0, _dot(ensemble.points, d1))
 
     return correlator
 
@@ -255,6 +255,6 @@ def is_exchange_symmetric(state) -> str:
     vec = _four_state(state)
     if np.abs(vec[_EXCHANGE_PERM] - vec).max() > PURITY_TOL:
         return "forbidden"
-    if float(vec @ vec) < 3.0 - 4.0 * PURITY_TOL:
+    if _dot(vec, vec) < 3.0 - 4.0 * PURITY_TOL:
         return "symmetric"
     return "bosonic" if 1.0 + sum(sign * vec[k] for k, sign in _SWAP_TERMS) > 0 else "fermionic"

@@ -28,6 +28,7 @@ from .validate import (
     ConstraintViolation,
     Record,
     _check_distribution,
+    _dot,
     _outcome_probabilities,
     check_components,
     check_count,
@@ -91,13 +92,10 @@ class BlochState(Record):
 
     def __init__(self, rho: np.ndarray):
         vec = check_components(rho, "rho")
-        if len(vec) == 3:
-            # Python floats overflow to inf without a warning, and cost less to check than a ufunc
-            x, y, z = vec.tolist()
-            if x * x + y * y + z * z > 1.0 + INVARIANT_TOL:
-                raise ConstraintViolation("purity bound violated: sum rho_k^2 > 1")
-        else:
+        if len(vec) == 15:
             qmatrix.density_from_bloch(vec)  # checks the bound and positivity
+        elif _dot(vec, vec) > 1.0 + INVARIANT_TOL:   # an overflow is inf, without a warning
+            raise ConstraintViolation("purity bound violated: sum rho_k^2 > 1")
         self._set(vec)
 
 
@@ -315,23 +313,20 @@ def extend_to_substates(ensemble: Ensemble, directions) -> SubstateEnsemble:
             f"substate extension at (n, m) = ({n}, {m}) has n * 2^m = {rows} rows, "
             f"over the limit of {MAX_SUBSTATE_ROWS}"
         )
-    dots = ensemble.points @ canon.T   # (n, m)
     table = np.empty((n, 2**m))
+    table[:, 0] = 1.0
     # Pattern i has -1 for direction j where bit m-1-j of i is set, the
     # itertools.product((1, -1), repeat=m) order. The table is built by
     # Kronecker doubling in place: level j keeps its 2^(j+1) products 2^(m-j-1)
     # columns apart, so cell (k, s) of level j sits on cell k of level j-1
     # (s = +) or next to it (s = -), out[:, k, s] = prev[:, k] * half_j[:, s].
-    # Every cell multiplies its factors (1 + gamma_j f.g_j)/2 in direction
-    # order, then p(f).
+    # Every cell multiplies 1.0 by its factors (1 + gamma_j f.g_j)/2 in direction
+    # order, then p(f); f.g_j is read by ``validate._dot``, as every mean is.
     for j in range(m):
-        half = _outcome_probabilities(dots[:, j])
+        half = _outcome_probabilities(_dot(ensemble.points, canon[j]))
         level = table.reshape(n, 2**j, 2, -1)[:, :, :, 0]
-        if j == 0:
-            level[:, 0, :] = half
-        else:
-            np.multiply(level[:, :, 0], half[:, 1, None], out=level[:, :, 1])
-            level[:, :, 0] *= half[:, 0, None]
+        np.multiply(level[:, :, 0], half[:, 1, None], out=level[:, :, 1])
+        level[:, :, 0] *= half[:, 0, None]
     table *= ensemble.probs[:, None]
     return SubstateEnsemble(canon, freeze(table, copy=False))
 

@@ -25,6 +25,7 @@ from .validate import (
     INVARIANT_TOL,
     Record,
     _check_dim,
+    _dot,
     _outcome_probabilities,
     _real_number,
     check_components,
@@ -79,7 +80,7 @@ def _require_spin(obs, name: str) -> TwoLevelObservable:
     micro-state: NoEigenstateError. Anything else is a ValueError naming ``name``."""
     if isinstance(obs, ProductObservable) and np.linalg.norm(obs.e) + abs(obs.e0) < 1.0 - INVARIANT_TOL:
         raise NoEigenstateError(f"{name} has no eigenstates")
-    if not isinstance(obs, TwoLevelObservable) or obs.e0 != 0.0 or abs(obs.e @ obs.e - 1.0) > INVARIANT_TOL:
+    if not isinstance(obs, TwoLevelObservable) or obs.e0 != 0.0 or abs(_dot(obs.e, obs.e) - 1.0) > INVARIANT_TOL:
         raise ValueError(f"{name} must be a unit-direction observable with zero offset")
     if obs.dim == 15 and np.abs(obs.e @ STRUCTURE[15][0] @ obs.e).max() > INVARIANT_TOL:
         raise ValueError(f"{name}: the operator does not square to 1 (spectrum is not +-1)")
@@ -99,9 +100,9 @@ def basis_spin(k: int) -> TwoLevelObservable:
 
 
 def _mean(obs, x: np.ndarray, name: str):
-    """The mean e0 + e . x over the last axis of a micro-state, a Bloch vector or (n, d) points x,
-    which ``validate._check_dim`` pairs with the observable; the package reads every mean here."""
-    return _check_dim(x, len(obs.e), name, "the observable") @ obs.e + obs.e0
+    """The mean e0 + e . x over the last axis of a micro-state, a Bloch vector or (n, d) points x, paired by
+    ``validate._check_dim`` and added by ``validate._dot``; the package reads every mean here, alike in any batch."""
+    return _dot(_check_dim(x, len(obs.e), name, "the observable"), obs.e) + obs.e0
 
 
 def mean_in_state(obs, f) -> float:

@@ -5,9 +5,11 @@ probability vectors are not renormalised, norms are not rescaled.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
+import operator
 import reprlib
 
 import numpy as np
@@ -57,6 +59,9 @@ RELATIVE_ERROR_FLOOR = 1e-12
 # total holds at most this many Python floats (about 128 KiB) at once,
 # whatever the length of the vector
 _FSUM_CHUNK = 4096
+
+# _dot adds up to this many products by one prefix sum, more column by column (cheaper on many rows)
+_PREFIX_SUM_SIZE = 1024
 
 
 class ConstraintViolation(ValueError):
@@ -182,6 +187,20 @@ def _check_dim(x: np.ndarray, n: int, name: str, against: str) -> np.ndarray:
     return x
 
 
+def _dot(x, y):
+    """sum_k x[..., k] y[..., k], added in k order from the first product: the one reading of every mean and
+    sum of squares, so a row has the same bits at any batch size and in any memory layout. Two vectors give
+    a Python float (an overflow is inf, without a warning), arrays one value per row."""
+    if x.ndim == 1 and y.ndim == 1:   # Python floats cost less than a ufunc on 3 or 15 components
+        return functools.reduce(operator.add, map(operator.mul, x.tolist(), y.tolist()))
+    if max(x.size, y.size) <= _PREFIX_SUM_SIZE:
+        return np.add.accumulate(x * y, axis=-1)[..., -1]
+    total = x[..., 0] * y[..., 0]   # one column of products at a time
+    for k in range(1, x.shape[-1]):
+        total += x[..., k] * y[..., k]
+    return total
+
+
 def _outcome_probabilities(mean):
     """(P(+1), P(-1)) = (1 +- mean)/2, a pair for a float mean, else along a new last axis: one outside [0, 1]
     by over INVARIANT_TOL is a ConstraintViolation, one at or below ZERO_TOL is 0.0 and one above 1 is 1.0."""
@@ -191,7 +210,7 @@ def _outcome_probabilities(mean):
             return (min(plus, 1.0) if plus > ZERO_TOL else 0.0), (min(minus, 1.0) if minus > ZERO_TOL else 0.0)
     else:
         probs = 0.5 * (1.0 + mean[..., None] * (1.0, -1.0))
-        if np.all((probs >= -INVARIANT_TOL) & (probs <= 1.0 + INVARIANT_TOL)):
+        if -INVARIANT_TOL <= probs.min() and probs.max() <= 1.0 + INVARIANT_TOL:
             return np.where(probs > ZERO_TOL, np.minimum(probs, 1.0), 0.0)
     first = next(p for p in np.ravel(probs).tolist() if not -INVARIANT_TOL <= p <= 1.0 + INVARIANT_TOL)
     raise ConstraintViolation(f"outcome probability outside [0, 1] by over {INVARIANT_TOL}: {first!r}")
@@ -211,7 +230,7 @@ def check_unit_vector(v, name: str = "e") -> np.ndarray:
     arr = real_array(v, name)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a 1-d vector")
-    nrm2 = sum(c * c for c in arr.tolist())   # Python floats overflow to inf without a warning
+    nrm2 = _dot(arr, arr)
     if abs(nrm2 - 1.0) > INVARIANT_TOL:
         raise ConstraintViolation(f"{name} is not unit norm: |{name}|^2 = {nrm2!r}")
     return arr

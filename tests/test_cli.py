@@ -240,6 +240,22 @@ def test_bad_config_file_seed_is_a_config_error(tmp_path, capsys, seed):
     assert not (tmp_path / "interference.csv").exists()
 
 
+@pytest.mark.parametrize("cfg, field", [
+    ([1, 2], "config file"),
+    ({"experiment": ["x"]}, "'experiment'"),
+    ({"experiment": "interference", "params": [1, 2]}, "'params'"),
+    ({"experiment": "interference", "out": 123}, "'out'"),
+], ids=["list", "experiment", "params", "out"])
+def test_malformed_config_file_field_is_a_config_error(tmp_path, monkeypatch, capsys, cfg, field):
+    # without --out the run writes to the working directory, so a body that ran first would leave files there
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["run", "--config", "cfg.json"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and field in json.loads(err[0])["error"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_negative_run_seed_is_a_config_error(tmp_path, capsys):
     code = main(["run", "--experiment", "interference", "--seed", "-1", "--out", str(tmp_path)])
     assert code == 2

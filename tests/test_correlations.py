@@ -857,25 +857,23 @@ class TestOutcomeProbabilityRule:
                      st.tuples(st.just(15), st.sampled_from(["random", "plus", "minus", "near"]))))
     def test_prob_plus_the_chain_and_the_substate_row_agree(self, seed, case):
         # one rule, three readers: (P(+1), P(-1)) by prob_plus of A and -A, the magnitudes of the
-        # chain's two branch weights, and the two-state substate row of a one-point ensemble.
-        # The chain takes e.f from a row of its (1, rho) D product, prob_plus from a dot product;
-        # with three components they round alike, with fifteen they may differ in the last bit,
-        # so there the readings agree to one rounding of the mean, and exactly at an eigenstate,
-        # where the rule sets the other probability to 0.0
+        # chain's two branch weights, and the two-state substate row of f among other points,
+        # over its weight. Each reads e.f by validate._dot, so they agree bit for bit, and at an
+        # eigenstate the rule sets the other probability to 0.0
         dim, kind = case
         a, f = _rule_draw(seed, dim, kind)
         pair = [prob_plus(a, f), prob_plus(TwoLevelObservable(-a.e), f)]
         chain = [abs(w) for w, _ in measurement_chain([a], f)[0].terms]
         assert all(0.0 <= p <= 1.0 for p in pair + chain)
+        assert chain == pair
         if dim == 3:
-            assert chain == pair
-            sub = extend_to_substates(Ensemble("s2", [f], [1.0]), [a.e])
-            row = sub.table[0].tolist()
-            assert (row if sub.column(a.e)[1] == 1 else row[::-1]) == pair
-        else:
-            assert max(abs(x - y) for x, y in zip(chain, pair)) <= 2.0**-52
-            if kind != "random":
-                assert min(chain) == min(pair) == 0.0
+            rng = np.random.default_rng(seed)
+            pts = [random_unit(rng), f, random_unit(rng), random_unit(rng)]
+            sub = extend_to_substates(Ensemble("s2", pts, [0.25] * 4), [a.e])
+            row = sub.table[1].tolist()
+            assert (row if sub.column(a.e)[1] == 1 else row[::-1]) == [0.25 * p for p in pair]
+        elif kind != "random":
+            assert min(chain) == min(pair) == 0.0
 
     def test_a_dot_product_past_one_leaves_no_negative_cell(self):
         f = np.array([0.36486176735685877, 0.9240647543268905, -0.11393077078653184])

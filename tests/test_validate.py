@@ -7,11 +7,13 @@ scalar a caller passes (rates, initial values, coefficients) through
 ``validate._real_number``, and every array or list a caller passes (states,
 directions, Hamiltonians, tables, times) through ``validate.real_array``, the one
 place that decides non-finite and bool entries. Every observable, state or operator
-paired with another of the same length goes through ``validate._check_dim``. These
-tests hold each entry point to the same rules.
+paired with another of the same length goes through ``validate._check_dim``, and every
+mean and sum of squares is added by ``validate._dot``. These tests hold each entry point
+to the same rules.
 """
 import math
 import re
+import struct
 import warnings
 from fractions import Fraction
 
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ensembleq import experiments, qmatrix
 from ensembleq.dynamics import (FlowParams, Hamiltonian, integrate_open, integrate_von_neumann, rotation_from_generator,
@@ -29,13 +32,15 @@ from ensembleq.finite import (FiniteSpinSystem, cartesian_measure_sz, cartesian_
                               zn_step_evolution, zn_system)
 from ensembleq.fourstate import (OutcomeTable, basis_psi, entangled_bloch, entangled_psi, entangled_state,
                                  exchange_symmetry, interference_trajectory, is_exchange_symmetric,
-                                 quantum_pair_correlator, rotated_spin_correlation, symmetrized_hidden_ensemble)
+                                 quantum_pair_correlator, rotated_spin_correlation, rotated_spin_observables,
+                                 symmetrized_hidden_ensemble)
 from ensembleq.manifolds import (BlochState, Ensemble, SubstateEnsemble, bloch_vector, canonical_direction,
-                                 grid_ensemble)
-from ensembleq.observables import (TwoLevelObservable, basis_spin, combine, expectation, mean_in_state, moment,
+                                 extend_to_substates, grid_ensemble)
+from ensembleq.observables import (TwoLevelObservable, _mean, basis_spin, combine, expectation, mean_in_state, moment,
                                    prob_plus, spin)
-from ensembleq.validate import (ConstraintViolation, DimensionMismatch, _real_number, check_components, check_count,
-                                check_probabilities, check_rotation, check_unit_vector, real_array)
+from ensembleq.validate import (_PREFIX_SUM_SIZE, ConstraintViolation, DimensionMismatch, _dot, _real_number,
+                                check_components, check_count, check_probabilities, check_rotation,
+                                check_unit_vector, real_array)
 
 _CHAIN = [basis_spin(3), basis_spin(1)]
 _RHO = np.array([0.1, 0.2, 0.3])
@@ -396,6 +401,68 @@ def _vectors(n):
     return st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n).map(np.array)
 
 
+def _k_order(x, y) -> float:
+    """sum_k x_k y_k of two vectors, added in k order from the first product."""
+    total = float(x[0]) * float(y[0])
+    for k in range(1, len(x)):
+        total += float(x[k]) * float(y[k])
+    return total
+
+
+def _bits(value) -> bytes:
+    return struct.pack("d", value)   # tells -0.0 from 0.0
+
+
+# finite entries with both zeros and magnitudes up to 1e150: a product stays finite, and so does a sum of 15
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e150, 1e150),
+                     st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from([3, 15]), st.data())
+def test_dot_reads_a_row_alike_at_any_batch_size_and_layout(d, data):
+    # n from 1 to 40, or on either side of the prefix-sum size, where the batch switches to a column loop;
+    # past 40 the drawn rows repeat, each still read as a row of the whole batch
+    near = _PREFIX_SUM_SIZE // d
+    n = data.draw(st.one_of(st.integers(1, 40), st.integers(near - 2, near + 2)), label="n")
+    rows = data.draw(arrays(float, (min(n, 40), d), elements=_ENTRIES, fill=st.nothing()), label="rows")
+    x = np.resize(rows, (n, d))
+    e = data.draw(arrays(float, d, elements=_ENTRIES, fill=st.nothing()), label="e")
+    batch, fortran, squares = _dot(x, e), _dot(np.asfortranarray(x), e), _dot(x, x)
+    assert batch.shape == fortran.shape == squares.shape == (n,)
+    for i in range(n):
+        want = _bits(_k_order(x[i], e))
+        assert _bits(_dot(x[i], e)) == want
+        assert _bits(batch[i]) == want
+        assert _bits(_dot(x[i:i + 1], e)[0]) == want
+        assert _bits(fortran[i]) == want
+        assert _bits(squares[i]) == _bits(_dot(x[i], x[i])) == _bits(_k_order(x[i], x[i]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.sampled_from([3, 15]))
+def test_a_micro_state_has_one_mean_in_every_public_reader(seed, n, d):
+    # the mean of a point read with the whole ensemble, alone, and as the substate factor of its row
+    rng = np.random.default_rng(seed)
+    if d == 3:
+        pts = rng.normal(size=(n + 1, 3))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        a, ens = spin(pts[n]), Ensemble("s2", pts[:n], rng.dirichlet(np.ones(n)))
+    else:
+        a = rotated_spin_observables(*rng.uniform(0.0, 6.3, 2))[rng.integers(2)]
+        psi = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        ens = Ensemble("four", np.einsum("ni,kij,nj->nk", psi.conj(), qmatrix.L_BASIS, psi).real,
+                       rng.dirichlet(np.ones(n)))
+    means = _mean(a, ens.points, "ensemble")
+    assert [_bits(m) for m in means] == [_bits(mean_in_state(a, f)) for f in ens.points]
+    if d == 3:
+        sub = extend_to_substates(ens, [a.e])
+        flip, minus_a = sub.column(a.e)[1], TwoLevelObservable(-a.e)
+        for row, f, p in zip(sub.table.tolist(), ens.points, ens.probs.tolist()):
+            assert (row if flip == 1 else row[::-1]) == [prob_plus(a, f) * p, prob_plus(minus_a, f) * p]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from([3, 15]), st.integers(1, 16), st.data())
 def test_a_mean_is_read_on_a_micro_state_of_the_observable_length_only(d_obs, d_f, data):
@@ -410,5 +477,5 @@ def test_a_mean_is_read_on_a_micro_state_of_the_observable_length_only(d_obs, d_
                            match=rf"^f must be {d_obs}-component to match the observable, got {d_f} components$"):
             mean_in_state(obs, f)
     else:
-        assert mean_in_state(obs, f) == float(obs.e @ f) + e0   # today's arithmetic, to the bit
+        assert mean_in_state(obs, f) == _k_order(f, obs.e) + e0   # the k-order reading, to the bit
         assert mean_in_state(obs, list(f)) == mean_in_state(obs, f)
