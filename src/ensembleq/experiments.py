@@ -191,7 +191,7 @@ def _decoherence(params, seed):
     rho0 = _real_list(p, "rho0", 3)
     traj = dynamics.integrate_open(rho0, None, d, (0.0, t_final), dt)
     worst = float(np.abs(traj.bloch - rho0 * np.exp(d * traj.times)[:, None]).max())
-    p0, purity = float(rho0 @ rho0), traj.purity
+    p0, purity = _dot(rho0, rho0), traj.purity
     p_ref = np.fromiter((p0 * float(np.exp(2 * d * t)) for t in traj.times), float, len(purity))
     rows = ((t, *rho, p, pr, d) for t, rho, p, pr in zip(traj.times, traj.bloch, purity, p_ref))
     checks = [

@@ -248,7 +248,7 @@ def is_exchange_symmetric(state) -> str:
     """
     psi = None if isinstance(state, BlochState) else real_array(state, "state", complex_ok=True)
     if psi is not None and psi.shape == (4,):
-        norm2 = sum(c.real * c.real + c.imag * c.imag for c in psi.tolist())
+        norm2 = _dot(psi.real, psi.real) + _dot(psi.imag, psi.imag)
         if abs(norm2 - 1.0) > INVARIANT_TOL:
             raise ConstraintViolation(f"wave function is not normalised: |psi|^2 = {norm2!r}")
         state = np.outer(psi, psi.conj()) / norm2

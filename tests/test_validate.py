@@ -38,7 +38,7 @@ from ensembleq.manifolds import (BlochState, Ensemble, SubstateEnsemble, bloch_v
                                  extend_to_substates, grid_ensemble)
 from ensembleq.observables import (TwoLevelObservable, _mean, basis_spin, combine, expectation, mean_in_state, moment,
                                    prob_plus, spin)
-from ensembleq.validate import (_PREFIX_SUM_SIZE, ConstraintViolation, DimensionMismatch, _dot, _real_number,
+from ensembleq.validate import (_PREFIX_SUM_ROWS, ConstraintViolation, DimensionMismatch, _dot, _real_number,
                                 check_components, check_count, check_probabilities, check_rotation,
                                 check_unit_vector, real_array)
 
@@ -182,6 +182,14 @@ def test_a_huge_direction_is_a_constraint_violation_without_a_warning(check, vec
         warnings.simplefilter("error")
         with pytest.raises(ConstraintViolation, match="not unit norm"):
             check(vec)
+
+
+@pytest.mark.parametrize("check", [check_unit_vector, spin, canonical_direction],
+                         ids=["check_unit_vector", "spin", "canonical_direction"])
+def test_an_empty_direction_is_a_constraint_violation(check):
+    # an empty vector has squared norm 0, not a unit one
+    with pytest.raises(ConstraintViolation, match="not unit norm"):
+        check(np.zeros(0))
 
 
 @pytest.mark.parametrize("build, name", [
@@ -421,10 +429,10 @@ _ENTRIES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e150, 1e150),
 @settings(max_examples=50, deadline=None)
 @given(st.sampled_from([3, 15]), st.data())
 def test_dot_reads_a_row_alike_at_any_batch_size_and_layout(d, data):
-    # n from 1 to 40, or on either side of the prefix-sum size, where the batch switches to a column loop;
-    # past 40 the drawn rows repeat, each still read as a row of the whole batch
-    near = _PREFIX_SUM_SIZE // d
-    n = data.draw(st.one_of(st.integers(1, 40), st.integers(near - 2, near + 2)), label="n")
+    # n from 1 to 40, or on either side of the prefix-sum row count, where the batch switches to a column
+    # loop; past 40 the drawn rows repeat, each still read as a row of the whole batch
+    n = data.draw(st.one_of(st.integers(1, 40), st.integers(_PREFIX_SUM_ROWS - 2, _PREFIX_SUM_ROWS + 2)),
+                  label="n")
     rows = data.draw(arrays(float, (min(n, 40), d), elements=_ENTRIES, fill=st.nothing()), label="rows")
     x = np.resize(rows, (n, d))
     e = data.draw(arrays(float, d, elements=_ENTRIES, fill=st.nothing()), label="e")
