@@ -4,14 +4,13 @@
   ensembleq run --config cfg.json --param steps=32 --param delta=0.5
   ensembleq verify
 
-``run`` executes one named experiment; exit code 0 when every embedded
-tolerance check passes, 1 on a tolerance failure, 2 on a config error (which
-also prints a machine-readable error JSON). ``verify`` runs the acceptance
-suite and prints one pass/fail line per criterion, followed by the checks of
-each failing one (a criterion that raises fails, and the rest still run);
-exit code 0 when every criterion passes, 1 when one fails, 2 when
-``--criteria`` names an unknown id or ``--seed`` is negative (nothing runs;
-error JSON as above).
+``run`` executes one named experiment, ``verify`` the acceptance suite (a pass/fail line per criterion, then the
+checks of each failing one; a criterion that raises fails, and the rest still run). A config file holds only the
+keys of ``_CONFIG_KEYS``; ``--experiment``, ``--seed`` and ``--out`` replace their key, ``--jobs`` sets
+``params["jobs"]`` and each ``--param`` is set last. A flag's value is parsed like a ``--param`` value (JSON, else
+the string) and read by the package's readers. Exit code 0 when every check or criterion passes, 1 when one fails,
+2 when a value is rejected (one error-JSON line on stderr, nothing written or run); a program error ends in a
+traceback and exit 1.
 """
 from __future__ import annotations
 
@@ -22,54 +21,57 @@ import sys
 from .acceptance import run_all
 from .experiments import ConfigError, ExperimentConfig, check_seed, run
 
+# the keys a config file may hold, with the type of each value; the seed is read by check_seed
+_CONFIG_KEYS = {"experiment": str, "params": dict, "seed": object, "out": str}
+
+
+def _value(raw: str):
+    """A flag's text as JSON, else the text itself."""
+    try:
+        return json.loads(raw)
+    except ValueError:   # not JSON, or an int over Python's digit limit
+        return raw
+
 
 def _parse_param(text: str) -> tuple[str, object]:
     if "=" not in text:
         raise ConfigError(f"--param expects key=value, got {text!r}")
     key, raw = text.split("=", 1)
+    return key, _value(raw)
+
+
+def _read_config(path) -> dict:
+    """The JSON object in the file at ``path``; an unknown key or a wrongly typed value is a ConfigError naming it."""
     try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    return key, value
-
-
-def _config_field(cfg: dict, key: str, kind: type, what: str):
-    """The config file's ``key``, None if absent; a value that is not ``kind`` is a ConfigError naming ``key``."""
-    value = cfg.get(key)
-    if value is not None and not isinstance(value, kind):
-        raise ConfigError(f"config field {key!r} must be {what}, got {value!r}")
-    return value
+        with open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config file must hold a JSON object, got {cfg!r}")
+    unknown = sorted(cfg.keys() - _CONFIG_KEYS.keys())
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown}; choose from {list(_CONFIG_KEYS)}")
+    for key, value in cfg.items():
+        if not isinstance(value, _CONFIG_KEYS[key]):
+            what = "an object" if _CONFIG_KEYS[key] is dict else "a string"
+            raise ConfigError(f"config field {key!r} must be {what}, got {value!r}")
+    return cfg
 
 
 def _build_config(args) -> ExperimentConfig:
-    params: dict = {}
-    experiment = args.experiment
-    seed = args.seed
-    out_dir = args.out
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
-        if not isinstance(cfg, dict):
-            raise ConfigError(f"config file must hold a JSON object, got {cfg!r}")
-        experiment = experiment or _config_field(cfg, "experiment", str, "a string")
-        params.update(_config_field(cfg, "params", dict, "an object") or {})
-        if seed is None:
-            seed = cfg.get("seed")
-        if out_dir is None:
-            out_dir = _config_field(cfg, "out", str, "a string")
-    for item in args.param or []:
-        key, value = _parse_param(item)
-        params[key] = value
-    if not experiment:
-        raise ConfigError("no experiment given (use --experiment or a config file)")
+    cfg = _read_config(args.config) if args.config else {}
+    for key in ("experiment", "seed", "out"):
+        text = getattr(args, key)
+        if text is not None:
+            cfg[key] = _value(text) if key == "seed" else text
+    params = dict(cfg.get("params", {}))
     if args.jobs is not None:
-        params.setdefault("jobs", args.jobs)
-    seed = check_seed(0 if seed is None else seed)
-    return ExperimentConfig(experiment=experiment, params=params, seed=seed, out_dir=out_dir or ".")
+        params["jobs"] = _value(args.jobs)
+    params.update(map(_parse_param, args.param or []))
+    if "experiment" not in cfg:
+        raise ConfigError("no experiment given (use --experiment or a config file)")
+    return ExperimentConfig(cfg["experiment"], params, check_seed(cfg.get("seed", 0)), cfg.get("out", "."))
 
 
 def _print_checks(checks) -> None:
@@ -89,7 +91,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     only = set(args.criteria.split(",")) if args.criteria else None
-    results = run_all(seed=args.seed, only=only)
+    results = run_all(seed=None if args.seed is None else _value(args.seed), only=only)
     width = max(len(r.name) for r in results)
     failed = 0
     for r in results:
@@ -109,20 +111,17 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run a named experiment")
     p_run.add_argument("--experiment", help="experiment name")
-    p_run.add_argument("--config", help="JSON config file (flags override it)")
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--out", default=None, help="output directory")
+    p_run.add_argument("--config", help="JSON file of experiment, params, seed and out (flags override it)")
+    p_run.add_argument("--seed")
+    p_run.add_argument("--out", help="output directory")
     p_run.add_argument("--param", action="append", metavar="KEY=VALUE",
                        help="override one parameter (JSON-parsed value)")
-    p_run.add_argument("--jobs", type=int, default=None,
-                       help="sampling shares: the calling thread runs one, a thread each the rest")
+    p_run.add_argument("--jobs", help="params.jobs, the sampling shares: the caller runs one, a thread each the rest")
     p_run.set_defaults(func=_cmd_run)
 
     p_verify = sub.add_parser("verify", help="run the acceptance suite")
-    p_verify.add_argument("--seed", type=int, default=None,
-                          help="reseed the Monte Carlo criteria")
-    p_verify.add_argument("--criteria", default=None,
-                          help="comma-separated subset, e.g. c1,c5")
+    p_verify.add_argument("--seed", help="reseed the Monte Carlo criteria")
+    p_verify.add_argument("--criteria", help="comma-separated subset, e.g. c1,c5")
     p_verify.set_defaults(func=_cmd_verify)
 
     args = parser.parse_args(argv)

@@ -51,11 +51,15 @@ class Hamiltonian(Record):
 
 def _flow(rho0, hamiltonian) -> tuple[np.ndarray, np.ndarray]:
     """Bloch vector of rho0, read and checked by ``manifolds.bloch_vector``, and the
-    generator 2 f.h that H drives on it."""
+    generator 2 f.h that H drives on it; a generator beyond the float range is a ValueError."""
     vec = bloch_vector(rho0)
     hk = (hamiltonian if isinstance(hamiltonian, Hamiltonian) else Hamiltonian(hamiltonian)).hk
     _check_dim(vec, len(hk), "rho0", "the Hamiltonian")
-    return vec, 2.0 * np.einsum("klm,l->km", STRUCTURE[len(vec)][1], hk)
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow is raised below, not warned
+        gen = 2.0 * np.einsum("klm,l->km", STRUCTURE[len(vec)][1], hk)
+    if not np.isfinite(gen).all():
+        raise ValueError("the Hamiltonian's generator 2 f.h overflows the float range")
+    return vec, gen
 
 
 class FlowParams(ValueRecord):

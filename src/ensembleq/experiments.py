@@ -640,7 +640,7 @@ def run(config: ExperimentConfig) -> RunReport:
         columns, rows, results, checks = EXPERIMENTS[config.experiment](config.params, config.seed)
     except ConfigError:
         raise
-    except (ValueError, TypeError, OverflowError) as exc:
+    except ValueError as exc:   # what every reader raises; any other error is a program error
         raise ConfigError(f"invalid parameters for {config.experiment!r}: {exc}") from exc
     report = RunReport(config, results, checks, wall_time=time.perf_counter() - t0)
     out = Path(config.out_dir)

@@ -125,7 +125,8 @@ def real_array(x, name: str, complex_ok: bool = False) -> np.ndarray:
     """x as a finite float array, or with ``complex_ok`` (Hermitian matrices, wave functions) a finite float or
     complex one; an object array of real numbers (int, Fraction) is converted. Anything else is a ValueError naming
     ``name``: strings, bytes, None, records, ragged nesting, non-finite entries, bools (also one in a list of
-    numbers, which numpy reads as 0 or 1) and complex entries unless allowed, whose imaginary part a cast drops."""
+    numbers, which numpy reads as 0 or 1), entries beyond the float range and complex entries unless allowed,
+    whose imaginary part a cast drops."""
     try:
         arr = np.asarray(x)
     except ValueError:   # ragged nesting
@@ -139,7 +140,10 @@ def real_array(x, name: str, complex_ok: bool = False) -> np.ndarray:
     if kind not in "iufc" or isinstance(x, (list, tuple)) and _holds_bool(x):
         raise ValueError(f"{name} must be an array of numbers, got {reprlib.repr(x)}")
     if dtype != (want := complex if kind == "c" else float):
-        arr = arr.astype(want)
+        try:
+            arr = arr.astype(want)
+        except OverflowError:   # an int or Fraction entry beyond the float range
+            raise ValueError(f"{name} has an entry beyond the float range") from None
     # a short real vector is checked as Python floats, which costs less than a ufunc
     if not (all(map(math.isfinite, arr.tolist())) if arr.size <= 16 and arr.ndim == 1 and kind != "c"
             else np.isfinite(arr).all()):
@@ -283,12 +287,15 @@ def check_count(value, name: str, lo: int = 0, hi: int | None = None) -> int:
 
 
 def _real_number(value, name: str, lo: float = -math.inf) -> float:
-    """A finite real number >= lo as a float; a bool, a string, a list or a non-finite value
-    (NaN passes any "> tol" test) is a ValueError naming ``name``."""
+    """A finite real number >= lo as a float; a bool, a string, a list, a number beyond the float range
+    or a non-finite value (NaN passes any "> tol" test) is a ValueError naming ``name``."""
     # a float skips the abstract-class test, which costs more than the rest of the check
     if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    x = float(value)   # OverflowError for an int beyond the float range
+    try:
+        x = float(value)
+    except OverflowError:   # an int or Fraction beyond the float range
+        raise ValueError(f"{name} must be within the float range, got {reprlib.repr(value)}") from None
     if not math.isfinite(x):
         raise ValueError(f"{name} is non-finite: {x!r}")
     if x < lo:

@@ -125,12 +125,14 @@ def test_config_error_writes_no_files(tmp_path, name, params):
     ("correlation-table", "rho", [0.1, 0.2]),
     ("cartesian-spins", "probs", 7),
     ("mc-sequences", "angles", [[0.0], [1.0]]),
+    ("interference", "delta", 10**400),
 ], ids=["scalar-angles", "scalar-sizes", "bool-free_p1", "string-free_p1", "list-free_p1", "list-delta",
-        "list-omega", "list-a", "list-d", "short-rho", "scalar-probs", "nested-angles"])
+        "list-omega", "list-a", "list-d", "short-rho", "scalar-probs", "nested-angles", "huge-delta"])
 def test_config_error_names_the_parameter(tmp_path, capsys, name, key, value):
     # these failed as "object of type 'float' has no len()", "'int' object is not iterable",
     # ran free_p1=false as p1 = 0, or failed on a scalar given as a list in numpy or in
-    # an operator ("bad operand type for unary -: 'list'")
+    # an operator ("bad operand type for unary -: 'list'"); a 400-digit delta failed as
+    # "int too large to convert to float", naming no parameter
     code = main(["run", "--experiment", name, "--param", f"{key}={json.dumps(value)}",
                  "--out", str(tmp_path)])
     assert code == 2
@@ -150,8 +152,10 @@ def test_free_p1_keeps_its_exactness(tmp_path, free_p1):
 # JSON-shaped values that no parameter accepts, or that sit on a parameter's edge
 _JUNK = st.sampled_from([None, True, False, "1", math.nan, math.inf, -math.inf, [], {}])
 # reals: 0, the lower bound of spans, steps, rates and free_p1, and values below
-# it; small values that keep step counts low; and huge ones
-_REAL = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 3.0, 1e300, -1e300]), _JUNK)
+# it; small values that keep step counts low; huge ones, the float extremes and
+# an int beyond the float range
+_REAL = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 3.0, 1e300, -1e300,
+                                   sys.float_info.max, -sys.float_info.max, 10**400]), _JUNK)
 
 
 def _count(lo, hi):
@@ -193,15 +197,29 @@ def test_every_config_is_a_report_or_a_config_error(tmp_path_factory, name, data
         assert isinstance(report, RunReport)
 
 
-def test_huge_bloch_vector_writes_only_the_error(tmp_path):
+def _cli(*args):
+    """``python -W error -m ensembleq`` run on ``args`` in a fresh process, with the package's source first on
+    the path: a warning ends the run in a traceback."""
     src = str(Path(ensembleq.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-m", "ensembleq", "run", "--experiment", "mc-sequences",
-                           "--param", "rho=[1e300,0,0]", "--out", str(tmp_path)],
+    return subprocess.run([sys.executable, "-W", "error", "-m", "ensembleq", *args],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_huge_bloch_vector_writes_only_the_error(tmp_path):
+    done = _cli("run", "--experiment", "mc-sequences", "--param", "rho=[1e300,0,0]", "--out", str(tmp_path))
     assert done.returncode == 2
     assert "purity bound" in json.loads(done.stderr)["error"]
     assert len(done.stderr.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_overflowing_hamiltonian_writes_only_the_error(tmp_path):
+    # 2 f.h overflowed with a RuntimeWarning, a traceback and exit 1 under -W error
+    done = _cli("run", "--experiment", "precession", "--param", "omega=1e308", "--out", str(tmp_path))
+    assert done.returncode == 2
+    assert len(done.stderr.splitlines()) == 1
+    assert "generator 2 f.h overflows" in json.loads(done.stderr)["error"]
     assert list(tmp_path.iterdir()) == []
 
 
@@ -254,6 +272,61 @@ def test_malformed_config_file_field_is_a_config_error(tmp_path, monkeypatch, ca
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and field in json.loads(err[0])["error"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_unknown_config_keys_are_a_config_error(tmp_path, monkeypatch, capsys):
+    # the misspelt keys were dropped: the run took the default 256 points at seed 0 and exited 0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"experiment": "interference", "param": {"points": 16}, "sed": 3}))
+    assert main(["run", "--config", "cfg.json"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and all(key in json.loads(err[0])["error"] for key in ("'param'", "'sed'"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_jobs_flag_overrides_the_config_file(tmp_path):
+    # the file's params.jobs won over --jobs
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "mc-sequences", "params": {"jobs": 1, "n": 200000}}))
+    assert main(["run", "--config", str(cfg), "--jobs", "2", "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "mc-sequences.report.json").read_text())["params"]["jobs"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--experiment", "interference", "--seed", "abc"],
+    ["run", "--experiment", "interference", "--seed", "1.5"],
+    ["run", "--experiment", "interference", "--seed", "null"],
+    ["run", "--experiment", "mc-sequences", "--jobs", "x"],
+    ["verify", "--seed", "abc"],
+], ids=["run-seed-abc", "run-seed-fraction", "run-seed-null", "run-jobs-x", "verify-seed-abc"])
+def test_malformed_flag_value_is_a_config_error(tmp_path, monkeypatch, capsys, argv):
+    # argparse's type=int printed usage text, no error JSON, for the strings; --seed null ran at seed 0
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1 and "error" in json.loads(captured.err)
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
+def test_whole_float_seed_flag_is_the_int_seed(tmp_path):
+    # --seed 7.0 was an argparse error; in a config file it already meant seed 7
+    for label, seed in (("float", "7.0"), ("int", "7")):
+        assert main(["run", "--experiment", "interference", "--seed", seed, "--param", "points=16",
+                     "--out", str(tmp_path / label)]) == 0
+    for suffix in (".csv", ".report.json"):
+        assert ((tmp_path / "float" / f"interference{suffix}").read_bytes()
+                == (tmp_path / "int" / f"interference{suffix}").read_bytes())
+
+
+def test_a_program_error_is_not_a_config_error(tmp_path, monkeypatch):
+    # a TypeError or OverflowError in a body was reported as invalid parameters (exit 2)
+    def broken(params, seed):
+        raise TypeError("planted")
+
+    monkeypatch.setitem(EXPERIMENTS, "interference", broken)
+    with pytest.raises(TypeError, match="planted"):
+        run(ExperimentConfig("interference", {}, seed=0, out_dir=str(tmp_path)))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_negative_run_seed_is_a_config_error(tmp_path, capsys):

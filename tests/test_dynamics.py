@@ -393,14 +393,21 @@ class TestLinearFlow:
         assert peak < 20 * 2**20
 
     def test_overflow_is_raised_not_returned(self):
-        # a step matrix that overflows, and a finite one whose trajectory overflows
-        # on the way: each raises, and no overflow warning escapes
+        # a step matrix that overflows, a finite one whose trajectory overflows on the
+        # way, and a generator 2 f.h that overflows (it warned, in each of the three
+        # flows): each raises, and no overflow warning escapes
+        huge, x = Hamiltonian([0.0, 0.0, 1e308]), np.array([1.0, 0.0, 0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="non-finite"):
                 interference_trajectory(1.0, 1e300, 4096)
             with pytest.raises(ValueError, match="overflowed"):
                 _linear_flow(np.array([1.0]), [[100.0]], 1.0, 1000)
+            for flow in (lambda: integrate_von_neumann(x, huge, (0.0, 1.0), 0.01),
+                         lambda: integrate_open(x, huge, -0.1, (0.0, 1.0), 0.01),
+                         lambda: integrate_open(x, huge, lambda _b, _t: -0.1, (0.0, 1.0), 0.01)):
+                with pytest.raises(ValueError, match="generator 2 f.h overflows"):
+                    flow()
 
 
 class TestStepCount:

@@ -291,6 +291,30 @@ def checked(x):
     assert _dimension_mismatches(source) == ["line 7", "line 11", "line 15"]
 
 
+def _typed_flags(source: str) -> list[str]:
+    """``line N`` for each ``add_argument`` call that passes ``type=``, or a ``**`` mapping that may hold it."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
+            and any(k.arg in ("type", None) for k in node.keywords)]
+
+
+def test_no_cli_flag_is_converted_by_argparse():
+    # type=int printed argparse's usage text, not the error JSON, for --seed abc; a flag's
+    # value is parsed like a --param value and read by the package's readers
+    assert _typed_flags(Path(cli.__file__).read_text(encoding="utf-8")) == []
+
+
+def test_the_typed_flag_guard_sees_each_form():
+    source = """
+parser.add_argument("--seed", type=int)
+sub.add_argument("--jobs", default=None, type=lambda s: int(s))
+parser.add_argument("--out", help="output directory")
+parser.add_argument("--n", **{"type": int})
+parser.set_defaults(type=int)
+"""
+    assert _typed_flags(source) == ["line 2", "line 3", "line 5"]
+
+
 # Special methods Python calls on every record (building, printing, comparing,
 # hashing it); any other special method counts as a definition of its own.
 _KEPT_SPECIAL = {"__init__", "__repr__", "__eq__", "__hash__"}

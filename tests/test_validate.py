@@ -250,12 +250,12 @@ def _with_entry(valid, value):
     return out
 
 
-def _with_bool(valid, flag, last=False):
-    """valid as nested lists with its first (or last) entry replaced by the bool ``flag``."""
+def _with_first(valid, value, last=False):
+    """valid as nested lists with its first (or last) entry replaced by ``value``."""
     out = row = valid.tolist()
     while isinstance(row[-1 if last else 0], list):
         row = row[-1 if last else 0]
-    row[-1 if last else 0] = flag
+    row[-1 if last else 0] = value
     return out
 
 
@@ -271,7 +271,8 @@ def _junk(valid, takes_state):
     spoiled = st.sampled_from([
         np.ones(valid.shape, dtype=bool),                            # a bool array
         valid.astype(bool).tolist(),
-        _with_bool(valid, True), tuple(_with_bool(valid, np.False_, last=True)),   # numpy reads them as 1.0, 0.0
+        _with_first(valid, True), tuple(_with_first(valid, np.False_, last=True)),   # numpy reads them as 1.0, 0.0
+        _with_first(valid, 10**400),                                 # an int beyond the float range
         np.concatenate([valid, np.zeros(valid.shape[:-1] + (1,))], axis=-1),   # one entry too many
         valid[None, None],                                           # nested two levels deeper
         0.5,                                                         # a scalar
@@ -325,6 +326,8 @@ SCALAR_READERS = {
 # no scalar reader takes these: a bool is no number, and a string, a list or an array is no scalar
 _SCALAR_JUNK = (True, False, np.True_, "1", b"1", None, object(), 1j, [1.0], (1.0,), np.array([1.0]),
                 math.nan, math.inf, -math.inf)
+# an int beyond the float range: no float reader takes it, and integrate_out's exact path keeps it exact
+_HUGE_INT = 10**400
 
 
 @pytest.mark.parametrize("reader", SCALAR_READERS)
@@ -333,6 +336,10 @@ def test_scalar_junk_is_a_value_error_naming_the_argument(reader):
     # psi_4, and a sign of 0.5 built a mixed state
     call, valid, name, outside = SCALAR_READERS[reader]
     call(valid)   # control: the valid value is read
+    if reader.startswith("integrate_out"):
+        call(_HUGE_INT)
+    else:
+        outside = (*outside, _HUGE_INT)   # a float reader let it out as a bare OverflowError
     for junk in (*_SCALAR_JUNK, *outside):
         with pytest.raises(ValueError) as info:
             call(junk)
