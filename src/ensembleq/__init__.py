@@ -1,7 +1,7 @@
 """ensembleq: classical statistical ensembles with two- and four-state quantum behavior.
 
-Finite weighted ensembles of micro-states on the circle, the sphere, or the
-four-state manifold carry probabilistic two-level observables. Reducing an
+Finite weighted ensembles of micro-states on the sphere or the four-state
+manifold carry probabilistic two-level observables. Reducing an
 ensemble to its basis-observable expectation values reproduces the full
 quantum formalism for the corresponding two- or four-state system: trace-rule
 expectation values, conditional correlations equal to (anti)commutator

@@ -117,10 +117,10 @@ def rotate_distribution(ensemble: Ensemble, rotation) -> Ensemble:
 
     Commutes with reduction: reduce(rotated) = R reduce(original).
     """
-    if ensemble.manifold != "s2":
+    if ensemble.points.shape[1] != 3:
         raise ValueError("rotation acts on S^2 ensembles")
     rot = check_rotation(rotation)
-    return Ensemble("s2", ensemble.points @ rot.T, ensemble.probs)
+    return Ensemble(ensemble.points @ rot.T, ensemble.probs)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +247,9 @@ def integrate_open(rho0, hamiltonian, d_rate, t_span, dt: float) -> Trajectory:
     The flow runs on the Bloch vector, d rho_k/dt = 2 eps_lmk H_l rho_m + D rho_k,
     from the checked state read by ``manifolds.bloch_vector`` and the Pauli components of H.
     ``d_rate`` is a callable (bloch_vector, t) -> D, given a copy of the state
-    and called four times per RK4 step, or a constant (a linear flow). Purity
+    and called four times per RK4 step, or a constant (a linear flow). Each D must
+    be a finite real number, and a state that overflows is a ValueError (the RK4
+    stages, rate calls included, run with numpy's overflow warnings off). Purity
     obeys dP/dt = 2 D P along the trajectory. A purity above 1 + PURITY_TOL
     aborts with a constraint-violation report instead of being projected back.
     """
@@ -260,22 +262,28 @@ def integrate_open(rho0, hamiltonian, d_rate, t_span, dt: float) -> Trajectory:
         _check_purity(times, bloch)
         return Trajectory(times, bloch, np.full(n + 1, d))
 
+    def d_at(y, t):
+        return _real_number(d_rate(y.copy(), t), "d_rate")
+
     def rate(y, t):
-        return gen @ y + d_rate(y.copy(), t) * y
+        return gen @ y + d_at(y, t) * y
 
     out, d_vals = np.empty((n + 1, 3)), np.empty(n + 1)
     out[0] = vec
-    for i in range(n + 1):
-        y, t = out[i], times[i]
-        d_vals[i] = d_rate(y.copy(), t)
-        if _dot(y, y) > 1.0 + PURITY_TOL:
-            _check_purity(times[i:i + 1], out[i:i + 1])
-        if i < n:   # an RK4 step whose first stage reuses D(y, t)
-            k1 = gen @ y + d_vals[i] * y
-            k2 = rate(y + 0.5 * h * k1, t + 0.5 * h)
-            k3 = rate(y + 0.5 * h * k2, t + 0.5 * h)
-            k4 = rate(y + h * k3, t + h)
-            out[i + 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite state is raised below, not warned
+        for i in range(n + 1):
+            y, t = out[i], times[i]
+            if not _dot(y, y) <= 1.0 + PURITY_TOL:   # a NaN state fails this test too
+                if not np.isfinite(y).all():
+                    raise ValueError(f"the flow overflowed to a non-finite state within {i} steps")
+                _check_purity(times[i:i + 1], out[i:i + 1])
+            d_vals[i] = d_at(y, t)
+            if i < n:   # an RK4 step whose first stage reuses D(y, t)
+                k1 = gen @ y + d_vals[i] * y
+                k2 = rate(y + 0.5 * h * k1, t + 0.5 * h)
+                k3 = rate(y + 0.5 * h * k2, t + 0.5 * h)
+                k4 = rate(y + h * k3, t + h)
+                out[i + 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return Trajectory(times, out, d_vals)
 
 

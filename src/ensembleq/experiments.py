@@ -538,7 +538,7 @@ def _four_state(params, seed):
     micro = [np.outer(psi, psi.conj()) for psi in (psi_m, fourstate.basis_psi(1), psi_p)]
     micro_probs = (0.5, 0.3, 0.2)
     rho_mix = sum(p * m for p, m in zip(micro_probs, micro))
-    ensemble = manifolds.Ensemble("four", [manifolds.bloch_vector(m) for m in micro], micro_probs)
+    ensemble = manifolds.Ensemble([manifolds.bloch_vector(m) for m in micro], micro_probs)
     entangled_gap = float(np.abs(manifolds.reduce_ensemble(ensemble).rho - [
         qmatrix.qm_expectation(qmatrix.l_operator(m), rho_mix) for m in range(1, 16)]).max())
     moved = sum(not np.array_equal(fourstate.exchange_symmetry(v.rho), v.rho)

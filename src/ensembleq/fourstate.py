@@ -168,7 +168,7 @@ def symmetrized_hidden_ensemble(rng, n_base: int = 4, order: int = 4) -> Ensembl
     ang = phi0[:, None] + 2.0 * math.pi * np.arange(order) / order   # (n_base, order)
     pts = np.stack((r * np.cos(ang), r * np.sin(ang), np.repeat(z[:, None], order, axis=1)), axis=-1).reshape(-1, 3)
     pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-    return Ensemble("s2", pts, np.repeat(w / order, order))
+    return Ensemble(pts, np.repeat(w / order, order))
 
 
 def classical_pair_correlator(ensemble: Ensemble):
@@ -182,7 +182,7 @@ def classical_pair_correlator(ensemble: Ensemble):
     use ensembles from ``symmetrized_hidden_ensemble`` so that it is a
     function of the angle difference alone.
     """
-    if ensemble.manifold not in ("s1", "s2"):
+    if ensemble.points.shape[1] != 3:
         raise ValueError("the pair correlator is defined for sphere ensembles")
     d0 = plane_direction(0.0)
     c0, f0 = canonical_direction(d0)

@@ -1,11 +1,10 @@
 """Micro-state manifolds, finite weighted ensembles, and their reductions.
 
-A micro-state is a point f on one of three manifolds:
+A micro-state is a point f on one of two manifolds, told apart by its width:
 
-  * ``s1``   unit vector (f1, f2, 0), stored embedded in the 1-2 plane,
-  * ``s2``   unit 3-vector,
-  * ``four`` the 15 basis-observable values f_k = psi^dagger L_k psi of a
-             normalised complex 4-vector psi, so |f|^2 = 3.
+  * 3 components:  a unit vector, a point of the sphere S^2,
+  * 15 components: the basis-observable values f_k = psi^dagger L_k psi of a
+                   normalised complex 4-vector psi, so |f|^2 = 3.
 
 An Ensemble is a finite weighted point set over one manifold, one micro-state
 per row of its ``points``. Reduction maps
@@ -37,10 +36,6 @@ from .validate import (
     freeze,
     real_array,
 )
-
-MANIFOLDS = ("s1", "s2", "four")
-
-_DIM = {"s1": 3, "s2": 3, "four": 15}
 
 # Largest substate table extend_to_substates builds: n * 2^m rows of 8 bytes,
 # a 32 MiB table and about 36 MiB at the peak of the build.
@@ -117,36 +112,32 @@ def bloch_vector(state) -> np.ndarray:
 
 
 class Ensemble(Record):
-    """Finite weighted set of micro-states on one manifold.
+    """Finite weighted set of micro-states on the manifold that the width of ``points`` names.
 
-    ``points`` holds the coordinate vectors f (embedded, shape (n, 3) or
-    (n, 15)); ``probs`` the probabilities, validated to be nonnegative with
-    sum 1 within INVARIANT_TOL. Inputs outside tolerance are rejected, not rescaled.
-    The arrays are stored read-only; a caller's arrays are copied.
+    ``points`` holds the coordinate vectors f: (n, 3) on the sphere, |f|^2 = 1, or (n, 15) pure
+    four-state points, |f|^2 = 3 and d_klm f_k f_l = 2 f_m; ``probs`` the probabilities, nonnegative
+    with sum 1. Each constraint holds within INVARIANT_TOL; inputs outside it are rejected, not
+    rescaled. The arrays are stored read-only; a caller's arrays are copied.
     """
 
-    __slots__ = ("manifold", "points", "probs")
+    __slots__ = ("points", "probs")
 
-    def __init__(self, manifold: str, points: np.ndarray, probs: np.ndarray):
-        if manifold not in MANIFOLDS:
-            raise ValueError(f"unknown manifold {manifold!r}")
+    def __init__(self, points: np.ndarray, probs: np.ndarray):
         pts = real_array(points, "points")
-        if pts.ndim != 2 or pts.shape[1] != _DIM[manifold]:
-            raise ValueError(f"points must have shape (n, {_DIM[manifold]})")
+        if pts.ndim != 2 or pts.shape[1] not in (3, 15):
+            raise ValueError(f"points must have shape (n, 3) or (n, 15), got shape {pts.shape}")
         probs = check_probabilities(probs)
         if probs.shape[0] != pts.shape[0]:
             raise ValueError("points and probs lengths differ")
+        four = pts.shape[1] == 15
         norms = np.einsum("ij,ij->i", pts, pts)
-        norms -= 3.0 if manifold == "four" else 1.0
+        norms -= 3.0 if four else 1.0
         if np.abs(norms, out=norms).max() > INVARIANT_TOL:
             raise ConstraintViolation("a point violates the manifold norm constraint")
-        if manifold == "s1" and np.abs(pts[:, 2]).max() > INVARIANT_TOL:
-            raise ConstraintViolation("s1 points must lie in the 1-2 plane")
         # psi psi^dagger is a projector: with |f|^2 = 3, rho^2 = rho reads d_klm f_k f_l = 2 f_m
-        if manifold == "four" and np.abs(np.einsum("ik,il,klm->im", pts, pts, STRUCTURE[15][0])
-                                         - 2.0 * pts).max() > INVARIANT_TOL:
+        if four and np.abs(np.einsum("ik,il,klm->im", pts, pts, STRUCTURE[15][0]) - 2.0 * pts).max() > INVARIANT_TOL:
             raise ConstraintViolation("a four-state point is not a pure state: d_klm f_k f_l != 2 f_m")
-        self._set(manifold, freeze(pts), freeze(probs))
+        self._set(freeze(pts), freeze(probs))
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -298,7 +289,7 @@ def extend_to_substates(ensemble: Ensemble, directions) -> SubstateEnsemble:
     per row at peak. Inputs with m > 16 or n * 2^m > MAX_SUBSTATE_ROWS are
     rejected before any of it is allocated.
     """
-    if ensemble.manifold not in ("s1", "s2"):
+    if ensemble.points.shape[1] != 3:
         raise ValueError("substate extension is defined for sphere ensembles")
     canon = np.array([canonical_direction(g)[0] for g in directions])
     if not len(canon):
@@ -374,4 +365,4 @@ def grid_ensemble(resolution: int, density) -> Ensemble:
     if total <= 0.0:
         raise ValueError("density has zero total mass on the grid")
     weights /= total
-    return Ensemble("s2", points, freeze(weights, copy=False))
+    return Ensemble(points, freeze(weights, copy=False))

@@ -277,12 +277,12 @@ def check_count(value, name: str, lo: int = 0, hi: int | None = None) -> int:
     A whole float such as 1e4 (how JSON may write a count) is the int it equals."""
     integral = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
     if isinstance(value, bool) or not integral:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {reprlib.repr(value)}")
     n = int(value)
     if n < lo:
-        raise ValueError(f"{name} must be >= {lo}, got {n}")
+        raise ValueError(f"{name} must be >= {lo}, got {reprlib.repr(n)}")
     if hi is not None and n > hi:
-        raise ValueError(f"{name} = {n}; the limit is {hi}")
+        raise ValueError(f"{name} = {reprlib.repr(n)}; the limit is {hi}")
     return n
 
 
@@ -291,7 +291,7 @@ def _real_number(value, name: str, lo: float = -math.inf) -> float:
     or a non-finite value (NaN passes any "> tol" test) is a ValueError naming ``name``."""
     # a float skips the abstract-class test, which costs more than the rest of the check
     if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
+        raise ValueError(f"{name} must be a real number, got {reprlib.repr(value)}")
     try:
         x = float(value)
     except OverflowError:   # an int or Fraction beyond the float range

@@ -112,31 +112,35 @@ def test_config_error_writes_no_files(tmp_path, name, params):
     assert not (tmp_path / f"{name}.report.json").exists()
 
 
-@pytest.mark.parametrize("name, key, value", [
-    ("mc-sequences", "angles", 0.5),
-    ("pseudo-quantum-region", "sizes", 8),
-    ("cartesian-spins", "free_p1", False),
-    ("cartesian-spins", "free_p1", "1/4"),
-    ("cartesian-spins", "free_p1", [0.25]),
-    ("interference", "delta", [1.0]),
-    ("precession", "omega", [1.0]),
-    ("syncoherence", "a", [3.0]),
-    ("decoherence", "d", [-0.35]),
-    ("correlation-table", "rho", [0.1, 0.2]),
-    ("cartesian-spins", "probs", 7),
-    ("mc-sequences", "angles", [[0.0], [1.0]]),
-    ("interference", "delta", 10**400),
+@pytest.mark.parametrize("name, key, text", [
+    ("mc-sequences", "angles", "0.5"),
+    ("pseudo-quantum-region", "sizes", "8"),
+    ("cartesian-spins", "free_p1", "false"),
+    ("cartesian-spins", "free_p1", '"1/4"'),
+    ("cartesian-spins", "free_p1", "[0.25]"),
+    ("interference", "delta", "[1.0]"),
+    ("precession", "omega", "[1.0]"),
+    ("syncoherence", "a", "[3.0]"),
+    ("decoherence", "d", "[-0.35]"),
+    ("correlation-table", "rho", "[0.1, 0.2]"),
+    ("cartesian-spins", "probs", "7"),
+    ("mc-sequences", "angles", "[[0.0], [1.0]]"),
+    ("interference", "delta", "1" + "0" * 400),
+    ("interference", "points", "1" + "0" * 5000),
 ], ids=["scalar-angles", "scalar-sizes", "bool-free_p1", "string-free_p1", "list-free_p1", "list-delta",
-        "list-omega", "list-a", "list-d", "short-rho", "scalar-probs", "nested-angles", "huge-delta"])
-def test_config_error_names_the_parameter(tmp_path, capsys, name, key, value):
+        "list-omega", "list-a", "list-d", "short-rho", "scalar-probs", "nested-angles", "huge-delta",
+        "huge-points"])
+def test_config_error_names_the_parameter(tmp_path, capsys, name, key, text):
     # these failed as "object of type 'float' has no len()", "'int' object is not iterable",
     # ran free_p1=false as p1 = 0, or failed on a scalar given as a list in numpy or in
     # an operator ("bad operand type for unary -: 'list'"); a 400-digit delta failed as
-    # "int too large to convert to float", naming no parameter
-    code = main(["run", "--experiment", name, "--param", f"{key}={json.dumps(value)}",
-                 "--out", str(tmp_path)])
+    # "int too large to convert to float", naming no parameter; a 5001-digit count (kept
+    # as text, over Python's int digit limit) was repeated in full in the message
+    code = main(["run", "--experiment", name, "--param", f"{key}={text}", "--out", str(tmp_path)])
     assert code == 2
-    assert json.loads(capsys.readouterr().err)["error"].startswith(
+    line = capsys.readouterr().err
+    assert len(line) < 200
+    assert json.loads(line)["error"].startswith(
         (f"{key} must be", f"invalid parameters for {name!r}: {key} must be"))
     assert list(tmp_path.iterdir()) == []
 

@@ -451,8 +451,8 @@ class TestMeasurementChain:
 
 class TestPointwise:
     def test_point_masses(self):
-        north = Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0])
-        east = Ensemble("s2", [[1.0, 0.0, 0.0]], [1.0])
+        north = Ensemble([[0.0, 0.0, 1.0]], [1.0])
+        east = Ensemble([[1.0, 0.0, 0.0]], [1.0])
         assert pointwise_correlation(A3, A3, north) == 1.0
         assert pointwise_correlation(A3, A3, east) == 0.0
 
@@ -467,15 +467,15 @@ class TestPointwise:
             pts /= np.linalg.norm(pts, axis=1, keepdims=True)
             p = rng.random(6)
             p /= p.sum()
-            ens = Ensemble("s2", pts, p)
+            ens = Ensemble(pts, p)
             a = spin(random_unit(rng))
             assert pointwise_correlation(a, a, ens) <= 1.0 + 1e-12
 
     def test_saturation_needs_support_on_axis(self):
         e = np.array([0.0, 0.0, 1.0])
-        both_poles = Ensemble("s2", [e, -e], [0.3, 0.7])
+        both_poles = Ensemble([e, -e], [0.3, 0.7])
         assert pointwise_correlation(A3, A3, both_poles) == 1.0
-        tilted = Ensemble("s2", [e, [1.0, 0.0, 0.0]], [0.9, 0.1])
+        tilted = Ensemble([e, [1.0, 0.0, 0.0]], [0.9, 0.1])
         assert pointwise_correlation(A3, A3, tilted) < 1.0
 
 
@@ -486,13 +486,13 @@ class TestClassicalCorrelation:
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         p = rng.random(4)
         p /= p.sum()
-        sub = extend_to_substates(Ensemble("s2", pts, p), [[0.0, 0.0, 1.0]])
+        sub = extend_to_substates(Ensemble(pts, p), [[0.0, 0.0, 1.0]])
         assert abs(classical_correlation([0.0, 0.0, 1.0], [0.0, 0.0, 1.0], sub) - 1.0) < 1e-14
 
     def test_product_form_factorizes(self):
         # orthogonal directions, both orthogonal to the supported point
         sub = extend_to_substates(
-            Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0]),
+            Ensemble([[0.0, 0.0, 1.0]], [1.0]),
             [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
         )
         assert classical_correlation([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], sub) == 0.0
@@ -503,7 +503,7 @@ class TestClassicalCorrelation:
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         p = rng.random(5)
         p /= p.sum()
-        ens = Ensemble("s2", pts, p)
+        ens = Ensemble(pts, p)
         ga, gb = random_unit(rng), random_unit(rng)
         sub = extend_to_substates(ens, [ga, gb])
         got = classical_correlation(ga, gb, sub)
@@ -511,7 +511,7 @@ class TestClassicalCorrelation:
         assert abs(got - want) < 1e-12
 
     def test_pointwise_dimension_mismatch(self):
-        ens = Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0])
+        ens = Ensemble([[0.0, 0.0, 1.0]], [1.0])
         four = TwoLevelObservable(np.eye(15)[0])
         for a, b in ((four, spin([0.0, 0.0, 1.0])), (spin([0.0, 0.0, 1.0]), four), (four, four)):
             with pytest.raises(DimensionMismatch):
@@ -519,7 +519,7 @@ class TestClassicalCorrelation:
 
     def test_unknown_direction(self):
         sub = extend_to_substates(
-            Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0]), [[1.0, 0.0, 0.0]]
+            Ensemble([[0.0, 0.0, 1.0]], [1.0]), [[1.0, 0.0, 0.0]]
         )
         with pytest.raises(ValueError):
             classical_correlation([0.0, 1.0, 0.0], [1.0, 0.0, 0.0], sub)
@@ -818,8 +818,8 @@ class TestChainCore:
         lambda a, state: simulate_sequences([a], state, 10, seed=1),
         lambda a, state: spin(a.e),
         lambda a, state: prob_plus(a, state.rho),
-        lambda a, state: moment(a, Ensemble("four", [state.rho], [1.0]), 1),
-        lambda a, state: moment(a, Ensemble("four", [state.rho], [1.0]), 2),
+        lambda a, state: moment(a, Ensemble([state.rho], [1.0]), 1),
+        lambda a, state: moment(a, Ensemble([state.rho], [1.0]), 2),
     ], ids=["chain", "2pt", "3pt", "monte-carlo", "spin", "prob_plus", "moment-1", "moment-2"])
     def test_unit_direction_without_pm1_spectrum_rejected(self, consumer):
         # (L1 + L2)/sqrt(2) is unit, but squares to 1 + L3: every consumer of a spin rejects it
@@ -869,7 +869,7 @@ class TestOutcomeProbabilityRule:
         if dim == 3:
             rng = np.random.default_rng(seed)
             pts = [random_unit(rng), f, random_unit(rng), random_unit(rng)]
-            sub = extend_to_substates(Ensemble("s2", pts, [0.25] * 4), [a.e])
+            sub = extend_to_substates(Ensemble(pts, [0.25] * 4), [a.e])
             row = sub.table[1].tolist()
             assert (row if sub.column(a.e)[1] == 1 else row[::-1]) == [0.25 * p for p in pair]
         elif kind != "random":
@@ -878,7 +878,7 @@ class TestOutcomeProbabilityRule:
     def test_a_dot_product_past_one_leaves_no_negative_cell(self):
         f = np.array([0.36486176735685877, 0.9240647543268905, -0.11393077078653184])
         assert f @ f == 1.0000000000000002
-        sub = extend_to_substates(Ensemble("s2", [f, -f], [0.5, 0.5]), [f])
+        sub = extend_to_substates(Ensemble([f, -f], [0.5, 0.5]), [f])
         assert sub.table.tolist() == [[0.5, 0.0], [0.0, 0.5]]
 
     def test_prob_plus_snaps_to_zero_where_the_chain_does(self):

@@ -82,13 +82,13 @@ class TestStructureConstants:
 
 class TestRotateDistribution:
     def test_identity(self):
-        ens = Ensemble("s2", [[1.0, 0.0, 0.0]], [1.0])
+        ens = Ensemble([[1.0, 0.0, 0.0]], [1.0])
         out = rotate_distribution(ens, np.eye(3))
         np.testing.assert_array_equal(out.points, ens.points)
 
     def test_quarter_turn_about_z(self):
         r = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        ens = Ensemble("s2", [[1.0, 0.0, 0.0]], [1.0])
+        ens = Ensemble([[1.0, 0.0, 0.0]], [1.0])
         out = rotate_distribution(ens, r)
         np.testing.assert_allclose(out.points[0], [0.0, 1.0, 0.0], atol=1e-15)
 
@@ -100,14 +100,14 @@ class TestRotateDistribution:
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         p = rng.random(6)
         p /= p.sum()
-        ens = Ensemble("s2", pts, p)
+        ens = Ensemble(pts, p)
         r = random_rotation(rng)
         lhs = reduce_ensemble(rotate_distribution(ens, r)).rho
         rhs = r @ reduce_ensemble(ens).rho
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_non_orthogonal_rejected(self):
-        ens = Ensemble("s2", [[1.0, 0.0, 0.0]], [1.0])
+        ens = Ensemble([[1.0, 0.0, 0.0]], [1.0])
         for matrix, message in ((1.1 * np.eye(3), "not orthogonal"),
                                 (np.diag([1.0, 1.0, -1.0]), "not a proper rotation")):
             with pytest.raises(ConstraintViolation, match=message):
@@ -603,6 +603,20 @@ class TestOpenEvolution:
         t_first = (0.0 + 0.01 * np.arange(501))[22]
         with pytest.raises(ConstraintViolation, match=re.escape(f"at t = {t_first!r}: P = ")):
             integrate_open(np.array([0.0, 0.0, 0.9]), None, d_rate, (0.0, 5.0), 0.01)
+
+    @pytest.mark.parametrize("hamiltonian, d_rate, match", [
+        (None, lambda _b, _t: math.nan, "^d_rate is non-finite: nan$"),
+        (None, lambda _b, _t: math.inf, "^d_rate is non-finite: inf$"),
+        (None, lambda _b, _t: 1e300, "^the flow overflowed to a non-finite state within 1 steps$"),
+        (Hamiltonian([0.0, 0.0, 1e307]), lambda _b, _t: -0.1,
+         "^the flow overflowed to a non-finite state within 1 steps$"),
+        (None, lambda _b, _t: "abc", "^d_rate must be a real number, got 'abc'$"),
+    ], ids=["nan-rate", "inf-rate", "huge-rate", "huge-hamiltonian", "string-rate"])
+    def test_callable_rate_rejects_a_non_finite_rate_or_state(self, hamiltonian, d_rate, match):
+        # a NaN rate gave an all-NaN trajectory, inf and 1e300 rates and a 2 f.h near the float
+        # limit warned on overflow in the stages, and a string failed in numpy's conversion
+        with pytest.raises(ValueError, match=match):
+            integrate_open(np.array([1.0, 0.0, 0.0]), hamiltonian, d_rate, (0.0, 1.0), 0.01)
 
 
 class TestSyncoherence:

@@ -74,7 +74,7 @@ def _exchange_class_by_matrix(rho) -> str:
 
 
 def _point_mass_four(psi) -> Ensemble:
-    return Ensemble("four", [_bloch_from_psi(psi)], [1.0])
+    return Ensemble([_bloch_from_psi(psi)], [1.0])
 
 
 def _rotated_spin_operators(theta, phi):
@@ -483,7 +483,7 @@ class TestBasisExpectations:
         for _ in range(5):
             psi = rng.normal(size=4) + 1j * rng.normal(size=4)
             states.append(_bloch_from_psi(psi / np.linalg.norm(psi)))
-        ens = Ensemble("four", np.array(states), probs)
+        ens = Ensemble(np.array(states), probs)
         # <T_m> by per-micro-state sum, by the reduced state, and by tr(L_m rho)
         by_sum = [math.fsum(float(p) * float(f[m]) for f, p in zip(ens.points, ens.probs)) for m in range(15)]
         reduced = reduce_ensemble(ens)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from ensembleq import manifolds, qmatrix
 from ensembleq.correlations import classical_correlation, pointwise_correlation
+from ensembleq.dynamics import rotate_distribution
+from ensembleq.fourstate import classical_pair_correlator
 from ensembleq.manifolds import (
     MAX_GRID_POINTS,
     MAX_SUBSTATE_ROWS,
@@ -26,16 +28,16 @@ from ensembleq.validate import ConstraintViolation, check_probabilities
 
 
 def octagon_ensemble(probs=None):
-    """Eight pure states at multiples of pi/4 in the 1-2 plane."""
+    """Eight pure states at multiples of pi/4 on the sphere's equator, the 1-2 plane."""
     points = [[math.cos(k * math.pi / 4.0), math.sin(k * math.pi / 4.0), 0.0] for k in range(8)]
     if probs is None:
         probs = [1.0 / 8.0] * 8
-    return Ensemble("s1", points, probs)
+    return Ensemble(points, probs)
 
 
-def _circle_point_mass(angle) -> Ensemble:
+def _equator_point_mass(angle) -> Ensemble:
     with np.errstate(invalid="ignore"):   # cos and sin of inf are NaN
-        return Ensemble("s1", [[np.cos(angle), np.sin(angle), 0.0]], [1.0])
+        return Ensemble([[np.cos(angle), np.sin(angle), 0.0]], [1.0])
 
 
 def _four_point(psi) -> np.ndarray:
@@ -103,7 +105,7 @@ class TestStructureConstants:
 
 class TestReduce:
     def test_point_mass(self):
-        ens = Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0])
+        ens = Ensemble([[0.0, 0.0, 1.0]], [1.0])
         state = reduce_ensemble(ens)
         assert np.array_equal(state.rho, [0.0, 0.0, 1.0])
         assert _purity(state) == 1.0
@@ -113,7 +115,7 @@ class TestReduce:
         assert np.abs(state.rho).max() < 1e-15
 
     def test_two_point_equal_mixture(self):
-        ens = Ensemble("s2", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [0.5, 0.5])
+        ens = Ensemble([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [0.5, 0.5])
         state = reduce_ensemble(ens)
         np.testing.assert_array_equal(state.rho, [0.5, 0.5, 0.0])
         assert _purity(state) == 0.5
@@ -128,9 +130,9 @@ class TestReduce:
         p1 /= p1.sum()
         p2 = rng.random(6)
         p2 /= p2.sum()
-        e1 = Ensemble("s2", pts, p1)
-        e2 = Ensemble("s2", pts, p2)
-        mixed = reduce_ensemble(Ensemble("s2", np.vstack([pts, pts]),
+        e1 = Ensemble(pts, p1)
+        e2 = Ensemble(pts, p2)
+        mixed = reduce_ensemble(Ensemble(np.vstack([pts, pts]),
                                          np.concatenate([alpha * p1, (1 - alpha) * p2]))).rho
         direct = alpha * reduce_ensemble(e1).rho + (1 - alpha) * reduce_ensemble(e2).rho
         np.testing.assert_allclose(mixed, direct, atol=1e-14)
@@ -143,7 +145,7 @@ class TestReduce:
             pts /= np.linalg.norm(pts, axis=1, keepdims=True)
             p = rng.random(n)
             p /= p.sum()
-            assert _purity(reduce_ensemble(Ensemble("s2", pts, p))) <= 1.0 + 1e-12
+            assert _purity(reduce_ensemble(Ensemble(pts, p))) <= 1.0 + 1e-12
 
     def test_pure_iff_unit_purity_on_grids(self):
         # a point mass reduces to unit norm; conversely purity near 1 forces
@@ -163,34 +165,49 @@ class TestValidation:
     def test_probabilities_not_renormalised(self):
         points = [[0, 0, 1.0], [1.0, 0, 0]]
         with pytest.raises(ConstraintViolation):
-            Ensemble("s2", points, [0.6, 0.5])
+            Ensemble(points, [0.6, 0.5])
         with pytest.raises(ConstraintViolation):
-            Ensemble("s2", points, [1.2, -0.2])
+            Ensemble(points, [1.2, -0.2])
 
     def test_norm_constraint(self):
         with pytest.raises(ConstraintViolation):
-            Ensemble("s2", [[0.0, 0.0, 1.1]], [1.0])
+            Ensemble([[0.0, 0.0, 1.1]], [1.0])
         with pytest.raises(ConstraintViolation):
-            Ensemble("four", [_four_point(np.array([1.0, 1.0, 0.0, 0.0]))], [1.0])
+            Ensemble([_four_point(np.array([1.0, 1.0, 0.0, 0.0]))], [1.0])
 
     @pytest.mark.parametrize("build", [
-        lambda: _circle_point_mass(math.nan),
-        lambda: _circle_point_mass(math.inf),
-        lambda: Ensemble("four", [_four_point([math.nan, 0.0, 0.0, 1.0])], [1.0]),
-    ], ids=["s1-nan-angle", "s1-inf-angle", "four-nan-entry"])
+        lambda: _equator_point_mass(math.nan),
+        lambda: _equator_point_mass(math.inf),
+        lambda: Ensemble([_four_point([math.nan, 0.0, 0.0, 1.0])], [1.0]),
+    ], ids=["equator-nan-angle", "equator-inf-angle", "four-nan-entry"])
     def test_non_finite_micro_state_rejected_at_construction(self, build):
         # a micro-state enters the package only through an Ensemble, which
         # rejects non-finite coordinates (a NaN norm passes a "> tol" test)
-        _circle_point_mass(0.5)   # control: a finite angle passes
+        _equator_point_mass(0.5)   # control: a finite angle passes
         with pytest.raises(ValueError, match="non-finite"):
             build()
+
+    @pytest.mark.parametrize("build, match", [
+        (lambda four: extend_to_substates(four, [[0.0, 0.0, 1.0]]),
+         "^substate extension is defined for sphere ensembles$"),
+        (classical_pair_correlator, "^the pair correlator is defined for sphere ensembles$"),
+        (lambda four: rotate_distribution(four, np.eye(3)), r"^rotation acts on S\^2 ensembles$"),
+        *[(lambda _four, w=w: Ensemble([np.eye(w)[0]], [1.0]),
+           rf"^points must have shape \(n, 3\) or \(n, 15\), got shape \(1, {w}\)$") for w in (2, 4, 16)],
+    ], ids=["extend_to_substates", "classical_pair_correlator", "rotate_distribution",
+            "width-2", "width-4", "width-16"])
+    def test_point_width_is_checked(self, build, match):
+        # the width of the points names the manifold: sphere-only calls refuse four-state
+        # points, and a width other than 3 or 15 names no manifold
+        with pytest.raises(ValueError, match=match):
+            build(Ensemble([_four_point([1.0, 0.0, 0.0, 0.0])], [1.0]))
 
     def test_four_state_points_must_be_pure(self):
         # |f|^2 = 3 holds for +-sqrt(3) e1, and their even mix reduces to the valid state 0,
         # but neither point is a psi^dagger L psi: d_klm f_k f_l = 0, not 2 f_m
         point = math.sqrt(3.0) * np.eye(15)[0]
         with pytest.raises(ConstraintViolation, match="not a pure state"):
-            Ensemble("four", [point, -point], [0.5, 0.5])
+            Ensemble([point, -point], [0.5, 0.5])
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 8), min_size=1, max_size=6))
@@ -199,7 +216,7 @@ class TestValidation:
         norms = np.linalg.norm(psis, axis=1)
         psis = psis[norms > 0.1] / norms[norms > 0.1, None]
         if len(psis):
-            ens = Ensemble("four", [_four_point(psi) for psi in psis], [1.0 / len(psis)] * len(psis))
+            ens = Ensemble([_four_point(psi) for psi in psis], [1.0 / len(psis)] * len(psis))
             assert len(ens) == len(psis)
 
     def test_bloch_state_bounds(self):
@@ -235,7 +252,7 @@ class TestValidation:
     def test_caller_arrays_copied_and_stored_read_only(self):
         pts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         p = np.array([0.25, 0.75])
-        ens = Ensemble("s2", pts, p)
+        ens = Ensemble(pts, p)
         g, table = np.array([[1.0, 0.0, 0.0]]), np.array([[0.5, 0.5]])
         sub = SubstateEnsemble(g, table)
         want = (ens.points.copy(), ens.probs.copy(), sub.table.copy(), sub.directions.copy())
@@ -271,23 +288,23 @@ class TestFourStateStates:
             states.append(_four_point(psi))
         p = rng.random(5)
         p /= p.sum()
-        state = reduce_ensemble(Ensemble("four", np.array(states), p))
+        state = reduce_ensemble(Ensemble(np.array(states), p))
         assert _purity(state) <= 3.0 + 1e-12
 
 
 class TestSubstates:
     def test_aligned_direction(self):
-        ens = Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0])
+        ens = Ensemble([[0.0, 0.0, 1.0]], [1.0])
         sub = extend_to_substates(ens, [[0.0, 0.0, 1.0]])
         np.testing.assert_array_equal(sub.probs, [1.0, 0.0])
 
     def test_orthogonal_direction(self):
-        ens = Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0])
+        ens = Ensemble([[0.0, 0.0, 1.0]], [1.0])
         sub = extend_to_substates(ens, [[1.0, 0.0, 0.0]])
         np.testing.assert_array_equal(sub.probs, [0.5, 0.5])
 
     def test_two_directions_product_form(self):
-        ens = Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0])
+        ens = Ensemble([[0.0, 0.0, 1.0]], [1.0])
         sub = extend_to_substates(ens, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
         # sign order (+,+), (+,-), (-,+), (-,-) on (z, x)
         np.testing.assert_array_equal(sub._pattern_values([0.0, 0.0, 1.0]), [1, 1, -1, -1])
@@ -296,7 +313,7 @@ class TestSubstates:
         np.testing.assert_array_equal(sub.mean_sign([0.0, 0.0, 1.0]), [1.0])
 
     def test_antipodal_pair_rejected(self):
-        ens = Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0])
+        ens = Ensemble([[0.0, 0.0, 1.0]], [1.0])
         with pytest.raises(ValueError):
             extend_to_substates(ens, [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
 
@@ -306,7 +323,7 @@ class TestSubstates:
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         p = rng.random(7)
         p /= p.sum()
-        ens = Ensemble("s2", pts, p)
+        ens = Ensemble(pts, p)
         dirs = rng.normal(size=(3, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         sub = extend_to_substates(ens, dirs)
@@ -318,7 +335,7 @@ class TestSubstates:
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         p = rng.random(5)
         p /= p.sum()
-        ens = Ensemble("s2", pts, p)
+        ens = Ensemble(pts, p)
         g = rng.normal(size=3)
         g /= np.linalg.norm(g)
         sub = extend_to_substates(ens, [g, [0.0, 0.0, 1.0]])
@@ -326,7 +343,7 @@ class TestSubstates:
 
     def test_flip_convention(self):
         # gamma(-g) = -gamma(g): querying the antipode negates the signs
-        ens = Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0])
+        ens = Ensemble([[0.0, 0.0, 1.0]], [1.0])
         dirs = [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
         sub = extend_to_substates(ens, dirs)
         for j, g in enumerate(dirs):
@@ -413,7 +430,7 @@ class TestSubstates:
             extend_to_substates(ens, dirs)
 
     def test_sixteen_directions(self):
-        ens = Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0])
+        ens = Ensemble([[0.0, 0.0, 1.0]], [1.0])
         rng = np.random.default_rng(11)
         dirs = rng.normal(size=(16, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -448,7 +465,7 @@ def s2_extensions(draw):
     pts = np.array(draw(st.lists(_unit_vectors(), min_size=n, max_size=n)))
     weights = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
     dirs = draw(st.lists(_unit_vectors(), min_size=1, max_size=5).filter(_distinct_axes))
-    return Ensemble("s2", pts, weights / weights.sum()), dirs
+    return Ensemble(pts, weights / weights.sum()), dirs
 
 
 @st.composite

@@ -132,7 +132,7 @@ class TestMoments:
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         p = rng.random(5)
         p /= p.sum()
-        ens = Ensemble("s2", pts, p)
+        ens = Ensemble(pts, p)
         assert moment(spin(random_unit(rng)), ens, 2) == 1.0
         assert moment(spin(random_unit(rng)), ens, 4) == 1.0
 
@@ -142,16 +142,16 @@ class TestMoments:
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         p = rng.random(6)
         p /= p.sum()
-        ens = Ensemble("s2", pts, p)
+        ens = Ensemble(pts, p)
         rho = reduce_ensemble(ens).rho
         assert abs(moment(basis_spin(3), ens, 1) - rho[2]) < 1e-15
 
     def test_odd_moment_point_mass(self):
-        ens = Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0])
+        ens = Ensemble([[0.0, 0.0, 1.0]], [1.0])
         assert moment(basis_spin(3), ens, 3) == 1.0
 
     def test_bad_q(self):
-        ens = Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0])
+        ens = Ensemble([[0.0, 0.0, 1.0]], [1.0])
         with pytest.raises(ValueError):
             moment(basis_spin(3), ens, 0)
 
@@ -161,13 +161,13 @@ class TestMoments:
                              ids=["short", "offset"])
     def test_non_spin_rejected_at_every_q(self, obs, q):
         # the even-q shortcut returned 1.0 for these
-        ens = Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0])
+        ens = Ensemble([[0.0, 0.0, 1.0]], [1.0])
         with pytest.raises(ValueError, match="unit-direction observable with zero offset"):
             moment(obs, ens, q)
 
     @pytest.mark.parametrize("q", [1, 2])
     def test_dimension_mismatch(self, q):
-        ens = Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0])
+        ens = Ensemble([[0.0, 0.0, 1.0]], [1.0])
         with pytest.raises(DimensionMismatch):
             moment(TwoLevelObservable(np.eye(15)[0]), ens, q)
 
@@ -198,7 +198,7 @@ class TestExpectation:
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         p = rng.random(8)
         p /= p.sum()
-        ens = Ensemble("s2", pts, p)
+        ens = Ensemble(pts, p)
         obs = spin(random_unit(rng))
         micro = float(ens.probs @ (ens.points @ obs.e))
         assert abs(micro - expectation(obs, reduce_ensemble(ens))) < 1e-12
@@ -250,7 +250,7 @@ class TestRandomObservable:
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         p = rng.random(4)
         p /= p.sum()
-        ens = Ensemble("s2", pts, p)
+        ens = Ensemble(pts, p)
         assert moment(RANDOM, ens, 1) == 0.0
         assert moment(RANDOM, ens, 2) == 1.0
 
@@ -266,7 +266,7 @@ class TestMeanFunction:
         pts = rng.normal(size=(n, 3))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         p = rng.random(n) + 0.01
-        ens = Ensemble("s2", pts, p / p.sum())
+        ens = Ensemble(pts, p / p.sum())
         a, b, c = (spin(random_unit(rng)) for _ in range(3))
         obs = {"spin": a, "product": conditional_product(a, b),
                "nested": conditional_product(conditional_product(a, b), c), "random": RANDOM}[kind]

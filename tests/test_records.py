@@ -16,7 +16,7 @@ def _check():
 
 
 def _sphere_point():
-    return manifolds.Ensemble("s2", [[0.0, 0.0, 1.0]], [1.0])
+    return manifolds.Ensemble([[0.0, 0.0, 1.0]], [1.0])
 
 
 # each factory builds a fresh record with the same fields on every call

@@ -219,8 +219,8 @@ JUNK_READERS = {
     "Hamiltonian-vector": (Hamiltonian, np.array([0.0, 0.0, 1.0]), "hk|Hamiltonian matrix", False),
     "Hamiltonian-matrix": (Hamiltonian, np.diag([1.0, -1.0]), "hk|Hamiltonian matrix", False),
     "spin": (spin, np.array([0.0, 0.0, 1.0]), "e", False),
-    "Ensemble-points": (lambda x: Ensemble("s2", x, [1.0]), np.array([[0.0, 0.0, 1.0]]), "points", False),
-    "Ensemble-probs": (lambda x: Ensemble("s2", [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], x), np.array([0.5, 0.5]),
+    "Ensemble-points": (lambda x: Ensemble(x, [1.0]), np.array([[0.0, 0.0, 1.0]]), "points", False),
+    "Ensemble-probs": (lambda x: Ensemble([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], x), np.array([0.5, 0.5]),
                        "probabilities|probs", False),
     "conditional_correlation_2pt-state": (lambda x: conditional_correlation_2pt(_Z, _Z, x),
                                           np.array([0.0, 0.0, 0.5]), "state|Bloch vector|rho|density matrix", True),
@@ -239,7 +239,7 @@ JUNK_READERS = {
     "mean_in_state": (lambda x: mean_in_state(_Z, x), np.array([0.0, 0.0, 1.0]), "f", False),
     "expectation": (lambda x: expectation(_Z, x), np.array([0.0, 0.0, 0.5]), "state|Bloch vector|rho|density matrix",
                     True),
-    "moment-points": (lambda x: moment(_Z, Ensemble("s2", x, [1.0]), 1), np.array([[0.0, 0.0, 1.0]]), "points",
+    "moment-points": (lambda x: moment(_Z, Ensemble(x, [1.0]), 1), np.array([[0.0, 0.0, 1.0]]), "points",
                       False),
 }
 
@@ -348,7 +348,7 @@ def test_scalar_junk_is_a_value_error_naming_the_argument(reader):
 
 def _ensemble(n):
     """A one-point ensemble with n-component points: a pole of S^2 or a pure four-state point."""
-    return Ensemble("four", [entangled_bloch(-1).rho], [1.0]) if n == 15 else Ensemble("s2", [np.eye(n)[2]], [1.0])
+    return Ensemble([entangled_bloch(-1).rho if n == 15 else np.eye(n)[2]], [1.0])
 
 
 # Every place an observable, state or operator is paired with another: (call with the argument
@@ -454,12 +454,12 @@ def test_a_micro_state_has_one_mean_in_every_public_reader(seed, n, d):
     if d == 3:
         pts = rng.normal(size=(n + 1, 3))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        a, ens = spin(pts[n]), Ensemble("s2", pts[:n], rng.dirichlet(np.ones(n)))
+        a, ens = spin(pts[n]), Ensemble(pts[:n], rng.dirichlet(np.ones(n)))
     else:
         a = rotated_spin_observables(*rng.uniform(0.0, 6.3, 2))[rng.integers(2)]
         psi = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
         psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-        ens = Ensemble("four", np.einsum("ni,kij,nj->nk", psi.conj(), qmatrix.L_BASIS, psi).real,
+        ens = Ensemble(np.einsum("ni,kij,nj->nk", psi.conj(), qmatrix.L_BASIS, psi).real,
                        rng.dirichlet(np.ones(n)))
     means = _mean(a, ens.points, "ensemble")
     assert [_bits(m) for m in means] == [_bits(mean_in_state(a, f)) for f in ens.points]
