@@ -20,6 +20,7 @@ import sys
 
 from .acceptance import run_all
 from .experiments import ConfigError, ExperimentConfig, check_seed, run
+from .validate import _brief
 
 # the keys a config file may hold, with the type of each value; the seed is read by check_seed
 _CONFIG_KEYS = {"experiment": str, "params": dict, "seed": object, "out": str}
@@ -35,7 +36,7 @@ def _value(raw: str):
 
 def _parse_param(text: str) -> tuple[str, object]:
     if "=" not in text:
-        raise ConfigError(f"--param expects key=value, got {text!r}")
+        raise ConfigError(f"--param expects key=value, got {_brief(text)}")
     key, raw = text.split("=", 1)
     return key, _value(raw)
 
@@ -48,14 +49,14 @@ def _read_config(path) -> dict:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise ConfigError(f"config file must hold a JSON object, got {cfg!r}")
+        raise ConfigError(f"config file must hold a JSON object, got {_brief(cfg)}")
     unknown = sorted(cfg.keys() - _CONFIG_KEYS.keys())
     if unknown:
-        raise ConfigError(f"unknown config keys {unknown}; choose from {list(_CONFIG_KEYS)}")
+        raise ConfigError(f"unknown config keys {_brief(unknown)}; choose from {list(_CONFIG_KEYS)}")
     for key, value in cfg.items():
         if not isinstance(value, _CONFIG_KEYS[key]):
             what = "an object" if _CONFIG_KEYS[key] is dict else "a string"
-            raise ConfigError(f"config field {key!r} must be {what}, got {value!r}")
+            raise ConfigError(f"config field {key!r} must be {what}, got {_brief(value)}")
     return cfg
 
 
@@ -131,6 +132,3 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -26,8 +26,8 @@ import numpy as np
 
 from .manifolds import STRUCTURE, Ensemble, _components, bloch_vector
 from .qmatrix import L_BASIS, PAULI
-from .validate import (PURITY_TOL, RATE_GAP_TOL, ConstraintViolation, Record, ValueRecord, _check_dim, _dot,
-                       _check_hermitian, _real_number, check_components, check_rotation, real_array)
+from .validate import (PURITY_TOL, RATE_GAP_TOL, ConstraintViolation, Record, ValueRecord, _brief, _check_dim,
+                       _dot, _check_hermitian, _real_number, check_components, check_rotation, real_array)
 
 MAX_STEPS = 2**20
 
@@ -154,7 +154,7 @@ def _steps(t_span, dt: float) -> tuple[np.ndarray, float, int]:
     """Times, step and step count of a fixed-step run over t_span."""
     span, dt = real_array(t_span, "t_span"), _real_number(dt, "dt")
     if span.shape != (2,):
-        raise ValueError(f"t_span must be a list of 2 real numbers, got {t_span!r}")
+        raise ValueError(f"t_span must be a list of 2 real numbers, got {_brief(t_span)}")
     t0, t1 = span.tolist()
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -236,7 +236,7 @@ def _check_purity(times, bloch: np.ndarray) -> None:
     if bad.size:
         i = bad[0]
         raise ConstraintViolation(
-            f"purity exceeded {bound:g} at t = {times[i]!r}: P = {float(purity[i])!r}; "
+            f"purity exceeded {bound:g} at t = {float(times[i])!r}: P = {float(purity[i])!r}; "
             "the flow left the physical region"
         )
 
@@ -305,7 +305,7 @@ def syncoherence_flow(p0: float, d0: float, params: FlowParams, t_span, dt: floa
     bad = np.flatnonzero(state[:, 0] < -PURITY_TOL)
     if bad.size:
         raise ConstraintViolation(
-            f"purity exceeded 1 at t = {times[bad[0]]!r}: a pure state cannot get purer"
+            f"purity exceeded 1 at t = {float(times[bad[0]])!r}: a pure state cannot get purer"
         )
     return Trajectory(times, 1.0 - state[:, :1], state[:, 1])
 

@@ -21,7 +21,8 @@ import numpy as np
 # that importing the package loads neither
 from . import correlations, dynamics, fourstate, manifolds, observables, qmatrix
 from .reporting import write_csv, write_json
-from .validate import PURITY_TOL, RELATIVE_ERROR_FLOOR, ValueRecord, _dot, _real_number, check_count, real_array
+from .validate import (PURITY_TOL, RELATIVE_ERROR_FLOOR, ValueRecord, _brief, _dot, _real_number, check_count,
+                       real_array)
 
 # count limits: steps^2 grid rows <= MAX_STEPS (about 30 s of Bell checks); a
 # classical trial draws one ensemble in about 0.2 ms, so MAX_STEPS of them take
@@ -88,9 +89,9 @@ def _merge_params(defaults: dict, given: dict, name: str) -> dict:
     params = dict(defaults)
     for key, value in given.items():
         if key not in defaults:
-            raise ConfigError(f"unknown parameter {key!r} for experiment {name!r}")
+            raise ConfigError(f"unknown parameter {_brief(key)} for experiment {name!r}")
         if isinstance(defaults[key], list) and not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{key} must be a list, got {value!r}")
+            raise ConfigError(f"{key} must be a list, got {_brief(value)}")
         params[key] = value
     return params
 
@@ -99,7 +100,7 @@ def _real_list(p: dict, key: str, length: int | None = None) -> np.ndarray:
     """Parameter ``key`` as a 1-d array read by ``validate.real_array``, of ``length`` entries if given."""
     arr = real_array(p[key], key)
     if arr.ndim != 1 or length not in (None, len(arr)):
-        raise ValueError(f"{key} must be a list of {length or 'any number of'} real numbers, got {p[key]!r}")
+        raise ValueError(f"{key} must be a list of {length or 'any number of'} real numbers, got {_brief(p[key])}")
     return arr
 
 
@@ -509,14 +510,15 @@ def _mc_convergence(params, seed):
 
 def _four_state(params, seed):
     """Entangled-state values, the interference check, the rotated correlation, exchange classes."""
-    rho_m = fourstate.entangled_state(-1)
-    t_vals = [qmatrix.qm_expectation(qmatrix.l_operator(m), rho_m) for m in (1, 2, 3)]
+    rho_m, bloch = fourstate.entangled_state(-1), fourstate.entangled_bloch(-1)
+    # T_m read on the classical side, from a one-point four ensemble; the oracle is the reference
+    t_vals = manifolds.reduce_ensemble(manifolds.Ensemble([bloch.rho], [1.0])).rho[:3].tolist()
     table = fourstate.outcomes_from_t(*t_vals)
-    checks = [_exact_check(f"T{m} of the entangled state", t, want)
-              for m, t, want in zip((1, 2, 3), t_vals, (0.0, 0.0, -1.0))]
+    checks = [_exact_check(f"T{m} of the entangled state", t, qmatrix.qm_expectation(qmatrix.l_operator(m), rho_m))
+              for m, t in zip((1, 2, 3), t_vals)]
     checks += [_exact_check(f"weight w_{k}", getattr(table, f"w_{k}"), want)
                for k, want in (("pm", 0.5), ("mp", 0.5), ("pp", 0.0), ("mm", 0.0))]
-    rng, bloch = np.random.default_rng(seed), fourstate.entangled_bloch(-1)
+    rng = np.random.default_rng(seed)
     # half singlet, half psi_1 (f1 = f2 = f3 = 1): both bits polarised, so 3-point values are not 0
     tilted = manifolds.BlochState(0.5 * (bloch.rho + np.eye(15)[:3].sum(axis=0)))
     tilted_m, worst2, worst3 = qmatrix.density_from_bloch(tilted.rho), 0.0, 0.0
@@ -633,8 +635,8 @@ EXPERIMENTS = {
 def run(config: ExperimentConfig) -> RunReport:
     """Execute one experiment and write ``<name>.csv`` and ``<name>.report.json``."""
     if config.experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {config.experiment!r}; "
-                          f"choose from {sorted(EXPERIMENTS)}")
+        raise ConfigError(f"unknown experiment {_brief(config.experiment)}; "
+                          f"choose from {' '.join(sorted(EXPERIMENTS))}")
     t0 = time.perf_counter()
     try:
         columns, rows, results, checks = EXPERIMENTS[config.experiment](config.params, config.seed)

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from . import qmatrix
-from .dynamics import MAX_STEPS, _linear_flow
+from .dynamics import MAX_STEPS, integrate_von_neumann
 from .manifolds import BASIS_WORDS, BlochState, Ensemble, bloch_vector, canonical_direction, weighted_sum
 from .observables import TwoLevelObservable
 from .validate import (INVARIANT_TOL, PURITY_TOL, SAME_DIRECTION_TOL, ConstraintViolation, ValueRecord,
@@ -59,7 +59,7 @@ def outcomes_from_t(t1: float, t2: float, t3: float) -> OutcomeTable:
 def _sign(sign) -> float:
     """``sign`` as +1.0 or -1.0; any other value, a bool among them, is a ValueError naming it."""
     if (value := _real_number(sign, "sign")) not in (1.0, -1.0):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+        raise ValueError(f"sign must be +1 or -1, got {value!r}")
     return value
 
 
@@ -203,19 +203,19 @@ def classical_pair_correlator(ensemble: Ensemble):
 # ---------------------------------------------------------------------------
 
 def interference_trajectory(delta: float, t_final: float, n_steps: int = 4096):
-    """Integrate the two-frequency superposition flow and record <T_2>(t).
+    """(times, f2, f5) of one ``dynamics.integrate_von_neumann`` run from psi_1 (f1 = f2 = f3 = 1) under
+    H = (delta/2) IX, in n_steps <= MAX_STEPS steps of h = t_final / n_steps; f2 is <T_2>.
 
-    The closed flow is df2/dt = delta f5, df5/dt = -delta f2 with f3 = f2,
-    f7 = f5, f1 = 1 and all other components zero, starting from f2 = 1. The
-    expectation <T_2> oscillates as cos(delta t). At most MAX_STEPS steps.
+    The flow keeps f1 = 1, f3 = f2, f7 = f5 and the rest at zero; on that subflow df2/dt = delta f5 and
+    df5/dt = -delta f2, so <T_2> = cos(delta t). A step |delta| h > 2 sqrt(2) grows the RK4 purity and aborts.
+    An h below the smallest normal float is raised to it, so such a span takes fewer steps (t_final = 0 one).
     """
     delta, t_final = _real_number(delta, "delta"), _real_number(t_final, "t_final", 0.0)
     n_steps = check_count(n_steps, "n_steps", lo=1, hi=MAX_STEPS)
-    h = t_final / n_steps
-    times = np.arange(n_steps + 1, dtype=float)
-    times *= h
-    f = _linear_flow(np.array([1.0, 0.0]), [[0.0, delta], [-delta, 0.0]], h, n_steps)   # (f2, f5)
-    return times, f[:, 0], f[:, 1]
+    psi_1, hk = np.eye(15)[:3].sum(axis=0), np.zeros(15)
+    hk[3] = 0.5 * delta
+    traj = integrate_von_neumann(psi_1, hk, [0.0, t_final], max(t_final / n_steps, np.finfo(float).tiny))
+    return traj.times, traj.bloch[:, 1], traj.bloch[:, 4]
 
 
 # ---------------------------------------------------------------------------

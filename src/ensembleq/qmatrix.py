@@ -136,7 +136,7 @@ def check_density_matrix(rho) -> np.ndarray:
         raise ConstraintViolation("density matrix trace is not 1")
     ev = np.linalg.eigvalsh(mat)
     if ev.min() < -INVARIANT_TOL:
-        raise ConstraintViolation(f"density matrix has a negative eigenvalue {ev.min()!r}")
+        raise ConstraintViolation(f"density matrix has a negative eigenvalue {float(ev.min())!r}")
     if float(np.trace(mat @ mat).real) > 1.0 + INVARIANT_TOL:
         raise ConstraintViolation("tr rho^2 exceeds 1")
     return mat

@@ -65,6 +65,27 @@ _FSUM_CHUNK = 4096
 _PREFIX_SUM_ROWS = 128
 
 
+class _BriefRepr(reprlib.Repr):
+    """reprlib's abbreviated form, which shows an int past Python's int-to-str digit limit by its size."""
+
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:   # over sys.get_int_max_str_digits()
+            return f"<{'negative ' if x < 0 else ''}int of {x.bit_length()} bits>"
+
+
+_BRIEF_REPR = _BriefRepr()
+_BRIEF_REPR.maxstring = 20   # so an unknown experiment's name and the nine choices fit one short line
+
+
+def _brief(value) -> str:
+    """A caller's value as an error message repeats it: reprlib's abbreviated form, cut to at most 80
+    characters, since nesting multiplies reprlib's per-level limits."""
+    text = _BRIEF_REPR.repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 class ConstraintViolation(ValueError):
     """A numerical invariant (normalisation, purity bound, positivity) is broken."""
 
@@ -138,7 +159,7 @@ def real_array(x, name: str, complex_ok: bool = False) -> np.ndarray:
     if kind == "c" and not complex_ok:
         raise ValueError(f"{name} has complex entries")
     if kind not in "iufc" or isinstance(x, (list, tuple)) and _holds_bool(x):
-        raise ValueError(f"{name} must be an array of numbers, got {reprlib.repr(x)}")
+        raise ValueError(f"{name} must be an array of numbers, got {_brief(x)}")
     if dtype != (want := complex if kind == "c" else float):
         try:
             arr = arr.astype(want)
@@ -253,7 +274,7 @@ def check_probabilities(p) -> np.ndarray:
 def _check_distribution(arr: np.ndarray) -> np.ndarray:
     """``arr``, a vector already read by ``real_array``, if it is >= 0 with an (fsum-)exact total of 1."""
     if np.any(arr < -INVARIANT_TOL):
-        raise ConstraintViolation(f"negative probability: min = {arr.min()!r}")
+        raise ConstraintViolation(f"negative probability: min = {float(arr.min())!r}")
     chunks = (arr[i:i + _FSUM_CHUNK].tolist() for i in range(0, arr.size, _FSUM_CHUNK))
     total = math.fsum(itertools.chain.from_iterable(chunks))
     if abs(total - 1.0) > INVARIANT_TOL:
@@ -277,12 +298,12 @@ def check_count(value, name: str, lo: int = 0, hi: int | None = None) -> int:
     A whole float such as 1e4 (how JSON may write a count) is the int it equals."""
     integral = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
     if isinstance(value, bool) or not integral:
-        raise ValueError(f"{name} must be an integer, got {reprlib.repr(value)}")
+        raise ValueError(f"{name} must be an integer, got {_brief(value)}")
     n = int(value)
     if n < lo:
-        raise ValueError(f"{name} must be >= {lo}, got {reprlib.repr(n)}")
+        raise ValueError(f"{name} must be >= {lo}, got {_brief(n)}")
     if hi is not None and n > hi:
-        raise ValueError(f"{name} = {reprlib.repr(n)}; the limit is {hi}")
+        raise ValueError(f"{name} = {_brief(n)}; the limit is {hi}")
     return n
 
 
@@ -291,11 +312,11 @@ def _real_number(value, name: str, lo: float = -math.inf) -> float:
     or a non-finite value (NaN passes any "> tol" test) is a ValueError naming ``name``."""
     # a float skips the abstract-class test, which costs more than the rest of the check
     if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
-        raise ValueError(f"{name} must be a real number, got {reprlib.repr(value)}")
+        raise ValueError(f"{name} must be a real number, got {_brief(value)}")
     try:
         x = float(value)
     except OverflowError:   # an int or Fraction beyond the float range
-        raise ValueError(f"{name} must be within the float range, got {reprlib.repr(value)}") from None
+        raise ValueError(f"{name} must be within the float range, got {_brief(value)}") from None
     if not math.isfinite(x):
         raise ValueError(f"{name} is non-finite: {x!r}")
     if x < lo:

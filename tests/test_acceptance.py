@@ -276,12 +276,13 @@ _MUTANTS = [
      "    if obs.dim == 15 and np.abs(obs.e @ STRUCTURE[15][0] @ obs.e).max() > INVARIANT_TOL:\n"
      '        raise ValueError(f"{name}: the operator does not square to 1 (spectrum is not +-1)")\n',
      "", "c8"),
+    ("dynamics.py", "bound = 1.0 if bloch.shape[1] == 3 else 3.0", "bound = 1.0", "c8"),
 ]
 
 
 @pytest.mark.parametrize("module, fragment, replacement, owner", _MUTANTS,
                          ids=["L14-sign", "syncoherence-x2", "callable-rate-k1", "outcome-T2-signs",
-                              "spin-square-test"])
+                              "spin-square-test", "four-state-purity-bound"])
 def test_planted_mutant_fails_its_criterion(tmp_path, module, fragment, replacement, owner):
     package = Path(ensembleq.__file__).parent
     shutil.copytree(package, tmp_path / "ensembleq", ignore=shutil.ignore_patterns("__pycache__"))

@@ -127,9 +127,11 @@ def test_config_error_writes_no_files(tmp_path, name, params):
     ("mc-sequences", "angles", "[[0.0], [1.0]]"),
     ("interference", "delta", "1" + "0" * 400),
     ("interference", "points", "1" + "0" * 5000),
+    ("decoherence", "rho0", "[" + ", ".join(["0.125"] * 5000) + "]"),
+    ("pseudo-quantum-region", "sizes", "s" * 10000),
 ], ids=["scalar-angles", "scalar-sizes", "bool-free_p1", "string-free_p1", "list-free_p1", "list-delta",
         "list-omega", "list-a", "list-d", "short-rho", "scalar-probs", "nested-angles", "huge-delta",
-        "huge-points"])
+        "huge-points", "long-rho0", "long-string-sizes"])
 def test_config_error_names_the_parameter(tmp_path, capsys, name, key, text):
     # these failed as "object of type 'float' has no len()", "'int' object is not iterable",
     # ran free_p1=false as p1 = 0, or failed on a scalar given as a list in numpy or in
@@ -143,6 +145,27 @@ def test_config_error_names_the_parameter(tmp_path, capsys, name, key, text):
     assert json.loads(line)["error"].startswith(
         (f"{key} must be", f"invalid parameters for {name!r}: {key} must be"))
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, config, start", [
+    (["--experiment", "x" * 10000], None, "unknown experiment 'xxxx"),
+    (["--experiment", "interference", "--param", "k" * 10000 + "=3"], None, "unknown parameter 'kkkk"),
+    (["--experiment", "interference", "--param", "p" * 10000], None, "--param expects key=value, got 'pppp"),
+    ([], list(range(10**5)), "config file must hold a JSON object, got [0, 1,"),
+    ([], {"experiment": "interference", "params": list(range(10**5))}, "config field 'params' must be an object"),
+    ([], {"experiment": "interference", "k" * 10000: 1}, "unknown config keys ['kkkk"),
+], ids=["long-experiment", "long-param-key", "long-param-without-=", "long-config-array", "long-config-params",
+        "long-config-key"])
+def test_a_long_value_is_shortened_in_the_error_line(tmp_path, capsys, argv, config, start):
+    # each value was repeated in full: a config file of a 10^5-entry array gave a 688,945-byte line
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = ["--config", str(tmp_path / "cfg.json"), *argv]
+    assert main(["run", *argv, "--out", str(tmp_path / "out")]) == 2
+    line = capsys.readouterr().err
+    assert len(line) <= 200 and line.count("\n") == 1, line
+    assert json.loads(line)["error"].startswith(start)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("free_p1", [0, Fraction(1, 8), 0.125], ids=["int", "Fraction", "float"])

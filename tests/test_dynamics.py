@@ -600,7 +600,7 @@ class TestOpenEvolution:
     @pytest.mark.parametrize("d_rate", [0.5, lambda _b, _t: 0.5])
     def test_purity_overflow_reported_at_first_step(self, d_rate):
         # P(t) = 0.81 exp(t) first exceeds 1 + 1e-9 at step 22 (t = ln(1/0.81) = 0.2107)
-        t_first = (0.0 + 0.01 * np.arange(501))[22]
+        t_first = float((0.0 + 0.01 * np.arange(501))[22])
         with pytest.raises(ConstraintViolation, match=re.escape(f"at t = {t_first!r}: P = ")):
             integrate_open(np.array([0.0, 0.0, 0.9]), None, d_rate, (0.0, 5.0), 0.01)
 

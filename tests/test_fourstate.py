@@ -1,15 +1,16 @@
 import math
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ensembleq import qmatrix
+from ensembleq import fourstate, qmatrix
 from ensembleq.correlations import classical_correlation, simulate_sequences
-from ensembleq.dynamics import MAX_STEPS
+from ensembleq.dynamics import MAX_STEPS, _linear_flow, integrate_von_neumann
 from ensembleq.fourstate import (
     basis_psi,
     bell_check,
@@ -361,6 +362,54 @@ class TestInterference:
     def test_bad_span_rejected(self, t_final):
         with pytest.raises(ValueError, match="t_final"):
             interference_trajectory(1.0, t_final)
+
+    @settings(max_examples=60, deadline=None)
+    @given(delta=st.floats(-3.0, 3.0), t=st.floats(0.0, 10.0, exclude_min=True), n=st.integers(1, 4096))
+    @example(delta=3.0, t=10.0, n=1)
+    def test_runs_the_two_component_superposition_flow(self, delta, t, n):
+        # the reference is the hand-reduced (f2, f5) flow the run integrated before it ran the
+        # four-state von Neumann integrator; a step below the normal float range is raised to the
+        # smallest normal float (test_a_step_below_the_normal_floats_is_raised_to_the_smallest)
+        assume(t / n >= sys.float_info.min)
+        ref = _linear_flow(np.array([1.0, 0.0]), [[0.0, delta], [-delta, 0.0]], t / n, n)
+        if (ref * ref).sum(axis=1).max() > 1.0 + 0.5 * PURITY_TOL:
+            # an unstable RK4 step (|delta| t / n > 2 sqrt 2): the 15-vector's purity 1 + 2 (f2^2 + f5^2)
+            # passes 3, and the run aborts where the hand-reduced flow grew without a check
+            with pytest.raises(ConstraintViolation, match="purity exceeded 3"):
+                interference_trajectory(delta, t, n)
+            return
+        times, f2, f5 = interference_trajectory(delta, t, n)
+        np.testing.assert_array_equal(times, np.arange(n + 1) * (t / n))
+        assert np.abs(f2 - ref[:, 0]).max() <= 1e-13 and np.abs(f5 - ref[:, 1]).max() <= 1e-13
+
+    @pytest.mark.parametrize("delta", [-3.0, 0.8, 3.0])
+    def test_the_run_keeps_the_superposition_subflow(self, monkeypatch, delta):
+        # f1 = 1, f3 = f2, f7 = f5 and the other ten components 0 come out of the flow, not the code
+        runs = []
+
+        def spy(*args):
+            runs.append(integrate_von_neumann(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(fourstate, "integrate_von_neumann", spy)
+        _, f2, f5 = interference_trajectory(delta, 10.0, 4096)
+        (traj,) = runs
+        f = traj.bloch
+        assert f.shape == (4097, 15) and np.array_equal(f[:, 1], f2) and np.array_equal(f[:, 4], f5)
+        assert np.abs(f[:, 0] - 1.0).max() <= 1e-13
+        assert np.abs(f[:, 2] - f[:, 1]).max() <= 1e-13 and np.abs(f[:, 6] - f[:, 4]).max() <= 1e-13
+        assert np.abs(np.delete(f, [0, 1, 2, 4, 6], axis=1)).max() <= 1e-13
+        assert np.abs(traj.purity - 3.0).max() <= PURITY_TOL
+
+    @pytest.mark.parametrize("t_final, n_steps", [(0.0, 4096), (5e-324, 4096), (1.4 * 2.0**-1054, MAX_STEPS)],
+                             ids=["zero", "one-ulp", "subnormal-step"])
+    def test_a_step_below_the_normal_floats_is_raised_to_the_smallest(self, t_final, n_steps):
+        # each span is one step, as t_final / np.finfo(float).tiny rounds to 0; taken as given, the last
+        # step of 1.4 ulp rounds to 1 ulp, and the integrator would count 1.47e6 steps, over the limit
+        times, f2, f5 = interference_trajectory(1.0, t_final, n_steps)
+        assert times.tolist() == [0.0, t_final] and f2.tolist() == [1.0, 1.0]
+        assert f5[0] == 0.0 and abs(f5[1]) <= t_final
+
 
 class TestExchangeSymmetry:
     def test_classifications(self):

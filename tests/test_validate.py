@@ -131,6 +131,42 @@ def test_real_number_keeps_good_values_and_holds_its_lower_bound():
         _real_number(-2, "x", 0.0)
 
 
+# a caller's value that a message repeats, each shown through validate._brief: an int past Python's int-to-str
+# digit limit ended in Python's own "Exceeds the limit (4300 digits)" ValueError, naming no argument, and a
+# 10^4-entry t_span was repeated in a 58,935-character message
+LONG_VALUES = {
+    "check_count-over-hi": (lambda: check_count(10**5000, "n", hi=5), "n = <int of 16610 bits>; the limit is 5"),
+    "check_count-under-lo": (lambda: check_count(-10**5000, "n"), "n must be >= 0, got <negative int of 16610 bits>"),
+    "_real_number": (lambda: _real_number(10**5000, "x"), "x must be within the float range, got <int of 16610 bits>"),
+    "integrate_von_neumann-t_span": (
+        lambda: integrate_von_neumann(np.eye(3)[2], np.eye(3)[0], list(range(10000)), 0.1),
+        "t_span must be a list of 2 real numbers, got [0, 1, 2, 3, 4, 5, ...]"),
+    "real_array-nested": (lambda: real_array([[[[[[["x"] * 6] * 6] * 6] * 6] * 6] * 6], "rho"),
+                          "rho must be an array of numbers, got [[[[[[[...], [...], [...], [...], [...], [...]], "),
+}
+
+
+@pytest.mark.parametrize("site", LONG_VALUES)
+def test_a_long_value_is_shortened_in_the_message(site):
+    call, message = LONG_VALUES[site]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value).startswith(message) and len(str(info.value)) <= 200, str(info.value)
+
+
+# numpy 2 shows a numpy scalar as np.float64(-0.5); each message shows the Python float
+@pytest.mark.parametrize("call, message", [
+    (lambda: integrate_von_neumann(np.eye(3)[0], [0.0, 0.0, 1.0], (0.0, 8.0), 2.0), r"purity exceeded 1 at t = 2\.0: P = [\d.]+;"),
+    (lambda: syncoherence_flow(1.0, 0.5, FlowParams(3.0, 2.0), (0.0, 1.0), 0.25),
+     r"purity exceeded 1 at t = 0\.25: a pure state"),
+    (lambda: check_probabilities([1.5, -0.5]), r"negative probability: min = -0\.5$"),
+    (lambda: qmatrix.check_density_matrix(np.diag([1.5, -0.5])), r"density matrix has a negative eigenvalue -0\.5$"),
+], ids=["_check_purity", "syncoherence_flow", "_check_distribution", "check_density_matrix"])
+def test_a_number_in_a_message_is_a_python_float(call, message):
+    with pytest.raises(ConstraintViolation, match=f"^{message}"):
+        call()
+
+
 @pytest.mark.parametrize("read, bad", [
     (lambda x: real_array(x, "probabilities"), [True, 0.0]),
     (lambda x: real_array(x, "probabilities"), (0.5, np.False_)),
