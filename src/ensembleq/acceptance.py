@@ -19,7 +19,7 @@ import numpy as np
 
 from . import dynamics, experiments, fourstate, qmatrix
 from .experiments import Check, ConfigError, _exact_check, _merge_params, _tol_check
-from .validate import ValueRecord
+from .validate import ValueRecord, _brief
 
 
 class CriterionResult(ValueRecord):
@@ -131,7 +131,7 @@ def run_all(seed: int | None = None, only=None) -> list[CriterionResult]:
         seed = experiments.check_seed(seed)
     unknown = sorted(set(only or ()) - {"basis", *CRITERIA})
     if unknown:
-        raise ConfigError(f"unknown criteria {unknown}; choose from {list(CRITERIA)}")
+        raise ConfigError(f"unknown criteria {_brief(unknown)}; choose from {list(CRITERIA)}")
     runs = [("basis", basis_audit)] + [(cid, fn) for cid, fn in CRITERIA.items()
                                         if only is None or cid in only]
     return [_caught(cid, fn, seed if cid in _RESEEDED else None) for cid, fn in runs]

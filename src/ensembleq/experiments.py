@@ -173,7 +173,7 @@ def _interference(params, seed):
         raise ConfigError("t_final must be > 0")
     n_steps = max(points * 16, 1024)
     times, f2, f5 = fourstate.interference_trajectory(delta, t_final, n_steps)
-    idx = np.linspace(0, n_steps, points).round().astype(int)
+    idx = np.linspace(0, len(times) - 1, points).round().astype(int)   # fewer rows if the step underflows
     t, t2 = times[idx], f2[idx]
     ref = np.fromiter(map(math.cos, delta * t), float, len(t))
     worst = float(np.abs(t2 - ref).max())

@@ -168,6 +168,22 @@ def test_a_long_value_is_shortened_in_the_error_line(tmp_path, capsys, argv, con
     assert not (tmp_path / "out").exists()
 
 
+def test_a_long_criterion_id_is_shortened_in_the_error_line(capsys):
+    assert main(["verify", "--criteria", "c5," + "c" * 10000]) == 2
+    captured = capsys.readouterr()
+    assert len(captured.err) <= 200 and captured.err.count("\n") == 1, captured.err
+    assert json.loads(captured.err)["error"].startswith("unknown criteria ['cccc")
+    assert captured.out == ""
+
+
+def test_interference_with_a_step_below_the_normal_floats_samples_the_run(tmp_path):
+    # the run takes one step of the smallest normal float; indexing as if it took points * 16 raised IndexError
+    report = run(ExperimentConfig("interference", {"t_final": 1e-310, "points": 4}, seed=0, out_dir=str(tmp_path)))
+    assert report.passed
+    rows = (tmp_path / "interference.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[0]) for r in rows] == [0.0, 0.0, 1e-310, 1e-310]
+
+
 @pytest.mark.parametrize("free_p1", [0, Fraction(1, 8), 0.125], ids=["int", "Fraction", "float"])
 def test_free_p1_keeps_its_exactness(tmp_path, free_p1):
     report = run(ExperimentConfig("cartesian-spins", {"free_p1": free_p1}, seed=0, out_dir=str(tmp_path)))
@@ -179,9 +195,9 @@ def test_free_p1_keeps_its_exactness(tmp_path, free_p1):
 # JSON-shaped values that no parameter accepts, or that sit on a parameter's edge
 _JUNK = st.sampled_from([None, True, False, "1", math.nan, math.inf, -math.inf, [], {}])
 # reals: 0, the lower bound of spans, steps, rates and free_p1, and values below
-# it; small values that keep step counts low; huge ones, the float extremes and
-# an int beyond the float range
-_REAL = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 3.0, 1e300, -1e300,
+# it; small values that keep step counts low; a subnormal; huge ones, the float
+# extremes and an int beyond the float range
+_REAL = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 3.0, 1e-310, 1e300, -1e300,
                                    sys.float_info.max, -sys.float_info.max, 10**400]), _JUNK)
 
 
