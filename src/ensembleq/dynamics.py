@@ -15,8 +15,8 @@ two-state evolution adds a scaling rate D:
 Every flow runs on real components, by fixed-step classical RK4: one
 precomputed step matrix for a constant-coefficient flow (``_linear_flow``),
 general steps for a rate D(bloch, t). Spans over MAX_STEPS steps are rejected
-before allocating; a purity above its pure-state value aborts, and nothing is
-clamped or projected.
+before allocating; ``_check_purity`` aborts every flow at its first unphysical
+sample, and nothing is clamped or projected.
 """
 from __future__ import annotations
 
@@ -175,8 +175,8 @@ def _linear_flow(y0, generator, h: float, n: int) -> np.ndarray:
     On a linear flow an RK4 step is y <- y + Q y, Q = sum_{1<=j<=4} (h A)^j / j!
     built once; adding Q y to y, not applying a rounded I + Q, keeps rounding
     from biasing every step the same way. A non-finite Q (y0 comes from checked
-    input) is rejected before allocating, and so is a non-finite last row after
-    stepping: with Q finite, a non-finite entry never turns finite again."""
+    input) is rejected before allocating; rows that overflow are returned for the
+    caller's ``_check_purity``: with Q finite, a non-finite entry never turns finite again."""
     ha = h * np.asarray(generator)
     inc = ha   # Q in Horner form
     for j in (4.0, 3.0, 2.0):
@@ -188,8 +188,6 @@ def _linear_flow(y0, generator, h: float, n: int) -> np.ndarray:
     for i in range(n):
         np.matmul(inc, out[i], out=out[i + 1])
         out[i + 1] += out[i]
-    if not np.isfinite(out[-1]).all():
-        raise ValueError(f"the flow overflowed to a non-finite state within {n} steps")
     return out
 
 
@@ -197,7 +195,7 @@ def integrate_von_neumann(rho0, hamiltonian, t_span, dt: float) -> Trajectory:
     """Fixed-step RK4 integration of d rho/dt = -i [H, rho] on the Bloch components.
 
     Takes a density matrix, BlochState or Bloch vector of either size, and H of
-    the same size. A purity above its pure-state value by over PURITY_TOL aborts.
+    the same size. The run aborts at its first unphysical sample (``_check_purity``).
     """
     vec, gen = _flow(rho0, hamiltonian)
     times, h, n = _steps(t_span, dt)
@@ -227,18 +225,20 @@ def hamiltonian_from_rotation(s_of_t, t: float) -> np.ndarray:
 # purity-changing flows
 # ---------------------------------------------------------------------------
 
-def _check_purity(times, bloch: np.ndarray) -> None:
-    """Abort at the first of ``times`` whose purity sum_k bloch_k^2 exceeds its
-    pure-state value, 1 for 3 components and 3 for 15, by over PURITY_TOL."""
-    bound = 1.0 if bloch.shape[1] == 3 else 3.0
-    purity = _dot(bloch, bloch)
-    bad = np.flatnonzero(purity > bound + PURITY_TOL)
-    if bad.size:
-        i = bad[0]
-        raise ConstraintViolation(
-            f"purity exceeded {bound:g} at t = {float(times[i])!r}: P = {float(purity[i])!r}; "
-            "the flow left the physical region"
-        )
+@np.errstate(over="ignore", invalid="ignore")   # an unphysical row is raised here, not warned
+def _check_purity(times, rows: np.ndarray, purity: np.ndarray | None = None) -> None:
+    """The abort rule of every flow, at the first of ``times`` whose row is unphysical: a non-finite
+    component is a ValueError naming its step, and a purity (sum_k rows_k^2 unless given) above its
+    pure-state value, 3 for 15 components and 1 otherwise, by over PURITY_TOL a ConstraintViolation."""
+    bound = 3.0 if rows.shape[1] == 15 else 1.0
+    norm2 = _dot(rows, rows)   # non-finite where a component is, and where finite squares overflow
+    purity = norm2 if purity is None else purity
+    for i in np.flatnonzero(~(purity <= bound + PURITY_TOL) | ~np.isfinite(norm2)):   # NaN fails too
+        if not np.isfinite(rows[i]).all():
+            raise ValueError(f"the flow overflowed to a non-finite state within {i} steps")
+        if not purity[i] <= bound + PURITY_TOL:
+            raise ConstraintViolation(f"purity exceeded {bound:g} at t = {float(times[i])!r}: "
+                                      f"P = {float(purity[i])!r}; the flow left the physical region")
 
 
 def integrate_open(rho0, hamiltonian, d_rate, t_span, dt: float) -> Trajectory:
@@ -248,10 +248,10 @@ def integrate_open(rho0, hamiltonian, d_rate, t_span, dt: float) -> Trajectory:
     from the checked state read by ``manifolds.bloch_vector`` and the Pauli components of H.
     ``d_rate`` is a callable (bloch_vector, t) -> D, given a copy of the state
     and called four times per RK4 step, or a constant (a linear flow). Each D must
-    be a finite real number, and a state that overflows is a ValueError (the RK4
-    stages, rate calls included, run with numpy's overflow warnings off). Purity
-    obeys dP/dt = 2 D P along the trajectory. A purity above 1 + PURITY_TOL
-    aborts with a constraint-violation report instead of being projected back.
+    be a finite real number (the RK4 stages, rate calls included, run with numpy's
+    overflow warnings off). Purity obeys dP/dt = 2 D P along the trajectory. Either
+    form aborts at its first unphysical sample (``_check_purity``; the callable one
+    before calling D there) instead of projecting the state back.
     """
     vec, gen = _flow(rho0, hamiltonian if hamiltonian is not None else np.zeros(3))
     _check_dim(vec, 3, "rho0", "the two-state open flow")
@@ -274,9 +274,7 @@ def integrate_open(rho0, hamiltonian, d_rate, t_span, dt: float) -> Trajectory:
         for i in range(n + 1):
             y, t = out[i], times[i]
             if not _dot(y, y) <= 1.0 + PURITY_TOL:   # a NaN state fails this test too
-                if not np.isfinite(y).all():
-                    raise ValueError(f"the flow overflowed to a non-finite state within {i} steps")
-                _check_purity(times[i:i + 1], out[i:i + 1])
+                _check_purity(times[:i + 1], out[:i + 1])
             d_vals[i] = d_at(y, t)
             if i < n:   # an RK4 step whose first stage reuses D(y, t)
                 k1 = gen @ y + d_vals[i] * y
@@ -293,7 +291,7 @@ def syncoherence_flow(p0: float, d0: float, params: FlowParams, t_span, dt: floa
     State variables are u = 1 - P and D with du/dt = -D, dD/dt = -a D + b u.
     For a > 0, 0 < b < a^2/4 and 0 <= D0 <= eps_1 (1 - P0) the trajectory
     decays exponentially onto (P, D) = (1, 0); other parameter regimes
-    integrate but are unvalidated. A purity above 1 + PURITY_TOL aborts.
+    integrate but are unvalidated. ``_check_purity`` of the rows (u, D) with P = 1 - u aborts the run.
 
     Returns a Trajectory whose ``bloch`` column holds P and ``d_values`` D.
     """
@@ -302,12 +300,9 @@ def syncoherence_flow(p0: float, d0: float, params: FlowParams, t_span, dt: floa
         raise ValueError("initial purity exceeds 1")
     times, h, n = _steps(t_span, dt)
     state = _linear_flow(np.array([u, _real_number(d0, "d0")]), [[0.0, -1.0], [params.b, -params.a]], h, n)
-    bad = np.flatnonzero(state[:, 0] < -PURITY_TOL)
-    if bad.size:
-        raise ConstraintViolation(
-            f"purity exceeded 1 at t = {float(times[bad[0]])!r}: a pure state cannot get purer"
-        )
-    return Trajectory(times, 1.0 - state[:, :1], state[:, 1])
+    purity = 1.0 - state[:, :1]
+    _check_purity(times, state, purity[:, 0])
+    return Trajectory(times, purity, state[:, 1])
 
 
 def syncoherence_closed_form(p0: float, d0: float, params: FlowParams, times) -> tuple[np.ndarray, np.ndarray]:

@@ -168,7 +168,7 @@ def _bell_sweep(params, seed):
 def _interference(params, seed):
     p = _merge_params({"delta": 1.0, "t_final": 2.0 * math.pi, "points": 256}, params, "interference")
     delta, t_final = _real_number(p["delta"], "delta"), _real_number(p["t_final"], "t_final")
-    points = check_count(p["points"], "points", lo=2)
+    points = check_count(p["points"], "points", lo=2, hi=dynamics.MAX_STEPS // 16)   # 16 steps a point
     if t_final <= 0:
         raise ConfigError("t_final must be > 0")
     n_steps = max(points * 16, 1024)

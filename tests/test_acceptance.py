@@ -276,7 +276,7 @@ _MUTANTS = [
      "    if obs.dim == 15 and np.abs(obs.e @ STRUCTURE[15][0] @ obs.e).max() > INVARIANT_TOL:\n"
      '        raise ValueError(f"{name}: the operator does not square to 1 (spectrum is not +-1)")\n',
      "", "c8"),
-    ("dynamics.py", "bound = 1.0 if bloch.shape[1] == 3 else 3.0", "bound = 1.0", "c8"),
+    ("dynamics.py", "bound = 3.0 if rows.shape[1] == 15 else 1.0", "bound = 1.0", "c8"),
 ]
 
 

@@ -97,13 +97,15 @@ def test_invalid_parameter_value(tmp_path):
     ("cartesian-spins", {"probs": 7}),
     ("cartesian-spins", {"free_p1": False}),
     ("cartesian-spins", {"free_p1": "1/4"}),
+    ("interference", {"points": 65537}),
 ], ids=["bad-rate", "unbounded-span", "unknown-key", "negative-trials", "zero-trials",
         "too-many-jobs", "fractional-steps", "fractional-trials", "fractional-n",
         "fractional-jobs", "bool-trials", "fractional-size", "size-not-multiple-of-4",
         "zero-size", "fractional-grid", "oversized-grid", "nan-probs", "overflowing-span",
         "bool-b", "bool-omega", "bool-delta", "bool-angles", "bool-dt", "nan-d", "nan-p0",
         "oversized-steps", "oversized-trials", "oversized-n", "oversized-size",
-        "too-many-sizes", "scalar-probs", "bool-free_p1", "string-free_p1"])
+        "too-many-sizes", "scalar-probs", "bool-free_p1", "string-free_p1",
+        "points-over-limit"])
 def test_config_error_writes_no_files(tmp_path, name, params):
     # parameters, integration and checks all run before a file is opened
     with pytest.raises(ConfigError):
@@ -182,6 +184,21 @@ def test_interference_with_a_step_below_the_normal_floats_samples_the_run(tmp_pa
     assert report.passed
     rows = (tmp_path / "interference.csv").read_text().splitlines()[1:]
     assert [float(r.split(",")[0]) for r in rows] == [0.0, 0.0, 1e-310, 1e-310]
+
+
+@pytest.mark.parametrize("param, error", [
+    ("points=65537", "points = 65537; the limit is 65536"),
+    ("delta=2000", "purity exceeded 3 at t = 0.0015339807878856412: P = 7.089"),
+    ("delta=1850", "purity exceeded 3 at t = 0.0015339807878856412: P = 3.096"),
+], ids=["points-over-limit", "delta-2000", "delta-1850"])
+def test_interference_error_names_what_the_caller_gave(tmp_path, capsys, param, error):
+    # points = 65537 was reported as n_steps = 1048592, a count the caller never gave, and
+    # delta = 2000 as an overflow within 4096 steps, though its purity passes 3 at the first step
+    assert main(["run", "--experiment", "interference", "--param", param, "--out", str(tmp_path)]) == 2
+    line = capsys.readouterr().err
+    assert line.count("\n") == 1 and json.loads(line)["error"].startswith(
+        f"invalid parameters for 'interference': {error}"), line
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("free_p1", [0, Fraction(1, 8), 0.125], ids=["int", "Fraction", "float"])

@@ -395,14 +395,20 @@ class TestLinearFlow:
     def test_overflow_is_raised_not_returned(self):
         # a step matrix that overflows, a finite one whose trajectory overflows on the
         # way, and a generator 2 f.h that overflows (it warned, in each of the three
-        # flows): each raises, and no overflow warning escapes
+        # flows): each raises, and no overflow warning escapes. The finite one is a stiff
+        # syncoherence flow (a h = 30): D overflows at row 70, one row before u, while
+        # P = 1 - u stays below 1, and the error names that first non-finite step (the
+        # old scan read u alone, and the old last-row check named the run length, 500)
         huge, x = Hamiltonian([0.0, 0.0, 1e308]), np.array([1.0, 0.0, 0.0])
+        state = _linear_flow(np.array([0.1, 0.1]), [[0.0, -1.0], [2e3, -3e3]], 0.01, 500)
+        assert np.isfinite(state[:70]).all() and np.isfinite(state[70, 0]) and not np.isfinite(state[70, 1])
+        assert (state[:70, 0] > 0.0).all()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="non-finite"):
                 interference_trajectory(1.0, 1e300, 4096)
-            with pytest.raises(ValueError, match="overflowed"):
-                _linear_flow(np.array([1.0]), [[100.0]], 1.0, 1000)
+            with pytest.raises(ValueError, match="^the flow overflowed to a non-finite state within 70 steps$"):
+                syncoherence_flow(0.9, 0.1, FlowParams(3e3, 2e3), (0.0, 5.0), 0.01)
             for flow in (lambda: integrate_von_neumann(x, huge, (0.0, 1.0), 0.01),
                          lambda: integrate_open(x, huge, -0.1, (0.0, 1.0), 0.01),
                          lambda: integrate_open(x, huge, lambda _b, _t: -0.1, (0.0, 1.0), 0.01)):
@@ -597,11 +603,14 @@ class TestOpenEvolution:
         with pytest.raises(ConstraintViolation):
             integrate_open(np.array([0.0, 0.0, 0.9]), None, 0.5, (0.0, 5.0), 0.01)
 
-    @pytest.mark.parametrize("d_rate", [0.5, lambda _b, _t: 0.5])
-    def test_purity_overflow_reported_at_first_step(self, d_rate):
-        # P(t) = 0.81 exp(t) first exceeds 1 + 1e-9 at step 22 (t = ln(1/0.81) = 0.2107)
-        t_first = float((0.0 + 0.01 * np.arange(501))[22])
-        with pytest.raises(ConstraintViolation, match=re.escape(f"at t = {t_first!r}: P = ")):
+    @pytest.mark.parametrize("d_rate, step", [(0.5, 22), (lambda _b, _t: 0.5, 22), (1e3, 1), (lambda _b, _t: 1e3, 1)],
+                             ids=["0.5", "<lambda>", "1e3", "<lambda>-1e3"])
+    def test_purity_overflow_reported_at_first_step(self, d_rate, step):
+        # P(t) = 0.81 exp(2 D t) first exceeds 1 + 1e-9 at step 22 (t = ln(1/0.81) = 0.2107) at D = 0.5,
+        # and at step 1 at D = 1e3, where the constant rate, stepped on to a non-finite last row, was
+        # reported as an overflow within 500 steps
+        t_first = float((0.0 + 0.01 * np.arange(501))[step])
+        with pytest.raises(ConstraintViolation, match=re.escape(f"purity exceeded 1 at t = {t_first!r}: P = ")):
             integrate_open(np.array([0.0, 0.0, 0.9]), None, d_rate, (0.0, 5.0), 0.01)
 
     @pytest.mark.parametrize("hamiltonian, d_rate, match", [
